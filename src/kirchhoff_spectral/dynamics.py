@@ -192,15 +192,17 @@ def evolve(
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         u = y[:n]
-        sigma = float(lam2 @ (u * u))
+        sigma = float(lam2.dot(u * u))
         c = m_at(sigma)
         if c < 0.0:
             raise NegativeNonlinearityError(
                 f"m({sigma:.6g}) = {c:.6g} < 0 at t = {t:.6g}"
             )
-        out = np.empty_like(y)
+        out = np.empty(2 * n)
         out[:n] = y[n:]
-        out[n:] = -c * lam2 * u
+        accel = out[n:]
+        np.multiply(lam2, -c, out=accel)  # -c * lam2 * u, in that order
+        accel *= u
         return out
 
     samples = _sample_grid(init.t, t_end, cfg.dense_output_dt)
@@ -259,9 +261,11 @@ def linear_evolve(
         coeff = float(c_at(t))
         if coeff < 0.0:
             raise NegativeNonlinearityError(f"c({t:.6g}) = {coeff:.6g} < 0")
-        out = np.empty_like(y)
+        out = np.empty(2 * n)
         out[:n] = y[n:]
-        out[n:] = -coeff * lam2 * y[:n]
+        accel = out[n:]
+        np.multiply(lam2, -coeff, out=accel)  # -coeff * lam2 * u, in that order
+        accel *= y[:n]
         return out
 
     samples = _sample_grid(init.t, t_end, cfg.dense_output_dt)

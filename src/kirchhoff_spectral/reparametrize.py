@@ -167,20 +167,26 @@ def solve_trajectory_system(
     lam = spec.lambdas
     n = spec.n
     m_at = scalar_callable(m)
+    signed_lam = direction * lam  # exact: direction is +-1
 
     def rhs(s_tilde: float, y: np.ndarray) -> np.ndarray:
         z = y[:n]
         w = y[n:]
-        den = 2.0 * float(lam @ (z * w))
+        den = 2.0 * float(lam.dot(z * w))
         if abs(den) < delta_den:
             raise ParametrizationError(
                 f"parametrization degenerates: |psi'| = {abs(den):.3e} at "
                 f"s = {direction * s_tilde:.6g}"
             )
         coeff = m_at(direction * s_tilde + sigma0)
-        out = np.empty_like(y)
-        out[:n] = direction * lam * w / den
-        out[n:] = -direction * coeff * lam * z / den
+        out = np.empty(2 * n)
+        dz = out[:n]
+        np.multiply(signed_lam, w, out=dz)  # direction * lam * w / den
+        dz /= den
+        dw = out[n:]
+        np.multiply(lam, -direction * coeff, out=dw)  # -direction*coeff*lam*z/den
+        dw *= z
+        dw /= den
         return out
 
     if abs(d1) > hp_tol:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +101,18 @@ def test_determinism_byte_identical(tmp_path):
     mb = json.loads((tmp_path / "b" / "manifest.json").read_text())
     assert ma["artifacts"] == mb["artifacts"]
     assert ma["scenario_hash"] == mb["scenario_hash"]
+
+
+def test_bundled_scenarios_match_golden_hashes(tmp_path):
+    # the bytes of every bundled scenario's artifacts are pinned, not only
+    # reproducible within one run
+    root = Path(__file__).resolve().parents[1]
+    golden = json.loads((root / "benchmarks" / "golden.json").read_text())
+    hashes = {}
+    for path in sorted((root / "scenarios").glob("*.json")):
+        manifest = run_scenario(path, out_dir=tmp_path / path.stem)
+        hashes[path.stem] = {a["name"]: a["sha256"] for a in manifest.to_dict()["artifacts"]}
+    assert hashes == golden
 
 
 def test_random_data_is_seeded(tmp_path):
