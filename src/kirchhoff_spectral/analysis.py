@@ -10,7 +10,7 @@ from enum import Enum
 import numpy as np
 
 from .conditions import log_log_slope
-from .dynamics import IntegratorConfig, SpectralState, Trajectory, evolve
+from .dynamics import IntegratorConfig, SpectralState, Trajectory, evolve, hamiltonian
 from .errors import PreconditionError
 from .functions import FunctionSpec, antiderivative
 from .norms import GevreyParams, gevrey_norm, sobolev_norm
@@ -97,9 +97,7 @@ def hamiltonian_reachable_sigma(
     multiple of the initial value when M plateaus below the energy level.
     """
     sigma0 = a_half_norm_sq(u0)
-    h0 = float(np.dot(u1.components, u1.components)) + float(
-        antiderivative(m)(sigma0)
-    )
+    h0 = hamiltonian(SpectralState(t=0.0, u=u0, v=u1), m)
     big_m = antiderivative(m)
     hi = max(1.0, 2.0 * sigma0)
     for _ in range(60):

@@ -9,7 +9,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .errors import KirchhoffError, ScenarioError
+from .errors import ScenarioError
 from .scenario import load_config, preset_catalog, run_scenario, validate_scenario
 
 
@@ -27,11 +27,30 @@ def _add_run(sub):
                    help="run configs in parallel with this many workers")
 
 
-def _run_one(args_tuple):
-    config, out_dir, tol_scale, seed = args_tuple
-    manifest = run_scenario(config, out_dir=out_dir,
-                            tolerance_scale=tol_scale, seed=seed)
-    return config, manifest
+def _run_one(job):
+    """Run one config; return (config, manifest, None) or (config, None, error).
+
+    Any failure is caught here, so one bad config never ends the batch.  The
+    error travels as text, because not every exception survives pickling.
+    """
+    config, out_dir, tol_scale, seed = job
+    try:
+        manifest = run_scenario(config, out_dir=out_dir,
+                                tolerance_scale=tol_scale, seed=seed)
+    except Exception as exc:
+        return config, None, f"{type(exc).__name__}: {exc}"
+    return config, manifest, None
+
+
+def _report(results) -> int:
+    failures = 0
+    for config, manifest, error in results:
+        if error is not None:
+            print(f"{config}: error: {error}", file=sys.stderr)
+            failures += 1
+        else:
+            print(f"{config}: ok ({len(manifest.artifacts)} artifacts)")
+    return failures
 
 
 def _cmd_run(args) -> int:
@@ -42,20 +61,11 @@ def _cmd_run(args) -> int:
         if out_dir is not None and multi:
             out_dir = str(Path(out_dir) / Path(config).stem)
         jobs.append((config, out_dir, args.tolerance_scale, args.seed))
-    failures = 0
     if args.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for config, manifest in pool.map(_run_one, jobs):
-                print(f"{config}: ok ({len(manifest.artifacts)} artifacts)")
+            failures = _report(pool.map(_run_one, jobs))
     else:
-        for job in jobs:
-            try:
-                config, manifest = _run_one(job)
-            except KirchhoffError as exc:
-                print(f"{job[0]}: error: {exc}", file=sys.stderr)
-                failures += 1
-                continue
-            print(f"{config}: ok ({len(manifest.artifacts)} artifacts)")
+        failures = _report(map(_run_one, jobs))
     return 1 if failures else 0
 
 

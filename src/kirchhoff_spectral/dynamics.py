@@ -18,12 +18,7 @@ import numpy as np
 from .errors import NegativeNonlinearityError, NondegeneracyError, PreconditionError
 from .functions import FunctionSpec, antiderivative, scalar_callable
 from .integrate import METHOD_NAME, solve_to_samples
-from .spectrum import (
-    SpectralVector,
-    Spectrum,
-    a_half_norm_sq,
-    require_shared_spectrum,
-)
+from .spectrum import SpectralVector, Spectrum, require_shared_spectrum
 
 BLOWUP_CAP = 1e12
 DEGENERATE_TOL = 1e-12
@@ -53,16 +48,12 @@ class IntegratorConfig:
     abs_tol: float = 1e-10
     max_step: float = math.inf
     dense_output_dt: float | None = None
-    method: str = METHOD_NAME
 
     def __post_init__(self):
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise PreconditionError("tolerances must be positive")
         if self.dense_output_dt is not None and self.dense_output_dt <= 0.0:
             raise PreconditionError("dense_output_dt must be positive")
-
-    def scaled(self, factor: float) -> "IntegratorConfig":
-        return replace(self, rel_tol=self.rel_tol * factor, abs_tol=self.abs_tol * factor)
 
 
 @dataclass(frozen=True)
@@ -126,18 +117,6 @@ class Trajectory:
             v=SpectralVector(self.spectrum, self.v[i]),
         )
 
-    @property
-    def initial_state(self) -> SpectralState:
-        return self.state(0)
-
-    @property
-    def final_state(self) -> SpectralState:
-        return self.state(self.n_samples - 1)
-
-    def states(self):
-        for i in range(self.n_samples):
-            yield self.state(i)
-
     def sigma_series(self) -> np.ndarray:
         """|A^(1/2)u|^2 at every sample."""
         return self.u**2 @ self.spectrum.lam2
@@ -170,6 +149,42 @@ def _degenerate_spans(t: np.ndarray, c: np.ndarray) -> tuple:
     return tuple(spans)
 
 
+def _integrate(
+    init: SpectralState,
+    rhs: Callable[[float, np.ndarray], np.ndarray],
+    cfg: IntegratorConfig,
+    t_end: float,
+) -> Trajectory:
+    """Integrate y = (u, u') from ``init`` to ``t_end`` on the sample grid."""
+    if t_end <= init.t:
+        raise PreconditionError("t_end must exceed the initial time")
+    spec = init.spectrum
+    n = spec.n
+    samples = _sample_grid(init.t, t_end, cfg.dense_output_dt)
+    y0 = np.concatenate([init.u.components, init.v.components])
+    res = solve_to_samples(
+        rhs,
+        y0,
+        samples,
+        rel_tol=cfg.rel_tol,
+        abs_tol=cfg.abs_tol,
+        max_step=cfg.max_step,
+        state_cap=BLOWUP_CAP,
+    )
+    meta = IntegratorMeta(
+        method=METHOD_NAME,
+        rel_tol=cfg.rel_tol,
+        abs_tol=cfg.abs_tol,
+        n_accepted=res.n_accepted,
+        n_rejected=res.n_rejected,
+        n_rhs=res.n_rhs,
+        status=res.status,
+        message=res.message,
+        lambda_max_span=spec.lambda_max * (t_end - init.t),
+    )
+    return Trajectory(spectrum=spec, t=res.t, u=res.y[:, :n], v=res.y[:, n:], meta=meta)
+
+
 def evolve(
     init: SpectralState,
     m: FunctionSpec,
@@ -183,12 +198,12 @@ def evolve(
     ``BLOWUP_CAP``) and step underflow return the partial trajectory with a
     status marker instead of raising.
     """
-    if t_end <= init.t:
-        raise PreconditionError("t_end must exceed the initial time")
     spec = init.spectrum
     n = spec.n
     lam2 = spec.lam2
     m_at = scalar_callable(m)
+    # built first: an undefined antiderivative fails before any integration
+    big_m = antiderivative(m)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         u = y[:n]
@@ -205,37 +220,14 @@ def evolve(
         accel *= u
         return out
 
-    samples = _sample_grid(init.t, t_end, cfg.dense_output_dt)
-    y0 = np.concatenate([init.u.components, init.v.components])
-    res = solve_to_samples(
-        rhs,
-        y0,
-        samples,
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
-        max_step=cfg.max_step,
-        state_cap=BLOWUP_CAP,
+    tr = _integrate(init, rhs, cfg, t_end)
+    c_series = np.asarray(m(tr.sigma_series()), dtype=float)
+    meta = replace(
+        tr.meta,
+        hamiltonian_drift=relative_drift(hamiltonian_values(spec, tr.u, tr.v, big_m)),
+        degenerate_spans=_degenerate_spans(tr.t, c_series),
     )
-
-    u = res.y[:, :n]
-    v = res.y[:, n:]
-    sigma = u**2 @ lam2
-    c_series = np.asarray(m(sigma), dtype=float)
-    drift = _relative_drift(hamiltonian_values(spec, u, v, m))
-    meta = IntegratorMeta(
-        method=cfg.method,
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
-        n_accepted=res.n_accepted,
-        n_rejected=res.n_rejected,
-        n_rhs=res.n_rhs,
-        status=res.status,
-        message=res.message,
-        lambda_max_span=spec.lambda_max * (t_end - init.t),
-        hamiltonian_drift=drift,
-        degenerate_spans=_degenerate_spans(res.t, c_series),
-    )
-    return Trajectory(spectrum=spec, t=res.t, u=u, v=v, meta=meta)
+    return replace(tr, meta=meta)
 
 
 def linear_evolve(
@@ -250,11 +242,8 @@ def linear_evolve(
     control governs all of them.  ``c`` may be a FunctionSpec in t or any
     callable; it must stay nonnegative.
     """
-    if t_end <= init.t:
-        raise PreconditionError("t_end must exceed the initial time")
-    spec = init.spectrum
-    n = spec.n
-    lam2 = spec.lam2
+    n = init.spectrum.n
+    lam2 = init.spectrum.lam2
     c_at = scalar_callable(c) if isinstance(c, FunctionSpec) else c
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
@@ -268,60 +257,44 @@ def linear_evolve(
         accel *= y[:n]
         return out
 
-    samples = _sample_grid(init.t, t_end, cfg.dense_output_dt)
-    y0 = np.concatenate([init.u.components, init.v.components])
-    res = solve_to_samples(
-        rhs,
-        y0,
-        samples,
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
-        max_step=cfg.max_step,
-        state_cap=BLOWUP_CAP,
-    )
-    meta = IntegratorMeta(
-        method=cfg.method,
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
-        n_accepted=res.n_accepted,
-        n_rejected=res.n_rejected,
-        n_rhs=res.n_rhs,
-        status=res.status,
-        message=res.message,
-        lambda_max_span=spec.lambda_max * (t_end - init.t),
-    )
-    return Trajectory(spectrum=spec, t=res.t, u=res.y[:, :n], v=res.y[:, n:], meta=meta)
+    return _integrate(init, rhs, cfg, t_end)
 
 
 # ---------------------------------------------------------------------------
 # energies and invariants
 
 
+def _row(state: SpectralState) -> Trajectory:
+    """``state`` as a one-sample trajectory, without an integrator record."""
+    return Trajectory(
+        spectrum=state.spectrum,
+        t=np.array([state.t]),
+        u=state.u.components[np.newaxis, :],
+        v=state.v.components[np.newaxis, :],
+        meta=None,
+    )
+
+
 def hamiltonian(state: SpectralState, m: FunctionSpec) -> float:
     """|u'|^2 + M(|A^(1/2)u|^2) with M the antiderivative, M(0) = 0."""
-    big_m = antiderivative(m)
-    sigma = a_half_norm_sq(state.u)
-    return float(np.dot(state.v.components, state.v.components) + big_m(sigma))
+    return float(hamiltonian_series(_row(state), m)[0])
 
 
 def hamiltonian_values(
-    spectrum: Spectrum, u: np.ndarray, v: np.ndarray, m: FunctionSpec
+    spectrum: Spectrum, u: np.ndarray, v: np.ndarray, big_m: Callable
 ) -> np.ndarray:
-    big_m = antiderivative(m)
+    """Hamiltonian at every sample row; ``big_m`` is ``antiderivative(m)``."""
     sigma = u**2 @ spectrum.lam2
     return np.sum(v**2, axis=1) + np.asarray(big_m(sigma), dtype=float)
 
 
 def hamiltonian_series(tr: Trajectory, m: FunctionSpec) -> np.ndarray:
-    return hamiltonian_values(tr.spectrum, tr.u, tr.v, m)
+    return hamiltonian_values(tr.spectrum, tr.u, tr.v, antiderivative(m))
 
 
 def higher_order_energy(state: SpectralState) -> float:
     """|A^(1/4)u'|^2 + |A^(3/4)u|^2 = sum lambda v^2 + sum lambda^3 u^2."""
-    lam = state.spectrum.lambdas
-    return float(
-        np.dot(lam, state.v.components**2) + np.dot(lam**3, state.u.components**2)
-    )
+    return float(higher_order_series(_row(state))[0])
 
 
 def higher_order_series(tr: Trajectory) -> np.ndarray:
@@ -340,17 +313,7 @@ def pohozaev_invariant(state: SpectralState, a: float, b: float) -> float:
     makes the quantity exactly constant; this fixes the coefficient on the
     cross term).  Requires the nondegeneracy D > 0.
     """
-    lam2 = state.spectrum.lam2
-    u = state.u.components
-    v = state.v.components
-    sigma = float(lam2 @ u**2)
-    den = a + b * sigma
-    if den <= 0.0:
-        raise NondegeneracyError(f"a + b*|A^(1/2)u|^2 = {den:.6g} <= 0")
-    half_v = float(lam2 @ v**2)
-    au_sq = float(lam2**2 @ u**2)
-    cross = float(lam2 @ (u * v))
-    return den * half_v + au_sq / den - b * cross**2
+    return float(pohozaev_series(_row(state), a, b)[0])
 
 
 def pohozaev_series(tr: Trajectory, a: float, b: float) -> np.ndarray:
@@ -368,15 +331,12 @@ def pohozaev_series(tr: Trajectory, a: float, b: float) -> np.ndarray:
     return den * half_v + au_sq / den - b * cross**2
 
 
-def _relative_drift(series: np.ndarray) -> float:
+def relative_drift(series: np.ndarray) -> float:
+    """max |x_i - x_0| / |x_0|, the drift diagnostic used throughout."""
+    series = np.asarray(series, dtype=float)
     ref = abs(float(series[0]))
     span = float(np.max(np.abs(series - series[0])))
     return span / ref if ref > 0.0 else span
-
-
-def relative_drift(series: np.ndarray) -> float:
-    """max |x_i - x_0| / |x_0|, the drift diagnostic used throughout."""
-    return _relative_drift(np.asarray(series, dtype=float))
 
 
 # ---------------------------------------------------------------------------

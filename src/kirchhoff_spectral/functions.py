@@ -30,21 +30,6 @@ from .errors import DomainError, QuadratureError
 
 _E = math.e
 
-_KINDS = (
-    "constant",
-    "affine",
-    "power",
-    "pohozaev",
-    "table",
-    "offset",
-    "modulus_power",
-    "modulus_sigma_log",
-    "modulus_inv_log",
-    "weight_power_log",
-    "weight_scaled_modulus",
-)
-
-
 @dataclass(frozen=True)
 class FunctionSpec:
     """A named scalar function of sigma >= 0."""
@@ -55,15 +40,15 @@ class FunctionSpec:
     knots: "tuple[tuple[float, ...], tuple[float, ...]] | None" = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise DomainError(f"unknown function kind {self.kind!r}")
-        _VALIDATORS[self.kind](self)
+        KINDS[self.kind].validate(self)
 
     def __call__(self, sigma):
         sig = np.asarray(sigma, dtype=float)
         if np.any(sig < 0.0):
             raise DomainError("sigma must be nonnegative")
-        out = _EVALUATORS[self.kind](self, sig)
+        out = KINDS[self.kind].evaluate(self, sig)
         if np.isscalar(sigma) or np.ndim(sigma) == 0:
             return float(out)
         return out
@@ -98,7 +83,7 @@ class FunctionSpec:
         return FunctionSpec(kind, params, base=base, knots=knots)
 
     def describe(self) -> str:
-        return _DESCRIBERS[self.kind](self)
+        return KINDS[self.kind].describe(self)
 
     def __repr__(self) -> str:
         return f"FunctionSpec({self.describe()})"
@@ -187,7 +172,7 @@ def load_table_csv(path) -> FunctionSpec:
 
 
 # ---------------------------------------------------------------------------
-# validation
+# per-kind records
 
 
 def _need(spec: FunctionSpec, *names: str):
@@ -196,261 +181,8 @@ def _need(spec: FunctionSpec, *names: str):
             raise DomainError(f"{spec.kind} spec needs parameter {name!r}")
 
 
-def _validate_constant(spec):
-    _need(spec, "c")
-
-
-def _validate_affine(spec):
-    _need(spec, "a", "b")
-
-
-def _validate_power(spec):
-    _need(spec, "beta")
-
-
-def _validate_pohozaev(spec):
-    _need(spec, "a", "b")
-    if spec.params["a"] <= 0.0:
-        raise DomainError("pohozaev spec needs a > 0")
-
-
-def _validate_table(spec):
-    if spec.knots is None:
-        raise DomainError("table spec needs knots")
-    sig, val = spec.knots
-    if len(sig) != len(val) or len(sig) < 2:
-        raise DomainError("table needs at least two (sigma, value) rows")
-    s = np.asarray(sig)
-    if s[0] < 0.0 or np.any(np.diff(s) <= 0.0):
-        raise DomainError("table sigmas must be strictly increasing and >= 0")
-    if not np.all(np.isfinite(s)) or not np.all(np.isfinite(val)):
-        raise DomainError("table entries must be finite")
-
-
-def _validate_offset(spec):
-    _need(spec, "c")
-    if spec.base is None:
-        raise DomainError("offset spec needs a base function")
-
-
-def _validate_modulus_power(spec):
-    _need(spec, "beta")
-    if not 0.0 < spec.params["beta"] <= 1.0:
-        raise DomainError("modulus_power needs beta in (0, 1]")
-
-
-def _validate_modulus_sigma_log(spec):
-    _need(spec, "q")
-    if spec.params["q"] < 0.0:
-        raise DomainError("modulus_sigma_log needs q >= 0")
-
-
-def _validate_modulus_inv_log(spec):
-    _need(spec, "q")
-    if spec.params["q"] <= 0.0:
-        raise DomainError("modulus_inv_log needs q > 0")
-
-
-def _validate_weight_power_log(spec):
-    _need(spec, "p", "ell")
-
-
-def _validate_weight_scaled_modulus(spec):
-    if spec.base is None:
-        raise DomainError("weight_scaled_modulus needs the modulus as base")
-
-
-_VALIDATORS = {
-    "constant": _validate_constant,
-    "affine": _validate_affine,
-    "power": _validate_power,
-    "pohozaev": _validate_pohozaev,
-    "table": _validate_table,
-    "offset": _validate_offset,
-    "modulus_power": _validate_modulus_power,
-    "modulus_sigma_log": _validate_modulus_sigma_log,
-    "modulus_inv_log": _validate_modulus_inv_log,
-    "weight_power_log": _validate_weight_power_log,
-    "weight_scaled_modulus": _validate_weight_scaled_modulus,
-}
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-
-
-def _eval_constant(spec, sig):
-    return np.full_like(sig, spec.params["c"])
-
-
-def _eval_affine(spec, sig):
-    return spec.params["a"] + spec.params["b"] * sig
-
-
-def _eval_power(spec, sig):
-    p = spec.params["beta"]
-    if p == 0.0:
-        return np.ones_like(sig)
-    if p < 0.0 and np.any(sig == 0.0):
-        raise DomainError("negative power is singular at sigma = 0")
-    return sig**p
-
-
-def _eval_pohozaev(spec, sig):
-    a, b = spec.params["a"], spec.params["b"]
-    den = a + b * sig
-    if np.any(den <= 0.0):
-        raise DomainError("pohozaev nonlinearity needs a + b*sigma > 0")
-    return den**-2.0
-
-
-def _eval_table(spec, sig):
-    s, y = spec.knots
-    return np.interp(sig, s, y)
-
-
-def _eval_offset(spec, sig):
-    return spec.params["c"] + spec.base(sig)
-
-
-def _eval_modulus_power(spec, sig):
-    beta = spec.params["beta"]
-    inner = np.minimum(sig, 1.0)
-    return np.where(sig <= 1.0, inner**beta, 1.0 + beta * (sig - 1.0))
-
-
-def _eval_modulus_sigma_log(spec, sig):
-    q = spec.params["q"]
-    if q == 0.0:
-        # degenerates to the identity on [0, 1], constant 1 beyond
-        return np.minimum(sig, 1.0)
-    peak = math.exp(-q)
-    s = np.minimum(sig, peak)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        core = np.where(s > 0.0, s * np.abs(np.log(np.maximum(s, 1e-320))) ** q, 0.0)
-    return np.where(sig <= peak, core, peak * q**q)
-
-
-def _eval_modulus_inv_log(spec, sig):
-    q = spec.params["q"]
-    knee = math.exp(-(q + 1.0))
-    val_knee = (q + 1.0) ** -q
-    slope = q * (q + 1.0) ** -(q + 1.0) / knee
-    s = np.minimum(sig, knee)
-    with np.errstate(divide="ignore"):
-        core = np.where(s > 0.0, np.abs(np.log(np.maximum(s, 1e-320))) ** -q, 0.0)
-    return np.where(sig <= knee, core, val_knee + slope * (sig - knee))
-
-
-def _eval_weight_power_log(spec, sig):
-    p, ell = spec.params["p"], spec.params["ell"]
-    if ell == 0.0:
-        core = np.ones_like(sig) if p == 0.0 else sig**p
-    else:
-        s = np.maximum(sig, _E)
-        core = s**p * np.log(s) ** ell
-    return np.maximum(core, 1.0)
-
-
-def _eval_weight_scaled_modulus(spec, sig):
-    s = np.maximum(sig, 1e-300)
-    return np.maximum(s * spec.base(1.0 / s), 1.0)
-
-
-_EVALUATORS = {
-    "constant": _eval_constant,
-    "affine": _eval_affine,
-    "power": _eval_power,
-    "pohozaev": _eval_pohozaev,
-    "table": _eval_table,
-    "offset": _eval_offset,
-    "modulus_power": _eval_modulus_power,
-    "modulus_sigma_log": _eval_modulus_sigma_log,
-    "modulus_inv_log": _eval_modulus_inv_log,
-    "weight_power_log": _eval_weight_power_log,
-    "weight_scaled_modulus": _eval_weight_scaled_modulus,
-}
-
-
-_DESCRIBERS: dict[str, Callable[[FunctionSpec], str]] = {
-    "constant": lambda s: f"{s.params['c']:g}",
-    "affine": lambda s: f"{s.params['a']:g} + {s.params['b']:g}*sigma",
-    "power": lambda s: f"sigma^{s.params['beta']:g}",
-    "pohozaev": lambda s: f"({s.params['a']:g} + {s.params['b']:g}*sigma)^-2",
-    "table": lambda s: f"table[{len(s.knots[0])} knots]",
-    "offset": lambda s: f"{s.params['c']:g} + {s.base.describe()}",
-    "modulus_power": lambda s: f"sigma^{s.params['beta']:g} (modulus)",
-    "modulus_sigma_log": lambda s: f"sigma*|log sigma|^{s.params['q']:g} (modulus)",
-    "modulus_inv_log": lambda s: f"|log sigma|^-{s.params['q']:g} (modulus)",
-    "weight_power_log": lambda s: (
-        f"max(1, sigma^{s.params['p']:g}"
-        + (f" * log(sigma)^{s.params['ell']:g})" if s.params["ell"] else ")")
-    ),
-    "weight_scaled_modulus": lambda s: f"max(1, sigma*omega(1/sigma)), omega = {s.base.describe()}",
-}
-
-
-def scalar_callable(spec: FunctionSpec) -> Callable[[float], float]:
-    """Fast scalar evaluator for the inner integrator loop.
-
-    The closed forms avoid the array round trip of ``FunctionSpec.__call__``
-    for the kinds that show up in right-hand sides; other kinds fall back to
-    the generic path.
-    """
-    kind, p = spec.kind, spec.params
-    if kind == "constant":
-        c = p["c"]
-        return lambda s: c
-    if kind == "affine":
-        a, b = p["a"], p["b"]
-        return lambda s: a + b * s
-    if kind == "power":
-        q = p["beta"]
-        if q == 0.0:
-            return lambda s: 1.0
-        return lambda s: s**q
-    if kind == "pohozaev":
-        a, b = p["a"], p["b"]
-
-        def _poho(s: float) -> float:
-            den = a + b * s
-            if den <= 0.0:
-                raise DomainError("pohozaev nonlinearity needs a + b*sigma > 0")
-            return den**-2.0
-
-        return _poho
-    if kind == "offset":
-        c = p["c"]
-        inner = scalar_callable(spec.base)
-        return lambda s: c + inner(s)
+def _generic_scalar(spec: FunctionSpec) -> Callable[[float], float]:
     return lambda s: float(spec(s))
-
-
-# ---------------------------------------------------------------------------
-# antiderivatives, normalized to M(0) = 0
-
-
-def _table_antiderivative(spec: FunctionSpec) -> Callable:
-    sig = np.asarray(spec.knots[0])
-    val = np.asarray(spec.knots[1])
-    # running exact integral of the clamped piecewise-linear interpolant
-    head = val[0] * sig[0]
-    seg = 0.5 * (val[1:] + val[:-1]) * np.diff(sig)
-    cum = head + np.concatenate([[0.0], np.cumsum(seg)])
-
-    def M(sigma):
-        s = np.asarray(sigma, dtype=float)
-        below = np.minimum(s, sig[0])
-        out = val[0] * below
-        idx = np.clip(np.searchsorted(sig, s, side="right") - 1, 0, sig.size - 2)
-        inside = (s > sig[0]) & (s <= sig[-1])
-        ds = s - sig[idx]
-        y_at = val[idx] + (val[idx + 1] - val[idx]) / (sig[idx + 1] - sig[idx]) * ds
-        out = np.where(inside, cum[idx] + 0.5 * (val[idx] + y_at) * ds, out)
-        out = np.where(s > sig[-1], cum[-1] + val[-1] * (s - sig[-1]), out)
-        return out if out.ndim else float(out)
-
-    return M
 
 
 def _quad_antiderivative(spec: FunctionSpec) -> Callable:
@@ -475,39 +207,331 @@ def _quad_antiderivative(spec: FunctionSpec) -> Callable:
     return M
 
 
+@dataclass(frozen=True)
+class _Kind:
+    """Everything the package knows about one function kind.
+
+    ``scalar`` builds the fast evaluator for the integrator's inner loop;
+    ``antiderivative`` builds M with M' = spec and M(0) = 0.  Kinds without
+    a closed form keep the defaults: the array round trip through
+    ``FunctionSpec.__call__`` and adaptive quadrature.
+    """
+
+    validate: Callable[[FunctionSpec], None]
+    evaluate: Callable[[FunctionSpec, np.ndarray], np.ndarray]
+    describe: Callable[[FunctionSpec], str]
+    scalar: Callable[[FunctionSpec], Callable[[float], float]] = _generic_scalar
+    antiderivative: Callable[[FunctionSpec], Callable] = _quad_antiderivative
+
+
+def _validate_constant(spec):
+    _need(spec, "c")
+
+
+def _eval_constant(spec, sig):
+    return np.full_like(sig, spec.params["c"])
+
+
+def _scalar_constant(spec):
+    c = spec.params["c"]
+    return lambda s: c
+
+
+def _antiderivative_constant(spec):
+    c = spec.params["c"]
+    return lambda s: c * np.asarray(s, dtype=float) + 0.0
+
+
+def _validate_affine(spec):
+    _need(spec, "a", "b")
+
+
+def _eval_affine(spec, sig):
+    return spec.params["a"] + spec.params["b"] * sig
+
+
+def _scalar_affine(spec):
+    a, b = spec.params["a"], spec.params["b"]
+    return lambda s: a + b * s
+
+
+def _antiderivative_affine(spec):
+    a, b = spec.params["a"], spec.params["b"]
+    return lambda s: a * np.asarray(s, float) + 0.5 * b * np.asarray(s, float) ** 2
+
+
+def _validate_power(spec):
+    _need(spec, "beta")
+
+
+def _eval_power(spec, sig):
+    p = spec.params["beta"]
+    if p == 0.0:
+        return np.ones_like(sig)
+    if p < 0.0 and np.any(sig == 0.0):
+        raise DomainError("negative power is singular at sigma = 0")
+    return sig**p
+
+
+def _scalar_power(spec):
+    q = spec.params["beta"]
+    if q == 0.0:
+        return lambda s: 1.0
+    return lambda s: s**q
+
+
+def _antiderivative_power(spec):
+    q = spec.params["beta"]
+    if q <= -1.0:
+        raise DomainError("power antiderivative needs p > -1")
+    return lambda s: np.asarray(s, float) ** (q + 1.0) / (q + 1.0)
+
+
+def _validate_pohozaev(spec):
+    _need(spec, "a", "b")
+    if spec.params["a"] <= 0.0:
+        raise DomainError("pohozaev spec needs a > 0")
+
+
+def _eval_pohozaev(spec, sig):
+    a, b = spec.params["a"], spec.params["b"]
+    den = a + b * sig
+    if np.any(den <= 0.0):
+        raise DomainError("pohozaev nonlinearity needs a + b*sigma > 0")
+    return den**-2.0
+
+
+def _scalar_pohozaev(spec):
+    a, b = spec.params["a"], spec.params["b"]
+
+    def _poho(s: float) -> float:
+        den = a + b * s
+        if den <= 0.0:
+            raise DomainError("pohozaev nonlinearity needs a + b*sigma > 0")
+        return den**-2.0
+
+    return _poho
+
+
+def _antiderivative_pohozaev(spec):
+    a, b = spec.params["a"], spec.params["b"]
+
+    def M(s):
+        s = np.asarray(s, dtype=float)
+        den = a + b * s
+        if np.any(den <= 0.0):
+            raise DomainError("pohozaev antiderivative needs a + b*sigma > 0")
+        return s / (a * den)
+
+    return M
+
+
+def _validate_table(spec):
+    if spec.knots is None:
+        raise DomainError("table spec needs knots")
+    sig, val = spec.knots
+    if len(sig) != len(val) or len(sig) < 2:
+        raise DomainError("table needs at least two (sigma, value) rows")
+    s = np.asarray(sig)
+    if s[0] < 0.0 or np.any(np.diff(s) <= 0.0):
+        raise DomainError("table sigmas must be strictly increasing and >= 0")
+    if not np.all(np.isfinite(s)) or not np.all(np.isfinite(val)):
+        raise DomainError("table entries must be finite")
+
+
+def _eval_table(spec, sig):
+    s, y = spec.knots
+    return np.interp(sig, s, y)
+
+
+def _antiderivative_table(spec):
+    sig = np.asarray(spec.knots[0])
+    val = np.asarray(spec.knots[1])
+    # running exact integral of the clamped piecewise-linear interpolant
+    head = val[0] * sig[0]
+    seg = 0.5 * (val[1:] + val[:-1]) * np.diff(sig)
+    cum = head + np.concatenate([[0.0], np.cumsum(seg)])
+
+    def M(sigma):
+        s = np.asarray(sigma, dtype=float)
+        below = np.minimum(s, sig[0])
+        out = val[0] * below
+        idx = np.clip(np.searchsorted(sig, s, side="right") - 1, 0, sig.size - 2)
+        inside = (s > sig[0]) & (s <= sig[-1])
+        ds = s - sig[idx]
+        y_at = val[idx] + (val[idx + 1] - val[idx]) / (sig[idx + 1] - sig[idx]) * ds
+        out = np.where(inside, cum[idx] + 0.5 * (val[idx] + y_at) * ds, out)
+        out = np.where(s > sig[-1], cum[-1] + val[-1] * (s - sig[-1]), out)
+        return out if out.ndim else float(out)
+
+    return M
+
+
+def _validate_offset(spec):
+    _need(spec, "c")
+    if spec.base is None:
+        raise DomainError("offset spec needs a base function")
+
+
+def _eval_offset(spec, sig):
+    return spec.params["c"] + spec.base(sig)
+
+
+def _scalar_offset(spec):
+    c = spec.params["c"]
+    inner = scalar_callable(spec.base)
+    return lambda s: c + inner(s)
+
+
+def _antiderivative_offset(spec):
+    c = spec.params["c"]
+    inner = antiderivative(spec.base)
+    return lambda s: c * np.asarray(s, float) + inner(s)
+
+
+def _validate_modulus_power(spec):
+    _need(spec, "beta")
+    if not 0.0 < spec.params["beta"] <= 1.0:
+        raise DomainError("modulus_power needs beta in (0, 1]")
+
+
+def _eval_modulus_power(spec, sig):
+    beta = spec.params["beta"]
+    inner = np.minimum(sig, 1.0)
+    return np.where(sig <= 1.0, inner**beta, 1.0 + beta * (sig - 1.0))
+
+
+def _validate_modulus_sigma_log(spec):
+    _need(spec, "q")
+    if spec.params["q"] < 0.0:
+        raise DomainError("modulus_sigma_log needs q >= 0")
+
+
+def _eval_modulus_sigma_log(spec, sig):
+    q = spec.params["q"]
+    if q == 0.0:
+        # degenerates to the identity on [0, 1], constant 1 beyond
+        return np.minimum(sig, 1.0)
+    peak = math.exp(-q)
+    s = np.minimum(sig, peak)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        core = np.where(s > 0.0, s * np.abs(np.log(np.maximum(s, 1e-320))) ** q, 0.0)
+    return np.where(sig <= peak, core, peak * q**q)
+
+
+def _validate_modulus_inv_log(spec):
+    _need(spec, "q")
+    if spec.params["q"] <= 0.0:
+        raise DomainError("modulus_inv_log needs q > 0")
+
+
+def _eval_modulus_inv_log(spec, sig):
+    q = spec.params["q"]
+    knee = math.exp(-(q + 1.0))
+    val_knee = (q + 1.0) ** -q
+    slope = q * (q + 1.0) ** -(q + 1.0) / knee
+    s = np.minimum(sig, knee)
+    with np.errstate(divide="ignore"):
+        core = np.where(s > 0.0, np.abs(np.log(np.maximum(s, 1e-320))) ** -q, 0.0)
+    return np.where(sig <= knee, core, val_knee + slope * (sig - knee))
+
+
+def _validate_weight_power_log(spec):
+    _need(spec, "p", "ell")
+
+
+def _eval_weight_power_log(spec, sig):
+    p, ell = spec.params["p"], spec.params["ell"]
+    if ell == 0.0:
+        core = np.ones_like(sig) if p == 0.0 else sig**p
+    else:
+        s = np.maximum(sig, _E)
+        core = s**p * np.log(s) ** ell
+    return np.maximum(core, 1.0)
+
+
+def _describe_weight_power_log(s):
+    return (
+        f"max(1, sigma^{s.params['p']:g}"
+        + (f" * log(sigma)^{s.params['ell']:g})" if s.params["ell"] else ")")
+    )
+
+
+def _validate_weight_scaled_modulus(spec):
+    if spec.base is None:
+        raise DomainError("weight_scaled_modulus needs the modulus as base")
+
+
+def _eval_weight_scaled_modulus(spec, sig):
+    s = np.maximum(sig, 1e-300)
+    return np.maximum(s * spec.base(1.0 / s), 1.0)
+
+
+KINDS: Mapping[str, _Kind] = {
+    "constant": _Kind(
+        _validate_constant, _eval_constant, lambda s: f"{s.params['c']:g}",
+        _scalar_constant, _antiderivative_constant,
+    ),
+    "affine": _Kind(
+        _validate_affine, _eval_affine,
+        lambda s: f"{s.params['a']:g} + {s.params['b']:g}*sigma",
+        _scalar_affine, _antiderivative_affine,
+    ),
+    "power": _Kind(
+        _validate_power, _eval_power, lambda s: f"sigma^{s.params['beta']:g}",
+        _scalar_power, _antiderivative_power,
+    ),
+    "pohozaev": _Kind(
+        _validate_pohozaev, _eval_pohozaev,
+        lambda s: f"({s.params['a']:g} + {s.params['b']:g}*sigma)^-2",
+        _scalar_pohozaev, _antiderivative_pohozaev,
+    ),
+    "table": _Kind(
+        _validate_table, _eval_table, lambda s: f"table[{len(s.knots[0])} knots]",
+        antiderivative=_antiderivative_table,
+    ),
+    "offset": _Kind(
+        _validate_offset, _eval_offset,
+        lambda s: f"{s.params['c']:g} + {s.base.describe()}",
+        _scalar_offset, _antiderivative_offset,
+    ),
+    "modulus_power": _Kind(
+        _validate_modulus_power, _eval_modulus_power,
+        lambda s: f"sigma^{s.params['beta']:g} (modulus)",
+    ),
+    "modulus_sigma_log": _Kind(
+        _validate_modulus_sigma_log, _eval_modulus_sigma_log,
+        lambda s: f"sigma*|log sigma|^{s.params['q']:g} (modulus)",
+    ),
+    "modulus_inv_log": _Kind(
+        _validate_modulus_inv_log, _eval_modulus_inv_log,
+        lambda s: f"|log sigma|^-{s.params['q']:g} (modulus)",
+    ),
+    "weight_power_log": _Kind(
+        _validate_weight_power_log, _eval_weight_power_log,
+        _describe_weight_power_log,
+    ),
+    "weight_scaled_modulus": _Kind(
+        _validate_weight_scaled_modulus, _eval_weight_scaled_modulus,
+        lambda s: f"max(1, sigma*omega(1/sigma)), omega = {s.base.describe()}",
+    ),
+}
+
+
+def scalar_callable(spec: FunctionSpec) -> Callable[[float], float]:
+    """Fast scalar evaluator for the inner integrator loop.
+
+    The closed forms avoid the array round trip of ``FunctionSpec.__call__``
+    for the kinds that show up in right-hand sides; other kinds fall back to
+    the generic path.
+    """
+    return KINDS[spec.kind].scalar(spec)
+
+
 def antiderivative(spec: FunctionSpec) -> Callable:
     """Return M with M' = spec and M(0) = 0.
 
     Closed forms for the algebraic kinds, exact piecewise integration for
     tables, adaptive quadrature otherwise.
     """
-    kind, p = spec.kind, spec.params
-    if kind == "constant":
-        c = p["c"]
-        return lambda s: c * np.asarray(s, dtype=float) + 0.0
-    if kind == "affine":
-        a, b = p["a"], p["b"]
-        return lambda s: a * np.asarray(s, float) + 0.5 * b * np.asarray(s, float) ** 2
-    if kind == "power":
-        q = p["beta"]
-        if q <= -1.0:
-            raise DomainError("power antiderivative needs p > -1")
-        return lambda s: np.asarray(s, float) ** (q + 1.0) / (q + 1.0)
-    if kind == "pohozaev":
-        a, b = p["a"], p["b"]
-
-        def M(s):
-            s = np.asarray(s, dtype=float)
-            den = a + b * s
-            if np.any(den <= 0.0):
-                raise DomainError("pohozaev antiderivative needs a + b*sigma > 0")
-            return s / (a * den)
-
-        return M
-    if kind == "offset":
-        c = p["c"]
-        inner = antiderivative(spec.base)
-        return lambda s: c * np.asarray(s, float) + inner(s)
-    if kind == "table":
-        return _table_antiderivative(spec)
-    return _quad_antiderivative(spec)
+    return KINDS[spec.kind].antiderivative(spec)

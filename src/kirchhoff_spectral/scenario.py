@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -50,21 +52,13 @@ from .reparametrize import (
     solve_parametrization,
     solve_trajectory_system,
 )
-from .spectrum import SpectralVector, Spectrum, power_spectrum
+from .spectrum import SpectralVector, Spectrum, basis_vector, power_spectrum, zero_vector
 from .spectral_gap import sum_decompose
 
 CONFIG_VERSION = 1
 
-TASKS = (
-    "simulate",
-    "norms",
-    "conditions",
-    "uniqueness",
-    "invariants",
-    "decompose",
-    "reparametrize",
-    "dependence",
-)
+# params read by _integrator_config, accepted by every task
+_INTEGRATOR_PARAMS = ("rel_tol", "abs_tol", "max_step", "dense_output_dt")
 
 
 @dataclass(frozen=True)
@@ -118,52 +112,57 @@ def load_config(path) -> dict:
     return cfg
 
 
+@contextmanager
+def _field_errors(field: str):
+    """Re-raise a malformed entry's error as a ScenarioError naming ``field``.
+
+    AttributeError covers a nested entry that is not an object.
+    """
+    try:
+        yield
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ScenarioError(str(exc), field=field) from exc
+
+
 def _build_spectrum(spec, field: str) -> Spectrum:
     if not isinstance(spec, dict):
         raise ScenarioError("must be an object", field=field)
-    if "explicit" in spec:
-        return Spectrum(np.asarray(spec["explicit"], dtype=float))
-    if "generator" in spec:
-        g = spec["generator"]
-        count = int(g.get("count", 64))
-        p = float(g.get("p", 1.0))
-        if count < 1:
-            raise ScenarioError("generator count must be >= 1", field=field)
-        return power_spectrum(count, p)
+    with _field_errors(field):
+        if "explicit" in spec:
+            return Spectrum(np.asarray(spec["explicit"], dtype=float))
+        if "generator" in spec:
+            g = spec["generator"]
+            return power_spectrum(int(g.get("count", 64)), float(g.get("p", 1.0)))
     raise ScenarioError("needs 'explicit' or 'generator'", field=field)
 
 
 def _build_vector(spec, spectrum: Spectrum, seed: int, field: str) -> SpectralVector:
     if spec is None or spec == {"zero": True} or spec == "zero":
-        return SpectralVector(spectrum, np.zeros(spectrum.n))
+        return zero_vector(spectrum)
     if not isinstance(spec, dict):
         raise ScenarioError("must be an object or 'zero'", field=field)
     lam = spectrum.lambdas
-    if "explicit" in spec:
-        comp = np.asarray(spec["explicit"], dtype=float)
-        if comp.size != spectrum.n:
-            raise ScenarioError(
-                f"expected {spectrum.n} components, got {comp.size}", field=field
+    with _field_errors(field):
+        if "explicit" in spec:
+            return SpectralVector(spectrum, np.asarray(spec["explicit"], dtype=float))
+        if "basis" in spec:
+            b = spec["basis"]
+            return basis_vector(
+                spectrum, int(b.get("index", 0)), float(b.get("amplitude", 1.0))
             )
-        return SpectralVector(spectrum, comp)
-    if "basis" in spec:
-        b = spec["basis"]
-        comp = np.zeros(spectrum.n)
-        comp[int(b.get("index", 0))] = float(b.get("amplitude", 1.0))
-        return SpectralVector(spectrum, comp)
-    if "profile" in spec:
-        p = spec["profile"]
-        c = float(p.get("amplitude", 1.0))
-        gamma = float(p.get("gamma", 1.0))
-        q = float(p.get("exponent", 1.0))
-        return SpectralVector(spectrum, c * np.exp(-gamma * lam**q))
-    if "random" in spec:
-        p = spec["random"]
-        rng = np.random.default_rng(int(p.get("seed", seed)))
-        scale = float(p.get("scale", 1.0))
-        decay = float(p.get("decay", 1.5))
-        comp = scale * rng.standard_normal(spectrum.n) / np.maximum(lam, 1.0) ** decay
-        return SpectralVector(spectrum, comp)
+        if "profile" in spec:
+            p = spec["profile"]
+            c = float(p.get("amplitude", 1.0))
+            gamma = float(p.get("gamma", 1.0))
+            q = float(p.get("exponent", 1.0))
+            return SpectralVector(spectrum, c * np.exp(-gamma * lam**q))
+        if "random" in spec:
+            p = spec["random"]
+            rng = np.random.default_rng(int(p.get("seed", seed)))
+            scale = float(p.get("scale", 1.0))
+            decay = float(p.get("decay", 1.5))
+            comp = scale * rng.standard_normal(spectrum.n) / np.maximum(lam, 1.0) ** decay
+            return SpectralVector(spectrum, comp)
     raise ScenarioError(
         "needs one of 'explicit', 'basis', 'profile', 'random', 'zero'", field=field
     )
@@ -224,7 +223,26 @@ def validate_scenario(cfg: dict) -> Scenario:
     if not isinstance(params, dict):
         raise ScenarioError("must be an object", field="params")
 
-    _validate_task_inputs(task, params, m, omega, phi)
+    entry = TASKS[task]
+    slots = {"m": m, "omega": omega, "phi": phi}
+    for slot in entry.functions:
+        if slots[slot] is None:
+            raise ScenarioError(
+                "task needs this function, inline or from a preset",
+                field=f"functions.{slot}",
+            )
+    for key in entry.required:
+        if key not in params:
+            raise ScenarioError("task needs this parameter", field=f"params.{key}")
+    for key in params:
+        if key not in entry.params and key not in _INTEGRATOR_PARAMS:
+            raise ScenarioError(
+                f"not a parameter of task {task}; it reads "
+                f"{', '.join(sorted(entry.params + _INTEGRATOR_PARAMS))}",
+                field=f"params.{key}",
+            )
+    if entry.check is not None:
+        entry.check(params, preset)
     return Scenario(
         name=name,
         spectrum=spectrum,
@@ -239,22 +257,6 @@ def validate_scenario(cfg: dict) -> Scenario:
         seed=seed,
         raw=cfg,
     )
-
-
-def _validate_task_inputs(task, params, m, omega, phi):
-    needs_m = task in ("simulate", "norms", "uniqueness", "invariants",
-                       "reparametrize", "dependence")
-    if needs_m and m is None:
-        raise ScenarioError("task needs functions.m", field="functions.m")
-    if task == "conditions" and (omega is None or phi is None):
-        raise ScenarioError(
-            "task needs functions.omega and functions.phi (or a preset)",
-            field="functions",
-        )
-    if task == "decompose" and phi is None:
-        raise ScenarioError("task needs functions.phi", field="functions.phi")
-    if task in ("simulate", "norms", "invariants") and "t_end" not in params:
-        raise ScenarioError("task needs params.t_end", field="params.t_end")
 
 
 def _integrator_config(params: dict, tolerance_scale: float) -> IntegratorConfig:
@@ -329,21 +331,28 @@ def _task_norms(sc: Scenario, out: Path, cfg: IntegratorConfig):
     }
 
 
+def _conditions_mode(params: dict, preset: str | None) -> str:
+    """params.mode, else the preset's mode; either way 'strict' or 'weak'."""
+    mode = params.get("mode")
+    if mode is None and preset is not None:
+        mode = get_preset(preset).mode
+    if mode not in ("strict", "weak"):
+        raise ScenarioError(
+            f"needs 'strict' or 'weak', given here or by a preset; got {mode!r}",
+            field="params.mode",
+        )
+    return mode
+
+
 def _task_conditions(sc: Scenario, out: Path, cfg: IntegratorConfig):
     p = sc.params
-    mode = p.get("mode")
-    if mode is None and sc.preset is not None:
-        mode = get_preset(sc.preset).mode
-    if mode is None:
-        raise ScenarioError("conditions task needs params.mode or a preset",
-                            field="params.mode")
     grid = default_sigma_grid(
         float(p.get("grid_lo", 1e-6)),
         float(p.get("grid_hi", 1e6)),
         int(p.get("per_decade", 512)),
     )
     report = check_phi_condition(
-        sc.omega, sc.phi, str(mode), grid,
+        sc.omega, sc.phi, _conditions_mode(p, sc.preset), grid,
         slope_tol=float(p.get("slope_tol", 0.01)),
     )
     payload = {
@@ -511,15 +520,34 @@ def _task_dependence(sc: Scenario, out: Path, cfg: IntegratorConfig):
     }
 
 
-_TASK_IMPL = {
-    "simulate": _task_simulate,
-    "norms": _task_norms,
-    "conditions": _task_conditions,
-    "uniqueness": _task_uniqueness,
-    "invariants": _task_invariants,
-    "decompose": _task_decompose,
-    "reparametrize": _task_reparametrize,
-    "dependence": _task_dependence,
+@dataclass(frozen=True)
+class _Task:
+    """A task's runner with the inputs it needs and the params it reads.
+
+    ``check`` validates params beyond their names, given the preset name.
+    """
+
+    run: Callable[[Scenario, Path, IntegratorConfig], tuple]
+    functions: tuple[str, ...]
+    params: tuple[str, ...]
+    required: tuple[str, ...] = ()
+    check: Callable[[dict, str | None], object] | None = None
+
+
+TASKS = {
+    "simulate": _Task(_task_simulate, ("m",), ("t_start", "t_end"), ("t_end",)),
+    "norms": _Task(_task_norms, ("m",), ("t_end", "r0", "R", "alpha"), ("t_end",)),
+    "conditions": _Task(
+        _task_conditions,
+        ("omega", "phi"),
+        ("mode", "grid_lo", "grid_hi", "per_decade", "slope_tol"),
+        check=_conditions_mode,
+    ),
+    "uniqueness": _Task(_task_uniqueness, ("m",), ("tol",)),
+    "invariants": _Task(_task_invariants, ("m",), ("t_end", "pohozaev"), ("t_end",)),
+    "decompose": _Task(_task_decompose, ("phi",), ("alpha", "beta", "r_probe")),
+    "reparametrize": _Task(_task_reparametrize, ("m",), ("t_end", "s_max")),
+    "dependence": _Task(_task_dependence, ("m",), ("t_end", "family")),
 }
 
 
@@ -553,7 +581,7 @@ def run_scenario(
 
     started = time.perf_counter()
     try:
-        files, summary = _TASK_IMPL[sc.task](sc, out, icfg)
+        files, summary = TASKS[sc.task].run(sc, out, icfg)
     except Exception as exc:
         write_json(
             out / "error.json",

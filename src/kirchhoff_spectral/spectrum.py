@@ -97,9 +97,6 @@ class SpectralVector:
             self.components, other.components
         )
 
-    def scaled(self, c: float) -> "SpectralVector":
-        return SpectralVector(self.spectrum, c * self.components)
-
     def __repr__(self) -> str:
         return f"SpectralVector(n={self.n})"
 
@@ -110,6 +107,8 @@ def zero_vector(spectrum: Spectrum) -> SpectralVector:
 
 def basis_vector(spectrum: Spectrum, k: int, amplitude: float = 1.0) -> SpectralVector:
     """Vector with a single nonzero component at 0-based mode index k."""
+    if not 0 <= k < spectrum.n:
+        raise PreconditionError(f"mode index {k} is outside [0, {spectrum.n})")
     c = np.zeros(spectrum.n)
     c[k] = amplitude
     return SpectralVector(spectrum, c)

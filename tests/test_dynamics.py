@@ -25,8 +25,10 @@ from kirchhoff_spectral import (
     power_spectrum,
     zero_vector,
 )
+from kirchhoff_spectral import dynamics
 from kirchhoff_spectral.dynamics import coefficient_interpolant
 from kirchhoff_spectral.errors import (
+    DomainError,
     NegativeNonlinearityError,
     NondegeneracyError,
     PreconditionError,
@@ -345,3 +347,34 @@ def test_meta_records_span_and_drift(tight_cfg):
     assert tr.meta.hamiltonian_drift is not None
     assert tr.meta.hamiltonian_drift < 1e-9
     assert tr.meta.method == "verner65"
+
+
+def test_undefined_antiderivative_fails_before_integrating(tight_cfg, monkeypatch):
+    # M = integral of sigma^-3 diverges at 0; the drift needs M, so evolve
+    # must refuse before the first step rather than after the last
+    def no_solve(*args, **kwargs):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(dynamics, "solve_to_samples", no_solve)
+    spec = Spectrum([1.0])
+    state = SpectralState(t=0.0, u=basis_vector(spec, 0), v=zero_vector(spec))
+    with pytest.raises(DomainError):
+        evolve(state, power(-3.0), tight_cfg, 5.0)
+
+
+def test_driver_looks_up_solver_at_call_time(tight_cfg, monkeypatch):
+    # tracing rebinds dynamics.solve_to_samples from outside; both entry
+    # points must reach the rebound name
+    calls = []
+    solve = dynamics.solve_to_samples
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_to_samples", counting)
+    spec = Spectrum([1.0])
+    state = SpectralState(t=0.0, u=basis_vector(spec, 0), v=zero_vector(spec))
+    evolve(state, constant(1.0), tight_cfg, 0.5)
+    linear_evolve(state, constant(1.0), tight_cfg, 0.5)
+    assert len(calls) == 2

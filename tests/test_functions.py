@@ -5,6 +5,7 @@ import pytest
 
 from kirchhoff_spectral.errors import DomainError
 from kirchhoff_spectral.functions import (
+    KINDS,
     FunctionSpec,
     affine,
     antiderivative,
@@ -21,6 +22,29 @@ from kirchhoff_spectral.functions import (
     weight_power_log,
     weight_scaled_modulus,
 )
+
+
+# one example spec per registered kind; a kind added without an example
+# fails test_examples_cover_every_kind
+EXAMPLES = {
+    "constant": constant(1.5),
+    "affine": affine(1.0, -0.5),
+    "power": power(0.75),
+    "pohozaev": pohozaev(2.0, 3.0),
+    "table": table([0.0, 1.0], [1.0, 2.0]),
+    "offset": offset(1.0, modulus_sigma_log(3.0)),
+    "modulus_power": modulus_power(0.5),
+    "modulus_sigma_log": modulus_sigma_log(1.0),
+    "modulus_inv_log": modulus_inv_log(0.5),
+    "weight_power_log": weight_power_log(2.0 / 3.0, -1.0),
+    "weight_scaled_modulus": weight_scaled_modulus(modulus_power(1.0)),
+}
+
+
+def test_examples_cover_every_kind():
+    assert set(EXAMPLES) == set(KINDS)
+    for kind, spec in EXAMPLES.items():
+        assert spec.kind == kind
 
 
 def quad_oracle(f, hi, n=20000):
@@ -132,19 +156,7 @@ def test_weight_scaled_modulus():
 
 
 def test_serialization_roundtrip():
-    specs = [
-        constant(1.5),
-        affine(1.0, -0.5),
-        power(0.75),
-        pohozaev(2.0, 3.0),
-        table([0.0, 1.0], [1.0, 2.0]),
-        offset(1.0, modulus_sigma_log(3.0)),
-        modulus_power(0.5),
-        modulus_inv_log(0.5),
-        weight_power_log(2.0 / 3.0, -1.0),
-        weight_scaled_modulus(modulus_power(1.0)),
-    ]
-    for spec in specs:
+    for spec in EXAMPLES.values():
         back = FunctionSpec.from_dict(spec.to_dict())
         assert back == spec
         sig = np.array([0.0, 0.3, 1.7, 42.0])
@@ -152,8 +164,7 @@ def test_serialization_roundtrip():
 
 
 def test_scalar_callable_agrees():
-    for spec in [constant(2.0), affine(1.0, 1.0), power(2.0), pohozaev(1.0, 1.0),
-                 offset(0.5, power(1.0)), modulus_power(0.5)]:
+    for spec in EXAMPLES.values():
         fast = scalar_callable(spec)
         for s in (0.0, 0.1, 1.0, 7.5):
             assert fast(s) == pytest.approx(float(spec(s)), rel=1e-15)

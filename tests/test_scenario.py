@@ -308,3 +308,73 @@ def test_cli_run_reports_failure(tmp_path, capsys):
     cfg["functions"] = {"m": {"kind": "affine", "a": -1.0, "b": 0.0}}
     path = write_config(tmp_path, cfg)
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+
+
+def four_mode_config(**overrides):
+    return simulate_config(spectrum={"explicit": [1.0, 2.0, 3.0, 4.0]}, **overrides)
+
+
+@pytest.mark.parametrize(
+    "cfg, field",
+    [
+        (four_mode_config(data={"u0": {"basis": {"index": -1}}, "u1": "zero"}),
+         "data.u0"),
+        (four_mode_config(data={"u0": {"basis": {"index": 9}}, "u1": "zero"}),
+         "data.u0"),
+        (four_mode_config(data={"u0": "zero", "u1": {"explicit": [1.0]}}),
+         "data.u1"),
+        (four_mode_config(data={"u0": {"basis": 3}, "u1": "zero"}), "data.u0"),
+        (simulate_config(spectrum={"explicit": []}), "spectrum"),
+        (simulate_config(spectrum={"generator": {"count": 0}}), "spectrum"),
+    ],
+    ids=["index_negative", "index_past_end", "wrong_length", "basis_not_object",
+         "explicit_empty", "generator_empty"],
+)
+def test_malformed_spectrum_or_data_names_the_field(tmp_path, capsys, cfg, field):
+    with pytest.raises(ScenarioError) as info:
+        validate_scenario(cfg)
+    assert info.value.field == field
+    assert main(["validate", str(write_config(tmp_path, cfg))]) == 1
+    assert f"invalid: {field}:" in capsys.readouterr().err
+
+
+def test_unknown_param_rejected():
+    cfg = simulate_config(params={"t_end": 5.0, "rle_tol": 1e-8})
+    with pytest.raises(ScenarioError) as info:
+        validate_scenario(cfg)
+    assert info.value.field == "params.rle_tol"
+    # the integrator keys are accepted by every task, including one that
+    # does not integrate
+    cfg = simulate_config(task="uniqueness", params={"rel_tol": 1e-8, "tol": 1e-9})
+    assert validate_scenario(cfg).params["rel_tol"] == 1e-8
+
+
+@pytest.mark.parametrize("params", [{}, {"mode": "medium"}])
+def test_conditions_mode_checked_before_run(tmp_path, params):
+    cfg = {
+        "version": 1,
+        "name": "no_mode",
+        "spectrum": {"explicit": [1.0]},
+        "data": {"u0": "zero", "u1": "zero"},
+        "functions": {
+            "omega": {"kind": "modulus_power", "beta": 1.0},
+            "phi": {"kind": "weight_power_log", "p": 1.0, "ell": 0.0},
+        },
+        "task": "conditions",
+        "params": params,
+    }
+    with pytest.raises(ScenarioError) as info:
+        run_scenario(cfg, out_dir=tmp_path / "out")
+    assert info.value.field == "params.mode"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_run_bad_config_does_not_stop_batch(tmp_path, capsys, jobs):
+    bad = write_config(tmp_path, simulate_config(params={"t_end": "abc"}), "bad.json")
+    good = write_config(tmp_path, simulate_config(params={"t_end": 1.0}), "good.json")
+    out = tmp_path / "out"
+    code = main(["run", str(bad), str(good), "--out-dir", str(out), "--jobs", jobs])
+    assert code == 1
+    assert (out / "good" / "manifest.json").exists()
+    assert str(bad) in capsys.readouterr().err

@@ -71,3 +71,11 @@ def test_inner_requires_shared_spectrum():
 def test_zero_vector(small_spectrum):
     z = zero_vector(small_spectrum)
     assert a_half_norm_sq(z) == 0.0
+
+
+def test_basis_vector_rejects_out_of_range_index():
+    spec = Spectrum([1.0, 2.0, 3.0, 4.0])
+    for k in (-1, 4, 9):
+        with pytest.raises(PreconditionError, match="mode index"):
+            basis_vector(spec, k)
+    assert basis_vector(spec, 3).components.tolist() == [0.0, 0.0, 0.0, 1.0]
