@@ -13,7 +13,7 @@ from .conditions import log_log_slope
 from .dynamics import IntegratorConfig, SpectralState, Trajectory, evolve, hamiltonian
 from .errors import PreconditionError
 from .functions import FunctionSpec, antiderivative
-from .norms import GevreyParams, gevrey_norm, sobolev_norm
+from .norms import GevreyParams, _norms, _radius_weights, gevrey_norm
 from .spectrum import (
     SpectralVector,
     a_half_norm_sq,
@@ -67,14 +67,10 @@ def scale_norm_trace(tr: Trajectory, cfg: ScaleTraceConfig) -> ScaleTrace:
         raise PreconditionError(
             f"scale radius r0 - R*t = {radii[i]:.6g} <= 0 at t = {tr.t[i]:.6g}"
         )
-    u_norms = np.empty(tr.n_samples)
-    v_norms = np.empty(tr.n_samples)
-    for i in range(tr.n_samples):
-        u_i = SpectralVector(tr.spectrum, tr.u[i])
-        v_i = SpectralVector(tr.spectrum, tr.v[i])
-        r_i = float(radii[i])
-        u_norms[i] = gevrey_norm(u_i, GevreyParams(cfg.phi, r_i, cfg.alpha + 0.5))
-        v_norms[i] = gevrey_norm(v_i, GevreyParams(cfg.phi, r_i, cfg.alpha))
+    lam = tr.spectrum.lambdas
+    weight = _radius_weights(cfg.phi, lam, radii[:, None])
+    u_norms = _norms(tr.u, lam, cfg.alpha + 0.5, weight)
+    v_norms = _norms(tr.v, lam, cfg.alpha, weight)
     return ScaleTrace(t=tr.t.copy(), radii=radii, u_norms=u_norms, v_norms=v_norms)
 
 
@@ -229,12 +225,7 @@ def derivative_loss_probe(
     for alpha in alphas:
         flags = []
         for eps in epss:
-            series = np.array(
-                [
-                    sobolev_norm(SpectralVector(tr.spectrum, tr.u[i]), alpha + eps)
-                    for i in range(n_early + 1)
-                ]
-            )
+            series = _norms(tr.u[: n_early + 1], tr.spectrum.lambdas, alpha + eps)
             start = float(series[0])
             peak = float(np.max(series[1:]))
             expo = log_log_slope(tr.t[1 : n_early + 1], series[1:])

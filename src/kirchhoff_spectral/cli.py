@@ -48,6 +48,10 @@ def _report(results) -> int:
         if error is not None:
             print(f"{config}: error: {error}", file=sys.stderr)
             failures += 1
+        elif not manifest.summary["ok"]:
+            print(f"{config}: {manifest.summary['status']} "
+                  f"({len(manifest.artifacts)} artifacts)", file=sys.stderr)
+            failures += 1
         else:
             print(f"{config}: ok ({len(manifest.artifacts)} artifacts)")
     return failures

@@ -1,12 +1,17 @@
-"""Weighted spectral norms over scales of spaces.
+"""Weighted spectral norms and tail sums over scales of spaces.
 
-The squared norm is sum_k lambda_k^(4*alpha) u_k^2 exp(r*phi(lambda_k)).
-Terms are assembled in the log domain, exp(4a*log lam + 2*log|u| + r*phi),
-so mixed huge/tiny factors cancel before exponentiation; any combined
-exponent above the cap raises ``NormOverflowError`` naming the mode.  The
-exponentiated terms are then added with error-free compensated summation
-(math.fsum) in fixed index order, which makes results bit-reproducible and
-makes the r = 0 case coincide exactly with the plain Sobolev norm.
+One kernel, ``_weighted_sums``, computes sum_k lambda_k^(4*alpha) u_k^2
+exp(w_k) for each row of a (rows, modes) array: w = r*phi(lambda) for the
+Gevrey norm, w = 0 for the Sobolev norm, and for the tails in
+``spectral_gap`` w = rho^beta*phi(lambda) above rho and -inf (mode left out)
+below.  Terms are assembled in the log domain, 2*log|u| + 4a*log lam + w, so
+mixed huge/tiny factors cancel before exponentiation; zero components
+contribute nothing.  Each row is added with error-free compensated summation
+(math.fsum) in index order, which makes results bit-reproducible however
+many rows a call carries and makes the r = 0 case coincide exactly with the
+plain Sobolev norm.  A row with a nonzero term above the exponent cap sums to
++inf and the kernel reports the first such mode: the norms raise
+``NormOverflowError`` naming it, the tails keep the +inf (a non-member).
 """
 
 from __future__ import annotations
@@ -38,48 +43,62 @@ class GevreyParams:
             raise PreconditionError("exponent alpha must be >= 0")
 
 
-def term_exponents(
-    u: SpectralVector,
-    alpha: float,
-    r: float = 0.0,
-    phi: FunctionSpec | None = None,
-) -> np.ndarray:
-    """Log of each squared-norm term; -inf marks vanishing terms."""
-    lam = u.spectrum.lambdas
-    c = u.components
-    with np.errstate(divide="ignore"):
+def _weighted_sums(c, lam, alpha, weight=0.0, exp_cap=DEFAULT_EXP_CAP):
+    """Row sums of lambda^(4*alpha) c^2 exp(weight) over (rows, modes).
+
+    ``c`` and ``weight`` broadcast together; a 1-D result is one row.
+    Returns the sums, +inf for a row that overflows, and the first overflow
+    as (mode, exponent), or None.
+    """
+    # an infinite weight on a zero component makes a NaN exponent there;
+    # the component is dropped below
+    with np.errstate(divide="ignore", invalid="ignore"):
         e = 2.0 * np.log(np.abs(c))
-    if alpha != 0.0:
-        with np.errstate(divide="ignore"):
-            loglam = np.log(lam)  # -inf at lambda = 0, as wanted
-        e = e + 4.0 * alpha * loglam
-    if r != 0.0:
-        if phi is None:
-            raise PreconditionError("r > 0 needs a weight function")
-        w = np.asarray(phi(lam), dtype=float)
-        if np.any(w < 1.0):
-            k = int(np.argmax(w < 1.0))
-            raise InvalidWeightError(
-                f"weight phi evaluated below 1 at lambda = {lam[k]:g}"
-            )
-        e = e + r * w
-    return e
+        if alpha != 0.0:
+            e = e + 4.0 * alpha * np.log(lam)  # -inf at lambda = 0, as wanted
+        e = np.atleast_2d(e + weight)
+    nonzero = c != 0.0
+    over = (e > exp_cap) & nonzero
+    terms = np.exp(np.where(nonzero & ~over, e, -math.inf))
+    sums = np.array([math.fsum(row.tolist()) for row in terms])
+    if not over.any():
+        return sums, None
+    sums[over.any(axis=1)] = math.inf
+    i, k = np.argwhere(over)[0]
+    return sums, (int(k), float(e[i, k]))
 
 
-def _exp_sum(exponents: np.ndarray, exp_cap: float, nonzero: np.ndarray) -> float:
-    over = exponents > exp_cap
-    if np.any(over & nonzero):
-        k = int(np.argmax(over & nonzero))
-        raise NormOverflowError(k, float(exponents[k]))
-    return math.fsum(np.exp(np.minimum(exponents, exp_cap)))
+def _norms(c, lam, alpha, weight=0.0, exp_cap=DEFAULT_EXP_CAP) -> np.ndarray:
+    """Square roots of ``_weighted_sums``; an overflow raises NormOverflowError."""
+    if alpha < 0.0:
+        raise PreconditionError("exponent alpha must be >= 0")
+    sums, over = _weighted_sums(c, lam, alpha, weight, exp_cap)
+    if over is not None:
+        raise NormOverflowError(*over)
+    return np.sqrt(sums)
+
+
+def _radius_weights(phi: FunctionSpec | None, lam: np.ndarray, radii) -> np.ndarray:
+    """radii * phi(lambda), with phi checked to be >= 1 on the spectrum."""
+    if phi is None:
+        raise PreconditionError("r > 0 needs a weight function")
+    w = np.asarray(phi(lam), dtype=float)
+    if np.any(w < 1.0):
+        k = int(np.argmax(w < 1.0))
+        raise InvalidWeightError(
+            f"weight phi evaluated below 1 at lambda = {lam[k]:g}"
+        )
+    with np.errstate(over="ignore"):
+        return radii * w
 
 
 def gevrey_norm(
     u: SpectralVector, p: GevreyParams, exp_cap: float = DEFAULT_EXP_CAP
 ) -> float:
     """sqrt( sum_k lambda_k^(4*alpha) u_k^2 exp(r*phi(lambda_k)) )."""
-    e = term_exponents(u, p.alpha, p.r, p.phi)
-    return math.sqrt(_exp_sum(e, exp_cap, u.components != 0.0))
+    lam = u.spectrum.lambdas
+    weight = _radius_weights(p.phi, lam, p.r) if p.r != 0.0 else 0.0
+    return float(_norms(u.components, lam, p.alpha, weight, exp_cap)[0])
 
 
 def sobolev_norm(
@@ -90,7 +109,5 @@ def sobolev_norm(
     Shares the summation path of ``gevrey_norm`` so that gevrey_norm at
     r = 0 equals this exactly.
     """
-    if alpha < 0.0:
-        raise PreconditionError("exponent alpha must be >= 0")
-    e = term_exponents(u, alpha)
-    return math.sqrt(_exp_sum(e, exp_cap, u.components != 0.0))
+    lam = u.spectrum.lambdas
+    return float(_norms(u.components, lam, alpha, exp_cap=exp_cap)[0])

@@ -57,8 +57,10 @@ from .spectral_gap import sum_decompose
 
 CONFIG_VERSION = 1
 
-# params read by _integrator_config, accepted by every task
-_INTEGRATOR_PARAMS = ("rel_tol", "abs_tol", "max_step", "dense_output_dt")
+# params read by _integrator_config, accepted by every task, with their types
+_INTEGRATOR_PARAMS = dict.fromkeys(
+    ("rel_tol", "abs_tol", "max_step", "dense_output_dt"), float
+)
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,23 @@ def _field_errors(field: str):
         yield
     except (ValueError, TypeError, AttributeError) as exc:
         raise ScenarioError(str(exc), field=field) from exc
+
+
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", dict: "an object"}
+
+
+def _check_type(value, kind: type, field: str):
+    """Return ``value`` if it has JSON type ``kind``, else raise naming ``field``.
+
+    A float may be written as an integer; true and false are not numbers,
+    though Python counts them as ints.
+    """
+    types = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ScenarioError(
+            f"must be {_TYPE_NAMES[kind]}; got {value!r}", field=field
+        )
+    return value
 
 
 def _build_spectrum(spec, field: str) -> Spectrum:
@@ -192,7 +211,7 @@ def validate_scenario(cfg: dict) -> Scenario:
         raise ScenarioError(
             f"must be one of {', '.join(TASKS)}; got {task!r}", field="task"
         )
-    seed = int(cfg.get("seed", 0))
+    seed = _check_type(cfg.get("seed", 0), int, "seed")
     spectrum = _build_spectrum(cfg.get("spectrum", {"generator": {}}), "spectrum")
 
     data = cfg.get("data", {})
@@ -234,16 +253,16 @@ def validate_scenario(cfg: dict) -> Scenario:
     for key in entry.required:
         if key not in params:
             raise ScenarioError("task needs this parameter", field=f"params.{key}")
-    for key in params:
-        if key not in entry.params and key not in _INTEGRATOR_PARAMS:
+    readable = {**entry.params, **_INTEGRATOR_PARAMS}
+    for key, value in params.items():
+        if key not in readable:
             raise ScenarioError(
                 f"not a parameter of task {task}; it reads "
-                f"{', '.join(sorted(entry.params + _INTEGRATOR_PARAMS))}",
+                f"{', '.join(sorted(readable))}",
                 field=f"params.{key}",
             )
-    if entry.check is not None:
-        entry.check(params, preset)
-    return Scenario(
+        _check_type(value, readable[key], f"params.{key}")
+    sc = Scenario(
         name=name,
         spectrum=spectrum,
         u0=u0,
@@ -257,6 +276,9 @@ def validate_scenario(cfg: dict) -> Scenario:
         seed=seed,
         raw=cfg,
     )
+    if entry.check is not None:
+        entry.check(sc)
+    return sc
 
 
 def _integrator_config(params: dict, tolerance_scale: float) -> IntegratorConfig:
@@ -331,11 +353,11 @@ def _task_norms(sc: Scenario, out: Path, cfg: IntegratorConfig):
     }
 
 
-def _conditions_mode(params: dict, preset: str | None) -> str:
+def _conditions_mode(sc: Scenario) -> str:
     """params.mode, else the preset's mode; either way 'strict' or 'weak'."""
-    mode = params.get("mode")
-    if mode is None and preset is not None:
-        mode = get_preset(preset).mode
+    mode = sc.params.get("mode")
+    if mode is None and sc.preset is not None:
+        mode = get_preset(sc.preset).mode
     if mode not in ("strict", "weak"):
         raise ScenarioError(
             f"needs 'strict' or 'weak', given here or by a preset; got {mode!r}",
@@ -352,7 +374,7 @@ def _task_conditions(sc: Scenario, out: Path, cfg: IntegratorConfig):
         int(p.get("per_decade", 512)),
     )
     report = check_phi_condition(
-        sc.omega, sc.phi, _conditions_mode(p, sc.preset), grid,
+        sc.omega, sc.phi, _conditions_mode(sc), grid,
         slope_tol=float(p.get("slope_tol", 0.01)),
     )
     payload = {
@@ -385,6 +407,14 @@ def _task_uniqueness(sc: Scenario, out: Path, cfg: IntegratorConfig):
     }
     write_json(out / "uniqueness_report.json", payload)
     return ["uniqueness_report.json"], {"hp_main_holds": rep.hp_main_holds}
+
+
+def _check_pohozaev(sc: Scenario) -> None:
+    """params.pohozaev, when given, carries the numbers 'a' and 'b'."""
+    poho = sc.params.get("pohozaev")
+    if poho is not None:
+        for key in ("a", "b"):
+            _check_type(poho.get(key), float, f"params.pohozaev.{key}")
 
 
 def _task_invariants(sc: Scenario, out: Path, cfg: IntegratorConfig):
@@ -483,24 +513,44 @@ def _task_reparametrize(sc: Scenario, out: Path, cfg: IntegratorConfig):
     ], {"max_deviation": check.max_deviation}
 
 
+def _dependence_family(sc: Scenario) -> tuple[str, list, int]:
+    """params.family as (kind, values, mode_index), each checked."""
+    family = sc.params.get(
+        "family", {"kind": "m_offset", "values": [0.25, 0.125, 0.0625]}
+    )
+    kind = family.get("kind", "m_offset")
+    if kind not in ("m_offset", "data_shift"):
+        raise ScenarioError(
+            f"must be 'm_offset' or 'data_shift'; got {kind!r}",
+            field="params.family.kind",
+        )
+    values = family.get("values")
+    if not isinstance(values, list) or not values:
+        raise ScenarioError(
+            f"needs a nonempty list; got {values!r}", field="params.family.values"
+        )
+    for v in values:
+        _check_type(v, float, "params.family.values")
+    idx = _check_type(family.get("mode_index", 0), int, "params.family.mode_index")
+    if not 0 <= idx < sc.spectrum.n:
+        raise ScenarioError(
+            f"must lie in [0, {sc.spectrum.n}); got {idx}",
+            field="params.family.mode_index",
+        )
+    return kind, [float(v) for v in values], idx
+
+
 def _task_dependence(sc: Scenario, out: Path, cfg: IntegratorConfig):
     p = sc.params
-    family = p.get("family", {"kind": "m_offset", "values": [0.25, 0.125, 0.0625]})
-    values = [float(v) for v in family.get("values", [])]
-    if not values:
-        raise ScenarioError("dependence family needs 'values'", field="params.family")
-    kind = family.get("kind", "m_offset")
+    kind, values, idx = _dependence_family(sc)
     problems = []
     if kind == "m_offset":
         problems = [(offset(v, sc.m), sc.u0, sc.u1) for v in values]
-    elif kind == "data_shift":
-        idx = int(family.get("mode_index", 0))
+    else:
         for v in values:
             comp = sc.u0.components.copy()
             comp[idx] += v
             problems.append((sc.m, SpectralVector(sc.spectrum, comp), sc.u1))
-    else:
-        raise ScenarioError(f"unknown family kind {kind!r}", field="params.family")
     report = continuous_dependence_study(
         problems, (sc.m, sc.u0, sc.u1), cfg, float(p.get("t_end", 1.0)),
         omega=sc.omega,
@@ -524,30 +574,52 @@ def _task_dependence(sc: Scenario, out: Path, cfg: IntegratorConfig):
 class _Task:
     """A task's runner with the inputs it needs and the params it reads.
 
-    ``check`` validates params beyond their names, given the preset name.
+    ``params`` maps each param to its JSON type (``float`` for any number).
+    ``check`` validates the scenario's params beyond their types.
     """
 
     run: Callable[[Scenario, Path, IntegratorConfig], tuple]
     functions: tuple[str, ...]
-    params: tuple[str, ...]
+    params: dict[str, type]
     required: tuple[str, ...] = ()
-    check: Callable[[dict, str | None], object] | None = None
+    check: Callable[[Scenario], object] | None = None
 
 
 TASKS = {
-    "simulate": _Task(_task_simulate, ("m",), ("t_start", "t_end"), ("t_end",)),
-    "norms": _Task(_task_norms, ("m",), ("t_end", "r0", "R", "alpha"), ("t_end",)),
+    "simulate": _Task(
+        _task_simulate, ("m",), {"t_start": float, "t_end": float}, ("t_end",)
+    ),
+    "norms": _Task(
+        _task_norms,
+        ("m",),
+        {"t_end": float, "r0": float, "R": float, "alpha": float},
+        ("t_end",),
+    ),
     "conditions": _Task(
         _task_conditions,
         ("omega", "phi"),
-        ("mode", "grid_lo", "grid_hi", "per_decade", "slope_tol"),
+        {"mode": str, "grid_lo": float, "grid_hi": float, "per_decade": int,
+         "slope_tol": float},
         check=_conditions_mode,
     ),
-    "uniqueness": _Task(_task_uniqueness, ("m",), ("tol",)),
-    "invariants": _Task(_task_invariants, ("m",), ("t_end", "pohozaev"), ("t_end",)),
-    "decompose": _Task(_task_decompose, ("phi",), ("alpha", "beta", "r_probe")),
-    "reparametrize": _Task(_task_reparametrize, ("m",), ("t_end", "s_max")),
-    "dependence": _Task(_task_dependence, ("m",), ("t_end", "family")),
+    "uniqueness": _Task(_task_uniqueness, ("m",), {"tol": float}),
+    "invariants": _Task(
+        _task_invariants,
+        ("m",),
+        {"t_end": float, "pohozaev": dict},
+        ("t_end",),
+        check=_check_pohozaev,
+    ),
+    "decompose": _Task(
+        _task_decompose, ("phi",), {"alpha": float, "beta": float, "r_probe": float}
+    ),
+    "reparametrize": _Task(
+        _task_reparametrize, ("m",), {"t_end": float, "s_max": float}
+    ),
+    "dependence": _Task(
+        _task_dependence, ("m",), {"t_end": float, "family": dict},
+        check=_dependence_family,
+    ),
 }
 
 
@@ -607,12 +679,14 @@ def run_scenario(
                 "bytes": path.stat().st_size,
             }
         )
+    # ok unless the task reports an integrator status other than completed
+    ok = summary.get("status", "completed") == "completed"
     manifest = RunManifest(
         scenario_hash=scenario_hash,
         tool_version=__version__,
         wall_time_s=wall,
         artifacts=tuple(entries),
-        summary={"ok": True, "task": sc.task, "name": sc.name, **summary},
+        summary={"ok": ok, "task": sc.task, "name": sc.name, **summary},
     )
     write_json(out / "manifest.json", manifest.to_dict())
     return manifest

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InsufficientDecayError, NormOverflowError, PreconditionError
 from .functions import FunctionSpec
-from .norms import DEFAULT_EXP_CAP, GevreyParams, gevrey_norm
+from .norms import DEFAULT_EXP_CAP, GevreyParams, _weighted_sums, gevrey_norm
 from .spectrum import SpectralVector, Spectrum, require_shared_spectrum
 
 _SQRT2 = math.sqrt(2.0)
@@ -57,31 +57,6 @@ class MembershipReport:
     tails: np.ndarray
 
 
-def _tail_sum(
-    lam: np.ndarray,
-    comp: np.ndarray,
-    alpha: float,
-    weight_exponent: np.ndarray,
-    mask: np.ndarray,
-    exp_cap: float,
-) -> float:
-    """Tail sum with overflow collapsing to +inf rather than raising."""
-    if not np.any(mask):
-        return 0.0
-    c = comp[mask]
-    nonzero = c != 0.0
-    if not np.any(nonzero):
-        return 0.0
-    with np.errstate(divide="ignore"):
-        e = 2.0 * np.log(np.abs(c))
-        if alpha != 0.0:
-            e = e + 4.0 * alpha * np.log(lam[mask])
-    e = e + weight_exponent[mask]
-    if np.any((e > exp_cap) & nonzero):
-        return math.inf
-    return math.fsum(np.exp(np.where(nonzero, e, -math.inf)))
-
-
 def gm_membership(
     u: SpectralVector, p: GMParams, exp_cap: float = DEFAULT_EXP_CAP
 ) -> MembershipReport:
@@ -92,15 +67,14 @@ def gm_membership(
     raised.
     """
     lam = u.spectrum.lambdas
-    comp = u.components
+    rhos = np.asarray(p.rhos)
+    scales = np.array([rho**p.beta for rho in p.rhos])
     phi_at = np.asarray(p.phi(lam), dtype=float)
-    tails = np.empty(len(p.rhos))
-    for i, rho in enumerate(p.rhos):
-        mask = lam > rho
-        tails[i] = _tail_sum(lam, comp, p.alpha, rho**p.beta * phi_at, mask, exp_cap)
-    margins = np.asarray(p.rhos) - tails
+    with np.errstate(over="ignore"):
+        weight = np.where(lam > rhos[:, None], scales[:, None] * phi_at, -math.inf)
+    tails, _ = _weighted_sums(u.components, lam, p.alpha, weight, exp_cap)
     return MembershipReport(
-        member=bool(np.all(tails <= np.asarray(p.rhos))), margins=margins, tails=tails
+        member=bool(np.all(tails <= rhos)), margins=rhos - tails, tails=tails
     )
 
 
@@ -219,10 +193,10 @@ def sum_decompose(
     phi_at = np.asarray(phi(lam), dtype=float)
 
     def tails_ok(rho: float, cut: float) -> bool:
-        mask = lam >= cut
-        w = rho**beta * phi_at
-        t0 = _tail_sum(lam, c0, alpha + 0.5, w, mask, exp_cap)
-        t1 = _tail_sum(lam, c1, alpha, w, mask, exp_cap)
+        with np.errstate(over="ignore"):
+            w = np.where(lam >= cut, rho**beta * phi_at, -math.inf)
+        (t0,), _ = _weighted_sums(c0, lam, alpha + 0.5, w, exp_cap)
+        (t1,), _ = _weighted_sums(c1, lam, alpha, w, exp_cap)
         return t0 <= rho and t1 <= rho
 
     if not np.any(support):

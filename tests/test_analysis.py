@@ -92,9 +92,18 @@ def test_scale_trace_r_zero_reduction(tight_cfg):
     phi = weight_power_log(1.0)
     cfg = ScaleTraceConfig(phi=phi, r0=0.7, big_r=0.0, alpha=0.25)
     trace = scale_norm_trace(tr, cfg)
-    for i in (0, 250, 500, 1000):
+    for i in range(tr.n_samples):
         u_i = SpectralVector(spec, tr.u[i])
         assert trace.u_norms[i] == gevrey_norm(u_i, GevreyParams(phi, 0.7, 0.75))
+    # with a shrinking radius each sample matches its own fixed-radius norm
+    cfg = ScaleTraceConfig(phi=phi, r0=0.7, big_r=1.0, alpha=0.25)
+    trace = scale_norm_trace(tr, cfg)
+    for i in range(tr.n_samples):
+        r_i = float(trace.radii[i])
+        u_i = SpectralVector(spec, tr.u[i])
+        v_i = SpectralVector(spec, tr.v[i])
+        assert trace.u_norms[i] == gevrey_norm(u_i, GevreyParams(phi, r_i, 0.75))
+        assert trace.v_norms[i] == gevrey_norm(v_i, GevreyParams(phi, r_i, 0.25))
 
 
 def test_scale_trace_radius_guard(tight_cfg):

@@ -7,20 +7,26 @@ from hypothesis import strategies as st
 
 from kirchhoff_spectral import (
     GevreyParams,
+    GMParams,
+    ScaleTraceConfig,
     SpectralVector,
     Spectrum,
     constant,
     gevrey_norm,
+    gm_membership,
     power,
+    scale_norm_trace,
     sobolev_norm,
     weight_power_log,
     zero_vector,
 )
+from kirchhoff_spectral.dynamics import Trajectory
 from kirchhoff_spectral.errors import (
     InvalidWeightError,
     NormOverflowError,
     PreconditionError,
 )
+from kirchhoff_spectral.functions import scalar_callable
 
 # independent direct-summation oracle, frozen from a 40-digit computation
 GEVREY_THREE_MODE = 1.4032002079447654941
@@ -107,6 +113,20 @@ def test_overflow_delayed_by_log_form():
     assert value == pytest.approx(oracle, rel=1e-12)
 
 
+def test_zero_component_under_infinite_weight_contributes_nothing():
+    # r * phi(1e308) overflows to +inf; the zero component there must not
+    # turn the norm into NaN, while a nonzero one overflows
+    spec = Spectrum([1.0, 2.0, 1e308])
+    p = GevreyParams(power(1.0), 2.0, 0.0)
+    value = gevrey_norm(SpectralVector(spec, [1.0, 0.5, 0.0]), p)
+    oracle = direct_norm_oracle([1.0, 2.0], [1.0, 0.5], lambda s: s, 2.0, 0.0)
+    assert value == pytest.approx(oracle, rel=1e-14)
+    with pytest.raises(NormOverflowError) as exc:
+        gevrey_norm(SpectralVector(spec, [1.0, 0.5, 1e-300]), p)
+    assert exc.value.k == 2
+    assert exc.value.exponent == math.inf
+
+
 def test_invalid_weight_rejected(small_spectrum):
     u = SpectralVector(small_spectrum, [1.0, 1.0, 1.0])
     with pytest.raises(InvalidWeightError):
@@ -187,3 +207,62 @@ def test_monotone_in_alpha_when_lambdas_above_one():
     u = SpectralVector(spec, rng.standard_normal(3))
     norms = [sobolev_norm(u, a) for a in (0.0, 0.25, 0.5, 1.0, 2.0)]
     assert all(b >= a * (1.0 - 1e-12) for a, b in zip(norms, norms[1:]))
+
+
+@st.composite
+def component_rows(draw):
+    """A spectrum with lambda >= 1 and a (rows, modes) matrix with zeros."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.integers(min_value=1, max_value=5))
+    lams = sorted(
+        draw(st.lists(st.floats(1.0, 20.0), min_size=n, max_size=n))
+    )
+    value = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
+    comps = draw(
+        st.lists(
+            st.lists(value, min_size=n, max_size=n), min_size=rows, max_size=rows
+        )
+    )
+    return Spectrum(lams), np.array(comps)
+
+
+WEIGHTS = [constant(1.0), power(1.0), weight_power_log(1.0)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    component_rows(),
+    st.sampled_from(WEIGHTS),
+    st.floats(0.0, 1.0),
+    st.floats(0.05, 2.0),
+    st.floats(0.0, 1.0),
+)
+def test_batched_rows_match_single_vector_and_oracle(pair, phi, alpha, r0, beta):
+    # each row of a whole-trajectory call is bit-identical to that row alone
+    spec, comps = pair
+    rows = comps.shape[0]
+    lam = spec.lambdas
+    t = np.arange(rows) * 0.01
+    tr = Trajectory(spec, t, comps, comps[::-1].copy(), None)
+    trace = scale_norm_trace(tr, ScaleTraceConfig(phi, r0, 1.0, alpha))
+    for i in range(rows):
+        p_u = GevreyParams(phi, float(trace.radii[i]), alpha + 0.5)
+        p_v = GevreyParams(phi, float(trace.radii[i]), alpha)
+        assert np.array_equal(
+            trace.u_norms[i], gevrey_norm(SpectralVector(spec, tr.u[i]), p_u)
+        )
+        assert np.array_equal(
+            trace.v_norms[i], gevrey_norm(SpectralVector(spec, tr.v[i]), p_v)
+        )
+
+    # the tails of the same kernel match the product form over the modes
+    # above each threshold
+    rhos = (1.0, 2.5, 4.0)
+    u = SpectralVector(spec, comps[0])
+    rep = gm_membership(u, GMParams(phi, rhos, alpha, beta))
+    for rho, tail in zip(rhos, rep.tails):
+        keep = lam > rho
+        oracle = direct_norm_oracle(
+            lam[keep], comps[0][keep], scalar_callable(phi), rho**beta, alpha
+        )
+        assert tail == pytest.approx(oracle**2, rel=1e-12, abs=1e-300)

@@ -378,3 +378,65 @@ def test_cli_run_bad_config_does_not_stop_batch(tmp_path, capsys, jobs):
     assert code == 1
     assert (out / "good" / "manifest.json").exists()
     assert str(bad) in capsys.readouterr().err
+
+
+def dependence_config(family):
+    return simulate_config(
+        spectrum={"explicit": [1.0, 2.0]},
+        task="dependence",
+        params={"t_end": 0.5, "family": family},
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg, field",
+    [
+        (simulate_config(seed="abc"), "seed"),
+        (simulate_config(params={"t_end": "abc"}), "params.t_end"),
+        (simulate_config(params={"t_end": True}), "params.t_end"),
+        (simulate_config(params={"t_end": 1.0, "max_step": [1]}), "params.max_step"),
+        (dependence_config({"kind": "nope", "values": [0.1]}), "params.family.kind"),
+        (dependence_config({"values": []}), "params.family.values"),
+        (dependence_config({"values": ["x"]}), "params.family.values"),
+        (dependence_config({"kind": "data_shift", "values": [0.1], "mode_index": 2}),
+         "params.family.mode_index"),
+        (dependence_config([0.1]), "params.family"),
+        (simulate_config(task="invariants",
+                         params={"t_end": 1.0, "pohozaev": {"a": 1.0}}),
+         "params.pohozaev.b"),
+    ],
+    ids=["seed_string", "t_end_string", "t_end_bool", "max_step_list",
+         "family_kind", "family_values_empty", "family_values_string",
+         "family_mode_index", "family_not_object", "pohozaev_missing_b"],
+)
+def test_malformed_param_value_names_the_field(tmp_path, capsys, cfg, field):
+    with pytest.raises(ScenarioError) as info:
+        validate_scenario(cfg)
+    assert info.value.field == field
+    assert main(["validate", str(write_config(tmp_path, cfg))]) == 1
+    assert f"invalid: {field}:" in capsys.readouterr().err
+    with pytest.raises(ScenarioError):
+        run_scenario(cfg, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_integration_is_not_ok(tmp_path, capsys):
+    cfg = simulate_config(params={"t_end": 5.0, "max_step": 1e-30})
+    manifest = run_scenario(cfg, out_dir=tmp_path / "out")
+    assert manifest.summary["status"] == "step_underflow"
+    assert manifest.summary["ok"] is False
+    saved = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert saved["summary"]["ok"] is False
+    path = write_config(tmp_path, cfg)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "cli")]) == 1
+    assert "step_underflow" in capsys.readouterr().err
+
+
+def test_dependence_data_shift_family(tmp_path):
+    cfg = dependence_config(
+        {"kind": "data_shift", "values": [0.1, 0.05], "mode_index": 1}
+    )
+    run_scenario(cfg, out_dir=tmp_path / "out")
+    rep = json.loads((tmp_path / "out" / "dependence_report.json").read_text())
+    assert rep["kind"] == "data_shift"
+    assert rep["data_distances"][0] > rep["data_distances"][1] > 0.0
