@@ -299,8 +299,7 @@ def _integrator_config(params: dict, tolerance_scale: float) -> IntegratorConfig
 def _write_trajectory(out: Path, tr: Trajectory, name: str = "trajectory.csv"):
     n = tr.spectrum.n
     header = ["t"] + [f"u_{k+1}" for k in range(n)] + [f"v_{k+1}" for k in range(n)]
-    cols = [tr.t] + [tr.u[:, k] for k in range(n)] + [tr.v[:, k] for k in range(n)]
-    write_csv(out / name, header, cols)
+    write_csv(out / name, header, [tr.t, *tr.u.T, *tr.v.T])
     return name
 
 
@@ -348,6 +347,7 @@ def _task_norms(sc: Scenario, out: Path, cfg: IntegratorConfig):
         [trace.t, trace.radii, trace.u_norms, trace.v_norms],
     )
     return ["norm_trace.csv"], {
+        "status": tr.meta.status,
         "max_u_norm": float(np.max(trace.u_norms)),
         "max_v_norm": float(np.max(trace.v_norms)),
     }
@@ -441,7 +441,10 @@ def _task_invariants(sc: Scenario, out: Path, cfg: IntegratorConfig):
     payload = {"drifts": drifts, "degeneracy": degeneracy.value,
                "integrator_meta": tr.meta.to_dict()}
     write_json(out / "invariants_report.json", payload)
-    return ["invariants.csv", "invariants_report.json"], {"drifts": drifts}
+    return ["invariants.csv", "invariants_report.json"], {
+        "status": tr.meta.status,
+        "drifts": drifts,
+    }
 
 
 def _task_decompose(sc: Scenario, out: Path, cfg: IntegratorConfig):
@@ -489,8 +492,7 @@ def _task_reparametrize(sc: Scenario, out: Path, cfg: IntegratorConfig):
     write_csv(
         out / "scurve.csv",
         ["s"] + [f"z_{k+1}" for k in range(n)] + [f"w_{k+1}" for k in range(n)],
-        [curve.s] + [curve.z[:, k] for k in range(n)]
-        + [curve.w[:, k] for k in range(n)],
+        [curve.s, *curve.z.T, *curve.w.T],
     )
     write_csv(out / "psi_trace.csv", ["t", "psi", "f"], [pt.t, pt.psi, pt.f])
     write_csv(out / "psi_recovered.csv", ["t", "psi", "f"],
@@ -510,7 +512,7 @@ def _task_reparametrize(sc: Scenario, out: Path, cfg: IntegratorConfig):
         "psi_trace.csv",
         "psi_recovered.csv",
         "reparametrization_report.json",
-    ], {"max_deviation": check.max_deviation}
+    ], {"status": tr.meta.status, "max_deviation": check.max_deviation}
 
 
 def _dependence_family(sc: Scenario) -> tuple[str, list, int]:
@@ -648,6 +650,9 @@ def run_scenario(
         sc.raw.get("output_dir", Path("runs") / sc.name)
     )
     out.mkdir(parents=True, exist_ok=True)
+    # a rerun must not leave the last run's outcome beside its own
+    for stale in ("manifest.json", "error.json"):
+        (out / stale).unlink(missing_ok=True)
     scenario_hash = sha256_text(dump_json(cfg_dict))
     icfg = _integrator_config(sc.params, tolerance_scale)
 

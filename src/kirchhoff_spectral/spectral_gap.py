@@ -68,9 +68,11 @@ def gm_membership(
     """
     lam = u.spectrum.lambdas
     rhos = np.asarray(p.rhos)
-    scales = np.array([rho**p.beta for rho in p.rhos])
     phi_at = np.asarray(p.phi(lam), dtype=float)
     with np.errstate(over="ignore"):
+        # float64 scalar power: libm's pow, as Python's float power, but an
+        # overflow gives +inf; the SIMD np.power can differ in the last bit
+        scales = np.array([np.float64(rho) ** p.beta for rho in p.rhos])
         weight = np.where(lam > rhos[:, None], scales[:, None] * phi_at, -math.inf)
     tails, _ = _weighted_sums(u.components, lam, p.alpha, weight, exp_cap)
     return MembershipReport(
@@ -194,7 +196,7 @@ def sum_decompose(
 
     def tails_ok(rho: float, cut: float) -> bool:
         with np.errstate(over="ignore"):
-            w = np.where(lam >= cut, rho**beta * phi_at, -math.inf)
+            w = np.where(lam >= cut, np.float64(rho) ** beta * phi_at, -math.inf)
         (t0,), _ = _weighted_sums(c0, lam, alpha + 0.5, w, exp_cap)
         (t1,), _ = _weighted_sums(c1, lam, alpha, w, exp_cap)
         return t0 <= rho and t1 <= rho

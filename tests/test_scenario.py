@@ -1,8 +1,10 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from kirchhoff_spectral import scenario
 from kirchhoff_spectral.cli import main
 from kirchhoff_spectral.errors import ScenarioError
 from kirchhoff_spectral.scenario import load_config, run_scenario, validate_scenario
@@ -420,8 +422,9 @@ def test_malformed_param_value_names_the_field(tmp_path, capsys, cfg, field):
     assert not (tmp_path / "out").exists()
 
 
-def test_failed_integration_is_not_ok(tmp_path, capsys):
-    cfg = simulate_config(params={"t_end": 5.0, "max_step": 1e-30})
+@pytest.mark.parametrize("task", ["simulate", "norms", "invariants"])
+def test_failed_integration_is_not_ok(tmp_path, capsys, task):
+    cfg = simulate_config(task=task, params={"t_end": 5.0, "max_step": 1e-30})
     manifest = run_scenario(cfg, out_dir=tmp_path / "out")
     assert manifest.summary["status"] == "step_underflow"
     assert manifest.summary["ok"] is False
@@ -440,3 +443,46 @@ def test_dependence_data_shift_family(tmp_path):
     rep = json.loads((tmp_path / "out" / "dependence_report.json").read_text())
     assert rep["kind"] == "data_shift"
     assert rep["data_distances"][0] > rep["data_distances"][1] > 0.0
+
+
+def test_reparametrize_reports_its_evolve_status(tmp_path, monkeypatch):
+    # the s-curve integrations raise when they stop early, so only a failed
+    # t-integration can reach the summary; stand one in for it
+    real_evolve = scenario.evolve
+
+    def blown_up(*args):
+        tr = real_evolve(*args)
+        return dataclasses.replace(tr, meta=dataclasses.replace(tr.meta, status="blow_up"))
+
+    cfg = {
+        "version": 1,
+        "name": "roundtrip",
+        "spectrum": {"explicit": [1.0]},
+        "data": {
+            "u0": {"basis": {"index": 0, "amplitude": 1.0}},
+            "u1": {"basis": {"index": 0, "amplitude": 1.0}},
+        },
+        "functions": {"m": {"kind": "constant", "c": 1.0}},
+        "task": "reparametrize",
+        "params": {"t_end": 0.7},
+    }
+    assert run_scenario(cfg, out_dir=tmp_path / "ok").summary["ok"] is True
+    monkeypatch.setattr(scenario, "evolve", blown_up)
+    manifest = run_scenario(cfg, out_dir=tmp_path / "out")
+    assert manifest.summary["status"] == "blow_up"
+    assert manifest.summary["ok"] is False
+
+
+def test_failing_rerun_leaves_no_stale_manifest(tmp_path):
+    out = tmp_path / "out"
+    run_scenario(simulate_config(), out_dir=out)
+    assert (out / "manifest.json").exists()
+    bad = simulate_config()
+    bad["functions"] = {"m": {"kind": "affine", "a": -2.0, "b": 0.0}}
+    with pytest.raises(Exception):
+        run_scenario(bad, out_dir=out)
+    assert not (out / "manifest.json").exists()
+    assert json.loads((out / "error.json").read_text())["task"] == "simulate"
+    run_scenario(simulate_config(), out_dir=out)
+    assert (out / "manifest.json").exists()
+    assert not (out / "error.json").exists()

@@ -206,3 +206,24 @@ def test_greedy_bound_certifies_tails():
             assert all(e < 700.0 for e in exponents)
             tail = math.fsum(math.exp(e) for e in exponents)
             assert tail <= rho + 1e-12
+
+
+def test_threshold_power_past_float_range_is_an_infinite_weight():
+    # rho^beta = 1e320 overflows a double: the one mode above rho gets an
+    # infinite weight, and its zero component drops out of the tail
+    u = SpectralVector(Spectrum([1.0, 1e200]), [1.0, 0.0])
+    rep = gm_membership(u, GMParams(constant(1.0), (1e160,), 0.25, 2.0))
+    assert rep.member
+    assert np.array_equal(rep.tails, [0.0])
+
+
+def test_decomposition_band_search_past_float_range():
+    # the band search at rho = 1e160 forms rho^2 = 1e320; no mode lies at or
+    # above the candidate cut, so the tail is empty and the band closes
+    spec = Spectrum([1e160])
+    dec = sum_decompose(
+        SpectralVector(spec, [1e-200]), SpectralVector(spec, [0.0]),
+        constant(1.0), 0.0, 2.0,
+    )
+    assert dec.s_values[:2] == (1e160, 1e160 * math.sqrt(2.0))
+    assert dec.all_member()
