@@ -422,8 +422,16 @@ def test_malformed_param_value_names_the_field(tmp_path, capsys, cfg, field):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("task", ["simulate", "norms", "invariants"])
-def test_failed_integration_is_not_ok(tmp_path, capsys, task):
+def test_failed_integration_is_not_ok(tmp_path, capsys):
+    check_failed_integration_is_not_ok(tmp_path, capsys, "simulate")
+
+
+@pytest.mark.parametrize("task", ["norms", "invariants"])
+def test_failed_integration_of_any_task_is_not_ok(tmp_path, capsys, task):
+    check_failed_integration_is_not_ok(tmp_path, capsys, task)
+
+
+def check_failed_integration_is_not_ok(tmp_path, capsys, task):
     cfg = simulate_config(task=task, params={"t_end": 5.0, "max_step": 1e-30})
     manifest = run_scenario(cfg, out_dir=tmp_path / "out")
     assert manifest.summary["status"] == "step_underflow"
