@@ -23,7 +23,11 @@ from .spectrum import (
 )
 
 DEFAULT_HP_MAIN_TOL = 1e-10
-DEFAULT_MU_MIN = 1e-8
+MU_MIN = 1e-8
+LOSS_PROBE_SAMPLES = 16
+LOSS_PROBE_GROWTH = 10.0
+LOSS_PROBE_RADIUS = 1.0
+DEPENDENCE_GRID_POINTS = 257
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +108,9 @@ def hamiltonian_reachable_sigma(
 
 
 def classify_degeneracy(
-    m: FunctionSpec,
-    u0: SpectralVector,
-    sigma_grid: np.ndarray,
-    mu_min: float = DEFAULT_MU_MIN,
+    m: FunctionSpec, u0: SpectralVector, sigma_grid: np.ndarray
 ) -> Degeneracy:
-    """Classify the problem by the grid infimum of m and the value at the datum.
+    """Classify the problem by m's grid infimum and datum value against MU_MIN.
 
     The caller supplies a grid spanning the energy-reachable sigma range
     (see ``hamiltonian_reachable_sigma``).
@@ -118,9 +119,9 @@ def classify_degeneracy(
     if grid.size == 0:
         raise PreconditionError("sigma grid must be nonempty")
     values = np.asarray(m(grid), dtype=float)
-    if float(np.min(values)) >= mu_min:
+    if float(np.min(values)) >= MU_MIN:
         return Degeneracy.STRICTLY_HYPERBOLIC
-    if abs(float(m(a_half_norm_sq(u0)))) > mu_min:
+    if abs(float(m(a_half_norm_sq(u0)))) > MU_MIN:
         return Degeneracy.MILDLY_DEGENERATE
     return Degeneracy.REALLY_DEGENERATE
 
@@ -191,26 +192,19 @@ class LossProbeReport:
     signature_alphas: tuple
     has_signature: bool
     initial_data_norms: tuple
-    n_early: int
-    growth_factor: float
 
 
 def derivative_loss_probe(
-    tr: Trajectory,
-    phi: FunctionSpec,
-    alpha_grid,
-    eps_grid,
-    n_early: int = 16,
-    growth_factor: float = 10.0,
-    r_probe: float = 1.0,
+    tr: Trajectory, phi: FunctionSpec, alpha_grid, eps_grid
 ) -> LossProbeReport:
     """Probe sobolev_norm(u(t), alpha + eps) growth on the samples near t = 0.
 
-    Flags a loss signature at alpha when the early norms exceed the t = 0
-    value by ``growth_factor`` for every eps in the grid.  ``phi`` is used to
-    report the initial datum's weighted norms alongside, as the regularity
-    context of the experiment.
+    Flags a loss signature at alpha when the LOSS_PROBE_SAMPLES norms after
+    t = 0 exceed the t = 0 value by LOSS_PROBE_GROWTH for every eps.  ``phi``
+    gives the initial datum's weighted norms at LOSS_PROBE_RADIUS alongside,
+    as the regularity context of the experiment.
     """
+    n_early = LOSS_PROBE_SAMPLES
     if abs(float(tr.t[0])) > 0.0:
         raise PreconditionError("trajectory must start at t = 0")
     if tr.n_samples < n_early + 1:
@@ -238,21 +232,20 @@ def derivative_loss_probe(
                     growth_exponent=expo,
                 )
             )
-            flags.append(peak > growth_factor * max(start, 1e-300) and start > 0.0
-                         or (start == 0.0 and peak > growth_factor))
+            flags.append(peak > LOSS_PROBE_GROWTH * max(start, 1e-300) and start > 0.0
+                         or (start == 0.0 and peak > LOSS_PROBE_GROWTH))
         if flags and all(flags):
             signature_alphas.append(alpha)
     u0 = SpectralVector(tr.spectrum, tr.u[0])
     data_norms = tuple(
-        (alpha, gevrey_norm(u0, GevreyParams(phi, r_probe, alpha))) for alpha in alphas
+        (alpha, gevrey_norm(u0, GevreyParams(phi, LOSS_PROBE_RADIUS, alpha)))
+        for alpha in alphas
     )
     return LossProbeReport(
         entries=tuple(entries),
         signature_alphas=tuple(signature_alphas),
         has_signature=bool(signature_alphas),
         initial_data_norms=data_norms,
-        n_early=n_early,
-        growth_factor=growth_factor,
     )
 
 
@@ -270,9 +263,13 @@ class DependenceEntry:
 
 @dataclass(frozen=True)
 class DependenceReport:
+    """``status`` is the first integrator status, over the limit and then the
+    family, that is not "completed", else "completed"."""
+
     entries: tuple
     continuity_constants: tuple
     fitted_slope_vs_data: float
+    status: str
 
     @property
     def deviations(self) -> np.ndarray:
@@ -297,15 +294,14 @@ def continuous_dependence_study(
     cfg: IntegratorConfig,
     t_end: float,
     omega: FunctionSpec | None = None,
-    sigma_grid: np.ndarray | None = None,
 ) -> DependenceReport:
     """Integrate a family of perturbed problems against their limit.
 
     ``problems`` is a sequence of (m_n, u0_n, u1_n); ``limit`` the target
     triple.  Every nonlinearity's omega-continuity constant is estimated on
-    the shared grid first (the hypothesis of the compactness statement);
-    the report carries the sup-in-time energy distances together with the
-    input distances and a fitted log-log rate.
+    one shared grid of DEPENDENCE_GRID_POINTS sigmas up to the reachable one
+    (the hypothesis of the compactness statement); the report carries the
+    sup-in-time energy distances with the input distances and a log-log rate.
     """
     from .conditions import estimate_continuity_constant
     from .functions import modulus_power
@@ -313,11 +309,8 @@ def continuous_dependence_study(
     m_lim, u0_lim, u1_lim = limit
     if omega is None:
         omega = modulus_power(1.0)
-    if sigma_grid is None:
-        hi = max(
-            hamiltonian_reachable_sigma(u0_lim, u1_lim, m_lim), 1.0
-        )
-        sigma_grid = np.linspace(0.0, hi, 257)
+    hi = max(hamiltonian_reachable_sigma(u0_lim, u1_lim, m_lim), 1.0)
+    sigma_grid = np.linspace(0.0, hi, DEPENDENCE_GRID_POINTS)
 
     constants = [estimate_continuity_constant(m_lim, omega, sigma_grid)]
     for m_n, _, _ in problems:
@@ -327,6 +320,7 @@ def continuous_dependence_study(
         t=0.0, u=u0_lim, v=u1_lim
     )
     tr_lim = evolve(state_lim, m_lim, cfg, t_end)
+    statuses = [tr_lim.meta.status]
     m_lim_vals = np.asarray(m_lim(sigma_grid), dtype=float)
 
     entries = []
@@ -338,6 +332,7 @@ def continuous_dependence_study(
             raise PreconditionError(
                 f"integration failed for problem {idx}: {exc}"
             ) from exc
+        statuses.append(tr_n.meta.status)
         lam2 = u0_n.spectrum.lam2
         du = u0_n.components - u0_lim.components
         dv = u1_n.components - u1_lim.components
@@ -359,4 +354,5 @@ def continuous_dependence_study(
         entries=tuple(entries),
         continuity_constants=tuple(constants),
         fitted_slope_vs_data=slope,
+        status=next((s for s in statuses if s != "completed"), "completed"),
     )

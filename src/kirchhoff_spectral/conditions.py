@@ -18,6 +18,9 @@ from .errors import InvalidWeightError, NotOmegaContinuousError, PreconditionErr
 from .functions import FunctionSpec
 
 DEFAULT_SLOPE_TOL = 0.01
+TREND_DECADES = 2.0  # top grid decades over which the ratio's growth is fitted
+AXIOM_TOL = 1e-12  # relative slack of the modulus-axiom comparisons
+MAX_VIOLATIONS = 20  # subadditivity violations a ModulusReport lists
 
 
 def default_sigma_grid(
@@ -72,12 +75,7 @@ class ModulusReport:
         return self.zero_at_zero and self.increasing and self.subadditive
 
 
-def verify_modulus_axioms(
-    omega: FunctionSpec,
-    grid: np.ndarray,
-    tol: float = 1e-12,
-    max_violations: int = 20,
-) -> ModulusReport:
+def verify_modulus_axioms(omega: FunctionSpec, grid: np.ndarray) -> ModulusReport:
     """Check omega(0) = 0, monotonicity and subadditivity on the grid.
 
     Subadditivity is checked on all grid pairs (a, b) with a + b inside the
@@ -91,10 +89,10 @@ def verify_modulus_axioms(
     if np.any(g < 0.0):
         raise PreconditionError("grid must be nonnegative")
 
-    zero_ok = abs(float(omega(0.0))) <= tol
+    zero_ok = abs(float(omega(0.0))) <= AXIOM_TOL
 
     vals = np.asarray(omega(g), dtype=float)
-    rising = np.all(np.diff(vals) >= -tol * np.maximum(1.0, np.abs(vals[:-1])))
+    rising = np.all(np.diff(vals) >= -AXIOM_TOL * np.maximum(1.0, np.abs(vals[:-1])))
 
     violations: list[tuple[float, float]] = []
     a = g[:, None]
@@ -104,10 +102,10 @@ def verify_modulus_axioms(
     with np.errstate(over="ignore"):
         lhs = np.asarray(omega(np.where(inside, s, 0.0)), dtype=float)
         rhs = vals[:, None] + vals[None, :]
-    bad = inside & (lhs > rhs + tol * np.maximum(1.0, rhs))
+    bad = inside & (lhs > rhs + AXIOM_TOL * np.maximum(1.0, rhs))
     if np.any(bad):
         ii, jj = np.nonzero(bad)
-        for i, j in zip(ii[:max_violations], jj[:max_violations]):
+        for i, j in zip(ii[:MAX_VIOLATIONS], jj[:MAX_VIOLATIONS]):
             violations.append((float(g[i]), float(g[j])))
 
     return ModulusReport(
@@ -147,7 +145,6 @@ def check_phi_condition(
     mode: str,
     grid: np.ndarray,
     slope_tol: float = DEFAULT_SLOPE_TOL,
-    trend_decades: float = 2.0,
 ) -> ConditionReport:
     """Evaluate the compatibility ratio for the given hyperbolicity mode.
 
@@ -181,7 +178,7 @@ def check_phi_condition(
             ratio = np.where(finite, g / phi_arg, np.inf)
 
     finite_ratios = np.all(np.isfinite(ratio))
-    top = g >= g[-1] / 10.0**trend_decades
+    top = g >= g[-1] / 10.0**TREND_DECADES
     slope = log_log_slope(g[top], ratio[top])
     worst = int(np.nanargmax(np.where(np.isfinite(ratio), ratio, -np.inf)))
     lam_est = float(ratio[worst]) if finite_ratios else float("inf")

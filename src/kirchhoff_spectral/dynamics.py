@@ -22,6 +22,7 @@ from .spectrum import SpectralVector, Spectrum, require_shared_spectrum
 
 BLOWUP_CAP = 1e12
 DEGENERATE_TOL = 1e-12
+MODULUS_WINDOWS = 8  # coefficient_trace windows of 1, 2, 4, ... sample steps
 
 
 @dataclass(frozen=True)
@@ -109,13 +110,6 @@ class Trajectory:
     @property
     def n_samples(self) -> int:
         return int(self.t.size)
-
-    def state(self, i: int) -> SpectralState:
-        return SpectralState(
-            t=float(self.t[i]),
-            u=SpectralVector(self.spectrum, self.u[i]),
-            v=SpectralVector(self.spectrum, self.v[i]),
-        )
 
     def sigma_series(self) -> np.ndarray:
         """|A^(1/2)u|^2 at every sample."""
@@ -353,9 +347,7 @@ class CoefficientTrace:
     modulus_values: np.ndarray
 
 
-def coefficient_trace(
-    tr: Trajectory, m: FunctionSpec, n_deltas: int = 8
-) -> CoefficientTrace:
+def coefficient_trace(tr: Trajectory, m: FunctionSpec) -> CoefficientTrace:
     """Coefficient series plus max |c(t)-c(s)| over |t-s| <= delta profiles."""
     sigma = tr.sigma_series()
     c = np.asarray(m(sigma), dtype=float)
@@ -365,7 +357,7 @@ def coefficient_trace(
     if n >= 2:
         dt = float(tr.t[1] - tr.t[0])
         k = 1
-        for _ in range(n_deltas):
+        for _ in range(MODULUS_WINDOWS):
             if k >= n:
                 break
             window = np.lib.stride_tricks.sliding_window_view(c, k + 1)

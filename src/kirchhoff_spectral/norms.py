@@ -25,7 +25,7 @@ from .errors import InvalidWeightError, NormOverflowError, PreconditionError
 from .functions import FunctionSpec
 from .spectrum import SpectralVector
 
-DEFAULT_EXP_CAP = 700.0
+EXP_CAP = 700.0
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class GevreyParams:
             raise PreconditionError("exponent alpha must be >= 0")
 
 
-def _weighted_sums(c, lam, alpha, weight=0.0, exp_cap=DEFAULT_EXP_CAP):
+def _weighted_sums(c, lam, alpha, weight=0.0):
     """Row sums of lambda^(4*alpha) c^2 exp(weight) over (rows, modes).
 
     ``c`` and ``weight`` broadcast together; a 1-D result is one row.
@@ -58,7 +58,7 @@ def _weighted_sums(c, lam, alpha, weight=0.0, exp_cap=DEFAULT_EXP_CAP):
             e = e + 4.0 * alpha * np.log(lam)  # -inf at lambda = 0, as wanted
         e = np.atleast_2d(e + weight)
     nonzero = c != 0.0
-    over = (e > exp_cap) & nonzero
+    over = (e > EXP_CAP) & nonzero
     terms = np.exp(np.where(nonzero & ~over, e, -math.inf))
     sums = np.array([math.fsum(row.tolist()) for row in terms])
     if not over.any():
@@ -68,11 +68,11 @@ def _weighted_sums(c, lam, alpha, weight=0.0, exp_cap=DEFAULT_EXP_CAP):
     return sums, (int(k), float(e[i, k]))
 
 
-def _norms(c, lam, alpha, weight=0.0, exp_cap=DEFAULT_EXP_CAP) -> np.ndarray:
+def _norms(c, lam, alpha, weight=0.0) -> np.ndarray:
     """Square roots of ``_weighted_sums``; an overflow raises NormOverflowError."""
     if alpha < 0.0:
         raise PreconditionError("exponent alpha must be >= 0")
-    sums, over = _weighted_sums(c, lam, alpha, weight, exp_cap)
+    sums, over = _weighted_sums(c, lam, alpha, weight)
     if over is not None:
         raise NormOverflowError(*over)
     return np.sqrt(sums)
@@ -92,22 +92,18 @@ def _radius_weights(phi: FunctionSpec | None, lam: np.ndarray, radii) -> np.ndar
         return radii * w
 
 
-def gevrey_norm(
-    u: SpectralVector, p: GevreyParams, exp_cap: float = DEFAULT_EXP_CAP
-) -> float:
+def gevrey_norm(u: SpectralVector, p: GevreyParams) -> float:
     """sqrt( sum_k lambda_k^(4*alpha) u_k^2 exp(r*phi(lambda_k)) )."""
     lam = u.spectrum.lambdas
     weight = _radius_weights(p.phi, lam, p.r) if p.r != 0.0 else 0.0
-    return float(_norms(u.components, lam, p.alpha, weight, exp_cap)[0])
+    return float(_norms(u.components, lam, p.alpha, weight)[0])
 
 
-def sobolev_norm(
-    u: SpectralVector, alpha: float, exp_cap: float = DEFAULT_EXP_CAP
-) -> float:
+def sobolev_norm(u: SpectralVector, alpha: float) -> float:
     """sqrt( sum_k lambda_k^(4*alpha) u_k^2 ), the fractional-domain norm.
 
     Shares the summation path of ``gevrey_norm`` so that gevrey_norm at
     r = 0 equals this exactly.
     """
     lam = u.spectrum.lambdas
-    return float(_norms(u.components, lam, alpha, exp_cap=exp_cap)[0])
+    return float(_norms(u.components, lam, alpha)[0])

@@ -29,8 +29,11 @@ from .functions import FunctionSpec, scalar_callable
 from .integrate import solve_to_samples
 from .spectrum import SpectralVector, Spectrum, a_half_norm_sq, require_shared_spectrum
 
-DEFAULT_DEN_FLOOR = 1e-10
-DEFAULT_HP_TOL = 1e-10
+DEN_FLOOR = 1e-10  # smallest |psi'| the curve system accepts
+HP_TOL = 1e-10
+HANDOFF_SCALE = 1e-4
+CURVE_SAMPLES = 1000  # uniform in sqrt(s)
+PACE_INTERVALS = 8192  # trapezoids of the pace quadrature in sqrt(s)
 
 
 @dataclass(frozen=True)
@@ -106,10 +109,9 @@ def _monotone_prefix(values: np.ndarray) -> int:
     return n
 
 
-def scurve_from_trajectory(tr: Trajectory, u0: SpectralVector | None = None) -> SCurve:
+def scurve_from_trajectory(tr: Trajectory) -> SCurve:
     """Reparametrize a computed trajectory by its own shift variable."""
-    if u0 is None:
-        u0 = SpectralVector(tr.spectrum, tr.u[0])
+    u0 = SpectralVector(tr.spectrum, tr.u[0])
     pt = psi_trace(tr, u0)
     nonzero = np.nonzero(np.abs(pt.psi) > 0.0)[0]
     if nonzero.size == 0:
@@ -140,29 +142,25 @@ def solve_trajectory_system(
     m: FunctionSpec,
     s_max: float,
     cfg: IntegratorConfig,
-    n_samples: int = 1000,
-    delta_boot: float | None = None,
-    delta_den: float = DEFAULT_DEN_FLOOR,
-    hp_tol: float = DEFAULT_HP_TOL,
 ) -> SCurve:
     """Integrate the curve system in the shift variable up to |psi| = s_max.
 
     Requires psi'(0) != 0, or psi'(0) = 0 with psi''(0) != 0 (within
-    ``hp_tol``); both vanishing is refused, matching the limit of the
+    ``HP_TOL``); both vanishing is refused, matching the limit of the
     two-step uniqueness argument.  In the second branch the solver first
     follows the time dynamics until |psi'| exceeds the handoff threshold
-    ``delta_boot`` (default 1e-4 * (1 + |psi''(0)|)), then continues in s.
+    ``HANDOFF_SCALE * (1 + |psi''(0)|)``, then continues in s.
     """
     spec = require_shared_spectrum(u0, u1)
     if s_max <= 0.0:
         raise PreconditionError("s_max must be positive")
     d1, d2 = psi_initial_derivatives(u0, u1, m)
-    if abs(d1) <= hp_tol and abs(d2) <= hp_tol:
+    if abs(d1) <= HP_TOL and abs(d2) <= HP_TOL:
         raise PreconditionError(
             "both psi'(0) and psi''(0) vanish; the parametrization argument "
             "does not apply"
         )
-    direction = int(np.sign(d1)) if abs(d1) > hp_tol else int(np.sign(d2))
+    direction = int(np.sign(d1)) if abs(d1) > HP_TOL else int(np.sign(d2))
     sigma0 = a_half_norm_sq(u0)
     lam = spec.lambdas
     n = spec.n
@@ -173,7 +171,7 @@ def solve_trajectory_system(
         z = y[:n]
         w = y[n:]
         den = 2.0 * float(lam.dot(z * w))
-        if abs(den) < delta_den:
+        if abs(den) < DEN_FLOOR:
             raise ParametrizationError(
                 f"parametrization degenerates: |psi'| = {abs(den):.3e} at "
                 f"s = {direction * s_tilde:.6g}"
@@ -189,7 +187,7 @@ def solve_trajectory_system(
         dw /= den
         return out
 
-    if abs(d1) > hp_tol:
+    if abs(d1) > HP_TOL:
         s_start = 0.0
         z_start = lam * u0.components
         w_start = u1.components.copy()
@@ -198,7 +196,7 @@ def solve_trajectory_system(
         lead_w = np.empty((0, n))
         branch = "direct"
     else:
-        boot = delta_boot if delta_boot is not None else 1e-4 * (1.0 + abs(d2))
+        boot = HANDOFF_SCALE * (1.0 + abs(d2))
         leg = _bootstrap_leg(u0, u1, m, cfg, direction, boot, abs(d2))
         lead_s, lead_z, lead_w = leg
         s_start = float(lead_s[-1])
@@ -217,7 +215,7 @@ def solve_trajectory_system(
     # sample uniformly in sqrt(s): the curve components are smooth functions
     # of sqrt(s) even when the speed vanishes at s = 0, where they behave
     # like sqrt(s) itself
-    v_grid = np.linspace(math.sqrt(s_start), math.sqrt(s_max), max(2, n_samples + 1))
+    v_grid = np.linspace(math.sqrt(s_start), math.sqrt(s_max), CURVE_SAMPLES + 1)
     samples = v_grid**2
     samples[0] = s_start
     samples[-1] = s_max
@@ -303,7 +301,6 @@ def solve_parametrization(
     speed: TabulatedSpeed | SCurve,
     t_end: float,
     cfg: IntegratorConfig,
-    n_quad: int = 8192,
 ) -> PsiTrace:
     """Recover the pace psi(t) from the tabulated speed via psi' = F(psi).
 
@@ -326,7 +323,7 @@ def solve_parametrization(
         )
     f_interp = speed.interpolator()
     s_hi = float(speed.s[-1])
-    v = np.linspace(0.0, math.sqrt(s_hi), n_quad + 1)
+    v = np.linspace(0.0, math.sqrt(s_hi), PACE_INTERVALS + 1)
     fv = np.asarray(f_interp(v), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         g = 2.0 * v / fv
@@ -335,7 +332,7 @@ def solve_parametrization(
     else:
         # first-order vanishing: F ~ c sqrt(s) = c v, so the integrand
         # 2v/F(v) tends to 2/c
-        j = max(1, int(0.01 * n_quad))
+        j = max(1, int(0.01 * PACE_INTERVALS))
         c = float(fv[j] / v[j])
         g[0] = 2.0 / c if c > 0.0 else 0.0
     if not np.all(np.isfinite(g)):

@@ -12,9 +12,10 @@ records the wall time, which is the one non-reproducible field.
 from __future__ import annotations
 
 import json
+import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -161,7 +162,9 @@ def _build_vector(spec, spectrum: Spectrum, seed: int, field: str) -> SpectralVe
     if not isinstance(spec, dict):
         raise ScenarioError("must be an object or 'zero'", field=field)
     lam = spectrum.lambdas
-    with _field_errors(field):
+    # an overflow leaves a non-finite component, which SpectralVector refuses
+    with _field_errors(field), np.errstate(over="ignore", divide="ignore",
+                                           invalid="ignore"):
         if "explicit" in spec:
             return SpectralVector(spectrum, np.asarray(spec["explicit"], dtype=float))
         if "basis" in spec:
@@ -207,7 +210,7 @@ def validate_scenario(cfg: dict) -> Scenario:
     if not isinstance(name, str) or not name:
         raise ScenarioError("a nonempty name is required", field="name")
     task = cfg.get("task")
-    if task not in TASKS:
+    if not isinstance(task, str) or task not in TASKS:
         raise ScenarioError(
             f"must be one of {', '.join(TASKS)}; got {task!r}", field="task"
         )
@@ -262,6 +265,17 @@ def validate_scenario(cfg: dict) -> Scenario:
                 field=f"params.{key}",
             )
         _check_type(value, readable[key], f"params.{key}")
+    for key in (*_INTEGRATOR_PARAMS, "s_max"):
+        if key in params and not params[key] > 0.0:
+            raise ScenarioError(
+                f"must be > 0; got {params[key]!r}", field=f"params.{key}"
+            )
+    t_start = params.get("t_start", 0.0)
+    if "t_end" in params and not params["t_end"] > t_start:
+        raise ScenarioError(
+            f"must exceed t_start = {t_start!r}; got {params['t_end']!r}",
+            field="params.t_end",
+        )
     sc = Scenario(
         name=name,
         spectrum=spectrum,
@@ -282,25 +296,22 @@ def validate_scenario(cfg: dict) -> Scenario:
 
 
 def _integrator_config(params: dict, tolerance_scale: float) -> IntegratorConfig:
-    return IntegratorConfig(
-        rel_tol=float(params.get("rel_tol", 1e-10)) * tolerance_scale,
-        abs_tol=float(params.get("abs_tol", 1e-10)) * tolerance_scale,
-        max_step=float(params.get("max_step", np.inf)),
-        dense_output_dt=(
-            float(params["dense_output_dt"]) if "dense_output_dt" in params else None
-        ),
-    )
+    """IntegratorConfig's defaults overridden by the params, tolerances scaled."""
+    given = {k: float(params[k]) for k in _INTEGRATOR_PARAMS if k in params}
+    cfg = replace(IntegratorConfig(), **given)
+    return replace(cfg, rel_tol=cfg.rel_tol * tolerance_scale,
+                   abs_tol=cfg.abs_tol * tolerance_scale)
 
 
 # ---------------------------------------------------------------------------
 # task implementations; each returns (artifact dict, summary dict)
 
 
-def _write_trajectory(out: Path, tr: Trajectory, name: str = "trajectory.csv"):
+def _write_trajectory(out: Path, tr: Trajectory) -> str:
     n = tr.spectrum.n
     header = ["t"] + [f"u_{k+1}" for k in range(n)] + [f"v_{k+1}" for k in range(n)]
-    write_csv(out / name, header, [tr.t, *tr.u.T, *tr.v.T])
-    return name
+    write_csv(out / "trajectory.csv", header, [tr.t, *tr.u.T, *tr.v.T])
+    return "trajectory.csv"
 
 
 def _task_simulate(sc: Scenario, out: Path, cfg: IntegratorConfig):
@@ -473,7 +484,7 @@ def _task_decompose(sc: Scenario, out: Path, cfg: IntegratorConfig):
     write_csv(out / "part_hat.csv", ["lambda", "u0", "u1"],
               [lam, dec.u0_hat.components, dec.u1_hat.components])
     return ["decomposition.json", "part_bar.csv", "part_hat.csv"], {
-        "all_member": dec.all_member()
+        "all_member": all(r.member for r in reports.values())
     }
 
 
@@ -568,7 +579,8 @@ def _task_dependence(sc: Scenario, out: Path, cfg: IntegratorConfig):
     }
     write_json(out / "dependence_report.json", payload)
     return ["dependence_report.json"], {
-        "fitted_slope_vs_input": report.fitted_slope_vs_data
+        "status": report.status,
+        "fitted_slope_vs_input": report.fitted_slope_vs_data,
     }
 
 
@@ -639,12 +651,19 @@ def run_scenario(
 
     ``config`` is a path or an already-parsed dict.  Task failures write a
     machine-readable error.json into the output directory before the
-    exception propagates.
+    exception propagates; an invalid config or ``tolerance_scale`` is
+    refused before the directory is made.
     """
+    if not 0.0 < tolerance_scale < math.inf:
+        raise ScenarioError(
+            f"must be positive and finite; got {tolerance_scale!r}",
+            field="tolerance_scale",
+        )
     cfg_dict = load_config(config) if not isinstance(config, dict) else dict(config)
     if seed is not None:
         cfg_dict["seed"] = int(seed)
     sc = validate_scenario(cfg_dict)
+    icfg = _integrator_config(sc.params, tolerance_scale)
 
     out = Path(out_dir) if out_dir is not None else Path(
         sc.raw.get("output_dir", Path("runs") / sc.name)
@@ -654,7 +673,6 @@ def run_scenario(
     for stale in ("manifest.json", "error.json"):
         (out / stale).unlink(missing_ok=True)
     scenario_hash = sha256_text(dump_json(cfg_dict))
-    icfg = _integrator_config(sc.params, tolerance_scale)
 
     started = time.perf_counter()
     try:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InsufficientDecayError, NormOverflowError, PreconditionError
 from .functions import FunctionSpec
-from .norms import DEFAULT_EXP_CAP, GevreyParams, _weighted_sums, gevrey_norm
+from .norms import GevreyParams, _weighted_sums, gevrey_norm
 from .spectrum import SpectralVector, Spectrum, require_shared_spectrum
 
 _SQRT2 = math.sqrt(2.0)
@@ -57,9 +57,7 @@ class MembershipReport:
     tails: np.ndarray
 
 
-def gm_membership(
-    u: SpectralVector, p: GMParams, exp_cap: float = DEFAULT_EXP_CAP
-) -> MembershipReport:
+def gm_membership(u: SpectralVector, p: GMParams) -> MembershipReport:
     """Check the per-threshold tail conditions for one component vector.
 
     A tail term that overflows the exponent cap with a nonzero component
@@ -74,7 +72,7 @@ def gm_membership(
         # overflow gives +inf; the SIMD np.power can differ in the last bit
         scales = np.array([np.float64(rho) ** p.beta for rho in p.rhos])
         weight = np.where(lam > rhos[:, None], scales[:, None] * phi_at, -math.inf)
-    tails, _ = _weighted_sums(u.components, lam, p.alpha, weight, exp_cap)
+    tails, _ = _weighted_sums(u.components, lam, p.alpha, weight)
     return MembershipReport(
         member=bool(np.all(tails <= rhos)), margins=rhos - tails, tails=tails
     )
@@ -102,7 +100,7 @@ class Decomposition:
     beta: float
     phi: FunctionSpec
 
-    def membership_reports(self, exp_cap: float = DEFAULT_EXP_CAP):
+    def membership_reports(self):
         """Tail reports for all four part/exponent combinations."""
         out = {}
         pairs = (
@@ -112,13 +110,11 @@ class Decomposition:
             ("hat_u1", self.u1_hat, self.rho_hat, self.alpha),
         )
         for name, vec, rhos, alpha in pairs:
-            out[name] = gm_membership(
-                vec, GMParams(self.phi, rhos, alpha, self.beta), exp_cap
-            )
+            out[name] = gm_membership(vec, GMParams(self.phi, rhos, alpha, self.beta))
         return out
 
-    def all_member(self, exp_cap: float = DEFAULT_EXP_CAP) -> bool:
-        return all(r.member for r in self.membership_reports(exp_cap).values())
+    def all_member(self) -> bool:
+        return all(r.member for r in self.membership_reports().values())
 
 
 def assign_bands(
@@ -163,7 +159,6 @@ def sum_decompose(
     alpha: float,
     beta: float,
     r_probe: float = 1.0,
-    exp_cap: float = DEFAULT_EXP_CAP,
 ) -> Decomposition:
     """Split (u0, u1) into two spectral-gap pieces in the tail class.
 
@@ -184,8 +179,8 @@ def sum_decompose(
     c1 = u1.components
 
     try:
-        gevrey_norm(u0, GevreyParams(phi, r_probe, alpha + 0.5), exp_cap)
-        gevrey_norm(u1, GevreyParams(phi, r_probe, alpha), exp_cap)
+        gevrey_norm(u0, GevreyParams(phi, r_probe, alpha + 0.5))
+        gevrey_norm(u1, GevreyParams(phi, r_probe, alpha))
     except NormOverflowError as exc:
         raise InsufficientDecayError(
             f"datum is not in the weighted class at probe radius {r_probe:g}: {exc}"
@@ -197,8 +192,8 @@ def sum_decompose(
     def tails_ok(rho: float, cut: float) -> bool:
         with np.errstate(over="ignore"):
             w = np.where(lam >= cut, np.float64(rho) ** beta * phi_at, -math.inf)
-        (t0,), _ = _weighted_sums(c0, lam, alpha + 0.5, w, exp_cap)
-        (t1,), _ = _weighted_sums(c1, lam, alpha, w, exp_cap)
+        (t0,), _ = _weighted_sums(c0, lam, alpha + 0.5, w)
+        (t1,), _ = _weighted_sums(c1, lam, alpha, w)
         return t0 <= rho and t1 <= rho
 
     if not np.any(support):

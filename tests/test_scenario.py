@@ -1,8 +1,11 @@
+import copy
 import dataclasses
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kirchhoff_spectral import scenario
 from kirchhoff_spectral.cli import main
@@ -406,10 +409,24 @@ def dependence_config(family):
         (simulate_config(task="invariants",
                          params={"t_end": 1.0, "pohozaev": {"a": 1.0}}),
          "params.pohozaev.b"),
+        (simulate_config(params={"t_end": 1.0, "rel_tol": -1}), "params.rel_tol"),
+        (simulate_config(params={"t_end": 1.0, "abs_tol": 0}), "params.abs_tol"),
+        (simulate_config(params={"t_end": 1.0, "max_step": 0.0}), "params.max_step"),
+        (simulate_config(params={"t_end": 1.0, "dense_output_dt": 0}),
+         "params.dense_output_dt"),
+        (simulate_config(params={"t_end": -1}), "params.t_end"),
+        (simulate_config(params={"t_start": 2.0, "t_end": 1.0}), "params.t_end"),
+        (simulate_config(task="reparametrize", params={"t_end": 0.0}),
+         "params.t_end"),
+        (simulate_config(task="reparametrize", params={"s_max": 0.0}),
+         "params.s_max"),
     ],
     ids=["seed_string", "t_end_string", "t_end_bool", "max_step_list",
          "family_kind", "family_values_empty", "family_values_string",
-         "family_mode_index", "family_not_object", "pohozaev_missing_b"],
+         "family_mode_index", "family_not_object", "pohozaev_missing_b",
+         "rel_tol_negative", "abs_tol_zero", "max_step_zero", "dense_output_dt_zero",
+         "t_end_negative", "t_end_before_t_start", "t_end_zero_default_start",
+         "s_max_zero"],
 )
 def test_malformed_param_value_names_the_field(tmp_path, capsys, cfg, field):
     with pytest.raises(ScenarioError) as info:
@@ -426,7 +443,7 @@ def test_failed_integration_is_not_ok(tmp_path, capsys):
     check_failed_integration_is_not_ok(tmp_path, capsys, "simulate")
 
 
-@pytest.mark.parametrize("task", ["norms", "invariants"])
+@pytest.mark.parametrize("task", ["norms", "invariants", "dependence"])
 def test_failed_integration_of_any_task_is_not_ok(tmp_path, capsys, task):
     check_failed_integration_is_not_ok(tmp_path, capsys, task)
 
@@ -481,6 +498,14 @@ def test_reparametrize_reports_its_evolve_status(tmp_path, monkeypatch):
     assert manifest.summary["ok"] is False
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_tolerance_scale_refused_before_run(tmp_path, scale):
+    with pytest.raises(ScenarioError) as info:
+        run_scenario(simulate_config(), out_dir=tmp_path / "out", tolerance_scale=scale)
+    assert info.value.field == "tolerance_scale"
+    assert not (tmp_path / "out").exists()
+
+
 def test_failing_rerun_leaves_no_stale_manifest(tmp_path):
     out = tmp_path / "out"
     run_scenario(simulate_config(), out_dir=out)
@@ -494,3 +519,48 @@ def test_failing_rerun_leaves_no_stale_manifest(tmp_path):
     run_scenario(simulate_config(), out_dir=out)
     assert (out / "manifest.json").exists()
     assert not (out / "error.json").exists()
+
+
+BUNDLED = [
+    json.loads(path.read_text())
+    for path in sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
+]
+# replacement values; none of them asks validation for a large allocation
+REPLACEMENTS = [None, True, False, 0, -1, 0.5, 3, 1e300, -1e300, "", "abc", "zero",
+                "1.0", [], [1.0], {}, {"a": 1}]
+
+
+def config_paths(node, prefix=()):
+    """Key paths of every object entry and of each list's first item."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list) and node:
+        items = [(0, node[0])]
+    else:
+        return []
+    paths = []
+    for key, child in items:
+        paths.append(prefix + (key,))
+        paths.extend(config_paths(child, prefix + (key,)))
+    return paths
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([(cfg, p) for cfg in BUNDLED for p in config_paths(cfg)]),
+    st.sampled_from(["delete", *REPLACEMENTS]),
+)
+def test_mutated_bundled_config_validates_or_names_an_error(target, mutation):
+    cfg, path = target
+    cfg = copy.deepcopy(cfg)
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    if mutation == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(mutation)
+    try:
+        validate_scenario(cfg)
+    except ScenarioError:
+        pass
