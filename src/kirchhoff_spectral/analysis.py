@@ -11,7 +11,7 @@ import numpy as np
 
 from .conditions import log_log_slope
 from .dynamics import IntegratorConfig, SpectralState, Trajectory, evolve, hamiltonian
-from .errors import PreconditionError
+from .errors import KirchhoffError, PreconditionError
 from .functions import FunctionSpec, antiderivative
 from .norms import GevreyParams, _norms, _radius_weights, gevrey_norm
 from .spectrum import (
@@ -307,6 +307,7 @@ def continuous_dependence_study(
     from .functions import modulus_power
 
     m_lim, u0_lim, u1_lim = limit
+    problems = [tuple(p) for p in problems]
     if omega is None:
         omega = modulus_power(1.0)
     hi = max(hamiltonian_reachable_sigma(u0_lim, u1_lim, m_lim), 1.0)
@@ -316,23 +317,30 @@ def continuous_dependence_study(
     for m_n, _, _ in problems:
         constants.append(estimate_continuity_constant(m_n, omega, sigma_grid))
 
-    state_lim = SpectralState(
-        t=0.0, u=u0_lim, v=u1_lim
-    )
-    tr_lim = evolve(state_lim, m_lim, cfg, t_end)
-    statuses = [tr_lim.meta.status]
+    # one ensemble slot per distinct problem, the limit in slot 0: a
+    # member's arithmetic depends on its position in the batch, so identical
+    # problems are bit-identical only when they share a slot
+    slots = [(m_lim, u0_lim, u1_lim)]
+    for problem in problems:
+        if problem not in slots:
+            slots.append(problem)
+    slot_of = [slots.index(problem) for problem in problems]
+    states = [SpectralState(t=0.0, u=u0, v=u1) for _, u0, u1 in slots]
+    try:
+        trs = evolve(states, [m for m, _, _ in slots], cfg, t_end)
+    except KirchhoffError as exc:
+        slot = getattr(exc, "member", 0)
+        if slot == 0:
+            raise
+        raise PreconditionError(
+            f"integration failed for problem {slot_of.index(slot)}: {exc}"
+        ) from exc
+    tr_lim = trs[0]
+    statuses = [tr_lim.meta.status] + [trs[s].meta.status for s in slot_of]
     m_lim_vals = np.asarray(m_lim(sigma_grid), dtype=float)
 
     entries = []
-    for idx, (m_n, u0_n, u1_n) in enumerate(problems):
-        state_n = SpectralState(t=0.0, u=u0_n, v=u1_n)
-        try:
-            tr_n = evolve(state_n, m_n, cfg, t_end)
-        except Exception as exc:
-            raise PreconditionError(
-                f"integration failed for problem {idx}: {exc}"
-            ) from exc
-        statuses.append(tr_n.meta.status)
+    for idx, ((m_n, u0_n, u1_n), slot) in enumerate(zip(problems, slot_of)):
         lam2 = u0_n.spectrum.lam2
         du = u0_n.components - u0_lim.components
         dv = u1_n.components - u1_lim.components
@@ -343,7 +351,7 @@ def continuous_dependence_study(
                 index=idx,
                 data_distance=data_dist,
                 m_distance=m_dist,
-                sup_deviation=energy_distance(tr_n, tr_lim),
+                sup_deviation=energy_distance(trs[slot], tr_lim),
             )
         )
 

@@ -21,6 +21,13 @@ DEFAULT_SLOPE_TOL = 0.01
 TREND_DECADES = 2.0  # top grid decades over which the ratio's growth is fitted
 AXIOM_TOL = 1e-12  # relative slack of the modulus-axiom comparisons
 MAX_VIOLATIONS = 20  # subadditivity violations a ModulusReport lists
+PAIR_BLOCK = 1 << 18  # grid pairs per row block of the pairwise checks (2 MB a float array)
+
+
+def _row_blocks(n: int):
+    """Row slices of an n x n pair table, PAIR_BLOCK pairs or one row each."""
+    rows = max(1, PAIR_BLOCK // n)
+    return (slice(lo, min(lo + rows, n)) for lo in range(0, n, rows))
 
 
 def default_sigma_grid(
@@ -95,18 +102,19 @@ def verify_modulus_axioms(omega: FunctionSpec, grid: np.ndarray) -> ModulusRepor
     rising = np.all(np.diff(vals) >= -AXIOM_TOL * np.maximum(1.0, np.abs(vals[:-1])))
 
     violations: list[tuple[float, float]] = []
-    a = g[:, None]
-    b = g[None, :]
-    s = a + b
-    inside = s <= g[-1]
-    with np.errstate(over="ignore"):
-        lhs = np.asarray(omega(np.where(inside, s, 0.0)), dtype=float)
-        rhs = vals[:, None] + vals[None, :]
-    bad = inside & (lhs > rhs + AXIOM_TOL * np.maximum(1.0, rhs))
-    if np.any(bad):
+    for rows in _row_blocks(g.size):
+        s = g[rows, None] + g[None, :]
+        inside = s <= g[-1]
+        with np.errstate(over="ignore"):
+            lhs = np.asarray(omega(np.where(inside, s, 0.0)), dtype=float)
+            rhs = vals[rows, None] + vals[None, :]
+        bad = inside & (lhs > rhs + AXIOM_TOL * np.maximum(1.0, rhs))
         ii, jj = np.nonzero(bad)
-        for i, j in zip(ii[:MAX_VIOLATIONS], jj[:MAX_VIOLATIONS]):
-            violations.append((float(g[i]), float(g[j])))
+        room = MAX_VIOLATIONS - len(violations)
+        for i, j in zip(ii[:room], jj[:room]):
+            violations.append((float(g[rows.start + i]), float(g[j])))
+        if len(violations) == MAX_VIOLATIONS:
+            break
 
     return ModulusReport(
         zero_at_zero=bool(zero_ok),
@@ -124,19 +132,22 @@ def estimate_continuity_constant(
     if g.size < 2:
         raise PreconditionError("grid needs at least 2 points")
     mv = np.asarray(m(g), dtype=float)
-    num = np.abs(mv[:, None] - mv[None, :])
-    gaps = np.abs(g[:, None] - g[None, :])
-    den = np.asarray(omega(gaps), dtype=float)
-    off = gaps > 0.0
-    zero_den = off & (den == 0.0)
-    if np.any(zero_den & (num > 0.0)):
-        i, j = np.argwhere(zero_den & (num > 0.0))[0]
-        raise NotOmegaContinuousError(
-            f"not omega-continuous on grid: omega({gaps[i, j]:g}) = 0 while "
-            f"|m({g[i]:g}) - m({g[j]:g})| = {num[i, j]:g}"
-        )
-    ratio = np.where(off & (den > 0.0), num / np.where(den > 0.0, den, 1.0), 0.0)
-    return float(np.max(ratio))
+    maxima = []
+    for rows in _row_blocks(g.size):
+        num = np.abs(mv[rows, None] - mv[None, :])
+        gaps = np.abs(g[rows, None] - g[None, :])
+        den = np.asarray(omega(gaps), dtype=float)
+        off = gaps > 0.0
+        zero_den = off & (den == 0.0)
+        if np.any(zero_den & (num > 0.0)):
+            i, j = np.argwhere(zero_den & (num > 0.0))[0]
+            raise NotOmegaContinuousError(
+                f"not omega-continuous on grid: omega({gaps[i, j]:g}) = 0 while "
+                f"|m({g[rows.start + i]:g}) - m({g[j]:g})| = {num[i, j]:g}"
+            )
+        ratio = np.where(off & (den > 0.0), num / np.where(den > 0.0, den, 1.0), 0.0)
+        maxima.append(np.max(ratio))
+    return float(np.max(maxima))
 
 
 def check_phi_condition(

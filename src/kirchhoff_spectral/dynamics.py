@@ -11,11 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NegativeNonlinearityError, NondegeneracyError, PreconditionError
+from .errors import (
+    KirchhoffError,
+    NegativeNonlinearityError,
+    NondegeneracyError,
+    PreconditionError,
+)
 from .functions import FunctionSpec, antiderivative, scalar_callable
 from .integrate import METHOD_NAME, solve_to_samples
 from .spectrum import SpectralVector, Spectrum, require_shared_spectrum
@@ -144,60 +149,101 @@ def _degenerate_spans(t: np.ndarray, c: np.ndarray) -> tuple:
 
 
 def _integrate(
-    init: SpectralState,
+    states: list[SpectralState],
     rhs: Callable[[float, np.ndarray], np.ndarray],
     cfg: IntegratorConfig,
     t_end: float,
-) -> Trajectory:
-    """Integrate y = (u, u') from ``init`` to ``t_end`` on the sample grid."""
-    if t_end <= init.t:
+    ensemble: bool = False,
+) -> list[Trajectory]:
+    """Integrate y = (u, u') from each state to ``t_end`` on the sample grid.
+
+    A single state runs on the vector path; an ``ensemble`` runs its states
+    through one shared step loop, ``rhs`` then taking (members, 2n) arrays.
+    """
+    first = states[0]
+    if any(s.spectrum != first.spectrum or s.t != first.t for s in states):
+        raise PreconditionError("ensemble states must share one spectrum and start time")
+    if t_end <= first.t:
         raise PreconditionError("t_end must exceed the initial time")
-    spec = init.spectrum
+    spec = first.spectrum
     n = spec.n
-    samples = _sample_grid(init.t, t_end, cfg.dense_output_dt)
-    y0 = np.concatenate([init.u.components, init.v.components])
+    samples = _sample_grid(first.t, t_end, cfg.dense_output_dt)
+    y0 = np.array([np.concatenate([s.u.components, s.v.components]) for s in states])
     res = solve_to_samples(
         rhs,
-        y0,
+        y0 if ensemble else y0[0],
         samples,
         rel_tol=cfg.rel_tol,
         abs_tol=cfg.abs_tol,
         max_step=cfg.max_step,
         state_cap=BLOWUP_CAP,
     )
-    meta = IntegratorMeta(
-        method=METHOD_NAME,
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
-        n_accepted=res.n_accepted,
-        n_rejected=res.n_rejected,
-        n_rhs=res.n_rhs,
-        status=res.status,
-        message=res.message,
-        lambda_max_span=spec.lambda_max * (t_end - init.t),
-    )
-    return Trajectory(spectrum=spec, t=res.t, u=res.y[:, :n], v=res.y[:, n:], meta=meta)
+    return [
+        Trajectory(
+            spectrum=spec,
+            t=r.t,
+            u=r.y[:, :n],
+            v=r.y[:, n:],
+            meta=IntegratorMeta(
+                method=METHOD_NAME,
+                rel_tol=cfg.rel_tol,
+                abs_tol=cfg.abs_tol,
+                n_accepted=res.n_accepted,
+                n_rejected=res.n_rejected,
+                n_rhs=res.n_rhs,
+                status=r.status,
+                message=r.message,
+                lambda_max_span=spec.lambda_max * (t_end - first.t),
+            ),
+        )
+        for r in res.members or (res,)
+    ]
 
 
 def evolve(
-    init: SpectralState,
-    m: FunctionSpec,
+    init: SpectralState | Sequence[SpectralState],
+    m: FunctionSpec | Sequence[FunctionSpec],
     cfg: IntegratorConfig,
     t_end: float,
-) -> Trajectory:
+) -> Trajectory | list[Trajectory]:
     """Integrate the nonlinear mode system from ``init`` up to ``t_end``.
 
     The nonlinearity is checked on the fly: a negative value aborts with
     ``NegativeNonlinearityError``.  Suspected blow-up (state beyond
     ``BLOWUP_CAP``) and step underflow return the partial trajectory with a
     status marker instead of raising.
+
+    Equal-length sequences of states (on one spectrum, at one start time)
+    and of nonlinearities run as one ensemble through one shared step loop
+    and give a list with one trajectory per member.  Each member has its
+    own status, drift and degenerate spans; the step counters in its meta
+    are the shared loop's.  An error raised for one member, a negative m
+    or an undefined antiderivative, carries its index as ``member``.  A
+    member's bits depend on its batch-mates and its position, so two
+    identical members need not match bit for bit; a one-member ensemble
+    matches the solo call bit for bit.
     """
-    spec = init.spectrum
+    solo = isinstance(init, SpectralState)
+    states, ms = ([init], [m]) if solo else (list(init), list(m))
+    if not states or len(ms) != len(states):
+        raise PreconditionError(
+            f"need one nonlinearity per state; got {len(states)} states "
+            f"and {len(ms)} nonlinearities"
+        )
+    spec = states[0].spectrum
     n = spec.n
     lam2 = spec.lam2
-    m_at = scalar_callable(m)
     # built first: an undefined antiderivative fails before any integration
-    big_m = antiderivative(m)
+    m_ats, big_ms = [], []
+    for b, m_b in enumerate(ms):
+        try:
+            m_ats.append(scalar_callable(m_b))
+            big_ms.append(antiderivative(m_b))
+        except KirchhoffError as exc:
+            if not solo:
+                exc.member = b
+            raise
+    m_at = m_ats[0]
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         u = y[:n]
@@ -214,14 +260,36 @@ def evolve(
         accel *= u
         return out
 
-    tr = _integrate(init, rhs, cfg, t_end)
-    c_series = np.asarray(m(tr.sigma_series()), dtype=float)
-    meta = replace(
-        tr.meta,
-        hamiltonian_drift=relative_drift(hamiltonian_values(spec, tr.u, tr.v, big_m)),
-        degenerate_spans=_degenerate_spans(tr.t, c_series),
-    )
-    return replace(tr, meta=meta)
+    def ensemble_rhs(t: float, y: np.ndarray) -> np.ndarray:
+        # rhs row by row; a one-row dot is the same ddot as rhs's
+        u = y[:, :n]
+        sigmas = (u * u).dot(lam2).tolist()
+        cs = [m_at_b(sigma) for m_at_b, sigma in zip(m_ats, sigmas)]
+        if min(cs) < 0.0:
+            b = next(b for b, c in enumerate(cs) if c < 0.0)
+            exc = NegativeNonlinearityError(
+                f"m({sigmas[b]:.6g}) = {cs[b]:.6g} < 0 at t = {t:.6g} "
+                f"in ensemble member {b}"
+            )
+            exc.member = b
+            raise exc
+        accel = np.multiply(lam2, np.negative(cs)[:, None])
+        accel *= u
+        return np.concatenate((y[:, n:], accel), axis=1)
+
+    trs = _integrate(states, rhs if solo else ensemble_rhs, cfg, t_end, ensemble=not solo)
+    done = []
+    for tr, m_b, big_m in zip(trs, ms, big_ms):
+        c_series = np.asarray(m_b(tr.sigma_series()), dtype=float)
+        meta = replace(
+            tr.meta,
+            hamiltonian_drift=relative_drift(
+                hamiltonian_values(spec, tr.u, tr.v, big_m)
+            ),
+            degenerate_spans=_degenerate_spans(tr.t, c_series),
+        )
+        done.append(replace(tr, meta=meta))
+    return done[0] if solo else done
 
 
 def linear_evolve(
@@ -251,7 +319,7 @@ def linear_evolve(
         accel *= y[:n]
         return out
 
-    return _integrate(init, rhs, cfg, t_end)
+    return _integrate([init], rhs, cfg, t_end)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,17 @@ sequence changes the bundled scenarios' artifact bytes.
 The driver never raises for suspected blow-up or step-size underflow: it
 returns the partial sample record with a status marker, so escape
 experiments can observe the escape.
+
+An ensemble, a (B, d) initial state, runs B members through the same loop
+with one shared step.  The stages stay one flat (9, B*d) matrix, so each
+stage combination is still one ``dot``.  The error norm is the largest over
+the members of each member's RMS norm, so every member meets its own
+tolerance, and the first-step guess is the smallest over the members.  A
+member that blows up or underflows is frozen with its own partial record
+and status while the others go on.  A member's bits depend on its batch-
+mates through the shared step and on its column position in the stage
+``dot``; an ensemble of one matches the vector call bit for bit.  The
+vector (1-D) path is unchanged: same operations, same counters.
 """
 
 from __future__ import annotations
@@ -102,7 +113,13 @@ METHOD_NAME = "verner65"
 
 @dataclass
 class IntegrationOutcome:
-    """Sample record of one adaptive integration."""
+    """Sample record of one adaptive integration.
+
+    For an ensemble, ``y`` is (samples, members, d) up to the longest member
+    record, ``status`` and ``message`` are those of the first member that
+    stopped early, and ``members`` holds each member's own record.  The step
+    counters are the shared loop's.
+    """
 
     t: np.ndarray
     y: np.ndarray
@@ -111,6 +128,7 @@ class IntegrationOutcome:
     n_rhs: int
     status: str  # "completed" | "blow_up" | "step_underflow"
     message: str = ""
+    members: tuple = ()
 
     @property
     def completed(self) -> bool:
@@ -125,21 +143,118 @@ def _initial_step(
     span: float,
     rel_tol: float,
     abs_tol: float,
+    live: np.ndarray | None = None,
 ) -> tuple[float, int]:
-    """Hairer-style first step guess; returns (h0, extra rhs evaluations)."""
+    """Hairer-style first step guess; returns (h0, extra rhs evaluations).
+
+    For an ensemble, ``y0`` and ``f0`` are flat with one row per entry of
+    the boolean ``live`` mask.  The trial step and the guess are each the
+    smallest over the live members, so one right-hand-side call serves all.
+    """
+    rows = 1 if live is None else live.size
+    members = range(1) if live is None else np.flatnonzero(live)
     scale = abs_tol + rel_tol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
-    h0 = 1e-6 * span if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+
+    def rms(x):
+        x = x.reshape(rows, -1)
+        return [math.sqrt(float(np.mean(x[b] ** 2))) for b in members]
+
+    d0 = rms(y0 / scale)
+    d1 = rms(f0 / scale)
+    h0 = min(
+        1e-6 * span if (a < 1e-5 or b < 1e-5) else 0.01 * a / b
+        for a, b in zip(d0, d1)
+    )
     h0 = min(h0, span)
     y1 = y0 + h0 * f0
     f1 = rhs(t0 + h0, y1)
-    d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6 * span, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1.0 / 6.0)
-    return min(100.0 * h0, h1, span), 1
+    guesses = []
+    for d1_b, d2_b in zip(d1, rms((f1 - f0) / scale)):
+        d2_b /= h0
+        if max(d1_b, d2_b) <= 1e-15:
+            h1 = max(1e-6 * span, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1_b, d2_b)) ** (1.0 / 6.0)
+        guesses.append(min(100.0 * h0, h1, span))
+    return min(guesses), 1
+
+
+class _Ensemble:
+    """Member bookkeeping of a (B, d) state in the shared step loop.
+
+    The loop works on flat (B*d,) vectors; ``rhs`` hands the user's
+    right-hand side the (B, d) view.  A stopped member is frozen: its
+    derivative rows read zero, so its state, stages and error stay put
+    while the others go on.
+    """
+
+    def __init__(self, rhs: Callable, shape: tuple, n_samples: int):
+        self.shape = shape
+        self.live = np.ones(shape[0], dtype=bool)
+        self.status = ["completed"] * shape[0]
+        self.message = [""] * shape[0]
+        self.reached = [n_samples] * shape[0]
+        self.err2 = np.zeros(shape[0])  # each member's squared error sum, last attempt
+        self._user_rhs = rhs
+        self._all_live = True
+
+    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+        out = self._user_rhs(t, y.reshape(self.shape))
+        if not self._all_live:
+            out = np.where(self.live[:, None], out, 0.0)
+        return out.reshape(-1)
+
+    def error(self, q: np.ndarray) -> float:
+        """Largest member RMS of the squared scaled error ``q``."""
+        self.err2 = np.add.reduce(q.reshape(self.shape), axis=1)
+        return math.sqrt(float(self.err2.max()) / self.shape[1])
+
+    def over(self, abs_y: np.ndarray, cap: float) -> np.ndarray:
+        """The live members with a component beyond ``cap``."""
+        return self.live & (abs_y.reshape(self.shape).max(axis=1) > cap)
+
+    def worst(self) -> np.ndarray:
+        """The live members with the largest error at the last attempt."""
+        err2 = np.where(np.isnan(self.err2), np.inf, self.err2)
+        err2 = np.where(self.live, err2, -np.inf)
+        return err2 == err2.max()
+
+    def stop(self, which: np.ndarray, status: str, message: str, si: int, f):
+        """Freeze the members in ``which``; ``f`` is the flat derivative row."""
+        for b in np.flatnonzero(which):
+            self.status[b] = status
+            self.message[b] = message
+            self.reached[b] = si
+        self.live &= ~which
+        self._all_live = False
+        f.reshape(self.shape)[which] = 0.0
+
+    def outcome(self, samples, out, n_accepted, n_rejected, n_rhs):
+        rows = out.reshape((samples.size,) + self.shape)
+        members = tuple(
+            IntegrationOutcome(
+                t=samples[:r].copy(),
+                y=rows[:r, b].copy(),
+                n_accepted=n_accepted,
+                n_rejected=n_rejected,
+                n_rhs=n_rhs,
+                status=self.status[b],
+                message=self.message[b],
+            )
+            for b, r in enumerate(self.reached)
+        )
+        first = next((m for m in members if not m.completed), members[0])
+        longest = max(self.reached)
+        return IntegrationOutcome(
+            t=samples[:longest].copy(),
+            y=rows[:longest],
+            n_accepted=n_accepted,
+            n_rejected=n_rejected,
+            n_rhs=n_rhs,
+            status=first.status,
+            message=first.message,
+            members=members,
+        )
 
 
 def solve_to_samples(
@@ -157,6 +272,11 @@ def solve_to_samples(
     time.  Exceptions raised by ``rhs`` propagate to the caller; blow-up
     (when ``state_cap`` is set) and step underflow instead truncate the
     record and set the status marker.
+
+    A (B, d) ``y0`` is an ensemble of B members advanced with one shared
+    step; ``rhs`` then maps (B, d) states to (B, d) derivatives.  A member
+    that blows up or underflows stops alone, with its own record and
+    status in ``members`` of the outcome.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size < 2:
@@ -167,8 +287,15 @@ def solve_to_samples(
         raise ValueError("tolerances must be positive")
 
     y = np.array(y0, dtype=float)
+    if y.ndim > 2:
+        raise ValueError("the state must be a vector or a (members, d) array")
+    ens = None
     dim = y.size
-    if dim == 0:
+    if y.ndim == 2:
+        ens = _Ensemble(rhs, y.shape, samples.size)
+        rhs = ens.rhs
+        y = y.reshape(-1)
+    if y.size == 0:
         raise ValueError("the state needs at least one component")
 
     times = samples.tolist()
@@ -177,16 +304,17 @@ def solve_to_samples(
 
     f = rhs(t, y)
     n_rhs = 1
-    h, extra = _initial_step(rhs, t, y, f, t_end - t, rel_tol, abs_tol)
+    live = None if ens is None else ens.live
+    h, extra = _initial_step(rhs, t, y, f, t_end - t, rel_tol, abs_tol, live)
     n_rhs += extra
     h = min(h, max_step)
 
-    k = np.empty((9, dim))
+    k = np.empty((9, y.size))
     k[0] = f
     # (node, row of A, stages it combines, row it fills) for stages 1..8
     stages = [(_C[i], _A[i - 1], k[:i], k[i]) for i in range(1, 9)]
     abs_y = np.abs(y)
-    out = np.empty((samples.size, dim))
+    out = np.empty((samples.size, y.size))
     out[0] = y
     si = 1
     n_accepted = 0
@@ -205,7 +333,19 @@ def solve_to_samples(
                 f"step size {h_try:.3e} underflowed at t = {t:.6g}; "
                 f"stiffness or blow-up suspected"
             )
-            break
+            if ens is None:
+                break
+            # a collapsed step stops the members whose error set it; a sample
+            # gap below the floor would stop every member alike
+            stuck = ens.worst() if h < h_floor_scale else ens.live.copy()
+            ens.stop(stuck, status, message, si, k[0])
+            if not ens.live.any():
+                break
+            h, extra = _initial_step(rhs, t, y, k[0], t_end - t, rel_tol, abs_tol, live)
+            n_rhs += extra
+            h = min(h, max_step)
+            grew_after_reject = False
+            continue
 
         # y + h * (a . k), evaluated as (a . k) * h + y: the same roundings
         for c_i, a_i, k_head, k_i in stages:
@@ -225,7 +365,10 @@ def solve_to_samples(
         q *= h_try
         q /= scale
         q *= q
-        err = math.sqrt(float(np.add.reduce(q)) / dim)
+        if ens is None:
+            err = math.sqrt(float(np.add.reduce(q)) / dim)
+        else:
+            err = ens.error(q)
 
         if math.isfinite(err) and err <= 1.0:
             t_new = t + h_try
@@ -248,7 +391,11 @@ def solve_to_samples(
                     f"state magnitude exceeded {state_cap:.3e} at t = {t:.6g}; "
                     f"suspected blow-up"
                 )
-                break
+                if ens is None:
+                    break
+                ens.stop(ens.over(abs_y, state_cap), status, message, si, k[0])
+                if not ens.live.any():
+                    break
         else:
             n_rejected += 1
             grew_after_reject = True
@@ -265,6 +412,8 @@ def solve_to_samples(
             factor = min(factor, 1.0)
         h = min(h_try * factor, max_step)
 
+    if ens is not None:
+        return ens.outcome(samples, out, n_accepted, n_rejected, n_rhs)
     return IntegrationOutcome(
         t=samples[:si].copy(),
         y=out[:si],

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    DEFAULT_HP_MAIN_TOL,
     ScaleTraceConfig,
     classify_degeneracy,
     continuous_dependence_study,
@@ -31,7 +32,7 @@ from .analysis import (
     uniqueness_condition,
 )
 from .artifacts import dump_json, sha256_text, write_csv, write_json
-from .conditions import check_phi_condition, default_sigma_grid
+from .conditions import DEFAULT_SLOPE_TOL, check_phi_condition, default_sigma_grid
 from .dynamics import (
     IntegratorConfig,
     SpectralState,
@@ -54,7 +55,7 @@ from .reparametrize import (
     solve_trajectory_system,
 )
 from .spectrum import SpectralVector, Spectrum, basis_vector, power_spectrum, zero_vector
-from .spectral_gap import sum_decompose
+from .spectral_gap import DEFAULT_R_PROBE, sum_decompose
 
 CONFIG_VERSION = 1
 
@@ -386,7 +387,7 @@ def _task_conditions(sc: Scenario, out: Path, cfg: IntegratorConfig):
     )
     report = check_phi_condition(
         sc.omega, sc.phi, _conditions_mode(sc), grid,
-        slope_tol=float(p.get("slope_tol", 0.01)),
+        slope_tol=float(p.get("slope_tol", DEFAULT_SLOPE_TOL)),
     )
     payload = {
         "mode": report.mode,
@@ -405,7 +406,7 @@ def _task_conditions(sc: Scenario, out: Path, cfg: IntegratorConfig):
 
 
 def _task_uniqueness(sc: Scenario, out: Path, cfg: IntegratorConfig):
-    tol = float(sc.params.get("tol", 1e-10))
+    tol = float(sc.params.get("tol", DEFAULT_HP_MAIN_TOL))
     rep = uniqueness_condition(sc.u0, sc.u1, sc.m, tol)
     d1, d2 = psi_initial_derivatives(sc.u0, sc.u1, sc.m)
     payload = {
@@ -463,7 +464,7 @@ def _task_decompose(sc: Scenario, out: Path, cfg: IntegratorConfig):
     beta = float(sc.params.get("beta", 2.0))
     dec = sum_decompose(
         sc.u0, sc.u1, sc.phi, alpha, beta,
-        r_probe=float(sc.params.get("r_probe", 1.0)),
+        r_probe=float(sc.params.get("r_probe", DEFAULT_R_PROBE)),
     )
     reports = dec.membership_reports()
     payload = {

@@ -23,6 +23,7 @@ from .norms import GevreyParams, _weighted_sums, gevrey_norm
 from .spectrum import SpectralVector, Spectrum, require_shared_spectrum
 
 _SQRT2 = math.sqrt(2.0)
+DEFAULT_R_PROBE = 1.0  # radius of sum_decompose's weighted-class probe
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ def sum_decompose(
     phi: FunctionSpec,
     alpha: float,
     beta: float,
-    r_probe: float = 1.0,
+    r_probe: float = DEFAULT_R_PROBE,
 ) -> Decomposition:
     """Split (u0, u1) into two spectral-gap pieces in the tail class.
 

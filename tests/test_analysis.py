@@ -29,8 +29,9 @@ from kirchhoff_spectral import (
     weight_power_log,
     zero_vector,
 )
+from kirchhoff_spectral.analysis import energy_distance
 from kirchhoff_spectral.conditions import log_log_slope
-from kirchhoff_spectral.errors import PreconditionError
+from kirchhoff_spectral.errors import NegativeNonlinearityError, PreconditionError
 
 
 def test_scale_trace_zero_trajectory(tight_cfg):
@@ -278,3 +279,46 @@ def test_dependence_m_perturbation_rate(tight_cfg):
     for n, dev in zip(ns, rep.deviations):
         w = math.sqrt(1.0 + 1.0 / n)
         assert dev <= 2.0 * (w - 1.0) * 1.0 + 1e-6
+
+
+def test_dependence_runs_one_ensemble(tight_cfg, monkeypatch):
+    from kirchhoff_spectral import analysis
+
+    calls = []
+    real_evolve = analysis.evolve
+
+    def counting(init, m, cfg, t_end):
+        calls.append(len(init))
+        return real_evolve(init, m, cfg, t_end)
+
+    monkeypatch.setattr(analysis, "evolve", counting)
+    spec = power_spectrum(3)
+    u0 = SpectralVector(spec, [1.0, 0.3, 0.1])
+    u1 = zero_vector(spec)
+    limit = (affine(1.0, 1.0), u0, u1)
+    near = (offset(0.25, affine(1.0, 1.0)), u0, u1)
+    nearer = (offset(0.125, affine(1.0, 1.0)), u0, u1)
+    rep = continuous_dependence_study([near, nearer, near, limit], limit, tight_cfg, 1.0)
+    # the limit, near and nearer: one slot each, in one call
+    assert calls == [3]
+    devs = rep.deviations
+    assert devs[0] == devs[2] and devs[3] == 0.0
+    assert devs[0] > devs[1] > 0.0
+    tr_lim = real_evolve(SpectralState(t=0.0, u=u0, v=u1), limit[0], tight_cfg, 1.0)
+    for dev, (m, _, _) in zip(devs, (near, nearer)):
+        tr = real_evolve(SpectralState(t=0.0, u=u0, v=u1), m, tight_cfg, 1.0)
+        assert abs(dev - energy_distance(tr, tr_lim)) < 1e-9
+
+
+def test_dependence_names_the_failing_problem(tight_cfg):
+    spec = Spectrum([1.0])
+    u0 = basis_vector(spec, 0)
+    u1 = zero_vector(spec)
+    m = constant(1.0)
+    problems = [(m, u0, u1), (affine(1.5, 0.0), u0, u1), (affine(-2.0, 0.0), u0, u1)]
+    with pytest.raises(PreconditionError, match="integration failed for problem 2"):
+        continuous_dependence_study(problems, (m, u0, u1), tight_cfg, 1.0)
+    # a failing limit raises as it is
+    with pytest.raises(NegativeNonlinearityError, match="member 0"):
+        continuous_dependence_study(problems[:2], (affine(-2.0, 0.0), u0, u1),
+                                    tight_cfg, 1.0)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from kirchhoff_spectral import conditions
 from kirchhoff_spectral.conditions import (
     check_phi_condition,
     default_sigma_grid,
@@ -18,6 +21,7 @@ from kirchhoff_spectral.functions import (
     modulus_power,
     modulus_sigma_log,
     power,
+    table,
     weight_power_log,
 )
 
@@ -85,11 +89,86 @@ def test_continuity_constant_sqrt_pair_dense_grid():
 def test_continuity_division_guard():
     # omega frozen at its peak: gaps beyond the peak have omega > 0, so build
     # a modulus that is exactly zero on a gap instead
-    from kirchhoff_spectral.functions import table
-
     omega = table([0.0, 1.0, 2.0], [0.0, 0.0, 1.0])
     with pytest.raises(NotOmegaContinuousError):
         estimate_continuity_constant(power(1.0), omega, np.array([0.0, 0.5, 2.0]))
+
+
+# ---------------------------------------------------------------------------
+# the pairwise checks run in row blocks; these are the whole-table formulas
+# they must reproduce
+
+
+def whole_table_violations(omega, g):
+    s = g[:, None] + g[None, :]
+    inside = s <= g[-1]
+    vals = np.asarray(omega(g), dtype=float)
+    with np.errstate(over="ignore"):
+        lhs = np.asarray(omega(np.where(inside, s, 0.0)), dtype=float)
+        rhs = vals[:, None] + vals[None, :]
+    bad = inside & (lhs > rhs + conditions.AXIOM_TOL * np.maximum(1.0, rhs))
+    ii, jj = np.nonzero(bad)
+    limit = conditions.MAX_VIOLATIONS
+    return tuple((float(g[i]), float(g[j])) for i, j in zip(ii[:limit], jj[:limit]))
+
+
+def whole_table_constant(m, omega, g):
+    mv = np.asarray(m(g), dtype=float)
+    num = np.abs(mv[:, None] - mv[None, :])
+    gaps = np.abs(g[:, None] - g[None, :])
+    den = np.asarray(omega(gaps), dtype=float)
+    off = gaps > 0.0
+    ratio = np.where(off & (den > 0.0), num / np.where(den > 0.0, den, 1.0), 0.0)
+    return float(np.max(ratio))
+
+
+@pytest.mark.parametrize("block", [1, 7, 50, conditions.PAIR_BLOCK])
+def test_row_blocks_match_whole_table(monkeypatch, block):
+    monkeypatch.setattr(conditions, "PAIR_BLOCK", block)
+    grids = [np.linspace(0.0, 2.0, 51), np.concatenate([[0.0], np.logspace(-4, 1, 73)])]
+    for g in grids:
+        for omega in (power(2.0), power(1.5), modulus_power(0.5)):
+            assert verify_modulus_axioms(omega, g).violations == whole_table_violations(
+                omega, g
+            )
+        for m, omega in ((power(0.5), modulus_power(0.5)), (power(2.0), modulus_power(1.0)),
+                         (weight_power_log(1.0, 1.0), modulus_sigma_log(1.0))):
+            assert estimate_continuity_constant(m, omega, g) == whole_table_constant(
+                m, omega, g
+            )
+    # power(2) breaks subadditivity on more pairs than a report lists
+    assert len(verify_modulus_axioms(power(2.0), grids[0]).violations) == (
+        conditions.MAX_VIOLATIONS
+    )
+
+
+@pytest.mark.parametrize("block", [1, 6, conditions.PAIR_BLOCK])
+def test_row_blocks_name_the_first_bad_pair(monkeypatch, block):
+    # omega vanishes on gaps up to 1; row 0 has only gaps of 3 and more, so
+    # the first bad pair in row-major order is (3, 3.5) in row 1
+    monkeypatch.setattr(conditions, "PAIR_BLOCK", block)
+    omega = table([0.0, 1.0, 2.0, 10.0], [0.0, 0.0, 1.0, 1.0])
+    g = np.array([0.0, 3.0, 3.5])
+    with pytest.raises(NotOmegaContinuousError) as exc:
+        estimate_continuity_constant(power(1.0), omega, g)
+    assert str(exc.value) == (
+        "not omega-continuous on grid: omega(0.5) = 0 while |m(3) - m(3.5)| = 0.5"
+    )
+
+
+def test_pairwise_checks_stay_in_row_blocks():
+    # a whole 2,001 x 2,001 float table is 32 MB, and the whole-table
+    # formulas peak at 130 MB and 187 MB; the row blocks keep each check's
+    # peak below one such table, whatever the grid size
+    g = np.linspace(0.0, 10.0, 2001)
+    tracemalloc.start()
+    try:
+        verify_modulus_axioms(power(2.0), g)
+        estimate_continuity_constant(power(0.5), modulus_power(0.5), g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_strict_lipschitz_constant_weight(grid):

@@ -378,3 +378,101 @@ def test_driver_looks_up_solver_at_call_time(tight_cfg, monkeypatch):
     evolve(state, constant(1.0), tight_cfg, 0.5)
     linear_evolve(state, constant(1.0), tight_cfg, 0.5)
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# ensembles: sequences of states and nonlinearities through one step loop
+
+
+def normalized_state(spec, rng):
+    """|A^(1/2)u0|^2 = 1 and |u1| = 1, every mode carrying energy."""
+    lam = spec.lambdas
+    u0 = rng.standard_normal(spec.n) / lam**1.5
+    u0 /= math.sqrt(float(lam**2 @ u0**2))
+    u1 = rng.standard_normal(spec.n) / lam**0.5
+    u1 /= float(np.linalg.norm(u1))
+    return SpectralState(t=0.0, u=SpectralVector(spec, u0), v=SpectralVector(spec, u1))
+
+
+def test_ensemble_of_one_matches_solo_evolve_bit_for_bit():
+    rng = np.random.default_rng(5)
+    state = normalized_state(power_spectrum(8), rng)
+    cfg = IntegratorConfig()
+    solo = evolve(state, power(2.0), cfg, 3.0)
+    (member,) = evolve([state], [power(2.0)], cfg, 3.0)
+    assert np.array_equal(member.t, solo.t)
+    assert np.array_equal(member.u, solo.u)
+    assert np.array_equal(member.v, solo.v)
+    assert member.meta == solo.meta
+
+
+def test_ensemble_members_track_their_solo_runs():
+    # Batched and solo runs take different steps, so they differ by about
+    # the solo run's own error.  On these data that error is 3e-11 to 1.3e-7
+    # against a 1e-13 run, so the batched members are checked against the
+    # same tight run: each is at least about as accurate as its solo run.
+    spec = power_spectrum(32)
+    rng = np.random.default_rng(0)
+    cfg = IntegratorConfig()
+    ms = [affine(1.0, 1.0), power(2.0), pohozaev(1.0, 1.0)]
+    states = [normalized_state(spec, rng) for _ in ms]
+    batch = evolve(states, ms, cfg, 10.0)
+
+    def distance(a, b):
+        return max(np.max(np.abs(a.u - b.u)), np.max(np.abs(a.v - b.v)))
+
+    solo_rhs = 0
+    for tr, state, m in zip(batch, states, ms):
+        solo = evolve(state, m, cfg, 10.0)
+        tight = evolve(state, m, IntegratorConfig(1e-13, 1e-13), 10.0)
+        solo_rhs += solo.meta.n_rhs
+        assert tr.meta.status == "completed"
+        assert np.array_equal(tr.t, solo.t)
+        solo_error = distance(solo, tight)
+        assert distance(tr, tight) <= 1.25 * solo_error + 1e-10
+        assert distance(tr, solo) <= 2.25 * solo_error + 1e-10
+        # each member's own diagnostics; the step counters are shared
+        assert tr.meta.hamiltonian_drift < 1e-7
+        assert tr.meta.n_rhs == batch[0].meta.n_rhs
+    assert batch[0].meta.n_rhs < solo_rhs
+
+
+def test_ensemble_member_status_and_spans_are_its_own():
+    spec = Spectrum([1.0])
+    cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-8)
+    calm = SpectralState(t=0.0, u=basis_vector(spec, 0), v=zero_vector(spec))
+    fast = SpectralState(t=0.0, u=SpectralVector(spec, [0.0]),
+                         v=SpectralVector(spec, [1e11]))
+    calm_tr, fast_tr = evolve([calm, fast], [constant(1.0), constant(0.0)], cfg, 20.0)
+    assert fast_tr.meta.status == "blow_up" and fast_tr.t[-1] < 20.0
+    assert fast_tr.meta.degenerate_spans == ((0.0, fast_tr.t[-1]),)
+    assert calm_tr.meta.status == "completed" and calm_tr.t[-1] == 20.0
+    assert calm_tr.meta.degenerate_spans == ()
+    u, _ = closed_form(spec, np.array([1.0]), np.array([0.0]), 1.0, calm_tr.t)
+    assert np.max(np.abs(calm_tr.u[:, 0] - u)) < 1e-6
+
+
+def test_ensemble_negative_m_names_its_member(tight_cfg):
+    spec = Spectrum([1.0])
+    state = SpectralState(t=0.0, u=basis_vector(spec, 0), v=zero_vector(spec))
+    with pytest.raises(NegativeNonlinearityError, match="member 1") as exc:
+        evolve([state, state], [constant(1.0), affine(-2.0, 0.0)], tight_cfg, 1.0)
+    assert exc.value.member == 1
+    with pytest.raises(DomainError) as exc:
+        evolve([state, state], [constant(1.0), power(-3.0)], tight_cfg, 1.0)
+    assert exc.value.member == 1
+
+
+def test_ensemble_needs_matching_members(tight_cfg):
+    spec = Spectrum([1.0])
+    state = SpectralState(t=0.0, u=basis_vector(spec, 0), v=zero_vector(spec))
+    other = SpectralState(t=0.0, u=basis_vector(Spectrum([2.0]), 0),
+                          v=zero_vector(Spectrum([2.0])))
+    later = SpectralState(t=0.5, u=basis_vector(spec, 0), v=zero_vector(spec))
+    with pytest.raises(PreconditionError, match="one nonlinearity per state"):
+        evolve([state, state], [constant(1.0)], tight_cfg, 1.0)
+    with pytest.raises(PreconditionError, match="one nonlinearity per state"):
+        evolve([], [], tight_cfg, 1.0)
+    for mate in (other, later):
+        with pytest.raises(PreconditionError, match="one spectrum and start time"):
+            evolve([state, mate], [constant(1.0)] * 2, tight_cfg, 1.0)

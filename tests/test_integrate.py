@@ -380,3 +380,77 @@ def test_retry_after_reject_starts_from_accepted_derivative():
             assert not np.allclose(k0, prev[7][2], rtol=1e-6, atol=0.0)
         accepted_before = accepted_before or not retry
     assert retries > 0
+
+
+# ---------------------------------------------------------------------------
+# ensembles: a (B, d) state through the shared step loop
+
+
+def squares_first_row(t, y):
+    """Member 0 obeys y' = y^2 (blow-up at t = 1); the others y' = -y."""
+    out = -y
+    out[0] = y[0] * y[0]
+    return out
+
+
+def test_ensemble_of_one_matches_solo_bit_for_bit():
+    def rhs(t, y):
+        return np.stack([y[..., 1], -9.0 * y[..., 0] * (1.0 + 0.1 * math.sin(t))], axis=-1)
+
+    samples = np.linspace(0.0, 5.0, 101)
+    solo = solve_to_samples(rhs, np.array([1.0, 0.0]), samples, 1e-11, 1e-11)
+    batch = solve_to_samples(rhs, np.array([[1.0, 0.0]]), samples, 1e-11, 1e-11)
+    (member,) = batch.members
+    assert np.array_equal(member.y, solo.y)
+    assert np.array_equal(batch.y[:, 0], solo.y)
+    assert (batch.n_accepted, batch.n_rejected, batch.n_rhs, batch.status) == (
+        solo.n_accepted, solo.n_rejected, solo.n_rhs, solo.status
+    )
+
+
+@pytest.mark.parametrize("state_cap, status", [(1e6, "blow_up"), (None, "step_underflow")])
+def test_ensemble_member_stops_alone(state_cap, status):
+    samples = np.linspace(0.0, 2.0, 201)
+    y0 = np.array([[1.0], [1.0], [0.5]])
+    res = solve_to_samples(squares_first_row, y0, samples, 1e-10, 1e-10,
+                           state_cap=state_cap)
+    stopped, *rest = res.members
+    assert stopped.status == status
+    assert res.status == status and res.message == stopped.message
+    assert 0 < stopped.t.size < samples.size and stopped.t[-1] <= 1.0
+    assert np.array_equal(stopped.t, samples[: stopped.t.size])
+    solo = solve_to_samples(lambda t, y: y * y, np.array([1.0]), samples, 1e-10, 1e-10,
+                            state_cap=state_cap)
+    assert solo.status == status
+    for member, start in zip(rest, (1.0, 0.5)):
+        assert member.completed and member.message == ""
+        assert np.array_equal(member.t, samples)
+        alone = solve_to_samples(lambda t, y: -y, np.array([start]), samples,
+                                 1e-10, 1e-10)
+        assert np.max(np.abs(member.y - alone.y)) < 1e-9
+        assert np.max(np.abs(member.y[:, 0] - start * np.exp(-samples))) < 1e-9
+    assert res.y.shape == (samples.size, 3, 1)
+
+
+def test_ensemble_error_norm_is_the_worst_member():
+    # a fast member forces the shared step: the slow member's error stays
+    # far below what it would accept alone, and its solution is as accurate
+    def rhs(t, y):
+        w = np.array([[1.0], [40.0]])
+        return np.concatenate([y[:, 1:], -(w * w) * y[:, :1]], axis=1)
+
+    samples = np.linspace(0.0, 3.0, 4)
+    res = solve_to_samples(rhs, np.array([[1.0, 0.0], [1.0, 0.0]]), samples, 1e-9, 1e-9)
+    slow_alone = solve_to_samples(lambda t, y: np.array([y[1], -y[0]]),
+                                  np.array([1.0, 0.0]), samples, 1e-9, 1e-9)
+    assert res.completed
+    assert res.n_accepted > 5 * slow_alone.n_accepted
+    slow, fast = res.members
+    assert np.max(np.abs(slow.y[:, 0] - np.cos(samples))) < 1e-9
+    assert np.max(np.abs(fast.y[:, 0] - np.cos(40.0 * samples))) < 1e-7
+
+
+def test_state_of_three_axes_rejected():
+    with pytest.raises(ValueError, match="members"):
+        solve_to_samples(lambda t, y: y, np.ones((2, 2, 2)), np.array([0.0, 1.0]),
+                         1e-8, 1e-8)
