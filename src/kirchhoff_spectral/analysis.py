@@ -11,7 +11,7 @@ import numpy as np
 
 from .conditions import log_log_slope
 from .dynamics import IntegratorConfig, SpectralState, Trajectory, evolve, hamiltonian
-from .errors import KirchhoffError, PreconditionError
+from .errors import PreconditionError
 from .functions import FunctionSpec, antiderivative
 from .norms import GevreyParams, _norms, _radius_weights, gevrey_norm
 from .spectrum import (
@@ -328,7 +328,7 @@ def continuous_dependence_study(
     states = [SpectralState(t=0.0, u=u0, v=u1) for _, u0, u1 in slots]
     try:
         trs = evolve(states, [m for m, _, _ in slots], cfg, t_end)
-    except KirchhoffError as exc:
+    except Exception as exc:
         slot = getattr(exc, "member", 0)
         if slot == 0:
             raise

@@ -16,7 +16,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
-    KirchhoffError,
     NegativeNonlinearityError,
     NondegeneracyError,
     PreconditionError,
@@ -159,6 +158,9 @@ def _integrate(
 
     A single state runs on the vector path; an ``ensemble`` runs its states
     through one shared step loop, ``rhs`` then taking (members, 2n) arrays.
+    Single states keep the vector path because a one-member ensemble gives
+    the same bits but costs more: run that way, the ``sweep`` and ``wide``
+    benchmarks took 1.6 and 1.25 times as long (BENCH_7.json).
     """
     first = states[0]
     if any(s.spectrum != first.spectrum or s.t != first.t for s in states):
@@ -217,11 +219,11 @@ def evolve(
     and of nonlinearities run as one ensemble through one shared step loop
     and give a list with one trajectory per member.  Each member has its
     own status, drift and degenerate spans; the step counters in its meta
-    are the shared loop's.  An error raised for one member, a negative m
-    or an undefined antiderivative, carries its index as ``member``.  A
-    member's bits depend on its batch-mates and its position, so two
-    identical members need not match bit for bit; a one-member ensemble
-    matches the solo call bit for bit.
+    are the shared loop's.  An error raised for one member, a negative m,
+    an undefined antiderivative or any other failure of its m, carries its
+    index as ``member``.  A member's bits depend on its batch-mates and its
+    position, so two identical members need not match bit for bit; a
+    one-member ensemble matches the solo call bit for bit.
     """
     solo = isinstance(init, SpectralState)
     states, ms = ([init], [m]) if solo else (list(init), list(m))
@@ -239,7 +241,7 @@ def evolve(
         try:
             m_ats.append(scalar_callable(m_b))
             big_ms.append(antiderivative(m_b))
-        except KirchhoffError as exc:
+        except Exception as exc:
             if not solo:
                 exc.member = b
             raise
@@ -264,28 +266,36 @@ def evolve(
         # rhs row by row; a one-row dot is the same ddot as rhs's
         u = y[:, :n]
         sigmas = (u * u).dot(lam2).tolist()
-        cs = [m_at_b(sigma) for m_at_b, sigma in zip(m_ats, sigmas)]
-        if min(cs) < 0.0:
-            b = next(b for b, c in enumerate(cs) if c < 0.0)
-            exc = NegativeNonlinearityError(
-                f"m({sigmas[b]:.6g}) = {cs[b]:.6g} < 0 at t = {t:.6g} "
-                f"in ensemble member {b}"
-            )
-            exc.member = b
-            raise exc
+        cs = []
+        for b, (m_at_b, sigma) in enumerate(zip(m_ats, sigmas)):
+            try:
+                c = m_at_b(sigma)
+                if c < 0.0:
+                    raise NegativeNonlinearityError(
+                        f"m({sigma:.6g}) = {c:.6g} < 0 at t = {t:.6g} "
+                        f"in ensemble member {b}"
+                    )
+            except Exception as exc:
+                exc.member = b
+                raise
+            cs.append(c)
         accel = np.multiply(lam2, np.negative(cs)[:, None])
         accel *= u
         return np.concatenate((y[:, n:], accel), axis=1)
 
     trs = _integrate(states, rhs if solo else ensemble_rhs, cfg, t_end, ensemble=not solo)
     done = []
-    for tr, m_b, big_m in zip(trs, ms, big_ms):
-        c_series = np.asarray(m_b(tr.sigma_series()), dtype=float)
+    for b, (tr, m_b, big_m) in enumerate(zip(trs, ms, big_ms)):
+        try:
+            c_series = np.asarray(m_b(tr.sigma_series()), dtype=float)
+            drift = relative_drift(hamiltonian_values(spec, tr.u, tr.v, big_m))
+        except Exception as exc:
+            if not solo:
+                exc.member = b
+            raise
         meta = replace(
             tr.meta,
-            hamiltonian_drift=relative_drift(
-                hamiltonian_values(spec, tr.u, tr.v, big_m)
-            ),
+            hamiltonian_drift=drift,
             degenerate_spans=_degenerate_spans(tr.t, c_series),
         )
         done.append(replace(tr, meta=meta))

@@ -115,10 +115,10 @@ METHOD_NAME = "verner65"
 class IntegrationOutcome:
     """Sample record of one adaptive integration.
 
-    For an ensemble, ``y`` is (samples, members, d) up to the longest member
-    record, ``status`` and ``message`` are those of the first member that
-    stopped early, and ``members`` holds each member's own record.  The step
-    counters are the shared loop's.
+    An ensemble's outcome carries the shared loop's step counters and
+    ``members``, one record per member with its own samples, status and
+    message; its own ``t`` and ``y`` are empty and its ``status`` is
+    ``"ensemble"``.
     """
 
     t: np.ndarray
@@ -126,7 +126,7 @@ class IntegrationOutcome:
     n_accepted: int
     n_rejected: int
     n_rhs: int
-    status: str  # "completed" | "blow_up" | "step_underflow"
+    status: str  # "completed" | "blow_up" | "step_underflow" | "ensemble"
     message: str = ""
     members: tuple = ()
 
@@ -161,10 +161,13 @@ def _initial_step(
 
     d0 = rms(y0 / scale)
     d1 = rms(f0 / scale)
-    h0 = min(
+    # a member whose derivative is NaN sets no step for the others; if every
+    # member's is, the guess is NaN, which the step loop stops on
+    h0s = [
         1e-6 * span if (a < 1e-5 or b < 1e-5) else 0.01 * a / b
         for a, b in zip(d0, d1)
-    )
+    ]
+    h0 = min((h for h in h0s if not math.isnan(h)), default=math.nan)
     h0 = min(h0, span)
     y1 = y0 + h0 * f0
     f1 = rhs(t0 + h0, y1)
@@ -243,16 +246,13 @@ class _Ensemble:
             )
             for b, r in enumerate(self.reached)
         )
-        first = next((m for m in members if not m.completed), members[0])
-        longest = max(self.reached)
         return IntegrationOutcome(
-            t=samples[:longest].copy(),
-            y=rows[:longest],
+            t=samples[:0],
+            y=rows[:0],
             n_accepted=n_accepted,
             n_rejected=n_rejected,
             n_rhs=n_rhs,
-            status=first.status,
-            message=first.message,
+            status="ensemble",
             members=members,
         )
 
@@ -327,7 +327,7 @@ def solve_to_samples(
     while si < samples.size:
         target = times[si]
         h_try = min(h, target - t)
-        if h_try < h_floor_scale:
+        if not h_try >= h_floor_scale:  # or NaN, from a NaN first derivative
             status = "step_underflow"
             message = (
                 f"step size {h_try:.3e} underflowed at t = {t:.6g}; "
@@ -336,7 +336,7 @@ def solve_to_samples(
             if ens is None:
                 break
             # a collapsed step stops the members whose error set it; a sample
-            # gap below the floor would stop every member alike
+            # gap below the floor, or a NaN step, stops every member alike
             stuck = ens.worst() if h < h_floor_scale else ens.live.copy()
             ens.stop(stuck, status, message, si, k[0])
             if not ens.live.any():

@@ -310,7 +310,7 @@ def test_dependence_runs_one_ensemble(tight_cfg, monkeypatch):
         assert abs(dev - energy_distance(tr, tr_lim)) < 1e-9
 
 
-def test_dependence_names_the_failing_problem(tight_cfg):
+def test_dependence_names_the_failing_problem(tight_cfg, monkeypatch):
     spec = Spectrum([1.0])
     u0 = basis_vector(spec, 0)
     u1 = zero_vector(spec)
@@ -318,6 +318,18 @@ def test_dependence_names_the_failing_problem(tight_cfg):
     problems = [(m, u0, u1), (affine(1.5, 0.0), u0, u1), (affine(-2.0, 0.0), u0, u1)]
     with pytest.raises(PreconditionError, match="integration failed for problem 2"):
         continuous_dependence_study(problems, (m, u0, u1), tight_cfg, 1.0)
+    # an error of any type is mapped from its ensemble slot to the problem
+    from kirchhoff_spectral import analysis
+
+    def failing(init, ms, cfg, t_end):
+        exc = OverflowError("math range error")
+        exc.member = 1
+        raise exc
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "evolve", failing)
+        with pytest.raises(PreconditionError, match="problem 1: math range error"):
+            continuous_dependence_study(problems[:2], (m, u0, u1), tight_cfg, 1.0)
     # a failing limit raises as it is
     with pytest.raises(NegativeNonlinearityError, match="member 0"):
         continuous_dependence_study(problems[:2], (affine(-2.0, 0.0), u0, u1),

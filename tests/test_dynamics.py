@@ -461,6 +461,15 @@ def test_ensemble_negative_m_names_its_member(tight_cfg):
     with pytest.raises(DomainError) as exc:
         evolve([state, state], [constant(1.0), power(-3.0)], tight_cfg, 1.0)
     assert exc.value.member == 1
+    # a non-finite coefficient in an earlier slot hides no later negative one
+    with pytest.raises(NegativeNonlinearityError, match="member 1") as exc:
+        evolve([state, state], [constant(math.nan), affine(-2.0, 0.0)], tight_cfg, 1.0)
+    assert exc.value.member == 1
+    # any error of a member's m carries its index, not only the library's own
+    big = SpectralState(t=0.0, u=SpectralVector(spec, [2.0]), v=zero_vector(spec))
+    with pytest.raises(OverflowError) as exc:
+        evolve([big, big], [constant(1.0), power(600.0)], tight_cfg, 1.0)
+    assert exc.value.member == 1
 
 
 def test_ensemble_needs_matching_members(tight_cfg):
