@@ -436,8 +436,8 @@ def test_ensemble_member_stops_alone(state_cap, status):
 
 
 def test_nan_derivative_stops_instead_of_spinning():
-    # a NaN first derivative once gave a NaN first step, which no guard
-    # caught: the loop retried it for ever
+    # a NaN first derivative gives a NaN first step: the loop must stop on
+    # it, not retry it for ever, and a NaN member must not set the others' step
     samples = np.linspace(0.0, 1.0, 11)
     solo = solve_to_samples(lambda t, y: y * math.nan, np.array([1.0]), samples,
                             1e-10, 1e-10)
