@@ -156,11 +156,13 @@ def _integrate(
 ) -> list[Trajectory]:
     """Integrate y = (u, u') from each state to ``t_end`` on the sample grid.
 
-    A single state runs on the vector path; an ``ensemble`` runs its states
-    through one shared step loop, ``rhs`` then taking (members, 2n) arrays.
-    Single states keep the vector path because a one-member ensemble gives
-    the same bits but costs more: run that way, the ``sweep`` and ``wide``
-    benchmarks took 1.6 and 1.25 times as long (BENCH_7.json).
+    The solver has one step loop for both forms; the only fork is the form
+    of ``rhs``.  A single state is a (2n,) vector; an ``ensemble`` is a
+    (members, 2n) array, and ``rhs`` then takes such arrays.  A one-member
+    ensemble gives the same bits, but its RHS costs more: at N = 32 the
+    vector RHS took 4.0 us a call against 6.3 us (best of 7 x 20,000 calls,
+    Xeon, one thread), and an affine(1, 1) evolve to t = 10 took 0.23 s
+    against 0.33 s.
     """
     first = states[0]
     if any(s.spectrum != first.spectrum or s.t != first.t for s in states):

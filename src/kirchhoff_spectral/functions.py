@@ -42,6 +42,9 @@ class FunctionSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown function kind {self.kind!r}")
+        for name, value in self.params.items():
+            if not math.isfinite(value):
+                raise DomainError(f"{self.kind} parameter {name!r} must be finite")
         KINDS[self.kind].validate(self)
 
     def __call__(self, sigma):

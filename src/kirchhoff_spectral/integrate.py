@@ -28,20 +28,19 @@ as the reference in tests/test_integrate.py, so a change here must keep
 trajectories and counters bit-identical; one that changes the step
 sequence changes the bundled scenarios' artifact bytes.
 
-The driver never raises for suspected blow-up or step-size underflow: it
-returns the partial sample record with a status marker, so escape
-experiments can observe the escape.
+The solver never raises for suspected blow-up, step-size underflow or a
+non-finite derivative at the start: it returns the partial sample record
+with a status marker, so escape experiments can observe the escape.
 
-An ensemble, a (B, d) initial state, runs B members through the same loop
-with one shared step.  The stages stay one flat (9, B*d) matrix, so each
-stage combination is still one ``dot``.  The error norm is the largest over
-the members of each member's RMS norm, so every member meets its own
-tolerance, and the first-step guess is the smallest over the members.  A
-member that blows up or underflows is frozen with its own partial record
-and status while the others go on.  A member's bits depend on its batch-
-mates through the shared step and on its column position in the stage
-``dot``; an ensemble of one matches the vector call bit for bit.  The
-vector (1-D) path is unchanged: same operations, same counters.
+There is one step loop.  An ensemble, a (B, d) initial state, runs B
+members with one shared step, and a vector state runs as an ensemble of
+one.  The stages are one flat (9, B*d) matrix, so each stage combination is
+one ``dot``.  The error norm is the largest over the members of each
+member's RMS norm, so every member meets its own tolerance, and the
+first-step guess is the smallest over the members.  A member that stops is
+frozen with its own partial record and status while the others go on.  A member's bits depend on its batch-mates through the shared
+step and on its column position in the stage ``dot``; an ensemble of one
+matches the vector call bit for bit.
 """
 
 from __future__ import annotations
@@ -115,10 +114,10 @@ METHOD_NAME = "verner65"
 class IntegrationOutcome:
     """Sample record of one adaptive integration.
 
-    An ensemble's outcome carries the shared loop's step counters and
-    ``members``, one record per member with its own samples, status and
-    message; its own ``t`` and ``y`` are empty and its ``status`` is
-    ``"ensemble"``.
+    A vector state gives one record.  An ensemble's outcome carries the
+    shared loop's step counters and ``members``, one record per member with
+    its own samples, status and message; its own ``t`` and ``y`` are empty
+    and its ``status`` is ``"ensemble"``.
     """
 
     t: np.ndarray
@@ -150,6 +149,7 @@ def _initial_step(
     For an ensemble, ``y0`` and ``f0`` are flat with one row per entry of
     the boolean ``live`` mask.  The trial step and the guess are each the
     smallest over the live members, so one right-hand-side call serves all.
+    The live members' derivatives ``f0`` must be finite.
     """
     rows = 1 if live is None else live.size
     members = range(1) if live is None else np.flatnonzero(live)
@@ -161,8 +161,8 @@ def _initial_step(
 
     d0 = rms(y0 / scale)
     d1 = rms(f0 / scale)
-    # a member whose derivative is NaN sets no step for the others; if every
-    # member's is, the guess is NaN, which the step loop stops on
+    # a member with a NaN state sets no step for the others; if every
+    # member has one, the guess is NaN, which the step loop stops on
     h0s = [
         1e-6 * span if (a < 1e-5 or b < 1e-5) else 0.01 * a / b
         for a, b in zip(d0, d1)
@@ -182,81 +182,6 @@ def _initial_step(
     return min(guesses), 1
 
 
-class _Ensemble:
-    """Member bookkeeping of a (B, d) state in the shared step loop.
-
-    The loop works on flat (B*d,) vectors; ``rhs`` hands the user's
-    right-hand side the (B, d) view.  A stopped member is frozen: its
-    derivative rows read zero, so its state, stages and error stay put
-    while the others go on.
-    """
-
-    def __init__(self, rhs: Callable, shape: tuple, n_samples: int):
-        self.shape = shape
-        self.live = np.ones(shape[0], dtype=bool)
-        self.status = ["completed"] * shape[0]
-        self.message = [""] * shape[0]
-        self.reached = [n_samples] * shape[0]
-        self.err2 = np.zeros(shape[0])  # each member's squared error sum, last attempt
-        self._user_rhs = rhs
-        self._all_live = True
-
-    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        out = self._user_rhs(t, y.reshape(self.shape))
-        if not self._all_live:
-            out = np.where(self.live[:, None], out, 0.0)
-        return out.reshape(-1)
-
-    def error(self, q: np.ndarray) -> float:
-        """Largest member RMS of the squared scaled error ``q``."""
-        self.err2 = np.add.reduce(q.reshape(self.shape), axis=1)
-        return math.sqrt(float(self.err2.max()) / self.shape[1])
-
-    def over(self, abs_y: np.ndarray, cap: float) -> np.ndarray:
-        """The live members with a component beyond ``cap``."""
-        return self.live & (abs_y.reshape(self.shape).max(axis=1) > cap)
-
-    def worst(self) -> np.ndarray:
-        """The live members with the largest error at the last attempt."""
-        err2 = np.where(np.isnan(self.err2), np.inf, self.err2)
-        err2 = np.where(self.live, err2, -np.inf)
-        return err2 == err2.max()
-
-    def stop(self, which: np.ndarray, status: str, message: str, si: int, f):
-        """Freeze the members in ``which``; ``f`` is the flat derivative row."""
-        for b in np.flatnonzero(which):
-            self.status[b] = status
-            self.message[b] = message
-            self.reached[b] = si
-        self.live &= ~which
-        self._all_live = False
-        f.reshape(self.shape)[which] = 0.0
-
-    def outcome(self, samples, out, n_accepted, n_rejected, n_rhs):
-        rows = out.reshape((samples.size,) + self.shape)
-        members = tuple(
-            IntegrationOutcome(
-                t=samples[:r].copy(),
-                y=rows[:r, b].copy(),
-                n_accepted=n_accepted,
-                n_rejected=n_rejected,
-                n_rhs=n_rhs,
-                status=self.status[b],
-                message=self.message[b],
-            )
-            for b, r in enumerate(self.reached)
-        )
-        return IntegrationOutcome(
-            t=samples[:0],
-            y=rows[:0],
-            n_accepted=n_accepted,
-            n_rejected=n_rejected,
-            n_rhs=n_rhs,
-            status="ensemble",
-            members=members,
-        )
-
-
 def solve_to_samples(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     y0: np.ndarray,
@@ -270,13 +195,16 @@ def solve_to_samples(
 
     ``samples`` must be strictly increasing, with samples[0] the initial
     time.  Exceptions raised by ``rhs`` propagate to the caller; blow-up
-    (when ``state_cap`` is set) and step underflow instead truncate the
-    record and set the status marker.
+    (when ``state_cap`` is set), step underflow and a non-finite derivative
+    at the start instead truncate the record and set the status marker
+    (``"step_underflow"`` for the last two).
 
     A (B, d) ``y0`` is an ensemble of B members advanced with one shared
     step; ``rhs`` then maps (B, d) states to (B, d) derivatives.  A member
-    that blows up or underflows stops alone, with its own record and
-    status in ``members`` of the outcome.
+    that stops does so alone, with its own record and status in
+    ``members`` of the outcome.  ``rhs`` always receives the state in
+    ``y0``'s shape, in a buffer the loop overwrites at the next stage, so it
+    must not keep its argument.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size < 2:
@@ -289,70 +217,99 @@ def solve_to_samples(
     y = np.array(y0, dtype=float)
     if y.ndim > 2:
         raise ValueError("the state must be a vector or a (members, d) array")
-    ens = None
-    dim = y.size
-    if y.ndim == 2:
-        ens = _Ensemble(rhs, y.shape, samples.size)
-        rhs = ens.rhs
-        y = y.reshape(-1)
     if y.size == 0:
         raise ValueError("the state needs at least one component")
+    # the loop runs every state as an ensemble, a vector as one member, on
+    # the flat (B*d,) vector; ``rhs`` sees views in the caller's shape
+    shape = y.shape
+    n_members, dim = y.reshape(-1, shape[-1]).shape
+    y = y.reshape(-1)
 
     times = samples.tolist()
     t = times[0]
     t_end = times[-1]
 
-    f = rhs(t, y)
-    n_rhs = 1
-    live = None if ens is None else ens.live
-    h, extra = _initial_step(rhs, t, y, f, t_end - t, rel_tol, abs_tol, live)
-    n_rhs += extra
-    h = min(h, max_step)
-
     k = np.empty((9, y.size))
-    k[0] = f
-    # (node, row of A, stages it combines, row it fills) for stages 1..8
-    stages = [(_C[i], _A[i - 1], k[:i], k[i]) for i in range(1, 9)]
+    k_in = k.reshape((9,) + shape)
+    k_rows = k.reshape(9, n_members, dim)
+    buf = np.empty(y.size)
+    stage = buf.reshape(shape)
+    # (node, row of A, stages it combines, row it fills, that row per member)
+    stages = [(_C[i], _A[i - 1], k[:i], k_in[i], k_rows[i]) for i in range(1, 9)]
+    q = np.empty(y.size)
+    q_rows = q.reshape(n_members, dim)
+    err2 = np.zeros(n_members)  # each member's squared error sum, last attempt
+
+    live = np.ones(n_members, dtype=bool)
+    status = ["completed"] * n_members
+    message = [""] * n_members
+    reached = [samples.size] * n_members
+    stopped = []  # frozen members: their derivative rows read zero
+
+    def stop(which: np.ndarray, why: str, text: str, si: int) -> None:
+        """Freeze the members in ``which`` with their record so far."""
+        for b in np.flatnonzero(which):
+            status[b], message[b], reached[b] = why, text, si
+            stopped.append(b)
+        live[which] = False
+        k_rows[0, stopped] = 0.0
+
+    def derivative(t: float, y: np.ndarray) -> np.ndarray:
+        f = np.array(rhs(t, y.reshape(shape)), dtype=float).reshape(-1)
+        f.reshape(n_members, dim)[stopped] = 0.0
+        return f
+
+    k[0] = derivative(t, y)
+    n_rhs = 1
+    text = f"derivative not finite at t = {t:.6g}"
+    stop(~np.isfinite(k_rows[0]).all(axis=1), "step_underflow", text, 1)
+    guess = True  # at the start and after members stop on underflow
     abs_y = np.abs(y)
     out = np.empty((samples.size, y.size))
     out[0] = y
     si = 1
     n_accepted = 0
     n_rejected = 0
-    status = "completed"
-    message = ""
     h_floor_scale = 16.0 * np.finfo(float).eps * max(abs(t_end), 1.0)
-    grew_after_reject = False
 
     while si < samples.size:
-        target = times[si]
-        h_try = min(h, target - t)
-        if not h_try >= h_floor_scale:  # or NaN, from a NaN first derivative
-            status = "step_underflow"
-            message = (
-                f"step size {h_try:.3e} underflowed at t = {t:.6g}; "
-                f"stiffness or blow-up suspected"
+        if guess:
+            if not live.any():
+                break
+            h, extra = _initial_step(
+                derivative, t, y, k[0], t_end - t, rel_tol, abs_tol, live
             )
-            if ens is None:
-                break
-            # a collapsed step stops the members whose error set it; a sample
-            # gap below the floor, or a NaN step, stops every member alike
-            stuck = ens.worst() if h < h_floor_scale else ens.live.copy()
-            ens.stop(stuck, status, message, si, k[0])
-            if not ens.live.any():
-                break
-            h, extra = _initial_step(rhs, t, y, k[0], t_end - t, rel_tol, abs_tol, live)
             n_rhs += extra
             h = min(h, max_step)
             grew_after_reject = False
+            guess = False
+
+        target = times[si]
+        h_try = min(h, target - t)
+        if not h_try >= h_floor_scale:  # or NaN
+            # a collapsed step stops the members whose error set it; a sample
+            # gap below the floor, or a NaN step, stops every member alike
+            stuck = live.copy()
+            if h < h_floor_scale:
+                worst = np.where(np.isnan(err2), np.inf, err2)
+                worst[~live] = -np.inf
+                stuck = worst == worst.max()
+            text = (
+                f"step size {h_try:.3e} underflowed at t = {t:.6g}; "
+                f"stiffness or blow-up suspected"
+            )
+            stop(stuck, "step_underflow", text, si)
+            guess = True
             continue
 
         # y + h * (a . k), evaluated as (a . k) * h + y: the same roundings
-        for c_i, a_i, k_head, k_i in stages:
-            stage = a_i.dot(k_head)
-            stage *= h_try
-            stage += y
+        for c_i, a_i, k_head, k_i, k_i_rows in stages:
+            a_i.dot(k_head, out=buf)
+            buf *= h_try
+            buf += y
             k_i[...] = rhs(t + c_i * h_try, stage)
+            if stopped:
+                k_i_rows[stopped] = 0.0
         n_rhs += 8
         y_new = _B.dot(k)
         y_new *= h_try
@@ -361,14 +318,12 @@ def solve_to_samples(
         scale = np.maximum(abs_y, abs_new)
         scale *= rel_tol
         scale += abs_tol
-        q = _E.dot(k)
+        _E.dot(k, out=q)
         q *= h_try
         q /= scale
         q *= q
-        if ens is None:
-            err = math.sqrt(float(np.add.reduce(q)) / dim)
-        else:
-            err = ens.error(q)
+        np.add.reduce(q_rows, axis=1, out=err2)
+        err = math.sqrt(float(err2.max()) / dim)  # a NaN member's error is NaN
 
         if math.isfinite(err) and err <= 1.0:
             t_new = t + h_try
@@ -386,15 +341,13 @@ def solve_to_samples(
             limit_growth = grew_after_reject  # no growth right after a reject
             grew_after_reject = False
             if state_cap is not None and float(abs_y.max()) > state_cap:
-                status = "blow_up"
-                message = (
+                text = (
                     f"state magnitude exceeded {state_cap:.3e} at t = {t:.6g}; "
                     f"suspected blow-up"
                 )
-                if ens is None:
-                    break
-                ens.stop(ens.over(abs_y, state_cap), status, message, si, k[0])
-                if not ens.live.any():
+                over = abs_y.reshape(n_members, dim).max(axis=1) > state_cap
+                stop(live & over, "blow_up", text, si)
+                if not live.any():
                     break
         else:
             n_rejected += 1
@@ -412,14 +365,12 @@ def solve_to_samples(
             factor = min(factor, 1.0)
         h = min(h_try * factor, max_step)
 
-    if ens is not None:
-        return ens.outcome(samples, out, n_accepted, n_rejected, n_rhs)
-    return IntegrationOutcome(
-        t=samples[:si].copy(),
-        y=out[:si],
-        n_accepted=n_accepted,
-        n_rejected=n_rejected,
-        n_rhs=n_rhs,
-        status=status,
-        message=message,
+    rows = out.reshape(samples.size, n_members, dim)
+    counts = (n_accepted, n_rejected, n_rhs)
+    records = tuple(
+        IntegrationOutcome(samples[:r].copy(), rows[:r, b], *counts, status[b], message[b])
+        for b, r in enumerate(reached)
     )
+    if len(shape) == 1:
+        return records[0]
+    return IntegrationOutcome(samples[:0], rows[:0], *counts, "ensemble", members=records)

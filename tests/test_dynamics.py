@@ -452,7 +452,7 @@ def test_ensemble_member_status_and_spans_are_its_own():
     assert np.max(np.abs(calm_tr.u[:, 0] - u)) < 1e-6
 
 
-def test_ensemble_negative_m_names_its_member(tight_cfg):
+def test_ensemble_negative_m_names_its_member(monkeypatch, tight_cfg):
     spec = Spectrum([1.0])
     state = SpectralState(t=0.0, u=basis_vector(spec, 0), v=zero_vector(spec))
     with pytest.raises(NegativeNonlinearityError, match="member 1") as exc:
@@ -461,10 +461,16 @@ def test_ensemble_negative_m_names_its_member(tight_cfg):
     with pytest.raises(DomainError) as exc:
         evolve([state, state], [constant(1.0), power(-3.0)], tight_cfg, 1.0)
     assert exc.value.member == 1
-    # a non-finite coefficient in an earlier slot hides no later negative one
+    # a NaN coefficient in an earlier slot (a member whose stage went
+    # non-finite; a spec cannot hold a NaN param) hides no later negative one
+    nan_m = constant(1.0)
+    scalar = dynamics.scalar_callable
+    monkeypatch.setattr(dynamics, "scalar_callable",
+                        lambda m: (lambda s: math.nan) if m is nan_m else scalar(m))
     with pytest.raises(NegativeNonlinearityError, match="member 1") as exc:
-        evolve([state, state], [constant(math.nan), affine(-2.0, 0.0)], tight_cfg, 1.0)
+        evolve([state, state], [nan_m, affine(-2.0, 0.0)], tight_cfg, 1.0)
     assert exc.value.member == 1
+    monkeypatch.undo()
     # any error of a member's m carries its index, not only the library's own
     big = SpectralState(t=0.0, u=SpectralVector(spec, [2.0]), v=zero_vector(spec))
     with pytest.raises(OverflowError) as exc:

@@ -212,6 +212,13 @@ def test_quadrature_antiderivative_fallback():
     assert float(big_m(1.0)) == pytest.approx(quad_oracle(om, 1.0), rel=1e-6)
 
 
+def test_nonfinite_params_rejected():
+    for make in (lambda: constant(math.nan), lambda: affine(math.inf, 1.0),
+                 lambda: FunctionSpec.from_dict({"kind": "power", "beta": "-inf"})):
+        with pytest.raises(DomainError, match="must be finite"):
+            make()
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(DomainError):
         FunctionSpec("mystery", {})

@@ -393,19 +393,35 @@ def squares_first_row(t, y):
     return out
 
 
-def test_ensemble_of_one_matches_solo_bit_for_bit():
-    def rhs(t, y):
-        return np.stack([y[..., 1], -9.0 * y[..., 0] * (1.0 + 0.1 * math.sin(t))], axis=-1)
+def oscillator(t, y):
+    return np.stack([y[..., 1], -9.0 * y[..., 0] * (1.0 + 0.1 * math.sin(t))], axis=-1)
 
+
+def squares(t, y):
+    return y * y  # finite-time blow-up at t = 1
+
+
+@pytest.mark.parametrize(
+    "rhs, y0, state_cap, status",
+    [
+        (oscillator, [1.0, 0.0], None, "completed"),
+        (squares, [1.0], 1e6, "blow_up"),
+        (squares, [1.0], None, "step_underflow"),
+    ],
+    ids=["completed", "blow_up", "step_underflow"],
+)
+def test_ensemble_of_one_matches_solo_bit_for_bit(rhs, y0, state_cap, status):
     samples = np.linspace(0.0, 5.0, 101)
-    solo = solve_to_samples(rhs, np.array([1.0, 0.0]), samples, 1e-11, 1e-11)
-    batch = solve_to_samples(rhs, np.array([[1.0, 0.0]]), samples, 1e-11, 1e-11)
+    solo = solve_to_samples(rhs, np.array(y0), samples, 1e-11, 1e-11, state_cap=state_cap)
+    batch = solve_to_samples(rhs, np.array([y0]), samples, 1e-11, 1e-11,
+                             state_cap=state_cap)
     (member,) = batch.members
+    assert solo.status == status
     assert np.array_equal(member.t, solo.t)
     assert np.array_equal(member.y, solo.y)
-    assert (member.n_accepted, member.n_rejected, member.n_rhs, member.status) == (
-        solo.n_accepted, solo.n_rejected, solo.n_rhs, solo.status
-    )
+    assert (member.n_accepted, member.n_rejected, member.n_rhs, member.status,
+            member.message) == (solo.n_accepted, solo.n_rejected, solo.n_rhs,
+                                solo.status, solo.message)
     # the ensemble's own record holds only the shared counters
     assert batch.status == "ensemble" and batch.t.size == 0
     assert (batch.n_accepted, batch.n_rejected, batch.n_rhs) == (
@@ -436,23 +452,25 @@ def test_ensemble_member_stops_alone(state_cap, status):
 
 
 def test_nan_derivative_stops_instead_of_spinning():
-    # a NaN first derivative gives a NaN first step: the loop must stop on
-    # it, not retry it for ever, and a NaN member must not set the others' step
+    # a NaN or infinite first derivative stops its member at the first
+    # sample: the loop must not retry it for ever, the member must not set
+    # the others' step, and an infinite one must not zero the first step
     samples = np.linspace(0.0, 1.0, 11)
-    solo = solve_to_samples(lambda t, y: y * math.nan, np.array([1.0]), samples,
-                            1e-10, 1e-10)
-    assert solo.status == "step_underflow" and solo.t.size == 1
+    for bad in (math.nan, math.inf):
+        solo = solve_to_samples(lambda t, y: y * bad, np.array([1.0]), samples,
+                                1e-10, 1e-10)
+        assert solo.status == "step_underflow" and solo.t.size == 1
 
-    def rhs(t, y):
-        out = -y
-        out[0] *= math.nan
-        return out
+        def rhs(t, y):
+            out = -y
+            out[0] *= bad
+            return out
 
-    nan_member, calm = solve_to_samples(rhs, np.array([[1.0], [1.0]]), samples,
-                                        1e-10, 1e-10).members
-    assert nan_member.status == "step_underflow"
-    assert calm.completed
-    assert np.max(np.abs(calm.y[:, 0] - np.exp(-samples))) < 1e-9
+        bad_member, calm = solve_to_samples(rhs, np.array([[1.0], [1.0]]), samples,
+                                            1e-10, 1e-10).members
+        assert bad_member.status == "step_underflow" and bad_member.t.size == 1
+        assert calm.completed
+        assert np.max(np.abs(calm.y[:, 0] - np.exp(-samples))) < 1e-9
 
 
 def test_ensemble_error_norm_is_the_worst_member():

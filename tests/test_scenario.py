@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,10 @@ def test_validate_rejects_unresolvable_function():
     cfg["functions"] = {"m": {"kind": "warp", "p": 1.0}}
     with pytest.raises(ScenarioError, match="functions.m"):
         validate_scenario(cfg)
+    for m in ({"kind": "constant", "c": math.nan}, {"kind": "affine", "a": math.inf, "b": 1.0}):
+        cfg["functions"] = {"m": m}
+        with pytest.raises(ScenarioError, match="functions.m: .* must be finite"):
+            validate_scenario(cfg)
 
 
 def test_parse_error_is_position_annotated(tmp_path):
@@ -331,9 +336,11 @@ def four_mode_config(**overrides):
         (four_mode_config(data={"u0": {"basis": 3}, "u1": "zero"}), "data.u0"),
         (simulate_config(spectrum={"explicit": []}), "spectrum"),
         (simulate_config(spectrum={"generator": {"count": 0}}), "spectrum"),
+        (simulate_config(functions={"m": {"kind": "constant", "c": math.nan}}),
+         "functions.m"),
     ],
     ids=["index_negative", "index_past_end", "wrong_length", "basis_not_object",
-         "explicit_empty", "generator_empty"],
+         "explicit_empty", "generator_empty", "m_not_finite"],
 )
 def test_malformed_spectrum_or_data_names_the_field(tmp_path, capsys, cfg, field):
     with pytest.raises(ScenarioError) as info:
