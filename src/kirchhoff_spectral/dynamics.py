@@ -55,8 +55,8 @@ class IntegratorConfig:
     dense_output_dt: float | None = None
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise PreconditionError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise PreconditionError("tolerances must be positive and finite")
         if self.dense_output_dt is not None and self.dense_output_dt <= 0.0:
             raise PreconditionError("dense_output_dt must be positive")
 
@@ -450,16 +450,3 @@ def coefficient_trace(tr: Trajectory, m: FunctionSpec) -> CoefficientTrace:
         modulus_deltas=np.asarray(deltas),
         modulus_values=np.asarray(values),
     )
-
-
-def coefficient_interpolant(trace: CoefficientTrace) -> Callable[[float], float]:
-    """Monotone-shape cubic interpolant of the coefficient series."""
-    from scipy.interpolate import PchipInterpolator
-
-    interp = PchipInterpolator(trace.t, trace.values)
-    lo, hi = float(trace.t[0]), float(trace.t[-1])
-
-    def c(t: float) -> float:
-        return float(interp(min(max(t, lo), hi)))
-
-    return c

@@ -38,9 +38,10 @@ one.  The stages are one flat (9, B*d) matrix, so each stage combination is
 one ``dot``.  The error norm is the largest over the members of each
 member's RMS norm, so every member meets its own tolerance, and the
 first-step guess is the smallest over the members.  A member that stops is
-frozen with its own partial record and status while the others go on.  A member's bits depend on its batch-mates through the shared
-step and on its column position in the stage ``dot``; an ensemble of one
-matches the vector call bit for bit.
+frozen with its own partial record and status while the others go on.  A
+member's bits depend on its batch-mates through the shared step and on its
+column position in the stage ``dot``; an ensemble of one matches the vector
+call bit for bit.
 """
 
 from __future__ import annotations

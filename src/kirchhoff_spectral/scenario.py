@@ -271,6 +271,11 @@ def validate_scenario(cfg: dict) -> Scenario:
             raise ScenarioError(
                 f"must be > 0; got {params[key]!r}", field=f"params.{key}"
             )
+    for key in ("rel_tol", "abs_tol"):
+        if key in params and not math.isfinite(params[key]):
+            raise ScenarioError(
+                f"must be finite; got {params[key]!r}", field=f"params.{key}"
+            )
     t_start = params.get("t_start", 0.0)
     if "t_end" in params and not params["t_end"] > t_start:
         raise ScenarioError(

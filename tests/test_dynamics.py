@@ -26,13 +26,13 @@ from kirchhoff_spectral import (
     zero_vector,
 )
 from kirchhoff_spectral import dynamics
-from kirchhoff_spectral.dynamics import coefficient_interpolant
 from kirchhoff_spectral.errors import (
     DomainError,
     NegativeNonlinearityError,
     NondegeneracyError,
     PreconditionError,
 )
+from kirchhoff_spectral.reparametrize import pchip
 from tests.conftest import random_vector
 
 
@@ -220,8 +220,8 @@ def test_linear_self_consistency_with_nonlinear(tight_cfg):
     m = affine(1.0, 1.0)
     state = SpectralState(t=0.0, u=u0, v=v0)
     tr = evolve(state, m, tight_cfg, 2.0)
-    c_interp = coefficient_interpolant(coefficient_trace(tr, m))
-    lin = linear_evolve(state, c_interp, tight_cfg, 2.0)
+    trace = coefficient_trace(tr, m)
+    lin = linear_evolve(state, pchip(trace.t, trace.values), tight_cfg, 2.0)
     assert np.max(np.abs(lin.u - tr.u)) < 1e-5
 
 
@@ -347,6 +347,14 @@ def test_meta_records_span_and_drift(tight_cfg):
     assert tr.meta.hamiltonian_drift is not None
     assert tr.meta.hamiltonian_drift < 1e-9
     assert tr.meta.method == "verner65"
+
+
+@pytest.mark.parametrize("value", [0.0, -1e-10, math.nan, math.inf])
+@pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
+def test_config_tolerances_must_be_positive_and_finite(field, value):
+    with pytest.raises(PreconditionError, match="positive and finite"):
+        IntegratorConfig(**{field: value})
+    assert IntegratorConfig().max_step == math.inf
 
 
 def test_undefined_antiderivative_fails_before_integrating(tight_cfg, monkeypatch):

@@ -1,7 +1,13 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from kirchhoff_spectral import (
     IntegratorConfig,
@@ -22,7 +28,7 @@ from kirchhoff_spectral import (
     zero_vector,
 )
 from kirchhoff_spectral.errors import ParametrizationError, PreconditionError
-from kirchhoff_spectral.reparametrize import TabulatedSpeed
+from kirchhoff_spectral.reparametrize import TabulatedSpeed, not_a_knot_spline, pchip
 from tests.conftest import random_vector
 
 
@@ -232,3 +238,71 @@ def test_sign_coherence(tight_cfg):
         assert curve.direction == expected
         f_vals = curve.f_values()
         assert np.all(f_vals[1:] > 0.0)  # mirrored speed positive past 0
+
+
+# scipy's interpolators stay here as the references the numpy cubics replaced
+
+
+def pchip_tables(rng, n):
+    x = np.cumsum(rng.uniform(0.01, 2.0, n)) - rng.uniform(0.0, 5.0)
+    yield x, rng.standard_normal(n)  # sign changes
+    yield x, rng.integers(-2, 3, n).astype(float)  # flat runs and zero secants
+    yield x, np.cumsum(rng.exponential(size=n))  # monotone
+    yield x, np.full(n, rng.standard_normal())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 200])
+def test_pchip_matches_scipy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(25):
+        for x, y in pchip_tables(rng, n):
+            # the knots themselves, both end knots among them, then points
+            # inside and outside the table
+            at = np.concatenate([x, rng.uniform(x[0] - 1.0, x[-1] + 1.0, 64)])
+            assert np.array_equal(pchip(x, y)(at), PchipInterpolator(x, y)(at))
+
+
+@pytest.mark.parametrize("shape", [(), (5,)], ids=["1d", "columns"])
+@pytest.mark.parametrize("n", [2, 3, 4, 1001])
+def test_not_a_knot_spline_matches_scipy(n, shape):
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(0.1, 1.0, n))
+    y = rng.standard_normal((n, *shape))
+    at = np.concatenate([x, rng.uniform(x[0] - 0.5, x[-1] + 0.5, 300)])
+    ours = not_a_knot_spline(x, y)(at)
+    ref = CubicSpline(x, y, axis=0)(at)
+    assert ours.shape == ref.shape
+    assert np.max(np.abs(ours - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_reparametrize_run_loads_no_scipy(tmp_path):
+    # a fresh interpreter: this test session has imported scipy for the
+    # references above
+    cfg = {
+        "version": 1,
+        "name": "direct",
+        "spectrum": {"explicit": [1.0]},
+        "data": {
+            "u0": {"basis": {"index": 0, "amplitude": 1.0}},
+            "u1": {"basis": {"index": 0, "amplitude": 1.0}},
+        },
+        "functions": {"m": {"kind": "constant", "c": 1.0}},
+        "task": "reparametrize",
+        "params": {"t_end": 0.7},
+    }
+    code = (
+        "import json, sys\n"
+        "from kirchhoff_spectral.scenario import run_scenario\n"
+        "run_scenario(json.loads(sys.argv[1]), out_dir=sys.argv[2])\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(cfg), str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    report = json.loads((tmp_path / "out" / "reparametrization_report.json").read_text())
+    assert report["branch"] == "direct"
+    assert json.loads(done.stdout.splitlines()[-1]) == []

@@ -427,13 +427,15 @@ def dependence_config(family):
          "params.t_end"),
         (simulate_config(task="reparametrize", params={"s_max": 0.0}),
          "params.s_max"),
+        (simulate_config(params={"t_end": 1.0, "rel_tol": math.inf}), "params.rel_tol"),
+        (simulate_config(params={"t_end": 1.0, "abs_tol": math.inf}), "params.abs_tol"),
     ],
     ids=["seed_string", "t_end_string", "t_end_bool", "max_step_list",
          "family_kind", "family_values_empty", "family_values_string",
          "family_mode_index", "family_not_object", "pohozaev_missing_b",
          "rel_tol_negative", "abs_tol_zero", "max_step_zero", "dense_output_dt_zero",
          "t_end_negative", "t_end_before_t_start", "t_end_zero_default_start",
-         "s_max_zero"],
+         "s_max_zero", "rel_tol_inf", "abs_tol_inf"],
 )
 def test_malformed_param_value_names_the_field(tmp_path, capsys, cfg, field):
     with pytest.raises(ScenarioError) as info:
@@ -444,6 +446,12 @@ def test_malformed_param_value_names_the_field(tmp_path, capsys, cfg, field):
     with pytest.raises(ScenarioError):
         run_scenario(cfg, out_dir=tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def test_infinite_max_step_stays_valid(tmp_path):
+    cfg = simulate_config(params={"t_end": 1.0, "max_step": math.inf})
+    manifest = run_scenario(write_config(tmp_path, cfg), out_dir=tmp_path / "out")
+    assert manifest.summary["ok"] is True
 
 
 def test_failed_integration_is_not_ok(tmp_path, capsys):
