@@ -22,6 +22,10 @@ TREND_DECADES = 2.0  # top grid decades over which the ratio's growth is fitted
 AXIOM_TOL = 1e-12  # relative slack of the modulus-axiom comparisons
 MAX_VIOLATIONS = 20  # subadditivity violations a ModulusReport lists
 PAIR_BLOCK = 1 << 18  # grid pairs per row block of the pairwise checks (2 MB a float array)
+SIGMA_SPAN = (1e-6, 1e6)  # the least sigma range a compatibility grid covers
+SPAN_SLACK = 1e-9  # relative slack on the span's ends, for logspace's rounding
+MIN_GRID_POINTS = 16  # the fewest grid points a compatibility check takes
+DEFAULT_PER_DECADE = 512
 
 
 def _row_blocks(n: int):
@@ -30,15 +34,17 @@ def _row_blocks(n: int):
     return (slice(lo, min(lo + rows, n)) for lo in range(0, n, rows))
 
 
-def default_sigma_grid(
-    lo: float = 1e-6, hi: float = 1e6, per_decade: int = 512
-) -> np.ndarray:
+def sigma_grid_size(lo: float, hi: float, per_decade: int) -> int:
+    """Number of points of ``default_sigma_grid(lo, hi, per_decade)``."""
+    return int(round(per_decade * (np.log10(hi) - np.log10(lo)))) + 1
+
+
+def default_sigma_grid(lo: float = SIGMA_SPAN[0], hi: float = SIGMA_SPAN[1],
+                       per_decade: int = DEFAULT_PER_DECADE) -> np.ndarray:
     """Log-uniform grid with the documented density of 512 points per decade."""
     if not (0.0 < lo < hi):
         raise PreconditionError("need 0 < lo < hi")
-    decades = np.log10(hi) - np.log10(lo)
-    n = int(round(per_decade * decades)) + 1
-    return np.logspace(np.log10(lo), np.log10(hi), n)
+    return np.logspace(np.log10(lo), np.log10(hi), sigma_grid_size(lo, hi, per_decade))
 
 
 def log_log_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -165,9 +171,10 @@ def check_phi_condition(
     if mode not in ("strict", "weak"):
         raise PreconditionError(f"mode must be 'strict' or 'weak', got {mode!r}")
     g = np.asarray(grid, dtype=float)
-    if g.size < 16 or np.any(g <= 0.0) or np.any(np.diff(g) <= 0.0):
+    if g.size < MIN_GRID_POINTS or np.any(g <= 0.0) or np.any(np.diff(g) <= 0.0):
         raise PreconditionError("grid must be positive, increasing, nontrivial")
-    if g[0] > 1e-6 * (1.0 + 1e-9) or g[-1] < 1e6 * (1.0 - 1e-9):
+    lo, hi = SIGMA_SPAN
+    if g[0] > lo * (1.0 + SPAN_SLACK) or g[-1] < hi * (1.0 - SPAN_SLACK):
         raise PreconditionError("grid must span at least [1e-6, 1e6]")
 
     phi_at = np.asarray(phi(g), dtype=float)

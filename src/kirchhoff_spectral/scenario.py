@@ -32,7 +32,10 @@ from .analysis import (
     uniqueness_condition,
 )
 from .artifacts import dump_json, sha256_text, write_csv, write_json
-from .conditions import DEFAULT_SLOPE_TOL, check_phi_condition, default_sigma_grid
+from .conditions import (
+    DEFAULT_PER_DECADE, DEFAULT_SLOPE_TOL, MIN_GRID_POINTS, SIGMA_SPAN, SPAN_SLACK,
+    check_phi_condition, default_sigma_grid, sigma_grid_size,
+)
 from .dynamics import (
     IntegratorConfig,
     SpectralState,
@@ -58,11 +61,25 @@ from .spectrum import SpectralVector, Spectrum, basis_vector, power_spectrum, ze
 from .spectral_gap import DEFAULT_R_PROBE, sum_decompose
 
 CONFIG_VERSION = 1
+REQUIRED = object()  # the default of a param that the config must give
+S_MAX_SHARE = 0.95  # an absent s_max is this share of the time run's max |psi|
 
-# params read by _integrator_config, accepted by every task, with their types
-_INTEGRATOR_PARAMS = dict.fromkeys(
-    ("rel_tol", "abs_tol", "max_step", "dense_output_dt"), float
-)
+# the range rules a number param can carry: (test, what a failing value is told)
+_RULES = {
+    "finite": (math.isfinite, "must be finite"),
+    "positive": (lambda x: 0.0 < x < math.inf, "must be positive and finite"),
+    "nonnegative": (lambda x: 0.0 <= x < math.inf, "must be nonnegative and finite"),
+    "positive_or_inf": (lambda x: x > 0.0, "must be > 0 (inf allowed)"),
+}
+
+# params read by _integrator_config and accepted by every task, declared as in
+# _Task.params; a None default keeps IntegratorConfig's
+_INTEGRATOR_PARAMS = {
+    "rel_tol": (None, float, "positive"),
+    "abs_tol": (None, float, "positive"),
+    "max_step": (None, float, "positive_or_inf"),
+    "dense_output_dt": (None, float, "positive_or_inf"),
+}
 
 
 @dataclass(frozen=True)
@@ -120,29 +137,40 @@ def load_config(path) -> dict:
 def _field_errors(field: str):
     """Re-raise a malformed entry's error as a ScenarioError naming ``field``.
 
-    AttributeError covers a nested entry that is not an object.
+    AttributeError covers a nested entry that is not an object, OverflowError
+    a number too large for a float.
     """
     try:
         yield
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ScenarioError(str(exc), field=field) from exc
 
 
 _TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", dict: "an object"}
 
 
-def _check_type(value, kind: type, field: str):
-    """Return ``value`` if it has JSON type ``kind``, else raise naming ``field``.
+def _check_value(value, kind: type, field: str, rule: str | None = None):
+    """``value``, checked for JSON type ``kind`` and ``rule``; a failure names ``field``.
 
-    A float may be written as an integer; true and false are not numbers,
-    though Python counts them as ints.
+    A float may be written as an integer and comes back as a float; true and
+    false are not numbers, though Python counts them as ints.
     """
     types = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ScenarioError(
-            f"must be {_TYPE_NAMES[kind]}; got {value!r}", field=field
-        )
+    _require(not isinstance(value, bool) and isinstance(value, types), field, value,
+             f"must be {_TYPE_NAMES[kind]}")
+    if kind is float:
+        with _field_errors(field):
+            value = float(value)
+    if rule is not None:
+        holds, text = _RULES[rule]
+        _require(holds(value), field, value, text)
     return value
+
+
+def _require(ok: bool, field: str, value, text: str) -> None:
+    """Unless ``ok``, raise a ScenarioError that names ``field`` and ``value``."""
+    if not ok:
+        raise ScenarioError(f"{text}; got {value!r}", field=field)
 
 
 def _build_spectrum(spec, field: str) -> Spectrum:
@@ -203,19 +231,14 @@ def _build_function(spec, field: str) -> FunctionSpec:
 def validate_scenario(cfg: dict) -> Scenario:
     """Turn a parsed config into a validated scenario or raise ScenarioError."""
     version = cfg.get("version")
-    if version != CONFIG_VERSION:
-        raise ScenarioError(
-            f"expected {CONFIG_VERSION}, got {version!r}", field="version"
-        )
+    _require(version == CONFIG_VERSION, "version", version, f"expected {CONFIG_VERSION}")
     name = cfg.get("name")
     if not isinstance(name, str) or not name:
         raise ScenarioError("a nonempty name is required", field="name")
     task = cfg.get("task")
-    if not isinstance(task, str) or task not in TASKS:
-        raise ScenarioError(
-            f"must be one of {', '.join(TASKS)}; got {task!r}", field="task"
-        )
-    seed = _check_type(cfg.get("seed", 0), int, "seed")
+    _require(isinstance(task, str) and task in TASKS, "task", task,
+             f"must be one of {', '.join(TASKS)}")
+    seed = _check_value(cfg.get("seed", 0), int, "seed")
     spectrum = _build_spectrum(cfg.get("spectrum", {"generator": {}}), "spectrum")
 
     data = cfg.get("data", {})
@@ -228,70 +251,50 @@ def validate_scenario(cfg: dict) -> Scenario:
     if not isinstance(functions, dict):
         raise ScenarioError("must be an object", field="functions")
     preset = functions.get("preset")
-    m = omega = phi = None
+    slots = {"m": None, "omega": None, "phi": None}
     if preset is not None:
         try:
             bundle = get_preset(str(preset))
         except KeyError as exc:
             raise ScenarioError(str(exc), field="functions.preset") from exc
-        m, omega, phi = bundle.m, bundle.omega, bundle.phi
-    if "m" in functions:
-        m = _build_function(functions["m"], "functions.m")
-    if "omega" in functions:
-        omega = _build_function(functions["omega"], "functions.omega")
-    if "phi" in functions:
-        phi = _build_function(functions["phi"], "functions.phi")
+        slots = {slot: getattr(bundle, slot) for slot in slots}
+    for slot in slots:
+        if slot in functions:
+            slots[slot] = _build_function(functions[slot], f"functions.{slot}")
 
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ScenarioError("must be an object", field="params")
 
     entry = TASKS[task]
-    slots = {"m": m, "omega": omega, "phi": phi}
     for slot in entry.functions:
         if slots[slot] is None:
-            raise ScenarioError(
-                "task needs this function, inline or from a preset",
-                field=f"functions.{slot}",
-            )
-    for key in entry.required:
-        if key not in params:
-            raise ScenarioError("task needs this parameter", field=f"params.{key}")
+            raise ScenarioError("task needs this function, inline or from a preset",
+                                field=f"functions.{slot}")
     readable = {**entry.params, **_INTEGRATOR_PARAMS}
-    for key, value in params.items():
+    for key in params:
         if key not in readable:
             raise ScenarioError(
                 f"not a parameter of task {task}; it reads "
                 f"{', '.join(sorted(readable))}",
                 field=f"params.{key}",
             )
-        _check_type(value, readable[key], f"params.{key}")
-    for key in (*_INTEGRATOR_PARAMS, "s_max"):
-        if key in params and not params[key] > 0.0:
-            raise ScenarioError(
-                f"must be > 0; got {params[key]!r}", field=f"params.{key}"
-            )
-    for key in ("rel_tol", "abs_tol"):
-        if key in params and not math.isfinite(params[key]):
-            raise ScenarioError(
-                f"must be finite; got {params[key]!r}", field=f"params.{key}"
-            )
-    t_start = params.get("t_start", 0.0)
-    if "t_end" in params and not params["t_end"] > t_start:
-        raise ScenarioError(
-            f"must exceed t_start = {t_start!r}; got {params['t_end']!r}",
-            field="params.t_end",
-        )
+    filled = {}
+    for key, (default, kind, rule) in readable.items():
+        if key in params:
+            filled[key] = _check_value(params[key], kind, f"params.{key}", rule)
+        elif default is REQUIRED:
+            raise ScenarioError("task needs this parameter", field=f"params.{key}")
+        else:
+            filled[key] = default
     sc = Scenario(
         name=name,
         spectrum=spectrum,
         u0=u0,
         u1=u1,
-        m=m,
-        omega=omega,
-        phi=phi,
+        **slots,
         task=task,
-        params=dict(params),
+        params=filled,
         preset=str(preset) if preset is not None else None,
         seed=seed,
         raw=cfg,
@@ -303,7 +306,7 @@ def validate_scenario(cfg: dict) -> Scenario:
 
 def _integrator_config(params: dict, tolerance_scale: float) -> IntegratorConfig:
     """IntegratorConfig's defaults overridden by the params, tolerances scaled."""
-    given = {k: float(params[k]) for k in _INTEGRATOR_PARAMS if k in params}
+    given = {k: params[k] for k in _INTEGRATOR_PARAMS if params[k] is not None}
     cfg = replace(IntegratorConfig(), **given)
     return replace(cfg, rel_tol=cfg.rel_tol * tolerance_scale,
                    abs_tol=cfg.abs_tol * tolerance_scale)
@@ -321,18 +324,19 @@ def _write_trajectory(out: Path, tr: Trajectory) -> str:
 
 
 def _task_simulate(sc: Scenario, out: Path, cfg: IntegratorConfig):
-    state = SpectralState(t=float(sc.params.get("t_start", 0.0)), u=sc.u0, v=sc.u1)
-    tr = evolve(state, sc.m, cfg, float(sc.params["t_end"]))
+    state = SpectralState(t=sc.params["t_start"], u=sc.u0, v=sc.u1)
+    tr = evolve(state, sc.m, cfg, sc.params["t_end"])
     files = [_write_trajectory(out, tr)]
     ham = hamiltonian_series(tr, sc.m)
     hi = higher_order_series(tr)
     trace = coefficient_trace(tr, sc.m)
+    drift = relative_drift(ham)
     summary = {
         "task": "simulate",
         "samples": tr.n_samples,
         "hamiltonian": ham,
         "higher_order_energy": hi,
-        "hamiltonian_drift": relative_drift(ham),
+        "hamiltonian_drift": drift,
         "coefficient_modulus_profile": {
             "delta": trace.modulus_deltas,
             "max_increment": trace.modulus_values,
@@ -341,28 +345,24 @@ def _task_simulate(sc: Scenario, out: Path, cfg: IntegratorConfig):
     }
     write_json(out / "trajectory_summary.json", summary)
     files.append("trajectory_summary.json")
-    return files, {
-        "status": tr.meta.status,
-        "hamiltonian_drift": relative_drift(ham),
-    }
+    return files, {"status": tr.meta.status, "hamiltonian_drift": drift}
+
+
+def _check_simulate(sc: Scenario) -> None:
+    p = sc.params
+    _require(p["t_end"] > p["t_start"], "params.t_end", p["t_end"],
+             f"must exceed t_start = {p['t_start']!r}")
 
 
 def _task_norms(sc: Scenario, out: Path, cfg: IntegratorConfig):
+    p = sc.params
     state = SpectralState(t=0.0, u=sc.u0, v=sc.u1)
-    tr = evolve(state, sc.m, cfg, float(sc.params["t_end"]))
+    tr = evolve(state, sc.m, cfg, p["t_end"])
     phi = sc.phi if sc.phi is not None else constant(1.0)
-    trace_cfg = ScaleTraceConfig(
-        phi=phi,
-        r0=float(sc.params.get("r0", 1.0)),
-        big_r=float(sc.params.get("R", 0.0)),
-        alpha=float(sc.params.get("alpha", 0.25)),
-    )
+    trace_cfg = ScaleTraceConfig(phi=phi, r0=p["r0"], big_r=p["R"], alpha=p["alpha"])
     trace = scale_norm_trace(tr, trace_cfg)
-    write_csv(
-        out / "norm_trace.csv",
-        ["t", "radius", "u_norm", "v_norm"],
-        [trace.t, trace.radii, trace.u_norms, trace.v_norms],
-    )
+    write_csv(out / "norm_trace.csv", ["t", "radius", "u_norm", "v_norm"],
+              [trace.t, trace.radii, trace.u_norms, trace.v_norms])
     return ["norm_trace.csv"], {
         "status": tr.meta.status,
         "max_u_norm": float(np.max(trace.u_norms)),
@@ -370,30 +370,37 @@ def _task_norms(sc: Scenario, out: Path, cfg: IntegratorConfig):
     }
 
 
-def _conditions_mode(sc: Scenario) -> str:
-    """params.mode, else the preset's mode; either way 'strict' or 'weak'."""
-    mode = sc.params.get("mode")
-    if mode is None and sc.preset is not None:
-        mode = get_preset(sc.preset).mode
-    if mode not in ("strict", "weak"):
-        raise ScenarioError(
-            f"needs 'strict' or 'weak', given here or by a preset; got {mode!r}",
-            field="params.mode",
-        )
-    return mode
+def _check_norms(sc: Scenario) -> None:
+    """The radius r0 - R*t must stay positive up to t_end."""
+    p = sc.params
+    radius = p["r0"] - p["R"] * p["t_end"]
+    _require(radius > 0.0, "params.R", p["R"],
+             f"leaves the radius r0 - R*t_end = {radius:.6g} <= 0")
+
+
+def _check_conditions(sc: Scenario) -> None:
+    """Resolve params.mode (else the preset's) and refuse what check_phi_condition would."""
+    p = sc.params
+    if p["mode"] is None and sc.preset is not None:
+        p["mode"] = get_preset(sc.preset).mode
+    _require(p["mode"] in ("strict", "weak"), "params.mode", p["mode"],
+             "needs 'strict' or 'weak', given here or by a preset")
+    lo, hi = SIGMA_SPAN
+    _require(p["grid_lo"] <= lo * (1.0 + SPAN_SLACK), "params.grid_lo", p["grid_lo"],
+             f"must be <= {lo:g}")
+    _require(p["grid_hi"] >= hi * (1.0 - SPAN_SLACK), "params.grid_hi", p["grid_hi"],
+             f"must be >= {hi:g}")
+    with _field_errors("params.per_decade"):
+        size = sigma_grid_size(p["grid_lo"], p["grid_hi"], p["per_decade"])
+    _require(size >= MIN_GRID_POINTS, "params.per_decade", p["per_decade"],
+             f"gives {size} grid points, fewer than {MIN_GRID_POINTS}")
 
 
 def _task_conditions(sc: Scenario, out: Path, cfg: IntegratorConfig):
     p = sc.params
-    grid = default_sigma_grid(
-        float(p.get("grid_lo", 1e-6)),
-        float(p.get("grid_hi", 1e6)),
-        int(p.get("per_decade", 512)),
-    )
-    report = check_phi_condition(
-        sc.omega, sc.phi, _conditions_mode(sc), grid,
-        slope_tol=float(p.get("slope_tol", DEFAULT_SLOPE_TOL)),
-    )
+    grid = default_sigma_grid(p["grid_lo"], p["grid_hi"], p["per_decade"])
+    report = check_phi_condition(sc.omega, sc.phi, p["mode"], grid,
+                                 slope_tol=p["slope_tol"])
     payload = {
         "mode": report.mode,
         "lambda_estimate": report.lambda_estimate,
@@ -411,8 +418,7 @@ def _task_conditions(sc: Scenario, out: Path, cfg: IntegratorConfig):
 
 
 def _task_uniqueness(sc: Scenario, out: Path, cfg: IntegratorConfig):
-    tol = float(sc.params.get("tol", DEFAULT_HP_MAIN_TOL))
-    rep = uniqueness_condition(sc.u0, sc.u1, sc.m, tol)
+    rep = uniqueness_condition(sc.u0, sc.u1, sc.m, sc.params["tol"])
     d1, d2 = psi_initial_derivatives(sc.u0, sc.u1, sc.m)
     payload = {
         "as1": rep.as1,
@@ -427,34 +433,34 @@ def _task_uniqueness(sc: Scenario, out: Path, cfg: IntegratorConfig):
 
 
 def _check_pohozaev(sc: Scenario) -> None:
-    """params.pohozaev, when given, carries the numbers 'a' and 'b'."""
-    poho = sc.params.get("pohozaev")
+    """Resolve params.pohozaev (else m's own, for m of that kind) to finite 'a' and 'b'."""
+    poho = sc.params["pohozaev"]
+    if poho is None and sc.m.kind == "pohozaev":
+        poho = sc.m.params
     if poho is not None:
-        for key in ("a", "b"):
-            _check_type(poho.get(key), float, f"params.pohozaev.{key}")
+        sc.params["pohozaev"] = {
+            key: _check_value(poho.get(key), float, f"params.pohozaev.{key}", "finite")
+            for key in ("a", "b")
+        }
 
 
 def _task_invariants(sc: Scenario, out: Path, cfg: IntegratorConfig):
     state = SpectralState(t=0.0, u=sc.u0, v=sc.u1)
-    tr = evolve(state, sc.m, cfg, float(sc.params["t_end"]))
+    tr = evolve(state, sc.m, cfg, sc.params["t_end"])
     ham = hamiltonian_series(tr, sc.m)
     hi = higher_order_series(tr)
     header = ["t", "hamiltonian", "higher_order_energy"]
     cols = [tr.t, ham, hi]
     drifts = {"hamiltonian": relative_drift(ham)}
-    poho = sc.params.get("pohozaev")
-    if poho is None and sc.m is not None and sc.m.kind == "pohozaev":
-        poho = {"a": sc.m.params["a"], "b": sc.m.params["b"]}
+    poho = sc.params["pohozaev"]
     if poho is not None:
-        series = pohozaev_series(tr, float(poho["a"]), float(poho["b"]))
+        series = pohozaev_series(tr, poho["a"], poho["b"])
         header.append("pohozaev")
         cols.append(series)
         drifts["pohozaev"] = relative_drift(series)
     write_csv(out / "invariants.csv", header, cols)
     sigma_hi = hamiltonian_reachable_sigma(sc.u0, sc.u1, sc.m)
-    degeneracy = classify_degeneracy(
-        sc.m, sc.u0, np.linspace(0.0, sigma_hi, 513)
-    )
+    degeneracy = classify_degeneracy(sc.m, sc.u0, np.linspace(0.0, sigma_hi, 513))
     payload = {"drifts": drifts, "degeneracy": degeneracy.value,
                "integrator_meta": tr.meta.to_dict()}
     write_json(out / "invariants_report.json", payload)
@@ -465,12 +471,9 @@ def _task_invariants(sc: Scenario, out: Path, cfg: IntegratorConfig):
 
 
 def _task_decompose(sc: Scenario, out: Path, cfg: IntegratorConfig):
-    alpha = float(sc.params.get("alpha", 0.25))
-    beta = float(sc.params.get("beta", 2.0))
-    dec = sum_decompose(
-        sc.u0, sc.u1, sc.phi, alpha, beta,
-        r_probe=float(sc.params.get("r_probe", DEFAULT_R_PROBE)),
-    )
+    p = sc.params
+    dec = sum_decompose(sc.u0, sc.u1, sc.phi, p["alpha"], p["beta"],
+                        r_probe=p["r_probe"])
     reports = dec.membership_reports()
     payload = {
         "s_values": list(dec.s_values),
@@ -478,8 +481,8 @@ def _task_decompose(sc: Scenario, out: Path, cfg: IntegratorConfig):
         "hat_bands": [list(b) for b in dec.hat_bands],
         "rho_bar": list(dec.rho_bar),
         "rho_hat": list(dec.rho_hat),
-        "alpha": alpha,
-        "beta": beta,
+        "alpha": p["alpha"],
+        "beta": p["beta"],
         "membership": {k: bool(v.member) for k, v in reports.items()},
         "margins": {k: v.margins for k, v in reports.items()},
     }
@@ -494,15 +497,24 @@ def _task_decompose(sc: Scenario, out: Path, cfg: IntegratorConfig):
     }
 
 
+def _check_reparametrize(sc: Scenario) -> None:
+    """The time run needs two sample intervals for the curve comparison."""
+    p = sc.params
+    dt = p["dense_output_dt"]
+    # the sample grid has round(t_end / dt) intervals, two or more from 1.5 on
+    _require(dt is None or p["t_end"] / dt >= 1.5, "params.dense_output_dt", dt,
+             f"leaves fewer than two sample intervals up to t_end = {p['t_end']!r}")
+
+
 def _task_reparametrize(sc: Scenario, out: Path, cfg: IntegratorConfig):
-    t_end = float(sc.params.get("t_end", 1.0))
+    t_end = sc.params["t_end"]
     state = SpectralState(t=0.0, u=sc.u0, v=sc.u1)
     tr = evolve(state, sc.m, cfg, t_end)
     pt = psi_trace(tr, sc.u0)
-    s_max = sc.params.get("s_max")
+    s_max = sc.params["s_max"]
     if s_max is None:
-        s_max = 0.95 * float(np.max(np.abs(pt.psi)))
-    curve = solve_trajectory_system(sc.u0, sc.u1, sc.m, float(s_max), cfg)
+        s_max = S_MAX_SHARE * float(np.max(np.abs(pt.psi)))
+    curve = solve_trajectory_system(sc.u0, sc.u1, sc.m, s_max, cfg)
     recovered = solve_parametrization(curve, t_end, cfg)
     check = reparametrization_check(tr, curve, sc.u0)
     n = sc.spectrum.n
@@ -524,55 +536,40 @@ def _task_reparametrize(sc: Scenario, out: Path, cfg: IntegratorConfig):
         "n_compared": check.n_compared,
     }
     write_json(out / "reparametrization_report.json", payload)
-    return [
-        "scurve.csv",
-        "psi_trace.csv",
-        "psi_recovered.csv",
-        "reparametrization_report.json",
-    ], {"status": tr.meta.status, "max_deviation": check.max_deviation}
+    files = ["scurve.csv", "psi_trace.csv", "psi_recovered.csv",
+             "reparametrization_report.json"]
+    return files, {"status": tr.meta.status, "max_deviation": check.max_deviation}
 
 
-def _dependence_family(sc: Scenario) -> tuple[str, list, int]:
-    """params.family as (kind, values, mode_index), each checked."""
-    family = sc.params.get(
-        "family", {"kind": "m_offset", "values": [0.25, 0.125, 0.0625]}
-    )
+def _check_family(sc: Scenario) -> None:
+    """Resolve params.family to its kind, finite values and mode_index."""
+    family = sc.params["family"]
     kind = family.get("kind", "m_offset")
-    if kind not in ("m_offset", "data_shift"):
-        raise ScenarioError(
-            f"must be 'm_offset' or 'data_shift'; got {kind!r}",
-            field="params.family.kind",
-        )
+    _require(kind in ("m_offset", "data_shift"), "params.family.kind", kind,
+             "must be 'm_offset' or 'data_shift'")
     values = family.get("values")
-    if not isinstance(values, list) or not values:
-        raise ScenarioError(
-            f"needs a nonempty list; got {values!r}", field="params.family.values"
-        )
-    for v in values:
-        _check_type(v, float, "params.family.values")
-    idx = _check_type(family.get("mode_index", 0), int, "params.family.mode_index")
-    if not 0 <= idx < sc.spectrum.n:
-        raise ScenarioError(
-            f"must lie in [0, {sc.spectrum.n}); got {idx}",
-            field="params.family.mode_index",
-        )
-    return kind, [float(v) for v in values], idx
+    _require(isinstance(values, list) and len(values) > 0, "params.family.values", values,
+             "needs a nonempty list")
+    values = [_check_value(v, float, "params.family.values", "finite") for v in values]
+    idx = _check_value(family.get("mode_index", 0), int, "params.family.mode_index")
+    _require(0 <= idx < sc.spectrum.n, "params.family.mode_index", idx,
+             f"must lie in [0, {sc.spectrum.n})")
+    sc.params["family"] = {"kind": kind, "values": values, "mode_index": idx}
 
 
 def _task_dependence(sc: Scenario, out: Path, cfg: IntegratorConfig):
-    p = sc.params
-    kind, values, idx = _dependence_family(sc)
+    family = sc.params["family"]
+    kind, values = family["kind"], family["values"]
     problems = []
     if kind == "m_offset":
         problems = [(offset(v, sc.m), sc.u0, sc.u1) for v in values]
     else:
         for v in values:
             comp = sc.u0.components.copy()
-            comp[idx] += v
+            comp[family["mode_index"]] += v
             problems.append((sc.m, SpectralVector(sc.spectrum, comp), sc.u1))
     report = continuous_dependence_study(
-        problems, (sc.m, sc.u0, sc.u1), cfg, float(p.get("t_end", 1.0)),
-        omega=sc.omega,
+        problems, (sc.m, sc.u0, sc.u1), cfg, sc.params["t_end"], omega=sc.omega,
     )
     payload = {
         "values": values,
@@ -594,52 +591,56 @@ def _task_dependence(sc: Scenario, out: Path, cfg: IntegratorConfig):
 class _Task:
     """A task's runner with the inputs it needs and the params it reads.
 
-    ``params`` maps each param to its JSON type (``float`` for any number).
-    ``check`` validates the scenario's params beyond their types.
+    ``params`` maps each param to (default or REQUIRED, JSON type, rule):
+    ``float`` stands for any number and the rule names an entry of
+    ``_RULES``, or is None for a string or an object.  ``check`` validates
+    what no single-param rule can, and may replace a param by its parsed form.
     """
 
     run: Callable[[Scenario, Path, IntegratorConfig], tuple]
     functions: tuple[str, ...]
-    params: dict[str, type]
-    required: tuple[str, ...] = ()
-    check: Callable[[Scenario], object] | None = None
+    params: dict[str, tuple]
+    check: Callable[[Scenario], None] | None = None
 
 
 TASKS = {
-    "simulate": _Task(
-        _task_simulate, ("m",), {"t_start": float, "t_end": float}, ("t_end",)
-    ),
-    "norms": _Task(
-        _task_norms,
-        ("m",),
-        {"t_end": float, "r0": float, "R": float, "alpha": float},
-        ("t_end",),
-    ),
-    "conditions": _Task(
-        _task_conditions,
-        ("omega", "phi"),
-        {"mode": str, "grid_lo": float, "grid_hi": float, "per_decade": int,
-         "slope_tol": float},
-        check=_conditions_mode,
-    ),
-    "uniqueness": _Task(_task_uniqueness, ("m",), {"tol": float}),
-    "invariants": _Task(
-        _task_invariants,
-        ("m",),
-        {"t_end": float, "pohozaev": dict},
-        ("t_end",),
-        check=_check_pohozaev,
-    ),
-    "decompose": _Task(
-        _task_decompose, ("phi",), {"alpha": float, "beta": float, "r_probe": float}
-    ),
-    "reparametrize": _Task(
-        _task_reparametrize, ("m",), {"t_end": float, "s_max": float}
-    ),
-    "dependence": _Task(
-        _task_dependence, ("m",), {"t_end": float, "family": dict},
-        check=_dependence_family,
-    ),
+    "simulate": _Task(_task_simulate, ("m",), {
+        "t_start": (0.0, float, "finite"),
+        "t_end": (REQUIRED, float, "finite"),
+    }, _check_simulate),
+    "norms": _Task(_task_norms, ("m",), {
+        "t_end": (REQUIRED, float, "positive"),
+        "r0": (1.0, float, "positive"),
+        "R": (0.0, float, "nonnegative"),
+        "alpha": (0.25, float, "nonnegative"),
+    }, _check_norms),
+    "conditions": _Task(_task_conditions, ("omega", "phi"), {
+        "mode": (None, str, None),
+        "grid_lo": (SIGMA_SPAN[0], float, "positive"),
+        "grid_hi": (SIGMA_SPAN[1], float, "positive"),
+        "per_decade": (DEFAULT_PER_DECADE, int, "positive"),
+        "slope_tol": (DEFAULT_SLOPE_TOL, float, "finite"),
+    }, _check_conditions),
+    "uniqueness": _Task(_task_uniqueness, ("m",), {
+        "tol": (DEFAULT_HP_MAIN_TOL, float, "nonnegative"),
+    }),
+    "invariants": _Task(_task_invariants, ("m",), {
+        "t_end": (REQUIRED, float, "positive"),
+        "pohozaev": (None, dict, None),
+    }, _check_pohozaev),
+    "decompose": _Task(_task_decompose, ("phi",), {
+        "alpha": (0.25, float, "nonnegative"),
+        "beta": (2.0, float, "nonnegative"),
+        "r_probe": (DEFAULT_R_PROBE, float, "nonnegative"),
+    }),
+    "reparametrize": _Task(_task_reparametrize, ("m",), {
+        "t_end": (1.0, float, "positive"),
+        "s_max": (None, float, "positive"),
+    }, _check_reparametrize),
+    "dependence": _Task(_task_dependence, ("m",), {
+        "t_end": (1.0, float, "positive"),
+        "family": ({"kind": "m_offset", "values": [0.25, 0.125, 0.0625]}, dict, None),
+    }, _check_family),
 }
 
 
@@ -660,11 +661,8 @@ def run_scenario(
     exception propagates; an invalid config or ``tolerance_scale`` is
     refused before the directory is made.
     """
-    if not 0.0 < tolerance_scale < math.inf:
-        raise ScenarioError(
-            f"must be positive and finite; got {tolerance_scale!r}",
-            field="tolerance_scale",
-        )
+    _require(0.0 < tolerance_scale < math.inf, "tolerance_scale", tolerance_scale,
+             "must be positive and finite")
     cfg_dict = load_config(config) if not isinstance(config, dict) else dict(config)
     if seed is not None:
         cfg_dict["seed"] = int(seed)

@@ -400,6 +400,11 @@ def dependence_config(family):
     )
 
 
+def conditions_config(**params):
+    return simulate_config(functions={"preset": "table1_lipschitz"}, task="conditions",
+                           params=params)
+
+
 @pytest.mark.parametrize(
     "cfg, field",
     [
@@ -429,15 +434,35 @@ def dependence_config(family):
          "params.s_max"),
         (simulate_config(params={"t_end": 1.0, "rel_tol": math.inf}), "params.rel_tol"),
         (simulate_config(params={"t_end": 1.0, "abs_tol": math.inf}), "params.abs_tol"),
+        (simulate_config(task="norms", params={"t_end": 2.0, "r0": 1.0, "R": 0.5}),
+         "params.R"),
+        (conditions_config(grid_lo=2e6), "params.grid_lo"),
+        (conditions_config(grid_hi=10), "params.grid_hi"),
+        (conditions_config(per_decade=1), "params.per_decade"),
+        (simulate_config(task="reparametrize", params={"dense_output_dt": math.inf}),
+         "params.dense_output_dt"),
+        (simulate_config(task="reparametrize",
+                         params={"t_end": 1.0, "dense_output_dt": 0.7}),
+         "params.dense_output_dt"),
+        (dependence_config({"values": [0.1, math.nan]}), "params.family.values"),
+        (dependence_config({"kind": "data_shift", "values": [math.inf]}),
+         "params.family.values"),
+        (simulate_config(task="invariants",
+                         params={"t_end": 1.0, "pohozaev": {"a": 1.0, "b": math.inf}}),
+         "params.pohozaev.b"),
     ],
     ids=["seed_string", "t_end_string", "t_end_bool", "max_step_list",
          "family_kind", "family_values_empty", "family_values_string",
          "family_mode_index", "family_not_object", "pohozaev_missing_b",
          "rel_tol_negative", "abs_tol_zero", "max_step_zero", "dense_output_dt_zero",
          "t_end_negative", "t_end_before_t_start", "t_end_zero_default_start",
-         "s_max_zero", "rel_tol_inf", "abs_tol_inf"],
+         "s_max_zero", "rel_tol_inf", "abs_tol_inf", "norms_radius_reaches_zero",
+         "grid_lo_above_grid_hi", "grid_hi_short_of_span", "per_decade_too_few_points",
+         "dense_output_dt_inf", "dense_output_dt_one_interval", "family_values_nan",
+         "family_values_inf", "pohozaev_b_inf"],
 )
-def test_malformed_param_value_names_the_field(tmp_path, capsys, cfg, field):
+def test_malformed_param_value_names_the_field(tmp_path, capsys, monkeypatch, cfg, field):
+    monkeypatch.setattr(scenario, "evolve", refuse_to_evolve)
     with pytest.raises(ScenarioError) as info:
         validate_scenario(cfg)
     assert info.value.field == field
@@ -445,6 +470,60 @@ def test_malformed_param_value_names_the_field(tmp_path, capsys, cfg, field):
     assert f"invalid: {field}:" in capsys.readouterr().err
     with pytest.raises(ScenarioError):
         run_scenario(cfg, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def refuse_to_evolve(*args, **kwargs):
+    raise AssertionError("an invalid config reached the integrator")
+
+
+# values each range rule refuses: NaN, the infinities it excludes and the
+# nearest value past its edge
+REFUSED = {
+    "finite": [math.nan, math.inf, -math.inf],
+    "positive": [math.nan, math.inf, -math.inf, 0.0],
+    "nonnegative": [math.nan, math.inf, -math.inf, -5e-324],
+    "positive_or_inf": [math.nan, -math.inf, 0.0],
+}
+
+
+def task_config(task, **params):
+    """A valid config of ``task``: its required params are 1, the rest added."""
+    declared = scenario.TASKS[task].params
+    required = {k: 1.0 for k, (default, _, _) in declared.items()
+                if default is scenario.REQUIRED}
+    return simulate_config(spectrum={"explicit": [1.0, 2.0]},
+                           functions={"preset": "table1_lipschitz"}, task=task,
+                           params={**required, **params})
+
+
+def refused_values():
+    for task, entry in scenario.TASKS.items():
+        for name, (_, kind, rule) in {**entry.params, **scenario._INTEGRATOR_PARAMS}.items():
+            if kind in (float, int):
+                for value in REFUSED[rule]:
+                    # an integer param's edge is an integer; its NaN and inf are
+                    # refused as not integers
+                    if kind is int and math.isfinite(value):
+                        value = int(value)
+                    yield pytest.param(task, name, value, id=f"{task}-{name}-{value!r}")
+
+
+@pytest.mark.parametrize("task", list(scenario.TASKS))
+def test_task_config_is_valid(task):
+    validate_scenario(task_config(task))
+
+
+@pytest.mark.parametrize("task, name, value", list(refused_values()))
+def test_refused_param_value_never_integrates(tmp_path, monkeypatch, task, name, value):
+    monkeypatch.setattr(scenario, "evolve", refuse_to_evolve)
+    cfg = task_config(task, **{name: value})
+    with pytest.raises(ScenarioError) as info:
+        validate_scenario(cfg)
+    assert info.value.field == f"params.{name}"
+    with pytest.raises(ScenarioError) as info:
+        run_scenario(cfg, out_dir=tmp_path / "out")
+    assert info.value.field == f"params.{name}"
     assert not (tmp_path / "out").exists()
 
 
