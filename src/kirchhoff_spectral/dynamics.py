@@ -10,7 +10,7 @@ integrated by the same machinery with a prescribed coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,6 +27,7 @@ from .spectrum import SpectralVector, Spectrum, require_shared_spectrum
 BLOWUP_CAP = 1e12
 DEGENERATE_TOL = 1e-12
 MODULUS_WINDOWS = 8  # coefficient_trace windows of 1, 2, 4, ... sample steps
+SAMPLE_INTERVALS = 1000  # sample intervals of a run without dense_output_dt
 
 
 @dataclass(frozen=True)
@@ -78,19 +79,7 @@ class IntegratorMeta:
     degenerate_spans: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "rel_tol": self.rel_tol,
-            "abs_tol": self.abs_tol,
-            "n_accepted": self.n_accepted,
-            "n_rejected": self.n_rejected,
-            "n_rhs": self.n_rhs,
-            "status": self.status,
-            "message": self.message,
-            "lambda_max_span": self.lambda_max_span,
-            "hamiltonian_drift": self.hamiltonian_drift,
-            "degenerate_spans": [list(s) for s in self.degenerate_spans],
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,13 +109,19 @@ class Trajectory:
         return self.u**2 @ self.spectrum.lam2
 
 
-def _sample_grid(t0: float, t_end: float, dt: float | None) -> np.ndarray:
-    span = t_end - t0
+def sample_intervals(span: float, dt: float | None) -> int:
+    """Intervals of the sample grid over ``span``: round(span / dt), at least one.
+
+    Without ``dt`` the grid has SAMPLE_INTERVALS intervals.
+    """
     if dt is None:
-        n = 1000
-    else:
-        n = max(1, int(round(span / dt)))
-    return np.linspace(t0, t_end, n + 1)
+        return SAMPLE_INTERVALS
+    return max(1, int(round(span / dt)))
+
+
+def sample_grid(t0: float, t_end: float, dt: float | None) -> np.ndarray:
+    """Equispaced sample times from t0 to t_end, about ``dt`` apart."""
+    return np.linspace(t0, t_end, sample_intervals(t_end - t0, dt) + 1)
 
 
 def _degenerate_spans(t: np.ndarray, c: np.ndarray) -> tuple:
@@ -171,7 +166,7 @@ def _integrate(
         raise PreconditionError("t_end must exceed the initial time")
     spec = first.spectrum
     n = spec.n
-    samples = _sample_grid(first.t, t_end, cfg.dense_output_dt)
+    samples = sample_grid(first.t, t_end, cfg.dense_output_dt)
     y0 = np.array([np.concatenate([s.u.components, s.v.components]) for s in states])
     res = solve_to_samples(
         rhs,

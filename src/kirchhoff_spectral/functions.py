@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -30,9 +31,24 @@ from .errors import DomainError, QuadratureError
 
 _E = math.e
 
+# the named range rules of a number param: (test, what a failing value is told)
+RULES = {
+    "finite": (math.isfinite, "must be finite"),
+    "positive": (lambda x: 0.0 < x < math.inf, "must be positive and finite"),
+    "nonnegative": (lambda x: 0.0 <= x < math.inf, "must be nonnegative and finite"),
+    "positive_or_inf": (lambda x: x > 0.0, "must be > 0 (inf allowed)"),
+    "unit_interval": (lambda x: 0.0 < x <= 1.0, "must lie in (0, 1]"),
+}
+
+
+def _is_number(value) -> bool:
+    """True for a real number; Python counts true and false as ints, JSON does not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FunctionSpec:
-    """A named scalar function of sigma >= 0."""
+    """A named scalar function of sigma >= 0, checked against its row of ``KINDS``."""
 
     kind: str
     params: Mapping[str, float] = field(default_factory=dict)
@@ -40,12 +56,31 @@ class FunctionSpec:
     knots: "tuple[tuple[float, ...], tuple[float, ...]] | None" = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        kind = KINDS.get(self.kind)
+        if kind is None:
             raise DomainError(f"unknown function kind {self.kind!r}")
-        for name, value in self.params.items():
-            if not math.isfinite(value):
-                raise DomainError(f"{self.kind} parameter {name!r} must be finite")
-        KINDS[self.kind].validate(self)
+        for name in self.params:
+            if name not in kind.params:
+                raise DomainError(f"{self.kind} takes no parameter {name!r}; it takes "
+                                  f"{', '.join(map(repr, kind.params)) or 'none'}")
+        for name, rule in kind.params.items():
+            if name not in self.params:
+                raise DomainError(f"{self.kind} spec needs parameter {name!r}")
+            value = self.params[name]
+            holds, text = RULES[rule]
+            if not _is_number(value):
+                raise DomainError(f"{self.kind} parameter {name!r} {text}; "
+                                  f"got {value!r}, not a number")
+            if not holds(value):
+                raise DomainError(f"{self.kind} parameter {name!r} {text}; got {value!r}")
+        if (self.base is not None) != kind.base:
+            raise DomainError(f"{self.kind} spec {'needs' if kind.base else 'takes no'} "
+                              f"'base' function")
+        if (self.knots is not None) != (kind.knots is not None):
+            raise DomainError(f"{self.kind} spec {'needs' if kind.knots else 'takes no'} "
+                              f"knots 'sigma' and 'value'")
+        if kind.knots is not None:
+            kind.knots(self.knots)
 
     def __call__(self, sigma):
         sig = np.asarray(sigma, dtype=float)
@@ -82,14 +117,17 @@ class FunctionSpec:
             if sig is None or val is None:
                 raise DomainError("tabulated spec needs both 'sigma' and 'value'")
             knots = (tuple(float(x) for x in sig), tuple(float(y) for y in val))
-        params = {k: float(v) for k, v in d.items()}
+        # numbers come in as floats; anything else is left for __post_init__ to refuse
+        params = {k: float(v) if _is_number(v) else v for k, v in d.items()}
         return FunctionSpec(kind, params, base=base, knots=knots)
 
-    def describe(self) -> str:
-        return KINDS[self.kind].describe(self)
-
     def __repr__(self) -> str:
-        return f"FunctionSpec({self.describe()})"
+        parts = [f"{name}={self.params[name]:g}" for name in KINDS[self.kind].params]
+        if self.base is not None:
+            parts.append(f"base={self.base!r}")
+        if self.knots is not None:
+            parts.append(f"knots={len(self.knots[0])}")
+        return f"{self.kind}({', '.join(parts)})"
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +216,6 @@ def load_table_csv(path) -> FunctionSpec:
 # per-kind records
 
 
-def _need(spec: FunctionSpec, *names: str):
-    for name in names:
-        if name not in spec.params:
-            raise DomainError(f"{spec.kind} spec needs parameter {name!r}")
-
-
 def _generic_scalar(spec: FunctionSpec) -> Callable[[float], float]:
     return lambda s: float(spec(s))
 
@@ -214,21 +246,22 @@ def _quad_antiderivative(spec: FunctionSpec) -> Callable:
 class _Kind:
     """Everything the package knows about one function kind.
 
+    ``params`` maps each param name, in order, to its rule in ``RULES``;
+    ``base`` says whether a spec of the kind wraps another spec, and
+    ``knots``, when not None, checks the (sigma, value) knots the kind takes.
+    ``FunctionSpec`` refuses whatever this declaration does not allow.
     ``scalar`` builds the fast evaluator for the integrator's inner loop;
     ``antiderivative`` builds M with M' = spec and M(0) = 0.  Kinds without
     a closed form keep the defaults: the array round trip through
     ``FunctionSpec.__call__`` and adaptive quadrature.
     """
 
-    validate: Callable[[FunctionSpec], None]
+    params: Mapping[str, str]
     evaluate: Callable[[FunctionSpec, np.ndarray], np.ndarray]
-    describe: Callable[[FunctionSpec], str]
     scalar: Callable[[FunctionSpec], Callable[[float], float]] = _generic_scalar
     antiderivative: Callable[[FunctionSpec], Callable] = _quad_antiderivative
-
-
-def _validate_constant(spec):
-    _need(spec, "c")
+    base: bool = False
+    knots: Callable[[tuple], None] | None = None
 
 
 def _eval_constant(spec, sig):
@@ -245,10 +278,6 @@ def _antiderivative_constant(spec):
     return lambda s: c * np.asarray(s, dtype=float) + 0.0
 
 
-def _validate_affine(spec):
-    _need(spec, "a", "b")
-
-
 def _eval_affine(spec, sig):
     return spec.params["a"] + spec.params["b"] * sig
 
@@ -261,10 +290,6 @@ def _scalar_affine(spec):
 def _antiderivative_affine(spec):
     a, b = spec.params["a"], spec.params["b"]
     return lambda s: a * np.asarray(s, float) + 0.5 * b * np.asarray(s, float) ** 2
-
-
-def _validate_power(spec):
-    _need(spec, "beta")
 
 
 def _eval_power(spec, sig):
@@ -288,12 +313,6 @@ def _antiderivative_power(spec):
     if q <= -1.0:
         raise DomainError("power antiderivative needs p > -1")
     return lambda s: np.asarray(s, float) ** (q + 1.0) / (q + 1.0)
-
-
-def _validate_pohozaev(spec):
-    _need(spec, "a", "b")
-    if spec.params["a"] <= 0.0:
-        raise DomainError("pohozaev spec needs a > 0")
 
 
 def _eval_pohozaev(spec, sig):
@@ -329,10 +348,8 @@ def _antiderivative_pohozaev(spec):
     return M
 
 
-def _validate_table(spec):
-    if spec.knots is None:
-        raise DomainError("table spec needs knots")
-    sig, val = spec.knots
+def _check_table_knots(knots):
+    sig, val = knots
     if len(sig) != len(val) or len(sig) < 2:
         raise DomainError("table needs at least two (sigma, value) rows")
     s = np.asarray(sig)
@@ -370,12 +387,6 @@ def _antiderivative_table(spec):
     return M
 
 
-def _validate_offset(spec):
-    _need(spec, "c")
-    if spec.base is None:
-        raise DomainError("offset spec needs a base function")
-
-
 def _eval_offset(spec, sig):
     return spec.params["c"] + spec.base(sig)
 
@@ -392,22 +403,10 @@ def _antiderivative_offset(spec):
     return lambda s: c * np.asarray(s, float) + inner(s)
 
 
-def _validate_modulus_power(spec):
-    _need(spec, "beta")
-    if not 0.0 < spec.params["beta"] <= 1.0:
-        raise DomainError("modulus_power needs beta in (0, 1]")
-
-
 def _eval_modulus_power(spec, sig):
     beta = spec.params["beta"]
     inner = np.minimum(sig, 1.0)
     return np.where(sig <= 1.0, inner**beta, 1.0 + beta * (sig - 1.0))
-
-
-def _validate_modulus_sigma_log(spec):
-    _need(spec, "q")
-    if spec.params["q"] < 0.0:
-        raise DomainError("modulus_sigma_log needs q >= 0")
 
 
 def _eval_modulus_sigma_log(spec, sig):
@@ -422,12 +421,6 @@ def _eval_modulus_sigma_log(spec, sig):
     return np.where(sig <= peak, core, peak * q**q)
 
 
-def _validate_modulus_inv_log(spec):
-    _need(spec, "q")
-    if spec.params["q"] <= 0.0:
-        raise DomainError("modulus_inv_log needs q > 0")
-
-
 def _eval_modulus_inv_log(spec, sig):
     q = spec.params["q"]
     knee = math.exp(-(q + 1.0))
@@ -437,10 +430,6 @@ def _eval_modulus_inv_log(spec, sig):
     with np.errstate(divide="ignore"):
         core = np.where(s > 0.0, np.abs(np.log(np.maximum(s, 1e-320))) ** -q, 0.0)
     return np.where(sig <= knee, core, val_knee + slope * (sig - knee))
-
-
-def _validate_weight_power_log(spec):
-    _need(spec, "p", "ell")
 
 
 def _eval_weight_power_log(spec, sig):
@@ -453,71 +442,28 @@ def _eval_weight_power_log(spec, sig):
     return np.maximum(core, 1.0)
 
 
-def _describe_weight_power_log(s):
-    return (
-        f"max(1, sigma^{s.params['p']:g}"
-        + (f" * log(sigma)^{s.params['ell']:g})" if s.params["ell"] else ")")
-    )
-
-
-def _validate_weight_scaled_modulus(spec):
-    if spec.base is None:
-        raise DomainError("weight_scaled_modulus needs the modulus as base")
-
-
 def _eval_weight_scaled_modulus(spec, sig):
     s = np.maximum(sig, 1e-300)
     return np.maximum(s * spec.base(1.0 / s), 1.0)
 
 
 KINDS: Mapping[str, _Kind] = {
-    "constant": _Kind(
-        _validate_constant, _eval_constant, lambda s: f"{s.params['c']:g}",
-        _scalar_constant, _antiderivative_constant,
-    ),
-    "affine": _Kind(
-        _validate_affine, _eval_affine,
-        lambda s: f"{s.params['a']:g} + {s.params['b']:g}*sigma",
-        _scalar_affine, _antiderivative_affine,
-    ),
-    "power": _Kind(
-        _validate_power, _eval_power, lambda s: f"sigma^{s.params['beta']:g}",
-        _scalar_power, _antiderivative_power,
-    ),
-    "pohozaev": _Kind(
-        _validate_pohozaev, _eval_pohozaev,
-        lambda s: f"({s.params['a']:g} + {s.params['b']:g}*sigma)^-2",
-        _scalar_pohozaev, _antiderivative_pohozaev,
-    ),
-    "table": _Kind(
-        _validate_table, _eval_table, lambda s: f"table[{len(s.knots[0])} knots]",
-        antiderivative=_antiderivative_table,
-    ),
-    "offset": _Kind(
-        _validate_offset, _eval_offset,
-        lambda s: f"{s.params['c']:g} + {s.base.describe()}",
-        _scalar_offset, _antiderivative_offset,
-    ),
-    "modulus_power": _Kind(
-        _validate_modulus_power, _eval_modulus_power,
-        lambda s: f"sigma^{s.params['beta']:g} (modulus)",
-    ),
-    "modulus_sigma_log": _Kind(
-        _validate_modulus_sigma_log, _eval_modulus_sigma_log,
-        lambda s: f"sigma*|log sigma|^{s.params['q']:g} (modulus)",
-    ),
-    "modulus_inv_log": _Kind(
-        _validate_modulus_inv_log, _eval_modulus_inv_log,
-        lambda s: f"|log sigma|^-{s.params['q']:g} (modulus)",
-    ),
-    "weight_power_log": _Kind(
-        _validate_weight_power_log, _eval_weight_power_log,
-        _describe_weight_power_log,
-    ),
-    "weight_scaled_modulus": _Kind(
-        _validate_weight_scaled_modulus, _eval_weight_scaled_modulus,
-        lambda s: f"max(1, sigma*omega(1/sigma)), omega = {s.base.describe()}",
-    ),
+    "constant": _Kind({"c": "finite"}, _eval_constant, _scalar_constant,
+                      _antiderivative_constant),
+    "affine": _Kind({"a": "finite", "b": "finite"}, _eval_affine, _scalar_affine,
+                    _antiderivative_affine),
+    "power": _Kind({"beta": "finite"}, _eval_power, _scalar_power, _antiderivative_power),
+    "pohozaev": _Kind({"a": "positive", "b": "finite"}, _eval_pohozaev, _scalar_pohozaev,
+                      _antiderivative_pohozaev),
+    "table": _Kind({}, _eval_table, antiderivative=_antiderivative_table,
+                   knots=_check_table_knots),
+    "offset": _Kind({"c": "finite"}, _eval_offset, _scalar_offset, _antiderivative_offset,
+                    base=True),
+    "modulus_power": _Kind({"beta": "unit_interval"}, _eval_modulus_power),
+    "modulus_sigma_log": _Kind({"q": "nonnegative"}, _eval_modulus_sigma_log),
+    "modulus_inv_log": _Kind({"q": "positive"}, _eval_modulus_inv_log),
+    "weight_power_log": _Kind({"p": "finite", "ell": "finite"}, _eval_weight_power_log),
+    "weight_scaled_modulus": _Kind({}, _eval_weight_scaled_modulus, base=True),
 }
 
 

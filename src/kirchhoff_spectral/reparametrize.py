@@ -30,7 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import uniqueness_quantities
-from .dynamics import IntegratorConfig, SpectralState, Trajectory, evolve
+from .dynamics import (
+    SAMPLE_INTERVALS, IntegratorConfig, SpectralState, Trajectory, evolve, sample_grid,
+)
 from .errors import ParametrizationError, PreconditionError
 from .functions import FunctionSpec, scalar_callable
 from .integrate import solve_to_samples
@@ -479,9 +481,8 @@ def solve_parametrization(
     inverse = pchip(t_nodes[keep], s_nodes[keep])
 
     t_max = min(t_end, float(t_nodes[-1]))
-    dt = cfg.dense_output_dt if cfg.dense_output_dt is not None else t_end / 1000.0
-    n_out = max(1, int(round(t_max / dt)))
-    t_out = np.linspace(0.0, t_max, n_out + 1)
+    dt = cfg.dense_output_dt if cfg.dense_output_dt is not None else t_end / SAMPLE_INTERVALS
+    t_out = sample_grid(0.0, t_max, dt)
     s_out = np.asarray(inverse(t_out), dtype=float)
     s_out[0] = 0.0
     psi = speed.direction * s_out

@@ -15,7 +15,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -46,9 +46,10 @@ from .dynamics import (
     higher_order_series,
     pohozaev_series,
     relative_drift,
+    sample_intervals,
 )
 from .errors import ScenarioError
-from .functions import FunctionSpec, offset, constant
+from .functions import RULES, FunctionSpec, offset, constant
 from .presets import get_preset, list_presets
 from .reparametrize import (
     psi_initial_derivatives,
@@ -63,14 +64,20 @@ from .spectral_gap import DEFAULT_R_PROBE, sum_decompose
 CONFIG_VERSION = 1
 REQUIRED = object()  # the default of a param that the config must give
 S_MAX_SHARE = 0.95  # an absent s_max is this share of the time run's max |psi|
-
-# the range rules a number param can carry: (test, what a failing value is told)
-_RULES = {
-    "finite": (math.isfinite, "must be finite"),
-    "positive": (lambda x: 0.0 < x < math.inf, "must be positive and finite"),
-    "nonnegative": (lambda x: 0.0 <= x < math.inf, "must be nonnegative and finite"),
-    "positive_or_inf": (lambda x: x > 0.0, "must be > 0 (inf allowed)"),
-}
+# the most floats a config may ask the sample tables to hold, 128 MiB of
+# float64: samples x (2n + 1) (times, u and v) per trajectory, or a
+# compatibility grid's points x GRID_ARRAYS, the grid-sized arrays
+# check_phi_condition holds at its peak
+MAX_SAMPLE_FLOATS = 1 << 24
+GRID_ARRAYS = 8
+_TOP_KEYS = ("version", "name", "task", "seed", "spectrum", "data", "functions", "params",
+            "output_dir")
+# the forms of a spectrum or vector spec, each with the keys of its object
+# (None: its value is not an object)
+_SPECTRUM_FORMS = {"explicit": None, "generator": ("count", "p")}
+_VECTOR_FORMS = {"explicit": None, "basis": ("index", "amplitude"),
+                 "profile": ("amplitude", "gamma", "exponent"),
+                 "random": ("seed", "scale", "decay"), "zero": None}
 
 # params read by _integrator_config and accepted by every task, declared as in
 # _Task.params; a None default keeps IntegratorConfig's
@@ -107,13 +114,7 @@ class RunManifest:
     summary: dict
 
     def to_dict(self) -> dict:
-        return {
-            "scenario_hash": self.scenario_hash,
-            "tool_version": self.tool_version,
-            "wall_time_s": self.wall_time_s,
-            "artifacts": [dict(a) for a in self.artifacts],
-            "summary": self.summary,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +163,7 @@ def _check_value(value, kind: type, field: str, rule: str | None = None):
         with _field_errors(field):
             value = float(value)
     if rule is not None:
-        holds, text = _RULES[rule]
+        holds, text = RULES[rule]
         _require(holds(value), field, value, text)
     return value
 
@@ -173,50 +174,67 @@ def _require(ok: bool, field: str, value, text: str) -> None:
         raise ScenarioError(f"{text}; got {value!r}", field=field)
 
 
+def _check_keys(obj: dict, known, field: str) -> None:
+    """Refuse a key of ``obj`` outside ``known``, naming it as ``field.key``."""
+    for key in obj:
+        if key not in known:
+            raise ScenarioError(f"unknown key; the known keys are {', '.join(known)}",
+                                field=f"{field}.{key}" if field else str(key))
+
+
+def _form(spec: dict, forms: dict, field: str):
+    """The one form ``spec`` gives, as (key, value), its keys and its object's checked."""
+    _check_keys(spec, forms, field)
+    given = [key for key in forms if key in spec]
+    if len(given) != 1:
+        raise ScenarioError(f"needs exactly one of {', '.join(map(repr, forms))}; "
+                            f"got {len(given)}", field=field)
+    key = given[0]
+    if forms[key] is not None:
+        _require(isinstance(spec[key], dict), field, spec[key], f"{key!r} must be an object")
+        _check_keys(spec[key], forms[key], f"{field}.{key}")
+    return key, spec[key]
+
+
 def _build_spectrum(spec, field: str) -> Spectrum:
     if not isinstance(spec, dict):
         raise ScenarioError("must be an object", field=field)
+    form, body = _form(spec, _SPECTRUM_FORMS, field)
     with _field_errors(field):
-        if "explicit" in spec:
-            return Spectrum(np.asarray(spec["explicit"], dtype=float))
-        if "generator" in spec:
-            g = spec["generator"]
-            return power_spectrum(int(g.get("count", 64)), float(g.get("p", 1.0)))
-    raise ScenarioError("needs 'explicit' or 'generator'", field=field)
+        if form == "explicit":
+            return Spectrum(np.asarray(body, dtype=float))
+        return power_spectrum(int(body.get("count", 64)), float(body.get("p", 1.0)))
 
 
 def _build_vector(spec, spectrum: Spectrum, seed: int, field: str) -> SpectralVector:
-    if spec is None or spec == {"zero": True} or spec == "zero":
+    if spec is None or spec == "zero":
         return zero_vector(spectrum)
     if not isinstance(spec, dict):
         raise ScenarioError("must be an object or 'zero'", field=field)
+    form, body = _form(spec, _VECTOR_FORMS, field)
+    if form == "zero":
+        _require(body is True, f"{field}.zero", body, "must be true")
+        return zero_vector(spectrum)
     lam = spectrum.lambdas
     # an overflow leaves a non-finite component, which SpectralVector refuses
     with _field_errors(field), np.errstate(over="ignore", divide="ignore",
                                            invalid="ignore"):
-        if "explicit" in spec:
-            return SpectralVector(spectrum, np.asarray(spec["explicit"], dtype=float))
-        if "basis" in spec:
-            b = spec["basis"]
+        if form == "explicit":
+            return SpectralVector(spectrum, np.asarray(body, dtype=float))
+        if form == "basis":
             return basis_vector(
-                spectrum, int(b.get("index", 0)), float(b.get("amplitude", 1.0))
+                spectrum, int(body.get("index", 0)), float(body.get("amplitude", 1.0))
             )
-        if "profile" in spec:
-            p = spec["profile"]
-            c = float(p.get("amplitude", 1.0))
-            gamma = float(p.get("gamma", 1.0))
-            q = float(p.get("exponent", 1.0))
+        if form == "profile":
+            c = float(body.get("amplitude", 1.0))
+            gamma = float(body.get("gamma", 1.0))
+            q = float(body.get("exponent", 1.0))
             return SpectralVector(spectrum, c * np.exp(-gamma * lam**q))
-        if "random" in spec:
-            p = spec["random"]
-            rng = np.random.default_rng(int(p.get("seed", seed)))
-            scale = float(p.get("scale", 1.0))
-            decay = float(p.get("decay", 1.5))
-            comp = scale * rng.standard_normal(spectrum.n) / np.maximum(lam, 1.0) ** decay
-            return SpectralVector(spectrum, comp)
-    raise ScenarioError(
-        "needs one of 'explicit', 'basis', 'profile', 'random', 'zero'", field=field
-    )
+        rng = np.random.default_rng(int(body.get("seed", seed)))
+        scale = float(body.get("scale", 1.0))
+        decay = float(body.get("decay", 1.5))
+        comp = scale * rng.standard_normal(spectrum.n) / np.maximum(lam, 1.0) ** decay
+        return SpectralVector(spectrum, comp)
 
 
 def _build_function(spec, field: str) -> FunctionSpec:
@@ -232,6 +250,7 @@ def validate_scenario(cfg: dict) -> Scenario:
     """Turn a parsed config into a validated scenario or raise ScenarioError."""
     version = cfg.get("version")
     _require(version == CONFIG_VERSION, "version", version, f"expected {CONFIG_VERSION}")
+    _check_keys(cfg, _TOP_KEYS, "")
     name = cfg.get("name")
     if not isinstance(name, str) or not name:
         raise ScenarioError("a nonempty name is required", field="name")
@@ -244,14 +263,16 @@ def validate_scenario(cfg: dict) -> Scenario:
     data = cfg.get("data", {})
     if not isinstance(data, dict):
         raise ScenarioError("must be an object", field="data")
+    _check_keys(data, ("u0", "u1"), "data")
     u0 = _build_vector(data.get("u0"), spectrum, seed, "data.u0")
     u1 = _build_vector(data.get("u1"), spectrum, seed + 1, "data.u1")
 
     functions = cfg.get("functions", {})
     if not isinstance(functions, dict):
         raise ScenarioError("must be an object", field="functions")
-    preset = functions.get("preset")
     slots = {"m": None, "omega": None, "phi": None}
+    _check_keys(functions, ("preset", *slots), "functions")
+    preset = functions.get("preset")
     if preset is not None:
         try:
             bundle = get_preset(str(preset))
@@ -272,13 +293,7 @@ def validate_scenario(cfg: dict) -> Scenario:
             raise ScenarioError("task needs this function, inline or from a preset",
                                 field=f"functions.{slot}")
     readable = {**entry.params, **_INTEGRATOR_PARAMS}
-    for key in params:
-        if key not in readable:
-            raise ScenarioError(
-                f"not a parameter of task {task}; it reads "
-                f"{', '.join(sorted(readable))}",
-                field=f"params.{key}",
-            )
+    _check_keys(params, sorted(readable), "params")
     filled = {}
     for key, (default, kind, rule) in readable.items():
         if key in params:
@@ -301,15 +316,37 @@ def validate_scenario(cfg: dict) -> Scenario:
     )
     if entry.check is not None:
         entry.check(sc)
+    if "t_end" in filled:
+        _check_sample_count(sc)
     return sc
+
+
+def _check_sample_count(sc: Scenario) -> None:
+    """The trajectories' sample tables must fit in MAX_SAMPLE_FLOATS."""
+    p = sc.params
+    with _field_errors("params.dense_output_dt"):
+        samples = sample_intervals(p["t_end"] - p.get("t_start", 0.0),
+                                   p["dense_output_dt"]) + 1
+    width = 2 * sc.spectrum.n + 1
+    # dependence integrates its family and the limit as one ensemble
+    tables = len(p["family"]["values"]) + 1 if "family" in p else 1
+    _require(samples * width * tables <= MAX_SAMPLE_FLOATS, "params.dense_output_dt",
+             p["dense_output_dt"], f"asks for {float(samples):.4g} samples x {width} floats "
+             f"x {tables} trajectories, more than {MAX_SAMPLE_FLOATS} floats (128 MiB)")
 
 
 def _integrator_config(params: dict, tolerance_scale: float) -> IntegratorConfig:
     """IntegratorConfig's defaults overridden by the params, tolerances scaled."""
     given = {k: params[k] for k in _INTEGRATOR_PARAMS if params[k] is not None}
     cfg = replace(IntegratorConfig(), **given)
-    return replace(cfg, rel_tol=cfg.rel_tol * tolerance_scale,
-                   abs_tol=cfg.abs_tol * tolerance_scale)
+    scaled = {}
+    for key in ("rel_tol", "abs_tol"):
+        tol = getattr(cfg, key)
+        scaled[key] = tol * tolerance_scale
+        _require(0.0 < scaled[key] < math.inf, "tolerance_scale", tolerance_scale,
+                 f"scales {key} = {tol!r} to {scaled[key]!r}, which must be positive "
+                 f"and finite")
+    return replace(cfg, **scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +431,8 @@ def _check_conditions(sc: Scenario) -> None:
         size = sigma_grid_size(p["grid_lo"], p["grid_hi"], p["per_decade"])
     _require(size >= MIN_GRID_POINTS, "params.per_decade", p["per_decade"],
              f"gives {size} grid points, fewer than {MIN_GRID_POINTS}")
+    _require(size * GRID_ARRAYS <= MAX_SAMPLE_FLOATS, "params.per_decade", p["per_decade"],
+             f"gives {float(size):.4g} grid points, more than {MAX_SAMPLE_FLOATS // GRID_ARRAYS}")
 
 
 def _task_conditions(sc: Scenario, out: Path, cfg: IntegratorConfig):
@@ -438,6 +477,7 @@ def _check_pohozaev(sc: Scenario) -> None:
     if poho is None and sc.m.kind == "pohozaev":
         poho = sc.m.params
     if poho is not None:
+        _check_keys(poho, ("a", "b"), "params.pohozaev")
         sc.params["pohozaev"] = {
             key: _check_value(poho.get(key), float, f"params.pohozaev.{key}", "finite")
             for key in ("a", "b")
@@ -501,8 +541,9 @@ def _check_reparametrize(sc: Scenario) -> None:
     """The time run needs two sample intervals for the curve comparison."""
     p = sc.params
     dt = p["dense_output_dt"]
-    # the sample grid has round(t_end / dt) intervals, two or more from 1.5 on
-    _require(dt is None or p["t_end"] / dt >= 1.5, "params.dense_output_dt", dt,
+    with _field_errors("params.dense_output_dt"):
+        intervals = sample_intervals(p["t_end"], dt)
+    _require(intervals >= 2, "params.dense_output_dt", dt,
              f"leaves fewer than two sample intervals up to t_end = {p['t_end']!r}")
 
 
@@ -544,6 +585,7 @@ def _task_reparametrize(sc: Scenario, out: Path, cfg: IntegratorConfig):
 def _check_family(sc: Scenario) -> None:
     """Resolve params.family to its kind, finite values and mode_index."""
     family = sc.params["family"]
+    _check_keys(family, ("kind", "values", "mode_index"), "params.family")
     kind = family.get("kind", "m_offset")
     _require(kind in ("m_offset", "data_shift"), "params.family.kind", kind,
              "must be 'm_offset' or 'data_shift'")

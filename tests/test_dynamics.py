@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from kirchhoff_spectral import (
     zero_vector,
 )
 from kirchhoff_spectral import dynamics
+from kirchhoff_spectral.artifacts import dump_json
 from kirchhoff_spectral.errors import (
     DomainError,
     NegativeNonlinearityError,
@@ -335,6 +337,8 @@ def test_degenerate_interval_flagging(tight_cfg):
     assert tr.meta.degenerate_spans
     lo, hi = tr.meta.degenerate_spans[0]
     assert lo == 0.0 and hi == 1.0
+    # the run record serializes the spans as [lo, hi] pairs
+    assert json.loads(dump_json(tr.meta.to_dict()))["degenerate_spans"] == [[0.0, 1.0]]
 
 
 def test_meta_records_span_and_drift(tight_cfg):

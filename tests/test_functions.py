@@ -224,3 +224,23 @@ def test_unknown_kind_rejected():
         FunctionSpec("mystery", {})
     with pytest.raises(DomainError):
         FunctionSpec.from_dict({"p": 1.0})
+
+
+def test_repr_follows_the_declaration():
+    assert repr(affine(1.0, 1.0)) == "affine(a=1, b=1)"
+    assert repr(offset(0.5, power(2.0))) == "offset(c=0.5, base=power(beta=2))"
+    assert repr(weight_scaled_modulus(modulus_power(1.0))) == (
+        "weight_scaled_modulus(base=modulus_power(beta=1))")
+    assert repr(table([0.0, 1.0, 2.0], [1.0, 2.0, 2.0])) == "table(knots=3)"
+
+
+def test_constructed_spec_checked_against_its_declaration():
+    # config dicts go through from_dict; direct construction takes the same check
+    with pytest.raises(DomainError, match="'c' must be finite; got True, not a number"):
+        FunctionSpec("constant", {"c": True})
+    with pytest.raises(DomainError, match="takes no 'base'"):
+        FunctionSpec("constant", {"c": 1.0}, base=power(1.0))
+    with pytest.raises(DomainError, match="needs 'base'"):
+        FunctionSpec("offset", {"c": 1.0})
+    with pytest.raises(DomainError, match=r"'beta' must lie in \(0, 1\]"):
+        modulus_power(1.5)

@@ -2,7 +2,7 @@
 
 from pathlib import Path
 
-from kirchhoff_spectral import scenario
+from kirchhoff_spectral import functions, scenario
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -42,3 +42,16 @@ def test_task_table_lists_each_tasks_functions_and_params():
 def test_integrator_table_lists_each_integrator_param():
     listed = [row[0] for row in table_rows("integrator param")]
     assert sorted(listed) == sorted(scenario._INTEGRATOR_PARAMS)
+
+
+def test_function_kind_table_lists_each_kinds_declaration():
+    listed = {}
+    for kind, params, base, knots in table_rows("kind"):
+        declared = {} if params == "none" else dict(
+            (name.strip("`"), rule) for name, rule in (p.split() for p in params.split(", ")))
+        listed[kind.strip("`")] = (declared, base == "yes", knots == "yes")
+    assert listed == {
+        kind: (dict(decl.params), decl.base, decl.knots is not None)
+        for kind, decl in functions.KINDS.items()
+    }
+    assert [row[0] for row in table_rows("rule")] == list(functions.RULES)

@@ -5,12 +5,13 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kirchhoff_spectral import scenario
 from kirchhoff_spectral.cli import main
 from kirchhoff_spectral.errors import ScenarioError
+from kirchhoff_spectral.functions import KINDS, RULES
 from kirchhoff_spectral.scenario import load_config, run_scenario, validate_scenario
 
 
@@ -338,9 +339,28 @@ def four_mode_config(**overrides):
         (simulate_config(spectrum={"generator": {"count": 0}}), "spectrum"),
         (simulate_config(functions={"m": {"kind": "constant", "c": math.nan}}),
          "functions.m"),
+        (simulate_config(spectrum={"generator": {"cout": 8}}), "spectrum.generator.cout"),
+        (simulate_config(spectrum={"explicit": [1.0], "generator": {}}), "spectrum"),
+        (simulate_config(spectrum={"explicit": [1.0], "count": 2}), "spectrum.count"),
+        (four_mode_config(data={"u0": {"profile": {"gama": 2.0}}, "u1": "zero"}),
+         "data.u0.profile.gama"),
+        (four_mode_config(data={"u0": {"basis": {"index": 0}, "explicit": [1.0] * 4},
+                                "u1": "zero"}), "data.u0"),
+        (four_mode_config(data={"u0": {"basis": {"index": 0}, "seed": 3}, "u1": "zero"}),
+         "data.u0.seed"),
+        (four_mode_config(data={"u0": {"random": {"sede": 3}}, "u1": "zero"}),
+         "data.u0.random.sede"),
+        (four_mode_config(data={"u0": {"zero": 1}, "u1": "zero"}), "data.u0.zero"),
+        (four_mode_config(data={"u0": "zero", "u2": "zero"}), "data.u2"),
+        (simulate_config(functions={"m": {"kind": "power", "beta": 1.0}, "mm": {}}),
+         "functions.mm"),
+        (simulate_config(output="runs/x"), "output"),
     ],
     ids=["index_negative", "index_past_end", "wrong_length", "basis_not_object",
-         "explicit_empty", "generator_empty", "m_not_finite"],
+         "explicit_empty", "generator_empty", "m_not_finite", "generator_unknown_key",
+         "spectrum_two_forms", "spectrum_unknown_key", "profile_unknown_key",
+         "vector_two_forms", "vector_unknown_key", "random_unknown_key", "zero_not_true",
+         "data_unknown_key", "functions_unknown_key", "top_level_unknown_key"],
 )
 def test_malformed_spectrum_or_data_names_the_field(tmp_path, capsys, cfg, field):
     with pytest.raises(ScenarioError) as info:
@@ -450,6 +470,18 @@ def conditions_config(**params):
         (simulate_config(task="invariants",
                          params={"t_end": 1.0, "pohozaev": {"a": 1.0, "b": math.inf}}),
          "params.pohozaev.b"),
+        (simulate_config(params={"t_end": 1.0, "dense_output_dt": 1e-300}),
+         "params.dense_output_dt"),
+        (simulate_config(params={"t_end": 1e10, "dense_output_dt": 1e-300}),
+         "params.dense_output_dt"),
+        (simulate_config(task="dependence", params={"dense_output_dt": 1e-9}),
+         "params.dense_output_dt"),
+        (conditions_config(per_decade=10**300), "params.per_decade"),
+        (conditions_config(per_decade=200_000), "params.per_decade"),
+        (dependence_config({"values": [0.1], "mode": 1}), "params.family.mode"),
+        (simulate_config(task="invariants",
+                         params={"t_end": 1.0, "pohozaev": {"a": 1.0, "b": 1.0, "c": 0}}),
+         "params.pohozaev.c"),
     ],
     ids=["seed_string", "t_end_string", "t_end_bool", "max_step_list",
          "family_kind", "family_values_empty", "family_values_string",
@@ -459,7 +491,10 @@ def conditions_config(**params):
          "s_max_zero", "rel_tol_inf", "abs_tol_inf", "norms_radius_reaches_zero",
          "grid_lo_above_grid_hi", "grid_hi_short_of_span", "per_decade_too_few_points",
          "dense_output_dt_inf", "dense_output_dt_one_interval", "family_values_nan",
-         "family_values_inf", "pohozaev_b_inf"],
+         "family_values_inf", "pohozaev_b_inf", "dense_output_dt_tiny",
+         "dense_output_dt_past_any_float", "dense_output_dt_1e9_samples",
+         "per_decade_huge", "per_decade_over_cap", "family_unknown_key",
+         "pohozaev_unknown_key"],
 )
 def test_malformed_param_value_names_the_field(tmp_path, capsys, monkeypatch, cfg, field):
     monkeypatch.setattr(scenario, "evolve", refuse_to_evolve)
@@ -507,6 +542,78 @@ def refused_values():
                     if kind is int and math.isfinite(value):
                         value = int(value)
                     yield pytest.param(task, name, value, id=f"{task}-{name}-{value!r}")
+
+
+# a value each range rule of a function param admits, and the edge values it
+# forbids
+ADMITTED = 0.5
+EDGES = {
+    "finite": [math.inf, -math.inf],
+    "positive": [0.0, math.inf],
+    "nonnegative": [-5e-324, math.inf],
+    "positive_or_inf": [0.0, -math.inf],
+    "unit_interval": [0.0, math.nextafter(1.0, 2.0)],
+}
+BASE = {"kind": "power", "beta": 1.0}
+KNOTS = {"sigma": [0.0, 1.0], "value": [1.0, 2.0]}
+
+
+def valid_spec(kind):
+    """A valid spec dict of ``kind``, from its declaration alone."""
+    decl = KINDS[kind]
+    spec = {"kind": kind, **{name: ADMITTED for name in decl.params}}
+    if decl.base:
+        spec["base"] = dict(BASE)
+    if decl.knots is not None:
+        spec.update(KNOTS)
+    return spec
+
+
+def malformed_specs():
+    """(kind, spec dict, the param its error must name) for each declared rule."""
+    for kind, decl in KINDS.items():
+        spec = valid_spec(kind)
+        yield kind, {**spec, "zz": 1.0}, "zz"
+        for name, rule in decl.params.items():
+            yield kind, {k: v for k, v in spec.items() if k != name}, name
+            for value in (True, math.nan, "1.0", *EDGES[rule]):
+                yield kind, {**spec, name: value}, name
+        if decl.base:
+            yield kind, {k: v for k, v in spec.items() if k != "base"}, "base"
+        else:
+            yield kind, {**spec, "base": dict(BASE)}, "base"
+        if decl.knots is not None:
+            yield kind, {k: v for k, v in spec.items() if k not in KNOTS}, "sigma"
+        else:
+            yield kind, {**spec, **KNOTS}, "sigma"
+
+
+def test_edges_cover_every_rule():
+    assert set(EDGES) == set(RULES)
+    for rule, (holds, _) in RULES.items():
+        assert holds(ADMITTED) and not any(holds(v) for v in EDGES[rule])
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_declared_spec_is_valid(kind):
+    validate_scenario(simulate_config(functions={"m": valid_spec(kind)}))
+
+
+@pytest.mark.parametrize(
+    "kind, spec, name",
+    [pytest.param(*case, id=f"{case[0]}-{i}") for i, case in enumerate(malformed_specs())],
+)
+def test_malformed_function_spec_names_the_param(tmp_path, monkeypatch, kind, spec, name):
+    monkeypatch.setattr(scenario, "evolve", refuse_to_evolve)
+    for slot in ("m", "phi"):
+        cfg = simulate_config(functions={"m": valid_spec("constant"), slot: spec})
+        with pytest.raises(ScenarioError) as info:
+            validate_scenario(cfg)
+        assert info.value.field == f"functions.{slot}"
+        assert repr(name) in str(info.value)
+    with pytest.raises(ScenarioError):
+        run_scenario(cfg, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("task", list(scenario.TASKS))
@@ -600,6 +707,42 @@ def test_bad_tolerance_scale_refused_before_run(tmp_path, scale):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, tol, scale", [("rel_tol", 1e300, 1e10),
+                                             ("abs_tol", 1e-300, 1e-30)])
+def test_scaled_tolerance_out_of_range_names_the_scale(tmp_path, key, tol, scale):
+    cfg = simulate_config(params={"t_end": 1.0, key: tol})
+    validate_scenario(cfg)
+    with pytest.raises(ScenarioError) as info:
+        run_scenario(cfg, out_dir=tmp_path / "out", tolerance_scale=scale)
+    assert info.value.field == "tolerance_scale"
+    assert key in str(info.value)
+    assert not (tmp_path / "out").exists()
+
+
+def test_sample_table_cap_boundary():
+    # one mode: 3 floats a sample, so the cap holds MAX_SAMPLE_FLOATS // 3 samples
+    most = scenario.MAX_SAMPLE_FLOATS // 3
+    for samples, valid in ((most, True), (most + 1, False)):
+        cfg = simulate_config(params={"t_end": float(samples - 1), "dense_output_dt": 1.0})
+        if valid:
+            validate_scenario(cfg)
+        else:
+            with pytest.raises(ScenarioError) as info:
+                validate_scenario(cfg)
+            assert info.value.field == "params.dense_output_dt"
+    # a dependence run holds its family and the limit: 4 tables here
+    many = {"t_end": 1.0, "dense_output_dt": 1e-6}
+    validate_scenario(simulate_config(spectrum={"explicit": [1.0, 2.0]}, params=many))
+    with pytest.raises(ScenarioError) as info:
+        validate_scenario(simulate_config(spectrum={"explicit": [1.0, 2.0]},
+                                          task="dependence", params=many))
+    assert info.value.field == "params.dense_output_dt"
+    # the wide benchmark's size: 512 modes, 1,001 samples
+    wide = simulate_config(spectrum={"generator": {"count": 512}},
+                           data={"u0": {"random": {}}, "u1": "zero"})
+    assert validate_scenario(wide).spectrum.n == 512
+
+
 def test_failing_rerun_leaves_no_stale_manifest(tmp_path):
     out = tmp_path / "out"
     run_scenario(simulate_config(), out_dir=out)
@@ -642,7 +785,7 @@ def config_paths(node, prefix=()):
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from([(cfg, p) for cfg in BUNDLED for p in config_paths(cfg)]),
-    st.sampled_from(["delete", *REPLACEMENTS]),
+    st.sampled_from(["delete", "insert", *REPLACEMENTS]),
 )
 def test_mutated_bundled_config_validates_or_names_an_error(target, mutation):
     cfg, path = target
@@ -650,6 +793,18 @@ def test_mutated_bundled_config_validates_or_names_an_error(target, mutation):
     parent = cfg
     for key in path[:-1]:
         parent = parent[key]
+    if mutation == "insert":
+        # an unknown key beside the target: the error names its dotted path,
+        # or the function spec holding it and the key
+        assume(isinstance(parent, dict))
+        parent["unknown_key"] = 1.0
+        with pytest.raises(ScenarioError) as info:
+            validate_scenario(cfg)
+        inserted = ".".join(map(str, (*path[:-1], "unknown_key")))
+        assert info.value.field == inserted or (
+            info.value.field == ".".join(map(str, path[:-1]))
+            and "'unknown_key'" in str(info.value))
+        return
     if mutation == "delete":
         del parent[path[-1]]
     else:
