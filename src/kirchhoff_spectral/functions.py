@@ -116,6 +116,9 @@ class FunctionSpec:
             val = d.pop("value", None)
             if sig is None or val is None:
                 raise DomainError("tabulated spec needs both 'sigma' and 'value'")
+            for name, values in (("sigma", sig), ("value", val)):
+                if not isinstance(values, (list, tuple)) or not all(map(_is_number, values)):
+                    raise DomainError(f"knots {name!r} must be a list of numbers; got {values!r}")
             knots = (tuple(float(x) for x in sig), tuple(float(y) for y in val))
         # numbers come in as floats; anything else is left for __post_init__ to refuse
         params = {k: float(v) if _is_number(v) else v for k, v in d.items()}

@@ -11,9 +11,10 @@ Dense output is realized by capping the step so the solver lands exactly on
 every requested sample time.  Samples are therefore full-accuracy step
 points, there is no interpolation error term, and rerunning a configuration
 reproduces the artifact bytes.  The cap often binds: on the benchmark's
-workloads (benchmarks/NOTES.md) the sample grid forces 33% of the accepted
-steps on ``sweep``, 5.5% on ``wide`` and 91% on ``scenarios``, counted
-against the same integrations with a single sample at the end.
+workloads (benchmarks/NOTES.md) the sample grid forces 35.2% of the accepted
+steps on ``sweep``, 5.4% on ``wide`` and 92.5% on ``scenarios``, counted
+against the same integrations with a single sample at the end (traced in
+BENCH_9.json).
 
 First-same-as-last holds for accepted steps only: an accepted step's last
 stage is the derivative at the new point and becomes the next step's first

@@ -72,12 +72,17 @@ MAX_SAMPLE_FLOATS = 1 << 24
 GRID_ARRAYS = 8
 _TOP_KEYS = ("version", "name", "task", "seed", "spectrum", "data", "functions", "params",
             "output_dir")
-# the forms of a spectrum or vector spec, each with the keys of its object
-# (None: its value is not an object)
-_SPECTRUM_FORMS = {"explicit": None, "generator": ("count", "p")}
-_VECTOR_FORMS = {"explicit": None, "basis": ("index", "amplitude"),
-                 "profile": ("amplitude", "gamma", "exponent"),
-                 "random": ("seed", "scale", "decay"), "zero": None}
+# the forms of a spectrum or vector spec, each with the keys of its object as
+# (default, JSON type) (None: its value is not an object); the random form's
+# seed defaults to the scenario's
+_SPECTRUM_FORMS = {"explicit": None, "generator": {"count": (64, int), "p": (1.0, float)}}
+_VECTOR_FORMS = {
+    "explicit": None,
+    "basis": {"index": (0, int), "amplitude": (1.0, float)},
+    "profile": {"amplitude": (1.0, float), "gamma": (1.0, float), "exponent": (1.0, float)},
+    "random": {"seed": (None, int), "scale": (1.0, float), "decay": (1.5, float)},
+    "zero": None,
+}
 
 # params read by _integrator_config and accepted by every task, declared as in
 # _Task.params; a None default keeps IntegratorConfig's
@@ -159,7 +164,7 @@ def _check_value(value, kind: type, field: str, rule: str | None = None):
     types = (int, float) if kind is float else kind
     _require(not isinstance(value, bool) and isinstance(value, types), field, value,
              f"must be {_TYPE_NAMES[kind]}")
-    if kind is float:
+    if kind is float and type(value) is not float:
         with _field_errors(field):
             value = float(value)
     if rule is not None:
@@ -183,27 +188,39 @@ def _check_keys(obj: dict, known, field: str) -> None:
 
 
 def _form(spec: dict, forms: dict, field: str):
-    """The one form ``spec`` gives, as (key, value), its keys and its object's checked."""
+    """The one form ``spec`` gives, as (key, value); an object value comes back
+    with its keys and values checked and its defaults filled in."""
     _check_keys(spec, forms, field)
     given = [key for key in forms if key in spec]
     if len(given) != 1:
         raise ScenarioError(f"needs exactly one of {', '.join(map(repr, forms))}; "
                             f"got {len(given)}", field=field)
-    key = given[0]
-    if forms[key] is not None:
-        _require(isinstance(spec[key], dict), field, spec[key], f"{key!r} must be an object")
-        _check_keys(spec[key], forms[key], f"{field}.{key}")
-    return key, spec[key]
+    key, value = given[0], spec[given[0]]
+    if forms[key] is None:
+        return key, value
+    _require(isinstance(value, dict), field, value, f"{key!r} must be an object")
+    _check_keys(value, forms[key], f"{field}.{key}")
+    return key, {name: _check_value(value[name], kind, f"{field}.{key}.{name}")
+                 if name in value else default
+                 for name, (default, kind) in forms[key].items()}
+
+
+def _numbers(values, field: str) -> np.ndarray:
+    """A JSON list of numbers as a float array; a failure names ``field``."""
+    _require(isinstance(values, (list, tuple)), field, values, "must be a list of numbers")
+    return np.array([_check_value(v, float, field) for v in values], dtype=float)
 
 
 def _build_spectrum(spec, field: str) -> Spectrum:
     if not isinstance(spec, dict):
         raise ScenarioError("must be an object", field=field)
     form, body = _form(spec, _SPECTRUM_FORMS, field)
+    if form == "explicit":
+        body = _numbers(body, f"{field}.explicit")
     with _field_errors(field):
         if form == "explicit":
-            return Spectrum(np.asarray(body, dtype=float))
-        return power_spectrum(int(body.get("count", 64)), float(body.get("p", 1.0)))
+            return Spectrum(body)
+        return power_spectrum(body["count"], body["p"])
 
 
 def _build_vector(spec, spectrum: Spectrum, seed: int, field: str) -> SpectralVector:
@@ -215,25 +232,22 @@ def _build_vector(spec, spectrum: Spectrum, seed: int, field: str) -> SpectralVe
     if form == "zero":
         _require(body is True, f"{field}.zero", body, "must be true")
         return zero_vector(spectrum)
+    if form == "explicit":
+        body = _numbers(body, f"{field}.explicit")
     lam = spectrum.lambdas
     # an overflow leaves a non-finite component, which SpectralVector refuses
     with _field_errors(field), np.errstate(over="ignore", divide="ignore",
                                            invalid="ignore"):
         if form == "explicit":
-            return SpectralVector(spectrum, np.asarray(body, dtype=float))
+            return SpectralVector(spectrum, body)
         if form == "basis":
-            return basis_vector(
-                spectrum, int(body.get("index", 0)), float(body.get("amplitude", 1.0))
-            )
+            return basis_vector(spectrum, body["index"], body["amplitude"])
         if form == "profile":
-            c = float(body.get("amplitude", 1.0))
-            gamma = float(body.get("gamma", 1.0))
-            q = float(body.get("exponent", 1.0))
-            return SpectralVector(spectrum, c * np.exp(-gamma * lam**q))
-        rng = np.random.default_rng(int(body.get("seed", seed)))
-        scale = float(body.get("scale", 1.0))
-        decay = float(body.get("decay", 1.5))
-        comp = scale * rng.standard_normal(spectrum.n) / np.maximum(lam, 1.0) ** decay
+            return SpectralVector(
+                spectrum, body["amplitude"] * np.exp(-body["gamma"] * lam ** body["exponent"]))
+        rng = np.random.default_rng(seed if body["seed"] is None else body["seed"])
+        comp = (body["scale"] * rng.standard_normal(spectrum.n)
+                / np.maximum(lam, 1.0) ** body["decay"])
         return SpectralVector(spectrum, comp)
 
 

@@ -355,12 +355,36 @@ def four_mode_config(**overrides):
         (simulate_config(functions={"m": {"kind": "power", "beta": 1.0}, "mm": {}}),
          "functions.mm"),
         (simulate_config(output="runs/x"), "output"),
+        (simulate_config(spectrum={"generator": {"count": 4.7}}), "spectrum.generator.count"),
+        (simulate_config(spectrum={"generator": {"p": "1"}}), "spectrum.generator.p"),
+        (simulate_config(spectrum={"explicit": [1.0, "2"]}), "spectrum.explicit"),
+        (four_mode_config(data={"u0": {"basis": {"index": True}}, "u1": "zero"}),
+         "data.u0.basis.index"),
+        (four_mode_config(data={"u0": {"basis": {"amplitude": "2"}}, "u1": "zero"}),
+         "data.u0.basis.amplitude"),
+        (four_mode_config(data={"u0": {"profile": {"gamma": None}}, "u1": "zero"}),
+         "data.u0.profile.gamma"),
+        (four_mode_config(data={"u0": {"random": {"seed": 1.9}}, "u1": "zero"}),
+         "data.u0.random.seed"),
+        (four_mode_config(data={"u0": {"random": {"decay": False}}, "u1": "zero"}),
+         "data.u0.random.decay"),
+        (four_mode_config(data={"u0": "zero", "u1": {"explicit": ["1", True, 1.0, 1.0]}}),
+         "data.u1.explicit"),
+        (four_mode_config(data={"u0": {"explicit": "1234"}, "u1": "zero"}), "data.u0.explicit"),
+        (simulate_config(functions={"m": {"kind": "table", "sigma": ["0", True],
+                                          "value": [1.0, 2.0]}}), "functions.m"),
+        (simulate_config(functions={"m": {"kind": "table", "sigma": "01",
+                                          "value": [1.0, 2.0]}}), "functions.m"),
     ],
     ids=["index_negative", "index_past_end", "wrong_length", "basis_not_object",
          "explicit_empty", "generator_empty", "m_not_finite", "generator_unknown_key",
          "spectrum_two_forms", "spectrum_unknown_key", "profile_unknown_key",
          "vector_two_forms", "vector_unknown_key", "random_unknown_key", "zero_not_true",
-         "data_unknown_key", "functions_unknown_key", "top_level_unknown_key"],
+         "data_unknown_key", "functions_unknown_key", "top_level_unknown_key",
+         "count_not_integer", "p_string", "spectrum_explicit_string", "index_bool",
+         "amplitude_string", "gamma_null", "random_seed_float", "decay_bool",
+         "vector_explicit_not_numbers", "vector_explicit_string", "knots_not_numbers",
+         "knots_string"],
 )
 def test_malformed_spectrum_or_data_names_the_field(tmp_path, capsys, cfg, field):
     with pytest.raises(ScenarioError) as info:
