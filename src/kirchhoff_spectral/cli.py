@@ -66,7 +66,7 @@ def _cmd_run(args) -> int:
             out_dir = str(Path(out_dir) / Path(config).stem)
         jobs.append((config, out_dir, args.tolerance_scale, args.seed))
     if args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             failures = _report(pool.map(_run_one, jobs))
     else:
         failures = _report(map(_run_one, jobs))

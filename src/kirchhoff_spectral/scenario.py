@@ -3,8 +3,8 @@
 A scenario is a JSON document with an explicit version field: a spectrum
 spec, a data spec, the (m, omega, phi) functions (inline or by preset
 name), exactly one task and its parameters.  Running a scenario executes
-the task through the library modules and writes plot-ready CSV/JSON
-artifacts plus a manifest with content hashes.  Identical config and tool
+the task, which returns plot-ready CSV/JSON artifacts; the runner alone
+writes them plus a manifest with content hashes.  Identical config and tool
 version reproduce identical artifact bytes; the manifest additionally
 records the wall time, which is the one non-reproducible field.
 """
@@ -39,7 +39,6 @@ from .conditions import (
 from .dynamics import (
     IntegratorConfig,
     SpectralState,
-    Trajectory,
     coefficient_trace,
     evolve,
     hamiltonian_series,
@@ -67,20 +66,26 @@ S_MAX_SHARE = 0.95  # an absent s_max is this share of the time run's max |psi|
 # the most floats a config may ask the sample tables to hold, 128 MiB of
 # float64: samples x (2n + 1) (times, u and v) per trajectory, or a
 # compatibility grid's points x GRID_ARRAYS, the grid-sized arrays
-# check_phi_condition holds at its peak
+# check_phi_condition holds at its peak; a generated spectrum's count must
+# leave room for one sample row
 MAX_SAMPLE_FLOATS = 1 << 24
 GRID_ARRAYS = 8
 _TOP_KEYS = ("version", "name", "task", "seed", "spectrum", "data", "functions", "params",
             "output_dir")
 # the forms of a spectrum or vector spec, each with the keys of its object as
-# (default, JSON type) (None: its value is not an object); the random form's
-# seed defaults to the scenario's
-_SPECTRUM_FORMS = {"explicit": None, "generator": {"count": (64, int), "p": (1.0, float)}}
+# (default, JSON type, rule or None) (None: its value is not an object); the
+# random form's seed defaults to the scenario's
+_SPECTRUM_FORMS = {
+    "explicit": None,
+    "generator": {"count": (64, int, "positive"), "p": (1.0, float, None)},
+}
 _VECTOR_FORMS = {
     "explicit": None,
-    "basis": {"index": (0, int), "amplitude": (1.0, float)},
-    "profile": {"amplitude": (1.0, float), "gamma": (1.0, float), "exponent": (1.0, float)},
-    "random": {"seed": (None, int), "scale": (1.0, float), "decay": (1.5, float)},
+    "basis": {"index": (0, int, None), "amplitude": (1.0, float, None)},
+    "profile": {"amplitude": (1.0, float, None), "gamma": (1.0, float, None),
+                "exponent": (1.0, float, None)},
+    "random": {"seed": (None, int, None), "scale": (1.0, float, None),
+               "decay": (1.5, float, None)},
     "zero": None,
 }
 
@@ -107,7 +112,7 @@ class Scenario:
     params: dict
     preset: str | None
     seed: int
-    raw: dict
+    output_dir: str | None
 
 
 @dataclass(frozen=True)
@@ -127,7 +132,12 @@ class RunManifest:
 
 
 def load_config(path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ScenarioError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -200,9 +210,9 @@ def _form(spec: dict, forms: dict, field: str):
         return key, value
     _require(isinstance(value, dict), field, value, f"{key!r} must be an object")
     _check_keys(value, forms[key], f"{field}.{key}")
-    return key, {name: _check_value(value[name], kind, f"{field}.{key}.{name}")
+    return key, {name: _check_value(value[name], kind, f"{field}.{key}.{name}", rule)
                  if name in value else default
-                 for name, (default, kind) in forms[key].items()}
+                 for name, (default, kind, rule) in forms[key].items()}
 
 
 def _numbers(values, field: str) -> np.ndarray:
@@ -217,6 +227,10 @@ def _build_spectrum(spec, field: str) -> Spectrum:
     form, body = _form(spec, _SPECTRUM_FORMS, field)
     if form == "explicit":
         body = _numbers(body, f"{field}.explicit")
+    else:
+        row = 2 * body["count"] + 1
+        _require(row <= MAX_SAMPLE_FLOATS, f"{field}.generator.count", body["count"],
+                 f"asks for a sample row of {row} floats, more than {MAX_SAMPLE_FLOATS}")
     with _field_errors(field):
         if form == "explicit":
             return Spectrum(body)
@@ -272,6 +286,9 @@ def validate_scenario(cfg: dict) -> Scenario:
     _require(isinstance(task, str) and task in TASKS, "task", task,
              f"must be one of {', '.join(TASKS)}")
     seed = _check_value(cfg.get("seed", 0), int, "seed")
+    output_dir = cfg.get("output_dir")
+    if "output_dir" in cfg:
+        _check_value(output_dir, str, "output_dir")
     spectrum = _build_spectrum(cfg.get("spectrum", {"generator": {}}), "spectrum")
 
     data = cfg.get("data", {})
@@ -291,7 +308,7 @@ def validate_scenario(cfg: dict) -> Scenario:
         try:
             bundle = get_preset(str(preset))
         except KeyError as exc:
-            raise ScenarioError(str(exc), field="functions.preset") from exc
+            raise ScenarioError(exc.args[0], field="functions.preset") from exc
         slots = {slot: getattr(bundle, slot) for slot in slots}
     for slot in slots:
         if slot in functions:
@@ -326,7 +343,7 @@ def validate_scenario(cfg: dict) -> Scenario:
         params=filled,
         preset=str(preset) if preset is not None else None,
         seed=seed,
-        raw=cfg,
+        output_dir=output_dir,
     )
     if entry.check is not None:
         entry.check(sc)
@@ -364,20 +381,20 @@ def _integrator_config(params: dict, tolerance_scale: float) -> IntegratorConfig
 
 
 # ---------------------------------------------------------------------------
-# task implementations; each returns (artifact dict, summary dict)
+# task implementations; each writes nothing and returns (artifacts, summary):
+# each file name, in manifest order, to a CSV's (header, columns) or a JSON dict
 
 
-def _write_trajectory(out: Path, tr: Trajectory) -> str:
-    n = tr.spectrum.n
-    header = ["t"] + [f"u_{k+1}" for k in range(n)] + [f"v_{k+1}" for k in range(n)]
-    write_csv(out / "trajectory.csv", header, [tr.t, *tr.u.T, *tr.v.T])
-    return "trajectory.csv"
+def _mode_table(x: str, a: str, b: str, xs, ua, ub) -> tuple:
+    """The CSV (header, columns) of ``xs`` then each mode's ``a`` and ``b`` columns."""
+    n = ua.shape[1]
+    header = [x] + [f"{a}_{k+1}" for k in range(n)] + [f"{b}_{k+1}" for k in range(n)]
+    return header, [xs, *ua.T, *ub.T]
 
 
-def _task_simulate(sc: Scenario, out: Path, cfg: IntegratorConfig):
+def _task_simulate(sc: Scenario, cfg: IntegratorConfig):
     state = SpectralState(t=sc.params["t_start"], u=sc.u0, v=sc.u1)
     tr = evolve(state, sc.m, cfg, sc.params["t_end"])
-    files = [_write_trajectory(out, tr)]
     ham = hamiltonian_series(tr, sc.m)
     hi = higher_order_series(tr)
     trace = coefficient_trace(tr, sc.m)
@@ -394,9 +411,9 @@ def _task_simulate(sc: Scenario, out: Path, cfg: IntegratorConfig):
         },
         "integrator_meta": tr.meta.to_dict(),
     }
-    write_json(out / "trajectory_summary.json", summary)
-    files.append("trajectory_summary.json")
-    return files, {"status": tr.meta.status, "hamiltonian_drift": drift}
+    artifacts = {"trajectory.csv": _mode_table("t", "u", "v", tr.t, tr.u, tr.v),
+                 "trajectory_summary.json": summary}
+    return artifacts, {"status": tr.meta.status, "hamiltonian_drift": drift}
 
 
 def _check_simulate(sc: Scenario) -> None:
@@ -405,16 +422,16 @@ def _check_simulate(sc: Scenario) -> None:
              f"must exceed t_start = {p['t_start']!r}")
 
 
-def _task_norms(sc: Scenario, out: Path, cfg: IntegratorConfig):
+def _task_norms(sc: Scenario, cfg: IntegratorConfig):
     p = sc.params
     state = SpectralState(t=0.0, u=sc.u0, v=sc.u1)
     tr = evolve(state, sc.m, cfg, p["t_end"])
     phi = sc.phi if sc.phi is not None else constant(1.0)
     trace_cfg = ScaleTraceConfig(phi=phi, r0=p["r0"], big_r=p["R"], alpha=p["alpha"])
     trace = scale_norm_trace(tr, trace_cfg)
-    write_csv(out / "norm_trace.csv", ["t", "radius", "u_norm", "v_norm"],
-              [trace.t, trace.radii, trace.u_norms, trace.v_norms])
-    return ["norm_trace.csv"], {
+    table = (["t", "radius", "u_norm", "v_norm"],
+             [trace.t, trace.radii, trace.u_norms, trace.v_norms])
+    return {"norm_trace.csv": table}, {
         "status": tr.meta.status,
         "max_u_norm": float(np.max(trace.u_norms)),
         "max_v_norm": float(np.max(trace.v_norms)),
@@ -449,7 +466,7 @@ def _check_conditions(sc: Scenario) -> None:
              f"gives {float(size):.4g} grid points, more than {MAX_SAMPLE_FLOATS // GRID_ARRAYS}")
 
 
-def _task_conditions(sc: Scenario, out: Path, cfg: IntegratorConfig):
+def _task_conditions(sc: Scenario, cfg: IntegratorConfig):
     p = sc.params
     grid = default_sigma_grid(p["grid_lo"], p["grid_hi"], p["per_decade"])
     report = check_phi_condition(sc.omega, sc.phi, p["mode"], grid,
@@ -465,12 +482,11 @@ def _task_conditions(sc: Scenario, out: Path, cfg: IntegratorConfig):
         "phi": sc.phi.to_dict(),
         "preset": sc.preset,
     }
-    write_json(out / "condition_report.json", payload)
-    return ["condition_report.json"], {"passed": report.passed,
-                                       "lambda_estimate": report.lambda_estimate}
+    return {"condition_report.json": payload}, {"passed": report.passed,
+                                                "lambda_estimate": report.lambda_estimate}
 
 
-def _task_uniqueness(sc: Scenario, out: Path, cfg: IntegratorConfig):
+def _task_uniqueness(sc: Scenario, cfg: IntegratorConfig):
     rep = uniqueness_condition(sc.u0, sc.u1, sc.m, sc.params["tol"])
     d1, d2 = psi_initial_derivatives(sc.u0, sc.u1, sc.m)
     payload = {
@@ -481,8 +497,7 @@ def _task_uniqueness(sc: Scenario, out: Path, cfg: IntegratorConfig):
         "psi_prime0": d1,
         "psi_second0": d2,
     }
-    write_json(out / "uniqueness_report.json", payload)
-    return ["uniqueness_report.json"], {"hp_main_holds": rep.hp_main_holds}
+    return {"uniqueness_report.json": payload}, {"hp_main_holds": rep.hp_main_holds}
 
 
 def _check_pohozaev(sc: Scenario) -> None:
@@ -498,7 +513,7 @@ def _check_pohozaev(sc: Scenario) -> None:
         }
 
 
-def _task_invariants(sc: Scenario, out: Path, cfg: IntegratorConfig):
+def _task_invariants(sc: Scenario, cfg: IntegratorConfig):
     state = SpectralState(t=0.0, u=sc.u0, v=sc.u1)
     tr = evolve(state, sc.m, cfg, sc.params["t_end"])
     ham = hamiltonian_series(tr, sc.m)
@@ -512,19 +527,15 @@ def _task_invariants(sc: Scenario, out: Path, cfg: IntegratorConfig):
         header.append("pohozaev")
         cols.append(series)
         drifts["pohozaev"] = relative_drift(series)
-    write_csv(out / "invariants.csv", header, cols)
     sigma_hi = hamiltonian_reachable_sigma(sc.u0, sc.u1, sc.m)
     degeneracy = classify_degeneracy(sc.m, sc.u0, np.linspace(0.0, sigma_hi, 513))
     payload = {"drifts": drifts, "degeneracy": degeneracy.value,
                "integrator_meta": tr.meta.to_dict()}
-    write_json(out / "invariants_report.json", payload)
-    return ["invariants.csv", "invariants_report.json"], {
-        "status": tr.meta.status,
-        "drifts": drifts,
-    }
+    artifacts = {"invariants.csv": (header, cols), "invariants_report.json": payload}
+    return artifacts, {"status": tr.meta.status, "drifts": drifts}
 
 
-def _task_decompose(sc: Scenario, out: Path, cfg: IntegratorConfig):
+def _task_decompose(sc: Scenario, cfg: IntegratorConfig):
     p = sc.params
     dec = sum_decompose(sc.u0, sc.u1, sc.phi, p["alpha"], p["beta"],
                         r_probe=p["r_probe"])
@@ -540,15 +551,15 @@ def _task_decompose(sc: Scenario, out: Path, cfg: IntegratorConfig):
         "membership": {k: bool(v.member) for k, v in reports.items()},
         "margins": {k: v.margins for k, v in reports.items()},
     }
-    write_json(out / "decomposition.json", payload)
     lam = sc.spectrum.lambdas
-    write_csv(out / "part_bar.csv", ["lambda", "u0", "u1"],
-              [lam, dec.u0_bar.components, dec.u1_bar.components])
-    write_csv(out / "part_hat.csv", ["lambda", "u0", "u1"],
-              [lam, dec.u0_hat.components, dec.u1_hat.components])
-    return ["decomposition.json", "part_bar.csv", "part_hat.csv"], {
-        "all_member": all(r.member for r in reports.values())
+    artifacts = {
+        "decomposition.json": payload,
+        "part_bar.csv": (["lambda", "u0", "u1"],
+                         [lam, dec.u0_bar.components, dec.u1_bar.components]),
+        "part_hat.csv": (["lambda", "u0", "u1"],
+                         [lam, dec.u0_hat.components, dec.u1_hat.components]),
     }
+    return artifacts, {"all_member": all(r.member for r in reports.values())}
 
 
 def _check_reparametrize(sc: Scenario) -> None:
@@ -561,7 +572,7 @@ def _check_reparametrize(sc: Scenario) -> None:
              f"leaves fewer than two sample intervals up to t_end = {p['t_end']!r}")
 
 
-def _task_reparametrize(sc: Scenario, out: Path, cfg: IntegratorConfig):
+def _task_reparametrize(sc: Scenario, cfg: IntegratorConfig):
     t_end = sc.params["t_end"]
     state = SpectralState(t=0.0, u=sc.u0, v=sc.u1)
     tr = evolve(state, sc.m, cfg, t_end)
@@ -572,15 +583,6 @@ def _task_reparametrize(sc: Scenario, out: Path, cfg: IntegratorConfig):
     curve = solve_trajectory_system(sc.u0, sc.u1, sc.m, s_max, cfg)
     recovered = solve_parametrization(curve, t_end, cfg)
     check = reparametrization_check(tr, curve, sc.u0)
-    n = sc.spectrum.n
-    write_csv(
-        out / "scurve.csv",
-        ["s"] + [f"z_{k+1}" for k in range(n)] + [f"w_{k+1}" for k in range(n)],
-        [curve.s, *curve.z.T, *curve.w.T],
-    )
-    write_csv(out / "psi_trace.csv", ["t", "psi", "f"], [pt.t, pt.psi, pt.f])
-    write_csv(out / "psi_recovered.csv", ["t", "psi", "f"],
-              [recovered.t, recovered.psi, recovered.f])
     payload = {
         "branch": curve.branch,
         "direction": curve.direction,
@@ -590,10 +592,13 @@ def _task_reparametrize(sc: Scenario, out: Path, cfg: IntegratorConfig):
         "worst_t": check.worst_t,
         "n_compared": check.n_compared,
     }
-    write_json(out / "reparametrization_report.json", payload)
-    files = ["scurve.csv", "psi_trace.csv", "psi_recovered.csv",
-             "reparametrization_report.json"]
-    return files, {"status": tr.meta.status, "max_deviation": check.max_deviation}
+    artifacts = {
+        "scurve.csv": _mode_table("s", "z", "w", curve.s, curve.z, curve.w),
+        "psi_trace.csv": (["t", "psi", "f"], [pt.t, pt.psi, pt.f]),
+        "psi_recovered.csv": (["t", "psi", "f"], [recovered.t, recovered.psi, recovered.f]),
+        "reparametrization_report.json": payload,
+    }
+    return artifacts, {"status": tr.meta.status, "max_deviation": check.max_deviation}
 
 
 def _check_family(sc: Scenario) -> None:
@@ -613,7 +618,7 @@ def _check_family(sc: Scenario) -> None:
     sc.params["family"] = {"kind": kind, "values": values, "mode_index": idx}
 
 
-def _task_dependence(sc: Scenario, out: Path, cfg: IntegratorConfig):
+def _task_dependence(sc: Scenario, cfg: IntegratorConfig):
     family = sc.params["family"]
     kind, values = family["kind"], family["values"]
     problems = []
@@ -636,8 +641,7 @@ def _task_dependence(sc: Scenario, out: Path, cfg: IntegratorConfig):
         "continuity_constants": list(report.continuity_constants),
         "fitted_slope_vs_input": report.fitted_slope_vs_data,
     }
-    write_json(out / "dependence_report.json", payload)
-    return ["dependence_report.json"], {
+    return {"dependence_report.json": payload}, {
         "status": report.status,
         "fitted_slope_vs_input": report.fitted_slope_vs_data,
     }
@@ -649,11 +653,11 @@ class _Task:
 
     ``params`` maps each param to (default or REQUIRED, JSON type, rule):
     ``float`` stands for any number and the rule names an entry of
-    ``_RULES``, or is None for a string or an object.  ``check`` validates
+    ``RULES``, or is None for a string or an object.  ``check`` validates
     what no single-param rule can, and may replace a param by its parsed form.
     """
 
-    run: Callable[[Scenario, Path, IntegratorConfig], tuple]
+    run: Callable[[Scenario, IntegratorConfig], tuple]
     functions: tuple[str, ...]
     params: dict[str, tuple]
     check: Callable[[Scenario], None] | None = None
@@ -712,9 +716,9 @@ def run_scenario(
 ) -> RunManifest:
     """Execute one scenario and write its artifacts plus manifest.json.
 
-    ``config`` is a path or an already-parsed dict.  Task failures write a
-    machine-readable error.json into the output directory before the
-    exception propagates; an invalid config or ``tolerance_scale`` is
+    ``config`` is a path or an already-parsed dict.  A failure of the task or
+    of a write leaves a machine-readable error.json in the output directory
+    before the exception propagates; an invalid config or ``tolerance_scale`` is
     refused before the directory is made.
     """
     _require(0.0 < tolerance_scale < math.inf, "tolerance_scale", tolerance_scale,
@@ -725,18 +729,31 @@ def run_scenario(
     sc = validate_scenario(cfg_dict)
     icfg = _integrator_config(sc.params, tolerance_scale)
 
-    out = Path(out_dir) if out_dir is not None else Path(
-        sc.raw.get("output_dir", Path("runs") / sc.name)
-    )
+    if out_dir is None:
+        out_dir = sc.output_dir if sc.output_dir is not None else Path("runs") / sc.name
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # a rerun must not leave the last run's outcome beside its own
     for stale in ("manifest.json", "error.json"):
         (out / stale).unlink(missing_ok=True)
     scenario_hash = sha256_text(dump_json(cfg_dict))
 
+    from .artifacts import sha256_file  # looked up per run, so a rebinding is seen
+
     started = time.perf_counter()
+    entries = []
     try:
-        files, summary = TASKS[sc.task].run(sc, out, icfg)
+        artifacts, summary = TASKS[sc.task].run(sc, icfg)
+        for name in list(artifacts):
+            # popped and deleted, so a trajectory table is freed before its hash
+            path, body = out / name, artifacts.pop(name)
+            if isinstance(body, dict):
+                write_json(path, body)
+            else:
+                write_csv(path, *body)
+            del body
+            entries.append({"name": name, "sha256": sha256_file(path),
+                            "bytes": path.stat().st_size})
     except Exception as exc:
         write_json(
             out / "error.json",
@@ -749,19 +766,6 @@ def run_scenario(
         )
         raise
     wall = time.perf_counter() - started
-
-    from .artifacts import sha256_file
-
-    entries = []
-    for name in files:
-        path = out / name
-        entries.append(
-            {
-                "name": name,
-                "sha256": sha256_file(path),
-                "bytes": path.stat().st_size,
-            }
-        )
     # ok unless the task reports an integrator status other than completed
     ok = summary.get("status", "completed") == "completed"
     manifest = RunManifest(

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -336,7 +337,7 @@ def four_mode_config(**overrides):
          "data.u1"),
         (four_mode_config(data={"u0": {"basis": 3}, "u1": "zero"}), "data.u0"),
         (simulate_config(spectrum={"explicit": []}), "spectrum"),
-        (simulate_config(spectrum={"generator": {"count": 0}}), "spectrum"),
+        (simulate_config(spectrum={"generator": {"count": 0}}), "spectrum.generator.count"),
         (simulate_config(functions={"m": {"kind": "constant", "c": math.nan}}),
          "functions.m"),
         (simulate_config(spectrum={"generator": {"cout": 8}}), "spectrum.generator.cout"),
@@ -837,3 +838,175 @@ def test_mutated_bundled_config_validates_or_names_an_error(target, mutation):
         validate_scenario(cfg)
     except ScenarioError:
         pass
+
+
+# each task's artifacts in manifest order
+ARTIFACTS = {
+    "simulate": ["trajectory.csv", "trajectory_summary.json"],
+    "norms": ["norm_trace.csv"],
+    "conditions": ["condition_report.json"],
+    "uniqueness": ["uniqueness_report.json"],
+    "invariants": ["invariants.csv", "invariants_report.json"],
+    "decompose": ["decomposition.json", "part_bar.csv", "part_hat.csv"],
+    "reparametrize": ["scurve.csv", "psi_trace.csv", "psi_recovered.csv",
+                      "reparametrization_report.json"],
+    "dependence": ["dependence_report.json"],
+}
+
+
+def test_artifact_table_covers_every_task():
+    assert set(ARTIFACTS) == set(scenario.TASKS)
+
+
+@pytest.mark.parametrize("task", list(scenario.TASKS))
+def test_manifest_lists_each_tasks_artifacts_in_order(tmp_path, task):
+    out = tmp_path / "out"
+    manifest = run_scenario(task_config(task), out_dir=out)
+    assert [a["name"] for a in manifest.artifacts] == ARTIFACTS[task]
+    assert sorted(p.name for p in out.iterdir()) == sorted([*ARTIFACTS[task], "manifest.json"])
+    for entry in manifest.artifacts:
+        assert entry["bytes"] == (out / entry["name"]).stat().st_size
+
+
+def refuse_to_write(*args, **kwargs):
+    raise AssertionError("a task runner wrote a file")
+
+
+@pytest.mark.parametrize("task", list(scenario.TASKS))
+def test_task_runner_returns_its_artifacts_and_writes_nothing(tmp_path, monkeypatch, task):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(scenario, "write_csv", refuse_to_write)
+    monkeypatch.setattr(scenario, "write_json", refuse_to_write)
+    sc = validate_scenario(task_config(task))
+    artifacts, summary = scenario.TASKS[task].run(sc, scenario._integrator_config(sc.params, 1.0))
+    assert list(artifacts) == ARTIFACTS[task]
+    for name, body in artifacts.items():
+        if name.endswith(".json"):
+            assert isinstance(body, dict)
+        else:
+            header, columns = body
+            assert len(header) == len(columns)
+            assert len({len(c) for c in columns}) == 1
+    assert isinstance(summary, dict)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_leaves_an_error_record(tmp_path, monkeypatch):
+    def full_disk(path, header, columns):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(scenario, "write_csv", full_disk)
+    with pytest.raises(OSError):
+        run_scenario(simulate_config(), out_dir=tmp_path / "out")
+    record = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert record["error"] == "OSError" and record["task"] == "simulate"
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("value", [5, True, ["x"], None, {"dir": "x"}])
+def test_output_dir_must_be_a_string(tmp_path, monkeypatch, value):
+    monkeypatch.chdir(tmp_path)
+    cfg = simulate_config(output_dir=value)
+    with pytest.raises(ScenarioError) as info:
+        validate_scenario(cfg)
+    assert info.value.field == "output_dir"
+    with pytest.raises(ScenarioError) as info:
+        run_scenario(cfg)
+    assert info.value.field == "output_dir"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_dir_string_is_the_default_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert validate_scenario(simulate_config()).output_dir is None
+    run_scenario(simulate_config(output_dir="here"))
+    assert (tmp_path / "here" / "manifest.json").exists()
+    run_scenario(simulate_config())
+    assert (tmp_path / "runs" / "single_mode_cubic" / "manifest.json").exists()
+
+
+def unreadable_config(tmp_path, case):
+    if case == "missing":
+        return tmp_path / "missing.json"
+    if case == "directory":
+        return tmp_path
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"version": 1, "name": "café"}'.encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+def test_unreadable_config_is_invalid(tmp_path, capsys, case):
+    path = unreadable_config(tmp_path, case)
+    with pytest.raises(ScenarioError, match=re.escape(str(path))):
+        load_config(path)
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid: ") and str(path) in err and "Traceback" not in err
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert "ScenarioError" in capsys.readouterr().err
+
+
+def test_unknown_preset_message_is_not_quoted(capsys, tmp_path):
+    cfg = simulate_config(functions={"preset": "nope"})
+    with pytest.raises(ScenarioError) as info:
+        validate_scenario(cfg)
+    assert str(info.value).startswith("functions.preset: unknown preset 'nope'; available: ")
+    assert main(["validate", str(write_config(tmp_path, cfg))]) == 1
+    assert capsys.readouterr().err.startswith("invalid: functions.preset: unknown preset 'nope'")
+
+
+class SerialPool:
+    """A stand-in for ProcessPoolExecutor that records max_workers and maps in process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, workers", [("2", 2), ("3", 2), ("64", 2)])
+def test_run_jobs_capped_at_config_count(tmp_path, monkeypatch, jobs, workers):
+    from kirchhoff_spectral import cli
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    p1 = write_config(tmp_path, simulate_config(params={"t_end": 1.0}), "one.json")
+    p2 = write_config(tmp_path, simulate_config(name="two", params={"t_end": 1.0}), "two.json")
+    assert main(["run", str(p1), str(p2), "--out-dir", str(tmp_path / "out"),
+                 "--jobs", jobs]) == 0
+    assert SerialPool.sizes == [workers]
+    assert (tmp_path / "out" / "two" / "manifest.json").exists()
+
+
+def refuse_to_allocate(*args, **kwargs):
+    raise AssertionError("an oversized spectrum reached power_spectrum")
+
+
+@pytest.mark.parametrize("count", [-3, 10**9, 2**40])
+def test_generator_count_refused_by_name(monkeypatch, count):
+    monkeypatch.setattr(scenario, "power_spectrum", refuse_to_allocate)
+    with pytest.raises(ScenarioError) as info:
+        validate_scenario(simulate_config(spectrum={"generator": {"count": count}}))
+    assert info.value.field == "spectrum.generator.count"
+
+
+def test_generator_count_cap_boundary(monkeypatch):
+    # one sample row of 2n + 1 floats must fit in MAX_SAMPLE_FLOATS
+    monkeypatch.setattr(scenario, "MAX_SAMPLE_FLOATS", 9)
+    cfg = simulate_config(spectrum={"generator": {"count": 4}}, task="uniqueness", params={})
+    assert validate_scenario(cfg).spectrum.n == 4
+    cfg["spectrum"] = {"generator": {"count": 5}}
+    with pytest.raises(ScenarioError) as info:
+        validate_scenario(cfg)
+    assert info.value.field == "spectrum.generator.count"
+    assert "11 floats" in str(info.value)
