@@ -155,9 +155,9 @@ def _integrate(
     of ``rhs``.  A single state is a (2n,) vector; an ``ensemble`` is a
     (members, 2n) array, and ``rhs`` then takes such arrays.  A one-member
     ensemble gives the same bits, but its RHS costs more: at N = 32 the
-    vector RHS took 4.0 us a call against 6.3 us (best of 7 x 20,000 calls,
-    Xeon, one thread), and an affine(1, 1) evolve to t = 10 took 0.23 s
-    against 0.33 s.
+    vector RHS took 3.1 us a call against 6.4 us (best over several
+    processes of 7 x 20,000 calls, Xeon, one thread, shared 2-core host),
+    and an affine(1, 1) evolve to t = 10 took 0.22 s against 0.29 s.
     """
     first = states[0]
     if any(s.spectrum != first.spectrum or s.t != first.t for s in states):
@@ -243,26 +243,30 @@ def evolve(
                 exc.member = b
             raise
     m_at = m_ats[0]
+    # both forms fill and return one output per solve; the solver copies it
+    out = np.empty((len(states), 2 * n))
+    squares = np.empty((len(states), n))
+    if solo:
+        out, squares = out[0], squares[0]
+    vel, accel = out[..., :n], out[..., n:]
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         u = y[:n]
-        sigma = float(lam2.dot(u * u))
+        sigma = float(lam2.dot(np.multiply(u, u, out=squares)))
         c = m_at(sigma)
         if c < 0.0:
             raise NegativeNonlinearityError(
                 f"m({sigma:.6g}) = {c:.6g} < 0 at t = {t:.6g}"
             )
-        out = np.empty(2 * n)
-        out[:n] = y[n:]
-        accel = out[n:]
+        vel[...] = y[n:]
         np.multiply(lam2, -c, out=accel)  # -c * lam2 * u, in that order
-        accel *= u
+        np.multiply(accel, u, out=accel)  # accel *= u would rebind a local
         return out
 
     def ensemble_rhs(t: float, y: np.ndarray) -> np.ndarray:
         # rhs row by row; a one-row dot is the same ddot as rhs's
         u = y[:, :n]
-        sigmas = (u * u).dot(lam2).tolist()
+        sigmas = np.multiply(u, u, out=squares).dot(lam2).tolist()
         cs = []
         for b, (m_at_b, sigma) in enumerate(zip(m_ats, sigmas)):
             try:
@@ -276,9 +280,10 @@ def evolve(
                 exc.member = b
                 raise
             cs.append(c)
-        accel = np.multiply(lam2, np.negative(cs)[:, None])
-        accel *= u
-        return np.concatenate((y[:, n:], accel), axis=1)
+        vel[...] = y[:, n:]
+        np.multiply(lam2, np.negative(cs)[:, None], out=accel)
+        np.multiply(accel, u, out=accel)
+        return out
 
     trs = _integrate(states, rhs if solo else ensemble_rhs, cfg, t_end, ensemble=not solo)
     done = []
@@ -314,16 +319,16 @@ def linear_evolve(
     n = init.spectrum.n
     lam2 = init.spectrum.lam2
     c_at = scalar_callable(c) if isinstance(c, FunctionSpec) else c
+    out = np.empty(2 * n)  # filled and returned by every call
+    vel, accel = out[:n], out[n:]
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         coeff = float(c_at(t))
         if coeff < 0.0:
             raise NegativeNonlinearityError(f"c({t:.6g}) = {coeff:.6g} < 0")
-        out = np.empty(2 * n)
-        out[:n] = y[n:]
-        accel = out[n:]
+        vel[...] = y[n:]
         np.multiply(lam2, -coeff, out=accel)  # -coeff * lam2 * u, in that order
-        accel *= y[:n]
+        np.multiply(accel, y[:n], out=accel)
         return out
 
     return _integrate([init], rhs, cfg, t_end)[0]

@@ -23,7 +23,14 @@ starts from the derivative at the last accepted point.
 
 The step loop is written against interpreter overhead, not arithmetic:
 stage combinations go through ``ndarray.dot`` and in-place ufuncs, the
-tableau rows are contiguous arrays and the nodes Python floats.  It issues
+tableau rows are contiguous arrays and the nodes Python floats.  It
+allocates nothing per step: the stage argument, the candidate state, its
+magnitude and the error scale live in buffers made once per solve, and an
+accepted step swaps the candidate buffers with the current ones.  Maxima go
+through ``np.maximum.reduce``, which skips the Python-level wrapper of
+``ndarray.max`` and propagates NaN the same way.  The right-hand side may
+likewise fill and return one array on every call, because the loop copies
+each result into its stage matrix before the next call.  The loop issues
 the same floating-point operations in the same order as the plain loop kept
 as the reference in tests/test_integrate.py, so a change here must keep
 trajectories and counters bit-identical; one that changes the step
@@ -206,7 +213,8 @@ def solve_to_samples(
     that stops does so alone, with its own record and status in
     ``members`` of the outcome.  ``rhs`` always receives the state in
     ``y0``'s shape, in a buffer the loop overwrites at the next stage, so it
-    must not keep its argument.
+    must not keep its argument.  It may return the same array on every
+    call: the loop copies the result before it calls ``rhs`` again.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size < 2:
@@ -240,6 +248,9 @@ def solve_to_samples(
     stages = [(_C[i], _A[i - 1], k[:i], k_in[i], k_rows[i]) for i in range(1, 9)]
     q = np.empty(y.size)
     q_rows = q.reshape(n_members, dim)
+    # the candidate state, its magnitude and the error scale; an accepted
+    # step swaps the first two with y and abs_y
+    y_new, abs_new, scale = np.empty(y.size), np.empty(y.size), np.empty(y.size)
     err2 = np.zeros(n_members)  # each member's squared error sum, last attempt
 
     live = np.ones(n_members, dtype=bool)
@@ -313,11 +324,11 @@ def solve_to_samples(
             if stopped:
                 k_i_rows[stopped] = 0.0
         n_rhs += 8
-        y_new = _B.dot(k)
+        _B.dot(k, out=y_new)
         y_new *= h_try
         y_new += y
-        abs_new = np.abs(y_new)
-        scale = np.maximum(abs_y, abs_new)
+        np.abs(y_new, out=abs_new)
+        np.maximum(abs_y, abs_new, out=scale)
         scale *= rel_tol
         scale += abs_tol
         _E.dot(k, out=q)
@@ -325,7 +336,8 @@ def solve_to_samples(
         q /= scale
         q *= q
         np.add.reduce(q_rows, axis=1, out=err2)
-        err = math.sqrt(float(err2.max()) / dim)  # a NaN member's error is NaN
+        # a NaN member's error is NaN
+        err = math.sqrt(float(np.maximum.reduce(err2)) / dim)
 
         if math.isfinite(err) and err <= 1.0:
             t_new = t + h_try
@@ -334,15 +346,15 @@ def solve_to_samples(
                 out[si] = y_new
                 si += 1
             t = t_new
-            y = y_new
-            abs_y = abs_new
+            y, y_new = y_new, y
+            abs_y, abs_new = abs_new, abs_y
             # first-same-as-last: only an accepted step's last stage is the
             # derivative at the new point; a rejected one leaves k[0] as is
             k[0] = k[8]
             n_accepted += 1
             limit_growth = grew_after_reject  # no growth right after a reject
             grew_after_reject = False
-            if state_cap is not None and float(abs_y.max()) > state_cap:
+            if state_cap is not None and float(np.maximum.reduce(abs_y)) > state_cap:
                 text = (
                     f"state magnitude exceeded {state_cap:.3e} at t = {t:.6g}; "
                     f"suspected blow-up"

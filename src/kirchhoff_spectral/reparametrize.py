@@ -303,25 +303,25 @@ def solve_trajectory_system(
     n = spec.n
     m_at = scalar_callable(m)
     signed_lam = direction * lam  # exact: direction is +-1
+    out = np.empty(2 * n)  # filled and returned by every call
+    dz, dw = out[:n], out[n:]
+    zw = np.empty(n)
 
     def rhs(s_tilde: float, y: np.ndarray) -> np.ndarray:
         z = y[:n]
         w = y[n:]
-        den = 2.0 * float(lam.dot(z * w))
+        den = 2.0 * float(lam.dot(np.multiply(z, w, out=zw)))
         if abs(den) < DEN_FLOOR:
             raise ParametrizationError(
                 f"parametrization degenerates: |psi'| = {abs(den):.3e} at "
                 f"s = {direction * s_tilde:.6g}"
             )
         coeff = m_at(direction * s_tilde + sigma0)
-        out = np.empty(2 * n)
-        dz = out[:n]
         np.multiply(signed_lam, w, out=dz)  # direction * lam * w / den
-        dz /= den
-        dw = out[n:]
+        np.divide(dz, den, out=dz)
         np.multiply(lam, -direction * coeff, out=dw)  # -direction*coeff*lam*z/den
-        dw *= z
-        dw /= den
+        np.multiply(dw, z, out=dw)
+        np.divide(dw, den, out=dw)
         return out
 
     if abs(d1) > HP_TOL:

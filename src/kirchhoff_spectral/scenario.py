@@ -282,6 +282,9 @@ def validate_scenario(cfg: dict) -> Scenario:
     name = cfg.get("name")
     if not isinstance(name, str) or not name:
         raise ScenarioError("a nonempty name is required", field="name")
+    # the default output directory is runs/<name>: it must not leave runs/
+    plain = Path(name).name == name and name != ".." and not set("\\\0") & set(name)
+    _require(plain, "name", name, "must be a single plain path component")
     task = cfg.get("task")
     _require(isinstance(task, str) and task in TASKS, "task", task,
              f"must be one of {', '.join(TASKS)}")

@@ -65,7 +65,9 @@ class Spectrum:
 def power_spectrum(n: int, p: float = 1.0) -> Spectrum:
     """Spectrum lambda_k = k**p for k = 1..n."""
     k = np.arange(1, n + 1, dtype=float)
-    return Spectrum(k**p)
+    with np.errstate(over="ignore"):  # Spectrum refuses an infinite eigenvalue
+        lam = k**p
+    return Spectrum(lam)
 
 
 @dataclass(frozen=True, eq=False)

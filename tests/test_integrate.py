@@ -147,7 +147,7 @@ def reference_solve(rhs, y0, samples, rel_tol, abs_tol, max_step=math.inf,
     y = np.array(y0, dtype=float)
     dim = y.size
 
-    f = rhs(t, y)
+    f = np.array(rhs(t, y))  # rhs may return the same buffer on every call
     n_rhs = 1
     h, extra = integrate._initial_step(rhs, t, y, f, t_end - t, rel_tol, abs_tol)
     n_rhs += extra
@@ -269,6 +269,24 @@ def test_reference_harmonic_oscillator():
 
     assert_matches_reference(rhs, np.array([1.0, 0.0]), np.linspace(0.0, 5.0, 101),
                              1e-11, 1e-11)
+
+
+def test_reference_rhs_returning_one_buffer():
+    # rhs may fill and return the same array on every call: the solver and
+    # the reference copy it, so the bits are those of a fresh array per call
+    out = np.empty(2)
+
+    def reused(t, y):
+        out[0] = y[1]
+        out[1] = -9.0 * y[0] * (1.0 + 0.1 * math.sin(t))
+        return out
+
+    def fresh(t, y):
+        return np.array([y[1], -9.0 * y[0] * (1.0 + 0.1 * math.sin(t))])
+
+    args = (np.array([1.0, 0.0]), np.linspace(0.0, 5.0, 101), 1e-11, 1e-11)
+    res, _ = assert_matches_reference(reused, *args)
+    assert np.array_equal(res.y, solve_to_samples(fresh, *args).y)
 
 
 def test_reference_blow_up_and_underflow():

@@ -376,6 +376,7 @@ def four_mode_config(**overrides):
                                           "value": [1.0, 2.0]}}), "functions.m"),
         (simulate_config(functions={"m": {"kind": "table", "sigma": "01",
                                           "value": [1.0, 2.0]}}), "functions.m"),
+        (simulate_config(spectrum={"generator": {"count": 4, "p": 1e300}}), "spectrum"),
     ],
     ids=["index_negative", "index_past_end", "wrong_length", "basis_not_object",
          "explicit_empty", "generator_empty", "m_not_finite", "generator_unknown_key",
@@ -385,7 +386,7 @@ def four_mode_config(**overrides):
          "count_not_integer", "p_string", "spectrum_explicit_string", "index_bool",
          "amplitude_string", "gamma_null", "random_seed_float", "decay_bool",
          "vector_explicit_not_numbers", "vector_explicit_string", "knots_not_numbers",
-         "knots_string"],
+         "knots_string", "p_overflows"],
 )
 def test_malformed_spectrum_or_data_names_the_field(tmp_path, capsys, cfg, field):
     with pytest.raises(ScenarioError) as info:
@@ -393,6 +394,20 @@ def test_malformed_spectrum_or_data_names_the_field(tmp_path, capsys, cfg, field
     assert info.value.field == field
     assert main(["validate", str(write_config(tmp_path, cfg))]) == 1
     assert f"invalid: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["a/../../escaped", "../x", "a/b", "..", ".", "{tmp}/abs",
+                                  "a\\b", "a\0b"])
+def test_name_that_leaves_runs_is_refused(tmp_path, monkeypatch, name):
+    # run_scenario writes to runs/<name> by default; nothing may be made
+    name = name.format(tmp=tmp_path)  # an absolute name, kept inside tmp_path
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    with pytest.raises(ScenarioError) as info:
+        run_scenario(simulate_config(name=name))
+    assert info.value.field == "name"
+    assert list(tmp_path.rglob("*")) == [work]
 
 
 def test_unknown_param_rejected():
@@ -787,6 +802,13 @@ BUNDLED = [
     json.loads(path.read_text())
     for path in sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
 ]
+
+
+def test_plain_names_validate():
+    for cfg in BUNDLED + [simulate_config(name=".hidden"), simulate_config(name="a..b")]:
+        assert validate_scenario(cfg).name == cfg["name"]
+
+
 # replacement values; none of them asks validation for a large allocation
 REPLACEMENTS = [None, True, False, 0, -1, 0.5, 3, 1e300, -1e300, "", "abc", "zero",
                 "1.0", [], [1.0], {}, {"a": 1}]
