@@ -306,6 +306,8 @@ def solve_trajectory_system(
     out = np.empty(2 * n)  # filled and returned by every call
     dz, dw = out[:n], out[n:]
     zw = np.empty(n)
+    # den and -direction * coeff reach the ufuncs as 0-d arrays
+    den_0d, factor = np.empty(()), np.empty(())
 
     def rhs(s_tilde: float, y: np.ndarray) -> np.ndarray:
         z = y[:n]
@@ -317,11 +319,13 @@ def solve_trajectory_system(
                 f"s = {direction * s_tilde:.6g}"
             )
         coeff = m_at(direction * s_tilde + sigma0)
+        den_0d[()] = den
+        factor[()] = -direction * coeff
         np.multiply(signed_lam, w, out=dz)  # direction * lam * w / den
-        np.divide(dz, den, out=dz)
-        np.multiply(lam, -direction * coeff, out=dw)  # -direction*coeff*lam*z/den
+        np.divide(dz, den_0d, out=dz)
+        np.multiply(lam, factor, out=dw)  # -direction*coeff*lam*z/den
         np.multiply(dw, z, out=dw)
-        np.divide(dw, den, out=dw)
+        np.divide(dw, den_0d, out=dw)
         return out
 
     if abs(d1) > HP_TOL:

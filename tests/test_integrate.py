@@ -8,9 +8,11 @@ from kirchhoff_spectral import (
     SpectralState,
     SpectralVector,
     Spectrum,
+    a_half_norm_sq,
     affine,
     constant,
     dynamics,
+    functions,
     integrate,
     pohozaev,
     power,
@@ -357,6 +359,83 @@ def test_reference_curve_system(monkeypatch, tight_cfg, u1, branch):
     assert len(calls) >= 1
     for rhs, y0, samples, args, kwargs in calls:
         assert_matches_reference(rhs, y0, samples, *args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "rhs, y0, samples, state_cap, status",
+    [
+        # one component blows up (y' = y^2, at t = 1) while the others decay
+        (lambda t, y: np.concatenate([y[:1] * y[:1], -y[1:]]),
+         np.array([1.0, 0.5, -0.25, 2.0]), np.linspace(0.0, 2.0, 201), 1e6, "blow_up"),
+        # one component's derivative turns NaN halfway, so no later attempt passes
+        (lambda t, y: np.where(np.arange(y.size) == 2, math.nan if t > 0.5 else -y, -y),
+         np.array([1.0, 0.5, -0.25, 2.0]), np.linspace(0.0, 2.0, 201), 1e6,
+         "step_underflow"),
+        # a component squared overflows long before it crosses a cap of 1e200
+        (lambda t, y: np.concatenate([50.0 * y[:1], -y[1:]]),
+         np.array([1e150, 1.0, -1.0]), np.linspace(0.0, 3.0, 31), 1e200, "blow_up"),
+    ],
+    ids=["one_component_over_cap", "nan_component", "cap_1e200"],
+)
+def test_reference_state_cap_on_many_components(rhs, y0, samples, state_cap, status):
+    ref, _ = assert_matches_reference(rhs, y0, samples, 1e-10, 1e-10, state_cap=state_cap)
+    assert ref.status == status and 1 < ref.t.size < samples.size
+
+
+def test_rhs_closures_match_the_allocating_expressions(monkeypatch):
+    # each closure fills a buffer with its scalars passed as 0-d arrays; the
+    # result must equal the plain expression with Python floats, bit for bit
+    rng = np.random.default_rng(5)
+    n = 6
+    spec = power_spectrum(n)
+    lam, lam2 = spec.lambdas, spec.lam2
+    ms = [affine(1.0, 1.0), power(2.0), pohozaev(1.0, 1.0)]
+    m_ats = [functions.scalar_callable(m) for m in ms]
+    states = [normalized_state(n, seed) for seed in range(3)]
+
+    def c_of_t(t):
+        return 1.0 + 0.5 * math.sin(t)
+
+    calls = captured_solves(monkeypatch, [dynamics], lambda: (
+        dynamics.evolve(states[0], ms[0], IntegratorConfig(), 0.5),
+        dynamics.evolve(states, ms, IntegratorConfig(), 0.5),
+        dynamics.linear_evolve(states[0], c_of_t, IntegratorConfig(), 0.5),
+    ))
+    solo, ensemble, linear = (call[0] for call in calls)
+    for _ in range(5):
+        t = float(rng.uniform(0.0, 3.0))
+        y = rng.standard_normal((3, 2 * n))
+        u, v = y[:, :n], y[:, n:]
+        c = m_ats[0](float(lam2 @ (u[0] * u[0])))
+        assert np.array_equal(solo(t, y[0]), np.concatenate([v[0], (-c * lam2) * u[0]]))
+        cs = np.array([m_at(sigma) for m_at, sigma in zip(m_ats, (u * u) @ lam2)])
+        assert np.array_equal(ensemble(t, y),
+                              np.concatenate([v, (-cs[:, None] * lam2) * u], axis=1))
+        assert np.array_equal(linear(t, y[0]),
+                              np.concatenate([v[0], (-c_of_t(t) * lam2) * u[0]]))
+
+    directions = set()
+    for sign in (1.0, -1.0):
+        u0 = states[0].u
+        u1 = SpectralVector(spec, sign * states[0].v.components)
+        m_at = m_ats[0]
+        d1, _ = reparametrize.psi_initial_derivatives(u0, u1, ms[0])
+        direction = int(np.sign(d1))
+        directions.add(direction)
+        sigma0 = a_half_norm_sq(u0)
+        calls = captured_solves(monkeypatch, [reparametrize], lambda: (
+            reparametrize.solve_trajectory_system(u0, u1, ms[0], 1e-3, IntegratorConfig())
+        ))
+        curve = calls[0][0]
+        for _ in range(5):
+            s_tilde = float(rng.uniform(0.0, 1e-3))
+            z, w = rng.standard_normal((2, n))
+            den = 2.0 * float(lam @ (z * w))
+            coeff = m_at(direction * s_tilde + sigma0)
+            expected = np.concatenate([direction * lam * w / den,
+                                       -direction * coeff * lam * z / den])
+            assert np.array_equal(curve(s_tilde, np.concatenate([z, w])), expected)
+    assert directions == {-1, 1}
 
 
 def test_retry_after_reject_starts_from_accepted_derivative():
