@@ -64,7 +64,6 @@ from .analysis import (  # noqa: F401
     UniquenessReport,
     classify_degeneracy,
     continuous_dependence_study,
-    derivative_loss_probe,
     hamiltonian_reachable_sigma,
     scale_norm_trace,
     uniqueness_condition,

@@ -1,6 +1,6 @@
 """Diagnostics on top of trajectories: scale-norm traces, degeneracy
-classification, uniqueness conditions, derivative-loss probes and the
-continuous-dependence experiment."""
+classification, uniqueness conditions and the continuous-dependence
+experiment."""
 
 from __future__ import annotations
 
@@ -13,7 +13,8 @@ from .conditions import log_log_slope
 from .dynamics import IntegratorConfig, SpectralState, Trajectory, evolve, hamiltonian
 from .errors import PreconditionError
 from .functions import FunctionSpec, antiderivative
-from .norms import GevreyParams, _norms, _radius_weights, gevrey_norm
+# benchmarks/tracing.py rebinds analysis.gevrey_norm, which nothing here calls
+from .norms import _norms, _radius_weights, gevrey_norm  # noqa: F401
 from .spectrum import (
     SpectralVector,
     a_half_norm_sq,
@@ -24,9 +25,6 @@ from .spectrum import (
 
 DEFAULT_HP_MAIN_TOL = 1e-10
 MU_MIN = 1e-8
-LOSS_PROBE_SAMPLES = 16
-LOSS_PROBE_GROWTH = 10.0
-LOSS_PROBE_RADIUS = 1.0
 DEPENDENCE_GRID_POINTS = 257
 
 
@@ -163,89 +161,6 @@ def uniqueness_condition(
     as1, as2 = uniqueness_quantities(u0, u1, m)
     return UniquenessReport(
         as1=as1, as2=as2, hp_main_holds=bool(abs(as1) + abs(as2) > tol), tol=tol
-    )
-
-
-# ---------------------------------------------------------------------------
-# derivative-loss probe
-
-
-@dataclass(frozen=True)
-class LossProbeEntry:
-    alpha: float
-    eps: float
-    norm_at_start: float
-    max_early_norm: float
-    growth_exponent: float
-
-
-@dataclass(frozen=True)
-class LossProbeReport:
-    """Growth signatures of high norms near t = 0.
-
-    At finite truncation every norm is finite, so this reports ratios and
-    fitted exponents, never a proof of loss; the verdict is labelled a
-    signature.
-    """
-
-    entries: tuple
-    signature_alphas: tuple
-    has_signature: bool
-    initial_data_norms: tuple
-
-
-def derivative_loss_probe(
-    tr: Trajectory, phi: FunctionSpec, alpha_grid, eps_grid
-) -> LossProbeReport:
-    """Probe sobolev_norm(u(t), alpha + eps) growth on the samples near t = 0.
-
-    Flags a loss signature at alpha when the LOSS_PROBE_SAMPLES norms after
-    t = 0 exceed the t = 0 value by LOSS_PROBE_GROWTH for every eps.  ``phi``
-    gives the initial datum's weighted norms at LOSS_PROBE_RADIUS alongside,
-    as the regularity context of the experiment.
-    """
-    n_early = LOSS_PROBE_SAMPLES
-    if abs(float(tr.t[0])) > 0.0:
-        raise PreconditionError("trajectory must start at t = 0")
-    if tr.n_samples < n_early + 1:
-        raise PreconditionError(
-            f"need at least {n_early + 1} samples near 0; rerun with finer "
-            f"dense output"
-        )
-    alphas = [float(a) for a in alpha_grid]
-    epss = [float(e) for e in eps_grid]
-    entries = []
-    signature_alphas = []
-    for alpha in alphas:
-        flags = []
-        for eps in epss:
-            series = _norms(tr.u[: n_early + 1], tr.spectrum.lambdas, alpha + eps)
-            start = float(series[0])
-            peak = float(np.max(series[1:]))
-            expo = log_log_slope(tr.t[1 : n_early + 1], series[1:])
-            entries.append(
-                LossProbeEntry(
-                    alpha=alpha,
-                    eps=eps,
-                    norm_at_start=start,
-                    max_early_norm=peak,
-                    growth_exponent=expo,
-                )
-            )
-            flags.append(peak > LOSS_PROBE_GROWTH * max(start, 1e-300) and start > 0.0
-                         or (start == 0.0 and peak > LOSS_PROBE_GROWTH))
-        if flags and all(flags):
-            signature_alphas.append(alpha)
-    u0 = SpectralVector(tr.spectrum, tr.u[0])
-    data_norms = tuple(
-        (alpha, gevrey_norm(u0, GevreyParams(phi, LOSS_PROBE_RADIUS, alpha)))
-        for alpha in alphas
-    )
-    return LossProbeReport(
-        entries=tuple(entries),
-        signature_alphas=tuple(signature_alphas),
-        has_signature=bool(signature_alphas),
-        initial_data_norms=data_norms,
     )
 
 

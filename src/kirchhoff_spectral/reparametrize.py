@@ -308,11 +308,12 @@ def solve_trajectory_system(
     zw = np.empty(n)
     # den and -direction * coeff reach the ufuncs as 0-d arrays
     den_0d, factor = np.empty(()), np.empty(())
+    multiply, divide = np.multiply, np.divide  # positional outputs, as in integrate
 
     def rhs(s_tilde: float, y: np.ndarray) -> np.ndarray:
         z = y[:n]
         w = y[n:]
-        den = 2.0 * float(lam.dot(np.multiply(z, w, out=zw)))
+        den = 2.0 * float(lam.dot(multiply(z, w, zw)))
         if abs(den) < DEN_FLOOR:
             raise ParametrizationError(
                 f"parametrization degenerates: |psi'| = {abs(den):.3e} at "
@@ -321,11 +322,11 @@ def solve_trajectory_system(
         coeff = m_at(direction * s_tilde + sigma0)
         den_0d[()] = den
         factor[()] = -direction * coeff
-        np.multiply(signed_lam, w, out=dz)  # direction * lam * w / den
-        np.divide(dz, den_0d, out=dz)
-        np.multiply(lam, factor, out=dw)  # -direction*coeff*lam*z/den
-        np.multiply(dw, z, out=dw)
-        np.divide(dw, den_0d, out=dw)
+        multiply(signed_lam, w, dz)  # direction * lam * w / den
+        divide(dz, den_0d, dz)
+        multiply(lam, factor, dw)  # -direction*coeff*lam*z/den
+        multiply(dw, z, dw)
+        divide(dw, den_0d, dw)
         return out
 
     if abs(d1) > HP_TOL:

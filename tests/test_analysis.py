@@ -6,7 +6,6 @@ import pytest
 from kirchhoff_spectral import (
     Degeneracy,
     GevreyParams,
-    IntegratorConfig,
     ScaleTraceConfig,
     SpectralState,
     SpectralVector,
@@ -16,7 +15,6 @@ from kirchhoff_spectral import (
     classify_degeneracy,
     constant,
     continuous_dependence_study,
-    derivative_loss_probe,
     evolve,
     gevrey_norm,
     hamiltonian_reachable_sigma,
@@ -194,61 +192,6 @@ def test_uniqueness_permutation_invariance():
     )
     assert rep_p.as1 == pytest.approx(rep.as1, rel=1e-15, abs=1e-15)
     assert rep_p.as2 == pytest.approx(rep.as2, rel=1e-15, abs=1e-15)
-
-
-def test_loss_probe_zero_solution(tight_cfg):
-    spec = power_spectrum(4)
-    tr = evolve(
-        SpectralState(t=0.0, u=zero_vector(spec), v=zero_vector(spec)),
-        affine(1.0, 1.0),
-        tight_cfg,
-        1.0,
-    )
-    rep = derivative_loss_probe(tr, constant(1.0), [0.25], [0.25, 0.5])
-    assert not rep.has_signature
-
-
-def test_loss_probe_constant_m_no_signature(tight_cfg):
-    rng = np.random.default_rng(12)
-    spec = power_spectrum(8)
-    u0 = SpectralVector(spec, rng.standard_normal(8) / spec.lambdas**2)
-    v0 = SpectralVector(spec, rng.standard_normal(8) / spec.lambdas)
-    tr = evolve(SpectralState(t=0.0, u=u0, v=v0), constant(1.0), tight_cfg, 1.0)
-    rep = derivative_loss_probe(tr, constant(1.0), [0.25, 0.75], [0.25, 0.5])
-    assert not rep.has_signature
-    # per-mode closed form keeps each norm bounded by its t = 0 level scale
-    for entry in rep.entries:
-        assert entry.max_early_norm < 10.0 * max(entry.norm_at_start, 1e-12)
-
-
-def test_loss_probe_truncation_refinement(tight_cfg):
-    # data u_k ~ e^(-lambda_k): finite truncations keep every probed norm
-    # finite and report no signature at any refinement level
-    for n in (8, 16, 32):
-        spec = power_spectrum(n)
-        profile = np.exp(-spec.lambdas)
-        u0 = SpectralVector(spec, profile)
-        tr = evolve(
-            SpectralState(t=0.0, u=u0, v=zero_vector(spec)),
-            affine(1.0, 1.0),
-            tight_cfg,
-            0.5,
-        )
-        rep = derivative_loss_probe(tr, power(1.0), [0.25, 0.75], [0.5, 1.0])
-        assert not rep.has_signature
-        assert all(np.isfinite(e.max_early_norm) for e in rep.entries)
-
-
-def test_loss_probe_needs_samples(tight_cfg):
-    spec = Spectrum([1.0])
-    tr = evolve(
-        SpectralState(t=0.0, u=basis_vector(spec, 0), v=zero_vector(spec)),
-        constant(1.0),
-        IntegratorConfig(dense_output_dt=0.5),
-        1.0,
-    )
-    with pytest.raises(PreconditionError, match="finer"):
-        derivative_loss_probe(tr, constant(1.0), [0.25], [0.5])
 
 
 def test_dependence_identical_problems(tight_cfg):

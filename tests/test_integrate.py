@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -592,3 +593,109 @@ def test_state_of_three_axes_rejected():
     with pytest.raises(ValueError, match="members"):
         solve_to_samples(lambda t, y: y, np.ones((2, 2, 2)), np.array([0.0, 1.0]),
                          1e-8, 1e-8)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"max_step": math.nan}, "max_step"),
+        ({"max_step": 0.0}, "max_step"),
+        ({"max_step": -1.0}, "max_step"),
+        ({"state_cap": math.nan}, "state_cap"),
+        ({"state_cap": -1.0}, "state_cap"),
+        ({"rel_tol": math.inf}, "tolerances"),
+        ({"abs_tol": math.inf}, "tolerances"),
+        ({"rel_tol": math.nan}, "tolerances"),
+    ],
+    ids=["max_step_nan", "max_step_zero", "max_step_negative", "state_cap_nan",
+         "state_cap_negative", "rel_tol_inf", "abs_tol_inf", "rel_tol_nan"],
+)
+def test_bad_scalars_refused_before_any_rhs_call(kwargs, match):
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return y * y
+
+    args = {"rel_tol": 1e-10, "abs_tol": 1e-10, **kwargs}
+    with pytest.raises(ValueError, match=match):
+        solve_to_samples(rhs, np.array([1.0]), np.linspace(0.0, 2.0, 21), **args)
+    assert calls == []
+
+
+def test_zero_state_cap_is_accepted():
+    res = solve_to_samples(lambda t, y: -y, np.array([1.0]), np.linspace(0.0, 1.0, 11),
+                           1e-10, 1e-10, state_cap=0.0)
+    assert res.status == "blow_up" and res.t.size == 1
+
+
+def test_propagating_weights_are_the_last_stage_row():
+    # the step loop takes stage 8's argument as the candidate state, which
+    # holds because Verner's propagating weights are row 7 of A and a zero
+    # weight for the last stage
+    assert np.array_equal(integrate._A[7], integrate._B[:8])
+    assert integrate._B[8] == 0.0
+    assert integrate._C[8] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# golden bytes: the raw (t, u, v) of one run per solver path, pinned by
+# sha256.  A change to the step loop or an RHS closure that moves any
+# floating-point operation changes these.  The bytes depend on the BLAS
+# kernels; the hashes were recorded with numpy 2.4.6 and scipy 1.17.1 on an
+# x86-64 Xeon.
+
+SOLVER_PATH_SHA256 = {
+    "evolve_affine": "7e3c5d49f8e3d29edbe5cf06dc04afff1bf796d881c904fb409255f970b7b748",
+    "evolve_power1": "b2045636f2284b937e6376439d29ba47eab349fb289fb1c31a757c122436bca5",
+    "evolve_power2": "8cb6282c4fa0e78de43277605246ed9c10222b7a9f5c105f591de1f3411eaebb",
+    "evolve_pohozaev": "de8cc229610952a3d8ce30b0bca70b3948da71cadea86979bd5b80f85bc7b3d5",
+    "ensemble_0": "8b5536e8152ce6ddb1347d665e7e0bd431abc06cc2e43b348d37c873f514350c",
+    "ensemble_1": "dc96c39c2170c6a14264d1050bf7e91140a2e08ffa3324c2fd6ba0aae44f351f",
+    "ensemble_2": "a4e1c9daec922a5d21bef700e575fce1f79bb9283dc7145e1a706cc0c4270795",
+    "linear_evolve": "148c84ecf9742a939d78638de23cfb8857d0a94f75262de6005779b504bacb5d",
+    "curve_direct": "4741faafe08f947840fdfaa6d934fa1cd49becd435d0e4bb2d30ebdd0d673862",
+    "curve_bootstrap": "25b94730520d97c6b652868826fb33116b72a7d3f74bf865db9c827f70448d44",
+    "evolve_n512": "684009d83ea9f6b3b577accd37dc02a93d5c44eef0f57ce8292e3c52a9fdf412",
+}
+
+
+def raw_sha256(*arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+def solver_path_runs():
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-10)
+    sweep = {"affine": affine(1.0, 1.0), "power1": power(1.0), "power2": power(2.0),
+             "pohozaev": pohozaev(1.0, 1.0)}
+    for seed, (name, m) in enumerate(sweep.items()):
+        yield f"evolve_{name}", dynamics.evolve(normalized_state(32, seed), m, cfg, 10.0)
+    members = dynamics.evolve([normalized_state(32, seed) for seed in (4, 5, 6)],
+                              [affine(1.0, 1.0), power(2.0), pohozaev(1.0, 1.0)], cfg, 10.0)
+    for b, tr in enumerate(members):
+        yield f"ensemble_{b}", tr
+    yield "linear_evolve", dynamics.linear_evolve(
+        normalized_state(32, 7), lambda t: 1.0 + 0.5 * math.sin(t), cfg, 10.0)
+    spec = Spectrum([1.0])
+    u0 = SpectralVector(spec, [1.0])
+    for branch, u1 in (("direct", [1.0]), ("bootstrap", [0.0])):
+        curve = reparametrize.solve_trajectory_system(u0, SpectralVector(spec, u1),
+                                                      constant(1.0), 0.8, cfg)
+        assert curve.branch == branch
+        yield f"curve_{branch}", curve
+    yield "evolve_n512", dynamics.evolve(normalized_state(512, 8), affine(1.0, 1.0),
+                                         cfg, 0.1)
+
+
+def test_solver_paths_keep_their_bytes():
+    got = {}
+    for name, run in solver_path_runs():
+        if isinstance(run, reparametrize.SCurve):
+            got[name] = raw_sha256(run.s, run.z, run.w)
+        else:
+            assert run.meta.status == "completed"
+            got[name] = raw_sha256(run.t, run.u, run.v)
+    assert got == SOLVER_PATH_SHA256
