@@ -2,21 +2,22 @@
 
 Where the shift s is invertible in t, the curve (z, w) = (A^(1/2)u, u') can
 be followed in the s variable; the pace along the curve then solves the
-scalar autonomous problem psi' = F(psi), psi(0) = 0, with F the tabulated
-speed 2<A^(1/2)z, w>.  The two half-steps (curve in s, then pace) are
-implemented here, together with the consistency check against a direct time
-integration.
+scalar autonomous problem psi' = F(psi), psi(0) = 0, with F the speed
+2<A^(1/2)z, w> read off the sampled curve.  The two half-steps (curve in s,
+then pace) are implemented here, together with the consistency check against
+a direct time integration.
 
 When psi'(0) = 0 but psi''(0) != 0 the speed vanishes at s = 0 to first
 order.  The curve solver then bootstraps: it follows the time dynamics on a
 short initial leg until |psi'| clears a handoff threshold, converts the leg
-to the s variable, and continues in s.  A decreasing shift (negative first
+to the s variable, and continues in s; the direct branch starts the s
+integration from the datum itself.  A decreasing shift (negative first
 derivative) is mirrored onto the increasing branch and flagged with
 ``direction = -1``.
 
 Both interpolants are small numpy cubics evaluated in v = sqrt(s): the
-speed table and the inverse pace use PCHIP (the Fritsch-Butland slopes with
-Moler's one-sided end slopes, equal bit for bit to scipy's
+speed along the curve and the inverse pace use PCHIP (the Fritsch-Butland
+slopes with Moler's one-sided end slopes, equal bit for bit to scipy's
 ``PchipInterpolator``), and the consistency check uses a not-a-knot cubic
 spline whose slopes come from one tridiagonal sweep over the stacked (z, w)
 table.
@@ -24,6 +25,7 @@ table.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -221,7 +223,6 @@ class SCurve:
     z: np.ndarray  # (n_samples, n_modes)
     w: np.ndarray
     direction: int
-    sigma0: float
     branch: str
     psi_prime0: float
     psi_second0: float
@@ -258,18 +259,15 @@ def scurve_from_trajectory(tr: Trajectory) -> SCurve:
     n = _monotone_prefix(s)
     if n < 2:
         raise ParametrizationError("shift is not monotone from the start")
-    lam = tr.spectrum.lambdas
-    d1, d2 = pt.f[0], math.nan
     return SCurve(
         spectrum=tr.spectrum,
         s=s[:n],
-        z=tr.u[:n] * lam,
+        z=tr.u[:n] * tr.spectrum.lambdas,
         w=tr.v[:n].copy(),
         direction=direction,
-        sigma0=a_half_norm_sq(u0),
         branch="from_trajectory",
-        psi_prime0=float(d1),
-        psi_second0=d2,
+        psi_prime0=float(pt.f[0]),
+        psi_second0=math.nan,
     )
 
 
@@ -286,11 +284,12 @@ def solve_trajectory_system(
     ``HP_TOL``); both vanishing is refused, matching the limit of the
     two-step uniqueness argument.  In the second branch the solver first
     follows the time dynamics until |psi'| exceeds the handoff threshold
-    ``HANDOFF_SCALE * (1 + |psi''(0)|)``, then continues in s.
+    ``HANDOFF_SCALE * (1 + |psi''(0)|)``, then continues in s.  Requires
+    0 < s_max < inf.
     """
     spec = require_shared_spectrum(u0, u1)
-    if s_max <= 0.0:
-        raise PreconditionError("s_max must be positive")
+    if not 0.0 < s_max < math.inf:  # or NaN
+        raise PreconditionError("s_max must be positive and finite")
     d1, d2 = psi_initial_derivatives(u0, u1, m)
     if abs(d1) <= HP_TOL and abs(d2) <= HP_TOL:
         raise PreconditionError(
@@ -329,30 +328,20 @@ def solve_trajectory_system(
         divide(dw, den_0d, dw)
         return out
 
+    # the s integration starts from the last row of a lead-in: the datum
+    # itself on the direct branch, the time leg on the bootstrap branch
     if abs(d1) > HP_TOL:
-        s_start = 0.0
-        z_start = lam * u0.components
-        w_start = u1.components.copy()
-        lead_s = np.empty((0,))
-        lead_z = np.empty((0, n))
-        lead_w = np.empty((0, n))
         branch = "direct"
+        lead_s, lead_z, lead_w = np.zeros(1), (lam * u0.components)[None], u1.components[None]
     else:
-        boot = HANDOFF_SCALE * (1.0 + abs(d2))
-        leg = _bootstrap_leg(u0, u1, m, cfg, direction, boot, abs(d2))
-        lead_s, lead_z, lead_w = leg
-        s_start = float(lead_s[-1])
-        z_start = lead_z[-1].copy()
-        w_start = lead_w[-1].copy()
-        lead_s = lead_s[:-1]
-        lead_z = lead_z[:-1]
-        lead_w = lead_w[:-1]
         branch = "bootstrap"
-        if s_start >= s_max:
-            raise PreconditionError(
-                f"s_max = {s_max:g} lies inside the bootstrap leg "
-                f"(handoff at {s_start:g}); increase s_max"
-            )
+        lead_s, lead_z, lead_w = _bootstrap_leg(u0, u1, m, cfg, direction, abs(d2))
+    s_start = float(lead_s[-1])
+    if s_start >= s_max:
+        raise PreconditionError(
+            f"s_max = {s_max:g} lies inside the bootstrap leg "
+            f"(handoff at {s_start:g}); increase s_max"
+        )
 
     # sample uniformly in sqrt(s): the curve components are smooth functions
     # of sqrt(s) even when the speed vanishes at s = 0, where they behave
@@ -361,7 +350,7 @@ def solve_trajectory_system(
     samples = v_grid**2
     samples[0] = s_start
     samples[-1] = s_max
-    y0 = np.concatenate([z_start, w_start])
+    y0 = np.concatenate([lead_z[-1], lead_w[-1]])
     res = solve_to_samples(
         rhs, y0, samples, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, max_step=cfg.max_step
     )
@@ -370,36 +359,26 @@ def solve_trajectory_system(
             f"curve integration stopped early: {res.message or res.status}"
         )
 
-    s_all = np.concatenate([lead_s, res.t])
-    z_all = np.vstack([lead_z, res.y[:, :n]])
-    w_all = np.vstack([lead_w, res.y[:, n:]])
     return SCurve(
         spectrum=spec,
-        s=s_all,
-        z=z_all,
-        w=w_all,
+        s=np.concatenate([lead_s[:-1], res.t]),
+        z=np.vstack([lead_z[:-1], res.y[:, :n]]),
+        w=np.vstack([lead_w[:-1], res.y[:, n:]]),
         direction=direction,
-        sigma0=sigma0,
         branch=branch,
         psi_prime0=d1,
         psi_second0=d2,
     )
 
 
-def _bootstrap_leg(u0, u1, m, cfg, direction, boot, d2_mag):
-    """Time leg from t = 0 until the mirrored speed clears the threshold."""
-    spec = u0.spectrum
-    lam = spec.lambdas
+def _bootstrap_leg(u0, u1, m, cfg, direction, d2_mag):
+    """Time leg from t = 0 until the mirrored speed clears the handoff threshold."""
+    lam = u0.spectrum.lambdas
+    boot = HANDOFF_SCALE * (1.0 + d2_mag)
     t_guess = 3.0 * boot / max(d2_mag, 1e-8)
+    state = SpectralState(t=0.0, u=u0, v=u1)
     for _ in range(8):
-        state = SpectralState(t=0.0, u=u0, v=u1)
-        cfg_leg = IntegratorConfig(
-            rel_tol=cfg.rel_tol,
-            abs_tol=cfg.abs_tol,
-            max_step=cfg.max_step,
-            dense_output_dt=t_guess / 128.0,
-        )
-        tr = evolve(state, m, cfg_leg, t_guess)
+        tr = evolve(state, m, dataclasses.replace(cfg, dense_output_dt=t_guess / 128.0), t_guess)
         pt = psi_trace(tr, u0)
         speed = direction * pt.f
         hit = np.nonzero(speed >= boot)[0]
@@ -408,7 +387,7 @@ def _bootstrap_leg(u0, u1, m, cfg, direction, boot, d2_mag):
             s = direction * pt.psi[: i + 1]
             k = _monotone_prefix(s)
             if k >= 2 and k == i + 1:
-                return s, tr.u[: i + 1] * lam, tr.v[: i + 1].copy()
+                return s, tr.u[: i + 1] * lam, tr.v[: i + 1]
         t_guess *= 2.0
     raise ParametrizationError(
         "bootstrap leg never cleared the handoff threshold; the shift may "
@@ -416,53 +395,32 @@ def _bootstrap_leg(u0, u1, m, cfg, direction, boot, d2_mag):
     )
 
 
-@dataclass(frozen=True)
-class TabulatedSpeed:
-    """Speed F sampled against the mirrored shift.
+def solve_parametrization(curve: SCurve, t_end: float, cfg: IntegratorConfig) -> PsiTrace:
+    """Recover the pace psi(t) from the curve's speed via psi' = F(psi).
 
-    Interpolation runs in the variable v = sqrt(s), in which the admissible
-    first-order vanishing F ~ c*sqrt(s) is a smooth (linear) profile.
-    """
-
-    s: np.ndarray
-    f: np.ndarray
-    direction: int
-
-    def interpolator(self) -> HermiteCubic:
-        """Shape-preserving cubic of F against v = sqrt(s); call with v."""
-        return pchip(np.sqrt(self.s), self.f)
-
-
-def tabulate_speed(curve: SCurve) -> TabulatedSpeed:
-    return TabulatedSpeed(s=curve.s.copy(), f=curve.f_values(), direction=curve.direction)
-
-
-def solve_parametrization(
-    speed: TabulatedSpeed | SCurve,
-    t_end: float,
-    cfg: IntegratorConfig,
-) -> PsiTrace:
-    """Recover the pace psi(t) from the tabulated speed via psi' = F(psi).
+    F is ``curve.f_values()`` against the mirrored shift, interpolated by
+    PCHIP in v = sqrt(s), in which the admissible first-order vanishing
+    F ~ c*sqrt(s) is a smooth (linear) profile.
 
     The autonomous scalar equation is integrated by separation of variables:
     t(s) = integral of 1/F from 0 to s, regularized by the substitution
     s = v^2 so that the admissible first-order vanishing of F at s = 0
     (where the trivial branch psi = 0 splits off) becomes a finite
     integrand; the monotone escape branch is then the inverse of t(s).
-    Requires F > 0 away from s = 0 on the table; a sign change is refused.
+    Requires F > 0 away from s = 0 on the curve, where a sign change is
+    refused, and 0 < t_end < inf.
     """
-    if isinstance(speed, SCurve):
-        speed = tabulate_speed(speed)
-    if t_end <= 0.0:
-        raise PreconditionError("t_end must be positive")
-    if np.any(speed.f[1:] <= 0.0):
-        i = 1 + int(np.argmax(speed.f[1:] <= 0.0))
+    if not 0.0 < t_end < math.inf:  # or NaN
+        raise PreconditionError("t_end must be positive and finite")
+    f = curve.f_values()
+    if np.any(f[1:] <= 0.0):
+        i = 1 + int(np.argmax(f[1:] <= 0.0))
         raise ParametrizationError(
-            f"speed changes sign on the interior at s = {speed.s[i]:.6g}; "
+            f"speed changes sign on the interior at s = {curve.s[i]:.6g}; "
             f"the window contains a turning point"
         )
-    f_interp = speed.interpolator()
-    s_hi = float(speed.s[-1])
+    f_interp = pchip(np.sqrt(curve.s), f)
+    s_hi = float(curve.s[-1])
     v = np.linspace(0.0, math.sqrt(s_hi), PACE_INTERVALS + 1)
     fv = np.asarray(f_interp(v), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -490,9 +448,9 @@ def solve_parametrization(
     t_out = sample_grid(0.0, t_max, dt)
     s_out = np.asarray(inverse(t_out), dtype=float)
     s_out[0] = 0.0
-    psi = speed.direction * s_out
+    psi = curve.direction * s_out
     v_out = np.sqrt(np.clip(s_out, 0.0, s_hi))
-    f_out = speed.direction * np.asarray(f_interp(v_out), dtype=float)
+    f_out = curve.direction * np.asarray(f_interp(v_out), dtype=float)
     return PsiTrace(t=t_out, psi=psi, f=f_out)
 
 

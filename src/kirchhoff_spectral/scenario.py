@@ -51,6 +51,7 @@ from .errors import ScenarioError
 from .functions import RULES, FunctionSpec, offset, constant
 from .presets import get_preset, list_presets
 from .reparametrize import (
+    HP_TOL,
     psi_initial_derivatives,
     psi_trace,
     reparametrization_check,
@@ -566,13 +567,19 @@ def _task_decompose(sc: Scenario, cfg: IntegratorConfig):
 
 
 def _check_reparametrize(sc: Scenario) -> None:
-    """The time run needs two sample intervals for the curve comparison."""
+    """The time run needs two sample intervals for the curve comparison, and
+    the curve solver psi'(0) or psi''(0) away from 0."""
     p = sc.params
     dt = p["dense_output_dt"]
     with _field_errors("params.dense_output_dt"):
         intervals = sample_intervals(p["t_end"], dt)
     _require(intervals >= 2, "params.dense_output_dt", dt,
              f"leaves fewer than two sample intervals up to t_end = {p['t_end']!r}")
+    with _field_errors("functions.m"), np.errstate(over="ignore", invalid="ignore"):
+        d1, d2 = psi_initial_derivatives(sc.u0, sc.u1, sc.m)
+    _require(not (abs(d1) <= HP_TOL and abs(d2) <= HP_TOL), "data", (d1, d2),
+             f"gives psi'(0) and psi''(0) both within {HP_TOL:g} of 0, where the "
+             f"parametrization argument does not apply")
 
 
 def _task_reparametrize(sc: Scenario, cfg: IntegratorConfig):

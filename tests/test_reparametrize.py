@@ -27,8 +27,9 @@ from kirchhoff_spectral import (
     uniqueness_condition,
     zero_vector,
 )
+from kirchhoff_spectral import reparametrize
 from kirchhoff_spectral.errors import ParametrizationError, PreconditionError
-from kirchhoff_spectral.reparametrize import TabulatedSpeed, not_a_knot_spline, pchip
+from kirchhoff_spectral.reparametrize import SCurve, not_a_knot_spline, pchip
 from tests.conftest import random_vector
 
 
@@ -157,10 +158,16 @@ def test_refusal_when_both_derivatives_vanish(tight_cfg):
         solve_trajectory_system(u0, u1, constant(1.0), 0.5, tight_cfg)
 
 
+def speed_curve(s, f):
+    """A one-mode curve on lambda = 1 whose speed 2*z*w is f: z = 1, w = f/2."""
+    return SCurve(spectrum=Spectrum([1.0]), s=s, z=np.ones((s.size, 1)),
+                  w=(f / 2.0)[:, None], direction=1, branch="synthetic",
+                  psi_prime0=float(f[0]), psi_second0=math.nan)
+
+
 def test_constant_speed_parametrization(tight_cfg):
     s = np.linspace(0.0, 1.0, 101)
-    speed = TabulatedSpeed(s=s, f=np.ones_like(s), direction=1)
-    pt = solve_parametrization(speed, 0.9, tight_cfg)
+    pt = solve_parametrization(speed_curve(s, np.ones_like(s)), 0.9, tight_cfg)
     assert np.max(np.abs(pt.psi - pt.t)) < 1e-9
 
 
@@ -168,7 +175,26 @@ def test_parametrization_sign_change_rejected(tight_cfg):
     s = np.linspace(0.0, 1.0, 101)
     f = np.cos(2.0 * s)  # goes negative inside
     with pytest.raises(ParametrizationError, match="sign"):
-        solve_parametrization(TabulatedSpeed(s=s, f=f, direction=1), 1.0, tight_cfg)
+        solve_parametrization(speed_curve(s, f), 1.0, tight_cfg)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("s_max", math.nan), ("s_max", math.inf), ("t_end", math.nan), ("t_end", math.inf),
+])
+def test_non_finite_scalar_refused_before_integration(tight_cfg, monkeypatch, name, value):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(reparametrize, "evolve", no_integration)
+    monkeypatch.setattr(reparametrize, "solve_to_samples", no_integration)
+    spec = Spectrum([1.0])
+    with pytest.raises(PreconditionError, match=f"{name} must be positive and finite"):
+        if name == "s_max":  # bootstrap data, so a time leg would come first
+            solve_trajectory_system(basis_vector(spec, 0), zero_vector(spec),
+                                    constant(1.0), value, tight_cfg)
+        else:
+            s = np.linspace(0.0, 1.0, 101)
+            solve_parametrization(speed_curve(s, np.ones_like(s)), value, tight_cfg)
 
 
 def test_round_trip_direct_branch(tight_cfg):

@@ -739,6 +739,40 @@ def test_reparametrize_reports_its_evolve_status(tmp_path, monkeypatch):
     assert manifest.summary["ok"] is False
 
 
+def reparametrize_config(u0, u1, m=None):
+    return simulate_config(spectrum={"explicit": [1.0, 2.0]}, data={"u0": u0, "u1": u1},
+                           functions={"m": m or {"kind": "constant", "c": 1.0}},
+                           task="reparametrize", params={})
+
+
+@pytest.mark.parametrize("cfg, field", [
+    pytest.param(reparametrize_config("zero", "zero"), "data", id="zero_data"),
+    # psi'(0) = 2<A u0, u1> = 0 and psi''(0) = 2(|A^(1/2)u1|^2 - |A u0|^2) = 0
+    pytest.param(reparametrize_config({"basis": {"index": 0, "amplitude": 1.0}},
+                                      {"explicit": [0.0, 0.5]}), "data", id="both_vanish"),
+    pytest.param(reparametrize_config("zero", {"basis": {"index": 0, "amplitude": 1.0}},
+                                      {"kind": "power", "beta": -1.0}),
+                 "functions.m", id="m_singular_at_datum"),
+])
+def test_reparametrize_data_refused_before_run(tmp_path, monkeypatch, cfg, field):
+    monkeypatch.setattr(scenario, "evolve", refuse_to_evolve)
+    with pytest.raises(ScenarioError) as info:
+        validate_scenario(cfg)
+    assert info.value.field == field
+    with pytest.raises(ScenarioError) as info:
+        run_scenario(cfg, out_dir=tmp_path / "out")
+    assert info.value.field == field
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("u0, u1", [
+    ({"basis": {"index": 0, "amplitude": 1.0}}, "zero"),  # the bootstrap branch
+    ({"basis": {"index": 0, "amplitude": 1e300}}, "zero"),  # psi''(0) overflows
+])
+def test_reparametrize_data_with_a_nonvanishing_derivative_validates(u0, u1):
+    validate_scenario(reparametrize_config(u0, u1, {"kind": "power", "beta": 1.0}))
+
+
 @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
 def test_bad_tolerance_scale_refused_before_run(tmp_path, scale):
     with pytest.raises(ScenarioError) as info:
