@@ -10,7 +10,8 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ScenarioError
-from .scenario import load_config, preset_catalog, run_scenario, validate_scenario
+from .presets import list_presets
+from .scenario import load_config, run_scenario, validate_scenario
 
 
 def _add_run(sub):
@@ -74,7 +75,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_presets(args) -> int:
-    catalog = preset_catalog()
+    catalog = [b.to_dict() for b in list_presets()]
     if args.json:
         json.dump(catalog, sys.stdout, indent=2, sort_keys=True)
         print()

@@ -164,8 +164,8 @@ def _integrate(
     first = states[0]
     if any(s.spectrum != first.spectrum or s.t != first.t for s in states):
         raise PreconditionError("ensemble states must share one spectrum and start time")
-    if t_end <= first.t:
-        raise PreconditionError("t_end must exceed the initial time")
+    if not first.t < t_end < math.inf:  # or NaN
+        raise PreconditionError("t_end must be finite and exceed the initial time")
     spec = first.spectrum
     n = spec.n
     samples = sample_grid(first.t, t_end, cfg.dense_output_dt)

@@ -215,8 +215,8 @@ def solve_to_samples(
 ) -> IntegrationOutcome:
     """Integrate y' = rhs(t, y) recording the state at each sample time.
 
-    ``samples`` must be strictly increasing, with samples[0] the initial
-    time.  Exceptions raised by ``rhs`` propagate to the caller; blow-up
+    ``samples`` must be finite and strictly increasing, with samples[0] the
+    initial time.  Exceptions raised by ``rhs`` propagate to the caller; blow-up
     (when ``state_cap`` is set), step underflow and a non-finite derivative
     at the start instead truncate the record and set the status marker
     (``"step_underflow"`` for the last two).  Tolerances that are not
@@ -234,6 +234,8 @@ def solve_to_samples(
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size < 2:
         raise ValueError("need at least the initial time and one sample")
+    if not np.isfinite(samples).all():
+        raise ValueError("sample times must be finite")
     if np.any(np.diff(samples) <= 0.0):
         raise ValueError("sample times must be strictly increasing")
     if not (0.0 < rel_tol < math.inf and 0.0 < abs_tol < math.inf):

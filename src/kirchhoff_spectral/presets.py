@@ -1,7 +1,9 @@
 """Built-in (omega, phi, m) bundles for the compatibility-condition suite.
 
-The existence-regime bundles pair a continuity modulus with a weight that
-keeps the compatibility ratio bounded in the stated hyperbolicity mode; the
+The bundles fall into four tables, named by the prefix of each bundle's
+name, and the table fixes the hyperbolicity mode the pair is checked in and
+its regime.  The existence-regime bundles pair a continuity modulus with a
+weight that keeps the compatibility ratio bounded in that mode; the
 loss-regime bundles carry a logarithmically thinner weight for which the
 ratio diverges, the territory of the derivative-loss constructions.  Each
 bundle also names a representative nonlinearity with the advertised modulus
@@ -25,18 +27,36 @@ from .functions import (
 )
 
 _HOLDER_BETA = 0.5
+# table -> (hyperbolicity mode, whether its pairs are in the loss regime)
+_TABLES = {"table1": ("strict", False), "table2": ("weak", False),
+           "table3": ("strict", True), "table4": ("weak", True)}
 
 
 @dataclass(frozen=True)
 class PresetBundle:
+    """One (omega, phi, m) pair; its name's prefix is its table."""
+
     name: str
-    mode: str  # hyperbolicity mode the pair is checked in
-    loss_regime: bool
     omega: FunctionSpec
     phi: FunctionSpec
     m: FunctionSpec
-    family: str
     row: str
+
+    def __post_init__(self):
+        if self.family not in _TABLES:
+            raise ValueError(f"preset {self.name!r} names no table of {sorted(_TABLES)}")
+
+    @property
+    def family(self) -> str:
+        return self.name.split("_", 1)[0]
+
+    @property
+    def mode(self) -> str:
+        return _TABLES[self.family][0]
+
+    @property
+    def loss_regime(self) -> bool:
+        return _TABLES[self.family][1]
 
     def to_dict(self) -> dict:
         return {
@@ -58,138 +78,95 @@ def _bundles() -> tuple[PresetBundle, ...]:
     just_cont = modulus_inv_log(0.5)
 
     return (
-        # strict-mode existence pairs
         PresetBundle(
             name="table1_analytic",
-            mode="strict",
-            loss_regime=False,
             omega=holder,
             phi=weight_power_log(1.0),
             m=offset(1.0, power(_HOLDER_BETA)),
-            family="table1",
             row="continuous nonlinearity, analytic weight (never optimal)",
         ),
         PresetBundle(
             name="table1_optimal_scaled",
-            mode="strict",
-            loss_regime=False,
             omega=holder,
             phi=weight_scaled_modulus(holder),
             m=offset(1.0, power(_HOLDER_BETA)),
-            family="table1",
             row="continuous nonlinearity, weight sigma*omega(1/sigma)",
         ),
         PresetBundle(
             name="table1_holder",
-            mode="strict",
-            loss_regime=False,
             omega=holder,
             phi=weight_power_log(1.0 - _HOLDER_BETA),
             m=offset(1.0, power(_HOLDER_BETA)),
-            family="table1",
             row="Hoelder-continuous nonlinearity, weight sigma^(1-beta)",
         ),
         PresetBundle(
             name="table1_loglipschitz",
-            mode="strict",
-            loss_regime=False,
             omega=log_lip,
             phi=weight_power_log(0.0, 1.0),
             m=offset(1.0, log_lip),
-            family="table1",
             row="log-Lipschitz nonlinearity, weight log(sigma)",
         ),
         PresetBundle(
             name="table1_lipschitz",
-            mode="strict",
-            loss_regime=False,
             omega=lipschitz,
             phi=weight_power_log(0.0),
             m=affine(1.0, 1.0),
-            family="table1",
             row="Lipschitz nonlinearity, constant weight",
         ),
-        # weak-mode existence pairs
         PresetBundle(
             name="table2_analytic",
-            mode="weak",
-            loss_regime=False,
             omega=holder,
             phi=weight_power_log(1.0),
             m=power(_HOLDER_BETA),
-            family="table2",
             row="continuous degenerate nonlinearity, analytic weight",
         ),
         PresetBundle(
             name="table2_holder_beta",
-            mode="weak",
-            loss_regime=False,
             omega=holder,
             phi=weight_power_log(2.0 / (_HOLDER_BETA + 2.0)),
             m=power(_HOLDER_BETA),
-            family="table2",
             row="Hoelder degenerate nonlinearity, weight sigma^(2/(beta+2))",
         ),
         PresetBundle(
             name="table2_lipschitz",
-            mode="weak",
-            loss_regime=False,
             omega=lipschitz,
             phi=weight_power_log(2.0 / 3.0),
             m=power(1.0),
-            family="table2",
             row="Lipschitz degenerate nonlinearity, weight sigma^(2/3)",
         ),
-        # strict-mode loss pairs
         PresetBundle(
             name="table3_loglog",
-            mode="strict",
-            loss_regime=True,
             omega=just_cont,
             phi=weight_power_log(1.0, -1.0),
             m=offset(0.5, just_cont),
-            family="table3",
             row="just-continuous nonlinearity, weight sigma/log(sigma)",
         ),
         PresetBundle(
             name="table3_holder_log",
-            mode="strict",
-            loss_regime=True,
             omega=holder,
             phi=weight_power_log(1.0 - _HOLDER_BETA, -1.0),
             m=offset(1.0, power(_HOLDER_BETA)),
-            family="table3",
             row="Hoelder nonlinearity, weight sigma^(1-beta)/log(sigma)",
         ),
         PresetBundle(
             name="table3_loglipschitz_cubed",
-            mode="strict",
-            loss_regime=True,
             omega=holder,
             phi=weight_power_log(0.0, 2.0),
             m=offset(0.5, modulus_sigma_log(3.0)),
-            family="table3",
             row="almost-Lipschitz nonlinearity, weight log(sigma)^2",
         ),
-        # weak-mode loss pairs
         PresetBundle(
             name="table4_holder_log",
-            mode="weak",
-            loss_regime=True,
             omega=holder,
             phi=weight_power_log(2.0 / (_HOLDER_BETA + 2.0), -1.0),
             m=power(_HOLDER_BETA),
-            family="table4",
             row="Hoelder degenerate nonlinearity, log-thinned weight",
         ),
         PresetBundle(
             name="table4_lipschitz_log",
-            mode="weak",
-            loss_regime=True,
             omega=lipschitz,
             phi=weight_power_log(2.0 / 3.0, -1.0),
             m=power(1.0),
-            family="table4",
             row="Lipschitz degenerate nonlinearity, log-thinned weight",
         ),
     )

@@ -188,12 +188,10 @@ class PsiTrace:
             raise PreconditionError("psi must start at 0")
 
 
-def psi_trace(tr: Trajectory, u0: SpectralVector) -> PsiTrace:
-    """psi and F sampled along a trajectory starting at the datum u0."""
-    if not np.allclose(tr.u[0], u0.components, rtol=1e-12, atol=1e-12):
-        raise PreconditionError("trajectory does not start at the given datum")
+def psi_trace(tr: Trajectory) -> PsiTrace:
+    """psi and F sampled along a trajectory, from the datum it starts at."""
     lam2 = tr.spectrum.lam2
-    psi = (tr.u**2 - u0.components**2) @ lam2
+    psi = (tr.u**2 - tr.u[0] ** 2) @ lam2
     f = 2.0 * ((tr.u * tr.v) @ lam2)
     return PsiTrace(t=tr.t.copy(), psi=psi, f=f)
 
@@ -249,8 +247,7 @@ def _monotone_prefix(values: np.ndarray) -> int:
 
 def scurve_from_trajectory(tr: Trajectory) -> SCurve:
     """Reparametrize a computed trajectory by its own shift variable."""
-    u0 = SpectralVector(tr.spectrum, tr.u[0])
-    pt = psi_trace(tr, u0)
+    pt = psi_trace(tr)
     nonzero = np.nonzero(np.abs(pt.psi) > 0.0)[0]
     if nonzero.size == 0:
         raise ParametrizationError("shift vanishes identically; curve undefined")
@@ -379,7 +376,7 @@ def _bootstrap_leg(u0, u1, m, cfg, direction, d2_mag):
     state = SpectralState(t=0.0, u=u0, v=u1)
     for _ in range(8):
         tr = evolve(state, m, dataclasses.replace(cfg, dense_output_dt=t_guess / 128.0), t_guess)
-        pt = psi_trace(tr, u0)
+        pt = psi_trace(tr)
         speed = direction * pt.f
         hit = np.nonzero(speed >= boot)[0]
         if hit.size:
@@ -464,16 +461,14 @@ class DeviationReport:
     n_compared: int
 
 
-def reparametrization_check(
-    tr: Trajectory, curve: SCurve, u0: SpectralVector
-) -> DeviationReport:
+def reparametrization_check(tr: Trajectory, curve: SCurve) -> DeviationReport:
     """Compare a time trajectory against a curve at matching shift values.
 
     Interpolates the curve at s = direction * psi(t_i) and reports
     |z - A^(1/2)u| + |w - u'| per sample.  The shift must be strictly
     monotone over the compared window.
     """
-    pt = psi_trace(tr, u0)
+    pt = psi_trace(tr)
     s_t = curve.direction * pt.psi
     inside = s_t <= float(curve.s[-1]) + 1e-15
     idx = np.nonzero(inside)[0]

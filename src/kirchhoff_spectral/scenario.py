@@ -49,7 +49,7 @@ from .dynamics import (
 )
 from .errors import ScenarioError
 from .functions import RULES, FunctionSpec, offset, constant
-from .presets import get_preset, list_presets
+from .presets import get_preset
 from .reparametrize import (
     HP_TOL,
     psi_initial_derivatives,
@@ -586,13 +586,13 @@ def _task_reparametrize(sc: Scenario, cfg: IntegratorConfig):
     t_end = sc.params["t_end"]
     state = SpectralState(t=0.0, u=sc.u0, v=sc.u1)
     tr = evolve(state, sc.m, cfg, t_end)
-    pt = psi_trace(tr, sc.u0)
+    pt = psi_trace(tr)
     s_max = sc.params["s_max"]
     if s_max is None:
         s_max = S_MAX_SHARE * float(np.max(np.abs(pt.psi)))
     curve = solve_trajectory_system(sc.u0, sc.u1, sc.m, s_max, cfg)
     recovered = solve_parametrization(curve, t_end, cfg)
-    check = reparametrization_check(tr, curve, sc.u0)
+    check = reparametrization_check(tr, curve)
     payload = {
         "branch": curve.branch,
         "direction": curve.direction,
@@ -728,14 +728,15 @@ def run_scenario(
 
     ``config`` is a path or an already-parsed dict.  A failure of the task or
     of a write leaves a machine-readable error.json in the output directory
-    before the exception propagates; an invalid config or ``tolerance_scale`` is
-    refused before the directory is made.
+    before the exception propagates; an invalid config, ``tolerance_scale`` or
+    ``seed`` (which obeys the config's own ``seed`` rule) is refused before the
+    directory is made.
     """
     _require(0.0 < tolerance_scale < math.inf, "tolerance_scale", tolerance_scale,
              "must be positive and finite")
     cfg_dict = load_config(config) if not isinstance(config, dict) else dict(config)
     if seed is not None:
-        cfg_dict["seed"] = int(seed)
+        cfg_dict["seed"] = seed
     sc = validate_scenario(cfg_dict)
     icfg = _integrator_config(sc.params, tolerance_scale)
 
@@ -788,6 +789,3 @@ def run_scenario(
     write_json(out / "manifest.json", manifest.to_dict())
     return manifest
 
-
-def preset_catalog() -> list[dict]:
-    return [b.to_dict() for b in list_presets()]

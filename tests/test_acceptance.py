@@ -177,7 +177,7 @@ def test_criterion_06_uniqueness_coherence():
         def fd(dt):
             cfg = IntegratorConfig(1e-12, 1e-12, dense_output_dt=dt)
             tr = evolve(SpectralState(t=0.0, u=u0, v=u1), m, cfg, 2.0 * dt)
-            pt = psi_trace(tr, u0)
+            pt = psi_trace(tr)
             fd1 = (-3.0 * pt.psi[0] + 4.0 * pt.psi[1] - pt.psi[2]) / (2.0 * dt)
             fd2 = (pt.psi[0] - 2.0 * pt.psi[1] + pt.psi[2]) / dt**2
             return abs(fd1 - d1), abs(fd2 - d2)
@@ -206,7 +206,7 @@ def test_criterion_07_round_trip():
     ):
         tr = evolve(SpectralState(t=0.0, u=e1, v=u1), m, TOL, t_end)
         curve = solve_trajectory_system(e1, u1, m, s_max, TOL)
-        direct = reparametrization_check(tr, curve, e1)
+        direct = reparametrization_check(tr, curve)
         assert direct.max_deviation <= 1e-5
 
         recovered = solve_parametrization(curve, t_end, TOL)

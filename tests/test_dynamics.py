@@ -408,6 +408,18 @@ def test_driver_looks_up_solver_at_call_time(tight_cfg, monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("t_end", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("run", [evolve, linear_evolve], ids=["evolve", "linear_evolve"])
+def test_non_finite_t_end_refused_before_integrating(tight_cfg, monkeypatch, run, t_end):
+    calls = []
+    monkeypatch.setattr(dynamics, "solve_to_samples", lambda *args, **kwargs: calls.append(1))
+    spec = Spectrum([1.0])
+    state = SpectralState(t=0.0, u=basis_vector(spec, 0), v=zero_vector(spec))
+    with pytest.raises(PreconditionError, match="t_end must be finite"):
+        run(state, affine(1.0, 1.0), tight_cfg, t_end)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # ensembles: sequences of states and nonlinearities through one step loop
 

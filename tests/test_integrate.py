@@ -606,9 +606,13 @@ def test_state_of_three_axes_rejected():
         ({"rel_tol": math.inf}, "tolerances"),
         ({"abs_tol": math.inf}, "tolerances"),
         ({"rel_tol": math.nan}, "tolerances"),
+        ({"samples": np.array([math.nan, 1.0])}, "sample times must be finite"),
+        ({"samples": np.array([0.0, math.nan])}, "sample times must be finite"),
+        ({"samples": np.array([0.0, math.inf])}, "sample times must be finite"),
     ],
     ids=["max_step_nan", "max_step_zero", "max_step_negative", "state_cap_nan",
-         "state_cap_negative", "rel_tol_inf", "abs_tol_inf", "rel_tol_nan"],
+         "state_cap_negative", "rel_tol_inf", "abs_tol_inf", "rel_tol_nan",
+         "samples_nan_start", "samples_nan_end", "samples_inf_end"],
 )
 def test_bad_scalars_refused_before_any_rhs_call(kwargs, match):
     calls = []
@@ -617,9 +621,9 @@ def test_bad_scalars_refused_before_any_rhs_call(kwargs, match):
         calls.append(t)
         return y * y
 
-    args = {"rel_tol": 1e-10, "abs_tol": 1e-10, **kwargs}
+    args = {"samples": np.linspace(0.0, 2.0, 21), "rel_tol": 1e-10, "abs_tol": 1e-10, **kwargs}
     with pytest.raises(ValueError, match=match):
-        solve_to_samples(rhs, np.array([1.0]), np.linspace(0.0, 2.0, 21), **args)
+        solve_to_samples(rhs, np.array([1.0]), **args)
     assert calls == []
 
 

@@ -41,7 +41,7 @@ def test_psi_zero_solution(tight_cfg):
         tight_cfg,
         1.0,
     )
-    pt = psi_trace(tr, zero_vector(spec))
+    pt = psi_trace(tr)
     assert np.all(pt.psi == 0.0)
     assert np.all(pt.f == 0.0)
 
@@ -52,19 +52,10 @@ def test_psi_single_mode_closed_form(tight_cfg):
     u0 = basis_vector(spec, 0)
     tr = evolve(SpectralState(t=0.0, u=u0, v=zero_vector(spec)), constant(1.0),
                 tight_cfg, 1.2)
-    pt = psi_trace(tr, u0)
+    pt = psi_trace(tr)
     assert pt.psi[0] == 0.0
     assert np.max(np.abs(pt.psi + np.sin(tr.t) ** 2)) < 1e-9
     assert np.max(np.abs(pt.f + np.sin(2.0 * tr.t))) < 1e-9
-
-
-def test_psi_requires_matching_datum(tight_cfg):
-    spec = Spectrum([1.0])
-    u0 = basis_vector(spec, 0)
-    tr = evolve(SpectralState(t=0.0, u=u0, v=zero_vector(spec)), constant(1.0),
-                tight_cfg, 1.0)
-    with pytest.raises(PreconditionError):
-        psi_trace(tr, basis_vector(spec, 0, 2.0))
 
 
 def test_initial_derivative_examples():
@@ -108,7 +99,7 @@ def test_finite_difference_convergence(tight_cfg):
         def fd_errors(dt):
             cfg = IntegratorConfig(1e-12, 1e-12, dense_output_dt=dt)
             tr = evolve(SpectralState(t=0.0, u=u0, v=u1), m, cfg, 2.0 * dt)
-            pt = psi_trace(tr, u0)
+            pt = psi_trace(tr)
             p0, p1, p2 = pt.psi[0], pt.psi[1], pt.psi[2]
             fd1 = (-3.0 * p0 + 4.0 * p1 - p2) / (2.0 * dt)
             fd2 = (p0 - 2.0 * p1 + p2) / dt**2
@@ -131,7 +122,7 @@ def test_direct_branch_consistency(tight_cfg):
     curve = solve_trajectory_system(u0, u1, m, 0.9, tight_cfg)
     assert curve.branch == "direct"
     assert curve.direction == 1
-    check = reparametrization_check(tr, curve, u0)
+    check = reparametrization_check(tr, curve)
     assert check.max_deviation < 1e-6
 
 
@@ -146,7 +137,7 @@ def test_bootstrap_branch_consistency(tight_cfg):
     curve = solve_trajectory_system(u0, u1, m, 0.8, tight_cfg)
     assert curve.branch == "bootstrap"
     assert curve.direction == -1
-    check = reparametrization_check(tr, curve, u0)
+    check = reparametrization_check(tr, curve)
     assert check.max_deviation < 1e-5
 
 
@@ -203,7 +194,7 @@ def test_round_trip_direct_branch(tight_cfg):
     u1 = basis_vector(spec, 0)
     m = constant(1.0)
     tr = evolve(SpectralState(t=0.0, u=u0, v=u1), m, tight_cfg, 0.7)
-    pt = psi_trace(tr, u0)
+    pt = psi_trace(tr)
     curve = solve_trajectory_system(u0, u1, m, 0.9, tight_cfg)
     recovered = solve_parametrization(curve, 0.7, tight_cfg)
     direct = np.interp(recovered.t, pt.t, pt.psi)
@@ -218,7 +209,7 @@ def test_round_trip_degenerate_start(tight_cfg):
     u1 = zero_vector(spec)
     m = constant(1.0)
     tr = evolve(SpectralState(t=0.0, u=u0, v=u1), m, tight_cfg, 1.1)
-    pt = psi_trace(tr, u0)
+    pt = psi_trace(tr)
     curve = solve_trajectory_system(u0, u1, m, 0.8, tight_cfg)
     recovered = solve_parametrization(curve, 1.1, tight_cfg)
     assert np.all(recovered.psi[1:] < 0.0)  # escapes, mirrored sign restored
@@ -238,7 +229,7 @@ def test_self_comparison_within_interpolation_error(tight_cfg):
     tr = evolve(SpectralState(t=0.0, u=u0, v=u1), m, tight_cfg, 0.2)
     curve = scurve_from_trajectory(tr)
     sub = tr  # same trajectory: deviation is pure interpolation error
-    check = reparametrization_check(sub, curve, u0)
+    check = reparametrization_check(sub, curve)
     assert check.max_deviation < 1e-8
 
 

@@ -146,6 +146,15 @@ def test_random_data_is_seeded(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("seed", [1.5, True, "3", math.nan], ids=repr)
+def test_seed_override_obeys_the_config_rule(tmp_path, seed):
+    path = write_config(tmp_path, simulate_config())
+    with pytest.raises(ScenarioError) as info:
+        run_scenario(path, out_dir=tmp_path / "out", seed=seed)
+    assert info.value.field == "seed"
+    assert not (tmp_path / "out").exists()
+
+
 def test_error_record_written(tmp_path):
     cfg = simulate_config()
     cfg["functions"] = {"m": {"kind": "affine", "a": -2.0, "b": 0.0}}
