@@ -190,8 +190,15 @@ def write_json(path, obj) -> None:
     Path(path).write_text(dump_json(obj), encoding="utf-8")
 
 
+_HASH_CHUNK = 1 << 20  # bytes read at a time, so a hash never loads a file whole
+
+
 def sha256_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_HASH_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def sha256_text(text: str) -> str:

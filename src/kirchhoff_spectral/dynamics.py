@@ -157,9 +157,10 @@ def _integrate(
     of ``rhs``.  A single state is a (2n,) vector; an ``ensemble`` is a
     (members, 2n) array, and ``rhs`` then takes such arrays.  A one-member
     ensemble gives the same bits, but its RHS costs more: at N = 32 the
-    vector RHS took 2.6 us a call against 4.4 us (best over six processes
-    of 7 x 20,000 calls, Xeon, one thread, shared 2-core host), and an
-    affine(1, 1) evolve to t = 10 took 0.15 s against 0.18 s.
+    vector RHS took 2.1 us a call against 3.3 us, on the argument of its
+    last call (best over six processes of 7 x 20,000 calls, Xeon, one
+    thread, shared 2-core host), and an affine(1, 1) evolve to t = 10 at
+    tolerance 1e-10 took 0.11 s against 0.15 s.
     """
     first = states[0]
     if any(s.spectrum != first.spectrum or s.t != first.t for s in states):
@@ -225,7 +226,9 @@ def evolve(
     one-member ensemble matches the solo call bit for bit.
     """
     solo = isinstance(init, SpectralState)
-    states, ms = ([init], [m]) if solo else (list(init), list(m))
+    states = [init] if solo else list(init)
+    # one FunctionSpec for many states is a count mismatch, refused below
+    ms = [m] if solo or isinstance(m, FunctionSpec) else list(m)
     if not states or len(ms) != len(states):
         raise PreconditionError(
             f"need one nonlinearity per state; got {len(states)} states "
@@ -254,16 +257,21 @@ def evolve(
         out, squares, neg_c = out[0], squares[0], neg_c.reshape(())
     vel, accel = out[..., :n], out[..., n:]
     multiply = np.multiply  # positional outputs, as in integrate
+    # the last argument and its halves, sliced again only for a new object
+    # (the solver passes one of two fixed views; see integrate)
+    held = u = v = None
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        u = y[:n]
+        nonlocal held, u, v
+        if y is not held:
+            held, u, v = y, y[:n], y[n:]
         sigma = float(lam2.dot(multiply(u, u, squares)))
         c = m_at(sigma)
         if c < 0.0:
             raise NegativeNonlinearityError(
                 f"m({sigma:.6g}) = {c:.6g} < 0 at t = {t:.6g}"
             )
-        vel[...] = y[n:]
+        vel[...] = v
         neg_c[()] = -c
         multiply(lam2, neg_c, accel)  # -c * lam2 * u, in that order
         multiply(accel, u, accel)
@@ -271,7 +279,9 @@ def evolve(
 
     def ensemble_rhs(t: float, y: np.ndarray) -> np.ndarray:
         # rhs row by row; a one-row dot is the same ddot as rhs's
-        u = y[:, :n]
+        nonlocal held, u, v
+        if y is not held:
+            held, u, v = y, y[:, :n], y[:, n:]
         sigmas = multiply(u, u, squares).dot(lam2).tolist()
         for b, (m_at_b, sigma) in enumerate(zip(m_ats, sigmas)):
             try:
@@ -285,7 +295,7 @@ def evolve(
                 exc.member = b
                 raise
             neg_c[b, 0] = -c
-        vel[...] = y[:, n:]
+        vel[...] = v
         multiply(lam2, neg_c, accel)
         multiply(accel, u, accel)
         return out
@@ -328,15 +338,19 @@ def linear_evolve(
     vel, accel = out[:n], out[n:]
     neg_coeff = np.empty(())  # -coeff reaches the ufunc as a 0-d array
     multiply = np.multiply  # positional outputs, as in integrate
+    held = u = v = None  # the last argument and its halves, as in evolve
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        nonlocal held, u, v
+        if y is not held:
+            held, u, v = y, y[:n], y[n:]
         coeff = float(c_at(t))
         if coeff < 0.0:
             raise NegativeNonlinearityError(f"c({t:.6g}) = {coeff:.6g} < 0")
-        vel[...] = y[n:]
+        vel[...] = v
         neg_coeff[()] = -coeff
         multiply(lam2, neg_coeff, accel)  # -coeff * lam2 * u, in that order
-        multiply(accel, y[:n], accel)
+        multiply(accel, u, accel)
         return out
 
     return _integrate([init], rhs, cfg, t_end)[0]

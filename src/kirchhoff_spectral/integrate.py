@@ -38,14 +38,21 @@ deprecates a positional output there.  The step size and the tolerances
 reach the ufuncs as 0-d arrays written once per attempt or per solve: a
 ufunc converts a Python float operand on every call, which made
 ``buf *= h`` cost about 1.6 times ``buf *= hs`` on 64 floats, and the
-product is the same float64 multiply either way.  Maxima go through
-``np.maximum.reduce``, which skips the Python-level wrapper of
-``ndarray.max`` and propagates NaN the same way; a single member's error
-needs no reduction and is read directly.  The right-hand side may likewise
-fill and return one array on every call, because the loop copies each
-result into its stage matrix before the next call.  The loop gives the same
-bits as the plain loop kept as the reference in tests/test_integrate.py, so
-a change here must keep trajectories and counters bit-identical; one that
+product is the same float64 multiply either way.  The members' largest
+error goes through ``np.maximum.reduce``, which skips the Python-level
+wrapper of ``ndarray.max`` and propagates NaN the same way; a single
+member's error needs no reduction and is read directly.  The blow-up test
+reads the state's magnitude at its ``argmax``, which stops at the first NaN
+as the reduction would.  The right-hand side may likewise fill and return
+one array on every call, because the loop copies each result into its
+stage matrix before the next call.  The two state buffers' views in the
+caller's shape are made once per solve and swap with their buffers, so
+every stage call passes one of two fixed objects, overwritten in place.
+An RHS may keep views of its argument, such as its halves, while ``y is``
+the object it sliced them from; it must hold that object, not its ``id``,
+which a dead view passes on to the next view made.  The loop gives the
+same bits as the plain loop kept as the reference in tests/test_integrate.py,
+so a change here must keep trajectories and counters bit-identical; one that
 changes the step sequence changes the bundled scenarios' artifact bytes.
 
 The solver never raises for suspected blow-up, step-size underflow or a
@@ -228,8 +235,10 @@ def solve_to_samples(
     that stops does so alone, with its own record and status in
     ``members`` of the outcome.  ``rhs`` always receives the state in
     ``y0``'s shape, in a buffer the loop overwrites at the next stage, so it
-    must not keep its argument.  It may return the same array on every
-    call: the loop copies the result before it calls ``rhs`` again.
+    must not keep its argument's values; it may keep views of an argument
+    it holds and reuse them while it is passed the same object.  It may
+    return the same array on every call: the loop copies the result before
+    it calls ``rhs`` again.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size < 2:
@@ -264,7 +273,9 @@ def solve_to_samples(
     k_in = k.reshape((9,) + shape)
     k_rows = k.reshape(9, n_members, dim)
     buf = np.empty(y.size)
-    stage = buf.reshape(shape)
+    # the state buffers' views in the caller's shape, made once; ``rhs``
+    # gets one of these two objects, and they swap with their buffers
+    y_in, stage = y.reshape(shape), buf.reshape(shape)
     # (node, row of A, stages it combines, row it fills, that row per member)
     stages = [(_C[i], _A[i - 1], k[:i], k_in[i], k_rows[i]) for i in range(1, 9)]
     q = np.empty(y.size)
@@ -364,8 +375,7 @@ def solve_to_samples(
         err = math.sqrt(float(worst) / dim)
 
         if math.isfinite(err) and err <= 1.0:
-            y, buf = buf, y
-            stage = buf.reshape(shape)
+            y, buf, y_in, stage = buf, y, stage, y_in
             abs_y, abs_new = abs_new, abs_y
             t_new = t + h_try
             if t_new >= target - 1e-12 * max(1.0, abs(target)):
@@ -379,7 +389,7 @@ def solve_to_samples(
             n_accepted += 1
             limit_growth = grew_after_reject  # no growth right after a reject
             grew_after_reject = False
-            if state_cap is not None and float(np.maximum.reduce(abs_y)) > state_cap:
+            if state_cap is not None and abs_y[abs_y.argmax()] > state_cap:
                 text = (
                     f"state magnitude exceeded {state_cap:.3e} at t = {t:.6g}; "
                     f"suspected blow-up"

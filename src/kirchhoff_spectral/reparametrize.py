@@ -305,10 +305,12 @@ def solve_trajectory_system(
     # den and -direction * coeff reach the ufuncs as 0-d arrays
     den_0d, factor = np.empty(()), np.empty(())
     multiply, divide = np.multiply, np.divide  # positional outputs, as in integrate
+    held = z = w = None  # the last argument and its halves, as in dynamics.evolve
 
     def rhs(s_tilde: float, y: np.ndarray) -> np.ndarray:
-        z = y[:n]
-        w = y[n:]
+        nonlocal held, z, w
+        if y is not held:
+            held, z, w = y, y[:n], y[n:]
         den = 2.0 * float(lam.dot(multiply(z, w, zw)))
         if abs(den) < DEN_FLOOR:
             raise ParametrizationError(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -175,3 +176,21 @@ def test_writing_a_wide_table_keeps_memory_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak - start - table.nbytes < 4 * 2 ** 20
+
+
+def test_file_hash_reads_in_chunks(tmp_path):
+    """A file of several chunks and a partial last one hashes as its bytes
+    do, while holding at most two chunks at a time."""
+    path = tmp_path / "big.bin"
+    path.write_bytes(np.random.default_rng(9).bytes(5 * artifacts._HASH_CHUNK + 12_345))
+    expected = hashlib.sha256(path.read_bytes()).hexdigest()
+    tracemalloc.start()
+    try:
+        got = artifacts.sha256_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < 3 * artifacts._HASH_CHUNK
+    (tmp_path / "empty.bin").write_bytes(b"")
+    assert artifacts.sha256_file(tmp_path / "empty.bin") == hashlib.sha256(b"").hexdigest()

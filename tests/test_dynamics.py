@@ -528,6 +528,8 @@ def test_ensemble_needs_matching_members(tight_cfg):
         evolve([state, state], [constant(1.0)], tight_cfg, 1.0)
     with pytest.raises(PreconditionError, match="one nonlinearity per state"):
         evolve([], [], tight_cfg, 1.0)
+    with pytest.raises(PreconditionError, match="one nonlinearity per state"):
+        evolve([state, state], constant(1.0), tight_cfg, 1.0)
     for mate in (other, later):
         with pytest.raises(PreconditionError, match="one spectrum and start time"):
             evolve([state, mate], [constant(1.0)] * 2, tight_cfg, 1.0)

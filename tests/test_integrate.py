@@ -439,6 +439,50 @@ def test_rhs_closures_match_the_allocating_expressions(monkeypatch):
     assert directions == {-1, 1}
 
 
+@pytest.mark.parametrize("form", ["vector", "ensemble", "linear", "curve"])
+def test_rhs_identity_cache_is_sound(monkeypatch, form):
+    # each closure slices its argument again only when ``y is not`` the last
+    # one; whatever it is passed, a call must give what a fresh closure gives
+    # on the same values.  Short-lived views recur at one address, so a
+    # cache keyed by id(y) would hand back the halves of a dead view.
+    n = 4
+    states = [normalized_state(n, seed) for seed in range(3)]
+    m = affine(1.0, 1.0)
+    cfg = IntegratorConfig()
+    module, run = {
+        "vector": (dynamics, lambda: dynamics.evolve(states[0], m, cfg, 0.1)),
+        "ensemble": (dynamics, lambda: dynamics.evolve(states, [m] * 3, cfg, 0.1)),
+        "linear": (dynamics,
+                   lambda: dynamics.linear_evolve(states[0], lambda t: 1.0 + t, cfg, 0.1)),
+        "curve": (reparametrize, lambda: reparametrize.solve_trajectory_system(
+            states[0].u, states[0].v, m, 1e-3, cfg)),
+    }[form]
+
+    def fresh():
+        return captured_solves(monkeypatch, [module], run)[0][0]
+
+    shape = (3, 2 * n) if form == "ensemble" else (2 * n,)
+    rng = np.random.default_rng(11)
+    a, b = rng.standard_normal((2,) + shape)
+    strided = rng.standard_normal(shape[:-1] + (2 * shape[-1],))[..., ::2]
+    rows = rng.standard_normal((6,) + shape)
+    t = 1e-4
+    cached = fresh()
+
+    def check(y):
+        assert np.array_equal(cached(t, y), fresh()(t, y.copy()))
+
+    for y in (a, b, a, b, strided, a):
+        check(y)
+    a[...] = rows[0]  # the last argument with new values, as the solver writes
+    check(a)
+    # temporaries made and dropped one after another, with nothing else
+    # made in between, against values taken first
+    wants = [fresh()(t, row.copy()).tolist() for row in rows]
+    assert [cached(t, rows[i]).tolist() for i in range(len(rows))] == wants
+    assert [cached(t, rows[i].copy()).tolist() for i in range(len(rows))] == wants
+
+
 def test_retry_after_reject_starts_from_accepted_derivative():
     # Each attempted step makes eight RHS calls after the two of the start
     # (the initial derivative and the first-step guess).  Stages 1 and 2 of
