@@ -1,10 +1,10 @@
 """Spectral-Galerkin toolkit for the nonlinear string (Kirchhoff) equation.
 
 The operator is carried as its eigenvalue sequence; the package integrates
-the truncated mode system and its linearization, verifies conserved
-quantities, computes weighted spectral norms along shrinking scales, checks
-modulus/weight compatibility conditions, evaluates uniqueness conditions,
-reparametrizes trajectories, and constructs spectral-gap decompositions.
+the truncated mode system, verifies conserved quantities, computes weighted
+spectral norms along shrinking scales, checks modulus/weight compatibility
+conditions, evaluates uniqueness conditions, reparametrizes trajectories,
+and constructs spectral-gap decompositions.
 """
 
 __version__ = "0.1.0"
@@ -41,7 +41,6 @@ from .conditions import (  # noqa: F401
     check_phi_condition,
     default_sigma_grid,
     estimate_continuity_constant,
-    verify_modulus_axioms,
 )
 from .dynamics import (  # noqa: F401
     IntegratorConfig,
@@ -51,10 +50,7 @@ from .dynamics import (  # noqa: F401
     evolve,
     hamiltonian,
     hamiltonian_series,
-    higher_order_energy,
     higher_order_series,
-    linear_evolve,
-    pohozaev_invariant,
     pohozaev_series,
     relative_drift,
 )
@@ -80,7 +76,6 @@ from .reparametrize import (  # noqa: F401
     psi_initial_derivatives,
     psi_trace,
     reparametrization_check,
-    scurve_from_trajectory,
     solve_parametrization,
     solve_trajectory_system,
 )

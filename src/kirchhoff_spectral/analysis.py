@@ -42,9 +42,9 @@ class ScaleTraceConfig:
     alpha: float
 
     def __post_init__(self):
-        if self.r0 <= 0.0:
+        if not self.r0 > 0.0:  # or NaN
             raise PreconditionError("r0 must be positive")
-        if self.big_r < 0.0 or self.alpha < 0.0:
+        if not (self.big_r >= 0.0 and self.alpha >= 0.0):
             raise PreconditionError("R and alpha must be nonnegative")
 
 

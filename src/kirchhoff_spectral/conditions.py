@@ -19,8 +19,6 @@ from .functions import FunctionSpec
 
 DEFAULT_SLOPE_TOL = 0.01
 TREND_DECADES = 2.0  # top grid decades over which the ratio's growth is fitted
-AXIOM_TOL = 1e-12  # relative slack of the modulus-axiom comparisons
-MAX_VIOLATIONS = 20  # subadditivity violations a ModulusReport lists
 PAIR_BLOCK = 1 << 18  # grid pairs per row block of the pairwise checks (2 MB a float array)
 SIGMA_SPAN = (1e-6, 1e6)  # the least sigma range a compatibility grid covers
 SPAN_SLACK = 1e-9  # relative slack on the span's ends, for logspace's rounding
@@ -74,60 +72,6 @@ class ConditionReport:
     passed: bool
     samples: int
     trend_slope: float
-
-
-@dataclass(frozen=True)
-class ModulusReport:
-    zero_at_zero: bool
-    increasing: bool
-    subadditive: bool
-    violations: tuple
-
-    @property
-    def all_pass(self) -> bool:
-        return self.zero_at_zero and self.increasing and self.subadditive
-
-
-def verify_modulus_axioms(omega: FunctionSpec, grid: np.ndarray) -> ModulusReport:
-    """Check omega(0) = 0, monotonicity and subadditivity on the grid.
-
-    Subadditivity is checked on all grid pairs (a, b) with a + b inside the
-    grid range; this is a report, not a proof.
-    """
-    g = np.asarray(grid, dtype=float)
-    if g.size == 0:
-        raise PreconditionError("grid must be nonempty")
-    if np.any(np.diff(g) < 0.0):
-        raise PreconditionError("grid must be sorted")
-    if np.any(g < 0.0):
-        raise PreconditionError("grid must be nonnegative")
-
-    zero_ok = abs(float(omega(0.0))) <= AXIOM_TOL
-
-    vals = np.asarray(omega(g), dtype=float)
-    rising = np.all(np.diff(vals) >= -AXIOM_TOL * np.maximum(1.0, np.abs(vals[:-1])))
-
-    violations: list[tuple[float, float]] = []
-    for rows in _row_blocks(g.size):
-        s = g[rows, None] + g[None, :]
-        inside = s <= g[-1]
-        with np.errstate(over="ignore"):
-            lhs = np.asarray(omega(np.where(inside, s, 0.0)), dtype=float)
-            rhs = vals[rows, None] + vals[None, :]
-        bad = inside & (lhs > rhs + AXIOM_TOL * np.maximum(1.0, rhs))
-        ii, jj = np.nonzero(bad)
-        room = MAX_VIOLATIONS - len(violations)
-        for i, j in zip(ii[:room], jj[:room]):
-            violations.append((float(g[rows.start + i]), float(g[j])))
-        if len(violations) == MAX_VIOLATIONS:
-            break
-
-    return ModulusReport(
-        zero_at_zero=bool(zero_ok),
-        increasing=bool(rising),
-        subadditive=not violations,
-        violations=tuple(violations),
-    )
 
 
 def estimate_continuity_constant(

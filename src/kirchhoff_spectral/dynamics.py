@@ -3,8 +3,7 @@
 The retained modes obey u_k'' = -m(sum_j lambda_j^2 u_j^2) lambda_k^2 u_k.
 For data supported on the retained modes this truncation is the exact
 dynamics, because the coupling runs only through the single scalar
-sum_j lambda_j^2 u_j^2.  The linearization u_k'' = -c(t) lambda_k^2 u_k is
-integrated by the same machinery with a prescribed coefficient.
+sum_j lambda_j^2 u_j^2.
 """
 
 from __future__ import annotations
@@ -227,12 +226,13 @@ def evolve(
     """
     solo = isinstance(init, SpectralState)
     states = [init] if solo else list(init)
-    # one FunctionSpec for many states is a count mismatch, refused below
-    ms = [m] if solo or isinstance(m, FunctionSpec) else list(m)
-    if not states or len(ms) != len(states):
+    one_m = isinstance(m, FunctionSpec)
+    ms = [m] if one_m else list(m)
+    if not states or len(ms) != len(states) or one_m != solo:
         raise PreconditionError(
-            f"need one nonlinearity per state; got {len(states)} states "
-            f"and {len(ms)} nonlinearities"
+            "need one nonlinearity per state, a FunctionSpec for a state and a "
+            f"sequence for a sequence; got {len(states)} "
+            f"{'state' if solo else 'states'} and {len(ms)} nonlinearities"
         )
     spec = states[0].spectrum
     n = spec.n
@@ -319,43 +319,6 @@ def evolve(
     return done[0] if solo else done
 
 
-def linear_evolve(
-    init: SpectralState,
-    c: FunctionSpec | Callable[[float], float],
-    cfg: IntegratorConfig,
-    t_end: float,
-) -> Trajectory:
-    """Integrate the linearized system u_k'' = -c(t) lambda_k^2 u_k.
-
-    The modes decouple; they are integrated jointly so that one error
-    control governs all of them.  ``c`` may be a FunctionSpec in t or any
-    callable; it must stay nonnegative.
-    """
-    n = init.spectrum.n
-    lam2 = init.spectrum.lam2
-    c_at = scalar_callable(c) if isinstance(c, FunctionSpec) else c
-    out = np.empty(2 * n)  # filled and returned by every call
-    vel, accel = out[:n], out[n:]
-    neg_coeff = np.empty(())  # -coeff reaches the ufunc as a 0-d array
-    multiply = np.multiply  # positional outputs, as in integrate
-    held = u = v = None  # the last argument and its halves, as in evolve
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        nonlocal held, u, v
-        if y is not held:
-            held, u, v = y, y[:n], y[n:]
-        coeff = float(c_at(t))
-        if coeff < 0.0:
-            raise NegativeNonlinearityError(f"c({t:.6g}) = {coeff:.6g} < 0")
-        vel[...] = v
-        neg_coeff[()] = -coeff
-        multiply(lam2, neg_coeff, accel)  # -coeff * lam2 * u, in that order
-        multiply(accel, u, accel)
-        return out
-
-    return _integrate([init], rhs, cfg, t_end)[0]
-
-
 # ---------------------------------------------------------------------------
 # energies and invariants
 
@@ -388,18 +351,14 @@ def hamiltonian_series(tr: Trajectory, m: FunctionSpec) -> np.ndarray:
     return hamiltonian_values(tr.spectrum, tr.u, tr.v, antiderivative(m))
 
 
-def higher_order_energy(state: SpectralState) -> float:
-    """|A^(1/4)u'|^2 + |A^(3/4)u|^2 = sum lambda v^2 + sum lambda^3 u^2."""
-    return float(higher_order_series(_row(state))[0])
-
-
 def higher_order_series(tr: Trajectory) -> np.ndarray:
+    """|A^(1/4)u'|^2 + |A^(3/4)u|^2 = sum lambda v^2 + sum lambda^3 u^2, per sample."""
     lam = tr.spectrum.lambdas
     return tr.v**2 @ lam + tr.u**2 @ lam**3
 
 
-def pohozaev_invariant(state: SpectralState, a: float, b: float) -> float:
-    """Second-order invariant of the nonlinearity (a + b*sigma)**-2.
+def pohozaev_series(tr: Trajectory, a: float, b: float) -> np.ndarray:
+    """Second-order invariant of the nonlinearity (a + b*sigma)**-2, per sample.
 
     With D = a + b*|A^(1/2)u|^2 this is
 
@@ -409,10 +368,6 @@ def pohozaev_invariant(state: SpectralState, a: float, b: float) -> float:
     makes the quantity exactly constant; this fixes the coefficient on the
     cross term).  Requires the nondegeneracy D > 0.
     """
-    return float(pohozaev_series(_row(state), a, b)[0])
-
-
-def pohozaev_series(tr: Trajectory, a: float, b: float) -> np.ndarray:
     lam2 = tr.spectrum.lam2
     sigma = tr.u**2 @ lam2
     den = a + b * sigma

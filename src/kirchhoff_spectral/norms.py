@@ -37,9 +37,9 @@ class GevreyParams:
     alpha: float
 
     def __post_init__(self):
-        if self.r < 0.0:
+        if not self.r >= 0.0:  # or NaN
             raise PreconditionError("scale radius r must be >= 0")
-        if self.alpha < 0.0:
+        if not self.alpha >= 0.0:
             raise PreconditionError("exponent alpha must be >= 0")
 
 
@@ -70,7 +70,7 @@ def _weighted_sums(c, lam, alpha, weight=0.0):
 
 def _norms(c, lam, alpha, weight=0.0) -> np.ndarray:
     """Square roots of ``_weighted_sums``; an overflow raises NormOverflowError."""
-    if alpha < 0.0:
+    if not alpha >= 0.0:  # or NaN
         raise PreconditionError("exponent alpha must be >= 0")
     sums, over = _weighted_sums(c, lam, alpha, weight)
     if over is not None:

@@ -245,29 +245,6 @@ def _monotone_prefix(values: np.ndarray) -> int:
     return n
 
 
-def scurve_from_trajectory(tr: Trajectory) -> SCurve:
-    """Reparametrize a computed trajectory by its own shift variable."""
-    pt = psi_trace(tr)
-    nonzero = np.nonzero(np.abs(pt.psi) > 0.0)[0]
-    if nonzero.size == 0:
-        raise ParametrizationError("shift vanishes identically; curve undefined")
-    direction = 1 if pt.psi[nonzero[0]] > 0.0 else -1
-    s = direction * pt.psi
-    n = _monotone_prefix(s)
-    if n < 2:
-        raise ParametrizationError("shift is not monotone from the start")
-    return SCurve(
-        spectrum=tr.spectrum,
-        s=s[:n],
-        z=tr.u[:n] * tr.spectrum.lambdas,
-        w=tr.v[:n].copy(),
-        direction=direction,
-        branch="from_trajectory",
-        psi_prime0=float(pt.f[0]),
-        psi_second0=math.nan,
-    )
-
-
 def solve_trajectory_system(
     u0: SpectralVector,
     u1: SpectralVector,

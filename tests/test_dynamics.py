@@ -9,6 +9,7 @@ from kirchhoff_spectral import (
     SpectralState,
     SpectralVector,
     Spectrum,
+    Trajectory,
     affine,
     basis_vector,
     coefficient_trace,
@@ -16,10 +17,8 @@ from kirchhoff_spectral import (
     evolve,
     hamiltonian,
     hamiltonian_series,
-    higher_order_energy,
-    linear_evolve,
+    higher_order_series,
     pohozaev,
-    pohozaev_invariant,
     pohozaev_series,
     power,
     relative_drift,
@@ -34,7 +33,6 @@ from kirchhoff_spectral.errors import (
     NondegeneracyError,
     PreconditionError,
 )
-from kirchhoff_spectral.reparametrize import pchip
 from tests.conftest import random_vector
 
 
@@ -168,35 +166,9 @@ def test_blowup_policy_returns_partial():
     assert tr.t[-1] < 20.0
 
 
-def test_linear_constant_coefficient(tight_cfg):
-    spec = Spectrum([1.0])
-    state = SpectralState(t=0.0, u=basis_vector(spec, 0), v=zero_vector(spec))
-    tr = linear_evolve(state, constant(4.0), tight_cfg, 2.0)
-    exact = np.cos(2.0 * tr.t)
-    assert np.max(np.abs(tr.u[:, 0] - exact)) < 1e-9
-
-
-def test_linear_free_motion(tight_cfg):
-    spec = Spectrum([3.0])
-    state = SpectralState(
-        t=0.0,
-        u=SpectralVector(spec, [1.0]),
-        v=SpectralVector(spec, [0.5]),
-    )
-    tr = linear_evolve(state, constant(0.0), tight_cfg, 2.0)
-    assert np.max(np.abs(tr.u[:, 0] - (1.0 + 0.5 * tr.t))) < 1e-10
-
-
-def test_linear_negative_coefficient_rejected(tight_cfg):
-    spec = Spectrum([1.0])
-    state = SpectralState(t=0.0, u=basis_vector(spec, 0), v=zero_vector(spec))
-    with pytest.raises(NegativeNonlinearityError):
-        linear_evolve(state, lambda t: -1.0, tight_cfg, 1.0)
-
-
 def test_nonlinear_linear_closed_form_agree(tight_cfg):
-    # evolve with m = c0, linear_evolve with c = c0 and the per-mode closed
-    # form are the same solution up to tolerances
+    # evolve with m = c0 is the linear problem with coefficient c0, whose
+    # per-mode closed form it must follow up to tolerances
     rng = np.random.default_rng(13)
     spec = power_spectrum(5)
     u0 = random_vector(spec, rng)
@@ -204,27 +176,10 @@ def test_nonlinear_linear_closed_form_agree(tight_cfg):
     c0 = 2.0
     state = SpectralState(t=0.0, u=u0, v=v0)
     nl = evolve(state, constant(c0), tight_cfg, 1.5)
-    lin = linear_evolve(state, constant(c0), tight_cfg, 1.5)
-    assert np.max(np.abs(nl.u - lin.u)) < 1e-9
     for i in (0, 400, 1000):
         ue, ve = closed_form(spec, u0.components, v0.components, c0, nl.t[i])
         assert np.max(np.abs(nl.u[i] - ue)) < 1e-9
-        assert np.max(np.abs(lin.v[i] - ve)) < 1e-9
-
-
-def test_linear_self_consistency_with_nonlinear(tight_cfg):
-    # feeding the recorded coefficient back through the linear solver
-    # reproduces the nonlinear trajectory
-    rng = np.random.default_rng(2)
-    spec = power_spectrum(6)
-    u0 = random_vector(spec, rng)
-    v0 = random_vector(spec, rng, decay=0.5)
-    m = affine(1.0, 1.0)
-    state = SpectralState(t=0.0, u=u0, v=v0)
-    tr = evolve(state, m, tight_cfg, 2.0)
-    trace = coefficient_trace(tr, m)
-    lin = linear_evolve(state, pchip(trace.t, trace.values), tight_cfg, 2.0)
-    assert np.max(np.abs(lin.u - tr.u)) < 1e-5
+        assert np.max(np.abs(nl.v[i] - ve)) < 1e-9
 
 
 def test_hamiltonian_closed_forms():
@@ -248,32 +203,27 @@ def test_hamiltonian_closed_forms():
     assert hamiltonian(zero, pohozaev(1.0, 1.0)) == 0.0
 
 
+def record(spec, u, v):
+    """Sample rows as a trajectory one time unit apart, without an integrator run."""
+    u = np.array(u, dtype=float)
+    return Trajectory(spectrum=spec, t=np.arange(len(u), dtype=float), u=u,
+                      v=np.array(v, dtype=float), meta=None)
+
+
 def test_higher_order_energy_examples():
-    spec1 = Spectrum([1.0])
-    assert higher_order_energy(
-        SpectralState(t=0.0, u=basis_vector(spec1, 0), v=zero_vector(spec1))
-    ) == pytest.approx(1.0)
-    spec4 = Spectrum([4.0])
-    assert higher_order_energy(
-        SpectralState(t=0.0, u=zero_vector(spec4), v=basis_vector(spec4, 0))
-    ) == pytest.approx(4.0)
-    spec = Spectrum([1.0, 2.0])
-    state = SpectralState(
-        t=0.0,
-        u=SpectralVector(spec, [1.0, 0.5]),
-        v=SpectralVector(spec, [1.0 / 3.0, 0.0]),
-    )
-    assert higher_order_energy(state) == pytest.approx(1.0 / 9.0 + 3.0)
+    for lams, u, v, energy in (([1.0], [1.0], [0.0], 1.0), ([4.0], [0.0], [1.0], 4.0),
+                               ([1.0, 2.0], [1.0, 0.5], [1.0 / 3.0, 0.0], 1.0 / 9.0 + 3.0)):
+        assert higher_order_series(record(Spectrum(lams), [u], [v])) == pytest.approx([energy])
 
 
 def test_pohozaev_examples():
-    spec = Spectrum([1.0])
-    state = SpectralState(t=0.0, u=basis_vector(spec, 0), v=zero_vector(spec))
-    assert pohozaev_invariant(state, 1.0, 1.0) == pytest.approx(0.5)
-    zero = SpectralState(t=0.0, u=zero_vector(spec), v=zero_vector(spec))
-    assert pohozaev_invariant(zero, 1.0, 1.0) == 0.0
-    with pytest.raises(NondegeneracyError):
-        pohozaev_invariant(state, 1.0, -2.0)
+    # the unit state and the zero state as the two samples of one record
+    rows = record(Spectrum([1.0]), [[1.0], [0.0]], [[0.0], [0.0]])
+    unit, zero = pohozaev_series(rows, 1.0, 1.0)
+    assert unit == pytest.approx(0.5)
+    assert zero == 0.0
+    with pytest.raises(NondegeneracyError, match="at t = 0"):
+        pohozaev_series(rows, 1.0, -2.0)
 
 
 def test_pohozaev_constancy_and_negative_control(tight_cfg):
@@ -391,8 +341,8 @@ def test_undefined_antiderivative_fails_before_integrating(tight_cfg, monkeypatc
 
 
 def test_driver_looks_up_solver_at_call_time(tight_cfg, monkeypatch):
-    # tracing rebinds dynamics.solve_to_samples from outside; both entry
-    # points must reach the rebound name
+    # tracing rebinds dynamics.solve_to_samples from outside; evolve must
+    # reach the rebound name
     calls = []
     solve = dynamics.solve_to_samples
 
@@ -404,12 +354,14 @@ def test_driver_looks_up_solver_at_call_time(tight_cfg, monkeypatch):
     spec = Spectrum([1.0])
     state = SpectralState(t=0.0, u=basis_vector(spec, 0), v=zero_vector(spec))
     evolve(state, constant(1.0), tight_cfg, 0.5)
-    linear_evolve(state, constant(1.0), tight_cfg, 0.5)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("t_end", [math.nan, math.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("run", [evolve, linear_evolve], ids=["evolve", "linear_evolve"])
+@pytest.mark.parametrize(
+    "run", [evolve, lambda s, m, cfg, t_end: evolve([s], [m], cfg, t_end)],
+    ids=["evolve", "ensemble"],
+)
 def test_non_finite_t_end_refused_before_integrating(tight_cfg, monkeypatch, run, t_end):
     calls = []
     monkeypatch.setattr(dynamics, "solve_to_samples", lambda *args, **kwargs: calls.append(1))
@@ -530,6 +482,9 @@ def test_ensemble_needs_matching_members(tight_cfg):
         evolve([], [], tight_cfg, 1.0)
     with pytest.raises(PreconditionError, match="one nonlinearity per state"):
         evolve([state, state], constant(1.0), tight_cfg, 1.0)
+    for ms in ([constant(1.0)], (constant(1.0),)):
+        with pytest.raises(PreconditionError, match="one nonlinearity per state"):
+            evolve(state, ms, tight_cfg, 1.0)
     for mate in (other, later):
         with pytest.raises(PreconditionError, match="one spectrum and start time"):
             evolve([state, mate], [constant(1.0)] * 2, tight_cfg, 1.0)

@@ -266,6 +266,24 @@ def normalized_state(n, seed):
     return SpectralState(t=0.0, u=SpectralVector(spec, u0), v=SpectralVector(spec, u1))
 
 
+def linear_system(state, c_of_t, t_end):
+    """(rhs, y0, samples) of u_k'' = -c(t) lambda_k^2 u_k from ``state``.
+
+    The RHS forms -c(t) * lam2, then * u, and the samples are the 1,001-point
+    grid of ``dynamics.evolve``; run it with LINEAR_TOLERANCES.
+    """
+    n, lam2 = state.spectrum.n, state.spectrum.lam2
+
+    def rhs(t, y):
+        return np.concatenate([y[n:], (-c_of_t(t) * lam2) * y[:n]])
+
+    y0 = np.concatenate([state.u.components, state.v.components])
+    return rhs, y0, np.linspace(state.t, t_end, 1001)
+
+
+LINEAR_TOLERANCES = {"rel_tol": 1e-10, "abs_tol": 1e-10, "state_cap": dynamics.BLOWUP_CAP}
+
+
 def test_reference_harmonic_oscillator():
     def rhs(t, y):
         return np.array([y[1], -9.0 * y[0]])
@@ -331,16 +349,11 @@ def test_reference_reject_after_accept(monkeypatch):
     assert late_rejects > 0
 
 
-def test_reference_linear_system(monkeypatch):
+def test_reference_linear_system():
+    # an RHS that reads t, so the stage times enter the solution
     state = normalized_state(4, seed=2)
-    calls = captured_solves(
-        monkeypatch,
-        [dynamics],
-        lambda: dynamics.linear_evolve(state, lambda t: 1.0 + 0.5 * math.sin(t),
-                                       IntegratorConfig(), 3.0),
-    )
-    rhs, y0, samples, args, kwargs = calls[0]
-    assert_matches_reference(rhs, y0, samples, *args, **kwargs)
+    assert_matches_reference(*linear_system(state, lambda t: 1.0 + 0.5 * math.sin(t), 3.0),
+                             **LINEAR_TOLERANCES)
 
 
 @pytest.mark.parametrize("u1, branch", [([1.0], "direct"), ([0.0], "bootstrap")])
@@ -394,15 +407,11 @@ def test_rhs_closures_match_the_allocating_expressions(monkeypatch):
     m_ats = [functions.scalar_callable(m) for m in ms]
     states = [normalized_state(n, seed) for seed in range(3)]
 
-    def c_of_t(t):
-        return 1.0 + 0.5 * math.sin(t)
-
     calls = captured_solves(monkeypatch, [dynamics], lambda: (
         dynamics.evolve(states[0], ms[0], IntegratorConfig(), 0.5),
         dynamics.evolve(states, ms, IntegratorConfig(), 0.5),
-        dynamics.linear_evolve(states[0], c_of_t, IntegratorConfig(), 0.5),
     ))
-    solo, ensemble, linear = (call[0] for call in calls)
+    solo, ensemble = (call[0] for call in calls)
     for _ in range(5):
         t = float(rng.uniform(0.0, 3.0))
         y = rng.standard_normal((3, 2 * n))
@@ -412,8 +421,6 @@ def test_rhs_closures_match_the_allocating_expressions(monkeypatch):
         cs = np.array([m_at(sigma) for m_at, sigma in zip(m_ats, (u * u) @ lam2)])
         assert np.array_equal(ensemble(t, y),
                               np.concatenate([v, (-cs[:, None] * lam2) * u], axis=1))
-        assert np.array_equal(linear(t, y[0]),
-                              np.concatenate([v[0], (-c_of_t(t) * lam2) * u[0]]))
 
     directions = set()
     for sign in (1.0, -1.0):
@@ -439,7 +446,7 @@ def test_rhs_closures_match_the_allocating_expressions(monkeypatch):
     assert directions == {-1, 1}
 
 
-@pytest.mark.parametrize("form", ["vector", "ensemble", "linear", "curve"])
+@pytest.mark.parametrize("form", ["vector", "ensemble", "curve"])
 def test_rhs_identity_cache_is_sound(monkeypatch, form):
     # each closure slices its argument again only when ``y is not`` the last
     # one; whatever it is passed, a call must give what a fresh closure gives
@@ -452,8 +459,6 @@ def test_rhs_identity_cache_is_sound(monkeypatch, form):
     module, run = {
         "vector": (dynamics, lambda: dynamics.evolve(states[0], m, cfg, 0.1)),
         "ensemble": (dynamics, lambda: dynamics.evolve(states, [m] * 3, cfg, 0.1)),
-        "linear": (dynamics,
-                   lambda: dynamics.linear_evolve(states[0], lambda t: 1.0 + t, cfg, 0.1)),
         "curve": (reparametrize, lambda: reparametrize.solve_trajectory_system(
             states[0].u, states[0].v, m, 1e-3, cfg)),
     }[form]
@@ -701,7 +706,7 @@ SOLVER_PATH_SHA256 = {
     "ensemble_0": "8b5536e8152ce6ddb1347d665e7e0bd431abc06cc2e43b348d37c873f514350c",
     "ensemble_1": "dc96c39c2170c6a14264d1050bf7e91140a2e08ffa3324c2fd6ba0aae44f351f",
     "ensemble_2": "a4e1c9daec922a5d21bef700e575fce1f79bb9283dc7145e1a706cc0c4270795",
-    "linear_evolve": "148c84ecf9742a939d78638de23cfb8857d0a94f75262de6005779b504bacb5d",
+    "linear_c_of_t": "148c84ecf9742a939d78638de23cfb8857d0a94f75262de6005779b504bacb5d",
     "curve_direct": "4741faafe08f947840fdfaa6d934fa1cd49becd435d0e4bb2d30ebdd0d673862",
     "curve_bootstrap": "25b94730520d97c6b652868826fb33116b72a7d3f74bf865db9c827f70448d44",
     "evolve_n512": "684009d83ea9f6b3b577accd37dc02a93d5c44eef0f57ce8292e3c52a9fdf412",
@@ -725,8 +730,9 @@ def solver_path_runs():
                               [affine(1.0, 1.0), power(2.0), pohozaev(1.0, 1.0)], cfg, 10.0)
     for b, tr in enumerate(members):
         yield f"ensemble_{b}", tr
-    yield "linear_evolve", dynamics.linear_evolve(
-        normalized_state(32, 7), lambda t: 1.0 + 0.5 * math.sin(t), cfg, 10.0)
+    yield "linear_c_of_t", solve_to_samples(
+        *linear_system(normalized_state(32, 7), lambda t: 1.0 + 0.5 * math.sin(t), 10.0),
+        **LINEAR_TOLERANCES)
     spec = Spectrum([1.0])
     u0 = SpectralVector(spec, [1.0])
     for branch, u1 in (("direct", [1.0]), ("bootstrap", [0.0])):
@@ -743,6 +749,10 @@ def test_solver_paths_keep_their_bytes():
     for name, run in solver_path_runs():
         if isinstance(run, reparametrize.SCurve):
             got[name] = raw_sha256(run.s, run.z, run.w)
+        elif isinstance(run, IntegrationOutcome):
+            assert run.completed
+            n = run.y.shape[1] // 2
+            got[name] = raw_sha256(run.t, run.y[:, :n], run.y[:, n:])
         else:
             assert run.meta.status == "completed"
             got[name] = raw_sha256(run.t, run.u, run.v)

@@ -145,6 +145,24 @@ def test_params_validation():
         GevreyParams(constant(1.0), 0.0, -1.0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda u: GevreyParams(constant(1.0), math.nan, 0.0),
+        lambda u: GevreyParams(constant(1.0), 0.0, math.nan),
+        lambda u: sobolev_norm(u, math.nan),
+        lambda u: ScaleTraceConfig(constant(1.0), math.nan, 0.0, 0.0),
+        lambda u: ScaleTraceConfig(constant(1.0), 1.0, math.nan, 0.0),
+        lambda u: ScaleTraceConfig(constant(1.0), 1.0, 0.0, math.nan),
+    ],
+    ids=["gevrey_r", "gevrey_alpha", "sobolev_alpha", "trace_r0", "trace_big_r",
+         "trace_alpha"],
+)
+def test_nan_parameter_refused(small_spectrum, make):
+    with pytest.raises(PreconditionError):
+        make(SpectralVector(small_spectrum, [1.0, 1.0, 1.0]))
+
+
 @st.composite
 def vector_and_spectrum(draw):
     n = draw(st.integers(min_value=1, max_value=8))
