@@ -323,20 +323,10 @@ def evolve(
 # energies and invariants
 
 
-def _row(state: SpectralState) -> Trajectory:
-    """``state`` as a one-sample trajectory, without an integrator record."""
-    return Trajectory(
-        spectrum=state.spectrum,
-        t=np.array([state.t]),
-        u=state.u.components[np.newaxis, :],
-        v=state.v.components[np.newaxis, :],
-        meta=None,
-    )
-
-
 def hamiltonian(state: SpectralState, m: FunctionSpec) -> float:
     """|u'|^2 + M(|A^(1/2)u|^2) with M the antiderivative, M(0) = 0."""
-    return float(hamiltonian_series(_row(state), m)[0])
+    u, v = state.u.components[np.newaxis], state.v.components[np.newaxis]
+    return float(hamiltonian_values(state.spectrum, u, v, antiderivative(m))[0])
 
 
 def hamiltonian_values(

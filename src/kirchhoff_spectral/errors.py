@@ -52,10 +52,6 @@ class ParametrizationError(KirchhoffError, ValueError):
     """The arc-parametrization degenerated or lost monotonicity."""
 
 
-class QuadratureError(KirchhoffError, ValueError):
-    """Adaptive quadrature failed to converge."""
-
-
 class ScenarioError(KirchhoffError, ValueError):
     """A scenario configuration failed to parse or validate."""
 

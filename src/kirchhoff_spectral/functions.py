@@ -27,7 +27,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 
 _E = math.e
 
@@ -81,6 +81,8 @@ class FunctionSpec:
                               f"knots 'sigma' and 'value'")
         if kind.knots is not None:
             kind.knots(self.knots)
+        if kind.check is not None:
+            kind.check(self)
 
     def __call__(self, sigma):
         sig = np.asarray(sigma, dtype=float)
@@ -223,48 +225,28 @@ def _generic_scalar(spec: FunctionSpec) -> Callable[[float], float]:
     return lambda s: float(spec(s))
 
 
-def _quad_antiderivative(spec: FunctionSpec) -> Callable:
-    from scipy.integrate import quad
-
-    def M(sigma):
-        def one(s: float) -> float:
-            if s == 0.0:
-                return 0.0
-            value, err = quad(lambda x: float(spec(x)), 0.0, s, epsabs=1e-12, limit=200)
-            if not math.isfinite(value) or err > 1e-8 * max(1.0, abs(value)):
-                raise QuadratureError(
-                    f"antiderivative quadrature failed at sigma = {s:g}"
-                )
-            return value
-
-        s = np.asarray(sigma, dtype=float)
-        if s.ndim == 0:
-            return one(float(s))
-        return np.array([one(float(x)) for x in s])
-
-    return M
-
-
 @dataclass(frozen=True)
 class _Kind:
     """Everything the package knows about one function kind.
 
     ``params`` maps each param name, in order, to its rule in ``RULES``;
     ``base`` says whether a spec of the kind wraps another spec, and
-    ``knots``, when not None, checks the (sigma, value) knots the kind takes.
-    ``FunctionSpec`` refuses whatever this declaration does not allow.
-    ``scalar`` builds the fast evaluator for the integrator's inner loop;
-    ``antiderivative`` builds M with M' = spec and M(0) = 0.  Kinds without
-    a closed form keep the defaults: the array round trip through
-    ``FunctionSpec.__call__`` and adaptive quadrature.
+    ``knots``, when not None, checks the (sigma, value) knots the kind takes,
+    and ``check`` what no param rule can see.  ``FunctionSpec`` refuses
+    whatever this declaration does not allow.  ``scalar`` builds the fast
+    evaluator for the integrator's inner loop, by default the array round trip
+    through ``FunctionSpec.__call__``; ``antiderivative`` builds M with
+    M' = spec and M(0) = 0, for a modulus kind through an incomplete gamma
+    function.  A weight kind leaves it None: it has no M and cannot be m.
     """
 
     params: Mapping[str, str]
     evaluate: Callable[[FunctionSpec, np.ndarray], np.ndarray]
     scalar: Callable[[FunctionSpec], Callable[[float], float]] = _generic_scalar
-    antiderivative: Callable[[FunctionSpec], Callable] = _quad_antiderivative
+    antiderivative: Callable[[FunctionSpec], Callable] | None = None
     base: bool = False
     knots: Callable[[tuple], None] | None = None
+    check: Callable[[FunctionSpec], object] | None = None
 
 
 def _eval_constant(spec, sig):
@@ -406,33 +388,64 @@ def _antiderivative_offset(spec):
     return lambda s: c * np.asarray(s, float) + inner(s)
 
 
-def _eval_modulus_power(spec, sig):
-    beta = spec.params["beta"]
-    inner = np.minimum(sig, 1.0)
-    return np.where(sig <= 1.0, inner**beta, 1.0 + beta * (sig - 1.0))
+def _abs_log(s):
+    return np.abs(np.log(np.maximum(s, 1e-320)))
 
 
-def _eval_modulus_sigma_log(spec, sig):
-    q = spec.params["q"]
-    if q == 0.0:
-        # degenerates to the identity on [0, 1], constant 1 beyond
-        return np.minimum(sig, 1.0)
-    peak = math.exp(-q)
-    s = np.minimum(sig, peak)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        core = np.where(s > 0.0, s * np.abs(np.log(np.maximum(s, 1e-320))) ** q, 0.0)
-    return np.where(sig <= peak, core, peak * q**q)
+def _modulus_kind(param: str, rule: str, terms, core, integral) -> _Kind:
+    """The ``KINDS`` row of a modulus: ``core`` on [0, knee], then the line
+    through the knee.  ``terms`` maps the kind's one param p to (knee, value
+    at the knee, slope beyond); ``core(p, s)`` and ``integral(p, s)``, the
+    core's integral from 0, take s in [0, knee]."""
+
+    def check(spec):
+        p = spec.params[param]
+        try:
+            knee, value, slope = terms(p)
+        except (OverflowError, ZeroDivisionError):
+            knee = value = slope = math.nan
+        if not (knee > 0.0 and 0.0 < value < math.inf and math.isfinite(slope)):
+            raise DomainError(f"{spec.kind} parameter {param!r} = {p!r} puts the knee or its "
+                              "value there at 0 or the value or slope out of float range")
+        return p, knee, value, slope
+
+    def evaluate(spec, sig):
+        p, knee, value, slope = check(spec)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = core(p, np.minimum(sig, knee))
+        # a flat line (slope 0) stays flat at sigma = inf
+        return np.where(sig <= knee, inner, value + slope * (sig - knee) if slope else value)
+
+    def integrate(spec, sig):
+        p, knee, value, slope = check(spec)
+        d = np.asarray(sig, dtype=float) - knee
+        with np.errstate(divide="ignore"):
+            return np.where(d <= 0.0, integral(p, np.minimum(sig, knee)),
+                            integral(p, knee) + d * (value + 0.5 * slope * d))
+
+    return _Kind({param: rule}, evaluate, check=check,
+                 antiderivative=lambda spec: lambda sig: integrate(spec, sig))
 
 
-def _eval_modulus_inv_log(spec, sig):
-    q = spec.params["q"]
-    knee = math.exp(-(q + 1.0))
-    val_knee = (q + 1.0) ** -q
-    slope = q * (q + 1.0) ** -(q + 1.0) / knee
-    s = np.minimum(sig, knee)
-    with np.errstate(divide="ignore"):
-        core = np.where(s > 0.0, np.abs(np.log(np.maximum(s, 1e-320))) ** -q, 0.0)
-    return np.where(sig <= knee, core, val_knee + slope * (sig - knee))
+def _sigma_log_integral(q, s):
+    # DLMF 8.2: the integral of x |ln x|**q over [0, s] is Gamma(q+1, 2 ln(1/s)) / 2**(q+1)
+    from scipy.special import gamma, gammaincc  # 0.37 s, so not before the first call
+    return gamma(q + 1.0) * gammaincc(q + 1.0, -2.0 * np.log(s)) / 2.0 ** (q + 1.0)
+
+
+def _inv_log_integral(q, s):
+    """The integral of |ln x|**-q over [0, s], Gamma(1-q, ln(1/s)), by the continued
+    fraction of DLMF 8.9.2: on s <= e**-(q+1), 80 terms give 5e-15 relative (q in [1e-6, 7],
+    against mpmath), where scipy's hyperu is off by 7e-7 at q = 1.1 and gammaincc needs q < 1."""
+    x = _abs_log(s)
+    b, c = x + q, np.inf
+    h = d = 1.0 / b
+    for i in range(1, 80):
+        an, b = -i * (i - 1.0 + q), b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        h = h * d * c
+    return s * x ** (1.0 - q) * h
 
 
 def _eval_weight_power_log(spec, sig):
@@ -462,9 +475,17 @@ KINDS: Mapping[str, _Kind] = {
                    knots=_check_table_knots),
     "offset": _Kind({"c": "finite"}, _eval_offset, _scalar_offset, _antiderivative_offset,
                     base=True),
-    "modulus_power": _Kind({"beta": "unit_interval"}, _eval_modulus_power),
-    "modulus_sigma_log": _Kind({"q": "nonnegative"}, _eval_modulus_sigma_log),
-    "modulus_inv_log": _Kind({"q": "positive"}, _eval_modulus_inv_log),
+    "modulus_power": _modulus_kind(
+        "beta", "unit_interval", lambda b: (1.0, 1.0, b), lambda b, s: s**b,
+        lambda b, s: s ** (b + 1.0) / (b + 1.0)),
+    "modulus_sigma_log": _modulus_kind(
+        "q", "nonnegative", lambda q: (math.exp(-q), math.exp(-q) * q**q, 0.0),
+        lambda q, s: s if q == 0.0 else np.where(s > 0.0, s * _abs_log(s) ** q, 0.0),
+        _sigma_log_integral),
+    "modulus_inv_log": _modulus_kind(
+        "q", "positive", lambda q: (math.exp(-(q + 1.0)), (q + 1.0) ** -q,
+                                    q * (q + 1.0) ** -(q + 1.0) / math.exp(-(q + 1.0))),
+        lambda q, s: np.where(s > 0.0, _abs_log(s) ** -q, 0.0), _inv_log_integral),
     "weight_power_log": _Kind({"p": "finite", "ell": "finite"}, _eval_weight_power_log),
     "weight_scaled_modulus": _Kind({}, _eval_weight_scaled_modulus, base=True),
 }
@@ -484,6 +505,13 @@ def antiderivative(spec: FunctionSpec) -> Callable:
     """Return M with M' = spec and M(0) = 0.
 
     Closed forms for the algebraic kinds, exact piecewise integration for
-    tables, adaptive quadrature otherwise.
+    tables, an upper incomplete gamma function Gamma(a, x) for the modulus
+    kinds: ``scipy.special.gammaincc`` for modulus_sigma_log, a continued
+    fraction for modulus_inv_log.  A weight kind has none and cannot be m:
+    ``DomainError``.
     """
-    return KINDS[spec.kind].antiderivative(spec)
+    build = KINDS[spec.kind].antiderivative
+    if build is None:
+        raise DomainError(f"{spec.kind} is a weight kind and has no antiderivative; "
+                          "it cannot be the nonlinearity m")
+    return build(spec)

@@ -48,7 +48,7 @@ from .dynamics import (
     sample_intervals,
 )
 from .errors import ScenarioError
-from .functions import RULES, FunctionSpec, offset, constant
+from .functions import RULES, FunctionSpec, antiderivative, constant, offset
 from .presets import get_preset
 from .reparametrize import (
     HP_TOL,
@@ -317,6 +317,9 @@ def validate_scenario(cfg: dict) -> Scenario:
     for slot in slots:
         if slot in functions:
             slots[slot] = _build_function(functions[slot], f"functions.{slot}")
+    if slots["m"] is not None:
+        with _field_errors("functions.m"):
+            antiderivative(slots["m"])  # a weight kind has none, so it cannot be m
 
     params = cfg.get("params", {})
     if not isinstance(params, dict):

@@ -23,6 +23,7 @@ from kirchhoff_spectral import (
     power,
     relative_drift,
     power_spectrum,
+    weight_power_log,
     zero_vector,
 )
 from kirchhoff_spectral import dynamics
@@ -338,6 +339,9 @@ def test_undefined_antiderivative_fails_before_integrating(tight_cfg, monkeypatc
     state = SpectralState(t=0.0, u=basis_vector(spec, 0), v=zero_vector(spec))
     with pytest.raises(DomainError):
         evolve(state, power(-3.0), tight_cfg, 5.0)
+    # a weight kind has no antiderivative at all, so it cannot be m
+    with pytest.raises(DomainError, match="cannot be the nonlinearity m"):
+        evolve(state, weight_power_log(1.0), tight_cfg, 5.0)
 
 
 def test_driver_looks_up_solver_at_call_time(tight_cfg, monkeypatch):

@@ -206,10 +206,58 @@ def test_table_antiderivative_is_exact():
         assert float(big_m(hi)) == pytest.approx(quad_oracle(t, hi), rel=1e-7)
 
 
-def test_quadrature_antiderivative_fallback():
-    om = modulus_sigma_log(1.0)
-    big_m = antiderivative(om)
-    assert float(big_m(1.0)) == pytest.approx(quad_oracle(om, 1.0), rel=1e-6)
+# 20 geometric sigma up to 0.04 and 60 linear from 0.05 to 3: both sides of every knee
+SIGMAS = np.concatenate([np.geomspace(1e-12, 0.04, 20), np.linspace(0.05, 3.0, 60)])
+# each modulus kind's knee and its formula below it, written out independently
+KNEES = {"modulus_power": lambda b: 1.0, "modulus_sigma_log": lambda q: math.exp(-q),
+         "modulus_inv_log": lambda q: math.exp(-(q + 1.0))}
+CORES = {"modulus_power": lambda b, x: x**b,
+         "modulus_sigma_log": lambda q, x: x * (-math.log(x)) ** q,
+         "modulus_inv_log": lambda q, x: (-math.log(x)) ** -q}
+def split_quad(spec, sigma):
+    """The integral of ``spec`` over [0, sigma] by ``quad``, split at the knee."""
+    from scipy.integrate import quad
+
+    (p,) = spec.params.values()
+    knee = KNEES[spec.kind](p)
+    total = quad(lambda x: CORES[spec.kind](p, x), 0.0, min(sigma, knee),
+                 epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    if sigma > knee:
+        total += quad(lambda x: float(spec(x)), knee, sigma, epsabs=0.0, epsrel=1e-13)[0]
+    return total
+
+
+@pytest.mark.parametrize("spec", [
+    *[modulus_sigma_log(q) for q in (0.0, 1.0, 3.0)],
+    # gammaincc takes only q < 1, and scipy's hyperu, the textbook form for q >= 1,
+    # is off by 7e-7 at q = 1.1 and by 1e17 at a q one ulp from 2
+    *[modulus_inv_log(q) for q in (0.25, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0 + 2.0**-51, 3.5)],
+    *[modulus_power(b) for b in (0.5, 1.0)],
+], ids=lambda spec: "%s(%r)" % (spec.kind, *spec.params.values()))
+def test_modulus_antiderivative_matches_split_quad(spec):
+    big_m = antiderivative(spec)
+    assert float(big_m(0.0)) == 0.0
+    values = big_m(SIGMAS)
+    reference = np.array([split_quad(spec, s) for s in SIGMAS])
+    np.testing.assert_allclose(values, reference, rtol=1e-12, atol=0.0)
+    # a scalar sigma takes the same path
+    assert float(big_m(SIGMAS[-1])) == values[-1]
+
+
+def test_modulus_without_a_finite_knee_line_refused():
+    # q**q overflows at q = 200; the knee e**-801 of q = 800 underflows to 0, and
+    # at q = 200 so does the value (q+1)**-q there
+    for make in (lambda: modulus_sigma_log(200.0), lambda: modulus_inv_log(800.0),
+                 lambda: modulus_inv_log(200.0)):
+        with pytest.raises(DomainError, match="parameter 'q' = .* out of float range"):
+            make()
+
+
+def test_weight_kind_has_no_antiderivative():
+    weights = (EXAMPLES["weight_power_log"], EXAMPLES["weight_scaled_modulus"])
+    for spec in (*weights, offset(1.0, weights[0])):
+        with pytest.raises(DomainError, match="cannot be the nonlinearity m"):
+            antiderivative(spec)
 
 
 def test_nonfinite_params_rejected():

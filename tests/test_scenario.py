@@ -2,7 +2,10 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -645,7 +648,74 @@ def test_edges_cover_every_rule():
 
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_declared_spec_is_valid(kind):
-    validate_scenario(simulate_config(functions={"m": valid_spec(kind)}))
+    # a weight kind has no antiderivative and cannot be m; phi is its slot
+    slot = "phi" if kind.startswith("weight_") else "m"
+    functions = {"m": valid_spec("constant"), slot: valid_spec(kind)}
+    validate_scenario(simulate_config(functions=functions))
+
+
+WEIGHT_AS_M = {"kind": "offset", "c": 1.0, "base": valid_spec("weight_power_log")}
+
+
+@pytest.mark.parametrize("m", [valid_spec("weight_power_log"),
+                               valid_spec("weight_scaled_modulus"), WEIGHT_AS_M])
+def test_weight_kind_as_m_refused_before_run(tmp_path, monkeypatch, m):
+    monkeypatch.setattr(scenario, "evolve", refuse_to_evolve)
+    cfg = simulate_config(functions={"m": m})
+    with pytest.raises(ScenarioError, match="cannot be the nonlinearity m") as info:
+        validate_scenario(cfg)
+    assert info.value.field == "functions.m"
+    with pytest.raises(ScenarioError):
+        run_scenario(cfg, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("omega", [{"kind": "modulus_sigma_log", "q": 200},
+                                   {"kind": "modulus_inv_log", "q": 800},
+                                   {"kind": "modulus_inv_log", "q": 200}])
+def test_modulus_without_a_finite_knee_line_refused_before_run(tmp_path, omega):
+    # q**q overflows at q = 200; the knee e**-801 of q = 800 underflows to 0, and
+    # at q = 200 so does the value (q+1)**-q there
+    cfg = simulate_config(functions={"preset": "table1_lipschitz", "omega": omega},
+                          task="conditions", params={})
+    with pytest.raises(ScenarioError) as info:
+        validate_scenario(cfg)
+    assert info.value.field == "functions.omega"
+    with pytest.raises(ScenarioError):
+        run_scenario(cfg, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_table3_loglog_simulate_completes(tmp_path):
+    # u0 = 2 e**-k takes sigma past 0.86, where quadrature of m failed to converge
+    cfg = simulate_config(name="table3_loglog", spectrum={"generator": {"count": 16}},
+                          data={"u0": {"profile": {"amplitude": 2.0}}, "u1": "zero"},
+                          functions={"preset": "table3_loglog"}, params={"t_end": 10.0})
+    manifest = run_scenario(cfg, out_dir=tmp_path / "out")
+    assert manifest.summary["status"] == "completed"
+    assert manifest.summary["hamiltonian_drift"] < 1e-7
+
+
+def test_import_and_bundled_scenarios_load_no_scipy_special_or_integrate(tmp_path):
+    # they cost 0.37 s and 0.54 s to import; only a modulus kind's M needs scipy.special
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import json, sys\n"
+        "import kirchhoff_spectral\n"
+        "from kirchhoff_spectral.scenario import run_scenario\n"
+        "loaded = lambda: [m for m in ('scipy.special', 'scipy.integrate') if m in sys.modules]\n"
+        "seen = [loaded()]\n"
+        "for i, path in enumerate(sys.argv[2:]):\n"
+        "    run_scenario(path, out_dir=f'{sys.argv[1]}/{i}')\n"
+        "print(json.dumps(seen + [loaded()]))\n"
+    )
+    paths = sorted(str(p) for p in (root / "scenarios").glob("*.json"))
+    assert len(paths) == 4
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path), *paths], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == [[], []]
 
 
 @pytest.mark.parametrize(
