@@ -12,9 +12,10 @@ One ``FunctionSpec`` type covers the three roles in the model problem:
   large sigma; the preset weight kinds clamp the formula with max(1, .) and
   guard logarithms with sigma -> max(sigma, e).
 
-Specs are plain frozen records, evaluate vectorized over numpy arrays, and
-serialize to/from nested dicts (tabulated specs additionally load from
-two-column CSV).
+Specs are plain frozen records that serialize to/from nested dicts (tabulated
+specs additionally load from two-column CSV).  Each kind writes its formula
+once, in one evaluator that takes a numpy array (``FunctionSpec.__call__``) or
+a float (``scalar_callable``, the right-hand sides' path).
 """
 
 from __future__ import annotations
@@ -88,10 +89,10 @@ class FunctionSpec:
         sig = np.asarray(sigma, dtype=float)
         if np.any(sig < 0.0):
             raise DomainError("sigma must be nonnegative")
-        out = KINDS[self.kind].evaluate(self, sig)
+        out = scalar_callable(self)(sig)
         if np.isscalar(sigma) or np.ndim(sigma) == 0:
             return float(out)
-        return out
+        return out if np.shape(out) == sig.shape else np.full_like(sig, out)
 
     def to_dict(self) -> dict:
         d: dict = {"kind": self.kind}
@@ -221,10 +222,6 @@ def load_table_csv(path) -> FunctionSpec:
 # per-kind records
 
 
-def _generic_scalar(spec: FunctionSpec) -> Callable[[float], float]:
-    return lambda s: float(spec(s))
-
-
 @dataclass(frozen=True)
 class _Kind:
     """Everything the package knows about one function kind.
@@ -233,27 +230,24 @@ class _Kind:
     ``base`` says whether a spec of the kind wraps another spec, and
     ``knots``, when not None, checks the (sigma, value) knots the kind takes,
     and ``check`` what no param rule can see.  ``FunctionSpec`` refuses
-    whatever this declaration does not allow.  ``scalar`` builds the fast
-    evaluator for the integrator's inner loop, by default the array round trip
-    through ``FunctionSpec.__call__``; ``antiderivative`` builds M with
-    M' = spec and M(0) = 0, for a modulus kind through an incomplete gamma
-    function.  A weight kind leaves it None: it has no M and cannot be m.
+    whatever this declaration does not allow.  ``evaluate`` binds a spec's
+    params once and returns its one evaluator, which takes a float (the
+    right-hand side's path) or an array and may return one float for any
+    array; it checks the domain only where the params make a point outside it
+    reachable.  ``antiderivative`` builds M with M' = spec and M(0) = 0, for a
+    modulus kind through an incomplete gamma function.  A weight kind leaves
+    it None: it has no M and cannot be m.
     """
 
     params: Mapping[str, str]
-    evaluate: Callable[[FunctionSpec, np.ndarray], np.ndarray]
-    scalar: Callable[[FunctionSpec], Callable[[float], float]] = _generic_scalar
+    evaluate: Callable[[FunctionSpec], Callable]
     antiderivative: Callable[[FunctionSpec], Callable] | None = None
     base: bool = False
     knots: Callable[[tuple], None] | None = None
     check: Callable[[FunctionSpec], object] | None = None
 
 
-def _eval_constant(spec, sig):
-    return np.full_like(sig, spec.params["c"])
-
-
-def _scalar_constant(spec):
+def _eval_constant(spec):
     c = spec.params["c"]
     return lambda s: c
 
@@ -263,11 +257,7 @@ def _antiderivative_constant(spec):
     return lambda s: c * np.asarray(s, dtype=float) + 0.0
 
 
-def _eval_affine(spec, sig):
-    return spec.params["a"] + spec.params["b"] * sig
-
-
-def _scalar_affine(spec):
+def _eval_affine(spec):
     a, b = spec.params["a"], spec.params["b"]
     return lambda s: a + b * s
 
@@ -277,20 +267,17 @@ def _antiderivative_affine(spec):
     return lambda s: a * np.asarray(s, float) + 0.5 * b * np.asarray(s, float) ** 2
 
 
-def _eval_power(spec, sig):
-    p = spec.params["beta"]
-    if p == 0.0:
-        return np.ones_like(sig)
-    if p < 0.0 and np.any(sig == 0.0):
-        raise DomainError("negative power is singular at sigma = 0")
-    return sig**p
-
-
-def _scalar_power(spec):
+def _eval_power(spec):
     q = spec.params["beta"]
-    if q == 0.0:
-        return lambda s: 1.0
-    return lambda s: s**q
+    if q >= 0.0:
+        return (lambda s: s**q) if q else (lambda s: 1.0)
+
+    def singular_at_0(s):
+        if np.any(s == 0.0):
+            raise DomainError("negative power is singular at sigma = 0")
+        return s**q
+
+    return singular_at_0
 
 
 def _antiderivative_power(spec):
@@ -300,24 +287,18 @@ def _antiderivative_power(spec):
     return lambda s: np.asarray(s, float) ** (q + 1.0) / (q + 1.0)
 
 
-def _eval_pohozaev(spec, sig):
+def _eval_pohozaev(spec):
     a, b = spec.params["a"], spec.params["b"]
-    den = a + b * sig
-    if np.any(den <= 0.0):
-        raise DomainError("pohozaev nonlinearity needs a + b*sigma > 0")
-    return den**-2.0
+    if b >= 0.0:  # a > 0, so a + b*sigma > 0 for every sigma >= 0
+        return lambda s: (a + b * s) ** -2.0
 
-
-def _scalar_pohozaev(spec):
-    a, b = spec.params["a"], spec.params["b"]
-
-    def _poho(s: float) -> float:
+    def positive_below_a_over_b(s):
         den = a + b * s
-        if den <= 0.0:
+        if np.any(den <= 0.0):
             raise DomainError("pohozaev nonlinearity needs a + b*sigma > 0")
         return den**-2.0
 
-    return _poho
+    return positive_below_a_over_b
 
 
 def _antiderivative_pohozaev(spec):
@@ -344,9 +325,9 @@ def _check_table_knots(knots):
         raise DomainError("table entries must be finite")
 
 
-def _eval_table(spec, sig):
-    s, y = spec.knots
-    return np.interp(sig, s, y)
+def _eval_table(spec):
+    s, y = np.asarray(spec.knots)
+    return lambda sig: np.interp(sig, s, y)
 
 
 def _antiderivative_table(spec):
@@ -372,13 +353,8 @@ def _antiderivative_table(spec):
     return M
 
 
-def _eval_offset(spec, sig):
-    return spec.params["c"] + spec.base(sig)
-
-
-def _scalar_offset(spec):
-    c = spec.params["c"]
-    inner = scalar_callable(spec.base)
+def _eval_offset(spec):
+    c, inner = spec.params["c"], scalar_callable(spec.base)
     return lambda s: c + inner(s)
 
 
@@ -409,22 +385,29 @@ def _modulus_kind(param: str, rule: str, terms, core, integral) -> _Kind:
                               "value there at 0 or the value or slope out of float range")
         return p, knee, value, slope
 
-    def evaluate(spec, sig):
+    def evaluate(spec):
         p, knee, value, slope = check(spec)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inner = core(p, np.minimum(sig, knee))
-        # a flat line (slope 0) stays flat at sigma = inf
-        return np.where(sig <= knee, inner, value + slope * (sig - knee) if slope else value)
 
-    def integrate(spec, sig):
+        def f(sig):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                inner = core(p, np.minimum(sig, knee))
+            # a flat line (slope 0) stays flat at sigma = inf
+            return np.where(sig <= knee, inner, value + slope * (sig - knee) if slope else value)
+
+        return f
+
+    def antiderivative(spec):
         p, knee, value, slope = check(spec)
-        d = np.asarray(sig, dtype=float) - knee
-        with np.errstate(divide="ignore"):
-            return np.where(d <= 0.0, integral(p, np.minimum(sig, knee)),
-                            integral(p, knee) + d * (value + 0.5 * slope * d))
 
-    return _Kind({param: rule}, evaluate, check=check,
-                 antiderivative=lambda spec: lambda sig: integrate(spec, sig))
+        def big_m(sig):
+            d = np.asarray(sig, dtype=float) - knee
+            with np.errstate(divide="ignore"):
+                return np.where(d <= 0.0, integral(p, np.minimum(sig, knee)),
+                                integral(p, knee) + d * (value + 0.5 * slope * d))
+
+        return big_m
+
+    return _Kind({param: rule}, evaluate, antiderivative, check=check)
 
 
 def _sigma_log_integral(q, s):
@@ -448,33 +431,34 @@ def _inv_log_integral(q, s):
     return s * x ** (1.0 - q) * h
 
 
-def _eval_weight_power_log(spec, sig):
+def _eval_weight_power_log(spec):
     p, ell = spec.params["p"], spec.params["ell"]
-    if ell == 0.0:
-        core = np.ones_like(sig) if p == 0.0 else sig**p
-    else:
+    if ell == 0.0:  # np.power, not libm's pow, also for a float sigma
+        return lambda sig: np.maximum(np.power(sig, p) if p else 1.0, 1.0)
+
+    def f(sig):
         s = np.maximum(sig, _E)
-        core = s**p * np.log(s) ** ell
-    return np.maximum(core, 1.0)
+        return np.maximum(s**p * np.log(s) ** ell, 1.0)
+
+    return f
 
 
-def _eval_weight_scaled_modulus(spec, sig):
-    s = np.maximum(sig, 1e-300)
-    return np.maximum(s * spec.base(1.0 / s), 1.0)
+def _eval_weight_scaled_modulus(spec):
+    def f(sig):
+        s = np.maximum(sig, 1e-300)
+        return np.maximum(s * spec.base(1.0 / s), 1.0)
+
+    return f
 
 
 KINDS: Mapping[str, _Kind] = {
-    "constant": _Kind({"c": "finite"}, _eval_constant, _scalar_constant,
-                      _antiderivative_constant),
-    "affine": _Kind({"a": "finite", "b": "finite"}, _eval_affine, _scalar_affine,
-                    _antiderivative_affine),
-    "power": _Kind({"beta": "finite"}, _eval_power, _scalar_power, _antiderivative_power),
-    "pohozaev": _Kind({"a": "positive", "b": "finite"}, _eval_pohozaev, _scalar_pohozaev,
+    "constant": _Kind({"c": "finite"}, _eval_constant, _antiderivative_constant),
+    "affine": _Kind({"a": "finite", "b": "finite"}, _eval_affine, _antiderivative_affine),
+    "power": _Kind({"beta": "finite"}, _eval_power, _antiderivative_power),
+    "pohozaev": _Kind({"a": "positive", "b": "finite"}, _eval_pohozaev,
                       _antiderivative_pohozaev),
-    "table": _Kind({}, _eval_table, antiderivative=_antiderivative_table,
-                   knots=_check_table_knots),
-    "offset": _Kind({"c": "finite"}, _eval_offset, _scalar_offset, _antiderivative_offset,
-                    base=True),
+    "table": _Kind({}, _eval_table, _antiderivative_table, knots=_check_table_knots),
+    "offset": _Kind({"c": "finite"}, _eval_offset, _antiderivative_offset, base=True),
     "modulus_power": _modulus_kind(
         "beta", "unit_interval", lambda b: (1.0, 1.0, b), lambda b, s: s**b,
         lambda b, s: s ** (b + 1.0) / (b + 1.0)),
@@ -491,14 +475,13 @@ KINDS: Mapping[str, _Kind] = {
 }
 
 
-def scalar_callable(spec: FunctionSpec) -> Callable[[float], float]:
-    """Fast scalar evaluator for the inner integrator loop.
+def scalar_callable(spec: FunctionSpec) -> Callable:
+    """The one evaluator of ``spec``, params bound once (see ``_Kind``).
 
-    The closed forms avoid the array round trip of ``FunctionSpec.__call__``
-    for the kinds that show up in right-hand sides; other kinds fall back to
-    the generic path.
+    The right-hand sides call it with a float, ``FunctionSpec.__call__``
+    with an array; each path keeps the bits of its own arithmetic.
     """
-    return KINDS[spec.kind].scalar(spec)
+    return KINDS[spec.kind].evaluate(spec)
 
 
 def antiderivative(spec: FunctionSpec) -> Callable:

@@ -44,9 +44,11 @@ class GMParams:
         rhos = tuple(float(r) for r in self.rhos)
         if len(rhos) < 1:
             raise PreconditionError("need at least one rho threshold")
-        if rhos[0] <= 0.0 or any(b <= a for a, b in zip(rhos, rhos[1:])):
-            raise PreconditionError("rho thresholds must be positive and increasing")
-        if self.alpha < 0.0 or self.beta < 0.0:
+        # written so that NaN fails: positive, increasing, and finite at the last
+        if not (0.0 < rhos[0] and rhos[-1] < math.inf
+                and all(a < b for a, b in zip(rhos, rhos[1:]))):
+            raise PreconditionError("rho thresholds must be positive, finite and increasing")
+        if not (self.alpha >= 0.0 and self.beta >= 0.0):
             raise PreconditionError("alpha and beta must be nonnegative")
         object.__setattr__(self, "rhos", rhos)
 

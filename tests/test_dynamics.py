@@ -344,6 +344,14 @@ def test_undefined_antiderivative_fails_before_integrating(tight_cfg, monkeypatc
         evolve(state, weight_power_log(1.0), tight_cfg, 5.0)
 
 
+def test_negative_power_at_zero_sigma_is_a_domain_error(tight_cfg):
+    # from u0 = 0 the first RHS call meets sigma = 0, where sigma**-0.5 is singular
+    spec = Spectrum([1.0, 2.0])
+    state = SpectralState(t=0.0, u=zero_vector(spec), v=basis_vector(spec, 0))
+    with pytest.raises(DomainError, match="negative power is singular"):
+        evolve(state, power(-0.5), tight_cfg, 1.0)
+
+
 def test_driver_looks_up_solver_at_call_time(tight_cfg, monkeypatch):
     # tracing rebinds dynamics.solve_to_samples from outside; evolve must
     # reach the rebound name

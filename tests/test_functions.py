@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -168,6 +169,127 @@ def test_scalar_callable_agrees():
         fast = scalar_callable(spec)
         for s in (0.0, 0.1, 1.0, 7.5):
             assert fast(s) == pytest.approx(float(spec(s)), rel=1e-15)
+
+
+# every kind's values on a fixed grid, pinned by the sha256 of their raw
+# bytes: the array evaluation, then scalar_callable one float at a time (the
+# right-hand side's path).  The two paths may differ in the last bit (numpy's
+# power is not libm's); each must keep its own.  Recorded with numpy 2.4.6 on
+# an x86-64 Xeon.
+PINNED_SPECS = {
+    "constant": constant(1.5),
+    "affine": affine(1.0, -0.5),
+    "power_0": power(0.0),
+    "power_half": power(0.5),
+    "power_third": power(1.0 / 3.0),
+    "power_2": power(2.0),
+    "power_neg": power(-0.5),
+    "pohozaev": pohozaev(1.0, 1.0),
+    "pohozaev_neg": pohozaev(2.0, -0.5),
+    "table": table([0.0, 0.25, 0.5, 1.0], [1.0, 1.5, 1.25, 2.0]),
+    "table_clamped": table([0.5, 2.0], [3.0, 1.0]),
+    "offset_power": offset(1.0, power(0.5)),
+    "offset_sigma_log": offset(1.0, modulus_sigma_log(1.0)),
+    "offset_inv_log": offset(0.5, modulus_inv_log(0.5)),
+    "modulus_power_half": modulus_power(0.5),
+    "modulus_power_1": modulus_power(1.0),
+    "sigma_log_0": modulus_sigma_log(0.0),
+    "sigma_log_3": modulus_sigma_log(3.0),
+    "sigma_log_140": modulus_sigma_log(140.0),
+    "inv_log_1": modulus_inv_log(1.0),
+    "inv_log_3.5": modulus_inv_log(3.5),
+    "inv_log_147.9": modulus_inv_log(147.9),
+    "weight_log": weight_power_log(0.0, 1.0),
+    "weight_power": weight_power_log(2.0 / 3.0),
+    "weight_power_log": weight_power_log(0.5, -1.0),
+    "weight_scaled_modulus": weight_scaled_modulus(modulus_sigma_log(1.0)),
+    "weight_scaled_power": weight_scaled_modulus(power(0.5)),
+}
+PINNED_SHA256 = {
+    "constant": ["6298d55befc00c93eb2cca868f50fb7aed8de3c5b1a4cec308aa1a962f02f67d",
+                 "6298d55befc00c93eb2cca868f50fb7aed8de3c5b1a4cec308aa1a962f02f67d"],
+    "affine": ["6fa6b4aee8c6e525c3020be4ca81549dffa16802272ee60e6b5171b0bc0d4616",
+               "6fa6b4aee8c6e525c3020be4ca81549dffa16802272ee60e6b5171b0bc0d4616"],
+    "power_0": ["983b93b2b964246062ea5b405a8d4080fa14f22fc55736a8a841b820c684719b",
+                "983b93b2b964246062ea5b405a8d4080fa14f22fc55736a8a841b820c684719b"],
+    "power_half": ["05dfc6c6ac1db3f69c2def72328319dd4f13785057ad2929e01303c390835dc2",
+                   "74583fd93f2bc01805e71bb3c22e95269ac812bf67cad817e006f4492e85e5b3"],
+    "power_third": ["0fa5615d3ff7488993f584ff36f5c7ce128c1862c2b262bb0fc1a65993a12b14",
+                    "3b0de88c7c3a41b69b3635a74a048b8e2fce5282f3de8ff76729fa05241cc824"],
+    "power_2": ["802db6a983f2398af1f3a06f899708d8e1ccec4e9d5678340aaf2c05cbda0f96",
+                "802db6a983f2398af1f3a06f899708d8e1ccec4e9d5678340aaf2c05cbda0f96"],
+    "power_neg": ["b0a6cf4a3cc580304f4989088cbe97a5cda3d9231ebf8de76393d05df8b410cb",
+                  "07186ede8d05a4346279513992bfb1438b4d5456d3ac629ed4b02132cd107f85"],
+    "pohozaev": ["da8db6ec3b181beea09142d9b1b38fabf704e2325b3c7d12ced0b87860fc5d22",
+                 "e9d7a50f669f06aa56ee27633e0a6502f6cba3712d55737ff1d058c0cfb46b2a"],
+    "pohozaev_neg": ["30075fe15b59d38eccf3f6270801b8de8a96fa84aeb8e8f891b32914e356666a",
+                     "6cf01fab0fe06635852993229b4bee2e7d468a5180a4971d708a9a1816c13130"],
+    "table": ["76d35e4d1109e5ba27dfe04a7d906822ede3e21752b3c7a6074c72bd9ff10ffb",
+              "76d35e4d1109e5ba27dfe04a7d906822ede3e21752b3c7a6074c72bd9ff10ffb"],
+    "table_clamped": ["e66e60575f10e1e19f89d58c434c79957ab806e84280c7f1e56cfeae553c5b8f",
+                      "e66e60575f10e1e19f89d58c434c79957ab806e84280c7f1e56cfeae553c5b8f"],
+    "offset_power": ["38aa02c07c93d22f9023d985c4c3e855fef3db74bf7bbd67ceb9381a7c2cb200",
+                     "38aa02c07c93d22f9023d985c4c3e855fef3db74bf7bbd67ceb9381a7c2cb200"],
+    "offset_sigma_log": ["379113a29b5932c34e7b95e3dd8c7384d7863a9e96b2e04a6e0d524591cae17c",
+                         "379113a29b5932c34e7b95e3dd8c7384d7863a9e96b2e04a6e0d524591cae17c"],
+    "offset_inv_log": ["f07eb5b3ca580c51f0cfc2e19e36d3345eea591c7e4afc8e2bb58e4d9ec3787d",
+                       "7ac0cce28604886a957291e63bfe5558eb5fed08e07bc4e03300fe7d0c33db9e"],
+    "modulus_power_half": ["b460910aad414f67dd0694db40d33a1114d40b36c70735b170cdee1d262e9e6f",
+                           "7b8aea788c8d480a16ce8983097fded47cacfdc4fd399646133c1b3accf062d9"],
+    "modulus_power_1": ["45b6805d918be8863c9d64bd54772c7a1135971c369fc8ecf221a84367015583",
+                        "45b6805d918be8863c9d64bd54772c7a1135971c369fc8ecf221a84367015583"],
+    "sigma_log_0": ["65e0ae8627a38c95521c121c9b27bca15a256184157cce7c1b9398c4a8019c7a",
+                    "65e0ae8627a38c95521c121c9b27bca15a256184157cce7c1b9398c4a8019c7a"],
+    "sigma_log_3": ["8357e7133d79e6f152fe13a9c2604baacc304abf23eb54359915029de2088e22",
+                    "01a426a3cd60077f4546480aeaa7b7f836f6af76f26edcbee72cfdb07afde92c"],
+    "sigma_log_140": ["3fe7aa2452f66be7045b0d31dded5f3e0c78b286e3d7ce9492723c0481d10e92",
+                      "f9b336f453d3f6165e04e0837405d09184a67a5c2029a5edb456ce2003e603ef"],
+    "inv_log_1": ["ba421061b73ee764940f0c6040c8632f2aa19f2ffad117cfcbf8076db5e24bf4",
+                  "534fd28d843e50f1a9e5682a650791770fe221a60bd96b4bf330e8149da26b93"],
+    "inv_log_3.5": ["63a70993c0f57f883bceb066bccb4c1757191f171c8f1ac5c9815cff7c9f9fca",
+                    "22658eaddb5360d5fdf00fa01e47618424edbc72f31dc142e4e05c74c0f4457e"],
+    "inv_log_147.9": ["8938bc90bd204e95b75ee506cc3bb3baf5405436c4b71591bd57c138900b3532",
+                      "8938bc90bd204e95b75ee506cc3bb3baf5405436c4b71591bd57c138900b3532"],
+    "weight_log": ["6a531646d68106b09ab1da8d1949ac14fda7597b9030b8ef536722f7ea1881fd",
+                   "6a531646d68106b09ab1da8d1949ac14fda7597b9030b8ef536722f7ea1881fd"],
+    "weight_power": ["77b1e0adec0f97f88c9c7da5e73a82214b50fc463be2c099776bba41149779f6",
+                     "77b1e0adec0f97f88c9c7da5e73a82214b50fc463be2c099776bba41149779f6"],
+    "weight_power_log": ["ec661a746c5ecbba4e90bb17d2525153b80d1541c8cd1929cf51f71ba1dd3f57",
+                         "ec661a746c5ecbba4e90bb17d2525153b80d1541c8cd1929cf51f71ba1dd3f57"],
+    "weight_scaled_modulus": ["4a2c06611815689fad07b5c94d6a1a0d4fcdee4a9637d71d367d81c63e84f623",
+                              "4a2c06611815689fad07b5c94d6a1a0d4fcdee4a9637d71d367d81c63e84f623"],
+    "weight_scaled_power": ["43245aff6bf631b58f09e4c368d70694e2b23d145bca30965ff1234d8a1bc42b",
+                            "43245aff6bf631b58f09e4c368d70694e2b23d145bca30965ff1234d8a1bc42b"],
+}
+
+
+def pinned_grid(spec):
+    """0, the subnormals, each knee with its float neighbours, a spread to 1e6, inf."""
+    knees = [1.0, 0.25, 0.5, 2.0, 4.0, *(math.exp(-q) for q in (1.0, 3.0, 140.0)),
+             *(math.exp(-(q + 1.0)) for q in (0.5, 1.0, 3.5, 147.9))]
+    grid = np.unique(np.concatenate([
+        [0.0, 5e-324, 1e-320, math.inf], knees, np.nextafter(knees, 0.0),
+        np.nextafter(knees, math.inf), np.geomspace(1e-300, 1e6, 1500),
+        np.linspace(0.0, 3.0, 301), np.linspace(0.0, 1e6, 101)]))
+    if spec.kind == "power" and spec.params["beta"] < 0.0:
+        return grid[grid > 0.0]  # refused at 0, below
+    if spec.kind == "pohozaev":
+        return grid[spec.params["a"] + spec.params["b"] * grid > 0.0]
+    return grid
+
+
+# sigma_log_140 overflows |log sigma|**140 below 1e-128, and the weights meet
+# inf * 0 at sigma = inf; their values there are pinned like any other
+@pytest.mark.filterwarnings("ignore:.* encountered in .*:RuntimeWarning")
+@pytest.mark.parametrize("name", PINNED_SPECS)
+def test_every_kind_keeps_its_bits_on_both_paths(name):
+    spec = PINNED_SPECS[name]
+    grid = pinned_grid(spec)
+    f = scalar_callable(spec)
+    values = spec(grid), np.array([f(s) for s in grid.tolist()])
+    got = [hashlib.sha256(np.ascontiguousarray(v, dtype="<f8").tobytes()).hexdigest()
+           for v in values]
+    assert got == PINNED_SHA256[name]
 
 
 @pytest.mark.parametrize(

@@ -14,11 +14,13 @@ from kirchhoff_spectral import (
     constant,
     dynamics,
     functions,
+    get_preset,
     integrate,
     pohozaev,
     power,
     power_spectrum,
     reparametrize,
+    table,
 )
 from kirchhoff_spectral.integrate import IntegrationOutcome, solve_to_samples
 
@@ -710,6 +712,10 @@ SOLVER_PATH_SHA256 = {
     "curve_direct": "4741faafe08f947840fdfaa6d934fa1cd49becd435d0e4bb2d30ebdd0d673862",
     "curve_bootstrap": "25b94730520d97c6b652868826fb33116b72a7d3f74bf865db9c827f70448d44",
     "evolve_n512": "684009d83ea9f6b3b577accd37dc02a93d5c44eef0f57ce8292e3c52a9fdf412",
+    "evolve_table1_loglipschitz": "ffcae94a26e6e9a3656b77bee553f212ef2c7f91ad74947c413d4abec97c4e87",
+    "evolve_table3_loglipschitz_cubed": "4a9404ba3708ed63394644a64b4400f04f2bf967a60e51144ba3265046c8ad3f",
+    "evolve_table3_loglog": "4d5d1924308f2975309311e025cec7aa77c517d5d6d4afef668a5f1d9c304fab",
+    "evolve_table": "037b7200dc7ed1af93abcd94bdaad0a356caa43122a42833aaa45eb7eeb4da58",
 }
 
 
@@ -742,6 +748,14 @@ def solver_path_runs():
         yield f"curve_{branch}", curve
     yield "evolve_n512", dynamics.evolve(normalized_state(512, 8), affine(1.0, 1.0),
                                          cfg, 0.1)
+    # the modulus and table kinds' m, from u0 = 2 e**-k at rest
+    spec = power_spectrum(16)
+    state = SpectralState(t=0.0, u=SpectralVector(spec, 2.0 * np.exp(-spec.lambdas)),
+                          v=SpectralVector(spec, np.zeros(16)))
+    for name in ("table1_loglipschitz", "table3_loglipschitz_cubed", "table3_loglog"):
+        yield f"evolve_{name}", dynamics.evolve(state, get_preset(name).m, cfg, 10.0)
+    yield "evolve_table", dynamics.evolve(
+        state, table([0.0, 0.25, 0.5, 1.0], [1.0, 1.5, 1.25, 2.0]), cfg, 10.0)
 
 
 def test_solver_paths_keep_their_bytes():

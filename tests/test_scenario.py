@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from kirchhoff_spectral import scenario
 from kirchhoff_spectral.cli import main
-from kirchhoff_spectral.errors import ScenarioError
+from kirchhoff_spectral.errors import DomainError, ScenarioError
 from kirchhoff_spectral.functions import KINDS, RULES
 from kirchhoff_spectral.scenario import load_config, run_scenario, validate_scenario
 
@@ -167,6 +167,15 @@ def test_error_record_written(tmp_path):
     record = json.loads((tmp_path / "out" / "error.json").read_text())
     assert record["error"] == "NegativeNonlinearityError"
     assert record["task"] == "simulate"
+
+
+def test_negative_power_at_zero_sigma_records_a_domain_error(tmp_path):
+    cfg = simulate_config(data={"u0": "zero", "u1": {"basis": {"index": 0}}})
+    cfg["functions"] = {"m": {"kind": "power", "beta": -0.5}}
+    with pytest.raises(DomainError, match="negative power is singular"):
+        run_scenario(cfg, out_dir=tmp_path / "out")
+    record = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert record["error"] == "DomainError" and record["task"] == "simulate"
 
 
 def test_decompose_task(tmp_path):

@@ -88,6 +88,18 @@ def test_rho_validation():
         GMParams(constant(1.0), (-1.0, 2.0), 0.0, 2.0)
 
 
+@pytest.mark.parametrize("rhos, alpha, beta", [
+    ((1.0, 2.0), math.nan, 2.0), ((1.0, 2.0), 0.0, math.nan), ((math.nan,), 0.0, 2.0),
+    ((1.0, math.nan), 0.0, 2.0), ((math.nan, 2.0), 0.0, 2.0), ((1.0, math.inf), 0.0, 2.0),
+    ((math.inf,), 0.0, 2.0),
+], ids=["alpha_nan", "beta_nan", "rho_nan", "last_rho_nan", "first_rho_nan",
+        "last_rho_inf", "rho_inf"])
+def test_nan_or_infinite_membership_params_refused(rhos, alpha, beta):
+    # each made gm_membership answer member=False with NaN margins
+    with pytest.raises(PreconditionError):
+        GMParams(constant(1.0), rhos, alpha, beta)
+
+
 def test_band_bookkeeping_alternation():
     # support on [1, 2) and [4, 8) with edges (1, 2, 4, 8): the empty middle
     # band is pure gap, so the two supported bands alternate bar, hat
