@@ -159,7 +159,8 @@ def _integrate(
     vector RHS took 2.1 us a call against 3.3 us, on the argument of its
     last call (best over six processes of 7 x 20,000 calls, Xeon, one
     thread, shared 2-core host), and an affine(1, 1) evolve to t = 10 at
-    tolerance 1e-10 took 0.11 s against 0.15 s.
+    tolerance 1e-10 took 0.11 s against 0.15 s.  ``evolve`` passes a solo
+    one-mode state a Python-float ``rhs`` with the same bits.
     """
     first = states[0]
     if any(s.spectrum != first.spectrum or s.t != first.t for s in states):
@@ -223,6 +224,14 @@ def evolve(
     index as ``member``.  A member's bits depend on its batch-mates and its
     position, so two identical members need not match bit for bit; a
     one-member ensemble matches the solo call bit for bit.
+
+    A solo state with one mode (``spectrum.n == 1``) takes a right-hand side
+    on Python floats, which skips numpy's dispatch on 1-element arrays: 0.4 us
+    a call against 5.3 us for affine(1, 1) (best of 5 x 100,000, shared
+    2-core Xeon).  It keeps the array closure's bits because at n = 1 every
+    operation, sigma's one-term dot included, is one IEEE operation in the
+    same order; for n > 1 a BLAS dot sums in an order Python cannot follow,
+    so those states, and every ensemble, keep the array closures.
     """
     solo = isinstance(init, SpectralState)
     states = [init] if solo else list(init)
@@ -277,6 +286,23 @@ def evolve(
         multiply(accel, u, accel)
         return out
 
+    lam2_0 = float(lam2[0])
+
+    def one_mode_rhs(t: float, y: np.ndarray) -> np.ndarray:
+        # rhs on Python floats, without numpy's dispatch on 1-element arrays:
+        # at n = 1 sigma's dot is one product, so each operation here is the
+        # IEEE operation rhs makes, in the same order, and the bits are rhs's
+        u, v = y.tolist()
+        sigma = lam2_0 * (u * u)
+        c = m_at(sigma)
+        if c < 0.0:
+            raise NegativeNonlinearityError(
+                f"m({sigma:.6g}) = {c:.6g} < 0 at t = {t:.6g}"
+            )
+        out[0] = v
+        out[1] = (lam2_0 * -c) * u
+        return out
+
     def ensemble_rhs(t: float, y: np.ndarray) -> np.ndarray:
         # rhs row by row; a one-row dot is the same ddot as rhs's
         nonlocal held, u, v
@@ -300,7 +326,8 @@ def evolve(
         multiply(accel, u, accel)
         return out
 
-    trs = _integrate(states, rhs if solo else ensemble_rhs, cfg, t_end, ensemble=not solo)
+    form = ensemble_rhs if not solo else rhs if n > 1 else one_mode_rhs
+    trs = _integrate(states, form, cfg, t_end, ensemble=not solo)
     done = []
     for b, (tr, m_b, big_m) in enumerate(zip(trs, ms, big_ms)):
         try:

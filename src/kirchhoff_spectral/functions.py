@@ -389,7 +389,8 @@ def _modulus_kind(param: str, rule: str, terms, core, integral) -> _Kind:
         p, knee, value, slope = check(spec)
 
         def f(sig):
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # ``core`` masks what these flag: log 0, 0 * inf and modulus_sigma_log's overflow
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 inner = core(p, np.minimum(sig, knee))
             # a flat line (slope 0) stays flat at sigma = inf
             return np.where(sig <= knee, inner, value + slope * (sig - knee) if slope else value)
@@ -408,6 +409,20 @@ def _modulus_kind(param: str, rule: str, terms, core, integral) -> _Kind:
         return big_m
 
     return _Kind({param: rule}, evaluate, antiderivative, check=check)
+
+
+def _sigma_log_core(q, s):
+    """s |ln s|**q, or exp(ln s + q ln|ln s|) where |ln s|**q overflows before s scales it
+    down: only for q above 107, since |ln s| <= 737 on s >= 1e-320."""
+    if q == 0.0:
+        return s
+    out = np.where(s > 0.0, s * _abs_log(s) ** q, 0.0)
+    if q > 107.0:
+        big = np.isinf(out)
+        if big.any():
+            s_big = np.asarray(s)[big]
+            out[big] = np.exp(np.log(s_big) + q * np.log(-np.log(s_big)))
+    return out
 
 
 def _sigma_log_integral(q, s):
@@ -464,8 +479,7 @@ KINDS: Mapping[str, _Kind] = {
         lambda b, s: s ** (b + 1.0) / (b + 1.0)),
     "modulus_sigma_log": _modulus_kind(
         "q", "nonnegative", lambda q: (math.exp(-q), math.exp(-q) * q**q, 0.0),
-        lambda q, s: s if q == 0.0 else np.where(s > 0.0, s * _abs_log(s) ** q, 0.0),
-        _sigma_log_integral),
+        _sigma_log_core, _sigma_log_integral),
     "modulus_inv_log": _modulus_kind(
         "q", "positive", lambda q: (math.exp(-(q + 1.0)), (q + 1.0) ** -q,
                                     q * (q + 1.0) ** -(q + 1.0) / math.exp(-(q + 1.0))),

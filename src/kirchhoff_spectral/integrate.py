@@ -45,8 +45,14 @@ member's error needs no reduction and is read directly.  The blow-up test
 reads the state's magnitude at its ``argmax``, which stops at the first NaN
 as the reduction would.  The right-hand side may likewise fill and return
 one array on every call, because the loop copies each result into its
-stage matrix before the next call.  The two state buffers' views in the
-caller's shape are made once per solve and swap with their buffers, so
+stage matrix before the next call.  For one mode, n = 1, the right-hand
+sides of ``dynamics.evolve`` (solo form) and of the reparametrized curve
+read ``y.tolist()`` and compute on Python floats, which skips numpy's
+dispatch on 1-element arrays and keeps the bits, since each operation
+there is one IEEE operation.  The stage combinations here stay ``dot``s:
+left-to-right Python sums differed from them in 25,696 of 80,000 random
+cases (each row of A on 5,000 random 9 x 2 stage matrices).  The two state
+buffers' views in the caller's shape are made once per solve and swap with their buffers, so
 every stage call passes one of two fixed objects, overwritten in place.
 An RHS may keep views of its argument, such as its halves, while ``y is``
 the object it sliced them from; it must hold that object, not its ``id``,

@@ -15,6 +15,12 @@ integration from the datum itself.  A decreasing shift (negative first
 derivative) is mirrored onto the increasing branch and flagged with
 ``direction = -1``.
 
+With one mode the curve's right-hand side runs on Python floats, as the
+time dynamics' does in ``dynamics.evolve``: at n = 1 each of its operations
+is the one IEEE operation the array closure makes, in the same order, so
+the curve keeps its bits; with more modes the dot's BLAS summation order
+cannot be reproduced, and the array closure stays.
+
 Both interpolants are small numpy cubics evaluated in v = sqrt(s): the
 speed along the curve and the inverse pace use PCHIP (the Fritsch-Butland
 slopes with Moler's one-sided end slopes, equal bit for bit to scipy's
@@ -304,6 +310,23 @@ def solve_trajectory_system(
         divide(dw, den_0d, dw)
         return out
 
+    lam_0 = float(lam[0])
+
+    def one_mode_rhs(s_tilde: float, y: np.ndarray) -> np.ndarray:
+        # rhs on Python floats, the same IEEE operations in the same order,
+        # which keeps rhs's bits at n = 1, as in dynamics.evolve
+        z, w = y.tolist()
+        den = 2.0 * (lam_0 * (z * w))
+        if abs(den) < DEN_FLOOR:
+            raise ParametrizationError(
+                f"parametrization degenerates: |psi'| = {abs(den):.3e} at "
+                f"s = {direction * s_tilde:.6g}"
+            )
+        coeff = m_at(direction * s_tilde + sigma0)
+        out[0] = (direction * lam_0 * w) / den
+        out[1] = ((lam_0 * (-direction * coeff)) * z) / den
+        return out
+
     # the s integration starts from the last row of a lead-in: the datum
     # itself on the direct branch, the time leg on the bootstrap branch
     if abs(d1) > HP_TOL:
@@ -327,9 +350,8 @@ def solve_trajectory_system(
     samples[0] = s_start
     samples[-1] = s_max
     y0 = np.concatenate([lead_z[-1], lead_w[-1]])
-    res = solve_to_samples(
-        rhs, y0, samples, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, max_step=cfg.max_step
-    )
+    res = solve_to_samples(rhs if n > 1 else one_mode_rhs, y0, samples,
+                           rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, max_step=cfg.max_step)
     if not res.completed:
         raise ParametrizationError(
             f"curve integration stopped early: {res.message or res.status}"

@@ -15,6 +15,7 @@ from kirchhoff_spectral import (
     coefficient_trace,
     constant,
     evolve,
+    get_preset,
     hamiltonian,
     hamiltonian_series,
     higher_order_series,
@@ -23,6 +24,7 @@ from kirchhoff_spectral import (
     power,
     relative_drift,
     power_spectrum,
+    table,
     weight_power_log,
     zero_vector,
 )
@@ -408,6 +410,53 @@ def test_ensemble_of_one_matches_solo_evolve_bit_for_bit():
     assert np.array_equal(member.u, solo.u)
     assert np.array_equal(member.v, solo.v)
     assert member.meta == solo.meta
+
+
+# one mode: the solo form's Python-float RHS against the ensemble's array RHS,
+# from data whose sigma crosses the knee of table1_loglipschitz (e**-1) and
+# the table's knots; lambda = 1.3, so that a product with lambda**2 taken in
+# another order shows
+ONE_MODE_MS = {
+    "affine": affine(1.0, 1.0),
+    "power1": power(1.0),
+    "pohozaev": pohozaev(1.0, 1.0),
+    "table1_loglipschitz": get_preset("table1_loglipschitz").m,
+    "table": table([0.0, 0.25, 0.5, 1.0], [1.0, 1.5, 1.25, 2.0]),
+}
+
+
+@pytest.mark.parametrize("name", ONE_MODE_MS)
+def test_one_mode_solo_matches_one_member_ensemble(name):
+    spec = Spectrum([1.3])
+    state = SpectralState(t=0.0, u=SpectralVector(spec, [0.3]), v=SpectralVector(spec, [1.0]))
+    solo = evolve(state, ONE_MODE_MS[name], IntegratorConfig(), 10.0)
+    (member,) = evolve([state], [ONE_MODE_MS[name]], IntegratorConfig(), 10.0)
+    for a, b in ((solo.t, member.t), (solo.u, member.u), (solo.v, member.v)):
+        assert a.tobytes() == b.tobytes()
+    assert solo.meta == member.meta and solo.meta.status == "completed"
+    assert solo.sigma_series().min() < 0.25 and solo.sigma_series().max() > 0.5
+
+
+@pytest.mark.parametrize(
+    "u0, u1, m, error",
+    [
+        ([1.0], [0.0], affine(-2.0, 0.0), NegativeNonlinearityError),  # at the first call
+        ([0.5], [0.5], affine(0.5, -1.0), NegativeNonlinearityError),  # once sigma > 1/2
+        ([0.0], [1.0], power(-0.5), DomainError),  # sigma**-0.5 at sigma = 0
+    ],
+    ids=["negative_at_start", "negative_later", "singular_power"],
+)
+def test_one_mode_solo_raises_as_one_member_ensemble(u0, u1, m, error, tight_cfg):
+    spec = Spectrum([1.3])
+    state = SpectralState(t=0.0, u=SpectralVector(spec, u0), v=SpectralVector(spec, u1))
+    with pytest.raises(error) as solo:
+        evolve(state, m, tight_cfg, 5.0)
+    with pytest.raises(error) as member:
+        evolve([state], [m], tight_cfg, 5.0)
+    # an ensemble's negative m also names its member
+    suffix = " in ensemble member 0" if error is NegativeNonlinearityError else ""
+    assert str(solo.value) + suffix == str(member.value)
+    assert member.value.member == 0 and not hasattr(solo.value, "member")
 
 
 def test_ensemble_members_track_their_solo_runs():

@@ -242,8 +242,8 @@ PINNED_SHA256 = {
                     "65e0ae8627a38c95521c121c9b27bca15a256184157cce7c1b9398c4a8019c7a"],
     "sigma_log_3": ["8357e7133d79e6f152fe13a9c2604baacc304abf23eb54359915029de2088e22",
                     "01a426a3cd60077f4546480aeaa7b7f836f6af76f26edcbee72cfdb07afde92c"],
-    "sigma_log_140": ["3fe7aa2452f66be7045b0d31dded5f3e0c78b286e3d7ce9492723c0481d10e92",
-                      "f9b336f453d3f6165e04e0837405d09184a67a5c2029a5edb456ce2003e603ef"],
+    "sigma_log_140": ["65540ca4f306b23e2d99ca975dbfc4fb894c7954a2bb87fe604665e10691bf02",
+                      "8cde2393d85cf69044f2aaa9360d4f1ee832b135ce5b8e829c0ecf62150a4b02"],
     "inv_log_1": ["ba421061b73ee764940f0c6040c8632f2aa19f2ffad117cfcbf8076db5e24bf4",
                   "534fd28d843e50f1a9e5682a650791770fe221a60bd96b4bf330e8149da26b93"],
     "inv_log_3.5": ["63a70993c0f57f883bceb066bccb4c1757191f171c8f1ac5c9815cff7c9f9fca",
@@ -278,8 +278,8 @@ def pinned_grid(spec):
     return grid
 
 
-# sigma_log_140 overflows |log sigma|**140 below 1e-128, and the weights meet
-# inf * 0 at sigma = inf; their values there are pinned like any other
+# the weights meet inf * 0 at sigma = inf; their values there are pinned like
+# any other
 @pytest.mark.filterwarnings("ignore:.* encountered in .*:RuntimeWarning")
 @pytest.mark.parametrize("name", PINNED_SPECS)
 def test_every_kind_keeps_its_bits_on_both_paths(name):
@@ -290,6 +290,36 @@ def test_every_kind_keeps_its_bits_on_both_paths(name):
     got = [hashlib.sha256(np.ascontiguousarray(v, dtype="<f8").tobytes()).hexdigest()
            for v in values]
     assert got == PINNED_SHA256[name]
+
+
+# (sigma, true value to 20 digits) where |ln sigma|**q overflows
+SIGMA_LOG_TRUE = {110.0: (1e-300, 2123556283144.6616661),
+                  140.0: (1e-70, 1.0566277685692815889e239)}
+
+
+@pytest.mark.parametrize("q", [107.0, 108.0, 110.0, 140.0, 143.0])
+def test_sigma_log_past_the_overflow_of_its_power(q):
+    # |ln s|**q overflows below some s for q above about 107.5; there the value
+    # is exp(ln s + q ln|ln s|), and wherever s |ln s|**q is finite it keeps
+    # those bits; no overflow warning escapes (warnings are errors here)
+    spec = modulus_sigma_log(q)
+    f = scalar_callable(spec)
+    s = np.unique(np.concatenate([[5e-324, 1e-320, 1e-300, 1e-70, math.exp(-q)],
+                                  np.geomspace(1e-323, math.exp(-q), 400)]))
+    with np.errstate(over="ignore"):
+        # numpy's loops on an array and on one float can differ in the last bit
+        direct = [s * np.abs(np.log(np.maximum(s, 1e-320))) ** q,
+                  np.array([x * np.abs(np.log(np.maximum(x, 1e-320))) ** q for x in s])]
+    big = np.isinf(direct[0])
+    assert big.any() == (q > 107.5) and np.array_equal(big, np.isinf(direct[1]))
+    log_domain = np.exp(np.log(s[big]) + q * np.log(-np.log(s[big])))
+    for values, want in zip((spec(s), np.array([f(x) for x in s.tolist()])), direct):
+        assert values[~big].tobytes() == want[~big].tobytes()
+        assert np.all(np.isfinite(values))
+        np.testing.assert_allclose(values[big], log_domain, rtol=1e-13, atol=0.0)
+    if q in SIGMA_LOG_TRUE:
+        at, true = SIGMA_LOG_TRUE[q]
+        assert f(at) == pytest.approx(true, rel=1e-13)
 
 
 @pytest.mark.parametrize(

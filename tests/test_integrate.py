@@ -256,9 +256,9 @@ def captured_solves(monkeypatch, modules, run):
     return calls
 
 
-def normalized_state(n, seed):
+def normalized_state(n, seed, spec=None):
     """Criterion-2 data: |A^(1/2)u0|^2 = 1 and |u1| = 1."""
-    spec = power_spectrum(n)
+    spec = spec or power_spectrum(n)
     lam = spec.lambdas
     rng = np.random.default_rng(seed)
     u0 = rng.standard_normal(n) / lam**1.5
@@ -399,15 +399,22 @@ def test_reference_state_cap_on_many_components(rhs, y0, samples, state_cap, sta
 
 
 def test_rhs_closures_match_the_allocating_expressions(monkeypatch):
-    # each closure fills a buffer with its scalars passed as 0-d arrays; the
-    # result must equal the plain expression with Python floats, bit for bit
+    # each closure fills a buffer with its scalars passed as 0-d arrays, or,
+    # for one mode, with Python floats; the result must equal the plain
+    # expression with Python floats, bit for bit
     rng = np.random.default_rng(5)
-    n = 6
-    spec = power_spectrum(n)
-    lam, lam2 = spec.lambdas, spec.lam2
     ms = [affine(1.0, 1.0), power(2.0), pohozaev(1.0, 1.0)]
     m_ats = [functions.scalar_callable(m) for m in ms]
-    states = [normalized_state(n, seed) for seed in range(3)]
+    # lambda = 1.3 at one mode, so that a product with lambda or lambda**2
+    # taken in another order shows
+    for spec in (power_spectrum(6), Spectrum([1.3])):
+        check_rhs_closures(monkeypatch, rng, spec, ms, m_ats)
+
+
+def check_rhs_closures(monkeypatch, rng, spec, ms, m_ats):
+    n = spec.n
+    lam, lam2 = spec.lambdas, spec.lam2
+    states = [normalized_state(n, seed, spec) for seed in range(3)]
 
     calls = captured_solves(monkeypatch, [dynamics], lambda: (
         dynamics.evolve(states[0], ms[0], IntegratorConfig(), 0.5),
@@ -445,6 +452,12 @@ def test_rhs_closures_match_the_allocating_expressions(monkeypatch):
             expected = np.concatenate([direction * lam * w / den,
                                        -direction * coeff * lam * z / den])
             assert np.array_equal(curve(s_tilde, np.concatenate([z, w])), expected)
+        # psi' = 2 <A^(1/2)z, w> below DEN_FLOOR: the parametrization degenerates
+        z[:] = 0.25 * reparametrize.DEN_FLOOR / lam
+        w[:] = 1.0 / n
+        with pytest.raises(reparametrize.ParametrizationError,
+                           match=rf"\|psi'\| = 5\.000e-11 at s = {direction * s_tilde:.6g}$"):
+            curve(s_tilde, np.concatenate([z, w]))
     assert directions == {-1, 1}
 
 
@@ -716,6 +729,8 @@ SOLVER_PATH_SHA256 = {
     "evolve_table3_loglipschitz_cubed": "4a9404ba3708ed63394644a64b4400f04f2bf967a60e51144ba3265046c8ad3f",
     "evolve_table3_loglog": "4d5d1924308f2975309311e025cec7aa77c517d5d6d4afef668a5f1d9c304fab",
     "evolve_table": "037b7200dc7ed1af93abcd94bdaad0a356caa43122a42833aaa45eb7eeb4da58",
+    "curve_direct_affine": "b8b927de663b7e95da2332e9c39a4922da61439594108b42452111ffb1e7b6d7",
+    "evolve_n1_pohozaev": "630328432d4766a5007ed9f953fd8f34e26da20ef6edc1554b166faca19dbcf8",
 }
 
 
@@ -746,6 +761,14 @@ def solver_path_runs():
                                                       constant(1.0), 0.8, cfg)
         assert curve.branch == branch
         yield f"curve_{branch}", curve
+    # one mode with a non-constant m and lambda**2 inexact
+    spec = Spectrum([1.3])
+    curve = reparametrize.solve_trajectory_system(
+        SpectralVector(spec, [1.0]), SpectralVector(spec, [1.0]), affine(1.0, 1.0), 0.3, cfg)
+    assert curve.branch == "direct"
+    yield "curve_direct_affine", curve
+    yield "evolve_n1_pohozaev", dynamics.evolve(normalized_state(1, 9, spec),
+                                                pohozaev(1.0, 1.0), cfg, 10.0)
     yield "evolve_n512", dynamics.evolve(normalized_state(512, 8), affine(1.0, 1.0),
                                          cfg, 0.1)
     # the modulus and table kinds' m, from u0 = 2 e**-k at rest
