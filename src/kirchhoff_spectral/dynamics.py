@@ -9,7 +9,7 @@ sum_j lambda_j^2 u_j^2.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,8 +76,8 @@ class IntegratorMeta:
     status: str
     message: str
     lambda_max_span: float
-    hamiltonian_drift: float | None = None
-    degenerate_spans: tuple = ()
+    hamiltonian_drift: float
+    degenerate_spans: tuple
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -127,79 +127,9 @@ def sample_grid(t0: float, t_end: float, dt: float | None) -> np.ndarray:
 
 def _degenerate_spans(t: np.ndarray, c: np.ndarray) -> tuple:
     """Contiguous sample spans where the coefficient sits below the floor."""
-    low = c < DEGENERATE_TOL
-    if not np.any(low):
-        return ()
-    spans = []
-    start = None
-    for i, flag in enumerate(low):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            spans.append((float(t[start]), float(t[i - 1])))
-            start = None
-    if start is not None:
-        spans.append((float(t[start]), float(t[-1])))
-    return tuple(spans)
-
-
-def _integrate(
-    states: list[SpectralState],
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    cfg: IntegratorConfig,
-    t_end: float,
-    ensemble: bool = False,
-) -> list[Trajectory]:
-    """Integrate y = (u, u') from each state to ``t_end`` on the sample grid.
-
-    The solver has one step loop for both forms; the only fork is the form
-    of ``rhs``.  A single state is a (2n,) vector; an ``ensemble`` is a
-    (members, 2n) array, and ``rhs`` then takes such arrays.  A one-member
-    ensemble gives the same bits, but its RHS costs more: at N = 32 the
-    vector RHS took 2.1 us a call against 3.3 us, on the argument of its
-    last call (best over six processes of 7 x 20,000 calls, Xeon, one
-    thread, shared 2-core host), and an affine(1, 1) evolve to t = 10 at
-    tolerance 1e-10 took 0.11 s against 0.15 s.  ``evolve`` passes a solo
-    one-mode state a Python-float ``rhs`` with the same bits.
-    """
-    first = states[0]
-    if any(s.spectrum != first.spectrum or s.t != first.t for s in states):
-        raise PreconditionError("ensemble states must share one spectrum and start time")
-    if not first.t < t_end < math.inf:  # or NaN
-        raise PreconditionError("t_end must be finite and exceed the initial time")
-    spec = first.spectrum
-    n = spec.n
-    samples = sample_grid(first.t, t_end, cfg.dense_output_dt)
-    y0 = np.array([np.concatenate([s.u.components, s.v.components]) for s in states])
-    res = solve_to_samples(
-        rhs,
-        y0 if ensemble else y0[0],
-        samples,
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
-        max_step=cfg.max_step,
-        state_cap=BLOWUP_CAP,
-    )
-    return [
-        Trajectory(
-            spectrum=spec,
-            t=r.t,
-            u=r.y[:, :n],
-            v=r.y[:, n:],
-            meta=IntegratorMeta(
-                method=METHOD_NAME,
-                rel_tol=cfg.rel_tol,
-                abs_tol=cfg.abs_tol,
-                n_accepted=res.n_accepted,
-                n_rejected=res.n_rejected,
-                n_rhs=res.n_rhs,
-                status=r.status,
-                message=r.message,
-                lambda_max_span=spec.lambda_max * (t_end - first.t),
-            ),
-        )
-        for r in res.members or (res,)
-    ]
+    # run edges of the padded mask alternate: a start, then one past its end
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], c < DEGENERATE_TOL, [False]])))
+    return tuple((float(t[i]), float(t[j - 1])) for i, j in zip(edges[::2], edges[1::2]))
 
 
 def evolve(
@@ -208,7 +138,7 @@ def evolve(
     cfg: IntegratorConfig,
     t_end: float,
 ) -> Trajectory | list[Trajectory]:
-    """Integrate the nonlinear mode system from ``init`` up to ``t_end``.
+    """Integrate y = (u, u') from ``init`` to ``t_end`` on the sample grid.
 
     The nonlinearity is checked on the fly: a negative value aborts with
     ``NegativeNonlinearityError``.  Suspected blow-up (state beyond
@@ -225,10 +155,14 @@ def evolve(
     position, so two identical members need not match bit for bit; a
     one-member ensemble matches the solo call bit for bit.
 
-    A solo state with one mode (``spectrum.n == 1``) takes a right-hand side
-    on Python floats, which skips numpy's dispatch on 1-element arrays: 0.4 us
-    a call against 5.3 us for affine(1, 1) (best of 5 x 100,000, shared
-    2-core Xeon).  It keeps the array closure's bits because at n = 1 every
+    The step loop is one for both forms; only the right-hand side forks.  A
+    solo state is a (2n,) vector with its own closure, because the closure
+    of the (members, 2n) ensemble array costs more at one member: 2.2 us a
+    call against 3.5 us at N = 32 with affine(1, 1), and 0.4 us against
+    4.0 us at N = 1, where a solo state takes a closure on Python floats
+    that skips numpy's dispatch on 1-element arrays (best of 5 x 100,000 on
+    one captured argument, best of three processes, shared 2-core Xeon).
+    That closure keeps the array closure's bits because at n = 1 every
     operation, sigma's one-term dot included, is one IEEE operation in the
     same order; for n > 1 a BLAS dot sums in an order Python cannot follow,
     so those states, and every ensemble, keep the array closures.
@@ -243,7 +177,12 @@ def evolve(
             f"sequence for a sequence; got {len(states)} "
             f"{'state' if solo else 'states'} and {len(ms)} nonlinearities"
         )
-    spec = states[0].spectrum
+    first = states[0]
+    if any(s.spectrum != first.spectrum or s.t != first.t for s in states):
+        raise PreconditionError("ensemble states must share one spectrum and start time")
+    if not first.t < t_end < math.inf:  # or NaN
+        raise PreconditionError("t_end must be finite and exceed the initial time")
+    spec = first.spectrum
     n = spec.n
     lam2 = spec.lam2
     # built first: an undefined antiderivative fails before any integration
@@ -327,22 +266,40 @@ def evolve(
         return out
 
     form = ensemble_rhs if not solo else rhs if n > 1 else one_mode_rhs
-    trs = _integrate(states, form, cfg, t_end, ensemble=not solo)
+    y0 = np.array([np.concatenate([s.u.components, s.v.components]) for s in states])
+    res = solve_to_samples(
+        form,
+        y0[0] if solo else y0,
+        sample_grid(first.t, t_end, cfg.dense_output_dt),
+        rel_tol=cfg.rel_tol,
+        abs_tol=cfg.abs_tol,
+        max_step=cfg.max_step,
+        state_cap=BLOWUP_CAP,
+    )
     done = []
-    for b, (tr, m_b, big_m) in enumerate(zip(trs, ms, big_ms)):
+    for b, (r, m_b, big_m) in enumerate(zip(res.members or (res,), ms, big_ms)):
+        u_b, v_b = r.y[:, :n], r.y[:, n:]
         try:
-            c_series = np.asarray(m_b(tr.sigma_series()), dtype=float)
-            drift = relative_drift(hamiltonian_values(spec, tr.u, tr.v, big_m))
+            c_series = np.asarray(m_b(u_b**2 @ lam2), dtype=float)
+            drift = relative_drift(hamiltonian_values(spec, u_b, v_b, big_m))
         except Exception as exc:
             if not solo:
                 exc.member = b
             raise
-        meta = replace(
-            tr.meta,
+        meta = IntegratorMeta(
+            method=METHOD_NAME,
+            rel_tol=cfg.rel_tol,
+            abs_tol=cfg.abs_tol,
+            n_accepted=res.n_accepted,
+            n_rejected=res.n_rejected,
+            n_rhs=res.n_rhs,
+            status=r.status,
+            message=r.message,
+            lambda_max_span=spec.lambda_max * (t_end - first.t),
             hamiltonian_drift=drift,
-            degenerate_spans=_degenerate_spans(tr.t, c_series),
+            degenerate_spans=_degenerate_spans(r.t, c_series),
         )
-        done.append(replace(tr, meta=meta))
+        done.append(Trajectory(spectrum=spec, t=r.t, u=u_b, v=v_b, meta=meta))
     return done[0] if solo else done
 
 

@@ -365,7 +365,8 @@ def _antiderivative_offset(spec):
 
 
 def _abs_log(s):
-    return np.abs(np.log(np.maximum(s, 1e-320)))
+    # |ln s| for s > 0; finite at s <= 0, where the cores read 0
+    return np.abs(np.log(np.where(s > 0.0, s, 1e-320)))
 
 
 def _modulus_kind(param: str, rule: str, terms, core, integral) -> _Kind:
@@ -413,7 +414,7 @@ def _modulus_kind(param: str, rule: str, terms, core, integral) -> _Kind:
 
 def _sigma_log_core(q, s):
     """s |ln s|**q, or exp(ln s + q ln|ln s|) where |ln s|**q overflows before s scales it
-    down: only for q above 107, since |ln s| <= 737 on s >= 1e-320."""
+    down: only for q above 107, since |ln s| <= 745 on s > 0."""
     if q == 0.0:
         return s
     out = np.where(s > 0.0, s * _abs_log(s) ** q, 0.0)

@@ -294,6 +294,32 @@ def test_degenerate_interval_flagging(tight_cfg):
     assert json.loads(dump_json(tr.meta.to_dict()))["degenerate_spans"] == [[0.0, 1.0]]
 
 
+def degenerate_spans_loop(t, c):
+    """The run-tracking loop that ``_degenerate_spans`` replaced, as its reference."""
+    spans, start = [], None
+    for i, flag in enumerate(c < dynamics.DEGENERATE_TOL):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            spans.append((float(t[start]), float(t[i - 1])))
+            start = None
+    if start is not None:
+        spans.append((float(t[start]), float(t[-1])))
+    return tuple(spans)
+
+
+def test_degenerate_spans_match_the_run_loop():
+    # NaN, runs at both ends, one-sample runs, no run and all low
+    rng = np.random.default_rng(25)
+    series = [np.array(c, dtype=float) for c in
+              ([], [0.0], [1.0], [math.nan], [0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0])]
+    for _ in range(5000):
+        series.append(rng.choice([0.0, 1e-13, 1e-12, 1.0, math.nan], size=rng.integers(1, 40)))
+    for c in series:
+        t = np.cumsum(rng.random(c.size) + 0.1)
+        assert dynamics._degenerate_spans(t, c) == degenerate_spans_loop(t, c)
+
+
 def test_meta_records_span_and_drift(tight_cfg):
     spec = power_spectrum(4)
     state = SpectralState(
@@ -381,8 +407,10 @@ def test_non_finite_t_end_refused_before_integrating(tight_cfg, monkeypatch, run
     monkeypatch.setattr(dynamics, "solve_to_samples", lambda *args, **kwargs: calls.append(1))
     spec = Spectrum([1.0])
     state = SpectralState(t=0.0, u=basis_vector(spec, 0), v=zero_vector(spec))
-    with pytest.raises(PreconditionError, match="t_end must be finite"):
-        run(state, affine(1.0, 1.0), tight_cfg, t_end)
+    # checked before the antiderivative too, which a weight kind lacks
+    for m in (affine(1.0, 1.0), weight_power_log(1.0)):
+        with pytest.raises(PreconditionError, match="t_end must be finite"):
+            run(state, m, tight_cfg, t_end)
     assert calls == []
 
 
@@ -546,6 +574,8 @@ def test_ensemble_needs_matching_members(tight_cfg):
     for ms in ([constant(1.0)], (constant(1.0),)):
         with pytest.raises(PreconditionError, match="one nonlinearity per state"):
             evolve(state, ms, tight_cfg, 1.0)
+    # checked before the antiderivative too, which a weight kind lacks
     for mate in (other, later):
-        with pytest.raises(PreconditionError, match="one spectrum and start time"):
-            evolve([state, mate], [constant(1.0)] * 2, tight_cfg, 1.0)
+        for m in (constant(1.0), weight_power_log(1.0)):
+            with pytest.raises(PreconditionError, match="one spectrum and start time"):
+                evolve([state, mate], [m] * 2, tight_cfg, 1.0)
