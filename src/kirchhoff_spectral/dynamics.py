@@ -155,17 +155,16 @@ def evolve(
     position, so two identical members need not match bit for bit; a
     one-member ensemble matches the solo call bit for bit.
 
-    The step loop is one for both forms; only the right-hand side forks.  A
-    solo state is a (2n,) vector with its own closure, because the closure
-    of the (members, 2n) ensemble array costs more at one member: 2.2 us a
-    call against 3.5 us at N = 32 with affine(1, 1), and 0.4 us against
-    4.0 us at N = 1, where a solo state takes a closure on Python floats
-    that skips numpy's dispatch on 1-element arrays (best of 5 x 100,000 on
-    one captured argument, best of three processes, shared 2-core Xeon).
-    That closure keeps the array closure's bits because at n = 1 every
+    The right-hand side forks three ways.  A solo state is a (2n,) vector
+    with its own closure, because the closure of the (members, 2n) ensemble
+    array costs more at one member: 2.2 us a call against 3.5 us at N = 32
+    with affine(1, 1) (best of 5 x 100,000 on one captured argument, best of
+    three processes, shared 2-core Xeon).  At N = 1 a solo state takes a
+    closure on a (u, v) pair of Python floats and the pair step loop of
+    ``solve_to_samples``, with the array closure's bits: at n = 1 every
     operation, sigma's one-term dot included, is one IEEE operation in the
-    same order; for n > 1 a BLAS dot sums in an order Python cannot follow,
-    so those states, and every ensemble, keep the array closures.
+    same order.  For n > 1 a BLAS dot sums in an order Python cannot follow,
+    so those states, and every ensemble, keep the array closures and loop.
     """
     solo = isinstance(init, SpectralState)
     states = [init] if solo else list(init)
@@ -227,20 +226,18 @@ def evolve(
 
     lam2_0 = float(lam2[0])
 
-    def one_mode_rhs(t: float, y: np.ndarray) -> np.ndarray:
-        # rhs on Python floats, without numpy's dispatch on 1-element arrays:
-        # at n = 1 sigma's dot is one product, so each operation here is the
-        # IEEE operation rhs makes, in the same order, and the bits are rhs's
-        u, v = y.tolist()
+    def one_mode_rhs(t: float, y: tuple) -> tuple:
+        # rhs on a (u, v) pair of Python floats: at n = 1 sigma's dot is one
+        # product, so each operation here is the IEEE operation rhs makes, in
+        # the same order, and the bits are rhs's
+        u, v = y
         sigma = lam2_0 * (u * u)
         c = m_at(sigma)
         if c < 0.0:
             raise NegativeNonlinearityError(
                 f"m({sigma:.6g}) = {c:.6g} < 0 at t = {t:.6g}"
             )
-        out[0] = v
-        out[1] = (lam2_0 * -c) * u
-        return out
+        return v, (lam2_0 * -c) * u
 
     def ensemble_rhs(t: float, y: np.ndarray) -> np.ndarray:
         # rhs row by row; a one-row dot is the same ddot as rhs's
@@ -275,6 +272,7 @@ def evolve(
         abs_tol=cfg.abs_tol,
         max_step=cfg.max_step,
         state_cap=BLOWUP_CAP,
+        pair=form is one_mode_rhs,
     )
     done = []
     for b, (r, m_b, big_m) in enumerate(zip(res.members or (res,), ms, big_ms)):

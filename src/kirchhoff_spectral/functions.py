@@ -248,7 +248,7 @@ class _Kind:
 
 
 def _eval_constant(spec):
-    c = spec.params["c"]
+    c = float(spec.params["c"])
     return lambda s: c
 
 
@@ -327,7 +327,7 @@ def _check_table_knots(knots):
 
 def _eval_table(spec):
     s, y = np.asarray(spec.knots)
-    return lambda sig: np.interp(sig, s, y)
+    return lambda sig: _float_if_0d(np.interp(sig, s, y))
 
 
 def _antiderivative_table(spec):
@@ -348,7 +348,7 @@ def _antiderivative_table(spec):
         y_at = val[idx] + (val[idx + 1] - val[idx]) / (sig[idx + 1] - sig[idx]) * ds
         out = np.where(inside, cum[idx] + 0.5 * (val[idx] + y_at) * ds, out)
         out = np.where(s > sig[-1], cum[-1] + val[-1] * (s - sig[-1]), out)
-        return out if out.ndim else float(out)
+        return _float_if_0d(out)
 
     return M
 
@@ -362,6 +362,10 @@ def _antiderivative_offset(spec):
     c = spec.params["c"]
     inner = antiderivative(spec.base)
     return lambda s: c * np.asarray(s, float) + inner(s)
+
+
+def _float_if_0d(out):  # so that a float in gives a float out
+    return out if np.ndim(out) else float(out)
 
 
 def _abs_log(s):
@@ -394,7 +398,8 @@ def _modulus_kind(param: str, rule: str, terms, core, integral) -> _Kind:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 inner = core(p, np.minimum(sig, knee))
             # a flat line (slope 0) stays flat at sigma = inf
-            return np.where(sig <= knee, inner, value + slope * (sig - knee) if slope else value)
+            return _float_if_0d(np.where(sig <= knee, inner,
+                                         value + slope * (sig - knee) if slope else value))
 
         return f
 

@@ -15,11 +15,11 @@ integration from the datum itself.  A decreasing shift (negative first
 derivative) is mirrored onto the increasing branch and flagged with
 ``direction = -1``.
 
-With one mode the curve's right-hand side runs on Python floats, as the
-time dynamics' does in ``dynamics.evolve``: at n = 1 each of its operations
-is the one IEEE operation the array closure makes, in the same order, so
-the curve keeps its bits; with more modes the dot's BLAS summation order
-cannot be reproduced, and the array closure stays.
+With one mode the curve runs on a (z, w) pair of Python floats through the
+pair loop of ``solve_to_samples``, as ``dynamics.evolve`` does: at n = 1
+each operation of its right-hand side is the one IEEE operation the array
+closure makes, in the same order, so the curve keeps its bits; with more
+modes the dot's BLAS summation order cannot be reproduced.
 
 Both interpolants are small numpy cubics evaluated in v = sqrt(s): the
 speed along the curve and the inverse pace use PCHIP (the Fritsch-Butland
@@ -312,10 +312,10 @@ def solve_trajectory_system(
 
     lam_0 = float(lam[0])
 
-    def one_mode_rhs(s_tilde: float, y: np.ndarray) -> np.ndarray:
-        # rhs on Python floats, the same IEEE operations in the same order,
-        # which keeps rhs's bits at n = 1, as in dynamics.evolve
-        z, w = y.tolist()
+    def one_mode_rhs(s_tilde: float, y: tuple) -> tuple:
+        # rhs on a (z, w) pair of Python floats, the same IEEE operations in
+        # the same order, which keeps rhs's bits at n = 1, as in dynamics.evolve
+        z, w = y
         den = 2.0 * (lam_0 * (z * w))
         if abs(den) < DEN_FLOOR:
             raise ParametrizationError(
@@ -323,9 +323,7 @@ def solve_trajectory_system(
                 f"s = {direction * s_tilde:.6g}"
             )
         coeff = m_at(direction * s_tilde + sigma0)
-        out[0] = (direction * lam_0 * w) / den
-        out[1] = ((lam_0 * (-direction * coeff)) * z) / den
-        return out
+        return (direction * lam_0 * w) / den, ((lam_0 * (-direction * coeff)) * z) / den
 
     # the s integration starts from the last row of a lead-in: the datum
     # itself on the direct branch, the time leg on the bootstrap branch
@@ -350,8 +348,8 @@ def solve_trajectory_system(
     samples[0] = s_start
     samples[-1] = s_max
     y0 = np.concatenate([lead_z[-1], lead_w[-1]])
-    res = solve_to_samples(rhs if n > 1 else one_mode_rhs, y0, samples,
-                           rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, max_step=cfg.max_step)
+    res = solve_to_samples(rhs if n > 1 else one_mode_rhs, y0, samples, rel_tol=cfg.rel_tol,
+                           abs_tol=cfg.abs_tol, max_step=cfg.max_step, pair=n == 1)
     if not res.completed:
         raise ParametrizationError(
             f"curve integration stopped early: {res.message or res.status}"

@@ -292,6 +292,16 @@ def test_every_kind_keeps_its_bits_on_both_paths(name):
     assert got == PINNED_SHA256[name]
 
 
+@pytest.mark.parametrize("kind", [k for k, row in KINDS.items() if row.antiderivative])
+def test_evaluator_of_m_returns_a_float_for_a_float(kind):
+    # the one-mode right-hand sides build Python float pairs from m's value;
+    # a numpy scalar or 0-d array would leak into the step loop's state
+    specs = [spec for spec in (EXAMPLES[kind], *PINNED_SPECS.values()) if spec.kind == kind]
+    for spec in specs:
+        f = scalar_callable(spec)
+        assert {type(f(s)) for s in pinned_grid(spec).tolist()} == {float}, spec
+
+
 # (sigma, true value to 20 digits) where |ln sigma|**q overflows
 SIGMA_LOG_TRUE = {110.0: (1e-300, 2123556283144.6616661),
                   140.0: (1e-70, 1.0566277685692815889e239)}

@@ -16,6 +16,7 @@ from kirchhoff_spectral import (
     functions,
     get_preset,
     integrate,
+    modulus_sigma_log,
     pohozaev,
     power,
     power_spectrum,
@@ -144,16 +145,25 @@ for _i, _row in enumerate(integrate._A_ROWS):
     _A_REF[_i + 1, : len(_row)] = _row
 
 
+def as_array_rhs(rhs):
+    """A pair ``rhs``, which maps a (float, float) tuple to one, as an array RHS."""
+    return lambda t, y: np.array(rhs(t, tuple(y.tolist())), dtype=float)
+
+
 def reference_solve(rhs, y0, samples, rel_tol, abs_tol, max_step=math.inf,
-                    state_cap=None):
+                    state_cap=None, pair=False):
     samples = np.asarray(samples, dtype=float)
     t = float(samples[0])
     t_end = float(samples[-1])
     y = np.array(y0, dtype=float)
     dim = y.size
+    if pair:
+        rhs = as_array_rhs(rhs)
 
     f = np.array(rhs(t, y))  # rhs may return the same buffer on every call
     n_rhs = 1
+    if not np.isfinite(f).all():
+        return IntegrationOutcome(samples[:1], y[None], 0, 0, n_rhs, "step_underflow"), 0
     h, extra = integrate._initial_step(rhs, t, y, f, t_end - t, rel_tol, abs_tol)
     n_rhs += extra
     h = min(h, max_step)
@@ -377,6 +387,56 @@ def test_reference_curve_system(monkeypatch, tight_cfg, u1, branch):
         assert_matches_reference(rhs, y0, samples, *args, **kwargs)
 
 
+def pair_squares(t, y):
+    return y[0] * y[0], -y[1]  # the first blows up at t = 1
+
+
+@pytest.mark.parametrize(
+    "rhs, kwargs, status",
+    [
+        (pair_squares, {"state_cap": 1e6}, "blow_up"),
+        (pair_squares, {}, "step_underflow"),
+        # the second derivative turns NaN halfway, so no later attempt passes
+        (lambda t, y: (-y[0], math.nan if t > 0.5 else -y[1]), {}, "step_underflow"),
+        (lambda t, y: (math.nan, y[0]), {}, "step_underflow"),
+        (lambda t, y: (y[1], -math.inf * y[0]), {}, "step_underflow"),
+        (lambda t, y: (y[1], -9.0 * y[0] * (1.0 + 0.1 * math.sin(t))), {"max_step": 0.004},
+         "completed"),
+        (lambda t, y: (y[1], -9.0 * y[0]), {"state_cap": 1e6}, "completed"),
+    ],
+    ids=["blow_up", "step_underflow", "nan_midway", "nan_first_derivative",
+         "inf_first_derivative", "max_step", "oscillator"],
+)
+def test_pair_loop_matches_array_loop_and_reference(rhs, kwargs, status):
+    # the pair loop gives the array loop's record, message included, and the
+    # reference's; its rhs gets and returns (float, float) tuples
+    seen = set()
+
+    def pair_rhs(t, y):
+        seen.add((type(y), *map(type, y)))
+        return rhs(t, y)
+
+    y0, samples = np.array([1.0, 0.5]), np.linspace(0.0, 2.0, 201)
+    got = solve_to_samples(pair_rhs, y0, samples, 1e-10, 1e-10, pair=True, **kwargs)
+    arr = solve_to_samples(as_array_rhs(rhs), y0, samples, 1e-10, 1e-10, **kwargs)
+    assert got.status == status and bool(got.message) == (status != "completed")
+    assert seen == {(tuple, float, float)}
+    assert np.array_equal(got.t, arr.t) and np.array_equal(got.y, arr.y)
+    assert (got.n_accepted, got.n_rejected, got.n_rhs, got.status, got.message) == (
+        arr.n_accepted, arr.n_rejected, arr.n_rhs, arr.status, arr.message)
+    ref, _ = assert_matches_reference(rhs, y0, samples, 1e-10, 1e-10, pair=True, **kwargs)
+    if "max_step" in kwargs:
+        assert ref.n_accepted >= 500  # 2 / 0.004, where the sample grid alone needs 200
+    if status != "completed":
+        assert ref.t.size < samples.size
+
+
+def test_pair_state_must_have_two_components():
+    with pytest.raises(ValueError, match="two components"):
+        solve_to_samples(lambda t, y: y, np.ones(3), np.array([0.0, 1.0]), 1e-8, 1e-8,
+                         pair=True)
+
+
 @pytest.mark.parametrize(
     "rhs, y0, samples, state_cap, status",
     [
@@ -421,12 +481,14 @@ def check_rhs_closures(monkeypatch, rng, spec, ms, m_ats):
         dynamics.evolve(states, ms, IntegratorConfig(), 0.5),
     ))
     solo, ensemble = (call[0] for call in calls)
+    # a one-mode closure takes and returns a (float, float) pair
+    arg = (lambda y: tuple(y.tolist())) if n == 1 else (lambda y: y)
     for _ in range(5):
         t = float(rng.uniform(0.0, 3.0))
         y = rng.standard_normal((3, 2 * n))
         u, v = y[:, :n], y[:, n:]
         c = m_ats[0](float(lam2 @ (u[0] * u[0])))
-        assert np.array_equal(solo(t, y[0]), np.concatenate([v[0], (-c * lam2) * u[0]]))
+        assert np.array_equal(solo(t, arg(y[0])), np.concatenate([v[0], (-c * lam2) * u[0]]))
         cs = np.array([m_at(sigma) for m_at, sigma in zip(m_ats, (u * u) @ lam2)])
         assert np.array_equal(ensemble(t, y),
                               np.concatenate([v, (-cs[:, None] * lam2) * u], axis=1))
@@ -451,13 +513,13 @@ def check_rhs_closures(monkeypatch, rng, spec, ms, m_ats):
             coeff = m_at(direction * s_tilde + sigma0)
             expected = np.concatenate([direction * lam * w / den,
                                        -direction * coeff * lam * z / den])
-            assert np.array_equal(curve(s_tilde, np.concatenate([z, w])), expected)
+            assert np.array_equal(curve(s_tilde, arg(np.concatenate([z, w]))), expected)
         # psi' = 2 <A^(1/2)z, w> below DEN_FLOOR: the parametrization degenerates
         z[:] = 0.25 * reparametrize.DEN_FLOOR / lam
         w[:] = 1.0 / n
         with pytest.raises(reparametrize.ParametrizationError,
                            match=rf"\|psi'\| = 5\.000e-11 at s = {direction * s_tilde:.6g}$"):
-            curve(s_tilde, np.concatenate([z, w]))
+            curve(s_tilde, arg(np.concatenate([z, w])))
     assert directions == {-1, 1}
 
 
@@ -731,6 +793,9 @@ SOLVER_PATH_SHA256 = {
     "evolve_table": "037b7200dc7ed1af93abcd94bdaad0a356caa43122a42833aaa45eb7eeb4da58",
     "curve_direct_affine": "b8b927de663b7e95da2332e9c39a4922da61439594108b42452111ffb1e7b6d7",
     "evolve_n1_pohozaev": "630328432d4766a5007ed9f953fd8f34e26da20ef6edc1554b166faca19dbcf8",
+    "evolve_n1_table1_loglipschitz": "47427199b0e13f41eff57c435a39fb0bd9ccf9247ffe38946d4b26f33be60f28",
+    "evolve_n1_table": "8d45d5b2090238241bd10e3a1d097419fc60bb251ce5810bac6cc55da4dc9e87",
+    "curve_direct_modulus": "5b8bacae94631cf59c97effa8e804c8cbfc3d4c7b57d1854972a5c2fd0c67a0e",
 }
 
 
@@ -779,6 +844,20 @@ def solver_path_runs():
         yield f"evolve_{name}", dynamics.evolve(state, get_preset(name).m, cfg, 10.0)
     yield "evolve_table", dynamics.evolve(
         state, table([0.0, 0.25, 0.5, 1.0], [1.0, 1.5, 1.25, 2.0]), cfg, 10.0)
+    # one mode with a modulus-kind m and a table m, sigma swinging from 0 past
+    # the modulus knee (e**-1) and over three table segments
+    spec = Spectrum([1.3])
+    state = SpectralState(t=0.0, u=SpectralVector(spec, [0.6]), v=SpectralVector(spec, [0.0]))
+    yield "evolve_n1_table1_loglipschitz", dynamics.evolve(
+        state, get_preset("table1_loglipschitz").m, cfg, 10.0)
+    yield "evolve_n1_table", dynamics.evolve(
+        state, table([0.0, 0.25, 0.5, 1.0], [1.0, 1.5, 1.25, 2.0]), cfg, 10.0)
+    # the curve's coefficient m(s + sigma0) on the core of the modulus, below its knee
+    curve = reparametrize.solve_trajectory_system(
+        SpectralVector(spec, [0.3]), SpectralVector(spec, [1.0]), modulus_sigma_log(1.0),
+        0.2, cfg)
+    assert curve.branch == "direct"
+    yield "curve_direct_modulus", curve
 
 
 def test_solver_paths_keep_their_bytes():
