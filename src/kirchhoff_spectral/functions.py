@@ -431,25 +431,35 @@ def _sigma_log_core(q, s):
     return out
 
 
-def _sigma_log_integral(q, s):
-    # DLMF 8.2: the integral of x |ln x|**q over [0, s] is Gamma(q+1, 2 ln(1/s)) / 2**(q+1)
-    from scipy.special import gamma, gammaincc  # 0.37 s, so not before the first call
-    return gamma(q + 1.0) * gammaincc(q + 1.0, -2.0 * np.log(s)) / 2.0 ** (q + 1.0)
-
-
-def _inv_log_integral(q, s):
-    """The integral of |ln x|**-q over [0, s], Gamma(1-q, ln(1/s)), by the continued
-    fraction of DLMF 8.9.2: on s <= e**-(q+1), 80 terms give 5e-15 relative (q in [1e-6, 7],
-    against mpmath), where scipy's hyperu is off by 7e-7 at q = 1.1 and gammaincc needs q < 1."""
-    x = _abs_log(s)
-    b, c = x + q, np.inf
+def _gamma_fraction(p, x):
+    """Gamma(1-p, x) / (x**(1-p) e**-x): 80 terms of DLMF 8.9.2's fraction, modified Lentz."""
+    b, c = x + p, np.inf
     h = d = 1.0 / b
     for i in range(1, 80):
-        an, b = -i * (i - 1.0 + q), b + 2.0
+        an, b = -i * (i - 1.0 + p), b + 2.0
         d = 1.0 / (an * d + b)
         c = b + an / c
         h = h * d * c
-    return s * x ** (1.0 - q) * h
+    return h
+
+
+def _sigma_log_integral(q, s):
+    """The integral of x |ln x|**q over [0, s], Gamma(a, X) / 2**a with a = q + 1, X = 2 ln(1/s)
+    (DLMF 8.2).  With P = exp(2 ln s + a ln ln(1/s)) = X**a e**-X / 2**a it is Gamma(a)/2**a - P S
+    (S the series of DLMF 8.7.3, 40 terms) where X < a + 1, which needs q < 2 and X < 4, and P times
+    the fraction of DLMF 8.9.2 elsewhere: the split of Numerical Recipes, section 6.2."""
+    a, x = q + 1.0, 2.0 * np.asarray(_abs_log(s))
+    out, low = np.asarray(np.exp(2.0 * np.log(s) + a * np.log(0.5 * x))), x < a + 1.0
+    series = 1.0 + np.cumprod(np.divide.outer(x[low], a + np.arange(1.0, 40.0)), -1).sum(-1)
+    out[low] = math.gamma(a) / 2.0**a - out[low] * series / a
+    out[~low] *= _gamma_fraction(-q, x[~low])
+    return out
+
+
+def _inv_log_integral(q, s):
+    """The integral of |ln x|**-q over [0, s], Gamma(1-q, ln(1/s)), to 5e-15 (q in [1e-6, 7])."""
+    x = _abs_log(s)
+    return s * x ** (1.0 - q) * _gamma_fraction(q, x)
 
 
 def _eval_weight_power_log(spec):
@@ -509,9 +519,9 @@ def antiderivative(spec: FunctionSpec) -> Callable:
 
     Closed forms for the algebraic kinds, exact piecewise integration for
     tables, an upper incomplete gamma function Gamma(a, x) for the modulus
-    kinds: ``scipy.special.gammaincc`` for modulus_sigma_log, a continued
-    fraction for modulus_inv_log.  A weight kind has none and cannot be m:
-    ``DomainError``.
+    kinds: one continued fraction (DLMF 8.9.2) for both log kinds, with a
+    series (DLMF 8.7.3) where x < a + 1 for modulus_sigma_log.  A weight kind
+    has none and cannot be m: ``DomainError``.
     """
     build = KINDS[spec.kind].antiderivative
     if build is None:

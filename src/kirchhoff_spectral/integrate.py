@@ -188,8 +188,8 @@ def _initial_step(
     rel_tol: float,
     abs_tol: float,
     live: np.ndarray | None = None,
-) -> tuple[float, int]:
-    """Hairer-style first step guess; returns (h0, extra rhs evaluations).
+) -> float:
+    """Hairer-style first step guess h0, from one right-hand-side call.
 
     For an ensemble, ``y0`` and ``f0`` are flat with one row per entry of
     the boolean ``live`` mask.  The trial step and the guess are each the
@@ -224,7 +224,7 @@ def _initial_step(
         else:
             h1 = (0.01 / max(d1_b, d2_b)) ** (1.0 / 6.0)
         guesses.append(min(100.0 * h0, h1, span))
-    return min(guesses), 1
+    return min(guesses)
 
 
 def _next_step(h_try: float, err: float, limit_growth: bool, max_step: float) -> float:
@@ -368,11 +368,9 @@ def solve_to_samples(
         if guess:
             if not live.any():
                 break
-            h, extra = _initial_step(
-                derivative, t, y, k[0], t_end - t, rel_tol, abs_tol, live
-            )
-            n_rhs += extra
-            h = min(h, max_step)
+            h = min(_initial_step(derivative, t, y, k[0], t_end - t, rel_tol, abs_tol, live),
+                    max_step)
+            n_rhs += 1
             grew_after_reject = False
             guess = False
 
@@ -470,8 +468,8 @@ def _solve_pair(rhs, y, samples, rel_tol, abs_tol, max_step, state_cap) -> Integ
     if not np.isfinite(k0).all():
         return IntegrationOutcome(samples[:1].copy(), y[None], 0, 0, 1, "step_underflow",
                                   _NONFINITE.format(t=t))
-    h, extra = _initial_step(derivative, t, y, k0, t_end - t, rel_tol, abs_tol)
-    h, n_rhs = min(h, max_step), 1 + extra
+    h = min(_initial_step(derivative, t, y, k0, t_end - t, rel_tol, abs_tol), max_step)
+    n_rhs = 2  # k0 and the one call of _initial_step
     grew_after_reject = False
     ay0, ay1 = abs(y0), abs(y1)
     h_floor_scale = 16.0 * np.finfo(float).eps * max(abs(t_end), 1.0)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -402,8 +403,9 @@ def split_quad(spec, sigma):
 
 @pytest.mark.parametrize("spec", [
     *[modulus_sigma_log(q) for q in (0.0, 1.0, 3.0)],
-    # gammaincc takes only q < 1, and scipy's hyperu, the textbook form for q >= 1,
-    # is off by 7e-7 at q = 1.1 and by 1e17 at a q one ulp from 2
+    # the continued fraction both log kinds share must hold at q >= 1, where
+    # scipy's hyperu, the textbook form, is off by 7e-7 at q = 1.1 and by 1e17
+    # at a q one ulp from 2
     *[modulus_inv_log(q) for q in (0.25, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0 + 2.0**-51, 3.5)],
     *[modulus_power(b) for b in (0.5, 1.0)],
 ], ids=lambda spec: "%s(%r)" % (spec.kind, *spec.params.values()))
@@ -415,6 +417,60 @@ def test_modulus_antiderivative_matches_split_quad(spec):
     np.testing.assert_allclose(values, reference, rtol=1e-12, atol=0.0)
     # a scalar sigma takes the same path
     assert float(big_m(SIGMAS[-1])) == values[-1]
+
+
+def test_sigma_log_antiderivative_is_representable_far_below_the_knee():
+    # Gamma(101, 2 ln 1e250) / 2**101 by mpmath; m there is 1.04e26, and the
+    # scipy product gamma * gammaincc once read 0.0, its gammaincc underflowing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = float(antiderivative(modulus_sigma_log(100.0))(1e-250))
+    assert got == pytest.approx(5.6749578153323063e-225, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("q", [1e-9, 0.5, 1.0, 3.0, 10.0, 50.0, 100.0, 140.0])
+def test_sigma_log_antiderivative_matches_scipy_where_gammaincc_is_normal(q):
+    # the series and the fraction against scipy's regularized gamma product,
+    # on 401 sigma from 1e-300 to the knee, wherever gammaincc keeps its bits
+    from scipy.special import gamma, gammaincc
+
+    sigma = np.geomspace(1e-300, math.exp(-q), 401)
+    upper = gammaincc(q + 1.0, -2.0 * np.log(sigma))
+    keep = upper >= 1e-290
+    assert keep.sum() > 50
+    want = gamma(q + 1.0) * upper[keep] / 2.0 ** (q + 1.0)
+    np.testing.assert_allclose(antiderivative(modulus_sigma_log(q))(sigma[keep]), want,
+                               rtol=5e-13, atol=0.0)
+
+
+# modulus_inv_log's M at 0, on 401 geometric sigma up to the knee and at three
+# sigma past it, pinned by the sha256 of its raw bytes (the array path, then
+# one float at a time): modulus_sigma_log's M shares its continued fraction,
+# which must keep these bits.  Recorded with numpy 2.4.6 on an x86-64 Xeon.
+INV_LOG_M_SHA256 = {
+    0.25: ["fbbd323c3b8f2556b3ac821da7f33cf671fe541125f696fa4b5bd660bb086263",
+           "f96ab97503e05744b118af8c0d12d1d9cb072eb467fa1d45519fc2d7d2a4e7ca"],
+    1.0: ["971afa8363c903b1bbe552f291e39aedac4876cd3981c1c56f90cdc0eea92f0c",
+          "971afa8363c903b1bbe552f291e39aedac4876cd3981c1c56f90cdc0eea92f0c"],
+    1.1: ["0fd5e3e49ab0a406b5f5cdcc493129564bbe1f9d4b6357b2692e79303bbf092f",
+          "89244c93197f91a1e67b91461c2f9a217b7ebb08a41f34fb5344297b67ecf06a"],
+    2.0 + 2.0**-51: ["b4dba78d4f2ad5af99a74ee31f956dd856b70cfd131d04d7f6e7db5921d495c6",
+                     "302b3f4b30db8908400e6ce5c25efc3f788dff0c0f9557ede63371f07e9d81f7"],
+    3.5: ["fcd03cc4e921bb43fa7af1724b179c678fdd54b912a5b47d8d8e5cc085e7c6e6",
+          "67dc1dfd1da4c0f6f3fb11e58a462b5e89b3f67650505ce8524d601a55e8180e"],
+}
+
+
+@pytest.mark.parametrize("q", INV_LOG_M_SHA256)
+def test_inv_log_antiderivative_keeps_its_bits(q):
+    knee = math.exp(-(q + 1.0))
+    grid = np.concatenate([[0.0], np.geomspace(1e-300, knee, 401),
+                           knee * np.array([1.5, 4.0, 100.0])])
+    big_m = antiderivative(modulus_inv_log(q))
+    values = big_m(grid), np.array([float(big_m(s)) for s in grid.tolist()])
+    got = [hashlib.sha256(np.ascontiguousarray(v, dtype="<f8").tobytes()).hexdigest()
+           for v in values]
+    assert got == INV_LOG_M_SHA256[q]
 
 
 def test_modulus_without_a_finite_knee_line_refused():

@@ -164,9 +164,8 @@ def reference_solve(rhs, y0, samples, rel_tol, abs_tol, max_step=math.inf,
     n_rhs = 1
     if not np.isfinite(f).all():
         return IntegrationOutcome(samples[:1], y[None], 0, 0, n_rhs, "step_underflow"), 0
-    h, extra = integrate._initial_step(rhs, t, y, f, t_end - t, rel_tol, abs_tol)
-    n_rhs += extra
-    h = min(h, max_step)
+    h = min(integrate._initial_step(rhs, t, y, f, t_end - t, rel_tol, abs_tol), max_step)
+    n_rhs += 1
 
     k = np.empty((9, dim))
     out = np.empty((samples.size, dim))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from kirchhoff_spectral import scenario
 from kirchhoff_spectral.cli import main
 from kirchhoff_spectral.errors import DomainError, ScenarioError
-from kirchhoff_spectral.functions import KINDS, RULES
+from kirchhoff_spectral.functions import KINDS, RULES, antiderivative, modulus_inv_log
 from kirchhoff_spectral.scenario import load_config, run_scenario, validate_scenario
 
 
@@ -705,26 +705,40 @@ def test_table3_loglog_simulate_completes(tmp_path):
     assert manifest.summary["hamiltonian_drift"] < 1e-7
 
 
-def test_import_and_bundled_scenarios_load_no_scipy_special_or_integrate(tmp_path):
-    # they cost 0.37 s and 0.54 s to import; only a modulus kind's M needs scipy.special
+def test_bundled_scenarios_and_log_moduli_run_with_no_scipy(tmp_path):
+    # the runtime needs numpy alone: scipy is blocked before the package is
+    # imported, so any import of it raises ImportError.  The preset run is the
+    # packaging smoke test's table1_loglipschitz config, which reaches
+    # modulus_sigma_log's M; modulus_inv_log's M is evaluated directly.
     root = Path(__file__).resolve().parents[1]
+    preset = simulate_config(name="table1_loglipschitz", spectrum={"generator": {"count": 16}},
+                             data={"u0": {"profile": {"amplitude": 1.0}}, "u1": "zero"},
+                             functions={"preset": "table1_loglipschitz"},
+                             params={"t_end": 10.0})
     code = (
         "import json, sys\n"
-        "import kirchhoff_spectral\n"
+        "sys.modules['scipy'] = None\n"
+        "from kirchhoff_spectral.functions import antiderivative, modulus_inv_log\n"
         "from kirchhoff_spectral.scenario import run_scenario\n"
-        "loaded = lambda: [m for m in ('scipy.special', 'scipy.integrate') if m in sys.modules]\n"
-        "seen = [loaded()]\n"
-        "for i, path in enumerate(sys.argv[2:]):\n"
-        "    run_scenario(path, out_dir=f'{sys.argv[1]}/{i}')\n"
-        "print(json.dumps(seen + [loaded()]))\n"
+        "statuses = []\n"
+        "for i, config in enumerate(json.loads(sys.argv[2])):\n"
+        "    manifest = run_scenario(config, out_dir=f'{sys.argv[1]}/{i}')\n"
+        "    statuses.append(manifest.summary.get('status', 'completed'))\n"
+        "big_m = antiderivative(modulus_inv_log(1.5))([0.0, 1e-200, 1e-3, 0.05, 1.0])\n"
+        "print(json.dumps([statuses, big_m.tolist()]))\n"
     )
-    paths = sorted(str(p) for p in (root / "scenarios").glob("*.json"))
-    assert len(paths) == 4
+    configs = sorted(str(p) for p in (root / "scenarios").glob("*.json"))
+    assert len(configs) == 4
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-c", code, str(tmp_path), *paths], env=env,
-                          capture_output=True, text=True, timeout=300, check=True)
-    assert json.loads(done.stdout.splitlines()[-1]) == [[], []]
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path),
+                           json.dumps([*configs, preset])],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    statuses, big_m = json.loads(done.stdout.splitlines()[-1])
+    assert statuses == ["completed"] * 5
+    assert big_m[0] == 0.0 and all(0.0 < a < b for a, b in zip(big_m[1:], big_m[2:]))
+    assert big_m[1:] == antiderivative(modulus_inv_log(1.5))([1e-200, 1e-3, 0.05, 1.0]).tolist()
 
 
 @pytest.mark.parametrize(
