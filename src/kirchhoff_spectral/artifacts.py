@@ -5,9 +5,10 @@ JSON through the shortest round-trip repr; keys are sorted and the byte
 stream carries no timestamps, so identical inputs reproduce identical
 artifact bytes.
 
-The CSV writer stacks its columns into one float64 table and streams it a
-row block of ``_BLOCK_VALUES`` (8,192) values at a time, so its temporaries
-stay near 2 MB whatever the table size.  The bytes are those of
+The CSV writer stacks its columns into one float64 table and streams it in
+``blocks.row_blocks`` at its own budget of ``_BLOCK_VALUES`` (8,192) values,
+not ``blocks.BLOCK_VALUES``: at some 256 bytes a value, the formatter's
+temporaries stay near 2 MB whatever the table size.  The bytes are those of
 ``f"{x:.17g}"`` per value (``inf``, ``-inf``, ``nan``, ``-0`` included), one
 row per line, formatted by numpy with the certified fast path and exact
 fallback of Loitsch (PLDI 2010): each |x| in [1e-280, 1e280] is scaled by a
@@ -30,6 +31,8 @@ import math
 from pathlib import Path
 
 import numpy as np
+
+from .blocks import row_blocks
 
 _BLOCK_VALUES = 8192
 _X_MAX = 280  # the fast path covers 1e-280 <= |x| <= 1e280
@@ -163,11 +166,10 @@ def write_csv(path, header, columns) -> None:
     width = table.shape[1]
     if len(header) != width:
         raise ValueError(f"csv header names {len(header)} columns, the data {width}")
-    rows_per_block = max(1, _BLOCK_VALUES // max(width, 1))
     with open(path, "wb") as f:
         f.write((",".join(header) + "\n").encode("utf-8"))
-        for start in range(0, len(table), rows_per_block):
-            f.write(_format_block(table[start:start + rows_per_block]))
+        for rows in row_blocks(len(table), width, _BLOCK_VALUES):
+            f.write(_format_block(table[rows]))
 
 
 def _jsonable(obj):

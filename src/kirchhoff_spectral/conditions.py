@@ -5,7 +5,8 @@ phi(sigma); the weak-mode condition bounds sigma by a multiple of
 phi(sigma / sqrt(omega(1/sigma))).  On a finite grid the ratio maximum is
 always finite, so boundedness is diagnosed by the fitted log-log growth of
 the ratio over the top decades: a compatible pair levels off (slope <= 0 up
-to noise) while a derivative-loss pair keeps growing.
+to noise) while a derivative-loss pair keeps growing.  The continuity check
+takes its (grid, grid) pair tables in row blocks of ``blocks.BLOCK_VALUES``.
 """
 
 from __future__ import annotations
@@ -14,22 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import BLOCK_VALUES, row_blocks
 from .errors import InvalidWeightError, NotOmegaContinuousError, PreconditionError
 from .functions import FunctionSpec
 
 DEFAULT_SLOPE_TOL = 0.01
 TREND_DECADES = 2.0  # top grid decades over which the ratio's growth is fitted
-PAIR_BLOCK = 1 << 18  # grid pairs per row block of the pairwise checks (2 MB a float array)
 SIGMA_SPAN = (1e-6, 1e6)  # the least sigma range a compatibility grid covers
 SPAN_SLACK = 1e-9  # relative slack on the span's ends, for logspace's rounding
 MIN_GRID_POINTS = 16  # the fewest grid points a compatibility check takes
 DEFAULT_PER_DECADE = 512
-
-
-def _row_blocks(n: int):
-    """Row slices of an n x n pair table, PAIR_BLOCK pairs or one row each."""
-    rows = max(1, PAIR_BLOCK // n)
-    return (slice(lo, min(lo + rows, n)) for lo in range(0, n, rows))
 
 
 def sigma_grid_size(lo: float, hi: float, per_decade: int) -> int:
@@ -83,7 +78,7 @@ def estimate_continuity_constant(
         raise PreconditionError("grid needs at least 2 points")
     mv = np.asarray(m(g), dtype=float)
     maxima = []
-    for rows in _row_blocks(g.size):
+    for rows in row_blocks(g.size, g.size, BLOCK_VALUES):
         num = np.abs(mv[rows, None] - mv[None, :])
         gaps = np.abs(g[rows, None] - g[None, :])
         den = np.asarray(omega(gaps), dtype=float)

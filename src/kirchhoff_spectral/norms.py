@@ -9,9 +9,11 @@ mixed huge/tiny factors cancel before exponentiation; zero components
 contribute nothing.  Each row is added with error-free compensated summation
 (math.fsum) in index order, which makes results bit-reproducible however
 many rows a call carries and makes the r = 0 case coincide exactly with the
-plain Sobolev norm.  A row with a nonzero term above the exponent cap sums to
-+inf and the kernel reports the first such mode: the norms raise
-``NormOverflowError`` naming it, the tails keep the +inf (a non-member).
+plain Sobolev norm; the rows go in blocks of the package's one budget,
+``blocks.BLOCK_VALUES`` values a temporary.  A row with a nonzero term above
+the exponent cap sums to +inf and the kernel reports the first such mode: the
+norms raise ``NormOverflowError`` naming it, the tails keep the +inf (a
+non-member).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import BLOCK_VALUES, row_blocks
 from .errors import InvalidWeightError, NormOverflowError, PreconditionError
 from .functions import FunctionSpec
 from .spectrum import SpectralVector
@@ -50,22 +53,28 @@ def _weighted_sums(c, lam, alpha, weight=0.0):
     Returns the sums, +inf for a row that overflows, and the first overflow
     as (mode, exponent), or None.
     """
+    c, weight = np.broadcast_arrays(np.atleast_2d(c), weight)
+    sums = np.empty(len(c))
+    first = None
     # an infinite weight on a zero component makes a NaN exponent there;
     # the component is dropped below
     with np.errstate(divide="ignore", invalid="ignore"):
-        e = 2.0 * np.log(np.abs(c))
-        if alpha != 0.0:
-            e = e + 4.0 * alpha * np.log(lam)  # -inf at lambda = 0, as wanted
-        e = np.atleast_2d(e + weight)
-    nonzero = c != 0.0
-    over = (e > EXP_CAP) & nonzero
-    terms = np.exp(np.where(nonzero & ~over, e, -math.inf))
-    sums = np.array([math.fsum(row.tolist()) for row in terms])
-    if not over.any():
-        return sums, None
-    sums[over.any(axis=1)] = math.inf
-    i, k = np.argwhere(over)[0]
-    return sums, (int(k), float(e[i, k]))
+        power = 4.0 * alpha * np.log(lam) if alpha != 0.0 else 0.0  # -inf at lambda = 0
+        for rows in row_blocks(*c.shape, BLOCK_VALUES):
+            e = np.abs(c[rows])
+            np.log(e, out=e)
+            e *= 2.0
+            e += power
+            e += weight[rows]
+            nonzero = c[rows] != 0.0
+            over = (e > EXP_CAP) & nonzero
+            if first is None and over.any():
+                i, k = np.argwhere(over)[0]
+                first = (int(k), float(e[i, k]))
+            e[over | ~nonzero] = -math.inf
+            sums[rows] = [math.fsum(row.tolist()) for row in np.exp(e, out=e)]
+            sums[rows][over.any(axis=1)] = math.inf
+    return sums, first
 
 
 def _norms(c, lam, alpha, weight=0.0) -> np.ndarray:

@@ -405,7 +405,7 @@ def _task_simulate(sc: Scenario, cfg: IntegratorConfig):
     ham = hamiltonian_series(tr, sc.m)
     hi = higher_order_series(tr)
     trace = coefficient_trace(tr, sc.m)
-    drift = relative_drift(ham)
+    drift = tr.meta.hamiltonian_drift
     summary = {
         "task": "simulate",
         "samples": tr.n_samples,
@@ -527,7 +527,7 @@ def _task_invariants(sc: Scenario, cfg: IntegratorConfig):
     hi = higher_order_series(tr)
     header = ["t", "hamiltonian", "higher_order_energy"]
     cols = [tr.t, ham, hi]
-    drifts = {"hamiltonian": relative_drift(ham)}
+    drifts = {"hamiltonian": tr.meta.hamiltonian_drift}
     poho = sc.params["pohozaev"]
     if poho is not None:
         series = pohozaev_series(tr, poho["a"], poho["b"])

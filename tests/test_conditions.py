@@ -81,9 +81,9 @@ def whole_table_constant(m, omega, g):
     return float(np.max(ratio))
 
 
-@pytest.mark.parametrize("block", [1, 7, 50, conditions.PAIR_BLOCK])
+@pytest.mark.parametrize("block", [1, 7, 50, conditions.BLOCK_VALUES])
 def test_row_blocks_match_whole_table(monkeypatch, block):
-    monkeypatch.setattr(conditions, "PAIR_BLOCK", block)
+    monkeypatch.setattr(conditions, "BLOCK_VALUES", block)
     grids = [np.linspace(0.0, 2.0, 51), np.concatenate([[0.0], np.logspace(-4, 1, 73)])]
     for g in grids:
         for m, omega in ((power(0.5), modulus_power(0.5)), (power(2.0), modulus_power(1.0)),
@@ -93,11 +93,11 @@ def test_row_blocks_match_whole_table(monkeypatch, block):
             )
 
 
-@pytest.mark.parametrize("block", [1, 6, conditions.PAIR_BLOCK])
+@pytest.mark.parametrize("block", [1, 6, conditions.BLOCK_VALUES])
 def test_row_blocks_name_the_first_bad_pair(monkeypatch, block):
     # omega vanishes on gaps up to 1; row 0 has only gaps of 3 and more, so
     # the first bad pair in row-major order is (3, 3.5) in row 1
-    monkeypatch.setattr(conditions, "PAIR_BLOCK", block)
+    monkeypatch.setattr(conditions, "BLOCK_VALUES", block)
     omega = table([0.0, 1.0, 2.0, 10.0], [0.0, 0.0, 1.0, 1.0])
     g = np.array([0.0, 3.0, 3.5])
     with pytest.raises(NotOmegaContinuousError) as exc:

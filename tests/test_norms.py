@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from kirchhoff_spectral import (
     constant,
     gevrey_norm,
     gm_membership,
+    norms,
     power,
     scale_norm_trace,
     sobolev_norm,
@@ -130,6 +132,68 @@ def test_zero_component_under_infinite_weight_contributes_nothing():
         gevrey_norm(SpectralVector(spec, [1.0, 0.5, 1e-300]), p)
     assert exc.value.k == 2
     assert exc.value.exponent == math.inf
+
+
+# the kernel walks its rows in blocks; this is the whole-table formula it
+# must reproduce bit for bit, first overflow included
+
+
+def whole_table_sums(c, lam, alpha, weight=0.0):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = 2.0 * np.log(np.abs(c))
+        if alpha != 0.0:
+            e = e + 4.0 * alpha * np.log(lam)
+        e = np.atleast_2d(e + weight)
+    nonzero = c != 0.0
+    over = (e > norms.EXP_CAP) & nonzero
+    terms = np.exp(np.where(nonzero & ~over, e, -math.inf))
+    sums = np.array([math.fsum(row.tolist()) for row in terms])
+    if not over.any():
+        return sums, None
+    sums[over.any(axis=1)] = math.inf
+    i, k = np.argwhere(over)[0]
+    return sums, (int(k), float(e[i, k]))
+
+
+@pytest.mark.parametrize("budget", [1, 7, norms.BLOCK_VALUES])
+@pytest.mark.parametrize("alpha", [0.0, 0.75])
+def test_row_blocks_keep_every_sum_and_the_first_overflow(monkeypatch, budget, alpha):
+    monkeypatch.setattr(norms, "BLOCK_VALUES", budget)
+    # lambda = 0 takes the weight lam^(4 alpha) = 0 or 1; at lambda = 1e308
+    # the weight r*(1 + lambda) is +inf, on zero components except in row 9,
+    # whose overflow at mode 5 comes before the later rows' at mode 4
+    lam = np.array([0.0, 0.5, 1.0, 2.0, 50.0, 1e308])
+    c = np.random.default_rng(3).standard_normal((23, lam.size))
+    c[:, 5] = 0.0
+    c[9, 5] = 1e-300
+    c[::4, 2] = 0.0
+    radii = np.linspace(0.0, 20.0, len(c))
+    with np.errstate(over="ignore"):
+        weight = radii[:, None] * (1.0 + lam)
+    cases = [(c, weight), (c[3], weight), (c, 1.0 + lam), (c[3], 0.0), (c[:11], weight[:11])]
+    for cc, w in cases:
+        sums, first = norms._weighted_sums(cc, lam, alpha, w)
+        ref_sums, ref_first = whole_table_sums(cc, lam, alpha, w)
+        assert np.array_equal(sums, ref_sums)
+        assert first == ref_first
+    assert norms._weighted_sums(c, lam, alpha, weight)[1] == (5, math.inf)
+    assert whole_table_sums(c[10:], lam, alpha, weight[10:])[1][0] == 4
+
+
+def test_weighted_sums_stay_in_row_blocks():
+    # the whole-table kernel built its exponent and term tables at full
+    # size, 16 MB each at 1,001 samples of 2,048 modes, and peaked at 53 MB;
+    # the row blocks keep a few temporaries of 256 KB
+    lam = np.arange(1.0, 2049.0)
+    u = np.random.default_rng(5).standard_normal((1001, lam.size)) * np.exp(-lam / 50.0)
+    weight = np.linspace(0.1, 0.08, 1001)[:, None] * np.log(1.0 + lam)
+    tracemalloc.start()
+    try:
+        norms._weighted_sums(u, lam, 0.5, weight)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_invalid_weight_rejected(small_spectrum):
