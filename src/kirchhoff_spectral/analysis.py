@@ -9,6 +9,7 @@ from enum import Enum
 
 import numpy as np
 
+from .blocks import BLOCK_VALUES, row_blocks
 from .conditions import log_log_slope
 from .dynamics import IntegratorConfig, SpectralState, Trajectory, evolve, hamiltonian
 from .errors import PreconditionError
@@ -61,7 +62,9 @@ def scale_norm_trace(tr: Trajectory, cfg: ScaleTraceConfig) -> ScaleTrace:
 
     The u-norm uses exponent alpha + 1/2 and the u'-norm exponent alpha,
     matching the solution-space pairing.  Fails if the radius reaches zero
-    inside the trajectory window.
+    inside the trajectory window.  The weights r*phi(lambda) are formed a row
+    block at a time, and every u row goes before any v row, so the first
+    ``NormOverflowError`` is the one the whole (samples, modes) table gives.
     """
     radii = cfg.r0 - cfg.big_r * tr.t
     if np.any(radii <= 0.0):
@@ -70,9 +73,13 @@ def scale_norm_trace(tr: Trajectory, cfg: ScaleTraceConfig) -> ScaleTrace:
             f"scale radius r0 - R*t = {radii[i]:.6g} <= 0 at t = {tr.t[i]:.6g}"
         )
     lam = tr.spectrum.lambdas
-    weight = _radius_weights(cfg.phi, lam, radii[:, None])
-    u_norms = _norms(tr.u, lam, cfg.alpha + 0.5, weight)
-    v_norms = _norms(tr.v, lam, cfg.alpha, weight)
+    phi_lam = _radius_weights(cfg.phi, lam, 1.0)  # phi(lambda) itself, checked
+    u_norms, v_norms = np.empty(tr.n_samples), np.empty(tr.n_samples)
+    for x, alpha, out in ((tr.u, cfg.alpha + 0.5, u_norms), (tr.v, cfg.alpha, v_norms)):
+        for rows in row_blocks(*x.shape, BLOCK_VALUES):
+            with np.errstate(over="ignore"):
+                weight = radii[rows, None] * phi_lam
+            out[rows] = _norms(x[rows], lam, alpha, weight)
     return ScaleTrace(t=tr.t.copy(), radii=radii, u_norms=u_norms, v_norms=v_norms)
 
 

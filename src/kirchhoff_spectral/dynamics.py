@@ -85,12 +85,18 @@ class IntegratorMeta:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-stamped sample record of one integration."""
+    """Time-stamped sample record of one integration.
+
+    ``sigma`` = |A^(1/2)u|^2 and ``coefficient`` = m(sigma), one value a
+    sample, are formed once by ``evolve``; the series helpers read them.
+    """
 
     spectrum: Spectrum
     t: np.ndarray
     u: np.ndarray  # (n_samples, n_modes)
     v: np.ndarray
+    sigma: np.ndarray  # (n_samples,)
+    coefficient: np.ndarray
     meta: IntegratorMeta
 
     def __post_init__(self):
@@ -98,16 +104,14 @@ class Trajectory:
             raise PreconditionError("inconsistent trajectory arrays")
         if self.v.shape != self.u.shape:
             raise PreconditionError("u and v sample arrays must match")
+        if self.sigma.shape != self.t.shape or self.coefficient.shape != self.t.shape:
+            raise PreconditionError("sigma and coefficient need one value per sample")
         if self.t.size >= 2 and np.any(np.diff(self.t) <= 0.0):
             raise PreconditionError("timestamps must be strictly increasing")
 
     @property
     def n_samples(self) -> int:
         return int(self.t.size)
-
-    def sigma_series(self) -> np.ndarray:
-        """|A^(1/2)u|^2 at every sample."""
-        return self.u**2 @ self.spectrum.lam2
 
 
 def sample_intervals(span: float, dt: float | None) -> int:
@@ -278,8 +282,9 @@ def evolve(
     for b, (r, m_b, big_m) in enumerate(zip(res.members or (res,), ms, big_ms)):
         u_b, v_b = r.y[:, :n], r.y[:, n:]
         try:
-            c_series = np.asarray(m_b(u_b**2 @ lam2), dtype=float)
-            drift = relative_drift(hamiltonian_values(spec, u_b, v_b, big_m))
+            sigma = u_b**2 @ lam2
+            c_series = np.asarray(m_b(sigma), dtype=float)
+            drift = relative_drift(hamiltonian_values(sigma, v_b, big_m))
         except Exception as exc:
             if not solo:
                 exc.member = b
@@ -297,7 +302,8 @@ def evolve(
             hamiltonian_drift=drift,
             degenerate_spans=_degenerate_spans(r.t, c_series),
         )
-        done.append(Trajectory(spectrum=spec, t=r.t, u=u_b, v=v_b, meta=meta))
+        done.append(Trajectory(spectrum=spec, t=r.t, u=u_b, v=v_b, sigma=sigma,
+                               coefficient=c_series, meta=meta))
     return done[0] if solo else done
 
 
@@ -307,20 +313,18 @@ def evolve(
 
 def hamiltonian(state: SpectralState, m: FunctionSpec) -> float:
     """|u'|^2 + M(|A^(1/2)u|^2) with M the antiderivative, M(0) = 0."""
-    u, v = state.u.components[np.newaxis], state.v.components[np.newaxis]
-    return float(hamiltonian_values(state.spectrum, u, v, antiderivative(m))[0])
+    sigma = state.u.components[np.newaxis] ** 2 @ state.spectrum.lam2
+    v = state.v.components[np.newaxis]
+    return float(hamiltonian_values(sigma, v, antiderivative(m))[0])
 
 
-def hamiltonian_values(
-    spectrum: Spectrum, u: np.ndarray, v: np.ndarray, big_m: Callable
-) -> np.ndarray:
-    """Hamiltonian at every sample row; ``big_m`` is ``antiderivative(m)``."""
-    sigma = u**2 @ spectrum.lam2
+def hamiltonian_values(sigma: np.ndarray, v: np.ndarray, big_m: Callable) -> np.ndarray:
+    """|u'|^2 + M(sigma) per row, for sigma = |A^(1/2)u|^2 and big_m = antiderivative(m)."""
     return np.sum(v**2, axis=1) + np.asarray(big_m(sigma), dtype=float)
 
 
 def hamiltonian_series(tr: Trajectory, m: FunctionSpec) -> np.ndarray:
-    return hamiltonian_values(tr.spectrum, tr.u, tr.v, antiderivative(m))
+    return hamiltonian_values(tr.sigma, tr.v, antiderivative(m))
 
 
 def higher_order_series(tr: Trajectory) -> np.ndarray:
@@ -341,8 +345,7 @@ def pohozaev_series(tr: Trajectory, a: float, b: float) -> np.ndarray:
     cross term).  Requires the nondegeneracy D > 0.
     """
     lam2 = tr.spectrum.lam2
-    sigma = tr.u**2 @ lam2
-    den = a + b * sigma
+    den = a + b * tr.sigma
     if np.any(den <= 0.0):
         i = int(np.argmax(den <= 0.0))
         raise NondegeneracyError(
@@ -368,18 +371,15 @@ def relative_drift(series: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class CoefficientTrace:
-    """Sampled coefficient c(t) = m(|A^(1/2)u(t)|^2) with its modulus profile."""
+    """Modulus profile of the coefficient c(t) = m(|A^(1/2)u(t)|^2)."""
 
-    t: np.ndarray
-    values: np.ndarray
     modulus_deltas: np.ndarray
     modulus_values: np.ndarray
 
 
-def coefficient_trace(tr: Trajectory, m: FunctionSpec) -> CoefficientTrace:
-    """Coefficient series plus max |c(t)-c(s)| over |t-s| <= delta profiles."""
-    sigma = tr.sigma_series()
-    c = np.asarray(m(sigma), dtype=float)
+def coefficient_trace(tr: Trajectory) -> CoefficientTrace:
+    """Profile of max |c(t) - c(s)| over |t - s| <= delta on ``tr.coefficient``."""
+    c = tr.coefficient
     n = tr.n_samples
     deltas = []
     values = []
@@ -393,9 +393,4 @@ def coefficient_trace(tr: Trajectory, m: FunctionSpec) -> CoefficientTrace:
             values.append(float(np.max(window.max(axis=1) - window.min(axis=1))))
             deltas.append(k * dt)
             k *= 2
-    return CoefficientTrace(
-        t=tr.t.copy(),
-        values=c,
-        modulus_deltas=np.asarray(deltas),
-        modulus_values=np.asarray(values),
-    )
+    return CoefficientTrace(modulus_deltas=np.asarray(deltas), modulus_values=np.asarray(values))

@@ -404,7 +404,7 @@ def _task_simulate(sc: Scenario, cfg: IntegratorConfig):
     tr = evolve(state, sc.m, cfg, sc.params["t_end"])
     ham = hamiltonian_series(tr, sc.m)
     hi = higher_order_series(tr)
-    trace = coefficient_trace(tr, sc.m)
+    trace = coefficient_trace(tr)
     drift = tr.meta.hamiltonian_drift
     summary = {
         "task": "simulate",

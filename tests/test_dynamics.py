@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ from kirchhoff_spectral import (
     SpectralState,
     SpectralVector,
     Spectrum,
-    Trajectory,
     affine,
     basis_vector,
     coefficient_trace,
@@ -41,7 +41,7 @@ from kirchhoff_spectral.errors import (
     PreconditionError,
 )
 from kirchhoff_spectral.scenario import run_scenario
-from tests.conftest import random_vector
+from tests.conftest import hand_trajectory, random_vector
 
 
 def closed_form(spectrum, u0, v0, c0, t):
@@ -211,22 +211,16 @@ def test_hamiltonian_closed_forms():
     assert hamiltonian(zero, pohozaev(1.0, 1.0)) == 0.0
 
 
-def record(spec, u, v):
-    """Sample rows as a trajectory one time unit apart, without an integrator run."""
-    u = np.array(u, dtype=float)
-    return Trajectory(spectrum=spec, t=np.arange(len(u), dtype=float), u=u,
-                      v=np.array(v, dtype=float), meta=None)
-
-
 def test_higher_order_energy_examples():
     for lams, u, v, energy in (([1.0], [1.0], [0.0], 1.0), ([4.0], [0.0], [1.0], 4.0),
                                ([1.0, 2.0], [1.0, 0.5], [1.0 / 3.0, 0.0], 1.0 / 9.0 + 3.0)):
-        assert higher_order_series(record(Spectrum(lams), [u], [v])) == pytest.approx([energy])
+        tr = hand_trajectory(Spectrum(lams), [u], [v])
+        assert higher_order_series(tr) == pytest.approx([energy])
 
 
 def test_pohozaev_examples():
     # the unit state and the zero state as the two samples of one record
-    rows = record(Spectrum([1.0]), [[1.0], [0.0]], [[0.0], [0.0]])
+    rows = hand_trajectory(Spectrum([1.0]), [[1.0], [0.0]], [[0.0], [0.0]])
     unit, zero = pohozaev_series(rows, 1.0, 1.0)
     assert unit == pytest.approx(0.5)
     assert zero == 0.0
@@ -254,8 +248,8 @@ def test_coefficient_trace(tight_cfg):
     spec = Spectrum([1.0])
     state = SpectralState(t=0.0, u=basis_vector(spec, 0), v=zero_vector(spec))
     tr = evolve(state, constant(1.0), tight_cfg, 1.0)
-    trace = coefficient_trace(tr, constant(1.0))
-    assert np.all(trace.values == 1.0)
+    trace = coefficient_trace(tr)
+    assert np.all(tr.coefficient == 1.0)
     assert np.all(trace.modulus_values == 0.0)
 
     zero_tr = evolve(
@@ -264,8 +258,8 @@ def test_coefficient_trace(tight_cfg):
         tight_cfg,
         1.0,
     )
-    zero_trace = coefficient_trace(zero_tr, power(1.0))
-    assert np.all(zero_trace.values == 0.0)
+    assert np.all(zero_tr.coefficient == 0.0)
+    assert np.all(coefficient_trace(zero_tr).modulus_values == 0.0)
 
 
 def test_cubic_period_against_reference(tight_cfg):
@@ -517,10 +511,10 @@ def test_one_mode_solo_matches_one_member_ensemble(name):
     state = SpectralState(t=0.0, u=SpectralVector(spec, [0.3]), v=SpectralVector(spec, [1.0]))
     solo = evolve(state, ONE_MODE_MS[name], IntegratorConfig(), 10.0)
     (member,) = evolve([state], [ONE_MODE_MS[name]], IntegratorConfig(), 10.0)
-    for a, b in ((solo.t, member.t), (solo.u, member.u), (solo.v, member.v)):
-        assert a.tobytes() == b.tobytes()
+    for field in ("t", "u", "v", "sigma", "coefficient"):
+        assert getattr(solo, field).tobytes() == getattr(member, field).tobytes()
     assert solo.meta == member.meta and solo.meta.status == "completed"
-    assert solo.sigma_series().min() < 0.25 and solo.sigma_series().max() > 0.5
+    assert solo.sigma.min() < 0.25 and solo.sigma.max() > 0.5
 
 
 @pytest.mark.parametrize(
@@ -589,6 +583,55 @@ def test_ensemble_member_status_and_spans_are_its_own():
     assert calm_tr.meta.degenerate_spans == ()
     u, _ = closed_form(spec, np.array([1.0]), np.array([0.0]), 1.0, calm_tr.t)
     assert np.max(np.abs(calm_tr.u[:, 0] - u)) < 1e-6
+
+
+def solo_n32_run():
+    m = affine(1.0, 1.0)
+    state = normalized_state(power_spectrum(32), np.random.default_rng(21))
+    return [(evolve(state, m, IntegratorConfig(), 2.0), m)]
+
+
+def one_mode_run():
+    # the pair step loop, with a modulus m whose knee sigma crosses
+    m = get_preset("table1_loglipschitz").m
+    spec = Spectrum([1.3])
+    state = SpectralState(t=0.0, u=SpectralVector(spec, [0.3]), v=SpectralVector(spec, [1.0]))
+    return [(evolve(state, m, IntegratorConfig(), 10.0), m)]
+
+
+def ensemble_run_with_blow_up():
+    # the last member drifts linearly past BLOWUP_CAP and stops early
+    spec = power_spectrum(3)
+    rng = np.random.default_rng(8)
+    fast = SpectralState(t=0.0, u=zero_vector(spec), v=SpectralVector(spec, [1e11, 0.0, 0.0]))
+    states = [normalized_state(spec, rng), normalized_state(spec, rng), fast]
+    ms = [affine(1.0, 1.0), pohozaev(1.0, 1.0), constant(0.0)]
+    trs = evolve(states, ms, IntegratorConfig(), 20.0)
+    assert [tr.meta.status for tr in trs] == ["completed", "completed", "blow_up"]
+    return list(zip(trs, ms))
+
+
+SERIES_RUNS = {"solo_n32": solo_n32_run, "one_mode": one_mode_run,
+               "ensemble_with_blow_up": ensemble_run_with_blow_up}
+
+
+@pytest.mark.parametrize("run", SERIES_RUNS)
+def test_trajectory_carries_sigma_and_coefficient(run):
+    for tr, m in SERIES_RUNS[run]():
+        sigma = tr.u**2 @ tr.spectrum.lam2
+        assert tr.sigma.shape == tr.coefficient.shape == (tr.n_samples,)
+        assert tr.sigma.tobytes() == sigma.tobytes()
+        assert tr.coefficient.tobytes() == np.asarray(m(sigma), dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("run", SERIES_RUNS)
+def test_trajectory_refuses_misshaped_sigma_or_coefficient(run):
+    for tr, _ in SERIES_RUNS[run]():
+        short, column = tr.sigma[:-1], tr.coefficient[:, None]
+        for fields in ({"sigma": short}, {"coefficient": short}, {"sigma": column},
+                       {"coefficient": column}, {"sigma": np.float64(1.0)}):
+            with pytest.raises(PreconditionError, match="one value per sample"):
+                replace(tr, **fields)
 
 
 def test_ensemble_negative_m_names_its_member(monkeypatch, tight_cfg):

@@ -12,6 +12,7 @@ from kirchhoff_spectral import (
     ScaleTraceConfig,
     SpectralVector,
     Spectrum,
+    analysis,
     constant,
     gevrey_norm,
     gm_membership,
@@ -22,13 +23,13 @@ from kirchhoff_spectral import (
     weight_power_log,
     zero_vector,
 )
-from kirchhoff_spectral.dynamics import Trajectory
 from kirchhoff_spectral.errors import (
     InvalidWeightError,
     NormOverflowError,
     PreconditionError,
 )
 from kirchhoff_spectral.functions import scalar_callable
+from tests.conftest import hand_trajectory
 
 # independent direct-summation oracle, frozen from a 40-digit computation
 GEVREY_THREE_MODE = 1.4032002079447654941
@@ -196,6 +197,57 @@ def test_weighted_sums_stay_in_row_blocks():
     assert peak < 4 * 2**20
 
 
+def whole_table_trace(tr, cfg):
+    """The trace's norms from whole (samples, modes) weight tables, a reference."""
+    lam = tr.spectrum.lambdas
+    with np.errstate(over="ignore"):
+        weight = (cfg.r0 - cfg.big_r * tr.t)[:, None] * np.asarray(cfg.phi(lam), dtype=float)
+    return (norms._norms(tr.u, lam, cfg.alpha + 0.5, weight),
+            norms._norms(tr.v, lam, cfg.alpha, weight))
+
+
+def test_norm_trace_stays_in_row_blocks():
+    # the whole weight table alone was 16 MB at 1,001 samples of 2,048 modes;
+    # the trace forms its weights a row block at a time, with the same bits
+    lam = np.arange(1.0, 2049.0)
+    rng = np.random.default_rng(12)
+    u = rng.standard_normal((1001, lam.size)) * np.exp(-lam / 50.0)
+    v = rng.standard_normal((1001, lam.size)) * np.exp(-lam / 40.0)
+    tr = hand_trajectory(Spectrum(lam), u, v, np.linspace(0.0, 1.0, 1001))
+    cfg = ScaleTraceConfig(weight_power_log(1.0, 0.0), 0.1, 0.02, 0.25)
+    tracemalloc.start()
+    try:
+        trace = scale_norm_trace(tr, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    u_ref, v_ref = whole_table_trace(tr, cfg)
+    assert trace.u_norms.tobytes() == u_ref.tobytes()
+    assert trace.v_norms.tobytes() == v_ref.tobytes()
+
+
+@pytest.mark.parametrize("budget", [1, 7, analysis.BLOCK_VALUES])
+def test_norm_trace_raises_the_whole_tables_first_overflow(monkeypatch, budget):
+    # u overflows only in its last row, v in its first: every u row goes
+    # before any v row, so the error names u's mode, as the whole table does
+    monkeypatch.setattr(analysis, "BLOCK_VALUES", budget)
+    spec = Spectrum([1.0, 2.0, 1000.0, 5000.0])
+    u = np.zeros((9, 4))
+    u[:, 0] = 1.0
+    u[8, 2] = 1e-3
+    v = np.zeros((9, 4))
+    v[0, 3] = 1.0
+    tr = hand_trajectory(spec, u, v, np.arange(9) * 0.01)
+    cfg = ScaleTraceConfig(power(1.0), 1.0, 0.5, 0.0)
+    with pytest.raises(NormOverflowError) as ref:
+        whole_table_trace(tr, cfg)
+    with pytest.raises(NormOverflowError) as got:
+        scale_norm_trace(tr, cfg)
+    assert got.value.k == ref.value.k == 2
+    assert got.value.exponent == ref.value.exponent
+
+
 def test_invalid_weight_rejected(small_spectrum):
     u = SpectralVector(small_spectrum, [1.0, 1.0, 1.0])
     with pytest.raises(InvalidWeightError):
@@ -330,7 +382,7 @@ def test_batched_rows_match_single_vector_and_oracle(pair, phi, alpha, r0, beta)
     rows = comps.shape[0]
     lam = spec.lambdas
     t = np.arange(rows) * 0.01
-    tr = Trajectory(spec, t, comps, comps[::-1].copy(), None)
+    tr = hand_trajectory(spec, comps, comps[::-1].copy(), t)
     trace = scale_norm_trace(tr, ScaleTraceConfig(phi, r0, 1.0, alpha))
     for i in range(rows):
         p_u = GevreyParams(phi, float(trace.radii[i]), alpha + 0.5)
