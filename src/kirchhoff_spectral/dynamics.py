@@ -136,6 +136,15 @@ def _degenerate_spans(t: np.ndarray, c: np.ndarray) -> tuple:
     return tuple((float(t[i]), float(t[j - 1])) for i, j in zip(edges[::2], edges[1::2]))
 
 
+def _negative_m(sigma: float, c: float, t: float,
+                member: int | None = None) -> NegativeNonlinearityError:
+    """The error for m(sigma) = c < 0 at time t, naming an ensemble's member."""
+    text = f"m({sigma:.6g}) = {c:.6g} < 0 at t = {t:.6g}"
+    if member is not None:
+        text += f" in ensemble member {member}"
+    return NegativeNonlinearityError(text)
+
+
 def evolve(
     init: SpectralState | Sequence[SpectralState],
     m: FunctionSpec | Sequence[FunctionSpec],
@@ -159,16 +168,16 @@ def evolve(
     position, so two identical members need not match bit for bit; a
     one-member ensemble matches the solo call bit for bit.
 
-    The right-hand side forks three ways.  A solo state is a (2n,) vector
-    with its own closure, because the closure of the (members, 2n) ensemble
-    array costs more at one member: 2.2 us a call against 3.5 us at N = 32
-    with affine(1, 1) (best of 5 x 100,000 on one captured argument, best of
-    three processes, shared 2-core Xeon).  At N = 1 a solo state takes a
-    closure on a (u, v) pair of Python floats and the pair step loop of
+    One array closure is the right-hand side of a solo (2n,) vector and of a
+    (members, 2n) ensemble: sigma, the velocity copy and the -c * lam2 * u
+    tail are written once, and only the m step forks, one float call of m
+    on a vector's ddot, or a loop over an ensemble's members that tags a
+    failure with its ``member``.  At N = 1 a solo state takes a closure on a
+    (u, v) pair of Python floats and the pair step loop of
     ``solve_to_samples``, with the array closure's bits: at n = 1 every
     operation, sigma's one-term dot included, is one IEEE operation in the
     same order.  For n > 1 a BLAS dot sums in an order Python cannot follow,
-    so those states, and every ensemble, keep the array closures and loop.
+    so those states, and every ensemble, keep the array closure and loop.
     """
     solo = isinstance(init, SpectralState)
     states = [init] if solo else list(init)
@@ -199,7 +208,7 @@ def evolve(
                 exc.member = b
             raise
     m_at = m_ats[0]
-    # both forms fill and return one output per solve; the solver copies it.
+    # one output, filled and returned by every call (the solver copies it);
     # -c reaches the ufunc as an array, 0-d for one state, a column for more
     out = np.empty((len(states), 2 * n))
     squares = np.empty((len(states), n))
@@ -215,15 +224,25 @@ def evolve(
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         nonlocal held, u, v
         if y is not held:
-            held, u, v = y, y[:n], y[n:]
-        sigma = float(lam2.dot(multiply(u, u, squares)))
-        c = m_at(sigma)
-        if c < 0.0:
-            raise NegativeNonlinearityError(
-                f"m({sigma:.6g}) = {c:.6g} < 0 at t = {t:.6g}"
-            )
+            held, u, v = y, y[..., :n], y[..., n:]
+        # a ddot for a vector, a row-by-row gemv for an ensemble
+        sigma = multiply(u, u, squares).dot(lam2)
+        if solo:
+            c = m_at(float(sigma))
+            if c < 0.0:
+                raise _negative_m(sigma, c, t)
+            neg_c[()] = -c
+        else:
+            for b, (m_at_b, sigma_b) in enumerate(zip(m_ats, sigma.tolist())):
+                try:
+                    c = m_at_b(sigma_b)
+                    if c < 0.0:
+                        raise _negative_m(sigma_b, c, t, b)
+                except Exception as exc:
+                    exc.member = b
+                    raise
+                neg_c[b, 0] = -c
         vel[...] = v
-        neg_c[()] = -c
         multiply(lam2, neg_c, accel)  # -c * lam2 * u, in that order
         multiply(accel, u, accel)
         return out
@@ -238,45 +257,20 @@ def evolve(
         sigma = lam2_0 * (u * u)
         c = m_at(sigma)
         if c < 0.0:
-            raise NegativeNonlinearityError(
-                f"m({sigma:.6g}) = {c:.6g} < 0 at t = {t:.6g}"
-            )
+            raise _negative_m(sigma, c, t)
         return v, (lam2_0 * -c) * u
 
-    def ensemble_rhs(t: float, y: np.ndarray) -> np.ndarray:
-        # rhs row by row; a one-row dot is the same ddot as rhs's
-        nonlocal held, u, v
-        if y is not held:
-            held, u, v = y, y[:, :n], y[:, n:]
-        sigmas = multiply(u, u, squares).dot(lam2).tolist()
-        for b, (m_at_b, sigma) in enumerate(zip(m_ats, sigmas)):
-            try:
-                c = m_at_b(sigma)
-                if c < 0.0:
-                    raise NegativeNonlinearityError(
-                        f"m({sigma:.6g}) = {c:.6g} < 0 at t = {t:.6g} "
-                        f"in ensemble member {b}"
-                    )
-            except Exception as exc:
-                exc.member = b
-                raise
-            neg_c[b, 0] = -c
-        vel[...] = v
-        multiply(lam2, neg_c, accel)
-        multiply(accel, u, accel)
-        return out
-
-    form = ensemble_rhs if not solo else rhs if n > 1 else one_mode_rhs
+    pair = solo and n == 1
     y0 = np.array([np.concatenate([s.u.components, s.v.components]) for s in states])
     res = solve_to_samples(
-        form,
+        one_mode_rhs if pair else rhs,
         y0[0] if solo else y0,
         sample_grid(first.t, t_end, cfg.dense_output_dt),
         rel_tol=cfg.rel_tol,
         abs_tol=cfg.abs_tol,
         max_step=cfg.max_step,
         state_cap=BLOWUP_CAP,
-        pair=form is one_mode_rhs,
+        pair=pair,
     )
     done = []
     for b, (r, m_b, big_m) in enumerate(zip(res.members or (res,), ms, big_ms)):

@@ -57,29 +57,34 @@ The solver never raises for suspected blow-up, step-size underflow or a
 non-finite derivative at the start: it returns the partial sample record
 with a status marker, so escape experiments can observe the escape.
 
-There are two step loops.  The array loop takes every state: an ensemble,
-a (B, d) initial state, runs B members with one shared step, and a vector
-state runs as an ensemble of one.  The stages are one flat (9, B*d)
-matrix, so each stage combination is one ``dot``.  The error norm is the
-largest over the members of each member's RMS norm, so every member meets
-its own tolerance, and the first-step guess is the smallest over the
-members.  A member that stops is frozen with its own partial record and
-status while the others go on.  A member's bits depend on its batch-mates
-through the shared step and on its column position in the stage ``dot``;
-an ensemble of one matches the vector call bit for bit.
+There are two step loops, and ``solve_to_samples`` computes their sample
+times and step floor once.  The floor is 16 eps max(|t0|, |t_end|, 1): a
+smaller step may give t + h == t on the grid, so a start far from t = 0
+stops on ``step_underflow`` instead of stepping in place.  The array loop
+takes every state: an ensemble, a (B, d) initial state, runs B members
+with one shared step, and a vector state runs as an ensemble of one.  The
+stages are one flat (9, B*d) matrix, so each stage combination is one
+``dot``.  The error norm is the largest over the members of each member's
+RMS norm, so every member meets its own tolerance, and the first-step
+guess is the smallest over the members.  A member that stops is frozen
+with its own partial record and status while the others go on.  A
+member's bits depend on its batch-mates through the shared step and on its
+column position in the stage ``dot``; an ensemble of one matches the
+vector call bit for bit.
 
 The pair loop (``pair=True``) steps one two-component state on Python
 floats: the one-mode systems of ``dynamics.evolve`` and of the
 reparametrized curve, where the array loop's cost is dispatch, about 90
 numpy calls on two-element arrays a step.  It keeps the stage and error
-``dot``s, whose summation order Python cannot follow (left-to-right sums
-differed in 25,696 of 80,000 random cases, each row of A on 5,000 random
-9 x 2 stage matrices).  Every other operation is the array loop's IEEE
-operation in its order, (a . k) * h + y without a fused multiply-add
-included, with ``np.maximum``'s NaN rule in the error scale and
-``argmax``'s in the blow-up test.  Sharing the step-size rule and the stop
-messages, the loops give the same steps, statuses, messages and bits.  The
-pair loop took ``single_mode_cubic``'s evolve from 48 to 27 ms.
+``dot``s: OpenBLAS sums their terms as fused pairs, fma(a_j, x_j,
+a_(j+1) * x_(j+1)), which Python follows only with ``math.fma`` (3.13).
+Every other operation is the array loop's IEEE operation in its order,
+(a . k) * h + y without a fused multiply-add included, with
+``np.maximum``'s NaN rule in the error scale and ``argmax``'s in the
+blow-up test.  Sharing the step-size rule, the floor, the landing
+tolerance and the stop messages, the loops give the same steps, statuses,
+messages and bits.  The pair loop took ``single_mode_cubic``'s evolve from
+48 to 27 ms.
 """
 
 from __future__ import annotations
@@ -146,6 +151,7 @@ _ERROR_EXPONENT = -1.0 / 6.0
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+_LANDING_TOL = 1e-12  # a step this share of max(1, |sample|) short lands on it
 
 METHOD_NAME = "verner65"
 
@@ -300,19 +306,21 @@ def solve_to_samples(
         raise ValueError("the state must be a vector or a (members, d) array")
     if y.size == 0:
         raise ValueError("the state needs at least one component")
+    times = samples.tolist()
+    t = times[0]
+    t_end = times[-1]
+    # the step floor of both loops: below it, t + h may round to t on the grid
+    h_floor = 16.0 * np.finfo(float).eps * max(abs(t), abs(t_end), 1.0)
     if pair:
         if y.shape != (2,):
             raise ValueError("a pair state is a vector of two components")
-        return _solve_pair(rhs, y, samples, rel_tol, abs_tol, max_step, state_cap)
+        return _solve_pair(rhs, y, samples, times, h_floor, rel_tol, abs_tol, max_step,
+                           state_cap)
     # the loop runs every state as an ensemble, a vector as one member, on
     # the flat (B*d,) vector; ``rhs`` sees views in the caller's shape
     shape = y.shape
     n_members, dim = y.reshape(-1, shape[-1]).shape
     y = y.reshape(-1)
-
-    times = samples.tolist()
-    t = times[0]
-    t_end = times[-1]
 
     k = np.empty((9, y.size))
     k_in = k.reshape((9,) + shape)
@@ -362,7 +370,6 @@ def solve_to_samples(
     si = 1
     n_accepted = 0
     n_rejected = 0
-    h_floor_scale = 16.0 * np.finfo(float).eps * max(abs(t_end), 1.0)
 
     while si < samples.size:
         if guess:
@@ -376,11 +383,11 @@ def solve_to_samples(
 
         target = times[si]
         h_try = min(h, target - t)
-        if not h_try >= h_floor_scale:  # or NaN
+        if not h_try >= h_floor:  # or NaN
             # a collapsed step stops the members whose error set it; a sample
             # gap below the floor, or a NaN step, stops every member alike
             stuck = live.copy()
-            if h < h_floor_scale:
+            if h < h_floor:
                 worst = np.where(np.isnan(err2), np.inf, err2)
                 worst[~live] = -np.inf
                 stuck = worst == worst.max()
@@ -416,7 +423,7 @@ def solve_to_samples(
             y, buf, y_in, stage = buf, y, stage, y_in
             abs_y, abs_new = abs_new, abs_y
             t_new = t + h_try
-            if t_new >= target - 1e-12 * max(1.0, abs(target)):
+            if t_new >= target - _LANDING_TOL * max(1.0, abs(target)):
                 t_new = target
                 out[si] = y
                 si += 1
@@ -449,10 +456,9 @@ def solve_to_samples(
     return IntegrationOutcome(samples[:0], rows[:0], *counts, "ensemble", members=records)
 
 
-
-def _solve_pair(rhs, y, samples, rel_tol, abs_tol, max_step, state_cap) -> IntegrationOutcome:
-    """The pair loop of ``solve_to_samples`` (see the module docstring)."""
-    times = samples.tolist()
+def _solve_pair(rhs, y, samples, times, h_floor, rel_tol, abs_tol, max_step,
+                state_cap) -> IntegrationOutcome:
+    """The pair loop of ``solve_to_samples``, given its float ``times`` and ``h_floor``."""
     t, t_end = times[0], times[-1]
 
     def derivative(t: float, y: np.ndarray) -> np.ndarray:  # the array protocol
@@ -472,12 +478,11 @@ def _solve_pair(rhs, y, samples, rel_tol, abs_tol, max_step, state_cap) -> Integ
     n_rhs = 2  # k0 and the one call of _initial_step
     grew_after_reject = False
     ay0, ay1 = abs(y0), abs(y1)
-    h_floor_scale = 16.0 * np.finfo(float).eps * max(abs(t_end), 1.0)
 
     while len(out) < len(times):
         target = times[len(out)]
         h_try = min(h, target - t)
-        if not h_try >= h_floor_scale:  # or NaN
+        if not h_try >= h_floor:  # or NaN
             status, message = "step_underflow", _UNDERFLOW.format(h=h_try, t=t)
             break
         for c_i, a_i_dot, k_head, k_i in stages:
@@ -493,7 +498,7 @@ def _solve_pair(rhs, y, samples, rel_tol, abs_tol, max_step, state_cap) -> Integ
         if math.isfinite(err) and err <= 1.0:
             y0, y1, ay0, ay1 = s0, s1, abs(s0), abs(s1)
             t += h_try
-            if t >= target - 1e-12 * max(1.0, abs(target)):
+            if t >= target - _LANDING_TOL * max(1.0, abs(target)):
                 t = target
                 out.append((y0, y1))
             k0[...] = k8

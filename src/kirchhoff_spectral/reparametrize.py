@@ -251,6 +251,12 @@ def _monotone_prefix(values: np.ndarray) -> int:
     return n
 
 
+def _degenerate(den: float, s: float) -> ParametrizationError:
+    """The error for a speed psi' = ``den`` below DEN_FLOOR at shift ``s``."""
+    text = f"parametrization degenerates: |psi'| = {abs(den):.3e} at s = {s:.6g}"
+    return ParametrizationError(text)
+
+
 def solve_trajectory_system(
     u0: SpectralVector,
     u1: SpectralVector,
@@ -296,10 +302,7 @@ def solve_trajectory_system(
             held, z, w = y, y[:n], y[n:]
         den = 2.0 * float(lam.dot(multiply(z, w, zw)))
         if abs(den) < DEN_FLOOR:
-            raise ParametrizationError(
-                f"parametrization degenerates: |psi'| = {abs(den):.3e} at "
-                f"s = {direction * s_tilde:.6g}"
-            )
+            raise _degenerate(den, direction * s_tilde)
         coeff = m_at(direction * s_tilde + sigma0)
         den_0d[()] = den
         factor[()] = -direction * coeff
@@ -318,10 +321,7 @@ def solve_trajectory_system(
         z, w = y
         den = 2.0 * (lam_0 * (z * w))
         if abs(den) < DEN_FLOOR:
-            raise ParametrizationError(
-                f"parametrization degenerates: |psi'| = {abs(den):.3e} at "
-                f"s = {direction * s_tilde:.6g}"
-            )
+            raise _degenerate(den, direction * s_tilde)
         coeff = m_at(direction * s_tilde + sigma0)
         return (direction * lam_0 * w) / den, ((lam_0 * (-direction * coeff)) * z) / den
 

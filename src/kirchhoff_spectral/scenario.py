@@ -45,6 +45,7 @@ from .dynamics import (
     higher_order_series,
     pohozaev_series,
     relative_drift,
+    sample_grid,
     sample_intervals,
 )
 from .errors import ScenarioError
@@ -360,17 +361,22 @@ def validate_scenario(cfg: dict) -> Scenario:
 
 
 def _check_sample_count(sc: Scenario) -> None:
-    """The trajectories' sample tables must fit in MAX_SAMPLE_FLOATS."""
+    """The sample tables must fit in MAX_SAMPLE_FLOATS, and their times increase."""
     p = sc.params
+    t0 = p.get("t_start", 0.0)
     with _field_errors("params.dense_output_dt"):
-        samples = sample_intervals(p["t_end"] - p.get("t_start", 0.0),
-                                   p["dense_output_dt"]) + 1
+        samples = sample_intervals(p["t_end"] - t0, p["dense_output_dt"]) + 1
     width = 2 * sc.spectrum.n + 1
     # dependence integrates its family and the limit as one ensemble
     tables = len(p["family"]["values"]) + 1 if "family" in p else 1
     _require(samples * width * tables <= MAX_SAMPLE_FLOATS, "params.dense_output_dt",
              p["dense_output_dt"], f"asks for {float(samples):.4g} samples x {width} floats "
              f"x {tables} trajectories, more than {MAX_SAMPLE_FLOATS} floats (128 MiB)")
+    # the grid the run builds; it holds a (2n + 1)th of the run's floats at most
+    grid = sample_grid(t0, p["t_end"], p["dense_output_dt"])
+    _require(bool(np.all(np.diff(grid) > 0.0)), "params.t_end", p["t_end"],
+             f"lies too close to {t0!r} for {samples - 1} strictly increasing "
+             f"sample intervals in float64")
 
 
 def _integrator_config(params: dict, tolerance_scale: float) -> IntegratorConfig:

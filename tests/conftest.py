@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -36,3 +39,18 @@ def hand_trajectory(spectrum, u, v, t=None):
     t = np.arange(len(u), dtype=float) if t is None else t
     sigma = u**2 @ spectrum.lam2
     return Trajectory(spectrum, t, u, v, sigma, np.full(len(u), np.nan), None)
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the block with TimeoutError if it runs longer than ``seconds``."""
+    def fail(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, fail)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

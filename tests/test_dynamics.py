@@ -41,7 +41,7 @@ from kirchhoff_spectral.errors import (
     PreconditionError,
 )
 from kirchhoff_spectral.scenario import run_scenario
-from tests.conftest import hand_trajectory, random_vector
+from tests.conftest import deadline, hand_trajectory, random_vector
 
 
 def closed_form(spectrum, u0, v0, c0, t):
@@ -480,16 +480,51 @@ def normalized_state(spec, rng):
     return SpectralState(t=0.0, u=SpectralVector(spec, u0), v=SpectralVector(spec, u1))
 
 
-def test_ensemble_of_one_matches_solo_evolve_bit_for_bit():
+@pytest.mark.parametrize("n", [2, 3, 33, 512])
+def test_ensemble_of_one_matches_solo_evolve_bit_for_bit(n):
+    # odd widths and widths past the BLAS kernels' unrolled blocks reach
+    # both m steps of the one array closure
     rng = np.random.default_rng(5)
-    state = normalized_state(power_spectrum(8), rng)
+    state = normalized_state(power_spectrum(n), rng)
     cfg = IntegratorConfig()
-    solo = evolve(state, power(2.0), cfg, 3.0)
-    (member,) = evolve([state], [power(2.0)], cfg, 3.0)
-    assert np.array_equal(member.t, solo.t)
-    assert np.array_equal(member.u, solo.u)
-    assert np.array_equal(member.v, solo.v)
-    assert member.meta == solo.meta
+    t_end = 3.0 if n < 100 else 0.3
+    solo = evolve(state, power(2.0), cfg, t_end)
+    (member,) = evolve([state], [power(2.0)], cfg, t_end)
+    for field in ("t", "u", "v", "sigma", "coefficient"):
+        assert getattr(member, field).tobytes() == getattr(solo, field).tobytes()
+    assert member.meta == solo.meta and solo.meta.status == "completed"
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_negative_m_reads_alike_in_every_form(n, tight_cfg):
+    # n = 1 takes the pair closure, n = 2 the array closure on a vector; an
+    # ensemble's text adds its member.  Both states have sigma = 1.
+    spec = Spectrum([1.0, 2.0][:n])
+    state = SpectralState(t=0.0, u=basis_vector(spec, 0), v=zero_vector(spec))
+    text = "m(1) = -2 < 0 at t = 0"
+    with pytest.raises(NegativeNonlinearityError) as solo:
+        evolve(state, affine(-2.0, 0.0), tight_cfg, 1.0)
+    assert str(solo.value) == text
+    with pytest.raises(NegativeNonlinearityError) as member:
+        evolve([state, state], [constant(1.0), affine(-2.0, 0.0)], tight_cfg, 1.0)
+    assert str(member.value) == text + " in ensemble member 1"
+
+
+@pytest.mark.parametrize("n, members", [(4, None), (4, 1), (1, None)],
+                         ids=["vector", "ensemble_of_one", "pair"])
+def test_start_far_from_zero_stops_on_step_underflow(n, members, tight_cfg):
+    # from t0 = -1e17 a step of order 1 gives t + h == t; the step floor
+    # covers |t0| too, so each loop stops at once instead of spinning
+    spec = power_spectrum(n)
+    state = SpectralState(t=-1e17, u=basis_vector(spec, 0), v=zero_vector(spec))
+    with deadline(1.0):
+        if members is None:
+            trs = [evolve(state, affine(1.0, 1.0), tight_cfg, 1.0)]
+        else:
+            trs = evolve([state] * members, [affine(1.0, 1.0)] * members, tight_cfg, 1.0)
+    for tr in trs:
+        assert tr.meta.status == "step_underflow"
+        assert tr.n_samples == 1 and "underflowed at t = -1e+17" in tr.meta.message
 
 
 # one mode: the solo form's Python-float RHS against the ensemble's array RHS,

@@ -24,6 +24,7 @@ from kirchhoff_spectral import (
     table,
 )
 from kirchhoff_spectral.integrate import IntegrationOutcome, solve_to_samples
+from tests.conftest import deadline
 
 
 def test_harmonic_oscillator_closed_form():
@@ -175,7 +176,7 @@ def reference_solve(rhs, y0, samples, rel_tol, abs_tol, max_step=math.inf,
     n_rejected = 0
     late_rejects = 0
     status = "completed"
-    h_floor_scale = 16.0 * np.finfo(float).eps * max(abs(t_end), 1.0)
+    h_floor_scale = 16.0 * np.finfo(float).eps * max(abs(t), abs(t_end), 1.0)
     grew_after_reject = False
 
     while si < samples.size:
@@ -430,6 +431,27 @@ def test_pair_loop_matches_array_loop_and_reference(rhs, kwargs, status):
         assert ref.t.size < samples.size
 
 
+@pytest.mark.parametrize("form", ["vector", "ensemble", "pair"])
+def test_start_far_from_zero_stops_on_step_underflow(form):
+    # from t0 = -1e17 a step of 1e-2 gives t + h == t: the step floor must
+    # cover |t0| as well as |t_end|, or the loop never returns
+    def rhs(t, y):
+        return np.stack([y[..., 1], -y[..., 0]], axis=-1)
+
+    y0, samples = np.array([1.0, 0.0]), np.linspace(-1e17, 1.0, 11)
+    with deadline(1.0):
+        if form == "ensemble":
+            got = solve_to_samples(rhs, y0[None], samples, 1e-10, 1e-10).members[0]
+        elif form == "pair":
+            got = solve_to_samples(lambda t, y: (y[1], -y[0]), y0, samples, 1e-10, 1e-10,
+                                   pair=True)
+        else:
+            got = solve_to_samples(rhs, y0, samples, 1e-10, 1e-10)
+        ref, _ = assert_matches_reference(rhs, y0, samples, 1e-10, 1e-10)
+    assert got.status == ref.status == "step_underflow"
+    assert got.t.size == 1 and "underflowed at t = -1e+17" in got.message
+
+
 def test_pair_state_must_have_two_components():
     with pytest.raises(ValueError, match="two components"):
         solve_to_samples(lambda t, y: y, np.ones(3), np.array([0.0, 1.0]), 1e-8, 1e-8,
@@ -520,6 +542,26 @@ def check_rhs_closures(monkeypatch, rng, spec, ms, m_ats):
                            match=rf"\|psi'\| = 5\.000e-11 at s = {direction * s_tilde:.6g}$"):
             curve(s_tilde, arg(np.concatenate([z, w])))
     assert directions == {-1, 1}
+
+
+def test_degenerate_speed_reads_alike_in_both_curve_forms(monkeypatch):
+    # the array curve closure (two modes) and the pair closure (one mode)
+    # refuse the same speed psi' = 5e-11 at the same shift with one text
+    texts = set()
+    for spec in (Spectrum([1.0, 2.0]), Spectrum([1.3])):
+        u0 = SpectralVector(spec, [0.5] * spec.n)
+        u1 = SpectralVector(spec, [1.0] * spec.n)
+        calls = captured_solves(monkeypatch, [reparametrize], lambda: (
+            reparametrize.solve_trajectory_system(u0, u1, affine(1.0, 1.0), 1e-3,
+                                                  IntegratorConfig())
+        ))
+        curve = calls[0][0]
+        z = 0.25 * reparametrize.DEN_FLOOR / spec.lambdas
+        y = np.concatenate([z, np.full(spec.n, 1.0 / spec.n)])
+        with pytest.raises(reparametrize.ParametrizationError) as info:
+            curve(2.5e-4, tuple(y.tolist()) if spec.n == 1 else y)
+        texts.add(str(info.value))
+    assert texts == {"parametrization degenerates: |psi'| = 5.000e-11 at s = 0.00025"}
 
 
 @pytest.mark.parametrize("form", ["vector", "ensemble", "curve"])

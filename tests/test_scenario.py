@@ -17,6 +17,7 @@ from kirchhoff_spectral.cli import main
 from kirchhoff_spectral.errors import DomainError, ScenarioError
 from kirchhoff_spectral.functions import KINDS, RULES, antiderivative, modulus_inv_log
 from kirchhoff_spectral.scenario import load_config, run_scenario, validate_scenario
+from tests.conftest import deadline
 
 
 def write_config(tmp_path, payload, name="scenario.json"):
@@ -156,6 +157,15 @@ def test_seed_override_obeys_the_config_rule(tmp_path, seed):
         run_scenario(path, out_dir=tmp_path / "out", seed=seed)
     assert info.value.field == "seed"
     assert not (tmp_path / "out").exists()
+
+
+def test_start_far_from_zero_ends_on_step_underflow(tmp_path):
+    # from t_start = -1e17 every step of order 1 gives t + h == t
+    cfg = simulate_config(params={"t_start": -1e17, "t_end": 1.0})
+    with deadline(1.0):
+        manifest = run_scenario(cfg, out_dir=tmp_path / "out")
+    assert manifest.summary["ok"] is False
+    assert manifest.summary["status"] == "step_underflow"
 
 
 def test_error_record_written(tmp_path):
@@ -543,6 +553,11 @@ def conditions_config(**params):
         (simulate_config(task="invariants",
                          params={"t_end": 1.0, "pohozaev": {"a": 1.0, "b": 1.0, "c": 0}}),
          "params.pohozaev.c"),
+        # sample grids that float64 cannot keep strictly increasing
+        (simulate_config(params={"t_start": 0.5, "t_end": 0.5000000000000001}),
+         "params.t_end"),
+        (simulate_config(task="norms", params={"t_end": 5e-324, "r0": 1.0}),
+         "params.t_end"),
     ],
     ids=["seed_string", "t_end_string", "t_end_bool", "max_step_list",
          "family_kind", "family_values_empty", "family_values_string",
@@ -555,7 +570,7 @@ def conditions_config(**params):
          "family_values_inf", "pohozaev_b_inf", "dense_output_dt_tiny",
          "dense_output_dt_past_any_float", "dense_output_dt_1e9_samples",
          "per_decade_huge", "per_decade_over_cap", "family_unknown_key",
-         "pohozaev_unknown_key"],
+         "pohozaev_unknown_key", "t_end_one_ulp_past_t_start", "t_end_subnormal"],
 )
 def test_malformed_param_value_names_the_field(tmp_path, capsys, monkeypatch, cfg, field):
     monkeypatch.setattr(scenario, "evolve", refuse_to_evolve)
