@@ -200,7 +200,8 @@ def _initial_step(
     For an ensemble, ``y0`` and ``f0`` are flat with one row per entry of
     the boolean ``live`` mask.  The trial step and the guess are each the
     smallest over the live members, so one right-hand-side call serves all.
-    The live members' derivatives ``f0`` must be finite.
+    The live members' derivatives ``f0`` must be finite.  A trial step that
+    is NaN, or 0 from an overflowed RMS, is returned without the call.
     """
     rows = 1 if live is None else live.size
     members = range(1) if live is None else np.flatnonzero(live)
@@ -208,7 +209,8 @@ def _initial_step(
 
     def rms(x):
         x = x.reshape(rows, -1)
-        return [math.sqrt(float(np.mean(x[b] ** 2))) for b in members]
+        with np.errstate(over="ignore"):  # an overflowed RMS reads inf
+            return [math.sqrt(float(np.mean(x[b] ** 2))) for b in members]
 
     d0 = rms(y0 / scale)
     d1 = rms(f0 / scale)
@@ -220,6 +222,8 @@ def _initial_step(
     ]
     h0 = min((h for h in h0s if not math.isnan(h)), default=math.nan)
     h0 = min(h0, span)
+    if not h0 > 0.0:
+        return h0
     y1 = y0 + h0 * f0
     f1 = rhs(t0 + h0, y1)
     guesses = []
@@ -355,13 +359,16 @@ def solve_to_samples(
         live[which] = False
         k_rows[0, stopped] = 0.0
 
+    n_rhs = 0  # the stages' calls, and those counted here
+
     def derivative(t: float, y: np.ndarray) -> np.ndarray:
+        nonlocal n_rhs
+        n_rhs += 1
         f = np.array(rhs(t, y.reshape(shape)), dtype=float).reshape(-1)
         f.reshape(n_members, dim)[stopped] = 0.0
         return f
 
     k[0] = derivative(t, y)
-    n_rhs = 1
     stop(~np.isfinite(k_rows[0]).all(axis=1), "step_underflow", _NONFINITE.format(t=t), 1)
     guess = True  # at the start and after members stop on underflow
     abs_y = np.abs(y)
@@ -377,7 +384,6 @@ def solve_to_samples(
                 break
             h = min(_initial_step(derivative, t, y, k[0], t_end - t, rel_tol, abs_tol, live),
                     max_step)
-            n_rhs += 1
             grew_after_reject = False
             guess = False
 
@@ -460,8 +466,11 @@ def _solve_pair(rhs, y, samples, times, h_floor, rel_tol, abs_tol, max_step,
                 state_cap) -> IntegrationOutcome:
     """The pair loop of ``solve_to_samples``, given its float ``times`` and ``h_floor``."""
     t, t_end = times[0], times[-1]
+    n_rhs = 0  # the stages' calls, and those counted here
 
     def derivative(t: float, y: np.ndarray) -> np.ndarray:  # the array protocol
+        nonlocal n_rhs
+        n_rhs += 1
         return np.array(rhs(t, tuple(y.tolist())), dtype=float)
 
     k, buf, q = np.empty((9, 2)), np.empty(2), np.empty(2)
@@ -472,10 +481,9 @@ def _solve_pair(rhs, y, samples, times, h_floor, rel_tol, abs_tol, max_step,
     out = [(y0, y1)]
     status, message, n_accepted, n_rejected = "completed", "", 0, 0
     if not np.isfinite(k0).all():
-        return IntegrationOutcome(samples[:1].copy(), y[None], 0, 0, 1, "step_underflow",
+        return IntegrationOutcome(samples[:1].copy(), y[None], 0, 0, n_rhs, "step_underflow",
                                   _NONFINITE.format(t=t))
     h = min(_initial_step(derivative, t, y, k0, t_end - t, rel_tol, abs_tol), max_step)
-    n_rhs = 2  # k0 and the one call of _initial_step
     grew_after_reject = False
     ay0, ay1 = abs(y0), abs(y1)
 

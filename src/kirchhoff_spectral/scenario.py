@@ -59,11 +59,13 @@ from .reparametrize import (
     solve_parametrization,
     solve_trajectory_system,
 )
-from .spectrum import SpectralVector, Spectrum, basis_vector, power_spectrum, zero_vector
+from .spectrum import (
+    SpectralVector, Spectrum, a_half_norm_sq, basis_vector, power_spectrum, zero_vector,
+)
 from .spectral_gap import DEFAULT_R_PROBE, sum_decompose
 
 CONFIG_VERSION = 1
-REQUIRED = object()  # the default of a param that the config must give
+REQUIRED = object()  # the default of a key that the config must give
 S_MAX_SHARE = 0.95  # an absent s_max is this share of the time run's max |psi|
 # the most floats a config may ask the sample tables to hold, 128 MiB of
 # float64: samples x (2n + 1) (times, u and v) per trajectory, or a
@@ -72,11 +74,9 @@ S_MAX_SHARE = 0.95  # an absent s_max is this share of the time run's max |psi|
 # leave room for one sample row
 MAX_SAMPLE_FLOATS = 1 << 24
 GRID_ARRAYS = 8
-_TOP_KEYS = ("version", "name", "task", "seed", "spectrum", "data", "functions", "params",
-            "output_dir")
 # the forms of a spectrum or vector spec, each with the keys of its object as
-# (default, JSON type, rule or None) (None: its value is not an object); the
-# random form's seed defaults to the scenario's
+# in _Task.params (None: its value is not an object); the random form's seed
+# defaults to the scenario's
 _SPECTRUM_FORMS = {
     "explicit": None,
     "generator": {"count": (64, int, "positive"), "p": (1.0, float, None)},
@@ -98,6 +98,14 @@ _INTEGRATOR_PARAMS = {
     "abs_tol": (None, float, "positive"),
     "max_step": (None, float, "positive_or_inf"),
     "dense_output_dt": (None, float, "positive_or_inf"),
+}
+# the objects that _check_pohozaev and _check_family resolve, declared alike
+_POHOZAEV = {"a": (REQUIRED, float, "finite"), "b": (REQUIRED, float, "finite")}
+_FAMILY = {
+    "kind": ("m_offset", str, (("m_offset", "data_shift").__contains__,
+                               "must be 'm_offset' or 'data_shift'")),
+    "values": (REQUIRED, list, (bool, "needs a nonempty list")),
+    "mode_index": (0, int, None),
 }
 
 
@@ -164,14 +172,16 @@ def _field_errors(field: str):
         raise ScenarioError(str(exc), field=field) from exc
 
 
-_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", dict: "an object"}
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", dict: "an object",
+               list: "a list"}
 
 
-def _check_value(value, kind: type, field: str, rule: str | None = None):
+def _check_value(value, kind: type, field: str, rule=None):
     """``value``, checked for JSON type ``kind`` and ``rule``; a failure names ``field``.
 
-    A float may be written as an integer and comes back as a float; true and
-    false are not numbers, though Python counts them as ints.
+    ``rule`` names an entry of ``RULES`` or is a (holds, text) pair of its
+    own.  A float may be written as an integer and comes back as a float;
+    true and false are not numbers, though Python counts them as ints.
     """
     types = (int, float) if kind is float else kind
     _require(not isinstance(value, bool) and isinstance(value, types), field, value,
@@ -180,7 +190,7 @@ def _check_value(value, kind: type, field: str, rule: str | None = None):
         with _field_errors(field):
             value = float(value)
     if rule is not None:
-        holds, text = RULES[rule]
+        holds, text = RULES[rule] if isinstance(rule, str) else rule
         _require(holds(value), field, value, text)
     return value
 
@@ -199,6 +209,21 @@ def _check_keys(obj: dict, known, field: str) -> None:
                                 field=f"{field}.{key}" if field else str(key))
 
 
+def _fields(obj, table: dict, field: str) -> dict:
+    """Object ``obj`` with no keys but ``table``'s, each checked against its
+    (default or REQUIRED, JSON type, rule) there and absent ones filled with
+    the default; a failure names ``field.key``."""
+    _require(isinstance(obj, dict), field, obj, "must be an object")
+    _check_keys(obj, table, field)
+    filled = {}
+    for key, (default, kind, rule) in table.items():
+        name = f"{field}.{key}" if field else key
+        if key not in obj and default is REQUIRED:
+            raise ScenarioError("is required", field=name)
+        filled[key] = _check_value(obj[key], kind, name, rule) if key in obj else default
+    return filled
+
+
 def _form(spec: dict, forms: dict, field: str):
     """The one form ``spec`` gives, as (key, value); an object value comes back
     with its keys and values checked and its defaults filled in."""
@@ -211,10 +236,7 @@ def _form(spec: dict, forms: dict, field: str):
     if forms[key] is None:
         return key, value
     _require(isinstance(value, dict), field, value, f"{key!r} must be an object")
-    _check_keys(value, forms[key], f"{field}.{key}")
-    return key, {name: _check_value(value[name], kind, f"{field}.{key}.{name}", rule)
-                 if name in value else default
-                 for name, (default, kind, rule) in forms[key].items()}
+    return key, _fields(value, forms[key], f"{field}.{key}")
 
 
 def _numbers(values, field: str) -> np.ndarray:
@@ -223,9 +245,7 @@ def _numbers(values, field: str) -> np.ndarray:
     return np.array([_check_value(v, float, field) for v in values], dtype=float)
 
 
-def _build_spectrum(spec, field: str) -> Spectrum:
-    if not isinstance(spec, dict):
-        raise ScenarioError("must be an object", field=field)
+def _build_spectrum(spec: dict, field: str) -> Spectrum:
     form, body = _form(spec, _SPECTRUM_FORMS, field)
     if form == "explicit":
         body = _numbers(body, f"{field}.explicit")
@@ -278,34 +298,14 @@ def _build_function(spec, field: str) -> FunctionSpec:
 
 def validate_scenario(cfg: dict) -> Scenario:
     """Turn a parsed config into a validated scenario or raise ScenarioError."""
-    version = cfg.get("version")
-    _require(version == CONFIG_VERSION, "version", version, f"expected {CONFIG_VERSION}")
-    _check_keys(cfg, _TOP_KEYS, "")
-    name = cfg.get("name")
-    if not isinstance(name, str) or not name:
-        raise ScenarioError("a nonempty name is required", field="name")
-    # the default output directory is runs/<name>: it must not leave runs/
-    plain = Path(name).name == name and name != ".." and not set("\\\0") & set(name)
-    _require(plain, "name", name, "must be a single plain path component")
-    task = cfg.get("task")
-    _require(isinstance(task, str) and task in TASKS, "task", task,
-             f"must be one of {', '.join(TASKS)}")
-    seed = _check_value(cfg.get("seed", 0), int, "seed")
-    output_dir = cfg.get("output_dir")
-    if "output_dir" in cfg:
-        _check_value(output_dir, str, "output_dir")
-    spectrum = _build_spectrum(cfg.get("spectrum", {"generator": {}}), "spectrum")
-
-    data = cfg.get("data", {})
-    if not isinstance(data, dict):
-        raise ScenarioError("must be an object", field="data")
+    top = _fields(cfg, _TOP, "")
+    spectrum = _build_spectrum(top["spectrum"], "spectrum")
+    data = top["data"]
     _check_keys(data, ("u0", "u1"), "data")
-    u0 = _build_vector(data.get("u0"), spectrum, seed, "data.u0")
-    u1 = _build_vector(data.get("u1"), spectrum, seed + 1, "data.u1")
+    u0 = _build_vector(data.get("u0"), spectrum, top["seed"], "data.u0")
+    u1 = _build_vector(data.get("u1"), spectrum, top["seed"] + 1, "data.u1")
 
-    functions = cfg.get("functions", {})
-    if not isinstance(functions, dict):
-        raise ScenarioError("must be an object", field="functions")
+    functions = top["functions"]
     slots = {"m": None, "omega": None, "phi": None}
     _check_keys(functions, ("preset", *slots), "functions")
     preset = functions.get("preset")
@@ -322,42 +322,35 @@ def validate_scenario(cfg: dict) -> Scenario:
         with _field_errors("functions.m"):
             antiderivative(slots["m"])  # a weight kind has none, so it cannot be m
 
-    params = cfg.get("params", {})
-    if not isinstance(params, dict):
-        raise ScenarioError("must be an object", field="params")
-
-    entry = TASKS[task]
+    entry = TASKS[top["task"]]
     for slot in entry.functions:
         if slots[slot] is None:
             raise ScenarioError("task needs this function, inline or from a preset",
                                 field=f"functions.{slot}")
-    readable = {**entry.params, **_INTEGRATOR_PARAMS}
-    _check_keys(params, sorted(readable), "params")
-    filled = {}
-    for key, (default, kind, rule) in readable.items():
-        if key in params:
-            filled[key] = _check_value(params[key], kind, f"params.{key}", rule)
-        elif default is REQUIRED:
-            raise ScenarioError("task needs this parameter", field=f"params.{key}")
-        else:
-            filled[key] = default
-    sc = Scenario(
-        name=name,
-        spectrum=spectrum,
-        u0=u0,
-        u1=u1,
-        **slots,
-        task=task,
-        params=filled,
-        preset=str(preset) if preset is not None else None,
-        seed=seed,
-        output_dir=output_dir,
-    )
+    _check_data_finite(u0, u1, slots["m"] if "m" in entry.functions else None)
+    params = _fields(top["params"], {**entry.params, **_INTEGRATOR_PARAMS}, "params")
+    sc = Scenario(top["name"], spectrum, u0, u1, **slots, task=top["task"], params=params,
+                  preset=str(preset) if preset is not None else None, seed=top["seed"],
+                  output_dir=top["output_dir"])
     if entry.check is not None:
         entry.check(sc)
-    if "t_end" in filled:
+    if "t_end" in params:
         _check_sample_count(sc)
     return sc
+
+
+def _check_data_finite(u0: SpectralVector, u1: SpectralVector, m: FunctionSpec | None) -> None:
+    """sigma(u0), |u1|^2, |A^(1/2)u1|^2 and, given m, M(sigma(u0)) must be finite."""
+    with np.errstate(all="ignore"):  # each non-finite result is refused below
+        sigma0 = a_half_norm_sq(u0)
+        for field, text, value in (("data.u0", "sigma(u0) = |A^(1/2)u0|^2", sigma0),
+                                   ("data.u1", "|u1|^2", float(u1.components @ u1.components)),
+                                   ("data.u1", "|A^(1/2)u1|^2", a_half_norm_sq(u1))):
+            _require(math.isfinite(value), field, value, f"{text} must be finite")
+        if m is not None:
+            with _field_errors("data.u0"):
+                big_m = float(antiderivative(m)(sigma0))
+            _require(math.isfinite(big_m), "data.u0", big_m, "M(sigma(u0)) must be finite")
 
 
 def _check_sample_count(sc: Scenario) -> None:
@@ -484,17 +477,8 @@ def _task_conditions(sc: Scenario, cfg: IntegratorConfig):
     grid = default_sigma_grid(p["grid_lo"], p["grid_hi"], p["per_decade"])
     report = check_phi_condition(sc.omega, sc.phi, p["mode"], grid,
                                  slope_tol=p["slope_tol"])
-    payload = {
-        "mode": report.mode,
-        "lambda_estimate": report.lambda_estimate,
-        "worst_sigma": report.worst_sigma,
-        "passed": report.passed,
-        "samples": report.samples,
-        "trend_slope": report.trend_slope,
-        "omega": sc.omega.to_dict(),
-        "phi": sc.phi.to_dict(),
-        "preset": sc.preset,
-    }
+    payload = {**asdict(report), "omega": sc.omega.to_dict(), "phi": sc.phi.to_dict(),
+               "preset": sc.preset}
     return {"condition_report.json": payload}, {"passed": report.passed,
                                                 "lambda_estimate": report.lambda_estimate}
 
@@ -502,14 +486,7 @@ def _task_conditions(sc: Scenario, cfg: IntegratorConfig):
 def _task_uniqueness(sc: Scenario, cfg: IntegratorConfig):
     rep = uniqueness_condition(sc.u0, sc.u1, sc.m, sc.params["tol"])
     d1, d2 = psi_initial_derivatives(sc.u0, sc.u1, sc.m)
-    payload = {
-        "as1": rep.as1,
-        "as2": rep.as2,
-        "hp_main_holds": rep.hp_main_holds,
-        "tol": rep.tol,
-        "psi_prime0": d1,
-        "psi_second0": d2,
-    }
+    payload = {**asdict(rep), "psi_prime0": d1, "psi_second0": d2}
     return {"uniqueness_report.json": payload}, {"hp_main_holds": rep.hp_main_holds}
 
 
@@ -517,13 +494,9 @@ def _check_pohozaev(sc: Scenario) -> None:
     """Resolve params.pohozaev (else m's own, for m of that kind) to finite 'a' and 'b'."""
     poho = sc.params["pohozaev"]
     if poho is None and sc.m.kind == "pohozaev":
-        poho = sc.m.params
+        poho = dict(sc.m.params)
     if poho is not None:
-        _check_keys(poho, ("a", "b"), "params.pohozaev")
-        sc.params["pohozaev"] = {
-            key: _check_value(poho.get(key), float, f"params.pohozaev.{key}", "finite")
-            for key in ("a", "b")
-        }
+        sc.params["pohozaev"] = _fields(poho, _POHOZAEV, "params.pohozaev")
 
 
 def _task_invariants(sc: Scenario, cfg: IntegratorConfig):
@@ -622,19 +595,13 @@ def _task_reparametrize(sc: Scenario, cfg: IntegratorConfig):
 
 def _check_family(sc: Scenario) -> None:
     """Resolve params.family to its kind, finite values and mode_index."""
-    family = sc.params["family"]
-    _check_keys(family, ("kind", "values", "mode_index"), "params.family")
-    kind = family.get("kind", "m_offset")
-    _require(kind in ("m_offset", "data_shift"), "params.family.kind", kind,
-             "must be 'm_offset' or 'data_shift'")
-    values = family.get("values")
-    _require(isinstance(values, list) and len(values) > 0, "params.family.values", values,
-             "needs a nonempty list")
-    values = [_check_value(v, float, "params.family.values", "finite") for v in values]
-    idx = _check_value(family.get("mode_index", 0), int, "params.family.mode_index")
+    family = _fields(sc.params["family"], _FAMILY, "params.family")
+    family["values"] = [_check_value(v, float, "params.family.values", "finite")
+                        for v in family["values"]]
+    idx = family["mode_index"]
     _require(0 <= idx < sc.spectrum.n, "params.family.mode_index", idx,
              f"must lie in [0, {sc.spectrum.n})")
-    sc.params["family"] = {"kind": kind, "values": values, "mode_index": idx}
+    sc.params["family"] = family
 
 
 def _task_dependence(sc: Scenario, cfg: IntegratorConfig):
@@ -670,9 +637,8 @@ def _task_dependence(sc: Scenario, cfg: IntegratorConfig):
 class _Task:
     """A task's runner with the inputs it needs and the params it reads.
 
-    ``params`` maps each param to (default or REQUIRED, JSON type, rule):
-    ``float`` stands for any number and the rule names an entry of
-    ``RULES``, or is None for a string or an object.  ``check`` validates
+    ``params`` maps each param to (default or REQUIRED, JSON type, rule), as
+    _fields reads them: ``float`` stands for any number.  ``check`` validates
     what no single-param rule can, and may replace a param by its parsed form.
     """
 
@@ -720,6 +686,23 @@ TASKS = {
         "t_end": (1.0, float, "positive"),
         "family": ({"kind": "m_offset", "values": [0.25, 0.125, 0.0625]}, dict, None),
     }, _check_family),
+}
+
+
+# the top level of a config, declared as in _Task.params; the name is one plain
+# path component, so that runs/<name>, the default output directory, stays in runs/
+_TOP = {
+    "version": (REQUIRED, int, (CONFIG_VERSION.__eq__, f"expected {CONFIG_VERSION}")),
+    "name": (REQUIRED, str, (lambda s: s not in ("", "..") and Path(s).name == s
+                             and not set("\\\0") & set(s),
+                             "must be a single nonempty plain path component")),
+    "task": (REQUIRED, str, (TASKS.__contains__, f"must be one of {', '.join(TASKS)}")),
+    "seed": (0, int, None),
+    "spectrum": ({"generator": {}}, dict, None),
+    "data": ({}, dict, None),
+    "functions": ({}, dict, None),
+    "params": ({}, dict, None),
+    "output_dir": (None, str, None),
 }
 
 

@@ -199,66 +199,45 @@ def sum_decompose(
         (t1,), _ = _weighted_sums(c1, lam, alpha, w)
         return t0 <= rho and t1 <= rho
 
-    if not np.any(support):
-        zero0 = SpectralVector(spec, np.zeros(spec.n))
-        zero1 = SpectralVector(spec, np.zeros(spec.n))
-        base = max(spec.lambda_max, 1.0)
-        return Decomposition(
-            spectrum=spec,
-            u0_bar=zero0,
-            u1_bar=zero1,
-            u0_hat=zero0,
-            u1_hat=zero1,
-            s_values=(),
-            bar_bands=(),
-            hat_bands=(),
-            rho_bar=(base,),
-            rho_hat=(_ladder_up(base),),
-            alpha=alpha,
-            beta=beta,
-            phi=phi,
-        )
-
-    lam_sup = float(np.max(lam[support]))
-    lam_lo = float(np.min(lam[support]))
-    positive = lam[(lam > 0.0)]
-    ladder_seed = float(positive[0]) if positive.size else 1.0
-
-    s_values = [lam_lo]
-    while s_values[-1] <= lam_sup:
-        rho = s_values[-1]
-        if rho == 0.0:
-            # a zero eigenvalue carries data; close its band at the first
-            # positive eigenvalue (no tail condition is consumed at rho = 0)
-            s_values.append(ladder_seed)
-            continue
-        cand = _ladder_up(rho)
-        while not tails_ok(rho, cand):
-            cand = _ladder_up(cand)
-            if not math.isfinite(cand):
-                raise InsufficientDecayError(
-                    f"band search diverged above threshold {rho:g} at exponent "
-                    f"beta = {beta:g}"
-                )
-        s_values.append(cand)
-    # one trailing edge so the part owning the last band still has a
-    # following greedy bound and both threshold lists clear the spectrum
-    s_values.append(_ladder_up(s_values[-1]))
-
-    bar_mask, hat_mask, bar_bands, hat_bands = assign_bands(lam, support, s_values)
+    # a zero datum has no support, hence no edges and no bands; its
+    # thresholds start at max(lambda_max, 1)
+    s_values = []
+    if support.any():
+        lam_sup = float(np.max(lam[support]))
+        lam_lo = float(np.min(lam[support]))
+        positive = lam[(lam > 0.0)]
+        ladder_seed = float(positive[0]) if positive.size else 1.0
+        s_values = [lam_lo]
+        while s_values[-1] <= lam_sup:
+            rho = s_values[-1]
+            if rho == 0.0:
+                # a zero eigenvalue carries data; close its band at the first
+                # positive eigenvalue (no tail condition is consumed at rho = 0)
+                s_values.append(ladder_seed)
+                continue
+            cand = _ladder_up(rho)
+            while not tails_ok(rho, cand):
+                cand = _ladder_up(cand)
+                if not math.isfinite(cand):
+                    raise InsufficientDecayError(
+                        f"band search diverged above threshold {rho:g} at exponent "
+                        f"beta = {beta:g}"
+                    )
+            s_values.append(cand)
+        # one trailing edge so the part owning the last band still has a
+        # following greedy bound and both threshold lists clear the spectrum
+        s_values.append(_ladder_up(s_values[-1]))
+    last = s_values[-1] if s_values else max(spec.lambda_max, 1.0)
+    bar_mask, hat_mask, bar_bands, hat_bands = (
+        assign_bands(lam, support, s_values) if s_values else (support, support, (), ()))
 
     def part(mask: np.ndarray, comp: np.ndarray) -> SpectralVector:
         out = np.zeros(spec.n)
         out[mask] = comp[mask]
         return SpectralVector(spec, out)
 
-    rho_bar = tuple(hi for _, hi in bar_bands)
-    rho_hat = tuple(hi for _, hi in hat_bands)
-    if not rho_bar:
-        rho_bar = (s_values[-1],)
-    if not rho_hat:
-        hat_seed = max(rho_bar[-1], s_values[-1])
-        rho_hat = (_ladder_up(hat_seed),)
+    rho_bar = tuple(hi for _, hi in bar_bands) or (last,)
+    rho_hat = tuple(hi for _, hi in hat_bands) or (_ladder_up(max(rho_bar[-1], last)),)
 
     return Decomposition(
         spectrum=spec,

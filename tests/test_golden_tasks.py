@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from kirchhoff_spectral.scenario import run_scenario
+from tests.conftest import pin_note
 
 CONFIGS = Path(__file__).resolve().parent / "golden_tasks"
 
@@ -55,7 +56,9 @@ def test_every_config_has_golden_hashes():
     assert sorted(p.stem for p in CONFIGS.glob("*.json")) == sorted(GOLDEN)
 
 
+@pytest.mark.byte_pin
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_task_keeps_its_bytes(tmp_path, name):
     manifest = run_scenario(CONFIGS / f"{name}.json", out_dir=tmp_path)
-    assert {a["name"]: a["sha256"] for a in manifest.to_dict()["artifacts"]} == GOLDEN[name]
+    hashes = {a["name"]: a["sha256"] for a in manifest.to_dict()["artifacts"]}
+    assert hashes == GOLDEN[name], pin_note()

@@ -24,7 +24,7 @@ from kirchhoff_spectral import (
     table,
 )
 from kirchhoff_spectral.integrate import IntegrationOutcome, solve_to_samples
-from tests.conftest import deadline
+from tests.conftest import deadline, pin_note
 
 
 def test_harmonic_oscillator_closed_form():
@@ -450,6 +450,26 @@ def test_start_far_from_zero_stops_on_step_underflow(form):
         ref, _ = assert_matches_reference(rhs, y0, samples, 1e-10, 1e-10)
     assert got.status == ref.status == "step_underflow"
     assert got.t.size == 1 and "underflowed at t = -1e+17" in got.message
+
+
+@pytest.mark.parametrize("form", ["vector", "ensemble", "pair"])
+def test_overflowing_first_derivative_stops_on_step_underflow(form):
+    # the scaled RMS of y'(0) = (1e200, -0.3) overflows, so the first trial
+    # step is 0: the loop stops before a step, with only the first RHS call
+    def rhs(t, y):
+        return np.stack([y[..., 1], -y[..., 0]], axis=-1)
+
+    y0, samples = np.array([0.3, 1e200]), np.array([0.0, 1.0])
+    if form == "ensemble":
+        got = solve_to_samples(rhs, y0[None], samples, 1e-10, 1e-10).members[0]
+    elif form == "pair":
+        got = solve_to_samples(lambda t, y: (y[1], -y[0]), y0, samples, 1e-10, 1e-10,
+                               pair=True)
+    else:
+        got = solve_to_samples(rhs, y0, samples, 1e-10, 1e-10)
+    assert got.status == "step_underflow" and got.t.size == 1
+    assert got.message == integrate._UNDERFLOW.format(h=0.0, t=0.0)
+    assert (got.n_accepted, got.n_rejected, got.n_rhs) == (0, 0, 1)
 
 
 def test_pair_state_must_have_two_components():
@@ -901,6 +921,7 @@ def solver_path_runs():
     yield "curve_direct_modulus", curve
 
 
+@pytest.mark.byte_pin
 def test_solver_paths_keep_their_bytes():
     got = {}
     for name, run in solver_path_runs():
@@ -913,4 +934,4 @@ def test_solver_paths_keep_their_bytes():
         else:
             assert run.meta.status == "completed"
             got[name] = raw_sha256(run.t, run.u, run.v)
-    assert got == SOLVER_PATH_SHA256
+    assert got == SOLVER_PATH_SHA256, pin_note()

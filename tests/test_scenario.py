@@ -17,7 +17,7 @@ from kirchhoff_spectral.cli import main
 from kirchhoff_spectral.errors import DomainError, ScenarioError
 from kirchhoff_spectral.functions import KINDS, RULES, antiderivative, modulus_inv_log
 from kirchhoff_spectral.scenario import load_config, run_scenario, validate_scenario
-from tests.conftest import deadline
+from tests.conftest import deadline, pin_note
 
 
 def write_config(tmp_path, payload, name="scenario.json"):
@@ -119,6 +119,7 @@ def test_determinism_byte_identical(tmp_path):
     assert ma["scenario_hash"] == mb["scenario_hash"]
 
 
+@pytest.mark.byte_pin
 def test_bundled_scenarios_match_golden_hashes(tmp_path):
     # the bytes of every bundled scenario's artifacts are pinned, not only
     # reproducible within one run
@@ -128,7 +129,7 @@ def test_bundled_scenarios_match_golden_hashes(tmp_path):
     for path in sorted((root / "scenarios").glob("*.json")):
         manifest = run_scenario(path, out_dir=tmp_path / path.stem)
         hashes[path.stem] = {a["name"]: a["sha256"] for a in manifest.to_dict()["artifacts"]}
-    assert hashes == golden
+    assert hashes == golden, pin_note()
 
 
 def test_random_data_is_seeded(tmp_path):
@@ -884,10 +885,78 @@ def test_reparametrize_data_refused_before_run(tmp_path, monkeypatch, cfg, field
 
 @pytest.mark.parametrize("u0, u1", [
     ({"basis": {"index": 0, "amplitude": 1.0}}, "zero"),  # the bootstrap branch
-    ({"basis": {"index": 0, "amplitude": 1e300}}, "zero"),  # psi''(0) overflows
+    # psi''(0) = -2 m(sigma0)|A u0|^2 = -8 sigma0^2 overflows, while sigma0 = 1e154 and
+    # M(sigma0) = sigma0^2 / 2 stay finite, as validation requires
+    ({"basis": {"index": 1, "amplitude": 5e76}}, "zero"),
 ])
 def test_reparametrize_data_with_a_nonvanishing_derivative_validates(u0, u1):
     validate_scenario(reparametrize_config(u0, u1, {"kind": "power", "beta": 1.0}))
+
+
+def overflow_config(task, u0=(0.3, 0.1), u1=(0.3, 0.1), **params):
+    return simulate_config(spectrum={"explicit": [1.0, 2.0]}, task=task, params=params,
+                           data={"u0": {"explicit": list(u0)}, "u1": {"explicit": list(u1)}},
+                           functions={"preset": "table1_lipschitz"})
+
+
+@pytest.mark.parametrize("cfg, field", [
+    pytest.param(overflow_config("invariants", u1=(0.3, 1e200), t_end=1.0), "data.u1",
+                 id="invariants_u1"),
+    pytest.param(overflow_config("norms", u1=(0.3, 1.7e308), t_end=1.0), "data.u1",
+                 id="norms_u1"),
+    pytest.param(overflow_config("dependence", u0=(1e15, 0.1), u1=(-1e300, 0.2)), "data.u1",
+                 id="dependence_u1"),
+    pytest.param(overflow_config("uniqueness", u1=(0.3, 1e200)), "data.u1",
+                 id="uniqueness_u1"),
+    pytest.param(overflow_config("simulate", u0=(0.3, 1e200), t_end=1.0), "data.u0",
+                 id="simulate_u0"),
+    # M(sigma0) = sigma0^2 / 2 overflows where sigma0 = 4e200 does not
+    pytest.param(simulate_config(spectrum={"explicit": [1.0, 2.0]},
+                                 data={"u0": {"basis": {"index": 1, "amplitude": 1e100}},
+                                       "u1": "zero"}), "data.u0", id="big_m"),
+    # |u1|^2 overflows where |A^(1/2)u1|^2 = |u1|^2 / 4 does not
+    pytest.param(simulate_config(spectrum={"explicit": [0.5]},
+                                 data={"u0": "zero", "u1": {"explicit": [1.5e154]}}),
+                 "data.u1", id="u1_norm"),
+])
+def test_data_that_overflows_is_refused_before_run(tmp_path, monkeypatch, cfg, field):
+    monkeypatch.setattr(scenario, "evolve", refuse_to_evolve)
+    with pytest.raises(ScenarioError) as info:
+        validate_scenario(cfg)
+    assert info.value.field == field and "must be finite" in str(info.value)
+    with pytest.raises(ScenarioError) as info:
+        run_scenario(cfg, out_dir=tmp_path / "out")
+    assert info.value.field == field
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_version_must_be_the_integer_one(version):
+    # true == 1 and 1.0 == 1 in Python, but neither is the JSON integer 1
+    with pytest.raises(ScenarioError) as info:
+        validate_scenario(simulate_config(version=version))
+    assert info.value.field == "version"
+
+
+def without(key):
+    cfg = simulate_config()
+    del cfg[key]
+    return cfg
+
+
+@pytest.mark.parametrize("cfg, field", [
+    (without("version"), "version"),
+    (without("name"), "name"),
+    (without("task"), "task"),
+    (simulate_config(params={}), "params.t_end"),
+    (simulate_config(task="invariants", params={"t_end": 1.0, "pohozaev": {"a": 1.0}}),
+     "params.pohozaev.b"),
+    (dependence_config({"kind": "m_offset"}), "params.family.values"),
+], ids=["version", "name", "task", "param", "pohozaev", "family"])
+def test_missing_required_key_reads_alike_in_every_object(cfg, field):
+    with pytest.raises(ScenarioError) as info:
+        validate_scenario(cfg)
+    assert str(info.value) == f"{field}: is required"
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])

@@ -122,13 +122,17 @@ def test_band_edges_are_half_open():
 
 
 def test_decompose_zero_datum():
-    spec = power_spectrum(8)
-    dec = sum_decompose(
-        zero_vector(spec), zero_vector(spec), weight_power_log(1.0), 0.25, 2.0
-    )
-    assert np.all(dec.u0_bar.components == 0.0)
-    assert np.all(dec.u0_hat.components == 0.0)
-    assert dec.all_member()
+    # no edges and no bands; the thresholds start at max(lambda_max, 1)
+    for spec, base in [(power_spectrum(8), 8.0), (Spectrum([0.5]), 1.0)]:
+        dec = sum_decompose(
+            zero_vector(spec), zero_vector(spec), weight_power_log(1.0), 0.25, 2.0
+        )
+        assert np.all(dec.u0_bar.components == 0.0)
+        assert np.all(dec.u0_hat.components == 0.0)
+        assert dec.all_member()
+        assert dec.s_values == () and dec.bar_bands == () and dec.hat_bands == ()
+        assert dec.rho_bar == (base,)
+        assert dec.rho_hat == (base * math.sqrt(2.0),)
 
 
 @pytest.mark.parametrize("gamma,q", [(1.0, 1.0), (1.0, 2.0), (0.1, 2.0)])
