@@ -4,6 +4,7 @@ experiment."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -165,10 +166,10 @@ def uniqueness_condition(
     m: FunctionSpec,
     tol: float = DEFAULT_HP_MAIN_TOL,
 ) -> UniquenessReport:
+    """``hp_main_holds`` is false when as1 or as2 is not finite."""
     as1, as2 = uniqueness_quantities(u0, u1, m)
-    return UniquenessReport(
-        as1=as1, as2=as2, hp_main_holds=bool(abs(as1) + abs(as2) > tol), tol=tol
-    )
+    holds = math.isfinite(as1) and math.isfinite(as2) and abs(as1) + abs(as2) > tol
+    return UniquenessReport(as1=as1, as2=as2, hp_main_holds=bool(holds), tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -176,26 +177,19 @@ def uniqueness_condition(
 
 
 @dataclass(frozen=True)
-class DependenceEntry:
-    index: int
-    data_distance: float
-    m_distance: float
-    sup_deviation: float
-
-
-@dataclass(frozen=True)
 class DependenceReport:
-    """``status`` is the first integrator status, over the limit and then the
+    """Per family member, in order: the energy-space distance of its data
+    from the limit's, the sup distance of its m from the limit's on the
+    sigma grid, and the sup-in-time energy distance of the trajectories.
+    ``status`` is the first integrator status, over the limit and then the
     family, that is not "completed", else "completed"."""
 
-    entries: tuple
+    data_distances: np.ndarray
+    m_distances: np.ndarray
+    deviations: np.ndarray
     continuity_constants: tuple
     fitted_slope_vs_data: float
     status: str
-
-    @property
-    def deviations(self) -> np.ndarray:
-        return np.array([e.sup_deviation for e in self.entries])
 
 
 def energy_distance(
@@ -261,28 +255,20 @@ def continuous_dependence_study(
     statuses = [tr_lim.meta.status] + [trs[s].meta.status for s in slot_of]
     m_lim_vals = np.asarray(m_lim(sigma_grid), dtype=float)
 
-    entries = []
-    for idx, ((m_n, u0_n, u1_n), slot) in enumerate(zip(problems, slot_of)):
-        lam2 = u0_n.spectrum.lam2
+    data_distances, m_distances, deviations = np.empty((3, len(problems)))
+    for i, ((m_n, u0_n, u1_n), slot) in enumerate(zip(problems, slot_of)):
         du = u0_n.components - u0_lim.components
         dv = u1_n.components - u1_lim.components
-        data_dist = float(np.sqrt(lam2 @ du**2 + np.dot(dv, dv)))
-        m_dist = float(np.max(np.abs(np.asarray(m_n(sigma_grid)) - m_lim_vals)))
-        entries.append(
-            DependenceEntry(
-                index=idx,
-                data_distance=data_dist,
-                m_distance=m_dist,
-                sup_deviation=energy_distance(trs[slot], tr_lim),
-            )
-        )
+        data_distances[i] = np.sqrt(u0_n.spectrum.lam2 @ du**2 + np.dot(dv, dv))
+        m_distances[i] = np.max(np.abs(np.asarray(m_n(sigma_grid)) - m_lim_vals))
+        deviations[i] = energy_distance(trs[slot], tr_lim)
 
-    inputs = np.array([max(e.data_distance, e.m_distance) for e in entries])
-    devs = np.array([e.sup_deviation for e in entries])
-    slope = log_log_slope(inputs, devs)
+    inputs = np.array([max(d, m) for d, m in zip(data_distances, m_distances)])
     return DependenceReport(
-        entries=tuple(entries),
+        data_distances=data_distances,
+        m_distances=m_distances,
+        deviations=deviations,
         continuity_constants=tuple(constants),
-        fitted_slope_vs_data=slope,
+        fitted_slope_vs_data=log_log_slope(inputs, deviations),
         status=next((s for s in statuses if s != "completed"), "completed"),
     )

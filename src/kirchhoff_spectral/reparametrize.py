@@ -257,6 +257,21 @@ def _degenerate(den: float, s: float) -> ParametrizationError:
     return ParametrizationError(text)
 
 
+def curve_branch(d1: float, d2: float) -> tuple[str, int]:
+    """The curve solver's (branch, direction) for psi'(0) = d1, psi''(0) = d2.
+
+    "direct" with the sign of d1 when |d1| > ``HP_TOL``, else "bootstrap"
+    with the sign of d2 when |d2| > ``HP_TOL``; both within ``HP_TOL`` of 0
+    is refused, matching the limit of the two-step uniqueness argument.
+    """
+    if abs(d1) > HP_TOL:
+        return "direct", int(np.sign(d1))
+    if abs(d2) > HP_TOL:
+        return "bootstrap", int(np.sign(d2))
+    raise PreconditionError(f"psi'(0) = {d1:.6g} and psi''(0) = {d2:.6g} both vanish within "
+                            f"{HP_TOL:g}; the parametrization argument does not apply")
+
+
 def solve_trajectory_system(
     u0: SpectralVector,
     u1: SpectralVector,
@@ -266,52 +281,27 @@ def solve_trajectory_system(
 ) -> SCurve:
     """Integrate the curve system in the shift variable up to |psi| = s_max.
 
-    Requires psi'(0) != 0, or psi'(0) = 0 with psi''(0) != 0 (within
-    ``HP_TOL``); both vanishing is refused, matching the limit of the
-    two-step uniqueness argument.  In the second branch the solver first
-    follows the time dynamics until |psi'| exceeds the handoff threshold
-    ``HANDOFF_SCALE * (1 + |psi''(0)|)``, then continues in s.  Requires
-    0 < s_max < inf.
+    The branch and direction are ``curve_branch``'s.  On the bootstrap
+    branch the solver first follows the time dynamics until |psi'| exceeds
+    the handoff threshold ``HANDOFF_SCALE * (1 + |psi''(0)|)``, then
+    continues in s.  Requires 0 < s_max < inf.
     """
     spec = require_shared_spectrum(u0, u1)
     if not 0.0 < s_max < math.inf:  # or NaN
         raise PreconditionError("s_max must be positive and finite")
     d1, d2 = psi_initial_derivatives(u0, u1, m)
-    if abs(d1) <= HP_TOL and abs(d2) <= HP_TOL:
-        raise PreconditionError(
-            "both psi'(0) and psi''(0) vanish; the parametrization argument "
-            "does not apply"
-        )
-    direction = int(np.sign(d1)) if abs(d1) > HP_TOL else int(np.sign(d2))
+    branch, direction = curve_branch(d1, d2)
     sigma0 = a_half_norm_sq(u0)
-    lam = spec.lambdas
-    n = spec.n
+    lam, n = spec.lambdas, spec.n
     m_at = scalar_callable(m)
-    signed_lam = direction * lam  # exact: direction is +-1
-    out = np.empty(2 * n)  # filled and returned by every call
-    dz, dw = out[:n], out[n:]
-    zw = np.empty(n)
-    # den and -direction * coeff reach the ufuncs as 0-d arrays
-    den_0d, factor = np.empty(()), np.empty(())
-    multiply, divide = np.multiply, np.divide  # positional outputs, as in integrate
-    held = z = w = None  # the last argument and its halves, as in dynamics.evolve
 
     def rhs(s_tilde: float, y: np.ndarray) -> np.ndarray:
-        nonlocal held, z, w
-        if y is not held:
-            held, z, w = y, y[:n], y[n:]
-        den = 2.0 * float(lam.dot(multiply(z, w, zw)))
+        z, w = y[:n], y[n:]
+        den = 2.0 * float(lam.dot(z * w))
         if abs(den) < DEN_FLOOR:
             raise _degenerate(den, direction * s_tilde)
         coeff = m_at(direction * s_tilde + sigma0)
-        den_0d[()] = den
-        factor[()] = -direction * coeff
-        multiply(signed_lam, w, dz)  # direction * lam * w / den
-        divide(dz, den_0d, dz)
-        multiply(lam, factor, dw)  # -direction*coeff*lam*z/den
-        multiply(dw, z, dw)
-        divide(dw, den_0d, dw)
-        return out
+        return np.concatenate([direction * lam * w / den, lam * (-direction * coeff) * z / den])
 
     lam_0 = float(lam[0])
 
@@ -327,11 +317,9 @@ def solve_trajectory_system(
 
     # the s integration starts from the last row of a lead-in: the datum
     # itself on the direct branch, the time leg on the bootstrap branch
-    if abs(d1) > HP_TOL:
-        branch = "direct"
+    if branch == "direct":
         lead_s, lead_z, lead_w = np.zeros(1), (lam * u0.components)[None], u1.components[None]
     else:
-        branch = "bootstrap"
         lead_s, lead_z, lead_w = _bootstrap_leg(u0, u1, m, cfg, direction, abs(d2))
     s_start = float(lead_s[-1])
     if s_start >= s_max:
@@ -464,34 +452,27 @@ def reparametrization_check(tr: Trajectory, curve: SCurve) -> DeviationReport:
     """Compare a time trajectory against a curve at matching shift values.
 
     Interpolates the curve at s = direction * psi(t_i) and reports
-    |z - A^(1/2)u| + |w - u'| per sample.  The shift must be strictly
-    monotone over the compared window.
+    |z - A^(1/2)u| + |w - u'| per sample, over the leading strictly
+    increasing run of s that lies inside the curve's range: past a turn of
+    the shift the flow no longer follows the curve's branch.
     """
-    pt = psi_trace(tr)
-    s_t = curve.direction * pt.psi
-    inside = s_t <= float(curve.s[-1]) + 1e-15
-    idx = np.nonzero(inside)[0]
-    if idx.size < 2:
+    s_t = curve.direction * psi_trace(tr).psi
+    rise = s_t[: _monotone_prefix(s_t)]
+    k = int(np.count_nonzero(rise <= float(curve.s[-1]) + 1e-15))
+    if k < 2:
         raise ParametrizationError("fewer than two samples fall inside the curve range")
-    if np.any(np.diff(s_t[idx]) <= 0.0):
-        raise ParametrizationError("shift is not monotone on the compared window")
 
     # interpolate against v = sqrt(s), where the curve is smooth even at a
     # first-order vanishing of the speed; z and w share one spline build
     n = curve.z.shape[1]
     spline = not_a_knot_spline(np.sqrt(curve.s), np.hstack([curve.z, curve.w]))
     lam = tr.spectrum.lambdas
-    s_cmp = np.clip(s_t[idx], float(curve.s[0]), float(curve.s[-1]))
+    s_cmp = np.clip(s_t[:k], float(curve.s[0]), float(curve.s[-1]))
     zw = spline(np.sqrt(s_cmp))
-    dz = zw[:, :n] - tr.u[idx] * lam
-    dw = zw[:, n:] - tr.v[idx]
+    dz = zw[:, :n] - tr.u[:k] * lam
+    dw = zw[:, n:] - tr.v[:k]
     dev = np.sqrt(np.sum(dz**2, axis=1)) + np.sqrt(np.sum(dw**2, axis=1))
     worst = int(np.argmax(dev))
-    return DeviationReport(
-        t=tr.t[idx].copy(),
-        s=s_cmp,
-        deviations=dev,
-        max_deviation=float(dev[worst]),
-        worst_t=float(tr.t[idx][worst]),
-        n_compared=int(idx.size),
-    )
+    return DeviationReport(t=tr.t[:k].copy(), s=s_cmp, deviations=dev,
+                           max_deviation=float(dev[worst]), worst_t=float(tr.t[worst]),
+                           n_compared=k)

@@ -52,7 +52,8 @@ from .errors import ScenarioError
 from .functions import RULES, FunctionSpec, antiderivative, constant, offset
 from .presets import get_preset
 from .reparametrize import (
-    HP_TOL,
+    _monotone_prefix,
+    curve_branch,
     psi_initial_derivatives,
     psi_trace,
     reparametrization_check,
@@ -66,7 +67,7 @@ from .spectral_gap import DEFAULT_R_PROBE, sum_decompose
 
 CONFIG_VERSION = 1
 REQUIRED = object()  # the default of a key that the config must give
-S_MAX_SHARE = 0.95  # an absent s_max is this share of the time run's max |psi|
+S_MAX_SHARE = 0.95  # an absent s_max is this share of the shift where it first turns
 # the most floats a config may ask the sample tables to hold, 128 MiB of
 # float64: samples x (2n + 1) (times, u and v) per trajectory, or a
 # compatibility grid's points x GRID_ARRAYS, the grid-sized arrays
@@ -340,17 +341,20 @@ def validate_scenario(cfg: dict) -> Scenario:
 
 
 def _check_data_finite(u0: SpectralVector, u1: SpectralVector, m: FunctionSpec | None) -> None:
-    """sigma(u0), |u1|^2, |A^(1/2)u1|^2 and, given m, M(sigma(u0)) must be finite."""
+    """sigma(u0), |u1|^2, |A^(1/2)u1|^2 and, given m, M(sigma(u0)) and H must be finite."""
     with np.errstate(all="ignore"):  # each non-finite result is refused below
         sigma0 = a_half_norm_sq(u0)
+        u1_sq = float(u1.components @ u1.components)
         for field, text, value in (("data.u0", "sigma(u0) = |A^(1/2)u0|^2", sigma0),
-                                   ("data.u1", "|u1|^2", float(u1.components @ u1.components)),
+                                   ("data.u1", "|u1|^2", u1_sq),
                                    ("data.u1", "|A^(1/2)u1|^2", a_half_norm_sq(u1))):
             _require(math.isfinite(value), field, value, f"{text} must be finite")
         if m is not None:
             with _field_errors("data.u0"):
                 big_m = float(antiderivative(m)(sigma0))
             _require(math.isfinite(big_m), "data.u0", big_m, "M(sigma(u0)) must be finite")
+            _require(math.isfinite(u1_sq + big_m), "data", u1_sq + big_m,
+                     "H(u0, u1) = |u1|^2 + M(sigma(u0)) must be finite")
 
 
 def _check_sample_count(sc: Scenario) -> None:
@@ -487,7 +491,10 @@ def _task_uniqueness(sc: Scenario, cfg: IntegratorConfig):
     rep = uniqueness_condition(sc.u0, sc.u1, sc.m, sc.params["tol"])
     d1, d2 = psi_initial_derivatives(sc.u0, sc.u1, sc.m)
     payload = {**asdict(rep), "psi_prime0": d1, "psi_second0": d2}
-    return {"uniqueness_report.json": payload}, {"hp_main_holds": rep.hp_main_holds}
+    summary = {"hp_main_holds": rep.hp_main_holds}
+    if not np.isfinite([rep.as1, rep.as2]).all():  # the condition cannot be read
+        summary["status"] = "not_finite"
+    return {"uniqueness_report.json": payload}, summary
 
 
 def _check_pohozaev(sc: Scenario) -> None:
@@ -559,19 +566,19 @@ def _check_reparametrize(sc: Scenario) -> None:
              f"leaves fewer than two sample intervals up to t_end = {p['t_end']!r}")
     with _field_errors("functions.m"), np.errstate(over="ignore", invalid="ignore"):
         d1, d2 = psi_initial_derivatives(sc.u0, sc.u1, sc.m)
-    _require(not (abs(d1) <= HP_TOL and abs(d2) <= HP_TOL), "data", (d1, d2),
-             f"gives psi'(0) and psi''(0) both within {HP_TOL:g} of 0, where the "
-             f"parametrization argument does not apply")
+    with _field_errors("data"):
+        curve_branch(d1, d2)
 
 
 def _task_reparametrize(sc: Scenario, cfg: IntegratorConfig):
     t_end = sc.params["t_end"]
-    state = SpectralState(t=0.0, u=sc.u0, v=sc.u1)
-    tr = evolve(state, sc.m, cfg, t_end)
+    tr = evolve(SpectralState(t=0.0, u=sc.u0, v=sc.u1), sc.m, cfg, t_end)
     pt = psi_trace(tr)
     s_max = sc.params["s_max"]
-    if s_max is None:
-        s_max = S_MAX_SHARE * float(np.max(np.abs(pt.psi)))
+    if s_max is None:  # past the shift's first turn the flow leaves the curve
+        _, direction = curve_branch(*psi_initial_derivatives(sc.u0, sc.u1, sc.m))
+        rise = direction * pt.psi
+        s_max = S_MAX_SHARE * float(rise[_monotone_prefix(rise) - 1])
     curve = solve_trajectory_system(sc.u0, sc.u1, sc.m, s_max, cfg)
     recovered = solve_parametrization(curve, t_end, cfg)
     check = reparametrization_check(tr, curve)
@@ -622,8 +629,8 @@ def _task_dependence(sc: Scenario, cfg: IntegratorConfig):
         "values": values,
         "kind": kind,
         "deviations": report.deviations,
-        "data_distances": [e.data_distance for e in report.entries],
-        "m_distances": [e.m_distance for e in report.entries],
+        "data_distances": report.data_distances,
+        "m_distances": report.m_distances,
         "continuity_constants": list(report.continuity_constants),
         "fitted_slope_vs_input": report.fitted_slope_vs_data,
     }

@@ -174,6 +174,10 @@ def test_uniqueness_examples():
     assert rep.as1 == 0.0 and rep.as2 == 0.0
     assert not rep.hp_main_holds
 
+    # m(sigma0)|A u0|^2 = 4e308 overflows: a condition on -inf is not read as holding
+    rep = uniqueness_condition(basis_vector(spec, 1, 5e76), zero_vector(spec), power(1.0))
+    assert rep.as2 == -math.inf and not rep.hp_main_holds
+
 
 def test_uniqueness_permutation_invariance():
     rng = np.random.default_rng(8)
@@ -246,6 +250,9 @@ def test_dependence_runs_one_ensemble(tight_cfg, monkeypatch):
     assert calls == [3]
     devs = rep.deviations
     assert devs[0] == devs[2] and devs[3] == 0.0
+    # one entry per problem, in order, in each of the report's arrays
+    assert np.allclose(rep.m_distances, [0.25, 0.125, 0.25, 0.0], rtol=0.0, atol=1e-12)
+    assert np.array_equal(rep.data_distances, np.zeros(4))
     assert devs[0] > devs[1] > 0.0
     tr_lim = real_evolve(SpectralState(t=0.0, u=u0, v=u1), limit[0], tight_cfg, 1.0)
     for dev, (m, _, _) in zip(devs, (near, nearer)):

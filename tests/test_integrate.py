@@ -158,15 +158,18 @@ def reference_solve(rhs, y0, samples, rel_tol, abs_tol, max_step=math.inf,
     t_end = float(samples[-1])
     y = np.array(y0, dtype=float)
     dim = y.size
-    if pair:
-        rhs = as_array_rhs(rhs)
+    given = as_array_rhs(rhs) if pair else rhs
+    n_rhs = 0
+
+    def rhs(t, y):  # counts every call, the first-step guess's included
+        nonlocal n_rhs
+        n_rhs += 1
+        return given(t, y)
 
     f = np.array(rhs(t, y))  # rhs may return the same buffer on every call
-    n_rhs = 1
     if not np.isfinite(f).all():
         return IntegrationOutcome(samples[:1], y[None], 0, 0, n_rhs, "step_underflow"), 0
     h = min(integrate._initial_step(rhs, t, y, f, t_end - t, rel_tol, abs_tol), max_step)
-    n_rhs += 1
 
     k = np.empty((9, dim))
     out = np.empty((samples.size, dim))
@@ -182,14 +185,13 @@ def reference_solve(rhs, y0, samples, rel_tol, abs_tol, max_step=math.inf,
     while si < samples.size:
         target = float(samples[si])
         h_try = min(h, target - t)
-        if h_try < h_floor_scale:
+        if not h_try >= h_floor_scale:  # or NaN
             status = "step_underflow"
             break
 
         k[0] = f
         for i in range(1, 9):
             k[i] = rhs(t + _C_REF[i] * h_try, y + h_try * (_A_REF[i, :i] @ k[:i]))
-        n_rhs += 8
         y_new = y + h_try * (integrate._B @ k)
         err_vec = h_try * (integrate._E @ k)
         scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
@@ -239,8 +241,13 @@ def reference_solve(rhs, y0, samples, rel_tol, abs_tol, max_step=math.inf,
 
 
 def assert_matches_reference(rhs, y0, samples, *args, **kwargs):
-    """Compare with the reference loop; return its outcome and late rejects."""
+    """Compare with the reference loop; return its outcome and late rejects.
+
+    A (1, d) ``y0`` is an ensemble of one, whose member must match.
+    """
     got = solve_to_samples(rhs, y0, samples, *args, **kwargs)
+    if got.members:
+        (got,), y0 = got.members, y0[0]
     ref, late_rejects = reference_solve(rhs, y0, samples, *args, **kwargs)
     assert np.array_equal(got.t, ref.t)
     assert np.array_equal(got.y, ref.y)
@@ -368,10 +375,15 @@ def test_reference_linear_system():
                              **LINEAR_TOLERANCES)
 
 
-@pytest.mark.parametrize("u1, branch", [([1.0], "direct"), ([0.0], "bootstrap")])
+@pytest.mark.parametrize("u1, branch", [
+    ([1.0], "direct"),
+    ([0.0], "bootstrap"),
+    # two modes, lambda = (1, 2), take the array closure
+    pytest.param([2.0, 0.0], "direct", id="two_modes"),
+])
 def test_reference_curve_system(monkeypatch, tight_cfg, u1, branch):
-    spec = Spectrum([1.0])
-    u0 = SpectralVector(spec, [1.0])
+    spec = Spectrum([1.0, 2.0][: len(u1)])
+    u0 = SpectralVector(spec, [1.0, 0.1][: len(u1)])
     u1 = SpectralVector(spec, u1)
     curves = []
     calls = captured_solves(
@@ -459,17 +471,16 @@ def test_overflowing_first_derivative_stops_on_step_underflow(form):
     def rhs(t, y):
         return np.stack([y[..., 1], -y[..., 0]], axis=-1)
 
-    y0, samples = np.array([0.3, 1e200]), np.array([0.0, 1.0])
+    y0, samples, kwargs = np.array([0.3, 1e200]), np.array([0.0, 1.0]), {}
     if form == "ensemble":
-        got = solve_to_samples(rhs, y0[None], samples, 1e-10, 1e-10).members[0]
+        y0 = y0[None]
     elif form == "pair":
-        got = solve_to_samples(lambda t, y: (y[1], -y[0]), y0, samples, 1e-10, 1e-10,
-                               pair=True)
-    else:
-        got = solve_to_samples(rhs, y0, samples, 1e-10, 1e-10)
-    assert got.status == "step_underflow" and got.t.size == 1
-    assert got.message == integrate._UNDERFLOW.format(h=0.0, t=0.0)
-    assert (got.n_accepted, got.n_rejected, got.n_rhs) == (0, 0, 1)
+        rhs, kwargs = (lambda t, y: (y[1], -y[0])), {"pair": True}
+    ref, _ = assert_matches_reference(rhs, y0, samples, 1e-10, 1e-10, **kwargs)
+    assert ref.status == "step_underflow" and ref.t.size == 1
+    assert (ref.n_accepted, ref.n_rejected, ref.n_rhs) == (0, 0, 1)
+    got = solve_to_samples(rhs, y0, samples, 1e-10, 1e-10, **kwargs)
+    assert (got.members or (got,))[0].message == integrate._UNDERFLOW.format(h=0.0, t=0.0)
 
 
 def test_pair_state_must_have_two_components():
@@ -500,9 +511,10 @@ def test_reference_state_cap_on_many_components(rhs, y0, samples, state_cap, sta
 
 
 def test_rhs_closures_match_the_allocating_expressions(monkeypatch):
-    # each closure fills a buffer with its scalars passed as 0-d arrays, or,
-    # for one mode, with Python floats; the result must equal the plain
-    # expression with Python floats, bit for bit
+    # evolve's closures fill a buffer with their scalars passed as 0-d
+    # arrays, or, for one mode, work on Python floats, as the curve's does;
+    # each result must equal the plain expression with Python floats, bit
+    # for bit
     rng = np.random.default_rng(5)
     ms = [affine(1.0, 1.0), power(2.0), pohozaev(1.0, 1.0)]
     m_ats = [functions.scalar_callable(m) for m in ms]
@@ -586,10 +598,11 @@ def test_degenerate_speed_reads_alike_in_both_curve_forms(monkeypatch):
 
 @pytest.mark.parametrize("form", ["vector", "ensemble", "curve"])
 def test_rhs_identity_cache_is_sound(monkeypatch, form):
-    # each closure slices its argument again only when ``y is not`` the last
-    # one; whatever it is passed, a call must give what a fresh closure gives
-    # on the same values.  Short-lived views recur at one address, so a
-    # cache keyed by id(y) would hand back the halves of a dead view.
+    # evolve's closures slice their argument again only when ``y is not``
+    # the last one, and the curve's on every call; whatever it is passed, a
+    # call must give what a fresh closure gives on the same values.
+    # Short-lived views recur at one address, so a cache keyed by id(y)
+    # would hand back the halves of a dead view.
     n = 4
     states = [normalized_state(n, seed) for seed in range(3)]
     m = affine(1.0, 1.0)

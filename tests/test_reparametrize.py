@@ -148,6 +148,23 @@ def test_refusal_when_both_derivatives_vanish(tight_cfg):
         solve_trajectory_system(u0, u1, constant(1.0), 0.5, tight_cfg)
 
 
+@pytest.mark.parametrize("d1, d2, expected", [
+    (2.0, -3.0, ("direct", 1)),
+    (-2e-10, 3.0, ("direct", -1)),
+    (1e-10, -3.0, ("bootstrap", -1)),
+    (0.0, math.inf, ("bootstrap", 1)),
+    (1e-10, -1e-10, None),
+    (math.nan, math.nan, None),
+])
+def test_curve_branch(d1, d2, expected):
+    # the first derivative decides when it clears HP_TOL, else the second
+    if expected is None:
+        with pytest.raises(PreconditionError, match="vanish"):
+            reparametrize.curve_branch(d1, d2)
+    else:
+        assert reparametrize.curve_branch(d1, d2) == expected
+
+
 def speed_curve(s, f):
     """A one-mode curve on lambda = 1 whose speed 2*z*w is f: z = 1, w = f/2."""
     return SCurve(spectrum=Spectrum([1.0]), s=s, z=np.ones((s.size, 1)),

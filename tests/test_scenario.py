@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -893,6 +894,51 @@ def test_reparametrize_data_with_a_nonvanishing_derivative_validates(u0, u1):
     validate_scenario(reparametrize_config(u0, u1, {"kind": "power", "beta": 1.0}))
 
 
+def test_uniqueness_on_quantities_that_overflow_is_not_ok(tmp_path):
+    # as2 = |A^(1/2)u1|^2 - m(sigma0)|A u0|^2 overflows to -inf, while sigma0 = 1e154
+    # and M(sigma0) stay finite
+    cfg = reparametrize_config({"basis": {"index": 1, "amplitude": 5e76}}, "zero",
+                               {"kind": "power", "beta": 1.0})
+    path = write_config(tmp_path, {**cfg, "task": "uniqueness"})
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    summary = json.loads((tmp_path / "out" / "manifest.json").read_text())["summary"]
+    assert summary["status"] == "not_finite" and summary["ok"] is False
+    assert summary["hp_main_holds"] is False
+    rep = json.loads((tmp_path / "out" / "uniqueness_report.json").read_text())
+    assert rep["as2"] == "-inf" and rep["hp_main_holds"] is False
+
+
+# lambda = (1, 2), m = 1 + sigma, u0 = (1, 0.5), u1 = (1, 0): the shift rises
+# from psi = 0 and turns back before t = 0.1
+TWO_MODE_TURN = simulate_config(
+    name="two_mode_turn", task="reparametrize", spectrum={"explicit": [1.0, 2.0]},
+    data={"u0": {"explicit": [1.0, 0.5]}, "u1": {"explicit": [1.0, 0.0]}},
+    functions={"m": {"kind": "affine", "a": 1.0, "b": 1.0}})
+GOLDEN_BOOTSTRAP = Path(__file__).resolve().parent / "golden_tasks" / \
+    "seeded_reparametrize_bootstrap.json"
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param({**TWO_MODE_TURN, "params": {"t_end": 0.1}}, id="two_modes_t0.1"),
+    pytest.param({**TWO_MODE_TURN, "params": {"t_end": 0.3}}, id="two_modes_t0.3"),
+    pytest.param({**load_config(GOLDEN_BOOTSTRAP), "params": {"t_end": 10.0}},
+                 id="bootstrap_t10"),
+])
+def test_reparametrize_past_the_shifts_first_turn(tmp_path, cfg):
+    # the default s_max lies below the shift's first turning value, and the
+    # check compares the samples of its first rise alone
+    manifest = run_scenario(cfg, out_dir=tmp_path)
+    assert manifest.summary["ok"] is True
+    rep = json.loads((tmp_path / "reparametrization_report.json").read_text())
+    psi = np.loadtxt(tmp_path / "psi_trace.csv", delimiter=",", skiprows=1)[:, 1]
+    rise = rep["direction"] * psi
+    turn = int(np.argmax(np.diff(rise) <= 0.0))
+    assert turn > 0 and rise[-1] < rise[turn]  # the run turns back
+    assert rep["n_compared"] <= turn + 1 and rep["max_deviation"] < 1e-6
+    s = np.loadtxt(tmp_path / "scurve.csv", delimiter=",", skiprows=1)[:, 0]
+    assert s[-1] == pytest.approx(0.95 * rise[turn], rel=1e-12)
+
+
 def overflow_config(task, u0=(0.3, 0.1), u1=(0.3, 0.1), **params):
     return simulate_config(spectrum={"explicit": [1.0, 2.0]}, task=task, params=params,
                            data={"u0": {"explicit": list(u0)}, "u1": {"explicit": list(u1)}},
@@ -918,6 +964,14 @@ def overflow_config(task, u0=(0.3, 0.1), u1=(0.3, 0.1), **params):
     pytest.param(simulate_config(spectrum={"explicit": [0.5]},
                                  data={"u0": "zero", "u1": {"explicit": [1.5e154]}}),
                  "data.u1", id="u1_norm"),
+    # |u1|^2 = 1.21e308 and M(sigma0) = 7.3e307 are finite, the energy H, their sum, is not
+    *(pytest.param(simulate_config(task=task, params=params,
+                                   data={"u0": {"explicit": [1.1e77]},
+                                         "u1": {"explicit": [1.1e154]}},
+                                   functions={"m": {"kind": "affine", "a": 1.0, "b": 1.0}}),
+                   "data", id=f"{task}_energy")
+      for task, params in (("invariants", {"t_end": 1.0}), ("simulate", {"t_end": 1.0}),
+                           ("dependence", {}), ("norms", {"t_end": 1.0}), ("uniqueness", {}))),
 ])
 def test_data_that_overflows_is_refused_before_run(tmp_path, monkeypatch, cfg, field):
     monkeypatch.setattr(scenario, "evolve", refuse_to_evolve)
