@@ -24,6 +24,7 @@ dropped.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import hashlib
 import json
@@ -205,3 +206,23 @@ def sha256_file(path) -> str:
 
 def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@functools.cache
+def blas_core() -> str:
+    """The OpenBLAS core that numpy's BLAS runs on, such as "SkylakeX", or "unknown".
+
+    The artifact bytes of a multi-mode run depend on it: OpenBLAS picks its
+    kernels per CPU when it loads, and OPENBLAS_CORETYPE overrides the pick.
+    numpy's wheel bundles OpenBLAS in numpy.libs; the core is read once per
+    process, on first use.
+    """
+    for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob(
+            "*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"

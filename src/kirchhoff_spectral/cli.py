@@ -20,10 +20,6 @@ def _add_run(sub):
     p.add_argument("--out-dir", default=None,
                    help="output directory (per-scenario subdirectory when "
                         "running several configs)")
-    p.add_argument("--tolerance-scale", type=float, default=1.0,
-                   help="multiply integrator tolerances by this factor")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the scenario seed for randomized data")
     p.add_argument("--jobs", type=int, default=1,
                    help="run configs in parallel with this many workers")
 
@@ -34,10 +30,9 @@ def _run_one(job):
     Any failure is caught here, so one bad config never ends the batch.  The
     error travels as text, because not every exception survives pickling.
     """
-    config, out_dir, tol_scale, seed = job
+    config, out_dir = job
     try:
-        manifest = run_scenario(config, out_dir=out_dir,
-                                tolerance_scale=tol_scale, seed=seed)
+        manifest = run_scenario(config, out_dir=out_dir)
     except Exception as exc:
         return config, None, f"{type(exc).__name__}: {exc}"
     return config, manifest, None
@@ -65,7 +60,7 @@ def _cmd_run(args) -> int:
         out_dir = args.out_dir
         if out_dir is not None and multi:
             out_dir = str(Path(out_dir) / Path(config).stem)
-        jobs.append((config, out_dir, args.tolerance_scale, args.seed))
+        jobs.append((config, out_dir))
     if args.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             failures = _report(pool.map(_run_one, jobs))

@@ -324,8 +324,7 @@ def solve_trajectory_system(
     s_start = float(lead_s[-1])
     if s_start >= s_max:
         raise PreconditionError(
-            f"s_max = {s_max:g} lies inside the bootstrap leg "
-            f"(handoff at {s_start:g}); increase s_max"
+            f"s_max = {s_max:g} lies inside the bootstrap leg (handoff at {s_start:g})"
         )
 
     # sample uniformly in sqrt(s): the curve components are smooth functions

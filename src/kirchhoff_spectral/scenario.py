@@ -31,7 +31,7 @@ from .analysis import (
     scale_norm_trace,
     uniqueness_condition,
 )
-from .artifacts import dump_json, sha256_text, write_csv, write_json
+from .artifacts import blas_core, dump_json, sha256_text, write_csv, write_json
 from .conditions import (
     DEFAULT_PER_DECADE, DEFAULT_SLOPE_TOL, MIN_GRID_POINTS, SIGMA_SPAN, SPAN_SLACK,
     check_phi_condition, default_sigma_grid, sigma_grid_size,
@@ -48,7 +48,7 @@ from .dynamics import (
     sample_grid,
     sample_intervals,
 )
-from .errors import ScenarioError
+from .errors import PreconditionError, ScenarioError
 from .functions import RULES, FunctionSpec, antiderivative, constant, offset
 from .presets import get_preset
 from .reparametrize import (
@@ -130,6 +130,8 @@ class Scenario:
 class RunManifest:
     scenario_hash: str
     tool_version: str
+    numpy_version: str  # with blas_core, what the artifact bytes also depend on
+    blas_core: str
     wall_time_s: float
     artifacts: tuple
     summary: dict
@@ -376,18 +378,10 @@ def _check_sample_count(sc: Scenario) -> None:
              f"sample intervals in float64")
 
 
-def _integrator_config(params: dict, tolerance_scale: float) -> IntegratorConfig:
-    """IntegratorConfig's defaults overridden by the params, tolerances scaled."""
+def _integrator_config(params: dict) -> IntegratorConfig:
+    """IntegratorConfig's defaults overridden by the params."""
     given = {k: params[k] for k in _INTEGRATOR_PARAMS if params[k] is not None}
-    cfg = replace(IntegratorConfig(), **given)
-    scaled = {}
-    for key in ("rel_tol", "abs_tol"):
-        tol = getattr(cfg, key)
-        scaled[key] = tol * tolerance_scale
-        _require(0.0 < scaled[key] < math.inf, "tolerance_scale", tolerance_scale,
-                 f"scales {key} = {tol!r} to {scaled[key]!r}, which must be positive "
-                 f"and finite")
-    return replace(cfg, **scaled)
+    return replace(IntegratorConfig(), **given)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +573,13 @@ def _task_reparametrize(sc: Scenario, cfg: IntegratorConfig):
         _, direction = curve_branch(*psi_initial_derivatives(sc.u0, sc.u1, sc.m))
         rise = direction * pt.psi
         s_max = S_MAX_SHARE * float(rise[_monotone_prefix(rise) - 1])
-    curve = solve_trajectory_system(sc.u0, sc.u1, sc.m, s_max, cfg)
+    try:
+        curve = solve_trajectory_system(sc.u0, sc.u1, sc.m, s_max, cfg)
+    except PreconditionError as exc:  # s_max lies inside the bootstrap leg
+        if sc.params["s_max"] is not None:
+            raise ScenarioError(f"{exc}; increase s_max", field="params.s_max") from exc
+        raise ScenarioError(f"{exc}; increase t_end, up to which the default s_max is "
+                            f"{S_MAX_SHARE} of the shift's rise", field="params.t_end") from exc
     recovered = solve_parametrization(curve, t_end, cfg)
     check = reparametrization_check(tr, curve)
     payload = {
@@ -717,27 +717,18 @@ _TOP = {
 # runner
 
 
-def run_scenario(
-    config,
-    out_dir=None,
-    tolerance_scale: float = 1.0,
-    seed: int | None = None,
-) -> RunManifest:
+def run_scenario(config, out_dir=None) -> RunManifest:
     """Execute one scenario and write its artifacts plus manifest.json.
 
-    ``config`` is a path or an already-parsed dict.  A failure of the task or
-    of a write leaves a machine-readable error.json in the output directory
-    before the exception propagates; an invalid config, ``tolerance_scale`` or
-    ``seed`` (which obeys the config's own ``seed`` rule) is refused before the
-    directory is made.
+    ``config`` is a path or an already-parsed dict; with the tool version it
+    is the run's only input, and ``scenario_hash`` hashes it as read.  A
+    failure of the task or of a write leaves a machine-readable error.json in
+    the output directory before the exception propagates; an invalid config
+    is refused before the directory is made.
     """
-    _require(0.0 < tolerance_scale < math.inf, "tolerance_scale", tolerance_scale,
-             "must be positive and finite")
-    cfg_dict = load_config(config) if not isinstance(config, dict) else dict(config)
-    if seed is not None:
-        cfg_dict["seed"] = seed
+    cfg_dict = config if isinstance(config, dict) else load_config(config)
     sc = validate_scenario(cfg_dict)
-    icfg = _integrator_config(sc.params, tolerance_scale)
+    icfg = _integrator_config(sc.params)
 
     if out_dir is None:
         out_dir = sc.output_dir if sc.output_dir is not None else Path("runs") / sc.name
@@ -781,6 +772,8 @@ def run_scenario(
     manifest = RunManifest(
         scenario_hash=scenario_hash,
         tool_version=__version__,
+        numpy_version=np.__version__,
+        blas_core=blas_core(),
         wall_time_s=wall,
         artifacts=tuple(entries),
         summary={"ok": ok, "task": sc.task, "name": sc.name, **summary},

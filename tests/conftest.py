@@ -1,12 +1,11 @@
-import ctypes
 import signal
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kirchhoff_spectral import IntegratorConfig, Spectrum, SpectralVector, Trajectory
+from kirchhoff_spectral.artifacts import blas_core
 
 
 @pytest.fixture
@@ -56,23 +55,6 @@ def deadline(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
-
-
-def blas_core() -> str:
-    """The OpenBLAS core that numpy's BLAS runs on, such as "SkylakeX", or "unknown".
-
-    OpenBLAS picks its kernels per CPU when it loads, and OPENBLAS_CORETYPE
-    overrides the pick; numpy's wheel bundles it in numpy.libs.
-    """
-    for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob(
-            "*openblas*")):
-        try:
-            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        return corename().decode()
-    return "unknown"
 
 
 def pin_note() -> str:

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kirchhoff_spectral import scenario
+from kirchhoff_spectral.artifacts import blas_core, dump_json, sha256_text
 from kirchhoff_spectral.cli import main
 from kirchhoff_spectral.errors import DomainError, ScenarioError
 from kirchhoff_spectral.functions import KINDS, RULES, antiderivative, modulus_inv_log
@@ -146,19 +147,35 @@ def test_random_data_is_seeded(tmp_path):
         a["sha256"] for a in m2.to_dict()["artifacts"]
     ]
     # a different seed changes the data, or the run is not seeded at all
-    m3 = run_scenario(path, out_dir=tmp_path / "c", seed=43)
+    m3 = run_scenario({**cfg, "seed": 43}, out_dir=tmp_path / "c")
     assert [a["sha256"] for a in m1.to_dict()["artifacts"]] != [
         a["sha256"] for a in m3.to_dict()["artifacts"]
     ]
+    assert m3.scenario_hash != m1.scenario_hash
 
 
-@pytest.mark.parametrize("seed", [1.5, True, "3", math.nan], ids=repr)
-def test_seed_override_obeys_the_config_rule(tmp_path, seed):
+def test_scenario_hash_tells_tolerances_apart(tmp_path):
+    # the config is the run's input, so a tolerance that changes the bytes
+    # changes the hash as well
+    tight = simulate_config(params={"t_end": 5.0, "rel_tol": 1e-10})
+    loose = simulate_config(params={"t_end": 5.0, "rel_tol": 1e-6})
+    m1 = run_scenario(tight, out_dir=tmp_path / "a")
+    m2 = run_scenario(loose, out_dir=tmp_path / "b")
+    assert m1.scenario_hash != m2.scenario_hash
+    assert m1.artifacts != m2.artifacts
+
+
+def test_scenario_hash_is_the_hash_of_the_config_as_read(tmp_path):
     path = write_config(tmp_path, simulate_config())
-    with pytest.raises(ScenarioError) as info:
-        run_scenario(path, out_dir=tmp_path / "out", seed=seed)
-    assert info.value.field == "seed"
-    assert not (tmp_path / "out").exists()
+    manifest = run_scenario(path, out_dir=tmp_path / "out")
+    assert manifest.scenario_hash == sha256_text(dump_json(load_config(path)))
+
+
+def test_manifest_records_numpy_and_the_blas_core(tmp_path):
+    run_scenario(simulate_config(), out_dir=tmp_path)
+    saved = json.loads((tmp_path / "manifest.json").read_text())
+    assert saved["numpy_version"] == np.__version__
+    assert saved["blas_core"] == blas_core() != ""
 
 
 def test_start_far_from_zero_ends_on_step_underflow(tmp_path):
@@ -335,6 +352,16 @@ def test_cli_validate_and_run(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
     assert main(["validate", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--tolerance-scale"])
+def test_cli_run_takes_no_override(tmp_path, capsys, flag):
+    # a run's inputs are its config and the tool; no flag changes what it computes
+    path = write_config(tmp_path, simulate_config())
+    with pytest.raises(SystemExit) as info:
+        main(["run", str(path), flag, "3", "--out-dir", str(tmp_path / "out")])
+    assert info.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_presets(capsys):
@@ -939,6 +966,21 @@ def test_reparametrize_past_the_shifts_first_turn(tmp_path, cfg):
     assert s[-1] == pytest.approx(0.95 * rise[turn], rel=1e-12)
 
 
+@pytest.mark.parametrize("params, field", [
+    ({"t_end": 1e-4}, "params.t_end"),
+    ({"t_end": 1.0, "s_max": 1e-9}, "params.s_max"),
+], ids=["default_s_max", "given_s_max"])
+def test_s_max_inside_the_bootstrap_leg_names_the_field(tmp_path, params, field):
+    # the handoff to the s variable lies near s = 2.1e-8; a short t_end puts
+    # the default s_max (6.97e-9 at t_end = 1e-4) below it
+    cfg = {**load_config(GOLDEN_BOOTSTRAP), "params": params}
+    validate_scenario(cfg)
+    with pytest.raises(ScenarioError, match="inside the bootstrap leg") as info:
+        run_scenario(cfg, out_dir=tmp_path)
+    assert info.value.field == field
+    assert json.loads((tmp_path / "error.json").read_text())["error"] == "ScenarioError"
+
+
 def overflow_config(task, u0=(0.3, 0.1), u1=(0.3, 0.1), **params):
     return simulate_config(spectrum={"explicit": [1.0, 2.0]}, task=task, params=params,
                            data={"u0": {"explicit": list(u0)}, "u1": {"explicit": list(u1)}},
@@ -1011,26 +1053,6 @@ def test_missing_required_key_reads_alike_in_every_object(cfg, field):
     with pytest.raises(ScenarioError) as info:
         validate_scenario(cfg)
     assert str(info.value) == f"{field}: is required"
-
-
-@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
-def test_bad_tolerance_scale_refused_before_run(tmp_path, scale):
-    with pytest.raises(ScenarioError) as info:
-        run_scenario(simulate_config(), out_dir=tmp_path / "out", tolerance_scale=scale)
-    assert info.value.field == "tolerance_scale"
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("key, tol, scale", [("rel_tol", 1e300, 1e10),
-                                             ("abs_tol", 1e-300, 1e-30)])
-def test_scaled_tolerance_out_of_range_names_the_scale(tmp_path, key, tol, scale):
-    cfg = simulate_config(params={"t_end": 1.0, key: tol})
-    validate_scenario(cfg)
-    with pytest.raises(ScenarioError) as info:
-        run_scenario(cfg, out_dir=tmp_path / "out", tolerance_scale=scale)
-    assert info.value.field == "tolerance_scale"
-    assert key in str(info.value)
-    assert not (tmp_path / "out").exists()
 
 
 def test_sample_table_cap_boundary():
@@ -1174,7 +1196,7 @@ def test_task_runner_returns_its_artifacts_and_writes_nothing(tmp_path, monkeypa
     monkeypatch.setattr(scenario, "write_csv", refuse_to_write)
     monkeypatch.setattr(scenario, "write_json", refuse_to_write)
     sc = validate_scenario(task_config(task))
-    artifacts, summary = scenario.TASKS[task].run(sc, scenario._integrator_config(sc.params, 1.0))
+    artifacts, summary = scenario.TASKS[task].run(sc, scenario._integrator_config(sc.params))
     assert list(artifacts) == ARTIFACTS[task]
     for name, body in artifacts.items():
         if name.endswith(".json"):
