@@ -181,8 +181,8 @@ class DependenceReport:
     """Per family member, in order: the energy-space distance of its data
     from the limit's, the sup distance of its m from the limit's on the
     sigma grid, and the sup-in-time energy distance of the trajectories.
-    ``status`` is the first integrator status, over the limit and then the
-    family, that is not "completed", else "completed"."""
+    ``status`` is the integrator status of the one ensemble that runs the
+    limit and the family together."""
 
     data_distances: np.ndarray
     m_distances: np.ndarray
@@ -252,7 +252,6 @@ def continuous_dependence_study(
             f"integration failed for problem {slot_of.index(slot)}: {exc}"
         ) from exc
     tr_lim = trs[0]
-    statuses = [tr_lim.meta.status] + [trs[s].meta.status for s in slot_of]
     m_lim_vals = np.asarray(m_lim(sigma_grid), dtype=float)
 
     data_distances, m_distances, deviations = np.empty((3, len(problems)))
@@ -270,5 +269,5 @@ def continuous_dependence_study(
         deviations=deviations,
         continuity_constants=tuple(constants),
         fitted_slope_vs_data=log_log_slope(inputs, deviations),
-        status=next((s for s in statuses if s != "completed"), "completed"),
+        status=tr_lim.meta.status,
     )

@@ -160,13 +160,15 @@ def evolve(
 
     Equal-length sequences of states (on one spectrum, at one start time)
     and of nonlinearities run as one ensemble through one shared step loop
-    and give a list with one trajectory per member.  Each member has its
-    own status, drift and degenerate spans; the step counters in its meta
-    are the shared loop's.  An error raised for one member, a negative m,
-    an undefined antiderivative or any other failure of its m, carries its
-    index as ``member``.  A member's bits depend on its batch-mates and its
-    position, so two identical members need not match bit for bit; a
-    one-member ensemble matches the solo call bit for bit.
+    and give a list with one trajectory per member.  The ensemble is one
+    system: one member's blow-up or step underflow stops them all, so every
+    member carries the loop's one status, message, sample times and step
+    counters, with its own drift and degenerate spans.  An error raised for
+    one member, a negative m, an undefined antiderivative or any other
+    failure of its m, carries its index as ``member``.  A member's bits
+    depend on its batch-mates and its position, so two identical members
+    need not match bit for bit; a one-member ensemble matches the solo call
+    bit for bit.
 
     One array closure is the right-hand side of a solo (2n,) vector and of a
     (members, 2n) ensemble: sigma, the velocity copy and the -c * lam2 * u
@@ -273,8 +275,9 @@ def evolve(
         pair=pair,
     )
     done = []
-    for b, (r, m_b, big_m) in enumerate(zip(res.members or (res,), ms, big_ms)):
-        u_b, v_b = r.y[:, :n], r.y[:, n:]
+    for b, (m_b, big_m) in enumerate(zip(ms, big_ms)):
+        y_b = res.y if solo else res.y[:, b]
+        u_b, v_b = y_b[:, :n], y_b[:, n:]
         try:
             sigma = u_b**2 @ lam2
             c_series = np.asarray(m_b(sigma), dtype=float)
@@ -290,13 +293,13 @@ def evolve(
             n_accepted=res.n_accepted,
             n_rejected=res.n_rejected,
             n_rhs=res.n_rhs,
-            status=r.status,
-            message=r.message,
+            status=res.status,
+            message=res.message,
             lambda_max_span=spec.lambda_max * (t_end - first.t),
             hamiltonian_drift=drift,
-            degenerate_spans=_degenerate_spans(r.t, c_series),
+            degenerate_spans=_degenerate_spans(res.t, c_series),
         )
-        done.append(Trajectory(spectrum=spec, t=r.t, u=u_b, v=v_b, sigma=sigma,
+        done.append(Trajectory(spectrum=spec, t=res.t, u=u_b, v=v_b, sigma=sigma,
                                coefficient=c_series, meta=meta))
     return done[0] if solo else done
 

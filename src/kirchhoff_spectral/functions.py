@@ -269,15 +269,16 @@ def _antiderivative_affine(spec):
 
 def _eval_power(spec):
     q = spec.params["beta"]
-    if q >= 0.0:
-        return (lambda s: s**q) if q else (lambda s: 1.0)
 
-    def singular_at_0(s):
-        if np.any(s == 0.0):
+    def f(s):
+        if q < 0.0 and np.any(s == 0.0):
             raise DomainError("negative power is singular at sigma = 0")
-        return s**q
+        try:
+            return s**q
+        except OverflowError:  # a float's **; an array's reads inf, as here
+            return math.inf
 
-    return singular_at_0
+    return f if q else (lambda s: 1.0)
 
 
 def _antiderivative_power(spec):
@@ -289,16 +290,17 @@ def _antiderivative_power(spec):
 
 def _eval_pohozaev(spec):
     a, b = spec.params["a"], spec.params["b"]
-    if b >= 0.0:  # a > 0, so a + b*sigma > 0 for every sigma >= 0
-        return lambda s: (a + b * s) ** -2.0
 
-    def positive_below_a_over_b(s):
+    def f(s):
         den = a + b * s
-        if np.any(den <= 0.0):
+        if b < 0.0 and np.any(den <= 0.0):  # a > 0, so b >= 0 keeps den > 0
             raise DomainError("pohozaev nonlinearity needs a + b*sigma > 0")
-        return den**-2.0
+        try:
+            return den**-2.0
+        except OverflowError:  # a float's **; an array's reads inf, as here
+            return math.inf
 
-    return positive_below_a_over_b
+    return f
 
 
 def _antiderivative_pohozaev(spec):

@@ -55,22 +55,26 @@ changes the step sequence changes the bundled scenarios' artifact bytes.
 
 The solver never raises for suspected blow-up, step-size underflow or a
 non-finite derivative at the start: it returns the partial sample record
-with a status marker, so escape experiments can observe the escape.
+with a status marker, so escape experiments can observe the escape.  Both
+loops run under ``np.errstate(over="ignore", invalid="ignore")``, ``rhs``
+included: a non-finite stage fails the error test and a non-finite
+derivative at the start stops the loop, so numpy's warnings on the way
+there would only precede the honest status.
 
 There are two step loops, and ``solve_to_samples`` computes their sample
 times and step floor once.  The floor is 16 eps max(|t0|, |t_end|, 1): a
 smaller step may give t + h == t on the grid, so a start far from t = 0
 stops on ``step_underflow`` instead of stepping in place.  The array loop
 takes every state: an ensemble, a (B, d) initial state, runs B members
-with one shared step, and a vector state runs as an ensemble of one.  The
-stages are one flat (9, B*d) matrix, so each stage combination is one
-``dot``.  The error norm is the largest over the members of each member's
-RMS norm, so every member meets its own tolerance, and the first-step
-guess is the smallest over the members.  A member that stops is frozen
-with its own partial record and status while the others go on.  A
-member's bits depend on its batch-mates through the shared step and on its
-column position in the stage ``dot``; an ensemble of one matches the
-vector call bit for bit.
+as one system, and a vector state runs as an ensemble of one.  The stages
+are one flat (9, B*d) matrix, so each stage combination is one ``dot``.
+The error norm is the largest over the members of each member's RMS norm,
+so every member meets its own tolerance, and the first-step guess is the
+smallest over the members.  One member's blow-up, step underflow or
+non-finite first derivative stops the whole ensemble, with one status,
+message and sample count.  A member's bits depend on its batch-mates
+through the shared step and on its column position in the stage ``dot``;
+an ensemble of one matches the vector call bit for bit.
 
 The pair loop (``pair=True``) steps one two-component state on Python
 floats: the one-mode systems of ``dynamics.evolve`` and of the
@@ -165,10 +169,9 @@ _BLOW_UP = "state magnitude exceeded {cap:.3e} at t = {t:.6g}; suspected blow-up
 class IntegrationOutcome:
     """Sample record of one adaptive integration.
 
-    A vector state gives one record.  An ensemble's outcome carries the
-    shared loop's step counters and ``members``, one record per member with
-    its own samples, status and message; its own ``t`` and ``y`` are empty
-    and its ``status`` is ``"ensemble"``.
+    ``y`` holds one row per sample in ``t``: a vector state per row, or for
+    a (B, d) ensemble a (B, d) state, as a (samples, B, d) view.  An
+    ensemble is one system, with one status, message and sample count.
     """
 
     t: np.ndarray
@@ -176,9 +179,8 @@ class IntegrationOutcome:
     n_accepted: int
     n_rejected: int
     n_rhs: int
-    status: str  # "completed" | "blow_up" | "step_underflow" | "ensemble"
+    status: str  # "completed" | "blow_up" | "step_underflow"
     message: str = ""
-    members: tuple = ()
 
     @property
     def completed(self) -> bool:
@@ -193,35 +195,28 @@ def _initial_step(
     span: float,
     rel_tol: float,
     abs_tol: float,
-    live: np.ndarray | None = None,
+    members: int = 1,
 ) -> float:
     """Hairer-style first step guess h0, from one right-hand-side call.
 
-    For an ensemble, ``y0`` and ``f0`` are flat with one row per entry of
-    the boolean ``live`` mask.  The trial step and the guess are each the
-    smallest over the live members, so one right-hand-side call serves all.
-    The live members' derivatives ``f0`` must be finite.  A trial step that
-    is NaN, or 0 from an overflowed RMS, is returned without the call.
+    For an ensemble, ``y0`` and ``f0`` hold ``members`` equal rows.
+    The trial step and the guess are each the smallest over the members, so
+    one right-hand-side call serves all.  ``f0`` must be finite.  A trial
+    step that is NaN, or 0 from an overflowed RMS, is returned without the
+    call.
     """
-    rows = 1 if live is None else live.size
-    members = range(1) if live is None else np.flatnonzero(live)
     scale = abs_tol + rel_tol * np.abs(y0)
 
     def rms(x):
-        x = x.reshape(rows, -1)
         with np.errstate(over="ignore"):  # an overflowed RMS reads inf
-            return [math.sqrt(float(np.mean(x[b] ** 2))) for b in members]
+            return [math.sqrt(float(np.mean(row**2))) for row in x.reshape(members, -1)]
 
     d0 = rms(y0 / scale)
     d1 = rms(f0 / scale)
-    # a member with a NaN state sets no step for the others; if every
-    # member has one, the guess is NaN, which the step loop stops on
-    h0s = [
-        1e-6 * span if (a < 1e-5 or b < 1e-5) else 0.01 * a / b
-        for a, b in zip(d0, d1)
-    ]
-    h0 = min((h for h in h0s if not math.isnan(h)), default=math.nan)
-    h0 = min(h0, span)
+    # np.min: a NaN guess of any member is the NaN the step loop stops on
+    h0 = np.min([1e-6 * span if (a < 1e-5 or b < 1e-5) else 0.01 * a / b
+                 for a, b in zip(d0, d1)])
+    h0 = min(float(h0), span)
     if not h0 > 0.0:
         return h0
     y1 = y0 + h0 * f0
@@ -277,10 +272,9 @@ def solve_to_samples(
     positive and finite, a NaN or non-positive ``max_step`` and a NaN or
     negative ``state_cap`` raise ``ValueError`` before any ``rhs`` call.
 
-    A (B, d) ``y0`` is an ensemble of B members advanced with one shared
-    step; ``rhs`` then maps (B, d) states to (B, d) derivatives.  A member
-    that stops does so alone, with its own record and status in
-    ``members`` of the outcome.  ``rhs`` always receives the state in
+    A (B, d) ``y0`` is an ensemble of B members advanced as one system;
+    ``rhs`` then maps (B, d) states to (B, d) derivatives, and the outcome's
+    ``y`` is (samples, B, d).  ``rhs`` always receives the state in
     ``y0``'s shape, in a buffer the loop overwrites at the next stage, so it
     must not keep its argument's values; it may keep views of an argument
     it holds and reuse them while it is passed the same object.  It may
@@ -315,11 +309,20 @@ def solve_to_samples(
     t_end = times[-1]
     # the step floor of both loops: below it, t + h may round to t on the grid
     h_floor = 16.0 * np.finfo(float).eps * max(abs(t), abs(t_end), 1.0)
-    if pair:
-        if y.shape != (2,):
-            raise ValueError("a pair state is a vector of two components")
-        return _solve_pair(rhs, y, samples, times, h_floor, rel_tol, abs_tol, max_step,
-                           state_cap)
+    if pair and y.shape != (2,):
+        raise ValueError("a pair state is a vector of two components")
+    with np.errstate(over="ignore", invalid="ignore"):  # see the module docstring
+        if pair:
+            return _solve_pair(rhs, y, samples, times, h_floor, rel_tol, abs_tol,
+                               max_step, state_cap)
+        return _solve_array(rhs, y, samples, times, h_floor, rel_tol, abs_tol,
+                            max_step, state_cap)
+
+
+def _solve_array(rhs, y, samples, times, h_floor, rel_tol, abs_tol, max_step,
+                 state_cap) -> IntegrationOutcome:
+    """The array loop of ``solve_to_samples``, given its float ``times`` and ``h_floor``."""
+    t, t_end = times[0], times[-1]
     # the loop runs every state as an ensemble, a vector as one member, on
     # the flat (B*d,) vector; ``rhs`` sees views in the caller's shape
     shape = y.shape
@@ -328,89 +331,58 @@ def solve_to_samples(
 
     k = np.empty((9, y.size))
     k_in = k.reshape((9,) + shape)
-    k_rows = k.reshape(9, n_members, dim)
     buf = np.empty(y.size)
     # the state buffers' views in the caller's shape, made once; ``rhs``
     # gets one of these two objects, and they swap with their buffers
     y_in, stage = y.reshape(shape), buf.reshape(shape)
-    # (node, row of A, stages it combines, row it fills, that row per member)
-    stages = [(_C[i], _A[i - 1], k[:i], k_in[i], k_rows[i]) for i in range(1, 9)]
+    # (node, row of A, stages it combines, row it fills)
+    stages = [(_C[i], _A[i - 1], k[:i], k_in[i]) for i in range(1, 9)]
     q = np.empty(y.size)
     q_rows = q.reshape(n_members, dim)
     # the candidate's magnitude and the error scale; an accepted step swaps
     # the first with abs_y, as it swaps buf, the candidate, with y
     abs_new, scale = np.empty(y.size), np.empty(y.size)
-    err2 = np.zeros(n_members)  # each member's squared error sum, last attempt
+    err2 = np.empty(n_members)  # each member's squared error sum
     # the step and the tolerances reach the ufuncs as 0-d arrays
     hs, rel, tol = np.empty(()), np.array(float(rel_tol)), np.array(float(abs_tol))
     multiply, add, divide, absolute = np.multiply, np.add, np.divide, np.absolute
-
-    live = np.ones(n_members, dtype=bool)
-    status = ["completed"] * n_members
-    message = [""] * n_members
-    reached = [samples.size] * n_members
-    stopped = []  # frozen members: their derivative rows read zero
-
-    def stop(which: np.ndarray, why: str, text: str, si: int) -> None:
-        """Freeze the members in ``which`` with their record so far."""
-        for b in np.flatnonzero(which):
-            status[b], message[b], reached[b] = why, text, si
-            stopped.append(b)
-        live[which] = False
-        k_rows[0, stopped] = 0.0
-
     n_rhs = 0  # the stages' calls, and those counted here
 
     def derivative(t: float, y: np.ndarray) -> np.ndarray:
         nonlocal n_rhs
         n_rhs += 1
-        f = np.array(rhs(t, y.reshape(shape)), dtype=float).reshape(-1)
-        f.reshape(n_members, dim)[stopped] = 0.0
-        return f
+        return rhs(t, y)
 
-    k[0] = derivative(t, y)
-    stop(~np.isfinite(k_rows[0]).all(axis=1), "step_underflow", _NONFINITE.format(t=t), 1)
-    guess = True  # at the start and after members stop on underflow
+    k_in[0] = derivative(t, y_in)
+    if not np.isfinite(k[0]).all():
+        return IntegrationOutcome(samples[:1].copy(), y_in[None], 0, 0, n_rhs,
+                                  "step_underflow", _NONFINITE.format(t=t))
+    h = min(_initial_step(derivative, t, y_in, k_in[0], t_end - t, rel_tol, abs_tol,
+                          n_members), max_step)
+    grew_after_reject = False
     abs_y = np.abs(y)
     out = np.empty((samples.size, y.size))
     out[0] = y
     si = 1
     n_accepted = 0
     n_rejected = 0
+    status, message = "completed", ""
 
     while si < samples.size:
-        if guess:
-            if not live.any():
-                break
-            h = min(_initial_step(derivative, t, y, k[0], t_end - t, rel_tol, abs_tol, live),
-                    max_step)
-            grew_after_reject = False
-            guess = False
-
         target = times[si]
         h_try = min(h, target - t)
         if not h_try >= h_floor:  # or NaN
-            # a collapsed step stops the members whose error set it; a sample
-            # gap below the floor, or a NaN step, stops every member alike
-            stuck = live.copy()
-            if h < h_floor:
-                worst = np.where(np.isnan(err2), np.inf, err2)
-                worst[~live] = -np.inf
-                stuck = worst == worst.max()
-            stop(stuck, "step_underflow", _UNDERFLOW.format(h=h_try, t=t), si)
-            guess = True
-            continue
+            status, message = "step_underflow", _UNDERFLOW.format(h=h_try, t=t)
+            break
 
         # y + h * (a . k), evaluated as (a . k) * h + y: the same roundings;
         # the last stage's argument is the candidate state (see _B)
         hs[()] = h_try
-        for c_i, a_i, k_head, k_i, k_i_rows in stages:
+        for c_i, a_i, k_head, k_i in stages:
             a_i.dot(k_head, buf)
             multiply(buf, hs, buf)
             add(buf, y, buf)
             k_i[...] = rhs(t + c_i * h_try, stage)
-            if stopped:
-                k_i_rows[stopped] = 0.0
         n_rhs += 8
         absolute(buf, abs_new)
         np.maximum(abs_y, abs_new, out=scale)
@@ -441,25 +413,16 @@ def solve_to_samples(
             limit_growth = grew_after_reject  # no growth right after a reject
             grew_after_reject = False
             if state_cap is not None and abs_y[abs_y.argmax()] > state_cap:
-                over = abs_y.reshape(n_members, dim).max(axis=1) > state_cap
-                stop(live & over, "blow_up", _BLOW_UP.format(cap=state_cap, t=t), si)
-                if not live.any():
-                    break
+                status, message = "blow_up", _BLOW_UP.format(cap=state_cap, t=t)
+                break
         else:
             n_rejected += 1
             grew_after_reject = True
             limit_growth = True
         h = _next_step(h_try, err, limit_growth, max_step)
 
-    rows = out.reshape(samples.size, n_members, dim)
-    counts = (n_accepted, n_rejected, n_rhs)
-    records = tuple(
-        IntegrationOutcome(samples[:r].copy(), rows[:r, b], *counts, status[b], message[b])
-        for b, r in enumerate(reached)
-    )
-    if len(shape) == 1:
-        return records[0]
-    return IntegrationOutcome(samples[:0], rows[:0], *counts, "ensemble", members=records)
+    return IntegrationOutcome(samples[:si].copy(), out.reshape((-1,) + shape)[:si],
+                              n_accepted, n_rejected, n_rhs, status, message)
 
 
 def _solve_pair(rhs, y, samples, times, h_floor, rel_tol, abs_tol, max_step,

@@ -91,13 +91,14 @@ def _radius_weights(phi: FunctionSpec | None, lam: np.ndarray, radii) -> np.ndar
     """radii * phi(lambda), with phi checked to be >= 1 on the spectrum."""
     if phi is None:
         raise PreconditionError("r > 0 needs a weight function")
-    w = np.asarray(phi(lam), dtype=float)
-    if np.any(w < 1.0):
-        k = int(np.argmax(w < 1.0))
-        raise InvalidWeightError(
-            f"weight phi evaluated below 1 at lambda = {lam[k]:g}"
-        )
+    # an infinite weight is an overflow the kernel reports by its mode
     with np.errstate(over="ignore"):
+        w = np.asarray(phi(lam), dtype=float)
+        if np.any(w < 1.0):
+            k = int(np.argmax(w < 1.0))
+            raise InvalidWeightError(
+                f"weight phi evaluated below 1 at lambda = {lam[k]:g}"
+            )
         return radii * w
 
 

@@ -69,8 +69,8 @@ def gm_membership(u: SpectralVector, p: GMParams) -> MembershipReport:
     """
     lam = u.spectrum.lambdas
     rhos = np.asarray(p.rhos)
-    phi_at = np.asarray(p.phi(lam), dtype=float)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an infinite weight makes an infinite tail
+        phi_at = np.asarray(p.phi(lam), dtype=float)
         # float64 scalar power: libm's pow, as Python's float power, but an
         # overflow gives +inf; the SIMD np.power can differ in the last bit
         scales = np.array([np.float64(rho) ** p.beta for rho in p.rhos])
@@ -190,7 +190,8 @@ def sum_decompose(
         ) from exc
 
     support = (c0 != 0.0) | (c1 != 0.0)
-    phi_at = np.asarray(phi(lam), dtype=float)
+    with np.errstate(over="ignore"):  # an infinite weight makes an infinite tail
+        phi_at = np.asarray(phi(lam), dtype=float)
 
     def tails_ok(rho: float, cut: float) -> bool:
         with np.errstate(over="ignore"):

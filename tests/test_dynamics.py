@@ -605,19 +605,37 @@ def test_ensemble_members_track_their_solo_runs():
     assert batch[0].meta.n_rhs < solo_rhs
 
 
-def test_ensemble_member_status_and_spans_are_its_own():
+@pytest.mark.parametrize("stop", ["blow_up", "step_underflow"])
+def test_ensemble_stops_as_one(stop, monkeypatch):
+    # one member's stop ends all three at one sample with one status and
+    # message: its drift past BLOWUP_CAP, or its m turning NaN below
+    # sigma = 0.5 (at t = pi/4), so that no step passes the error test.
+    # Drift and degenerate spans stay each member's own.
     spec = Spectrum([1.0])
     cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-8)
     calm = SpectralState(t=0.0, u=basis_vector(spec, 0), v=zero_vector(spec))
-    fast = SpectralState(t=0.0, u=SpectralVector(spec, [0.0]),
-                         v=SpectralVector(spec, [1e11]))
-    calm_tr, fast_tr = evolve([calm, fast], [constant(1.0), constant(0.0)], cfg, 20.0)
-    assert fast_tr.meta.status == "blow_up" and fast_tr.t[-1] < 20.0
-    assert fast_tr.meta.degenerate_spans == ((0.0, fast_tr.t[-1]),)
-    assert calm_tr.meta.status == "completed" and calm_tr.t[-1] == 20.0
-    assert calm_tr.meta.degenerate_spans == ()
-    u, _ = closed_form(spec, np.array([1.0]), np.array([0.0]), 1.0, calm_tr.t)
-    assert np.max(np.abs(calm_tr.u[:, 0] - u)) < 1e-6
+    if stop == "blow_up":
+        odd = SpectralState(t=0.0, u=SpectralVector(spec, [0.0]),
+                            v=SpectralVector(spec, [1e11]))
+        odd_m = constant(0.0)
+    else:
+        odd, odd_m = calm, constant(1.0)
+        scalar = dynamics.scalar_callable
+        monkeypatch.setattr(dynamics, "scalar_callable", lambda m: (
+            (lambda s: math.nan if s < 0.5 else 1.0) if m is odd_m else scalar(m)))
+    trs = evolve([calm, odd, calm], [constant(1.0), odd_m, constant(4.0)], cfg, 20.0)
+    first = trs[0]
+    assert first.meta.status == stop and first.meta.message
+    assert 1 < first.n_samples < 1001 and first.t[-1] < 20.0
+    for tr in trs:
+        assert tr.t.tobytes() == first.t.tobytes()
+        assert (tr.meta.status, tr.meta.message) == (stop, first.meta.message)
+    assert trs[1].meta.degenerate_spans == (((0.0, first.t[-1]),) if stop == "blow_up"
+                                            else ())
+    for tr, c in ((trs[0], 1.0), (trs[2], 4.0)):
+        assert tr.meta.degenerate_spans == () and tr.meta.hamiltonian_drift < 1e-7
+        u, _ = closed_form(spec, np.array([1.0]), np.array([0.0]), c, tr.t)
+        assert np.max(np.abs(tr.u[:, 0] - u)) < 1e-6
 
 
 def solo_n32_run():
@@ -635,14 +653,14 @@ def one_mode_run():
 
 
 def ensemble_run_with_blow_up():
-    # the last member drifts linearly past BLOWUP_CAP and stops early
+    # the last member drifts linearly past BLOWUP_CAP and stops all early
     spec = power_spectrum(3)
     rng = np.random.default_rng(8)
     fast = SpectralState(t=0.0, u=zero_vector(spec), v=SpectralVector(spec, [1e11, 0.0, 0.0]))
     states = [normalized_state(spec, rng), normalized_state(spec, rng), fast]
     ms = [affine(1.0, 1.0), pohozaev(1.0, 1.0), constant(0.0)]
     trs = evolve(states, ms, IntegratorConfig(), 20.0)
-    assert [tr.meta.status for tr in trs] == ["completed", "completed", "blow_up"]
+    assert [tr.meta.status for tr in trs] == ["blow_up"] * 3
     return list(zip(trs, ms))
 
 
@@ -689,9 +707,11 @@ def test_ensemble_negative_m_names_its_member(monkeypatch, tight_cfg):
     assert exc.value.member == 1
     monkeypatch.undo()
     # any error of a member's m carries its index, not only the library's own
-    big = SpectralState(t=0.0, u=SpectralVector(spec, [2.0]), v=zero_vector(spec))
-    with pytest.raises(OverflowError) as exc:
-        evolve([big, big], [constant(1.0), power(600.0)], tight_cfg, 1.0)
+    bad_m = constant(1.0)
+    monkeypatch.setattr(dynamics, "scalar_callable",
+                        lambda m: (lambda s: 1 / 0) if m is bad_m else scalar(m))
+    with pytest.raises(ZeroDivisionError) as exc:
+        evolve([state, state], [constant(1.0), bad_m], tight_cfg, 1.0)
     assert exc.value.member == 1
 
 

@@ -333,6 +333,18 @@ def test_sigma_log_past_the_overflow_of_its_power(q):
         assert f(at) == pytest.approx(true, rel=1e-13)
 
 
+@pytest.mark.parametrize("spec, s", [(power(1e6), 2.0), (power(-2.0), 1e-200),
+                                     (pohozaev(1e-300, 1.0), 0.0)],
+                         ids=["power_large_beta", "power_negative_beta", "pohozaev"])
+def test_float_power_that_overflows_reads_inf(spec, s):
+    # a float's ** raises OverflowError where an array's reads inf; the float
+    # path, the right-hand sides', reads inf too
+    f = scalar_callable(spec)
+    assert f(s) == math.inf and type(f(s)) is float
+    with np.errstate(over="ignore"):
+        assert spec(np.array([s]))[0] == math.inf
+
+
 @pytest.mark.parametrize("s", [5e-324, 1e-322, 9.9e-321])
 def test_moduli_take_the_log_of_subnormal_sigma(s):
     # ln s unclamped below 1e-320 (it once read ln 1e-320 there); a subnormal

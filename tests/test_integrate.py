@@ -246,11 +246,12 @@ def assert_matches_reference(rhs, y0, samples, *args, **kwargs):
     A (1, d) ``y0`` is an ensemble of one, whose member must match.
     """
     got = solve_to_samples(rhs, y0, samples, *args, **kwargs)
-    if got.members:
-        (got,), y0 = got.members, y0[0]
+    got_y = got.y
+    if np.ndim(y0) == 2:
+        got_y, y0 = got_y[:, 0], y0[0]
     ref, late_rejects = reference_solve(rhs, y0, samples, *args, **kwargs)
     assert np.array_equal(got.t, ref.t)
-    assert np.array_equal(got.y, ref.y)
+    assert np.array_equal(got_y, ref.y)
     assert (got.n_accepted, got.n_rejected, got.n_rhs, got.status) == (
         ref.n_accepted, ref.n_rejected, ref.n_rhs, ref.status
     )
@@ -453,7 +454,7 @@ def test_start_far_from_zero_stops_on_step_underflow(form):
     y0, samples = np.array([1.0, 0.0]), np.linspace(-1e17, 1.0, 11)
     with deadline(1.0):
         if form == "ensemble":
-            got = solve_to_samples(rhs, y0[None], samples, 1e-10, 1e-10).members[0]
+            got = solve_to_samples(rhs, y0[None], samples, 1e-10, 1e-10)
         elif form == "pair":
             got = solve_to_samples(lambda t, y: (y[1], -y[0]), y0, samples, 1e-10, 1e-10,
                                    pair=True)
@@ -480,7 +481,7 @@ def test_overflowing_first_derivative_stops_on_step_underflow(form):
     assert ref.status == "step_underflow" and ref.t.size == 1
     assert (ref.n_accepted, ref.n_rejected, ref.n_rhs) == (0, 0, 1)
     got = solve_to_samples(rhs, y0, samples, 1e-10, 1e-10, **kwargs)
-    assert (got.members or (got,))[0].message == integrate._UNDERFLOW.format(h=0.0, t=0.0)
+    assert got.message == integrate._UNDERFLOW.format(h=0.0, t=0.0)
 
 
 def test_pair_state_must_have_two_components():
@@ -713,46 +714,37 @@ def test_ensemble_of_one_matches_solo_bit_for_bit(rhs, y0, state_cap, status):
     solo = solve_to_samples(rhs, np.array(y0), samples, 1e-11, 1e-11, state_cap=state_cap)
     batch = solve_to_samples(rhs, np.array([y0]), samples, 1e-11, 1e-11,
                              state_cap=state_cap)
-    (member,) = batch.members
     assert solo.status == status
-    assert np.array_equal(member.t, solo.t)
-    assert np.array_equal(member.y, solo.y)
-    assert (member.n_accepted, member.n_rejected, member.n_rhs, member.status,
-            member.message) == (solo.n_accepted, solo.n_rejected, solo.n_rhs,
-                                solo.status, solo.message)
-    # the ensemble's own record holds only the shared counters
-    assert batch.status == "ensemble" and batch.t.size == 0
-    assert (batch.n_accepted, batch.n_rejected, batch.n_rhs) == (
-        solo.n_accepted, solo.n_rejected, solo.n_rhs
-    )
+    assert batch.y.shape == (solo.t.size, 1, len(y0))
+    assert np.array_equal(batch.t, solo.t)
+    assert np.array_equal(batch.y[:, 0], solo.y)
+    assert (batch.n_accepted, batch.n_rejected, batch.n_rhs, batch.status,
+            batch.message) == (solo.n_accepted, solo.n_rejected, solo.n_rhs,
+                               solo.status, solo.message)
 
 
 @pytest.mark.parametrize("state_cap, status", [(1e6, "blow_up"), (None, "step_underflow")])
-def test_ensemble_member_stops_alone(state_cap, status):
+def test_ensemble_stops_as_one(state_cap, status):
+    # member 0 blows up at t = 1; its stop ends the whole ensemble's record,
+    # where the calm members hold their solution up to that sample
     samples = np.linspace(0.0, 2.0, 201)
     y0 = np.array([[1.0], [1.0], [0.5]])
     res = solve_to_samples(squares_first_row, y0, samples, 1e-10, 1e-10,
                            state_cap=state_cap)
-    stopped, *rest = res.members
-    assert stopped.status == status and stopped.message
-    assert 0 < stopped.t.size < samples.size and stopped.t[-1] <= 1.0
-    assert np.array_equal(stopped.t, samples[: stopped.t.size])
     solo = solve_to_samples(lambda t, y: y * y, np.array([1.0]), samples, 1e-10, 1e-10,
                             state_cap=state_cap)
-    assert solo.status == status
-    for member, start in zip(rest, (1.0, 0.5)):
-        assert member.completed and member.message == ""
-        assert np.array_equal(member.t, samples)
-        alone = solve_to_samples(lambda t, y: -y, np.array([start]), samples,
-                                 1e-10, 1e-10)
-        assert np.max(np.abs(member.y - alone.y)) < 1e-9
-        assert np.max(np.abs(member.y[:, 0] - start * np.exp(-samples))) < 1e-9
+    assert res.status == solo.status == status and res.message
+    assert 0 < res.t.size < samples.size and res.t[-1] <= 1.0
+    assert np.array_equal(res.t, samples[: res.t.size])
+    assert res.y.shape == (res.t.size, 3, 1)
+    for b, start in ((1, 1.0), (2, 0.5)):
+        assert np.max(np.abs(res.y[:, b, 0] - start * np.exp(-res.t))) < 1e-9
 
 
 def test_nan_derivative_stops_instead_of_spinning():
-    # a NaN or infinite first derivative stops its member at the first
-    # sample: the loop must not retry it for ever, the member must not set
-    # the others' step, and an infinite one must not zero the first step
+    # a NaN or infinite first derivative stops the loop at the first sample:
+    # it must not retry for ever, and an infinite one must not zero the
+    # first step; in an ensemble one member's stops them all
     samples = np.linspace(0.0, 1.0, 11)
     for bad in (math.nan, math.inf):
         solo = solve_to_samples(lambda t, y: y * bad, np.array([1.0]), samples,
@@ -764,11 +756,9 @@ def test_nan_derivative_stops_instead_of_spinning():
             out[0] *= bad
             return out
 
-        bad_member, calm = solve_to_samples(rhs, np.array([[1.0], [1.0]]), samples,
-                                            1e-10, 1e-10).members
-        assert bad_member.status == "step_underflow" and bad_member.t.size == 1
-        assert calm.completed
-        assert np.max(np.abs(calm.y[:, 0] - np.exp(-samples))) < 1e-9
+        res = solve_to_samples(rhs, np.array([[1.0], [1.0]]), samples, 1e-10, 1e-10)
+        assert (res.status, res.message) == (solo.status, solo.message)
+        assert res.t.size == 1 and (res.n_accepted, res.n_rhs) == (0, 1)
 
 
 def test_ensemble_error_norm_is_the_worst_member():
@@ -782,11 +772,10 @@ def test_ensemble_error_norm_is_the_worst_member():
     res = solve_to_samples(rhs, np.array([[1.0, 0.0], [1.0, 0.0]]), samples, 1e-9, 1e-9)
     slow_alone = solve_to_samples(lambda t, y: np.array([y[1], -y[0]]),
                                   np.array([1.0, 0.0]), samples, 1e-9, 1e-9)
-    slow, fast = res.members
-    assert slow.completed and fast.completed
+    assert res.completed
     assert res.n_accepted > 5 * slow_alone.n_accepted
-    assert np.max(np.abs(slow.y[:, 0] - np.cos(samples))) < 1e-9
-    assert np.max(np.abs(fast.y[:, 0] - np.cos(40.0 * samples))) < 1e-7
+    assert np.max(np.abs(res.y[:, 0, 0] - np.cos(samples))) < 1e-9
+    assert np.max(np.abs(res.y[:, 1, 0] - np.cos(40.0 * samples))) < 1e-7
 
 
 def test_state_of_three_axes_rejected():

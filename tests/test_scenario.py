@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 from kirchhoff_spectral import scenario
 from kirchhoff_spectral.artifacts import blas_core, dump_json, sha256_text
 from kirchhoff_spectral.cli import main
-from kirchhoff_spectral.errors import DomainError, ScenarioError
+from kirchhoff_spectral.errors import (
+    DomainError,
+    InsufficientDecayError,
+    NormOverflowError,
+    ScenarioError,
+)
 from kirchhoff_spectral.functions import KINDS, RULES, antiderivative, modulus_inv_log
 from kirchhoff_spectral.scenario import load_config, run_scenario, validate_scenario
 from tests.conftest import deadline, pin_note
@@ -1024,6 +1029,51 @@ def test_data_that_overflows_is_refused_before_run(tmp_path, monkeypatch, cfg, f
         run_scenario(cfg, out_dir=tmp_path / "out")
     assert info.value.field == field
     assert not (tmp_path / "out").exists()
+
+
+def edited(path, leaves):
+    """The config at ``path`` with each leaf named by a dotted path set."""
+    cfg = load_config(path)
+    for keys, value in leaves.items():
+        *head, last = keys.split(".")
+        node = cfg
+        for key in head:
+            node = node[key]
+        node[last] = value
+    return cfg
+
+
+BUNDLED = Path(__file__).resolve().parents[1] / "scenarios"
+CUBIC = BUNDLED / "single_mode_cubic.json"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cfg, outcome", [
+    # m = sigma**1e6: a float ** overflows at a stage with sigma > 1
+    pytest.param(edited(CUBIC, {"functions.m.beta": 1e6}), "completed", id="power_of_sigma"),
+    # the stages overflow, in the pair loop and in the array loop
+    pytest.param(edited(CUBIC, {"spectrum.explicit": [1.26e15], "params.abs_tol": 1e8}),
+                 "step_underflow", id="pair_loop_stage"),
+    pytest.param(edited(CUBIC, {"spectrum.explicit": [1.26e15, 2.5e15],
+                                "params.abs_tol": 1e8}),
+                 "step_underflow", id="array_loop_stage"),
+    # a weight phi(lambda) that overflows
+    pytest.param(edited(Path(__file__).resolve().parent / "golden_tasks" / "seeded_norms.json",
+                        {"functions.phi.p": 1e100}), NormOverflowError, id="norms_weight"),
+    pytest.param(edited(BUNDLED / "spectral_gap_split.json", {"functions.phi.beta": 9e14}),
+                 InsufficientDecayError, id="decompose_weight"),
+])
+def test_validated_config_that_overflows_ends_honestly(tmp_path, cfg, outcome):
+    # no raw OverflowError and no numpy warning on the way to the status or
+    # the library's error
+    validate_scenario(cfg)
+    if isinstance(outcome, str):
+        manifest = run_scenario(cfg, out_dir=tmp_path)
+        assert manifest.summary["status"] == outcome
+        assert manifest.summary["ok"] is (outcome == "completed")
+    else:
+        with pytest.raises(outcome):
+            run_scenario(cfg, out_dir=tmp_path)
 
 
 @pytest.mark.parametrize("version", [True, 1.0])
