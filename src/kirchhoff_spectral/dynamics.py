@@ -51,14 +51,11 @@ class SpectralState:
 class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-10
-    max_step: float = math.inf
     dense_output_dt: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
             raise PreconditionError("tolerances must be positive and finite")
-        if not self.max_step > 0.0:  # or NaN
-            raise PreconditionError("max_step must be positive")
         if self.dense_output_dt is not None and not self.dense_output_dt > 0.0:
             raise PreconditionError("dense_output_dt must be positive")
 
@@ -270,7 +267,6 @@ def evolve(
         sample_grid(first.t, t_end, cfg.dense_output_dt),
         rel_tol=cfg.rel_tol,
         abs_tol=cfg.abs_tol,
-        max_step=cfg.max_step,
         state_cap=BLOWUP_CAP,
         pair=pair,
     )

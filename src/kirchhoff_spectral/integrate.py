@@ -203,7 +203,8 @@ def _initial_step(
     The trial step and the guess are each the smallest over the members, so
     one right-hand-side call serves all.  ``f0`` must be finite.  A trial
     step that is NaN, or 0 from an overflowed RMS, is returned without the
-    call.
+    call; a derivative at the trial step that is not finite gives a guess of
+    1e-3 times the trial step, for the error test to grow.
     """
     scale = abs_tol + rel_tol * np.abs(y0)
 
@@ -224,7 +225,9 @@ def _initial_step(
     guesses = []
     for d1_b, d2_b in zip(d1, rms((f1 - f0) / scale)):
         d2_b /= h0
-        if max(d1_b, d2_b) <= 1e-15:
+        if not math.isfinite(d2_b):
+            h1 = 1e-3 * h0
+        elif max(d1_b, d2_b) <= 1e-15:
             h1 = max(1e-6 * span, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1_b, d2_b)) ** (1.0 / 6.0)
@@ -232,7 +235,7 @@ def _initial_step(
     return min(guesses)
 
 
-def _next_step(h_try: float, err: float, limit_growth: bool, max_step: float) -> float:
+def _next_step(h_try: float, err: float, limit_growth: bool) -> float:
     """The step after an attempt of ``h_try`` whose error norm was ``err``."""
     if math.isfinite(err) and err > 0.0:
         factor = _SAFETY * err**_ERROR_EXPONENT
@@ -243,7 +246,7 @@ def _next_step(h_try: float, err: float, limit_growth: bool, max_step: float) ->
     factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
     if limit_growth:
         factor = min(factor, 1.0)
-    return min(h_try * factor, max_step)
+    return h_try * factor
 
 
 def _maximum(a: float, b: float) -> float:
@@ -257,7 +260,6 @@ def solve_to_samples(
     samples: np.ndarray,
     rel_tol: float,
     abs_tol: float,
-    max_step: float = math.inf,
     state_cap: float | None = None,
     *,
     pair: bool = False,
@@ -269,8 +271,8 @@ def solve_to_samples(
     (when ``state_cap`` is set), step underflow and a non-finite derivative
     at the start instead truncate the record and set the status marker
     (``"step_underflow"`` for the last two).  Tolerances that are not
-    positive and finite, a NaN or non-positive ``max_step`` and a NaN or
-    negative ``state_cap`` raise ``ValueError`` before any ``rhs`` call.
+    positive and finite and a NaN or negative ``state_cap`` raise
+    ``ValueError`` before any ``rhs`` call.
 
     A (B, d) ``y0`` is an ensemble of B members advanced as one system;
     ``rhs`` then maps (B, d) states to (B, d) derivatives, and the outcome's
@@ -294,8 +296,6 @@ def solve_to_samples(
         raise ValueError("sample times must be strictly increasing")
     if not (0.0 < rel_tol < math.inf and 0.0 < abs_tol < math.inf):
         raise ValueError("tolerances must be positive and finite")
-    if not max_step > 0.0:  # or NaN
-        raise ValueError("max_step must be positive")
     if state_cap is not None and not state_cap >= 0.0:  # or NaN
         raise ValueError("state_cap must be nonnegative")
 
@@ -313,13 +313,11 @@ def solve_to_samples(
         raise ValueError("a pair state is a vector of two components")
     with np.errstate(over="ignore", invalid="ignore"):  # see the module docstring
         if pair:
-            return _solve_pair(rhs, y, samples, times, h_floor, rel_tol, abs_tol,
-                               max_step, state_cap)
-        return _solve_array(rhs, y, samples, times, h_floor, rel_tol, abs_tol,
-                            max_step, state_cap)
+            return _solve_pair(rhs, y, samples, times, h_floor, rel_tol, abs_tol, state_cap)
+        return _solve_array(rhs, y, samples, times, h_floor, rel_tol, abs_tol, state_cap)
 
 
-def _solve_array(rhs, y, samples, times, h_floor, rel_tol, abs_tol, max_step,
+def _solve_array(rhs, y, samples, times, h_floor, rel_tol, abs_tol,
                  state_cap) -> IntegrationOutcome:
     """The array loop of ``solve_to_samples``, given its float ``times`` and ``h_floor``."""
     t, t_end = times[0], times[-1]
@@ -357,8 +355,7 @@ def _solve_array(rhs, y, samples, times, h_floor, rel_tol, abs_tol, max_step,
     if not np.isfinite(k[0]).all():
         return IntegrationOutcome(samples[:1].copy(), y_in[None], 0, 0, n_rhs,
                                   "step_underflow", _NONFINITE.format(t=t))
-    h = min(_initial_step(derivative, t, y_in, k_in[0], t_end - t, rel_tol, abs_tol,
-                          n_members), max_step)
+    h = _initial_step(derivative, t, y_in, k_in[0], t_end - t, rel_tol, abs_tol, n_members)
     grew_after_reject = False
     abs_y = np.abs(y)
     out = np.empty((samples.size, y.size))
@@ -419,13 +416,13 @@ def _solve_array(rhs, y, samples, times, h_floor, rel_tol, abs_tol, max_step,
             n_rejected += 1
             grew_after_reject = True
             limit_growth = True
-        h = _next_step(h_try, err, limit_growth, max_step)
+        h = _next_step(h_try, err, limit_growth)
 
     return IntegrationOutcome(samples[:si].copy(), out.reshape((-1,) + shape)[:si],
                               n_accepted, n_rejected, n_rhs, status, message)
 
 
-def _solve_pair(rhs, y, samples, times, h_floor, rel_tol, abs_tol, max_step,
+def _solve_pair(rhs, y, samples, times, h_floor, rel_tol, abs_tol,
                 state_cap) -> IntegrationOutcome:
     """The pair loop of ``solve_to_samples``, given its float ``times`` and ``h_floor``."""
     t, t_end = times[0], times[-1]
@@ -446,7 +443,7 @@ def _solve_pair(rhs, y, samples, times, h_floor, rel_tol, abs_tol, max_step,
     if not np.isfinite(k0).all():
         return IntegrationOutcome(samples[:1].copy(), y[None], 0, 0, n_rhs, "step_underflow",
                                   _NONFINITE.format(t=t))
-    h = min(_initial_step(derivative, t, y, k0, t_end - t, rel_tol, abs_tol), max_step)
+    h = _initial_step(derivative, t, y, k0, t_end - t, rel_tol, abs_tol)
     grew_after_reject = False
     ay0, ay1 = abs(y0), abs(y1)
 
@@ -481,7 +478,7 @@ def _solve_pair(rhs, y, samples, times, h_floor, rel_tol, abs_tol, max_step,
         else:
             n_rejected += 1
             grew_after_reject = limit_growth = True
-        h = _next_step(h_try, err, limit_growth, max_step)
+        h = _next_step(h_try, err, limit_growth)
 
     return IntegrationOutcome(samples[: len(out)].copy(), np.array(out), n_accepted,
                               n_rejected, n_rhs, status, message)

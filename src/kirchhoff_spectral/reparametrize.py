@@ -336,7 +336,7 @@ def solve_trajectory_system(
     samples[-1] = s_max
     y0 = np.concatenate([lead_z[-1], lead_w[-1]])
     res = solve_to_samples(rhs if n > 1 else one_mode_rhs, y0, samples, rel_tol=cfg.rel_tol,
-                           abs_tol=cfg.abs_tol, max_step=cfg.max_step, pair=n == 1)
+                           abs_tol=cfg.abs_tol, pair=n == 1)
     if not res.completed:
         raise ParametrizationError(
             f"curve integration stopped early: {res.message or res.status}"

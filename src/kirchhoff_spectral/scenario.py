@@ -76,8 +76,8 @@ S_MAX_SHARE = 0.95  # an absent s_max is this share of the shift where it first 
 MAX_SAMPLE_FLOATS = 1 << 24
 GRID_ARRAYS = 8
 # the forms of a spectrum or vector spec, each with the keys of its object as
-# in _Task.params (None: its value is not an object); the random form's seed
-# defaults to the scenario's
+# in _Task.params (None: its value is not an object); the random form draws
+# u0 from the scenario's seed and u1 from seed + 1
 _SPECTRUM_FORMS = {
     "explicit": None,
     "generator": {"count": (64, int, "positive"), "p": (1.0, float, None)},
@@ -87,9 +87,7 @@ _VECTOR_FORMS = {
     "basis": {"index": (0, int, None), "amplitude": (1.0, float, None)},
     "profile": {"amplitude": (1.0, float, None), "gamma": (1.0, float, None),
                 "exponent": (1.0, float, None)},
-    "random": {"seed": (None, int, None), "scale": (1.0, float, None),
-               "decay": (1.5, float, None)},
-    "zero": None,
+    "random": {"scale": (1.0, float, None), "decay": (1.5, float, None)},
 }
 
 # params read by _integrator_config and accepted by every task, declared as in
@@ -97,7 +95,6 @@ _VECTOR_FORMS = {
 _INTEGRATOR_PARAMS = {
     "rel_tol": (None, float, "positive"),
     "abs_tol": (None, float, "positive"),
-    "max_step": (None, float, "positive_or_inf"),
     "dense_output_dt": (None, float, "positive_or_inf"),
 }
 # the objects that _check_pohozaev and _check_family resolve, declared alike
@@ -268,9 +265,6 @@ def _build_vector(spec, spectrum: Spectrum, seed: int, field: str) -> SpectralVe
     if not isinstance(spec, dict):
         raise ScenarioError("must be an object or 'zero'", field=field)
     form, body = _form(spec, _VECTOR_FORMS, field)
-    if form == "zero":
-        _require(body is True, f"{field}.zero", body, "must be true")
-        return zero_vector(spectrum)
     if form == "explicit":
         body = _numbers(body, f"{field}.explicit")
     lam = spectrum.lambdas
@@ -284,7 +278,7 @@ def _build_vector(spec, spectrum: Spectrum, seed: int, field: str) -> SpectralVe
         if form == "profile":
             return SpectralVector(
                 spectrum, body["amplitude"] * np.exp(-body["gamma"] * lam ** body["exponent"]))
-        rng = np.random.default_rng(seed if body["seed"] is None else body["seed"])
+        rng = np.random.default_rng(seed)
         comp = (body["scale"] * rng.standard_normal(spectrum.n)
                 / np.maximum(lam, 1.0) ** body["decay"])
         return SpectralVector(spectrum, comp)
@@ -362,9 +356,8 @@ def _check_data_finite(u0: SpectralVector, u1: SpectralVector, m: FunctionSpec |
 def _check_sample_count(sc: Scenario) -> None:
     """The sample tables must fit in MAX_SAMPLE_FLOATS, and their times increase."""
     p = sc.params
-    t0 = p.get("t_start", 0.0)
     with _field_errors("params.dense_output_dt"):
-        samples = sample_intervals(p["t_end"] - t0, p["dense_output_dt"]) + 1
+        samples = sample_intervals(p["t_end"], p["dense_output_dt"]) + 1
     width = 2 * sc.spectrum.n + 1
     # dependence integrates its family and the limit as one ensemble
     tables = len(p["family"]["values"]) + 1 if "family" in p else 1
@@ -372,9 +365,9 @@ def _check_sample_count(sc: Scenario) -> None:
              p["dense_output_dt"], f"asks for {float(samples):.4g} samples x {width} floats "
              f"x {tables} trajectories, more than {MAX_SAMPLE_FLOATS} floats (128 MiB)")
     # the grid the run builds; it holds a (2n + 1)th of the run's floats at most
-    grid = sample_grid(t0, p["t_end"], p["dense_output_dt"])
+    grid = sample_grid(0.0, p["t_end"], p["dense_output_dt"])
     _require(bool(np.all(np.diff(grid) > 0.0)), "params.t_end", p["t_end"],
-             f"lies too close to {t0!r} for {samples - 1} strictly increasing "
+             f"lies too close to 0 for {samples - 1} strictly increasing "
              f"sample intervals in float64")
 
 
@@ -397,7 +390,7 @@ def _mode_table(x: str, a: str, b: str, xs, ua, ub) -> tuple:
 
 
 def _task_simulate(sc: Scenario, cfg: IntegratorConfig):
-    state = SpectralState(t=sc.params["t_start"], u=sc.u0, v=sc.u1)
+    state = SpectralState(t=0.0, u=sc.u0, v=sc.u1)
     tr = evolve(state, sc.m, cfg, sc.params["t_end"])
     ham = hamiltonian_series(tr, sc.m)
     hi = higher_order_series(tr)
@@ -418,12 +411,6 @@ def _task_simulate(sc: Scenario, cfg: IntegratorConfig):
     artifacts = {"trajectory.csv": _mode_table("t", "u", "v", tr.t, tr.u, tr.v),
                  "trajectory_summary.json": summary}
     return artifacts, {"status": tr.meta.status, "hamiltonian_drift": drift}
-
-
-def _check_simulate(sc: Scenario) -> None:
-    p = sc.params
-    _require(p["t_end"] > p["t_start"], "params.t_end", p["t_end"],
-             f"must exceed t_start = {p['t_start']!r}")
 
 
 def _task_norms(sc: Scenario, cfg: IntegratorConfig):
@@ -568,11 +555,17 @@ def _task_reparametrize(sc: Scenario, cfg: IntegratorConfig):
     t_end = sc.params["t_end"]
     tr = evolve(SpectralState(t=0.0, u=sc.u0, v=sc.u1), sc.m, cfg, t_end)
     pt = psi_trace(tr)
+    # past the shift's first turn the flow leaves the curve, so the
+    # comparison needs two samples on its first rise
+    _, direction = curve_branch(*psi_initial_derivatives(sc.u0, sc.u1, sc.m))
+    rise = direction * pt.psi
+    first_rise = _monotone_prefix(rise)
+    if first_rise < 2 <= rise.size:
+        raise ScenarioError(f"the shift turns back before the sample at t = {pt.t[1]:.6g}; "
+                            f"decrease dense_output_dt", field="params.dense_output_dt")
     s_max = sc.params["s_max"]
-    if s_max is None:  # past the shift's first turn the flow leaves the curve
-        _, direction = curve_branch(*psi_initial_derivatives(sc.u0, sc.u1, sc.m))
-        rise = direction * pt.psi
-        s_max = S_MAX_SHARE * float(rise[_monotone_prefix(rise) - 1])
+    if s_max is None:
+        s_max = S_MAX_SHARE * float(rise[first_rise - 1])
     try:
         curve = solve_trajectory_system(sc.u0, sc.u1, sc.m, s_max, cfg)
     except PreconditionError as exc:  # s_max lies inside the bootstrap leg
@@ -657,9 +650,8 @@ class _Task:
 
 TASKS = {
     "simulate": _Task(_task_simulate, ("m",), {
-        "t_start": (0.0, float, "finite"),
-        "t_end": (REQUIRED, float, "finite"),
-    }, _check_simulate),
+        "t_end": (REQUIRED, float, "positive"),
+    }),
     "norms": _Task(_task_norms, ("m",), {
         "t_end": (REQUIRED, float, "positive"),
         "r0": (1.0, float, "positive"),

@@ -393,17 +393,15 @@ def test_config_tolerances_must_be_positive_and_finite(field, value):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("max_step", math.nan), ("max_step", 0.0), ("max_step", -1.0),
-     ("dense_output_dt", math.nan), ("dense_output_dt", 0.0), ("dense_output_dt", -1.0)],
+    [("dense_output_dt", math.nan), ("dense_output_dt", 0.0), ("dense_output_dt", -1.0)],
 )
 def test_config_step_and_sample_spacing_must_be_positive(field, value):
-    # max_step = nan used to be ignored and max_step <= 0 gave an immediate
-    # step_underflow run; dense_output_dt = nan failed in sample_intervals
+    # dense_output_dt = nan failed in sample_intervals
     with pytest.raises(PreconditionError, match=f"{field} must be positive"):
         IntegratorConfig(**{field: value})
 
 
-@pytest.mark.parametrize("field", ["max_step", "dense_output_dt"])
+@pytest.mark.parametrize("field", ["dense_output_dt"])
 def test_config_step_and_sample_spacing_may_be_infinite(field):
     assert getattr(IntegratorConfig(**{field: math.inf}), field) == math.inf
 
