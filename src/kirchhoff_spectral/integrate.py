@@ -72,7 +72,11 @@ The error norm is the largest over the members of each member's RMS norm,
 so every member meets its own tolerance, and the first-step guess is the
 smallest over the members.  One member's blow-up, step underflow or
 non-finite first derivative stops the whole ensemble, with one status,
-message and sample count.  A member's bits depend on its batch-mates
+message and sample count.  With two or more members the message names the
+member that stopped it, by its row index in the state: the one holding the
+component over the cap, the first with a non-finite derivative, or, for an
+underflow after a step attempt, the one with the largest error in the last
+attempt.  A member's bits depend on its batch-mates
 through the shared step and on its column position in the stage ``dot``;
 an ensemble of one matches the vector call bit for bit.
 
@@ -163,6 +167,7 @@ METHOD_NAME = "verner65"
 _NONFINITE = "derivative not finite at t = {t:.6g}"
 _UNDERFLOW = "step size {h:.3e} underflowed at t = {t:.6g}; stiffness or blow-up suspected"
 _BLOW_UP = "state magnitude exceeded {cap:.3e} at t = {t:.6g}; suspected blow-up"
+_MEMBER = "member {b}: {message}"  # an ensemble's stop, named by the member that made it
 
 
 @dataclass
@@ -171,7 +176,8 @@ class IntegrationOutcome:
 
     ``y`` holds one row per sample in ``t``: a vector state per row, or for
     a (B, d) ensemble a (B, d) state, as a (samples, B, d) view.  An
-    ensemble is one system, with one status, message and sample count.
+    ensemble is one system, with one status, message and sample count; for
+    B > 1 the message begins with the member that stopped it.
     """
 
     t: np.ndarray
@@ -351,10 +357,14 @@ def _solve_array(rhs, y, samples, times, h_floor, rel_tol, abs_tol,
         n_rhs += 1
         return rhs(t, y)
 
+    def named(message: str, member) -> str:
+        return message if n_members == 1 else _MEMBER.format(b=int(member), message=message)
+
     k_in[0] = derivative(t, y_in)
-    if not np.isfinite(k[0]).all():
-        return IntegrationOutcome(samples[:1].copy(), y_in[None], 0, 0, n_rhs,
-                                  "step_underflow", _NONFINITE.format(t=t))
+    finite = np.isfinite(k[0]).reshape(n_members, dim).all(axis=1)
+    if not finite.all():
+        return IntegrationOutcome(samples[:1].copy(), y_in[None], 0, 0, n_rhs, "step_underflow",
+                                  named(_NONFINITE.format(t=t), finite.argmin()))
     h = _initial_step(derivative, t, y_in, k_in[0], t_end - t, rel_tol, abs_tol, n_members)
     grew_after_reject = False
     abs_y = np.abs(y)
@@ -370,6 +380,8 @@ def _solve_array(rhs, y, samples, times, h_floor, rel_tol, abs_tol,
         h_try = min(h, target - t)
         if not h_try >= h_floor:  # or NaN
             status, message = "step_underflow", _UNDERFLOW.format(h=h_try, t=t)
+            if n_accepted + n_rejected:  # err2 holds the last attempt's errors
+                message = named(message, err2.argmax())  # argmax stops at a NaN
             break
 
         # y + h * (a . k), evaluated as (a . k) * h + y: the same roundings;
@@ -409,9 +421,12 @@ def _solve_array(rhs, y, samples, times, h_floor, rel_tol, abs_tol,
             n_accepted += 1
             limit_growth = grew_after_reject  # no growth right after a reject
             grew_after_reject = False
-            if state_cap is not None and abs_y[abs_y.argmax()] > state_cap:
-                status, message = "blow_up", _BLOW_UP.format(cap=state_cap, t=t)
-                break
+            if state_cap is not None:
+                i = abs_y.argmax()
+                if abs_y[i] > state_cap:
+                    status = "blow_up"
+                    message = named(_BLOW_UP.format(cap=state_cap, t=t), i // dim)
+                    break
         else:
             n_rejected += 1
             grew_after_reject = True

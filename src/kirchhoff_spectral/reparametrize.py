@@ -21,12 +21,11 @@ each operation of its right-hand side is the one IEEE operation the array
 closure makes, in the same order, so the curve keeps its bits; with more
 modes the dot's BLAS summation order cannot be reproduced.
 
-Both interpolants are small numpy cubics evaluated in v = sqrt(s): the
-speed along the curve and the inverse pace use PCHIP (the Fritsch-Butland
-slopes with Moler's one-sided end slopes, equal bit for bit to scipy's
-``PchipInterpolator``), and the consistency check uses a not-a-knot cubic
-spline whose slopes come from one tridiagonal sweep over the stacked (z, w)
-table.
+The speed along the curve and the inverse pace are read through PCHIP, a
+small numpy cubic (the Fritsch-Butland slopes with Moler's one-sided end
+slopes, equal bit for bit to scipy's ``PchipInterpolator``).  The
+consistency check interpolates nothing: it integrates the curve system
+again, landing on the time run's shift values.
 """
 
 from __future__ import annotations
@@ -57,9 +56,9 @@ PACE_INTERVALS = 8192  # trapezoids of the pace quadrature in sqrt(s)
 class HermiteCubic:
     """Piecewise cubic through the knots ``x``, extrapolated from the end pieces.
 
-    ``c`` has shape (4, knots - 1, *value_shape) with the highest power first
-    in the local variable x - x[i], the layout of scipy's ``PPoly``; evaluation
-    follows its order of operations, c3 + c2*s + c1*s**2 + c0*s**3.
+    ``c`` has shape (4, knots - 1) with the highest power first in the local
+    variable x - x[i], the layout of scipy's ``PPoly``; evaluation follows
+    its order of operations, c3 + c2*s + c1*s**2 + c0*s**3.
     """
 
     x: np.ndarray
@@ -69,8 +68,7 @@ class HermiteCubic:
     def from_slopes(cls, x, y, d, h, m) -> HermiteCubic:
         """The cubic Hermite pieces with values y and slopes d at the knots.
 
-        ``h`` are the knot gaps shaped to broadcast against y, and ``m`` the
-        secant slopes np.diff(y, axis=0) / h.
+        ``h`` are the knot gaps and ``m`` the secant slopes np.diff(y) / h.
         """
         t = (d[:-1] + d[1:] - 2 * m) / h
         return cls(x, np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])))
@@ -78,7 +76,7 @@ class HermiteCubic:
     def __call__(self, at) -> np.ndarray:
         at = np.asarray(at, dtype=float)
         i = np.clip(np.searchsorted(self.x, at, side="right") - 1, 0, self.x.size - 2)
-        s = (at - self.x[i]).reshape(at.shape + (1,) * (self.c.ndim - 2))
+        s = at - self.x[i]
         c = self.c[:, i]
         s2 = s * s
         return c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
@@ -120,67 +118,6 @@ def _pchip_end(h0, h1, m0, m1):
     return d
 
 
-def not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> HermiteCubic:
-    """Cubic spline with not-a-knot ends through y of shape (knots, ...).
-
-    The knot slopes solve the tridiagonal system of scipy's ``CubicSpline``
-    by one elimination without pivoting: the pivots run on Python floats, and
-    the sweeps down and back up the right-hand side run as vectorized
-    recurrences over all columns of y at once.  Two knots give the line,
-    three the parabola (the two end conditions coincide there).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = x.size
-    h = np.diff(x).reshape((n - 1,) + (1,) * (y.ndim - 1))
-    m = np.diff(y, axis=0) / h
-    if n == 2:
-        return HermiteCubic.from_slopes(x, y, np.stack((m[0], m[0])), h, m)
-    if n == 3:
-        c = (m[1] - m[0]) / (x[2] - x[0])
-        d = np.stack((m[0] - c * h[0], m[0] + c * h[0], m[1] + c * h[1]))
-        return HermiteCubic.from_slopes(x, y, d, h, m)
-    hs = np.diff(x).tolist()
-    lower = [None, *hs[1:], float(x[-1] - x[-3])]
-    diag = [hs[1], *(2.0 * (a + b) for a, b in zip(hs[:-1], hs[1:])), hs[-2]]
-    upper = [float(x[2] - x[0]), *hs[:-1]]
-    r = np.empty_like(y)
-    r[1:-1] = 3 * (h[1:] * m[:-1] + h[:-1] * m[1:])
-    span = x[2] - x[0]
-    r[0] = ((h[0] + 2 * span) * h[1] * m[0] + h[0] ** 2 * m[1]) / span
-    span = x[-1] - x[-3]
-    r[-1] = (h[-1] ** 2 * m[-2] + (2 * span + h[-1]) * h[-2] * m[-1]) / span
-    # the pivots and multipliers depend on the knots alone; the sweep down,
-    # r_i -= down_i * r_(i-1), and the sweep back up,
-    # d_i = r_i / piv_i - up_i * d_(i+1), are first-order recurrences
-    piv = [diag[0]]
-    down = [0.0]
-    for i in range(1, n):
-        down.append(lower[i] / piv[-1])
-        piv.append(diag[i] - down[-1] * upper[i - 1])
-    up = [0.0, *(a / b for a, b in zip(upper[::-1], piv[-2::-1]))]
-    _recurrence(-np.array(down), r)
-    r /= np.reshape(piv, (n,) + (1,) * (y.ndim - 1))
-    _recurrence(-np.array(up), r[::-1])
-    return HermiteCubic.from_slopes(x, y, r, h, m)
-
-
-def _recurrence(a: np.ndarray, b: np.ndarray) -> None:
-    """Overwrite b with y, y_0 = b_0 and y_i = b_i + a_i * y_(i-1) along axis 0.
-
-    Recursive doubling: after the pass with shift k each row has folded in
-    the 2k - 1 rows before it, so log2(rows) vectorized passes replace one
-    numpy update per row (1.5 ms against 3-5 ms for a (1001, 2) table on a
-    shared 2-core x86-64).  ``a`` is overwritten; ``a[0]`` is never read.
-    """
-    a = a.reshape((-1,) + (1,) * (b.ndim - 1))
-    shift = 1
-    while shift < len(b):
-        b[shift:] += a[shift:] * b[:-shift]
-        a[shift:] = a[shift:] * a[:-shift]
-        shift *= 2
-
-
 @dataclass(frozen=True)
 class PsiTrace:
     """Sampled shift psi(t) and its speed F(psi(t)) = psi'(t)."""
@@ -219,13 +156,16 @@ class SCurve:
     """The curve (z(s), w(s)) sampled on the mirrored shift variable.
 
     ``s`` holds direction * psi >= 0, increasing from 0; ``direction`` is the
-    sign of the first nonzero initial derivative of psi.
+    sign of the first nonzero initial derivative of psi.  The s integration
+    starts at row ``start``: the datum on the direct branch, the handoff row
+    on the bootstrap branch, after the time leg's rows.
     """
 
     spectrum: Spectrum
     s: np.ndarray
     z: np.ndarray  # (n_samples, n_modes)
     w: np.ndarray
+    start: int
     direction: int
     branch: str
     psi_prime0: float
@@ -291,7 +231,48 @@ def solve_trajectory_system(
         raise PreconditionError("s_max must be positive and finite")
     d1, d2 = psi_initial_derivatives(u0, u1, m)
     branch, direction = curve_branch(d1, d2)
-    sigma0 = a_half_norm_sq(u0)
+    # the s integration starts from the last row of a lead-in: the datum
+    # itself on the direct branch, the time leg on the bootstrap branch
+    if branch == "direct":
+        lead_s, lead_z = np.zeros(1), (spec.lambdas * u0.components)[None]
+        lead_w = u1.components[None]
+    else:
+        lead_s, lead_z, lead_w = _bootstrap_leg(u0, u1, m, cfg, direction, abs(d2))
+    s_start = float(lead_s[-1])
+    if s_start >= s_max:
+        raise PreconditionError(
+            f"s_max = {s_max:g} lies inside the bootstrap leg (handoff at {s_start:g})"
+        )
+
+    # sample uniformly in sqrt(s): the curve components are smooth functions
+    # of sqrt(s) even when the speed vanishes at s = 0, where they behave
+    # like sqrt(s) itself
+    v_grid = np.linspace(math.sqrt(s_start), math.sqrt(s_max), CURVE_SAMPLES + 1)
+    samples = v_grid**2
+    samples[0] = s_start
+    samples[-1] = s_max
+    y0 = np.concatenate([lead_z[-1], lead_w[-1]])
+    z, w = _curve_flow(spec, m, a_half_norm_sq(u0), direction, y0, samples, cfg)
+    return SCurve(
+        spectrum=spec,
+        s=np.concatenate([lead_s[:-1], samples]),
+        z=np.vstack([lead_z[:-1], z]),
+        w=np.vstack([lead_w[:-1], w]),
+        start=lead_s.size - 1,
+        direction=direction,
+        branch=branch,
+        psi_prime0=d1,
+        psi_second0=d2,
+    )
+
+
+def _curve_flow(spec, m, sigma0, direction, y0, samples, cfg):
+    """(z, w) at each mirrored shift in ``samples``, from y0 = (z, w) at the first.
+
+    The curve system dz/ds = lam w / psi', dw/ds = -m(psi + sigma0) lam z / psi'
+    with psi' = 2 <lam z, w>, in the mirrored shift s = direction * psi, at
+    the tolerances of ``cfg``.  A run that stops early raises.
+    """
     lam, n = spec.lambdas, spec.n
     m_at = scalar_callable(m)
 
@@ -315,43 +296,13 @@ def solve_trajectory_system(
         coeff = m_at(direction * s_tilde + sigma0)
         return (direction * lam_0 * w) / den, ((lam_0 * (-direction * coeff)) * z) / den
 
-    # the s integration starts from the last row of a lead-in: the datum
-    # itself on the direct branch, the time leg on the bootstrap branch
-    if branch == "direct":
-        lead_s, lead_z, lead_w = np.zeros(1), (lam * u0.components)[None], u1.components[None]
-    else:
-        lead_s, lead_z, lead_w = _bootstrap_leg(u0, u1, m, cfg, direction, abs(d2))
-    s_start = float(lead_s[-1])
-    if s_start >= s_max:
-        raise PreconditionError(
-            f"s_max = {s_max:g} lies inside the bootstrap leg (handoff at {s_start:g})"
-        )
-
-    # sample uniformly in sqrt(s): the curve components are smooth functions
-    # of sqrt(s) even when the speed vanishes at s = 0, where they behave
-    # like sqrt(s) itself
-    v_grid = np.linspace(math.sqrt(s_start), math.sqrt(s_max), CURVE_SAMPLES + 1)
-    samples = v_grid**2
-    samples[0] = s_start
-    samples[-1] = s_max
-    y0 = np.concatenate([lead_z[-1], lead_w[-1]])
     res = solve_to_samples(rhs if n > 1 else one_mode_rhs, y0, samples, rel_tol=cfg.rel_tol,
                            abs_tol=cfg.abs_tol, pair=n == 1)
     if not res.completed:
         raise ParametrizationError(
             f"curve integration stopped early: {res.message or res.status}"
         )
-
-    return SCurve(
-        spectrum=spec,
-        s=np.concatenate([lead_s[:-1], res.t]),
-        z=np.vstack([lead_z[:-1], res.y[:, :n]]),
-        w=np.vstack([lead_w[:-1], res.y[:, n:]]),
-        direction=direction,
-        branch=branch,
-        psi_prime0=d1,
-        psi_second0=d2,
-    )
+    return res.y[:, :n], res.y[:, n:]
 
 
 def _bootstrap_leg(u0, u1, m, cfg, direction, d2_mag):
@@ -447,31 +398,33 @@ class DeviationReport:
     n_compared: int
 
 
-def reparametrization_check(tr: Trajectory, curve: SCurve) -> DeviationReport:
-    """Compare a time trajectory against a curve at matching shift values.
+def reparametrization_check(
+    tr: Trajectory, curve: SCurve, m: FunctionSpec, cfg: IntegratorConfig
+) -> DeviationReport:
+    """Compare a time trajectory against the curve flow at matching shift values.
 
-    Interpolates the curve at s = direction * psi(t_i) and reports
+    Integrates the curve system of m from the curve's start row, landing on
+    s = direction * psi(t_i) for each sample past that row, and reports
     |z - A^(1/2)u| + |w - u'| per sample, over the leading strictly
     increasing run of s that lies inside the curve's range: past a turn of
     the shift the flow no longer follows the curve's branch.
     """
     s_t = curve.direction * psi_trace(tr).psi
     rise = s_t[: _monotone_prefix(s_t)]
+    s_start = float(curve.s[curve.start])
+    j = int(np.count_nonzero(rise <= s_start))
     k = int(np.count_nonzero(rise <= float(curve.s[-1]) + 1e-15))
-    if k < 2:
-        raise ParametrizationError("fewer than two samples fall inside the curve range")
+    if k <= j:
+        raise ParametrizationError("no sample past the curve's start falls inside its range")
 
-    # interpolate against v = sqrt(s), where the curve is smooth even at a
-    # first-order vanishing of the speed; z and w share one spline build
-    n = curve.z.shape[1]
-    spline = not_a_knot_spline(np.sqrt(curve.s), np.hstack([curve.z, curve.w]))
-    lam = tr.spectrum.lambdas
-    s_cmp = np.clip(s_t[:k], float(curve.s[0]), float(curve.s[-1]))
-    zw = spline(np.sqrt(s_cmp))
-    dz = zw[:, :n] - tr.u[:k] * lam
-    dw = zw[:, n:] - tr.v[:k]
+    sigma0 = a_half_norm_sq(SpectralVector(tr.spectrum, tr.u[0]))
+    y0 = np.concatenate([curve.z[curve.start], curve.w[curve.start]])
+    z, w = _curve_flow(tr.spectrum, m, sigma0, curve.direction, y0,
+                       np.concatenate([[s_start], rise[j:k]]), cfg)
+    dz = z[1:] - tr.u[j:k] * tr.spectrum.lambdas
+    dw = w[1:] - tr.v[j:k]
     dev = np.sqrt(np.sum(dz**2, axis=1)) + np.sqrt(np.sum(dw**2, axis=1))
     worst = int(np.argmax(dev))
-    return DeviationReport(t=tr.t[:k].copy(), s=s_cmp, deviations=dev,
-                           max_deviation=float(dev[worst]), worst_t=float(tr.t[worst]),
-                           n_compared=k)
+    return DeviationReport(t=tr.t[j:k].copy(), s=rise[j:k].copy(), deviations=dev,
+                           max_deviation=float(dev[worst]), worst_t=float(tr.t[j + worst]),
+                           n_compared=k - j)

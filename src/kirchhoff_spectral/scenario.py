@@ -555,12 +555,16 @@ def _task_reparametrize(sc: Scenario, cfg: IntegratorConfig):
     t_end = sc.params["t_end"]
     tr = evolve(SpectralState(t=0.0, u=sc.u0, v=sc.u1), sc.m, cfg, t_end)
     pt = psi_trace(tr)
+    trace = (["t", "psi", "f"], [pt.t, pt.psi, pt.f])
+    # a time run that stops early ends the task on its status
+    if tr.meta.status != "completed":
+        return {"psi_trace.csv": trace}, {"status": tr.meta.status}
     # past the shift's first turn the flow leaves the curve, so the
     # comparison needs two samples on its first rise
     _, direction = curve_branch(*psi_initial_derivatives(sc.u0, sc.u1, sc.m))
     rise = direction * pt.psi
     first_rise = _monotone_prefix(rise)
-    if first_rise < 2 <= rise.size:
+    if first_rise < 2:
         raise ScenarioError(f"the shift turns back before the sample at t = {pt.t[1]:.6g}; "
                             f"decrease dense_output_dt", field="params.dense_output_dt")
     s_max = sc.params["s_max"]
@@ -574,7 +578,7 @@ def _task_reparametrize(sc: Scenario, cfg: IntegratorConfig):
         raise ScenarioError(f"{exc}; increase t_end, up to which the default s_max is "
                             f"{S_MAX_SHARE} of the shift's rise", field="params.t_end") from exc
     recovered = solve_parametrization(curve, t_end, cfg)
-    check = reparametrization_check(tr, curve)
+    check = reparametrization_check(tr, curve, sc.m, cfg)
     payload = {
         "branch": curve.branch,
         "direction": curve.direction,
@@ -586,7 +590,7 @@ def _task_reparametrize(sc: Scenario, cfg: IntegratorConfig):
     }
     artifacts = {
         "scurve.csv": _mode_table("s", "z", "w", curve.s, curve.z, curve.w),
-        "psi_trace.csv": (["t", "psi", "f"], [pt.t, pt.psi, pt.f]),
+        "psi_trace.csv": trace,
         "psi_recovered.csv": (["t", "psi", "f"], [recovered.t, recovered.psi, recovered.f]),
         "reparametrization_report.json": payload,
     }

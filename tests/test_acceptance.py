@@ -206,7 +206,7 @@ def test_criterion_07_round_trip():
     ):
         tr = evolve(SpectralState(t=0.0, u=e1, v=u1), m, TOL, t_end)
         curve = solve_trajectory_system(e1, u1, m, s_max, TOL)
-        direct = reparametrization_check(tr, curve)
+        direct = reparametrization_check(tr, curve, m, TOL)
         assert direct.max_deviation <= 1e-5
 
         recovered = solve_parametrization(curve, t_end, TOL)

@@ -608,7 +608,8 @@ def test_ensemble_stops_as_one(stop, monkeypatch):
     # one member's stop ends all three at one sample with one status and
     # message: its drift past BLOWUP_CAP, or its m turning NaN below
     # sigma = 0.5 (at t = pi/4), so that no step passes the error test.
-    # Drift and degenerate spans stay each member's own.
+    # The message names that member.  Drift and degenerate spans stay each
+    # member's own.
     spec = Spectrum([1.0])
     cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-8)
     calm = SpectralState(t=0.0, u=basis_vector(spec, 0), v=zero_vector(spec))
@@ -623,7 +624,7 @@ def test_ensemble_stops_as_one(stop, monkeypatch):
             (lambda s: math.nan if s < 0.5 else 1.0) if m is odd_m else scalar(m)))
     trs = evolve([calm, odd, calm], [constant(1.0), odd_m, constant(4.0)], cfg, 20.0)
     first = trs[0]
-    assert first.meta.status == stop and first.meta.message
+    assert first.meta.status == stop and first.meta.message.startswith("member 1: ")
     assert 1 < first.n_samples < 1001 and first.t[-1] < 20.0
     for tr in trs:
         assert tr.t.tobytes() == first.t.tobytes()

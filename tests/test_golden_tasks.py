@@ -35,7 +35,7 @@ GOLDEN = {
         "psi_recovered.csv":
             "cd49deff4aed9970395e3c83d63b40c7860ee6cbab976a661520b66264ad6020",
         "reparametrization_report.json":
-            "959e43fa6ee9b5414b0425594d96dabf6dc6badfdc54a4e8cf279a29b346ae48",
+            "6b077ce210ec3f3b9936fdc8fe424bfdbc41edad812764ae2f685787e3ee6087",
     },
     "seeded_reparametrize_bootstrap": {
         "scurve.csv": "05a24a8eef4bf7f05b288f7f9a76d4cdc75bc8f0a4179914a51409d9561709e8",
@@ -43,7 +43,7 @@ GOLDEN = {
         "psi_recovered.csv":
             "2f84fef081347c24d41b717f20a2c8db49d43291ba1ba78bb30e974f14cba3f9",
         "reparametrization_report.json":
-            "9a9ef717424225fda79ba1ef483a6a7256278e7ee858e0955ab8536337a36f16",
+            "7eda416dd56eacf8338776aaf84eee6a5c6a9a770eec9bd61c43e6a187b15397",
     },
     "seeded_conditions_weak": {
         "condition_report.json":

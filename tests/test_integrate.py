@@ -723,18 +723,26 @@ def test_ensemble_stops_as_one(state_cap, status):
                            state_cap=state_cap)
     solo = solve_to_samples(lambda t, y: y * y, np.array([1.0]), samples, 1e-10, 1e-10,
                             state_cap=state_cap)
-    assert res.status == solo.status == status and res.message
+    assert res.status == solo.status == status
     assert 0 < res.t.size < samples.size and res.t[-1] <= 1.0
     assert np.array_equal(res.t, samples[: res.t.size])
     assert res.y.shape == (res.t.size, 3, 1)
     for b, start in ((1, 1.0), (2, 0.5)):
         assert np.max(np.abs(res.y[:, b, 0] - start * np.exp(-res.t))) < 1e-9
+    # the message names the member that stopped the run, wherever it sits;
+    # a single state's message names none
+    assert res.message.startswith("member 0: ") and not solo.message.startswith("member")
+    assert res.message.removeprefix("member 0: ").split(" ")[:2] == solo.message.split(" ")[:2]
+    flipped = solve_to_samples(lambda t, y: squares_first_row(t, y[::-1])[::-1], y0[::-1],
+                               samples, 1e-10, 1e-10, state_cap=state_cap)
+    assert flipped.message == res.message.replace("member 0: ", "member 2: ")
 
 
 def test_nan_derivative_stops_instead_of_spinning():
     # a NaN or infinite first derivative stops the loop at the first sample:
     # it must not retry for ever, and an infinite one must not zero the
-    # first step; in an ensemble one member's stops them all
+    # first step; in an ensemble one member's stops them all, and the
+    # message names the first such member
     samples = np.linspace(0.0, 1.0, 11)
     for bad in (math.nan, math.inf):
         solo = solve_to_samples(lambda t, y: y * bad, np.array([1.0]), samples,
@@ -743,11 +751,11 @@ def test_nan_derivative_stops_instead_of_spinning():
 
         def rhs(t, y):
             out = -y
-            out[0] *= bad
+            out[1:] *= bad
             return out
 
-        res = solve_to_samples(rhs, np.array([[1.0], [1.0]]), samples, 1e-10, 1e-10)
-        assert (res.status, res.message) == (solo.status, solo.message)
+        res = solve_to_samples(rhs, np.array([[1.0], [1.0], [1.0]]), samples, 1e-10, 1e-10)
+        assert (res.status, res.message) == (solo.status, f"member 1: {solo.message}")
         assert res.t.size == 1 and (res.n_accepted, res.n_rhs) == (0, 1)
 
 

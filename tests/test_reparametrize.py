@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import PchipInterpolator
 
 from kirchhoff_spectral import (
     IntegratorConfig,
@@ -27,8 +27,9 @@ from kirchhoff_spectral import (
     zero_vector,
 )
 from kirchhoff_spectral import reparametrize
+from kirchhoff_spectral.scenario import run_scenario
 from kirchhoff_spectral.errors import ParametrizationError, PreconditionError
-from kirchhoff_spectral.reparametrize import SCurve, not_a_knot_spline, pchip
+from kirchhoff_spectral.reparametrize import SCurve, pchip
 from tests.conftest import random_vector
 
 
@@ -112,6 +113,15 @@ def test_finite_difference_convergence(tight_cfg):
         assert order2 >= 0.9
 
 
+def assert_compares_the_rise_past_start(tr, curve, check):
+    # every time sample whose shift lies past the curve's start row and inside
+    # its range, at that very shift value; the shift rises over these runs
+    s = curve.direction * psi_trace(tr).psi
+    rows = np.nonzero((s > curve.s[curve.start]) & (s <= curve.s[-1]))[0]
+    assert rows.size == check.n_compared > 1 and np.array_equal(check.t, tr.t[rows])
+    assert np.array_equal(check.s, s[rows]) and check.worst_t in check.t
+
+
 def test_direct_branch_consistency(tight_cfg):
     spec = Spectrum([1.0])
     u0 = basis_vector(spec, 0)
@@ -120,9 +130,10 @@ def test_direct_branch_consistency(tight_cfg):
     tr = evolve(SpectralState(t=0.0, u=u0, v=u1), m, tight_cfg, 0.7)
     curve = solve_trajectory_system(u0, u1, m, 0.9, tight_cfg)
     assert curve.branch == "direct"
-    assert curve.direction == 1
-    check = reparametrization_check(tr, curve)
+    assert curve.direction == 1 and curve.start == 0
+    check = reparametrization_check(tr, curve, m, tight_cfg)
     assert check.max_deviation < 1e-6
+    assert_compares_the_rise_past_start(tr, curve, check)
 
 
 def test_bootstrap_branch_consistency(tight_cfg):
@@ -136,8 +147,39 @@ def test_bootstrap_branch_consistency(tight_cfg):
     curve = solve_trajectory_system(u0, u1, m, 0.8, tight_cfg)
     assert curve.branch == "bootstrap"
     assert curve.direction == -1
-    check = reparametrization_check(tr, curve)
+    check = reparametrization_check(tr, curve, m, tight_cfg)
     assert check.max_deviation < 1e-5
+    assert curve.start > 0 and curve.s[curve.start] > 0.0  # the handoff row
+    assert_compares_the_rise_past_start(tr, curve, check)
+
+
+def ci_reparametrize_config(name, lambdas, u0, u1, t_end):
+    """The one- and two-mode reparametrize runs of the CI packaging smoke step."""
+    return {"version": 1, "name": name, "task": "reparametrize",
+            "spectrum": {"explicit": lambdas}, "data": {"u0": u0, "u1": u1},
+            "functions": {"m": {"kind": "affine", "a": 1.0, "b": 1.0}},
+            "params": {"t_end": t_end}}
+
+
+GOLDEN_TASKS = Path(__file__).resolve().parent / "golden_tasks"
+
+
+@pytest.mark.parametrize("config, bound", [
+    pytest.param(GOLDEN_TASKS / "seeded_reparametrize_direct.json", 2e-14, id="golden_direct"),
+    pytest.param(GOLDEN_TASKS / "seeded_reparametrize_bootstrap.json", 5e-12,
+                 id="golden_bootstrap"),
+    pytest.param(ci_reparametrize_config("two_mode", [1.0, 2.0], {"explicit": [1.0, 0.5]},
+                                         {"explicit": [1.0, 0.0]}, 0.3), 1.1e-13,
+                 id="two_mode"),
+    pytest.param(ci_reparametrize_config("one_mode", [1.0], {"basis": {"index": 0}}, "zero",
+                                         0.8), 5.5e-12, id="one_mode"),
+])
+def test_landed_check_reads_the_flows_agreement(tmp_path, config, bound):
+    # the check lands the curve on the time run's shift values, so what it
+    # reads is the difference of the two flows, with no interpolation error
+    manifest = run_scenario(config, out_dir=tmp_path)
+    report = json.loads((tmp_path / "reparametrization_report.json").read_text())
+    assert manifest.summary["ok"] and report["max_deviation"] < bound
 
 
 def test_refusal_when_both_derivatives_vanish(tight_cfg):
@@ -168,7 +210,7 @@ def test_curve_branch(d1, d2, expected):
 def speed_curve(s, f):
     """A one-mode curve on lambda = 1 whose speed 2*z*w is f: z = 1, w = f/2."""
     return SCurve(spectrum=Spectrum([1.0]), s=s, z=np.ones((s.size, 1)),
-                  w=(f / 2.0)[:, None], direction=1, branch="synthetic",
+                  w=(f / 2.0)[:, None], start=0, direction=1, branch="synthetic",
                   psi_prime0=float(f[0]), psi_second0=math.nan)
 
 
@@ -233,29 +275,6 @@ def test_round_trip_degenerate_start(tight_cfg):
     assert np.max(np.abs(recovered.psi - direct)) < 1e-5
 
 
-def test_self_comparison_within_interpolation_error(tight_cfg):
-    rng = np.random.default_rng(17)
-    spec = power_spectrum(4)
-    u0 = random_vector(spec, rng)
-    u1 = random_vector(spec, rng, decay=0.5)
-    m = constant(1.0)
-    d1, _ = psi_initial_derivatives(u0, u1, m)
-    if d1 == 0.0:
-        u1 = SpectralVector(spec, u1.components + 0.1 * u0.components)
-    tr = evolve(SpectralState(t=0.0, u=u0, v=u1), m, tight_cfg, 0.2)
-    # the trajectory's own samples as the curve, up to where the shift turns:
-    # the deviation is then pure interpolation error
-    pt = psi_trace(tr)
-    direction = 1 if pt.f[0] > 0.0 else -1
-    s = direction * pt.psi
-    n = reparametrize._monotone_prefix(s)
-    curve = SCurve(spectrum=spec, s=s[:n], z=tr.u[:n] * spec.lambdas, w=tr.v[:n],
-                   direction=direction, branch="direct", psi_prime0=float(pt.f[0]),
-                   psi_second0=math.nan)
-    check = reparametrization_check(tr, curve)
-    assert check.max_deviation < 1e-8
-
-
 def test_sign_coherence(tight_cfg):
     # on the monotone window the sign of psi' equals the sign of the first
     # nonzero initial derivative
@@ -268,7 +287,7 @@ def test_sign_coherence(tight_cfg):
         assert np.all(f_vals[1:] > 0.0)  # mirrored speed positive past 0
 
 
-# scipy's interpolators stay here as the references the numpy cubics replaced
+# scipy's PchipInterpolator stays here as the reference the numpy PCHIP replaced
 
 
 def pchip_tables(rng, n):
@@ -288,19 +307,6 @@ def test_pchip_matches_scipy_bit_for_bit(n):
             # inside and outside the table
             at = np.concatenate([x, rng.uniform(x[0] - 1.0, x[-1] + 1.0, 64)])
             assert np.array_equal(pchip(x, y)(at), PchipInterpolator(x, y)(at))
-
-
-@pytest.mark.parametrize("shape", [(), (5,)], ids=["1d", "columns"])
-@pytest.mark.parametrize("n", [2, 3, 4, 1001])
-def test_not_a_knot_spline_matches_scipy(n, shape):
-    rng = np.random.default_rng(n)
-    x = np.cumsum(rng.uniform(0.1, 1.0, n))
-    y = rng.standard_normal((n, *shape))
-    at = np.concatenate([x, rng.uniform(x[0] - 0.5, x[-1] + 0.5, 300)])
-    ours = not_a_knot_spline(x, y)(at)
-    ref = CubicSpline(x, y, axis=0)(at)
-    assert ours.shape == ref.shape
-    assert np.max(np.abs(ours - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_reparametrize_run_loads_no_scipy(tmp_path):

@@ -840,19 +840,27 @@ def test_failed_integration_is_not_ok(tmp_path, capsys):
     check_failed_integration_is_not_ok(tmp_path, capsys, "simulate")
 
 
-@pytest.mark.parametrize("task", ["norms", "invariants", "dependence"])
-def test_failed_integration_of_any_task_is_not_ok(tmp_path, capsys, task):
-    check_failed_integration_is_not_ok(tmp_path, capsys, task)
+@pytest.mark.parametrize("task, params", [
+    ("norms", {}), ("invariants", {}), ("dependence", {}),
+    # the time run stops first, so the task ends on its status before the
+    # shift's rise sets the default s_max or the curve is solved
+    ("reparametrize", {}), ("reparametrize", {"s_max": 1.0}),
+], ids=["norms", "invariants", "dependence", "reparametrize", "reparametrize-s_max"])
+def test_failed_integration_of_any_task_is_not_ok(tmp_path, capsys, task, params):
+    check_failed_integration_is_not_ok(tmp_path, capsys, task, params)
 
 
-def check_failed_integration_is_not_ok(tmp_path, capsys, task):
+def check_failed_integration_is_not_ok(tmp_path, capsys, task, params=None):
     # lambda = 1.26e15 with m = sigma oscillates at about 1.6e30, far too fast
     # for any step above the step floor, so the run stops on step_underflow
     cfg = simulate_config(task=task, spectrum={"explicit": [1.26e15]},
-                          params={"t_end": 5.0, "rel_tol": 1e-10, "abs_tol": 1e8})
+                          params={"t_end": 5.0, "rel_tol": 1e-10, "abs_tol": 1e8,
+                                  **(params or {})})
     manifest = run_scenario(cfg, out_dir=tmp_path / "out")
     assert manifest.summary["status"] == "step_underflow"
     assert manifest.summary["ok"] is False
+    if task == "reparametrize":
+        assert [a["name"] for a in manifest.artifacts] == ["psi_trace.csv"]
     saved = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert saved["summary"]["ok"] is False
     path = write_config(tmp_path, cfg)
