@@ -25,7 +25,7 @@ from .spectrum import (
     require_shared_spectrum,
 )
 
-DEFAULT_HP_MAIN_TOL = 1e-10
+HP_MAIN_TOL = 1e-10
 MU_MIN = 1e-8
 DEPENDENCE_GRID_POINTS = 257
 
@@ -164,12 +164,11 @@ def uniqueness_condition(
     u0: SpectralVector,
     u1: SpectralVector,
     m: FunctionSpec,
-    tol: float = DEFAULT_HP_MAIN_TOL,
 ) -> UniquenessReport:
     """``hp_main_holds`` is false when as1 or as2 is not finite."""
     as1, as2 = uniqueness_quantities(u0, u1, m)
-    holds = math.isfinite(as1) and math.isfinite(as2) and abs(as1) + abs(as2) > tol
-    return UniquenessReport(as1=as1, as2=as2, hp_main_holds=bool(holds), tol=tol)
+    holds = math.isfinite(as1) and math.isfinite(as2) and abs(as1) + abs(as2) > HP_MAIN_TOL
+    return UniquenessReport(as1=as1, as2=as2, hp_main_holds=bool(holds), tol=HP_MAIN_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -19,25 +19,17 @@ from .blocks import BLOCK_VALUES, row_blocks
 from .errors import InvalidWeightError, NotOmegaContinuousError, PreconditionError
 from .functions import FunctionSpec
 
-DEFAULT_SLOPE_TOL = 0.01
+SLOPE_TOL = 0.01  # the largest trend slope a compatible pair may read
 TREND_DECADES = 2.0  # top grid decades over which the ratio's growth is fitted
 SIGMA_SPAN = (1e-6, 1e6)  # the least sigma range a compatibility grid covers
 SPAN_SLACK = 1e-9  # relative slack on the span's ends, for logspace's rounding
 MIN_GRID_POINTS = 16  # the fewest grid points a compatibility check takes
-DEFAULT_PER_DECADE = 512
 
 
-def sigma_grid_size(lo: float, hi: float, per_decade: int) -> int:
-    """Number of points of ``default_sigma_grid(lo, hi, per_decade)``."""
-    return int(round(per_decade * (np.log10(hi) - np.log10(lo)))) + 1
-
-
-def default_sigma_grid(lo: float = SIGMA_SPAN[0], hi: float = SIGMA_SPAN[1],
-                       per_decade: int = DEFAULT_PER_DECADE) -> np.ndarray:
-    """Log-uniform grid with the documented density of 512 points per decade."""
-    if not (0.0 < lo < hi):
-        raise PreconditionError("need 0 < lo < hi")
-    return np.logspace(np.log10(lo), np.log10(hi), sigma_grid_size(lo, hi, per_decade))
+def default_sigma_grid() -> np.ndarray:
+    """Log-uniform grid over SIGMA_SPAN with the documented 512 points per decade."""
+    lo, hi = SIGMA_SPAN
+    return np.logspace(np.log10(lo), np.log10(hi), 12 * 512 + 1)
 
 
 def log_log_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -100,7 +92,6 @@ def check_phi_condition(
     phi: FunctionSpec,
     mode: str,
     grid: np.ndarray,
-    slope_tol: float = DEFAULT_SLOPE_TOL,
 ) -> ConditionReport:
     """Evaluate the compatibility ratio for the given hyperbolicity mode.
 
@@ -139,7 +130,7 @@ def check_phi_condition(
     slope = log_log_slope(g[top], ratio[top])
     worst = int(np.nanargmax(np.where(np.isfinite(ratio), ratio, -np.inf)))
     lam_est = float(ratio[worst]) if finite_ratios else float("inf")
-    passed = bool(finite_ratios and np.isfinite(slope) and slope <= slope_tol)
+    passed = bool(finite_ratios and np.isfinite(slope) and slope <= SLOPE_TOL)
     return ConditionReport(
         mode=mode,
         lambda_estimate=lam_est,

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    DEFAULT_HP_MAIN_TOL,
     ScaleTraceConfig,
     classify_degeneracy,
     continuous_dependence_study,
@@ -32,10 +31,7 @@ from .analysis import (
     uniqueness_condition,
 )
 from .artifacts import blas_core, dump_json, sha256_text, write_csv, write_json
-from .conditions import (
-    DEFAULT_PER_DECADE, DEFAULT_SLOPE_TOL, MIN_GRID_POINTS, SIGMA_SPAN, SPAN_SLACK,
-    check_phi_condition, default_sigma_grid, sigma_grid_size,
-)
+from .conditions import check_phi_condition, default_sigma_grid
 from .dynamics import (
     IntegratorConfig,
     SpectralState,
@@ -48,7 +44,7 @@ from .dynamics import (
     sample_grid,
     sample_intervals,
 )
-from .errors import PreconditionError, ScenarioError
+from .errors import DomainError, PreconditionError, ScenarioError
 from .functions import RULES, FunctionSpec, antiderivative, constant, offset
 from .presets import get_preset
 from .reparametrize import (
@@ -63,18 +59,15 @@ from .reparametrize import (
 from .spectrum import (
     SpectralVector, Spectrum, a_half_norm_sq, basis_vector, power_spectrum, zero_vector,
 )
-from .spectral_gap import DEFAULT_R_PROBE, sum_decompose
+from .spectral_gap import sum_decompose
 
 CONFIG_VERSION = 1
 REQUIRED = object()  # the default of a key that the config must give
-S_MAX_SHARE = 0.95  # an absent s_max is this share of the shift where it first turns
+S_MAX_SHARE = 0.95  # the curve runs to this share of the shift where it first turns
 # the most floats a config may ask the sample tables to hold, 128 MiB of
-# float64: samples x (2n + 1) (times, u and v) per trajectory, or a
-# compatibility grid's points x GRID_ARRAYS, the grid-sized arrays
-# check_phi_condition holds at its peak; a generated spectrum's count must
-# leave room for one sample row
+# float64: samples x (2n + 1) (times, u and v) per trajectory; a generated
+# spectrum's count must leave room for one sample row
 MAX_SAMPLE_FLOATS = 1 << 24
-GRID_ARRAYS = 8
 # the forms of a spectrum or vector spec, each with the keys of its object as
 # in _Task.params (None: its value is not an object); the random form draws
 # u0 from the scenario's seed and u1 from seed + 1
@@ -119,7 +112,6 @@ class Scenario:
     task: str
     params: dict
     preset: str | None
-    seed: int
     output_dir: str | None
 
 
@@ -327,7 +319,7 @@ def validate_scenario(cfg: dict) -> Scenario:
     _check_data_finite(u0, u1, slots["m"] if "m" in entry.functions else None)
     params = _fields(top["params"], {**entry.params, **_INTEGRATOR_PARAMS}, "params")
     sc = Scenario(top["name"], spectrum, u0, u1, **slots, task=top["task"], params=params,
-                  preset=str(preset) if preset is not None else None, seed=top["seed"],
+                  preset=str(preset) if preset is not None else None,
                   output_dir=top["output_dir"])
     if entry.check is not None:
         entry.check(sc)
@@ -337,7 +329,8 @@ def validate_scenario(cfg: dict) -> Scenario:
 
 
 def _check_data_finite(u0: SpectralVector, u1: SpectralVector, m: FunctionSpec | None) -> None:
-    """sigma(u0), |u1|^2, |A^(1/2)u1|^2 and, given m, M(sigma(u0)) and H must be finite."""
+    """sigma(u0), |u1|^2, |A^(1/2)u1|^2 and, given m, M(sigma(u0)) and H must be
+    finite, and m must be defined on all of [0, inf)."""
     with np.errstate(all="ignore"):  # each non-finite result is refused below
         sigma0 = a_half_norm_sq(u0)
         u1_sq = float(u1.components @ u1.components)
@@ -346,6 +339,11 @@ def _check_data_finite(u0: SpectralVector, u1: SpectralVector, m: FunctionSpec |
                                    ("data.u1", "|A^(1/2)u1|^2", a_half_norm_sq(u1))):
             _require(math.isfinite(value), field, value, f"{text} must be finite")
         if m is not None:
+            try:  # a kind with a smaller domain raises at one of the ends
+                m(np.array([0.0, math.inf]))
+            except DomainError as exc:
+                raise ScenarioError(f"must be defined on [0, inf): {exc}",
+                                    field="functions.m") from exc
             with _field_errors("data.u0"):
                 big_m = float(antiderivative(m)(sigma0))
             _require(math.isfinite(big_m), "data.u0", big_m, "M(sigma(u0)) must be finite")
@@ -438,30 +436,16 @@ def _check_norms(sc: Scenario) -> None:
 
 
 def _check_conditions(sc: Scenario) -> None:
-    """Resolve params.mode (else the preset's) and refuse what check_phi_condition would."""
+    """Resolve params.mode, else the preset's, to 'strict' or 'weak'."""
     p = sc.params
     if p["mode"] is None and sc.preset is not None:
         p["mode"] = get_preset(sc.preset).mode
     _require(p["mode"] in ("strict", "weak"), "params.mode", p["mode"],
              "needs 'strict' or 'weak', given here or by a preset")
-    lo, hi = SIGMA_SPAN
-    _require(p["grid_lo"] <= lo * (1.0 + SPAN_SLACK), "params.grid_lo", p["grid_lo"],
-             f"must be <= {lo:g}")
-    _require(p["grid_hi"] >= hi * (1.0 - SPAN_SLACK), "params.grid_hi", p["grid_hi"],
-             f"must be >= {hi:g}")
-    with _field_errors("params.per_decade"):
-        size = sigma_grid_size(p["grid_lo"], p["grid_hi"], p["per_decade"])
-    _require(size >= MIN_GRID_POINTS, "params.per_decade", p["per_decade"],
-             f"gives {size} grid points, fewer than {MIN_GRID_POINTS}")
-    _require(size * GRID_ARRAYS <= MAX_SAMPLE_FLOATS, "params.per_decade", p["per_decade"],
-             f"gives {float(size):.4g} grid points, more than {MAX_SAMPLE_FLOATS // GRID_ARRAYS}")
 
 
 def _task_conditions(sc: Scenario, cfg: IntegratorConfig):
-    p = sc.params
-    grid = default_sigma_grid(p["grid_lo"], p["grid_hi"], p["per_decade"])
-    report = check_phi_condition(sc.omega, sc.phi, p["mode"], grid,
-                                 slope_tol=p["slope_tol"])
+    report = check_phi_condition(sc.omega, sc.phi, sc.params["mode"], default_sigma_grid())
     payload = {**asdict(report), "omega": sc.omega.to_dict(), "phi": sc.phi.to_dict(),
                "preset": sc.preset}
     return {"condition_report.json": payload}, {"passed": report.passed,
@@ -469,7 +453,7 @@ def _task_conditions(sc: Scenario, cfg: IntegratorConfig):
 
 
 def _task_uniqueness(sc: Scenario, cfg: IntegratorConfig):
-    rep = uniqueness_condition(sc.u0, sc.u1, sc.m, sc.params["tol"])
+    rep = uniqueness_condition(sc.u0, sc.u1, sc.m)
     d1, d2 = psi_initial_derivatives(sc.u0, sc.u1, sc.m)
     payload = {**asdict(rep), "psi_prime0": d1, "psi_second0": d2}
     summary = {"hp_main_holds": rep.hp_main_holds}
@@ -511,8 +495,7 @@ def _task_invariants(sc: Scenario, cfg: IntegratorConfig):
 
 def _task_decompose(sc: Scenario, cfg: IntegratorConfig):
     p = sc.params
-    dec = sum_decompose(sc.u0, sc.u1, sc.phi, p["alpha"], p["beta"],
-                        r_probe=p["r_probe"])
+    dec = sum_decompose(sc.u0, sc.u1, sc.phi, p["alpha"], p["beta"])
     reports = dec.membership_reports()
     payload = {
         "s_values": list(dec.s_values),
@@ -567,15 +550,11 @@ def _task_reparametrize(sc: Scenario, cfg: IntegratorConfig):
     if first_rise < 2:
         raise ScenarioError(f"the shift turns back before the sample at t = {pt.t[1]:.6g}; "
                             f"decrease dense_output_dt", field="params.dense_output_dt")
-    s_max = sc.params["s_max"]
-    if s_max is None:
-        s_max = S_MAX_SHARE * float(rise[first_rise - 1])
+    s_max = S_MAX_SHARE * float(rise[first_rise - 1])
     try:
         curve = solve_trajectory_system(sc.u0, sc.u1, sc.m, s_max, cfg)
     except PreconditionError as exc:  # s_max lies inside the bootstrap leg
-        if sc.params["s_max"] is not None:
-            raise ScenarioError(f"{exc}; increase s_max", field="params.s_max") from exc
-        raise ScenarioError(f"{exc}; increase t_end, up to which the default s_max is "
+        raise ScenarioError(f"{exc}; increase t_end, up to which s_max is "
                             f"{S_MAX_SHARE} of the shift's rise", field="params.t_end") from exc
     recovered = solve_parametrization(curve, t_end, cfg)
     check = reparametrization_check(tr, curve, sc.m, cfg)
@@ -664,14 +643,8 @@ TASKS = {
     }, _check_norms),
     "conditions": _Task(_task_conditions, ("omega", "phi"), {
         "mode": (None, str, None),
-        "grid_lo": (SIGMA_SPAN[0], float, "positive"),
-        "grid_hi": (SIGMA_SPAN[1], float, "positive"),
-        "per_decade": (DEFAULT_PER_DECADE, int, "positive"),
-        "slope_tol": (DEFAULT_SLOPE_TOL, float, "finite"),
     }, _check_conditions),
-    "uniqueness": _Task(_task_uniqueness, ("m",), {
-        "tol": (DEFAULT_HP_MAIN_TOL, float, "nonnegative"),
-    }),
+    "uniqueness": _Task(_task_uniqueness, ("m",), {}),
     "invariants": _Task(_task_invariants, ("m",), {
         "t_end": (REQUIRED, float, "positive"),
         "pohozaev": (None, dict, None),
@@ -679,11 +652,9 @@ TASKS = {
     "decompose": _Task(_task_decompose, ("phi",), {
         "alpha": (0.25, float, "nonnegative"),
         "beta": (2.0, float, "nonnegative"),
-        "r_probe": (DEFAULT_R_PROBE, float, "nonnegative"),
     }),
     "reparametrize": _Task(_task_reparametrize, ("m",), {
         "t_end": (1.0, float, "positive"),
-        "s_max": (None, float, "positive"),
     }, _check_reparametrize),
     "dependence": _Task(_task_dependence, ("m",), {
         "t_end": (1.0, float, "positive"),

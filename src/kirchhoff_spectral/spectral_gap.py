@@ -23,7 +23,7 @@ from .norms import GevreyParams, _weighted_sums, gevrey_norm
 from .spectrum import SpectralVector, Spectrum, require_shared_spectrum
 
 _SQRT2 = math.sqrt(2.0)
-DEFAULT_R_PROBE = 1.0  # radius of sum_decompose's weighted-class probe
+R_PROBE = 1.0  # radius of sum_decompose's weighted-class probe
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,6 @@ def sum_decompose(
     phi: FunctionSpec,
     alpha: float,
     beta: float,
-    r_probe: float = DEFAULT_R_PROBE,
 ) -> Decomposition:
     """Split (u0, u1) into two spectral-gap pieces in the tail class.
 
@@ -182,11 +181,11 @@ def sum_decompose(
     c1 = u1.components
 
     try:
-        gevrey_norm(u0, GevreyParams(phi, r_probe, alpha + 0.5))
-        gevrey_norm(u1, GevreyParams(phi, r_probe, alpha))
+        gevrey_norm(u0, GevreyParams(phi, R_PROBE, alpha + 0.5))
+        gevrey_norm(u1, GevreyParams(phi, R_PROBE, alpha))
     except NormOverflowError as exc:
         raise InsufficientDecayError(
-            f"datum is not in the weighted class at probe radius {r_probe:g}: {exc}"
+            f"datum is not in the weighted class at probe radius {R_PROBE:g}: {exc}"
         ) from exc
 
     support = (c0 != 0.0) | (c1 != 0.0)

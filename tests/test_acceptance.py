@@ -297,7 +297,6 @@ def test_criterion_10_determinism(tmp_path):
             "data": {"u0": "zero", "u1": "zero"},
             "functions": {"preset": "table2_holder_beta"},
             "task": "conditions",
-            "params": {"per_decade": 256},
         },
         {
             "version": 1,

@@ -158,8 +158,9 @@ def test_loss_pair_fails_on_large_grid(grid):
 
 
 def test_grid_monotonicity_of_lambda():
-    grid_small = default_sigma_grid(1e-6, 1e6, 64)
-    grid_large = default_sigma_grid(1e-6, 1e8, 64)
+    # 64 points a decade over [1e-6, 1e6] and [1e-6, 1e8]
+    grid_small = np.logspace(-6, 6, 12 * 64 + 1)
+    grid_large = np.logspace(-6, 8, 14 * 64 + 1)
     om, phi = modulus_sigma_log(1.0), weight_power_log(0.0, 1.0)
     lam_small = check_phi_condition(om, phi, "strict", grid_small).lambda_estimate
     lam_large = check_phi_condition(om, phi, "strict", grid_large).lambda_estimate
@@ -170,7 +171,7 @@ def test_grid_span_enforced():
     with pytest.raises(PreconditionError):
         check_phi_condition(
             modulus_power(1.0), weight_power_log(0.0), "strict",
-            default_sigma_grid(1e-3, 1e3, 64),
+            np.logspace(-3, 3, 6 * 64 + 1),
         )
 
 

@@ -28,7 +28,8 @@ def test_task_table_lists_each_tasks_functions_and_params():
             # "m; phi optional": the needed functions come before the ";"
             listed_functions[task] = {f.strip() for f in row[1].split(";")[0].split(",")}
         param = row[2]
-        listed_params.add((task, param.strip("*"), param.startswith("**")))
+        if param:  # a task without params has an empty cell
+            listed_params.add((task, param.strip("*"), param.startswith("**")))
     assert listed_functions == {
         name: set(entry.functions) for name, entry in scenario.TASKS.items()
     }

@@ -101,7 +101,6 @@ def test_preset_conditions_scenario(tmp_path):
         "data": {"u0": "zero", "u1": "zero"},
         "functions": {"preset": "table1_lipschitz"},
         "task": "conditions",
-        "params": {"per_decade": 128},
     }
     manifest = run_scenario(write_config(tmp_path, cfg), out_dir=tmp_path / "out")
     names = [a["name"] for a in manifest.to_dict()["artifacts"]]
@@ -195,12 +194,34 @@ def test_error_record_written(tmp_path):
 
 
 def test_negative_power_at_zero_sigma_records_a_domain_error(tmp_path):
+    # sigma**-0.5 is singular at sigma = 0, so m is refused before the run
     cfg = simulate_config(data={"u0": "zero", "u1": {"basis": {"index": 0}}})
     cfg["functions"] = {"m": {"kind": "power", "beta": -0.5}}
-    with pytest.raises(DomainError, match="negative power is singular"):
+    with pytest.raises(ScenarioError, match="negative power is singular") as info:
         run_scenario(cfg, out_dir=tmp_path / "out")
-    record = json.loads((tmp_path / "out" / "error.json").read_text())
-    assert record["error"] == "DomainError" and record["task"] == "simulate"
+    assert info.value.field == "functions.m"
+    assert isinstance(info.value.__cause__, DomainError)
+    assert not (tmp_path / "out").exists()
+
+
+# sigma**-0.5 is singular at 0, and 1/(1 - sigma)**2 is undefined from sigma = 1 on
+@pytest.mark.parametrize("m", [{"kind": "power", "beta": -0.5},
+                               {"kind": "pohozaev", "a": 1.0, "b": -1.0}],
+                         ids=["power", "pohozaev"])
+@pytest.mark.parametrize("task", [t for t, e in scenario.TASKS.items() if "m" in e.functions])
+def test_m_undefined_on_part_of_the_half_line_refused_before_run(tmp_path, monkeypatch,
+                                                                 task, m):
+    # the datum's sigma(u0) = 0.11 lies inside both domains
+    monkeypatch.setattr(scenario, "evolve", refuse_to_evolve)
+    cfg = task_config(task)
+    cfg["data"] = {"u0": {"explicit": [0.3, 0.1]}, "u1": {"explicit": [0.1, 0.0]}}
+    cfg["functions"] = {"preset": "table1_lipschitz", "m": m}
+    with pytest.raises(ScenarioError, match=r"must be defined on \[0, inf\)") as info:
+        validate_scenario(cfg)
+    assert info.value.field == "functions.m"
+    with pytest.raises(ScenarioError):
+        run_scenario(cfg, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_decompose_task(tmp_path):
@@ -484,7 +505,7 @@ def test_unknown_param_rejected():
         assert info.value.field == field
     # the integrator keys are accepted by every task, including one that
     # does not integrate
-    cfg = simulate_config(task="uniqueness", params={"rel_tol": 1e-8, "tol": 1e-9})
+    cfg = simulate_config(task="uniqueness", params={"rel_tol": 1e-8})
     assert validate_scenario(cfg).params["rel_tol"] == 1e-8
 
 
@@ -563,6 +584,7 @@ def conditions_config(**params):
         (simulate_config(params={"t_end": 1.0, "abs_tol": math.inf}), "params.abs_tol"),
         (simulate_config(task="norms", params={"t_end": 2.0, "r0": 1.0, "R": 0.5}),
          "params.R"),
+        # the conditions grid and s_max are no params: refused as unknown keys
         (conditions_config(grid_lo=2e6), "params.grid_lo"),
         (conditions_config(grid_hi=10), "params.grid_hi"),
         (conditions_config(per_decade=1), "params.per_decade"),
@@ -648,19 +670,25 @@ def task_config(task, **params):
 # autonomous equation fix: every task refuses them as unknown keys, whatever
 # their value
 REMOVED_PARAMS = {"max_step": REFUSED["positive_or_inf"], "t_start": REFUSED["finite"]}
+# the grid, the tolerances and s_max, now constants or derived: the task that
+# once took each refuses it as an unknown key too
+REMOVED_TASK_PARAMS = {
+    "conditions": {"grid_lo": REFUSED["positive"], "grid_hi": REFUSED["positive"],
+                   "per_decade": [math.nan, math.inf, -math.inf, 0],
+                   "slope_tol": REFUSED["finite"]},
+    "uniqueness": {"tol": REFUSED["nonnegative"]},
+    "decompose": {"r_probe": REFUSED["nonnegative"]},
+    "reparametrize": {"s_max": REFUSED["positive"]},
+}
 
 
 def refused_values():
     for task, entry in scenario.TASKS.items():
         for name, (_, kind, rule) in {**entry.params, **scenario._INTEGRATOR_PARAMS}.items():
-            if kind in (float, int):
+            if kind is float:
                 for value in REFUSED[rule]:
-                    # an integer param's edge is an integer; its NaN and inf are
-                    # refused as not integers
-                    if kind is int and math.isfinite(value):
-                        value = int(value)
                     yield pytest.param(task, name, value, id=f"{task}-{name}-{value!r}")
-        for name, values in REMOVED_PARAMS.items():
+        for name, values in {**REMOVED_PARAMS, **REMOVED_TASK_PARAMS.get(task, {})}.items():
             for value in values:
                 yield pytest.param(task, name, value, id=f"{task}-{name}-{value!r}")
 
@@ -840,22 +868,18 @@ def test_failed_integration_is_not_ok(tmp_path, capsys):
     check_failed_integration_is_not_ok(tmp_path, capsys, "simulate")
 
 
-@pytest.mark.parametrize("task, params", [
-    ("norms", {}), ("invariants", {}), ("dependence", {}),
-    # the time run stops first, so the task ends on its status before the
-    # shift's rise sets the default s_max or the curve is solved
-    ("reparametrize", {}), ("reparametrize", {"s_max": 1.0}),
-], ids=["norms", "invariants", "dependence", "reparametrize", "reparametrize-s_max"])
-def test_failed_integration_of_any_task_is_not_ok(tmp_path, capsys, task, params):
-    check_failed_integration_is_not_ok(tmp_path, capsys, task, params)
+# reparametrize: the time run stops first, so the task ends on its status
+# before the shift's rise sets s_max or the curve is solved
+@pytest.mark.parametrize("task", ["norms", "invariants", "dependence", "reparametrize"])
+def test_failed_integration_of_any_task_is_not_ok(tmp_path, capsys, task):
+    check_failed_integration_is_not_ok(tmp_path, capsys, task)
 
 
-def check_failed_integration_is_not_ok(tmp_path, capsys, task, params=None):
+def check_failed_integration_is_not_ok(tmp_path, capsys, task):
     # lambda = 1.26e15 with m = sigma oscillates at about 1.6e30, far too fast
     # for any step above the step floor, so the run stops on step_underflow
     cfg = simulate_config(task=task, spectrum={"explicit": [1.26e15]},
-                          params={"t_end": 5.0, "rel_tol": 1e-10, "abs_tol": 1e8,
-                                  **(params or {})})
+                          params={"t_end": 5.0, "rel_tol": 1e-10, "abs_tol": 1e8})
     manifest = run_scenario(cfg, out_dir=tmp_path / "out")
     assert manifest.summary["status"] == "step_underflow"
     assert manifest.summary["ok"] is False
@@ -973,7 +997,7 @@ GOLDEN_BOOTSTRAP = Path(__file__).resolve().parent / "golden_tasks" / \
                  id="bootstrap_t10"),
 ])
 def test_reparametrize_past_the_shifts_first_turn(tmp_path, cfg):
-    # the default s_max lies below the shift's first turning value, and the
+    # s_max lies below the shift's first turning value, and the
     # check compares the samples of its first rise alone
     manifest = run_scenario(cfg, out_dir=tmp_path)
     assert manifest.summary["ok"] is True
@@ -987,31 +1011,26 @@ def test_reparametrize_past_the_shifts_first_turn(tmp_path, cfg):
     assert s[-1] == pytest.approx(0.95 * rise[turn], rel=1e-12)
 
 
-@pytest.mark.parametrize("params, field", [
-    ({"t_end": 1e-4}, "params.t_end"),
-    ({"t_end": 1.0, "s_max": 1e-9}, "params.s_max"),
-], ids=["default_s_max", "given_s_max"])
-def test_s_max_inside_the_bootstrap_leg_names_the_field(tmp_path, params, field):
+@pytest.mark.parametrize("t_end", [1e-4], ids=["default_s_max"])
+def test_s_max_inside_the_bootstrap_leg_names_the_field(tmp_path, t_end):
     # the handoff to the s variable lies near s = 2.1e-8; a short t_end puts
-    # the default s_max (6.97e-9 at t_end = 1e-4) below it
-    cfg = {**load_config(GOLDEN_BOOTSTRAP), "params": params}
+    # s_max (6.97e-9 at t_end = 1e-4) below it
+    cfg = {**load_config(GOLDEN_BOOTSTRAP), "params": {"t_end": t_end}}
     validate_scenario(cfg)
     with pytest.raises(ScenarioError, match="inside the bootstrap leg") as info:
         run_scenario(cfg, out_dir=tmp_path)
-    assert info.value.field == field
+    assert info.value.field == "params.t_end"
     assert json.loads((tmp_path / "error.json").read_text())["error"] == "ScenarioError"
 
 
-@pytest.mark.parametrize("s_max", [None, 0.5], ids=["default_s_max", "given_s_max"])
-def test_grid_too_coarse_for_the_shifts_rise_names_dense_output_dt(tmp_path, s_max):
+@pytest.mark.parametrize("dt", [2.0], ids=["default_s_max"])
+def test_grid_too_coarse_for_the_shifts_rise_names_dense_output_dt(tmp_path, dt):
     # m = 1 and u0 = u1 = e_1 give psi = sin 2t, so psi(2) < 0: on a grid
     # of step 2 the first rise holds the start alone, with no sample to compare
     unit = {"basis": {"index": 0, "amplitude": 1.0}}
-    params = {"t_end": 4.0, "dense_output_dt": 2.0}
-    if s_max is not None:
-        params["s_max"] = s_max
     cfg = simulate_config(task="reparametrize", data={"u0": unit, "u1": unit},
-                          functions={"m": {"kind": "constant", "c": 1.0}}, params=params)
+                          functions={"m": {"kind": "constant", "c": 1.0}},
+                          params={"t_end": 4.0, "dense_output_dt": dt})
     with pytest.raises(ScenarioError, match="decrease dense_output_dt") as info:
         run_scenario(cfg, out_dir=tmp_path)
     assert info.value.field == "params.dense_output_dt"

@@ -195,11 +195,12 @@ def test_member_parts_have_finite_probe_norms():
 
 
 def test_decompose_rejects_nondecaying_weighted_data():
-    # flat components overflow the probe norm at the analytic weight
-    spec = power_spectrum(64)
+    # flat components overflow the probe norm at the analytic weight, whose
+    # exponent r*lambda passes 700 at the probe radius 1 on lambda_k = k**2
+    spec = power_spectrum(64, 2.0)
     u = SpectralVector(spec, np.ones(64))
     with pytest.raises(InsufficientDecayError):
-        sum_decompose(u, u, power(1.0), 0.25, 2.0, r_probe=30.0)
+        sum_decompose(u, u, power(1.0), 0.25, 2.0)
 
 
 def test_greedy_bound_certifies_tails():
