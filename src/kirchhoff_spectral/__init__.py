@@ -24,7 +24,6 @@ from .functions import (  # noqa: F401
     affine,
     antiderivative,
     constant,
-    load_table_csv,
     modulus_inv_log,
     modulus_power,
     modulus_sigma_log,
@@ -35,11 +34,10 @@ from .functions import (  # noqa: F401
     weight_power_log,
     weight_scaled_modulus,
 )
-from .norms import GevreyParams, gevrey_norm, sobolev_norm  # noqa: F401
+from .norms import gevrey_norm, sobolev_norm  # noqa: F401
 from .conditions import (  # noqa: F401
     ConditionReport,
     check_phi_condition,
-    default_sigma_grid,
     estimate_continuity_constant,
 )
 from .dynamics import (  # noqa: F401
@@ -56,7 +54,6 @@ from .dynamics import (  # noqa: F401
 )
 from .analysis import (  # noqa: F401
     Degeneracy,
-    ScaleTraceConfig,
     UniquenessReport,
     classify_degeneracy,
     continuous_dependence_study,
@@ -66,7 +63,6 @@ from .analysis import (  # noqa: F401
 )
 from .spectral_gap import (  # noqa: F401
     Decomposition,
-    GMParams,
     gm_membership,
     sum_decompose,
 )

@@ -28,26 +28,11 @@ from .spectrum import (
 HP_MAIN_TOL = 1e-10
 MU_MIN = 1e-8
 DEPENDENCE_GRID_POINTS = 257
+DEGENERACY_GRID_POINTS = 513
 
 
 # ---------------------------------------------------------------------------
 # scale-norm traces
-
-
-@dataclass(frozen=True)
-class ScaleTraceConfig:
-    """Shrinking-radius norm trace parameters: r(t) = r0 - R*t."""
-
-    phi: FunctionSpec
-    r0: float
-    big_r: float
-    alpha: float
-
-    def __post_init__(self):
-        if not self.r0 > 0.0:  # or NaN
-            raise PreconditionError("r0 must be positive")
-        if not (self.big_r >= 0.0 and self.alpha >= 0.0):
-            raise PreconditionError("R and alpha must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -58,29 +43,34 @@ class ScaleTrace:
     v_norms: np.ndarray  # at exponent alpha
 
 
-def scale_norm_trace(tr: Trajectory, cfg: ScaleTraceConfig) -> ScaleTrace:
-    """Norms of (u, u') along the shrinking scale of spaces.
+def scale_norm_trace(
+    tr: Trajectory, phi: FunctionSpec, r0: float, big_r: float, alpha: float
+) -> ScaleTrace:
+    """Norms of (u, u') along the shrinking scale of spaces r(t) = r0 - R*t.
 
     The u-norm uses exponent alpha + 1/2 and the u'-norm exponent alpha,
-    matching the solution-space pairing.  Fails if the radius reaches zero
-    inside the trajectory window.  The weights r*phi(lambda) are formed a row
-    block at a time, and every u row goes before any v row, so the first
-    ``NormOverflowError`` is the one the whole (samples, modes) table gives.
+    matching the solution-space pairing.  r0 must be positive, R and alpha
+    nonnegative, and the radius must stay positive inside the trajectory
+    window.  The weights r*phi(lambda) are formed a row block at a time, and
+    every u row goes before any v row, so the first ``NormOverflowError`` is
+    the one the whole (samples, modes) table gives.
     """
-    radii = cfg.r0 - cfg.big_r * tr.t
+    if not (r0 > 0.0 and big_r >= 0.0):  # or NaN; _norms checks alpha
+        raise PreconditionError("r0 must be positive and R nonnegative")
+    radii = r0 - big_r * tr.t
     if np.any(radii <= 0.0):
         i = int(np.argmax(radii <= 0.0))
         raise PreconditionError(
             f"scale radius r0 - R*t = {radii[i]:.6g} <= 0 at t = {tr.t[i]:.6g}"
         )
     lam = tr.spectrum.lambdas
-    phi_lam = _radius_weights(cfg.phi, lam, 1.0)  # phi(lambda) itself, checked
+    phi_lam = _radius_weights(phi, lam, 1.0)  # phi(lambda) itself, checked
     u_norms, v_norms = np.empty(tr.n_samples), np.empty(tr.n_samples)
-    for x, alpha, out in ((tr.u, cfg.alpha + 0.5, u_norms), (tr.v, cfg.alpha, v_norms)):
+    for x, a, out in ((tr.u, alpha + 0.5, u_norms), (tr.v, alpha, v_norms)):
         for rows in row_blocks(*x.shape, BLOCK_VALUES):
             with np.errstate(over="ignore"):
                 weight = radii[rows, None] * phi_lam
-            out[rows] = _norms(x[rows], lam, alpha, weight)
+            out[rows] = _norms(x[rows], lam, a, weight)
     return ScaleTrace(t=tr.t.copy(), radii=radii, u_norms=u_norms, v_norms=v_norms)
 
 
@@ -113,18 +103,14 @@ def hamiltonian_reachable_sigma(
     return max(4.0 * sigma0, 1.0)
 
 
-def classify_degeneracy(
-    m: FunctionSpec, u0: SpectralVector, sigma_grid: np.ndarray
-) -> Degeneracy:
+def classify_degeneracy(m: FunctionSpec, u0: SpectralVector, u1: SpectralVector) -> Degeneracy:
     """Classify the problem by m's grid infimum and datum value against MU_MIN.
 
-    The caller supplies a grid spanning the energy-reachable sigma range
-    (see ``hamiltonian_reachable_sigma``).
+    The grid is DEGENERACY_GRID_POINTS sigmas from 0 up to the
+    energy-reachable one (see ``hamiltonian_reachable_sigma``).
     """
-    grid = np.asarray(sigma_grid, dtype=float)
-    if grid.size == 0:
-        raise PreconditionError("sigma grid must be nonempty")
-    values = np.asarray(m(grid), dtype=float)
+    hi = hamiltonian_reachable_sigma(u0, u1, m)
+    values = np.asarray(m(np.linspace(0.0, hi, DEGENERACY_GRID_POINTS)), dtype=float)
     if float(np.min(values)) >= MU_MIN:
         return Degeneracy.STRICTLY_HYPERBOLIC
     if abs(float(m(a_half_norm_sq(u0)))) > MU_MIN:

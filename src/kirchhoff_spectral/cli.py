@@ -28,10 +28,14 @@ def _run_one(job):
     """Run one config; return (config, manifest, None) or (config, None, error).
 
     Any failure is caught here, so one bad config never ends the batch.  The
-    error travels as text, because not every exception survives pickling.
+    error travels as text, because not every exception survives pickling.  A
+    config whose output directory an ``earlier`` config of the batch already
+    has ends as an error without running.
     """
-    config, out_dir = job
+    config, out_dir, earlier = job
     try:
+        if earlier is not None:
+            raise ScenarioError(f"output directory {out_dir} is already that of {earlier}")
         manifest = run_scenario(config, out_dir=out_dir)
     except Exception as exc:
         return config, None, f"{type(exc).__name__}: {exc}"
@@ -55,12 +59,15 @@ def _report(results) -> int:
 
 def _cmd_run(args) -> int:
     jobs = []
+    owners = {}  # each output directory to the first config that writes it
     multi = len(args.configs) > 1
     for config in args.configs:
-        out_dir = args.out_dir
+        out_dir, earlier = args.out_dir, None
         if out_dir is not None and multi:
             out_dir = str(Path(out_dir) / Path(config).stem)
-        jobs.append((config, out_dir))
+            earlier = owners.get(out_dir)
+            owners.setdefault(out_dir, config)
+        jobs.append((config, out_dir, earlier))
     if args.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             failures = _report(pool.map(_run_one, jobs))

@@ -21,9 +21,7 @@ from .functions import FunctionSpec
 
 SLOPE_TOL = 0.01  # the largest trend slope a compatible pair may read
 TREND_DECADES = 2.0  # top grid decades over which the ratio's growth is fitted
-SIGMA_SPAN = (1e-6, 1e6)  # the least sigma range a compatibility grid covers
-SPAN_SLACK = 1e-9  # relative slack on the span's ends, for logspace's rounding
-MIN_GRID_POINTS = 16  # the fewest grid points a compatibility check takes
+SIGMA_SPAN = (1e-6, 1e6)  # the sigma range of the compatibility grid
 
 
 def default_sigma_grid() -> np.ndarray:
@@ -87,26 +85,14 @@ def estimate_continuity_constant(
     return float(np.max(maxima))
 
 
-def check_phi_condition(
-    omega: FunctionSpec,
-    phi: FunctionSpec,
-    mode: str,
-    grid: np.ndarray,
-) -> ConditionReport:
+def check_phi_condition(omega: FunctionSpec, phi: FunctionSpec, mode: str) -> ConditionReport:
     """Evaluate the compatibility ratio for the given hyperbolicity mode.
 
-    ``mode`` is "strict" or "weak".  The grid must be positive and span at
-    least [1e-6, 1e6].
+    ``mode`` is "strict" or "weak"; the ratio is read on ``default_sigma_grid()``.
     """
     if mode not in ("strict", "weak"):
         raise PreconditionError(f"mode must be 'strict' or 'weak', got {mode!r}")
-    g = np.asarray(grid, dtype=float)
-    if g.size < MIN_GRID_POINTS or np.any(g <= 0.0) or np.any(np.diff(g) <= 0.0):
-        raise PreconditionError("grid must be positive, increasing, nontrivial")
-    lo, hi = SIGMA_SPAN
-    if g[0] > lo * (1.0 + SPAN_SLACK) or g[-1] < hi * (1.0 - SPAN_SLACK):
-        raise PreconditionError("grid must span at least [1e-6, 1e6]")
-
+    g = default_sigma_grid()
     phi_at = np.asarray(phi(g), dtype=float)
     if np.any(phi_at < 1.0):
         k = int(np.argmax(phi_at < 1.0))

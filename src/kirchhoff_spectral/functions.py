@@ -12,15 +12,14 @@ One ``FunctionSpec`` type covers the three roles in the model problem:
   large sigma; the preset weight kinds clamp the formula with max(1, .) and
   guard logarithms with sigma -> max(sigma, e).
 
-Specs are plain frozen records that serialize to/from nested dicts (tabulated
-specs additionally load from two-column CSV).  Each kind writes its formula
-once, in one evaluator that takes a numpy array (``FunctionSpec.__call__``) or
-a float (``scalar_callable``, the right-hand sides' path).
+Specs are plain frozen records that serialize to/from nested dicts.  Each
+kind writes its formula once, in one evaluator that takes a numpy array
+(``FunctionSpec.__call__``) or a float (``scalar_callable``, the right-hand
+sides' path).
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -196,26 +195,6 @@ def weight_power_log(p: float, ell: float = 0.0) -> FunctionSpec:
 def weight_scaled_modulus(omega: FunctionSpec) -> FunctionSpec:
     """Weight max(1, sigma * omega(1/sigma))."""
     return FunctionSpec("weight_scaled_modulus", {}, base=omega)
-
-
-def load_table_csv(path) -> FunctionSpec:
-    """Read a two-column CSV (sigma, value) with strictly increasing sigma."""
-    sigmas: list[float] = []
-    values: list[float] = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            if len(row) < 2:
-                raise DomainError(f"table row needs two columns, got {row!r}")
-            try:
-                sigmas.append(float(row[0]))
-                values.append(float(row[1]))
-            except ValueError:
-                if sigmas:
-                    raise DomainError(f"non-numeric table row {row!r}")
-                continue  # header line
-    return table(sigmas, values)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ non-member).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,21 +28,6 @@ from .functions import FunctionSpec
 from .spectrum import SpectralVector
 
 EXP_CAP = 700.0
-
-
-@dataclass(frozen=True)
-class GevreyParams:
-    """Norm parameter bundle (phi, r, alpha)."""
-
-    phi: FunctionSpec
-    r: float
-    alpha: float
-
-    def __post_init__(self):
-        if not self.r >= 0.0:  # or NaN
-            raise PreconditionError("scale radius r must be >= 0")
-        if not self.alpha >= 0.0:
-            raise PreconditionError("exponent alpha must be >= 0")
 
 
 def _weighted_sums(c, lam, alpha, weight=0.0):
@@ -102,11 +86,13 @@ def _radius_weights(phi: FunctionSpec | None, lam: np.ndarray, radii) -> np.ndar
         return radii * w
 
 
-def gevrey_norm(u: SpectralVector, p: GevreyParams) -> float:
-    """sqrt( sum_k lambda_k^(4*alpha) u_k^2 exp(r*phi(lambda_k)) )."""
+def gevrey_norm(u: SpectralVector, phi: FunctionSpec | None, r: float, alpha: float) -> float:
+    """sqrt( sum_k lambda_k^(4*alpha) u_k^2 exp(r*phi(lambda_k)) ), for r, alpha >= 0."""
+    if not r >= 0.0:  # or NaN
+        raise PreconditionError("scale radius r must be >= 0")
     lam = u.spectrum.lambdas
-    weight = _radius_weights(p.phi, lam, p.r) if p.r != 0.0 else 0.0
-    return float(_norms(u.components, lam, p.alpha, weight)[0])
+    weight = _radius_weights(phi, lam, r) if r != 0.0 else 0.0
+    return float(_norms(u.components, lam, alpha, weight)[0])
 
 
 def sobolev_norm(u: SpectralVector, alpha: float) -> float:

@@ -23,15 +23,13 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    ScaleTraceConfig,
     classify_degeneracy,
     continuous_dependence_study,
-    hamiltonian_reachable_sigma,
     scale_norm_trace,
     uniqueness_condition,
 )
 from .artifacts import blas_core, dump_json, sha256_text, write_csv, write_json
-from .conditions import check_phi_condition, default_sigma_grid
+from .conditions import check_phi_condition
 from .dynamics import (
     IntegratorConfig,
     SpectralState,
@@ -416,8 +414,7 @@ def _task_norms(sc: Scenario, cfg: IntegratorConfig):
     state = SpectralState(t=0.0, u=sc.u0, v=sc.u1)
     tr = evolve(state, sc.m, cfg, p["t_end"])
     phi = sc.phi if sc.phi is not None else constant(1.0)
-    trace_cfg = ScaleTraceConfig(phi=phi, r0=p["r0"], big_r=p["R"], alpha=p["alpha"])
-    trace = scale_norm_trace(tr, trace_cfg)
+    trace = scale_norm_trace(tr, phi, p["r0"], p["R"], p["alpha"])
     table = (["t", "radius", "u_norm", "v_norm"],
              [trace.t, trace.radii, trace.u_norms, trace.v_norms])
     return {"norm_trace.csv": table}, {
@@ -428,11 +425,24 @@ def _task_norms(sc: Scenario, cfg: IntegratorConfig):
 
 
 def _check_norms(sc: Scenario) -> None:
-    """The radius r0 - R*t must stay positive up to t_end."""
+    """The radius r0 - R*t must stay positive up to t_end; phi passes ``_check_phi``."""
     p = sc.params
     radius = p["r0"] - p["R"] * p["t_end"]
     _require(radius > 0.0, "params.R", p["R"],
              f"leaves the radius r0 - R*t_end = {radius:.6g} <= 0")
+    _check_phi(sc)
+
+
+def _check_phi(sc: Scenario) -> None:
+    """phi, if given, must be defined and >= 1 (so not NaN) at every eigenvalue;
+    one that overflows to inf is left to the norm's own error."""
+    if sc.phi is not None:  # without one, norms weighs by constant(1)
+        lam = sc.spectrum.lambdas
+        with _field_errors("functions.phi"), np.errstate(all="ignore"):
+            w = np.asarray(sc.phi(lam), dtype=float)
+        k = int(np.argmin(w >= 1.0))
+        _require(w[k] >= 1.0, "functions.phi", float(w[k]),
+                 f"must be >= 1 at every eigenvalue, also at lambda = {lam[k]:g}")
 
 
 def _check_conditions(sc: Scenario) -> None:
@@ -445,7 +455,7 @@ def _check_conditions(sc: Scenario) -> None:
 
 
 def _task_conditions(sc: Scenario, cfg: IntegratorConfig):
-    report = check_phi_condition(sc.omega, sc.phi, sc.params["mode"], default_sigma_grid())
+    report = check_phi_condition(sc.omega, sc.phi, sc.params["mode"])
     payload = {**asdict(report), "omega": sc.omega.to_dict(), "phi": sc.phi.to_dict(),
                "preset": sc.preset}
     return {"condition_report.json": payload}, {"passed": report.passed,
@@ -485,8 +495,7 @@ def _task_invariants(sc: Scenario, cfg: IntegratorConfig):
         header.append("pohozaev")
         cols.append(series)
         drifts["pohozaev"] = relative_drift(series)
-    sigma_hi = hamiltonian_reachable_sigma(sc.u0, sc.u1, sc.m)
-    degeneracy = classify_degeneracy(sc.m, sc.u0, np.linspace(0.0, sigma_hi, 513))
+    degeneracy = classify_degeneracy(sc.m, sc.u0, sc.u1)
     payload = {"drifts": drifts, "degeneracy": degeneracy.value,
                "integrator_meta": tr.meta.to_dict()}
     artifacts = {"invariants.csv": (header, cols), "invariants_report.json": payload}
@@ -652,7 +661,7 @@ TASKS = {
     "decompose": _Task(_task_decompose, ("phi",), {
         "alpha": (0.25, float, "nonnegative"),
         "beta": (2.0, float, "nonnegative"),
-    }),
+    }, _check_phi),
     "reparametrize": _Task(_task_reparametrize, ("m",), {
         "t_end": (1.0, float, "positive"),
     }, _check_reparametrize),
@@ -671,7 +680,7 @@ _TOP = {
                              and not set("\\\0") & set(s),
                              "must be a single nonempty plain path component")),
     "task": (REQUIRED, str, (TASKS.__contains__, f"must be one of {', '.join(TASKS)}")),
-    "seed": (0, int, None),
+    "seed": (0, int, "nonnegative"),
     "spectrum": ({"generator": {}}, dict, None),
     "data": ({}, dict, None),
     "functions": ({}, dict, None),

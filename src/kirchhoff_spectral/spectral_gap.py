@@ -19,38 +19,11 @@ import numpy as np
 
 from .errors import InsufficientDecayError, NormOverflowError, PreconditionError
 from .functions import FunctionSpec
-from .norms import GevreyParams, _weighted_sums, gevrey_norm
+from .norms import _weighted_sums, gevrey_norm
 from .spectrum import SpectralVector, Spectrum, require_shared_spectrum
 
 _SQRT2 = math.sqrt(2.0)
 R_PROBE = 1.0  # radius of sum_decompose's weighted-class probe
-
-
-@dataclass(frozen=True)
-class GMParams:
-    """Tail-membership parameter bundle (phi, {rho_n}, alpha, beta).
-
-    beta = 2 matches the strictly hyperbolic global theory and beta = 3 the
-    weakly hyperbolic one; other nonnegative values are allowed for
-    exploration.
-    """
-
-    phi: FunctionSpec
-    rhos: tuple
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        rhos = tuple(float(r) for r in self.rhos)
-        if len(rhos) < 1:
-            raise PreconditionError("need at least one rho threshold")
-        # written so that NaN fails: positive, increasing, and finite at the last
-        if not (0.0 < rhos[0] and rhos[-1] < math.inf
-                and all(a < b for a, b in zip(rhos, rhos[1:]))):
-            raise PreconditionError("rho thresholds must be positive, finite and increasing")
-        if not (self.alpha >= 0.0 and self.beta >= 0.0):
-            raise PreconditionError("alpha and beta must be nonnegative")
-        object.__setattr__(self, "rhos", rhos)
 
 
 @dataclass(frozen=True)
@@ -60,22 +33,34 @@ class MembershipReport:
     tails: np.ndarray
 
 
-def gm_membership(u: SpectralVector, p: GMParams) -> MembershipReport:
+def gm_membership(
+    u: SpectralVector, phi: FunctionSpec, rhos, alpha: float, beta: float
+) -> MembershipReport:
     """Check the per-threshold tail conditions for one component vector.
 
-    A tail term that overflows the exponent cap with a nonzero component
-    makes that tail infinite, hence the vector a non-member; no error is
-    raised.
+    ``rhos`` must be nonempty, positive, finite and increasing, and alpha and
+    beta nonnegative: beta = 2 matches the strictly hyperbolic global theory,
+    beta = 3 the weakly hyperbolic one.  A tail term that overflows the
+    exponent cap with a nonzero component makes that tail infinite, hence the
+    vector a non-member; no error is raised.
     """
+    rhos = [float(rho) for rho in rhos]
+    # written so that NaN fails: nonempty, positive, increasing, finite at the last
+    if not (rhos and 0.0 < rhos[0] and rhos[-1] < math.inf
+            and all(a < b for a, b in zip(rhos, rhos[1:]))):
+        raise PreconditionError(
+            "rho thresholds must be nonempty, positive, finite and increasing")
+    if not (alpha >= 0.0 and beta >= 0.0):
+        raise PreconditionError("alpha and beta must be nonnegative")
     lam = u.spectrum.lambdas
-    rhos = np.asarray(p.rhos)
+    rhos = np.asarray(rhos)
     with np.errstate(over="ignore"):  # an infinite weight makes an infinite tail
-        phi_at = np.asarray(p.phi(lam), dtype=float)
+        phi_at = np.asarray(phi(lam), dtype=float)
         # float64 scalar power: libm's pow, as Python's float power, but an
         # overflow gives +inf; the SIMD np.power can differ in the last bit
-        scales = np.array([np.float64(rho) ** p.beta for rho in p.rhos])
+        scales = np.array([np.float64(rho) ** beta for rho in rhos])
         weight = np.where(lam > rhos[:, None], scales[:, None] * phi_at, -math.inf)
-    tails, _ = _weighted_sums(u.components, lam, p.alpha, weight)
+    tails, _ = _weighted_sums(u.components, lam, alpha, weight)
     return MembershipReport(
         member=bool(np.all(tails <= rhos)), margins=rhos - tails, tails=tails
     )
@@ -113,7 +98,7 @@ class Decomposition:
             ("hat_u1", self.u1_hat, self.rho_hat, self.alpha),
         )
         for name, vec, rhos, alpha in pairs:
-            out[name] = gm_membership(vec, GMParams(self.phi, rhos, alpha, self.beta))
+            out[name] = gm_membership(vec, self.phi, rhos, alpha, self.beta)
         return out
 
     def all_member(self) -> bool:
@@ -181,8 +166,8 @@ def sum_decompose(
     c1 = u1.components
 
     try:
-        gevrey_norm(u0, GevreyParams(phi, R_PROBE, alpha + 0.5))
-        gevrey_norm(u1, GevreyParams(phi, R_PROBE, alpha))
+        gevrey_norm(u0, phi, R_PROBE, alpha + 0.5)
+        gevrey_norm(u1, phi, R_PROBE, alpha)
     except NormOverflowError as exc:
         raise InsufficientDecayError(
             f"datum is not in the weighted class at probe radius {R_PROBE:g}: {exc}"

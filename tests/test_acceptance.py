@@ -32,10 +32,9 @@ from kirchhoff_spectral import (
     uniqueness_condition,
     zero_vector,
 )
-from kirchhoff_spectral.conditions import check_phi_condition, default_sigma_grid
+from kirchhoff_spectral.conditions import check_phi_condition
 from kirchhoff_spectral.presets import list_presets
 from kirchhoff_spectral.scenario import run_scenario
-from kirchhoff_spectral.spectral_gap import GMParams
 
 TOL = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-10)
 N_MODES = 32
@@ -140,10 +139,9 @@ def test_criterion_04_time_reversibility():
 
 
 def test_criterion_05_condition_table_suite():
-    grid = default_sigma_grid()
     started = time.perf_counter()
     for bundle in list_presets():
-        rep = check_phi_condition(bundle.omega, bundle.phi, bundle.mode, grid)
+        rep = check_phi_condition(bundle.omega, bundle.phi, bundle.mode)
         if bundle.loss_regime:
             assert not rep.passed, bundle.name
             assert rep.trend_slope > 0.0, bundle.name
@@ -256,7 +254,7 @@ def test_criterion_08_sum_property():
                 (dec.u0_hat, rh, 0.75),
                 (dec.u1_hat, rh, 0.25),
             ):
-                assert gm_membership(vec, GMParams(phi, rhos, alpha, beta)).member
+                assert gm_membership(vec, phi, rhos, alpha, beta).member
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     report(f"criterion 8 PASS sum property: 3 profiles x 2 exponents, "

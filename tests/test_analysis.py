@@ -5,8 +5,6 @@ import pytest
 
 from kirchhoff_spectral import (
     Degeneracy,
-    GevreyParams,
-    ScaleTraceConfig,
     SpectralState,
     SpectralVector,
     Spectrum,
@@ -40,9 +38,7 @@ def test_scale_trace_zero_trajectory(tight_cfg):
         tight_cfg,
         1.0,
     )
-    trace = scale_norm_trace(
-        tr, ScaleTraceConfig(phi=constant(1.0), r0=1.0, big_r=0.5, alpha=0.25)
-    )
+    trace = scale_norm_trace(tr, phi=constant(1.0), r0=1.0, big_r=0.5, alpha=0.25)
     assert np.all(trace.u_norms == 0.0)
     assert np.all(trace.v_norms == 0.0)
 
@@ -57,8 +53,7 @@ def test_scale_trace_single_mode_closed_form(tight_cfg):
         tight_cfg,
         0.8,
     )
-    cfg = ScaleTraceConfig(phi=constant(1.0), r0=1.0, big_r=0.5, alpha=0.25)
-    trace = scale_norm_trace(tr, cfg)
+    trace = scale_norm_trace(tr, phi=constant(1.0), r0=1.0, big_r=0.5, alpha=0.25)
     expected_u = np.exp((1.0 - 0.5 * tr.t) / 2.0) * np.abs(np.cos(tr.t))
     assert np.max(np.abs(trace.u_norms - expected_u)) < 1e-8
 
@@ -69,8 +64,7 @@ def test_scale_trace_phi_one_factorization(tight_cfg):
     u0 = SpectralVector(spec, rng.standard_normal(5) / spec.lambdas**2)
     v0 = SpectralVector(spec, rng.standard_normal(5) / spec.lambdas)
     tr = evolve(SpectralState(t=0.0, u=u0, v=v0), affine(1.0, 1.0), tight_cfg, 0.5)
-    cfg = ScaleTraceConfig(phi=constant(1.0), r0=2.0, big_r=1.0, alpha=0.25)
-    trace = scale_norm_trace(tr, cfg)
+    trace = scale_norm_trace(tr, phi=constant(1.0), r0=2.0, big_r=1.0, alpha=0.25)
     for i in (0, 100, 500, 1000):
         r_t = 2.0 - 1.0 * tr.t[i]
         u_i = SpectralVector(spec, tr.u[i])
@@ -89,20 +83,18 @@ def test_scale_trace_r_zero_reduction(tight_cfg):
         0.5,
     )
     phi = weight_power_log(1.0)
-    cfg = ScaleTraceConfig(phi=phi, r0=0.7, big_r=0.0, alpha=0.25)
-    trace = scale_norm_trace(tr, cfg)
+    trace = scale_norm_trace(tr, phi=phi, r0=0.7, big_r=0.0, alpha=0.25)
     for i in range(tr.n_samples):
         u_i = SpectralVector(spec, tr.u[i])
-        assert trace.u_norms[i] == gevrey_norm(u_i, GevreyParams(phi, 0.7, 0.75))
+        assert trace.u_norms[i] == gevrey_norm(u_i, phi, 0.7, 0.75)
     # with a shrinking radius each sample matches its own fixed-radius norm
-    cfg = ScaleTraceConfig(phi=phi, r0=0.7, big_r=1.0, alpha=0.25)
-    trace = scale_norm_trace(tr, cfg)
+    trace = scale_norm_trace(tr, phi=phi, r0=0.7, big_r=1.0, alpha=0.25)
     for i in range(tr.n_samples):
         r_i = float(trace.radii[i])
         u_i = SpectralVector(spec, tr.u[i])
         v_i = SpectralVector(spec, tr.v[i])
-        assert trace.u_norms[i] == gevrey_norm(u_i, GevreyParams(phi, r_i, 0.75))
-        assert trace.v_norms[i] == gevrey_norm(v_i, GevreyParams(phi, r_i, 0.25))
+        assert trace.u_norms[i] == gevrey_norm(u_i, phi, r_i, 0.75)
+        assert trace.v_norms[i] == gevrey_norm(v_i, phi, r_i, 0.25)
 
 
 def test_scale_trace_radius_guard(tight_cfg):
@@ -114,33 +106,29 @@ def test_scale_trace_radius_guard(tight_cfg):
         2.0,
     )
     with pytest.raises(PreconditionError, match="radius"):
-        scale_norm_trace(
-            tr, ScaleTraceConfig(phi=constant(1.0), r0=1.0, big_r=1.0, alpha=0.0)
-        )
+        scale_norm_trace(tr, phi=constant(1.0), r0=1.0, big_r=1.0, alpha=0.0)
 
 
 def test_classify_degeneracy_examples():
     spec = Spectrum([1.0])
-    grid = np.linspace(0.0, 4.0, 257)
-    u_unit = basis_vector(spec, 0)
-    assert classify_degeneracy(affine(1.0, 1.0), u_unit, grid) is (
+    u_unit, zero = basis_vector(spec, 0), zero_vector(spec)
+    assert classify_degeneracy(affine(1.0, 1.0), u_unit, zero) is (
         Degeneracy.STRICTLY_HYPERBOLIC
     )
     # m(sigma) = sigma with |A^(1/2)u0|^2 = 1: m(1) = 1 != 0 but inf m = 0
-    assert classify_degeneracy(power(1.0), u_unit, grid) is (
+    assert classify_degeneracy(power(1.0), u_unit, zero) is (
         Degeneracy.MILDLY_DEGENERATE
     )
-    assert classify_degeneracy(power(1.0), zero_vector(spec), grid) is (
+    assert classify_degeneracy(power(1.0), zero, zero) is (
         Degeneracy.REALLY_DEGENERATE
     )
 
 
 def test_classify_shifted_m_is_strict():
     spec = Spectrum([1.0])
-    grid = np.linspace(0.0, 4.0, 257)
     for base in (power(1.0), power(0.5)):
         shifted = offset(0.5, base)
-        assert classify_degeneracy(shifted, zero_vector(spec), grid) is (
+        assert classify_degeneracy(shifted, zero_vector(spec), zero_vector(spec)) is (
             Degeneracy.STRICTLY_HYPERBOLIC
         )
 

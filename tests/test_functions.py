@@ -12,7 +12,6 @@ from kirchhoff_spectral.functions import (
     affine,
     antiderivative,
     constant,
-    load_table_csv,
     modulus_inv_log,
     modulus_power,
     modulus_sigma_log,
@@ -97,18 +96,13 @@ def test_table_interpolation_and_clamping():
     assert t(1.5) == 3.25
     assert t(10.0) == 3.5  # clamped above
     assert t(0.0) == 1.0
+    # an interval wider than 1
+    assert table([0.0, 1.0, 4.0], [1.0, 2.0, 2.5])(2.0) == pytest.approx(2.0 + 0.5 / 3.0)
 
 
 def test_table_requires_increasing_sigmas():
     with pytest.raises(DomainError):
         table([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
-
-
-def test_table_csv_roundtrip(tmp_path):
-    path = tmp_path / "m.csv"
-    path.write_text("sigma,value\n0.0,1.0\n1.0,2.0\n4.0,2.5\n")
-    spec = load_table_csv(path)
-    assert spec(2.0) == pytest.approx(2.0 + 0.5 / 3.0)
 
 
 def test_modulus_power_extension_is_continuous_and_monotone():

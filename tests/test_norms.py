@@ -7,9 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kirchhoff_spectral import (
-    GevreyParams,
-    GMParams,
-    ScaleTraceConfig,
     SpectralVector,
     Spectrum,
     analysis,
@@ -52,19 +49,18 @@ def direct_norm_oracle(lams, comps, phi, r, alpha):
 
 def test_single_term_example(unit_spectrum):
     u = SpectralVector(unit_spectrum, [1.0])
-    value = gevrey_norm(u, GevreyParams(constant(1.0), 1.0, 0.0))
+    value = gevrey_norm(u, constant(1.0), 1.0, 0.0)
     assert value == pytest.approx(1.6487212707001282, rel=1e-12)
 
 
 def test_zero_vector_is_zero(small_spectrum):
     u = zero_vector(small_spectrum)
-    assert gevrey_norm(u, GevreyParams(power(1.0), 1.0, 0.5)) == 0.0
+    assert gevrey_norm(u, power(1.0), 1.0, 0.5) == 0.0
 
 
 def test_three_mode_derived_value(small_spectrum):
     u = SpectralVector(small_spectrum, [1.0, 0.5, 0.25])
-    p = GevreyParams(power(1.0), 0.1, 0.25)
-    value = gevrey_norm(u, p)
+    value = gevrey_norm(u, power(1.0), 0.1, 0.25)
     assert value == pytest.approx(GEVREY_THREE_MODE, rel=1e-13)
     oracle = direct_norm_oracle([1.0, 2.0, 3.0], [1.0, 0.5, 0.25],
                                 lambda s: s, 0.1, 0.25)
@@ -87,7 +83,7 @@ def test_r_zero_reduces_to_sobolev_exactly(small_spectrum):
     rng = np.random.default_rng(7)
     for alpha in (0.0, 0.25, 1.0):
         u = SpectralVector(small_spectrum, rng.standard_normal(3))
-        assert gevrey_norm(u, GevreyParams(power(1.0), 0.0, alpha)) == sobolev_norm(
+        assert gevrey_norm(u, power(1.0), 0.0, alpha) == sobolev_norm(
             u, alpha
         )
 
@@ -105,7 +101,7 @@ def test_overflow_reports_offending_mode():
     spec = Spectrum([1.0, 50.0])
     u = SpectralVector(spec, [1.0, 1.0])
     with pytest.raises(NormOverflowError) as exc:
-        gevrey_norm(u, GevreyParams(power(1.0), 20.0, 0.0))
+        gevrey_norm(u, power(1.0), 20.0, 0.0)
     assert exc.value.k == 1
     assert "norm overflow" in str(exc.value)
 
@@ -115,7 +111,7 @@ def test_overflow_delayed_by_log_form():
     # naive product form exp(1000) would overflow here
     spec = Spectrum([1.0, 50.0])
     u = SpectralVector(spec, [1.0, 1e-300])
-    value = gevrey_norm(u, GevreyParams(power(1.0), 20.0, 0.0))
+    value = gevrey_norm(u, power(1.0), 20.0, 0.0)
     assert math.isfinite(value)
     oracle = math.sqrt(math.exp(20.0) + math.exp(2.0 * math.log(1e-300) + 1000.0))
     assert value == pytest.approx(oracle, rel=1e-12)
@@ -125,12 +121,12 @@ def test_zero_component_under_infinite_weight_contributes_nothing():
     # r * phi(1e308) overflows to +inf; the zero component there must not
     # turn the norm into NaN, while a nonzero one overflows
     spec = Spectrum([1.0, 2.0, 1e308])
-    p = GevreyParams(power(1.0), 2.0, 0.0)
-    value = gevrey_norm(SpectralVector(spec, [1.0, 0.5, 0.0]), p)
+    p = (power(1.0), 2.0, 0.0)
+    value = gevrey_norm(SpectralVector(spec, [1.0, 0.5, 0.0]), *p)
     oracle = direct_norm_oracle([1.0, 2.0], [1.0, 0.5], lambda s: s, 2.0, 0.0)
     assert value == pytest.approx(oracle, rel=1e-14)
     with pytest.raises(NormOverflowError) as exc:
-        gevrey_norm(SpectralVector(spec, [1.0, 0.5, 1e-300]), p)
+        gevrey_norm(SpectralVector(spec, [1.0, 0.5, 1e-300]), *p)
     assert exc.value.k == 2
     assert exc.value.exponent == math.inf
 
@@ -197,13 +193,13 @@ def test_weighted_sums_stay_in_row_blocks():
     assert peak < 4 * 2**20
 
 
-def whole_table_trace(tr, cfg):
+def whole_table_trace(tr, phi, r0, big_r, alpha):
     """The trace's norms from whole (samples, modes) weight tables, a reference."""
     lam = tr.spectrum.lambdas
     with np.errstate(over="ignore"):
-        weight = (cfg.r0 - cfg.big_r * tr.t)[:, None] * np.asarray(cfg.phi(lam), dtype=float)
-    return (norms._norms(tr.u, lam, cfg.alpha + 0.5, weight),
-            norms._norms(tr.v, lam, cfg.alpha, weight))
+        weight = (r0 - big_r * tr.t)[:, None] * np.asarray(phi(lam), dtype=float)
+    return (norms._norms(tr.u, lam, alpha + 0.5, weight),
+            norms._norms(tr.v, lam, alpha, weight))
 
 
 def test_norm_trace_stays_in_row_blocks():
@@ -214,15 +210,15 @@ def test_norm_trace_stays_in_row_blocks():
     u = rng.standard_normal((1001, lam.size)) * np.exp(-lam / 50.0)
     v = rng.standard_normal((1001, lam.size)) * np.exp(-lam / 40.0)
     tr = hand_trajectory(Spectrum(lam), u, v, np.linspace(0.0, 1.0, 1001))
-    cfg = ScaleTraceConfig(weight_power_log(1.0, 0.0), 0.1, 0.02, 0.25)
+    cfg = (weight_power_log(1.0, 0.0), 0.1, 0.02, 0.25)
     tracemalloc.start()
     try:
-        trace = scale_norm_trace(tr, cfg)
+        trace = scale_norm_trace(tr, *cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
-    u_ref, v_ref = whole_table_trace(tr, cfg)
+    u_ref, v_ref = whole_table_trace(tr, *cfg)
     assert trace.u_norms.tobytes() == u_ref.tobytes()
     assert trace.v_norms.tobytes() == v_ref.tobytes()
 
@@ -239,11 +235,11 @@ def test_norm_trace_raises_the_whole_tables_first_overflow(monkeypatch, budget):
     v = np.zeros((9, 4))
     v[0, 3] = 1.0
     tr = hand_trajectory(spec, u, v, np.arange(9) * 0.01)
-    cfg = ScaleTraceConfig(power(1.0), 1.0, 0.5, 0.0)
+    cfg = (power(1.0), 1.0, 0.5, 0.0)
     with pytest.raises(NormOverflowError) as ref:
-        whole_table_trace(tr, cfg)
+        whole_table_trace(tr, *cfg)
     with pytest.raises(NormOverflowError) as got:
-        scale_norm_trace(tr, cfg)
+        scale_norm_trace(tr, *cfg)
     assert got.value.k == ref.value.k == 2
     assert got.value.exponent == ref.value.exponent
 
@@ -251,25 +247,30 @@ def test_norm_trace_raises_the_whole_tables_first_overflow(monkeypatch, budget):
 def test_invalid_weight_rejected(small_spectrum):
     u = SpectralVector(small_spectrum, [1.0, 1.0, 1.0])
     with pytest.raises(InvalidWeightError):
-        gevrey_norm(u, GevreyParams(constant(0.5), 1.0, 0.0))
+        gevrey_norm(u, constant(0.5), 1.0, 0.0)
 
 
-def test_params_validation():
+def test_params_validation(small_spectrum):
+    u = SpectralVector(small_spectrum, [1.0, 1.0, 1.0])
     with pytest.raises(PreconditionError):
-        GevreyParams(constant(1.0), -0.1, 0.0)
+        gevrey_norm(u, constant(1.0), -0.1, 0.0)
     with pytest.raises(PreconditionError):
-        GevreyParams(constant(1.0), 0.0, -1.0)
+        gevrey_norm(u, constant(1.0), 0.0, -1.0)
+
+
+def one_sample_trace(u):
+    return hand_trajectory(u.spectrum, [u.components], [u.components])
 
 
 @pytest.mark.parametrize(
     "make",
     [
-        lambda u: GevreyParams(constant(1.0), math.nan, 0.0),
-        lambda u: GevreyParams(constant(1.0), 0.0, math.nan),
+        lambda u: gevrey_norm(u, constant(1.0), math.nan, 0.0),
+        lambda u: gevrey_norm(u, constant(1.0), 0.0, math.nan),
         lambda u: sobolev_norm(u, math.nan),
-        lambda u: ScaleTraceConfig(constant(1.0), math.nan, 0.0, 0.0),
-        lambda u: ScaleTraceConfig(constant(1.0), 1.0, math.nan, 0.0),
-        lambda u: ScaleTraceConfig(constant(1.0), 1.0, 0.0, math.nan),
+        lambda u: scale_norm_trace(one_sample_trace(u), constant(1.0), math.nan, 0.0, 0.0),
+        lambda u: scale_norm_trace(one_sample_trace(u), constant(1.0), 1.0, math.nan, 0.0),
+        lambda u: scale_norm_trace(one_sample_trace(u), constant(1.0), 1.0, 0.0, math.nan),
     ],
     ids=["gevrey_r", "gevrey_alpha", "sobolev_alpha", "trace_r0", "trace_big_r",
          "trace_alpha"],
@@ -307,9 +308,9 @@ def test_homogeneity(pair, c):
     spec, comps = pair
     u = SpectralVector(spec, comps)
     cu = SpectralVector(spec, [c * x for x in comps])
-    p = GevreyParams(weight_power_log(1.0), 0.5, 0.25)
-    assert gevrey_norm(cu, p) == pytest.approx(
-        abs(c) * gevrey_norm(u, p), rel=1e-9, abs=1e-12
+    p = (weight_power_log(1.0), 0.5, 0.25)
+    assert gevrey_norm(cu, *p) == pytest.approx(
+        abs(c) * gevrey_norm(u, *p), rel=1e-9, abs=1e-12
     )
 
 
@@ -322,8 +323,8 @@ def test_triangle_inequality(pair):
     u = SpectralVector(spec, comps)
     w = SpectralVector(spec, other)
     s = SpectralVector(spec, np.asarray(comps) + other)
-    p = GevreyParams(weight_power_log(1.0), 0.3, 0.5)
-    assert gevrey_norm(s, p) <= gevrey_norm(u, p) + gevrey_norm(w, p) + 1e-9
+    p = (weight_power_log(1.0), 0.3, 0.5)
+    assert gevrey_norm(s, *p) <= gevrey_norm(u, *p) + gevrey_norm(w, *p) + 1e-9
 
 
 @settings(max_examples=60, deadline=None)
@@ -335,8 +336,8 @@ def test_triangle_inequality(pair):
 def test_monotone_in_radius(pair, r1, dr):
     spec, comps = pair
     u = SpectralVector(spec, comps)
-    lo = gevrey_norm(u, GevreyParams(weight_power_log(1.0), r1, 0.25))
-    hi = gevrey_norm(u, GevreyParams(weight_power_log(1.0), r1 + dr, 0.25))
+    lo = gevrey_norm(u, weight_power_log(1.0), r1, 0.25)
+    hi = gevrey_norm(u, weight_power_log(1.0), r1 + dr, 0.25)
     assert hi >= lo * (1.0 - 1e-12)
 
 
@@ -383,22 +384,21 @@ def test_batched_rows_match_single_vector_and_oracle(pair, phi, alpha, r0, beta)
     lam = spec.lambdas
     t = np.arange(rows) * 0.01
     tr = hand_trajectory(spec, comps, comps[::-1].copy(), t)
-    trace = scale_norm_trace(tr, ScaleTraceConfig(phi, r0, 1.0, alpha))
+    trace = scale_norm_trace(tr, phi, r0, 1.0, alpha)
     for i in range(rows):
-        p_u = GevreyParams(phi, float(trace.radii[i]), alpha + 0.5)
-        p_v = GevreyParams(phi, float(trace.radii[i]), alpha)
+        r = float(trace.radii[i])
         assert np.array_equal(
-            trace.u_norms[i], gevrey_norm(SpectralVector(spec, tr.u[i]), p_u)
+            trace.u_norms[i], gevrey_norm(SpectralVector(spec, tr.u[i]), phi, r, alpha + 0.5)
         )
         assert np.array_equal(
-            trace.v_norms[i], gevrey_norm(SpectralVector(spec, tr.v[i]), p_v)
+            trace.v_norms[i], gevrey_norm(SpectralVector(spec, tr.v[i]), phi, r, alpha)
         )
 
     # the tails of the same kernel match the product form over the modes
     # above each threshold
     rhos = (1.0, 2.5, 4.0)
     u = SpectralVector(spec, comps[0])
-    rep = gm_membership(u, GMParams(phi, rhos, alpha, beta))
+    rep = gm_membership(u, phi, rhos, alpha, beta)
     for rho, tail in zip(rhos, rep.tails):
         keep = lam > rho
         oracle = direct_norm_oracle(

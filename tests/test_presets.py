@@ -98,8 +98,7 @@ def test_every_preset_m_is_nonnegative():
 
 @pytest.mark.parametrize("bundle", list_presets(), ids=lambda b: b.name)
 def test_preset_condition_outcome(bundle):
-    grid = np.logspace(-6, 6, 12 * 128 + 1)  # 128 points a decade
-    rep = check_phi_condition(bundle.omega, bundle.phi, bundle.mode, grid)
+    rep = check_phi_condition(bundle.omega, bundle.phi, bundle.mode)
     if bundle.loss_regime:
         assert not rep.passed
         assert rep.trend_slope > 0.01

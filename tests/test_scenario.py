@@ -224,6 +224,32 @@ def test_m_undefined_on_part_of_the_half_line_refused_before_run(tmp_path, monke
     assert not (tmp_path / "out").exists()
 
 
+# phi below 1, NaN (3**1e6 * log(3)**-1e6 = inf * 0 at lambda = 3) and
+# undefined (a negative power at lambda = 0) at one eigenvalue
+@pytest.mark.parametrize("phi, spectrum, text", [
+    ({"kind": "constant", "c": 0.5}, [1.0, 2.0], "must be >= 1 at every eigenvalue"),
+    ({"kind": "weight_power_log", "p": 1e6, "ell": -1e6}, [1.0, 3.0],
+     "must be >= 1 at every eigenvalue"),
+    ({"kind": "power", "beta": -0.5}, [0.0, 1.0], "negative power is singular"),
+], ids=["below_one", "nan", "undefined"])
+@pytest.mark.parametrize("task", ["norms", "decompose"])
+def test_phi_that_is_no_weight_on_the_spectrum_refused_before_run(
+        tmp_path, capsys, monkeypatch, task, phi, spectrum, text):
+    monkeypatch.setattr(scenario, "evolve", refuse_to_evolve)
+    cfg = task_config(task)
+    cfg["spectrum"] = {"explicit": spectrum}
+    cfg["data"] = {"u0": {"explicit": [0.3, 0.0]}, "u1": "zero"}
+    cfg["functions"] = {"preset": "table1_lipschitz", "phi": phi}
+    with pytest.raises(ScenarioError, match=text) as info:
+        validate_scenario(cfg)
+    assert info.value.field == "functions.phi"
+    assert main(["validate", str(write_config(tmp_path, cfg))]) == 1
+    assert "invalid: functions.phi:" in capsys.readouterr().err
+    with pytest.raises(ScenarioError):
+        run_scenario(cfg, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_decompose_task(tmp_path):
     cfg = {
         "version": 1,
@@ -540,6 +566,30 @@ def test_cli_run_bad_config_does_not_stop_batch(tmp_path, capsys, jobs):
     assert str(bad) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_run_same_stem_configs_do_not_share_an_output_directory(tmp_path, capsys, jobs):
+    # a/cfg.json and b/cfg.json both map to out/cfg: the later one ends as its
+    # own error without running, and the rest of the batch runs
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first = write_config(tmp_path / "a", simulate_config(params={"t_end": 1.0}), "cfg.json")
+    later = write_config(tmp_path / "b", simulate_config(name="later", params={"t_end": 2.0}),
+                         "cfg.json")
+    other = write_config(tmp_path, simulate_config(name="other", params={"t_end": 1.0}),
+                         "other.json")
+    out = tmp_path / "out"
+    code = main(["run", str(first), str(later), str(other), "--out-dir", str(out),
+                 "--jobs", jobs])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert (f"{later}: error: ScenarioError: output directory {out / 'cfg'} is already "
+            f"that of {first}") in captured.err
+    assert f"{first}: ok" in captured.out and f"{other}: ok" in captured.out
+    manifest = json.loads((out / "cfg" / "manifest.json").read_text())
+    assert manifest["summary"]["name"] == "single_mode_cubic"
+    assert (out / "other" / "manifest.json").exists()
+
+
 def dependence_config(family):
     return simulate_config(
         spectrum={"explicit": [1.0, 2.0]},
@@ -616,6 +666,11 @@ def conditions_config(**params):
         (simulate_config(params={"t_end": 5e-324}), "params.t_end"),
         (simulate_config(task="norms", params={"t_end": 5e-324, "r0": 1.0}),
          "params.t_end"),
+        # a negative seed, whether a random form draws from seed, from
+        # seed + 1 = 0 or not at all
+        (simulate_config(seed=-1, data={"u0": {"random": {}}, "u1": "zero"}), "seed"),
+        (simulate_config(seed=-1, data={"u0": "zero", "u1": {"random": {}}}), "seed"),
+        (simulate_config(seed=-1), "seed"),
     ],
     ids=["seed_string", "t_end_string", "t_end_bool", "max_step_list",
          "family_kind", "family_values_empty", "family_values_string",
@@ -628,7 +683,8 @@ def conditions_config(**params):
          "family_values_inf", "pohozaev_b_inf", "dense_output_dt_tiny",
          "dense_output_dt_past_any_float", "dense_output_dt_1e9_samples",
          "per_decade_huge", "per_decade_over_cap", "family_unknown_key",
-         "pohozaev_unknown_key", "t_end_one_ulp_past_t_start", "t_end_subnormal"],
+         "pohozaev_unknown_key", "t_end_one_ulp_past_t_start", "t_end_subnormal",
+         "seed_negative_random_u0", "seed_negative_random_u1", "seed_negative_no_random"],
 )
 def test_malformed_param_value_names_the_field(tmp_path, capsys, monkeypatch, cfg, field):
     monkeypatch.setattr(scenario, "evolve", refuse_to_evolve)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from kirchhoff_spectral import (
-    GMParams,
     SpectralVector,
     Spectrum,
     constant,
@@ -33,7 +32,7 @@ def test_member_when_spectrum_below_first_threshold():
     spec = power_spectrum(5)
     rng = np.random.default_rng(0)
     u = SpectralVector(spec, rng.standard_normal(5))
-    rep = gm_membership(u, GMParams(constant(1.0), (5.0, 10.0), 0.25, 2.0))
+    rep = gm_membership(u, constant(1.0), (5.0, 10.0), 0.25, 2.0)
     assert rep.member
     assert np.array_equal(rep.tails, [0.0, 0.0])
     assert np.array_equal(rep.margins, [5.0, 10.0])
@@ -41,7 +40,7 @@ def test_member_when_spectrum_below_first_threshold():
 
 def test_zero_vector_member():
     spec = power_spectrum(5)
-    rep = gm_membership(zero_vector(spec), GMParams(constant(1.0), (1.0,), 0.0, 2.0))
+    rep = gm_membership(zero_vector(spec), constant(1.0), (1.0,), 0.0, 2.0)
     assert rep.member
     assert rep.margins[0] == 1.0
 
@@ -51,7 +50,7 @@ def test_flat_components_fail_first_tail():
     # tail_1 = 9 e > 1
     spec = power_spectrum(10)
     u = SpectralVector(spec, np.ones(10))
-    rep = gm_membership(u, GMParams(constant(1.0), (1.0, 5.0), 0.0, 2.0))
+    rep = gm_membership(u, constant(1.0), (1.0, 5.0), 0.0, 2.0)
     assert not rep.member
     assert rep.tails[0] == pytest.approx(9.0 * math.e, rel=1e-12)
     oracle = tail_oracle(spec.lambdas, u.components, lambda s: 1.0, 1.0, 0.0, 2.0)
@@ -62,7 +61,7 @@ def test_overflowing_tail_is_nonmember_not_error():
     # exponent 4^3 * 30 = 1920 passes the cap, so the tail collapses to inf
     spec = Spectrum([1.0, 30.0])
     u = SpectralVector(spec, [1.0, 1.0])
-    rep = gm_membership(u, GMParams(power(1.0), (4.0, 40.0), 0.0, 3.0))
+    rep = gm_membership(u, power(1.0), (4.0, 40.0), 0.0, 3.0)
     assert not rep.member
     assert math.isinf(rep.tails[0])
     assert rep.margins[0] == -math.inf
@@ -72,20 +71,21 @@ def test_membership_monotone_under_scaling():
     spec = power_spectrum(12)
     rng = np.random.default_rng(1)
     base = np.exp(-spec.lambdas) * rng.uniform(0.5, 1.5, 12)
-    params = GMParams(power(1.0), (2.0, 8.0, 16.0), 0.25, 2.0)
+    params = (power(1.0), (2.0, 8.0, 16.0), 0.25, 2.0)
     u = SpectralVector(spec, base)
-    if gm_membership(u, params).member:
+    if gm_membership(u, *params).member:
         for c in (0.75, 0.5, 0.25, 0.0):
-            assert gm_membership(SpectralVector(spec, c * base), params).member
+            assert gm_membership(SpectralVector(spec, c * base), *params).member
 
 
 def test_rho_validation():
+    u = zero_vector(power_spectrum(5))
     with pytest.raises(PreconditionError):
-        GMParams(constant(1.0), (), 0.0, 2.0)
+        gm_membership(u, constant(1.0), (), 0.0, 2.0)
     with pytest.raises(PreconditionError):
-        GMParams(constant(1.0), (1.0, 1.0), 0.0, 2.0)
+        gm_membership(u, constant(1.0), (1.0, 1.0), 0.0, 2.0)
     with pytest.raises(PreconditionError):
-        GMParams(constant(1.0), (-1.0, 2.0), 0.0, 2.0)
+        gm_membership(u, constant(1.0), (-1.0, 2.0), 0.0, 2.0)
 
 
 @pytest.mark.parametrize("rhos, alpha, beta", [
@@ -97,7 +97,7 @@ def test_rho_validation():
 def test_nan_or_infinite_membership_params_refused(rhos, alpha, beta):
     # each made gm_membership answer member=False with NaN margins
     with pytest.raises(PreconditionError):
-        GMParams(constant(1.0), rhos, alpha, beta)
+        gm_membership(zero_vector(power_spectrum(5)), constant(1.0), rhos, alpha, beta)
 
 
 def test_band_bookkeeping_alternation():
@@ -180,7 +180,7 @@ def test_decompose_norm_pythagoras():
 def test_member_parts_have_finite_probe_norms():
     # consistency check at finite truncation: a member stays in the weighted
     # class at radii built from its threshold list
-    from kirchhoff_spectral import GevreyParams, gevrey_norm
+    from kirchhoff_spectral import gevrey_norm
 
     spec = power_spectrum(64)
     lam = spec.lambdas
@@ -190,7 +190,7 @@ def test_member_parts_have_finite_probe_norms():
     assert dec.all_member()
     r = dec.rho_bar[0] ** dec.beta
     for vec, alpha in ((dec.u0_bar, 0.75), (dec.u1_bar, 0.25)):
-        value = gevrey_norm(vec, GevreyParams(power(1.0), r, alpha))
+        value = gevrey_norm(vec, power(1.0), r, alpha)
         assert math.isfinite(value)
 
 
@@ -229,7 +229,7 @@ def test_threshold_power_past_float_range_is_an_infinite_weight():
     # rho^beta = 1e320 overflows a double: the one mode above rho gets an
     # infinite weight, and its zero component drops out of the tail
     u = SpectralVector(Spectrum([1.0, 1e200]), [1.0, 0.0])
-    rep = gm_membership(u, GMParams(constant(1.0), (1e160,), 0.25, 2.0))
+    rep = gm_membership(u, constant(1.0), (1e160,), 0.25, 2.0)
     assert rep.member
     assert np.array_equal(rep.tails, [0.0])
 
