@@ -14,9 +14,9 @@ from .blocks import BLOCK_VALUES, row_blocks
 from .conditions import log_log_slope
 from .dynamics import IntegratorConfig, SpectralState, Trajectory, evolve, hamiltonian
 from .errors import PreconditionError
-from .functions import FunctionSpec, antiderivative
+from .functions import FunctionSpec, antiderivative, weight_values
 # benchmarks/tracing.py rebinds analysis.gevrey_norm, which nothing here calls
-from .norms import _norms, _radius_weights, gevrey_norm  # noqa: F401
+from .norms import _norms, gevrey_norm  # noqa: F401
 from .spectrum import (
     SpectralVector,
     a_half_norm_sq,
@@ -64,7 +64,7 @@ def scale_norm_trace(
             f"scale radius r0 - R*t = {radii[i]:.6g} <= 0 at t = {tr.t[i]:.6g}"
         )
     lam = tr.spectrum.lambdas
-    phi_lam = _radius_weights(phi, lam, 1.0)  # phi(lambda) itself, checked
+    phi_lam = weight_values(phi, lam)
     u_norms, v_norms = np.empty(tr.n_samples), np.empty(tr.n_samples)
     for x, a, out in ((tr.u, alpha + 0.5, u_norms), (tr.v, alpha, v_norms)):
         for rows in row_blocks(*x.shape, BLOCK_VALUES):
@@ -211,7 +211,7 @@ def continuous_dependence_study(
     problems = [tuple(p) for p in problems]
     if omega is None:
         omega = modulus_power(1.0)
-    hi = max(hamiltonian_reachable_sigma(u0_lim, u1_lim, m_lim), 1.0)
+    hi = hamiltonian_reachable_sigma(u0_lim, u1_lim, m_lim)  # >= 1
     sigma_grid = np.linspace(0.0, hi, DEPENDENCE_GRID_POINTS)
 
     constants = [estimate_continuity_constant(m_lim, omega, sigma_grid)]

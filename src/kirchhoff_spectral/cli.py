@@ -11,7 +11,7 @@ from pathlib import Path
 from . import __version__
 from .errors import ScenarioError
 from .presets import list_presets
-from .scenario import load_config, run_scenario, validate_scenario
+from .scenario import load_config, run_directory, run_scenario, validate_scenario
 
 
 def _add_run(sub):
@@ -60,13 +60,16 @@ def _report(results) -> int:
 def _cmd_run(args) -> int:
     jobs = []
     owners = {}  # each output directory to the first config that writes it
-    multi = len(args.configs) > 1
     for config in args.configs:
         out_dir, earlier = args.out_dir, None
-        if out_dir is not None and multi:
-            out_dir = str(Path(out_dir) / Path(config).stem)
+        if out_dir is not None and len(args.configs) > 1:
+            out_dir = Path(out_dir) / Path(config).stem
+        try:
+            out_dir = str(run_directory(config, out_dir))
             earlier = owners.get(out_dir)
             owners.setdefault(out_dir, config)
+        except ScenarioError:  # run_scenario raises it again, as this config's error
+            pass
         jobs.append((config, out_dir, earlier))
     if args.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:

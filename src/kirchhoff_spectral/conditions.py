@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BLOCK_VALUES, row_blocks
-from .errors import InvalidWeightError, NotOmegaContinuousError, PreconditionError
-from .functions import FunctionSpec
+from .errors import NotOmegaContinuousError, PreconditionError
+from .functions import FunctionSpec, weight_values
 
 SLOPE_TOL = 0.01  # the largest trend slope a compatible pair may read
 TREND_DECADES = 2.0  # top grid decades over which the ratio's growth is fitted
@@ -93,11 +93,7 @@ def check_phi_condition(omega: FunctionSpec, phi: FunctionSpec, mode: str) -> Co
     if mode not in ("strict", "weak"):
         raise PreconditionError(f"mode must be 'strict' or 'weak', got {mode!r}")
     g = default_sigma_grid()
-    phi_at = np.asarray(phi(g), dtype=float)
-    if np.any(phi_at < 1.0):
-        k = int(np.argmax(phi_at < 1.0))
-        raise InvalidWeightError(f"weight phi({g[k]:g}) = {phi_at[k]:g} < 1")
-
+    phi_at = weight_values(phi, g)
     omega_inv = np.asarray(omega(1.0 / g), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if mode == "strict":
@@ -106,9 +102,7 @@ def check_phi_condition(omega: FunctionSpec, phi: FunctionSpec, mode: str) -> Co
             arg = np.where(omega_inv > 0.0, g / np.sqrt(omega_inv), np.inf)
             finite = np.isfinite(arg)
             phi_arg = np.ones_like(g)
-            phi_arg[finite] = np.asarray(phi(arg[finite]), dtype=float)
-            if np.any(phi_arg[finite] < 1.0):
-                raise InvalidWeightError("weight phi evaluated below 1")
+            phi_arg[finite] = weight_values(phi, arg[finite])
             ratio = np.where(finite, g / phi_arg, np.inf)
 
     finite_ratios = np.all(np.isfinite(ratio))

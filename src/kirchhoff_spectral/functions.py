@@ -27,7 +27,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InvalidWeightError
 
 _E = math.e
 
@@ -509,3 +509,20 @@ def antiderivative(spec: FunctionSpec) -> Callable:
         raise DomainError(f"{spec.kind} is a weight kind and has no antiderivative; "
                           "it cannot be the nonlinearity m")
     return build(spec)
+
+
+def weight_values(phi: FunctionSpec, x) -> np.ndarray:
+    """phi at the points ``x``, each value checked to be >= 1, the rule of a weight.
+
+    +inf passes, an overflow left to the caller; a value below 1 or NaN
+    raises ``InvalidWeightError`` naming the first such point, and a
+    ``DomainError`` of phi passes through.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):  # each value is checked below
+        w = np.asarray(phi(x), dtype=float)
+    bad = ~(w >= 1.0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise InvalidWeightError(f"weight phi({x[k]:g}) = {w[k]:g} is not >= 1")
+    return w

@@ -23,8 +23,8 @@ import math
 import numpy as np
 
 from .blocks import BLOCK_VALUES, row_blocks
-from .errors import InvalidWeightError, NormOverflowError, PreconditionError
-from .functions import FunctionSpec
+from .errors import NormOverflowError, PreconditionError
+from .functions import FunctionSpec, weight_values
 from .spectrum import SpectralVector
 
 EXP_CAP = 700.0
@@ -71,27 +71,13 @@ def _norms(c, lam, alpha, weight=0.0) -> np.ndarray:
     return np.sqrt(sums)
 
 
-def _radius_weights(phi: FunctionSpec | None, lam: np.ndarray, radii) -> np.ndarray:
-    """radii * phi(lambda), with phi checked to be >= 1 on the spectrum."""
-    if phi is None:
-        raise PreconditionError("r > 0 needs a weight function")
-    # an infinite weight is an overflow the kernel reports by its mode
-    with np.errstate(over="ignore"):
-        w = np.asarray(phi(lam), dtype=float)
-        if np.any(w < 1.0):
-            k = int(np.argmax(w < 1.0))
-            raise InvalidWeightError(
-                f"weight phi evaluated below 1 at lambda = {lam[k]:g}"
-            )
-        return radii * w
-
-
-def gevrey_norm(u: SpectralVector, phi: FunctionSpec | None, r: float, alpha: float) -> float:
+def gevrey_norm(u: SpectralVector, phi: FunctionSpec, r: float, alpha: float) -> float:
     """sqrt( sum_k lambda_k^(4*alpha) u_k^2 exp(r*phi(lambda_k)) ), for r, alpha >= 0."""
     if not r >= 0.0:  # or NaN
         raise PreconditionError("scale radius r must be >= 0")
     lam = u.spectrum.lambdas
-    weight = _radius_weights(phi, lam, r) if r != 0.0 else 0.0
+    with np.errstate(over="ignore"):  # an infinite weight is an overflow the kernel reports
+        weight = r * weight_values(phi, lam) if r != 0.0 else 0.0
     return float(_norms(u.components, lam, alpha, weight)[0])
 
 

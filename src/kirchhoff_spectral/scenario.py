@@ -29,7 +29,7 @@ from .analysis import (
     uniqueness_condition,
 )
 from .artifacts import blas_core, dump_json, sha256_text, write_csv, write_json
-from .conditions import check_phi_condition
+from .conditions import check_phi_condition, default_sigma_grid
 from .dynamics import (
     IntegratorConfig,
     SpectralState,
@@ -43,7 +43,7 @@ from .dynamics import (
     sample_intervals,
 )
 from .errors import DomainError, PreconditionError, ScenarioError
-from .functions import RULES, FunctionSpec, antiderivative, constant, offset
+from .functions import RULES, FunctionSpec, antiderivative, constant, offset, weight_values
 from .presets import get_preset
 from .reparametrize import (
     _monotone_prefix,
@@ -88,8 +88,7 @@ _INTEGRATOR_PARAMS = {
     "abs_tol": (None, float, "positive"),
     "dense_output_dt": (None, float, "positive_or_inf"),
 }
-# the objects that _check_pohozaev and _check_family resolve, declared alike
-_POHOZAEV = {"a": (REQUIRED, float, "finite"), "b": (REQUIRED, float, "finite")}
+# the object that _check_family resolves, declared alike
 _FAMILY = {
     "kind": ("m_offset", str, (("m_offset", "data_shift").__contains__,
                                "must be 'm_offset' or 'data_shift'")),
@@ -110,7 +109,6 @@ class Scenario:
     task: str
     params: dict
     preset: str | None
-    output_dir: str | None
 
 
 @dataclass(frozen=True)
@@ -317,8 +315,7 @@ def validate_scenario(cfg: dict) -> Scenario:
     _check_data_finite(u0, u1, slots["m"] if "m" in entry.functions else None)
     params = _fields(top["params"], {**entry.params, **_INTEGRATOR_PARAMS}, "params")
     sc = Scenario(top["name"], spectrum, u0, u1, **slots, task=top["task"], params=params,
-                  preset=str(preset) if preset is not None else None,
-                  output_dir=top["output_dir"])
+                  preset=str(preset) if preset is not None else None)
     if entry.check is not None:
         entry.check(sc)
     if "t_end" in params:
@@ -434,24 +431,23 @@ def _check_norms(sc: Scenario) -> None:
 
 
 def _check_phi(sc: Scenario) -> None:
-    """phi, if given, must be defined and >= 1 (so not NaN) at every eigenvalue;
-    one that overflows to inf is left to the norm's own error."""
+    """phi, if given, must be a weight at every eigenvalue; one that overflows
+    to inf is left to the norm's own error."""
     if sc.phi is not None:  # without one, norms weighs by constant(1)
-        lam = sc.spectrum.lambdas
-        with _field_errors("functions.phi"), np.errstate(all="ignore"):
-            w = np.asarray(sc.phi(lam), dtype=float)
-        k = int(np.argmin(w >= 1.0))
-        _require(w[k] >= 1.0, "functions.phi", float(w[k]),
-                 f"must be >= 1 at every eigenvalue, also at lambda = {lam[k]:g}")
+        with _field_errors("functions.phi"):
+            weight_values(sc.phi, sc.spectrum.lambdas)
 
 
 def _check_conditions(sc: Scenario) -> None:
-    """Resolve params.mode, else the preset's, to 'strict' or 'weak'."""
+    """Resolve params.mode, else the preset's, to 'strict' or 'weak'; phi must
+    be a weight on the sigma grid."""
     p = sc.params
     if p["mode"] is None and sc.preset is not None:
         p["mode"] = get_preset(sc.preset).mode
     _require(p["mode"] in ("strict", "weak"), "params.mode", p["mode"],
              "needs 'strict' or 'weak', given here or by a preset")
+    with _field_errors("functions.phi"):
+        weight_values(sc.phi, default_sigma_grid())
 
 
 def _task_conditions(sc: Scenario, cfg: IntegratorConfig):
@@ -472,15 +468,6 @@ def _task_uniqueness(sc: Scenario, cfg: IntegratorConfig):
     return {"uniqueness_report.json": payload}, summary
 
 
-def _check_pohozaev(sc: Scenario) -> None:
-    """Resolve params.pohozaev (else m's own, for m of that kind) to finite 'a' and 'b'."""
-    poho = sc.params["pohozaev"]
-    if poho is None and sc.m.kind == "pohozaev":
-        poho = dict(sc.m.params)
-    if poho is not None:
-        sc.params["pohozaev"] = _fields(poho, _POHOZAEV, "params.pohozaev")
-
-
 def _task_invariants(sc: Scenario, cfg: IntegratorConfig):
     state = SpectralState(t=0.0, u=sc.u0, v=sc.u1)
     tr = evolve(state, sc.m, cfg, sc.params["t_end"])
@@ -489,9 +476,8 @@ def _task_invariants(sc: Scenario, cfg: IntegratorConfig):
     header = ["t", "hamiltonian", "higher_order_energy"]
     cols = [tr.t, ham, hi]
     drifts = {"hamiltonian": tr.meta.hamiltonian_drift}
-    poho = sc.params["pohozaev"]
-    if poho is not None:
-        series = pohozaev_series(tr, poho["a"], poho["b"])
+    if sc.m.kind == "pohozaev":  # the second invariant holds for this m alone
+        series = pohozaev_series(tr, sc.m.params["a"], sc.m.params["b"])
         header.append("pohozaev")
         cols.append(series)
         drifts["pohozaev"] = relative_drift(series)
@@ -656,8 +642,7 @@ TASKS = {
     "uniqueness": _Task(_task_uniqueness, ("m",), {}),
     "invariants": _Task(_task_invariants, ("m",), {
         "t_end": (REQUIRED, float, "positive"),
-        "pohozaev": (None, dict, None),
-    }, _check_pohozaev),
+    }),
     "decompose": _Task(_task_decompose, ("phi",), {
         "alpha": (0.25, float, "nonnegative"),
         "beta": (2.0, float, "nonnegative"),
@@ -685,12 +670,21 @@ _TOP = {
     "data": ({}, dict, None),
     "functions": ({}, dict, None),
     "params": ({}, dict, None),
-    "output_dir": (None, str, None),
 }
 
 
 # ---------------------------------------------------------------------------
 # runner
+
+
+def run_directory(config, out_dir=None) -> Path:
+    """The directory a run of ``config`` (a path or a parsed dict) writes:
+    ``out_dir`` if given, else runs/<name>.  ScenarioError when ``config``
+    cannot be read or its top level is malformed."""
+    if out_dir is not None:
+        return Path(out_dir)
+    cfg = config if isinstance(config, dict) else load_config(config)
+    return Path("runs") / _fields(cfg, _TOP, "")["name"]
 
 
 def run_scenario(config, out_dir=None) -> RunManifest:
@@ -706,9 +700,7 @@ def run_scenario(config, out_dir=None) -> RunManifest:
     sc = validate_scenario(cfg_dict)
     icfg = _integrator_config(sc.params)
 
-    if out_dir is None:
-        out_dir = sc.output_dir if sc.output_dir is not None else Path("runs") / sc.name
-    out = Path(out_dir)
+    out = run_directory(cfg_dict, out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # a rerun must not leave the last run's outcome beside its own
     for stale in ("manifest.json", "error.json"):

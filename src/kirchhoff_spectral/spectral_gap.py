@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDecayError, NormOverflowError, PreconditionError
-from .functions import FunctionSpec
+from .functions import FunctionSpec, weight_values
 from .norms import _weighted_sums, gevrey_norm
 from .spectrum import SpectralVector, Spectrum, require_shared_spectrum
 
@@ -54,8 +54,8 @@ def gm_membership(
         raise PreconditionError("alpha and beta must be nonnegative")
     lam = u.spectrum.lambdas
     rhos = np.asarray(rhos)
+    phi_at = weight_values(phi, lam)
     with np.errstate(over="ignore"):  # an infinite weight makes an infinite tail
-        phi_at = np.asarray(phi(lam), dtype=float)
         # float64 scalar power: libm's pow, as Python's float power, but an
         # overflow gives +inf; the SIMD np.power can differ in the last bit
         scales = np.array([np.float64(rho) ** beta for rho in rhos])
@@ -174,8 +174,7 @@ def sum_decompose(
         ) from exc
 
     support = (c0 != 0.0) | (c1 != 0.0)
-    with np.errstate(over="ignore"):  # an infinite weight makes an infinite tail
-        phi_at = np.asarray(phi(lam), dtype=float)
+    phi_at = weight_values(phi, lam)  # an infinite weight makes an infinite tail
 
     def tails_ok(rho: float, cut: float) -> bool:
         with np.errstate(over="ignore"):

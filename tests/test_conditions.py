@@ -160,6 +160,19 @@ def test_invalid_weight_detected():
         check_phi_condition(modulus_power(1.0), power(1.0), "strict")
 
 
+# NaN on the grid above e (inf * 0), and from 1.46e6 on only (s**50 overflows
+# there, and log(s)**-300 underflows to 0 above 1.6e5), which the weak mode
+# reaches at its arguments g**1.5 alone
+@pytest.mark.parametrize("phi, mode", [
+    (weight_power_log(1e6, -1e6), "strict"),
+    (weight_power_log(1e6, -1e6), "weak"),
+    (weight_power_log(50.0, -300.0), "weak"),
+], ids=["strict", "weak", "weak_arguments_only"])
+def test_nan_weight_detected(phi, mode):
+    with pytest.raises(InvalidWeightError, match="= nan is not >= 1"):
+        check_phi_condition(modulus_power(1.0), phi, mode)
+
+
 def test_bad_mode_rejected():
     with pytest.raises(PreconditionError):
         check_phi_condition(modulus_power(1.0), weight_power_log(0.0), "medium")

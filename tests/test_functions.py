@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kirchhoff_spectral.errors import DomainError
+from kirchhoff_spectral.errors import DomainError, InvalidWeightError
 from kirchhoff_spectral.functions import (
     KINDS,
     FunctionSpec,
@@ -22,6 +22,7 @@ from kirchhoff_spectral.functions import (
     table,
     weight_power_log,
     weight_scaled_modulus,
+    weight_values,
 )
 
 
@@ -527,3 +528,18 @@ def test_constructed_spec_checked_against_its_declaration():
         FunctionSpec("offset", {"c": 1.0})
     with pytest.raises(DomainError, match=r"'beta' must lie in \(0, 1\]"):
         modulus_power(1.5)
+
+
+def test_weight_values_is_the_one_weight_rule():
+    # values >= 1 come back as phi gives them, +inf included
+    x = np.array([0.5, 2.0, 1e400])
+    assert np.array_equal(weight_values(weight_power_log(1.0), x), [1.0, 2.0, math.inf])
+    # below 1 or NaN: the first such point is named
+    with pytest.raises(InvalidWeightError, match=r"weight phi\(0\.5\) = 0\.5 is not >= 1"):
+        weight_values(power(1.0), [2.0, 0.5, 0.25])
+    # inf * 0 at lambda = 3
+    with pytest.raises(InvalidWeightError, match=r"weight phi\(3\) = nan is not >= 1"):
+        weight_values(weight_power_log(1e6, -1e6), [1.0, 3.0])
+    # phi's own domain error is not a weight error
+    with pytest.raises(DomainError, match="negative power is singular"):
+        weight_values(power(-0.5), [0.0, 1.0])

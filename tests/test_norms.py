@@ -17,6 +17,7 @@ from kirchhoff_spectral import (
     power,
     scale_norm_trace,
     sobolev_norm,
+    sum_decompose,
     weight_power_log,
     zero_vector,
 )
@@ -248,6 +249,22 @@ def test_invalid_weight_rejected(small_spectrum):
     u = SpectralVector(small_spectrum, [1.0, 1.0, 1.0])
     with pytest.raises(InvalidWeightError):
         gevrey_norm(u, constant(0.5), 1.0, 0.0)
+
+
+# 3**1e6 * log(3)**-1e6 = inf * 0: a weight that is NaN at lambda = 3
+NAN_WEIGHT = weight_power_log(1e6, -1e6)
+
+
+@pytest.mark.parametrize("read", [
+    lambda u: gevrey_norm(u, NAN_WEIGHT, 1.0, 0.0),
+    lambda u: scale_norm_trace(one_sample_trace(u), NAN_WEIGHT, 1.0, 0.0, 0.0),
+    lambda u: gm_membership(u, NAN_WEIGHT, (0.5,), 0.0, 2.0),
+    lambda u: sum_decompose(u, u, NAN_WEIGHT, 0.0, 2.0),
+], ids=["gevrey_norm", "scale_norm_trace", "gm_membership", "sum_decompose"])
+def test_nan_weight_refused(read):
+    u = SpectralVector(Spectrum([1.0, 3.0]), [0.0, 0.1])
+    with pytest.raises(InvalidWeightError, match=r"weight phi\(3\) = nan is not >= 1"):
+        read(u)
 
 
 def test_params_validation(small_spectrum):

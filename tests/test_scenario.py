@@ -227,9 +227,9 @@ def test_m_undefined_on_part_of_the_half_line_refused_before_run(tmp_path, monke
 # phi below 1, NaN (3**1e6 * log(3)**-1e6 = inf * 0 at lambda = 3) and
 # undefined (a negative power at lambda = 0) at one eigenvalue
 @pytest.mark.parametrize("phi, spectrum, text", [
-    ({"kind": "constant", "c": 0.5}, [1.0, 2.0], "must be >= 1 at every eigenvalue"),
+    ({"kind": "constant", "c": 0.5}, [1.0, 2.0], r"weight phi\(1\) = 0.5 is not >= 1"),
     ({"kind": "weight_power_log", "p": 1e6, "ell": -1e6}, [1.0, 3.0],
-     "must be >= 1 at every eigenvalue"),
+     r"weight phi\(3\) = nan is not >= 1"),
     ({"kind": "power", "beta": -0.5}, [0.0, 1.0], "negative power is singular"),
 ], ids=["below_one", "nan", "undefined"])
 @pytest.mark.parametrize("task", ["norms", "decompose"])
@@ -239,6 +239,25 @@ def test_phi_that_is_no_weight_on_the_spectrum_refused_before_run(
     cfg = task_config(task)
     cfg["spectrum"] = {"explicit": spectrum}
     cfg["data"] = {"u0": {"explicit": [0.3, 0.0]}, "u1": "zero"}
+    cfg["functions"] = {"preset": "table1_lipschitz", "phi": phi}
+    with pytest.raises(ScenarioError, match=text) as info:
+        validate_scenario(cfg)
+    assert info.value.field == "functions.phi"
+    assert main(["validate", str(write_config(tmp_path, cfg))]) == 1
+    assert "invalid: functions.phi:" in capsys.readouterr().err
+    with pytest.raises(ScenarioError):
+        run_scenario(cfg, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+# power(1) is below 1 up to sigma = 1, and weight_power_log(1e6, -1e6) NaN above e
+@pytest.mark.parametrize("phi, text", [
+    ({"kind": "power", "beta": 1.0}, r"weight phi\(1e-06\) = 1e-06 is not >= 1"),
+    ({"kind": "weight_power_log", "p": 1e6, "ell": -1e6}, "= nan is not >= 1"),
+], ids=["below_one", "nan"])
+def test_conditions_phi_that_is_no_weight_on_the_grid_refused_before_run(
+        tmp_path, capsys, phi, text):
+    cfg = conditions_config()
     cfg["functions"] = {"preset": "table1_lipschitz", "phi": phi}
     with pytest.raises(ScenarioError, match=text) as info:
         validate_scenario(cfg)
@@ -349,6 +368,12 @@ def test_invariants_task(tmp_path):
     assert header == "t,hamiltonian,higher_order_energy,pohozaev"
     rep = json.loads((tmp_path / "out" / "invariants_report.json").read_text())
     assert rep["degeneracy"] == "strictly_hyperbolic"
+    # any other m has no second invariant, and the run writes no column for it
+    cfg["functions"] = {"m": {"kind": "affine", "a": 1.0, "b": 1.0}}
+    manifest = run_scenario(write_config(tmp_path, cfg), out_dir=tmp_path / "affine")
+    assert list(manifest.summary["drifts"]) == ["hamiltonian"]
+    header = (tmp_path / "affine" / "invariants.csv").read_text().splitlines()[0]
+    assert header == "t,hamiltonian,higher_order_energy"
 
 
 def test_dependence_task(tmp_path):
@@ -590,6 +615,33 @@ def test_cli_run_same_stem_configs_do_not_share_an_output_directory(tmp_path, ca
     assert (out / "other" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_run_same_name_configs_do_not_share_runs_name(tmp_path, capsys, monkeypatch, jobs):
+    # without --out-dir, configs named alike both map to runs/<name>: the later
+    # one ends as its own error without running, and one that cannot be read
+    # keeps its own error
+    from kirchhoff_spectral import cli
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first = write_config(tmp_path / "a", simulate_config(params={"t_end": 1.0}), "x_a.json")
+    later = write_config(tmp_path / "b", simulate_config(params={"t_end": 2.0}), "x_b.json")
+    missing = tmp_path / "missing.json"
+    assert main(["run", str(first), str(missing), str(later), "--jobs", jobs]) == 1
+    captured = capsys.readouterr()
+    runs = Path("runs") / "single_mode_cubic"
+    assert (f"{later}: error: ScenarioError: output directory {runs} is already that of "
+            f"{first}") in captured.err
+    assert f"{missing}: error: ScenarioError: cannot read {missing}" in captured.err
+    assert captured.out.startswith(f"{first}: ok")
+    last_row = (tmp_path / runs / "trajectory.csv").read_text().splitlines()[-1]
+    assert float(last_row.split(",")[0]) == 1.0
+    assert SerialPool.sizes == ([2] if jobs == "2" else [])
+
+
 def dependence_config(family):
     return simulate_config(
         spectrum={"explicit": [1.0, 2.0]},
@@ -616,9 +668,8 @@ def conditions_config(**params):
         (dependence_config({"kind": "data_shift", "values": [0.1], "mode_index": 2}),
          "params.family.mode_index"),
         (dependence_config([0.1]), "params.family"),
-        (simulate_config(task="invariants",
-                         params={"t_end": 1.0, "pohozaev": {"a": 1.0}}),
-         "params.pohozaev.b"),
+        (simulate_config(task="invariants", functions={"m": {"kind": "pohozaev", "a": 1.0}},
+                         params={"t_end": 1.0}), "functions.m"),
         (simulate_config(params={"t_end": 1.0, "rel_tol": -1}), "params.rel_tol"),
         (simulate_config(params={"t_end": 1.0, "abs_tol": 0}), "params.abs_tol"),
         (simulate_config(params={"t_end": 1.0, "max_step": 0.0}), "params.max_step"),
@@ -647,8 +698,8 @@ def conditions_config(**params):
         (dependence_config({"kind": "data_shift", "values": [math.inf]}),
          "params.family.values"),
         (simulate_config(task="invariants",
-                         params={"t_end": 1.0, "pohozaev": {"a": 1.0, "b": math.inf}}),
-         "params.pohozaev.b"),
+                         functions={"m": {"kind": "pohozaev", "a": 1.0, "b": math.inf}},
+                         params={"t_end": 1.0}), "functions.m"),
         (simulate_config(params={"t_end": 1.0, "dense_output_dt": 1e-300}),
          "params.dense_output_dt"),
         (simulate_config(params={"t_end": 1e10, "dense_output_dt": 1e-300}),
@@ -658,9 +709,11 @@ def conditions_config(**params):
         (conditions_config(per_decade=10**300), "params.per_decade"),
         (conditions_config(per_decade=200_000), "params.per_decade"),
         (dependence_config({"values": [0.1], "mode": 1}), "params.family.mode"),
-        (simulate_config(task="invariants",
-                         params={"t_end": 1.0, "pohozaev": {"a": 1.0, "b": 1.0, "c": 0}}),
-         "params.pohozaev.c"),
+        # the pohozaev column reads m's own a and b: the param is no key
+        (simulate_config(task="invariants", functions={"m": {"kind": "pohozaev", "a": 1.0,
+                                                             "b": 1.0}},
+                         params={"t_end": 1.0, "pohozaev": {"a": 1.0, "b": 1.0}}),
+         "params.pohozaev"),
         # sample grids that float64 cannot keep strictly increasing; a run
         # starts at t = 0
         (simulate_config(params={"t_end": 5e-324}), "params.t_end"),
@@ -1204,10 +1257,8 @@ def without(key):
     (without("name"), "name"),
     (without("task"), "task"),
     (simulate_config(params={}), "params.t_end"),
-    (simulate_config(task="invariants", params={"t_end": 1.0, "pohozaev": {"a": 1.0}}),
-     "params.pohozaev.b"),
     (dependence_config({"kind": "m_offset"}), "params.family.values"),
-], ids=["version", "name", "task", "param", "pohozaev", "family"])
+], ids=["version", "name", "task", "param", "family"])
 def test_missing_required_key_reads_alike_in_every_object(cfg, field):
     with pytest.raises(ScenarioError) as info:
         validate_scenario(cfg)
@@ -1380,11 +1431,12 @@ def test_failed_write_leaves_an_error_record(tmp_path, monkeypatch):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("value", [5, True, ["x"], None, {"dir": "x"}])
-def test_output_dir_must_be_a_string(tmp_path, monkeypatch, value):
+def refuse_output_dir(tmp_path, monkeypatch, value):
+    # the directory is the caller's: out_dir or --out-dir, else runs/<name>;
+    # output_dir is no config key, so any value is refused as unknown
     monkeypatch.chdir(tmp_path)
     cfg = simulate_config(output_dir=value)
-    with pytest.raises(ScenarioError) as info:
+    with pytest.raises(ScenarioError, match="unknown key") as info:
         validate_scenario(cfg)
     assert info.value.field == "output_dir"
     with pytest.raises(ScenarioError) as info:
@@ -1393,13 +1445,22 @@ def test_output_dir_must_be_a_string(tmp_path, monkeypatch, value):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_output_dir_string_is_the_default_directory(tmp_path, monkeypatch):
+@pytest.mark.parametrize("value", [5, True, ["x"], None, {"dir": "x"}])
+def test_output_dir_must_be_a_string(tmp_path, monkeypatch, value):
+    refuse_output_dir(tmp_path, monkeypatch, value)
+
+
+def test_output_dir_string_is_refused_too(tmp_path, monkeypatch):
+    refuse_output_dir(tmp_path, monkeypatch, "here")
+
+
+def test_run_writes_to_out_dir_else_runs_name(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert validate_scenario(simulate_config()).output_dir is None
-    run_scenario(simulate_config(output_dir="here"))
+    run_scenario(simulate_config(), out_dir="here")
     assert (tmp_path / "here" / "manifest.json").exists()
     run_scenario(simulate_config())
     assert (tmp_path / "runs" / "single_mode_cubic" / "manifest.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["here", "runs"]
 
 
 def unreadable_config(tmp_path, case):
