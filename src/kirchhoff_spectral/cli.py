@@ -29,17 +29,17 @@ def _run_one(job):
 
     Any failure is caught here, so one bad config never ends the batch.  The
     error travels as text, because not every exception survives pickling.  A
-    config whose output directory an ``earlier`` config of the batch already
-    has ends as an error without running.
+    job that already carries an error, a config that does not validate or
+    whose output directory an earlier config of the batch has, ends as that
+    error without running.
     """
-    config, out_dir, earlier = job
-    try:
-        if earlier is not None:
-            raise ScenarioError(f"output directory {out_dir} is already that of {earlier}")
-        manifest = run_scenario(config, out_dir=out_dir)
-    except Exception as exc:
-        return config, None, f"{type(exc).__name__}: {exc}"
-    return config, manifest, None
+    config, cfg, out_dir, error = job
+    if error is None:
+        try:
+            return config, run_scenario(cfg, out_dir=out_dir), None
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+    return config, None, error
 
 
 def _report(results) -> int:
@@ -59,18 +59,23 @@ def _report(results) -> int:
 
 def _cmd_run(args) -> int:
     jobs = []
-    owners = {}  # each output directory to the first config that writes it
+    owners = {}  # each output directory to the first valid config that writes it
     for config in args.configs:
-        out_dir, earlier = args.out_dir, None
+        out_dir, cfg, error = args.out_dir, None, None
         if out_dir is not None and len(args.configs) > 1:
             out_dir = Path(out_dir) / Path(config).stem
         try:
-            out_dir = str(run_directory(config, out_dir))
-            earlier = owners.get(out_dir)
+            cfg = load_config(config)
+            validate_scenario(cfg)
+            out_dir = str(run_directory(cfg, out_dir))
+        except ScenarioError as exc:  # claims no directory
+            error = f"ScenarioError: {exc}"
+        else:
+            if out_dir in owners:
+                error = (f"ScenarioError: output directory {out_dir} is already that of "
+                         f"{owners[out_dir]}")
             owners.setdefault(out_dir, config)
-        except ScenarioError:  # run_scenario raises it again, as this config's error
-            pass
-        jobs.append((config, out_dir, earlier))
+        jobs.append((config, cfg, out_dir, error))
     if args.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             failures = _report(pool.map(_run_one, jobs))

@@ -12,9 +12,9 @@ every requested sample time.  Samples are therefore full-accuracy step
 points, there is no interpolation error term, and rerunning a configuration
 reproduces the artifact bytes.  The cap often binds: on the benchmark's
 workloads (benchmarks/NOTES.md) the sample grid forces 35.2% of the accepted
-steps on ``sweep``, 5.4% on ``wide`` and 92.5% on ``scenarios``, counted
-against the same integrations with a single sample at the end (traced in
-BENCH_9.json).
+steps on ``sweep`` and 5.4% on ``wide`` (traced in BENCH_9.json) and 92.3%
+on ``scenarios`` (traced in BENCH_41.json), counted against the same
+integrations with a single sample at the end.
 
 First-same-as-last holds for accepted steps only: an accepted step's last
 stage is the derivative at the new point and becomes the next step's first

@@ -3,9 +3,9 @@
 Where the shift s is invertible in t, the curve (z, w) = (A^(1/2)u, u') can
 be followed in the s variable; the pace along the curve then solves the
 scalar autonomous problem psi' = F(psi), psi(0) = 0, with F the speed
-2<A^(1/2)z, w> read off the sampled curve.  The two half-steps (curve in s,
-then pace) are implemented here, together with the consistency check against
-a direct time integration.
+2<A^(1/2)z, w>.  The curve is integrated once, landing on the shift values
+of a time run's rise; the pace is read off those landed rows, and the
+consistency check compares them with the time run's rows.
 
 When psi'(0) = 0 but psi''(0) != 0 the speed vanishes at s = 0 to first
 order.  The curve solver then bootstraps: it follows the time dynamics on a
@@ -20,26 +20,17 @@ pair loop of ``solve_to_samples``, as ``dynamics.evolve`` does: at n = 1
 each operation of its right-hand side is the one IEEE operation the array
 closure makes, in the same order, so the curve keeps its bits; with more
 modes the dot's BLAS summation order cannot be reproduced.
-
-The speed along the curve and the inverse pace are read through PCHIP, a
-small numpy cubic (the Fritsch-Butland slopes with Moler's one-sided end
-slopes, equal bit for bit to scipy's ``PchipInterpolator``).  The
-consistency check interpolates nothing: it integrates the curve system
-again, landing on the time run's shift values.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import uniqueness_quantities
-from .dynamics import (
-    SAMPLE_INTERVALS, IntegratorConfig, SpectralState, Trajectory, evolve, sample_grid,
-)
+from .dynamics import IntegratorConfig, SpectralState, Trajectory, evolve
 from .errors import ParametrizationError, PreconditionError
 from .functions import FunctionSpec, scalar_callable
 from .integrate import solve_to_samples
@@ -48,74 +39,6 @@ from .spectrum import SpectralVector, Spectrum, a_half_norm_sq, require_shared_s
 DEN_FLOOR = 1e-10  # smallest |psi'| the curve system accepts
 HP_TOL = 1e-10
 HANDOFF_SCALE = 1e-4
-CURVE_SAMPLES = 1000  # uniform in sqrt(s)
-PACE_INTERVALS = 8192  # trapezoids of the pace quadrature in sqrt(s)
-
-
-@dataclass(frozen=True)
-class HermiteCubic:
-    """Piecewise cubic through the knots ``x``, extrapolated from the end pieces.
-
-    ``c`` has shape (4, knots - 1) with the highest power first in the local
-    variable x - x[i], the layout of scipy's ``PPoly``; evaluation follows
-    its order of operations, c3 + c2*s + c1*s**2 + c0*s**3.
-    """
-
-    x: np.ndarray
-    c: np.ndarray
-
-    @classmethod
-    def from_slopes(cls, x, y, d, h, m) -> HermiteCubic:
-        """The cubic Hermite pieces with values y and slopes d at the knots.
-
-        ``h`` are the knot gaps and ``m`` the secant slopes np.diff(y) / h.
-        """
-        t = (d[:-1] + d[1:] - 2 * m) / h
-        return cls(x, np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])))
-
-    def __call__(self, at) -> np.ndarray:
-        at = np.asarray(at, dtype=float)
-        i = np.clip(np.searchsorted(self.x, at, side="right") - 1, 0, self.x.size - 2)
-        s = at - self.x[i]
-        c = self.c[:, i]
-        s2 = s * s
-        return c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
-
-
-def pchip(x: np.ndarray, y: np.ndarray) -> HermiteCubic:
-    """Shape-preserving cubic through 1-D values y at increasing knots x.
-
-    Interior slopes are the weighted harmonic mean of the neighbouring
-    secants, or 0 where those differ in sign or vanish (Fritsch and Butland,
-    SIAM J. Sci. Comput. 5, 1984); end slopes are the one-sided three-point
-    estimate limited to keep the shape (Moler, Numerical Computing with
-    MATLAB, 3.6).  Two knots give the line.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    h = np.diff(x)
-    m = (y[1:] - y[:-1]) / h
-    if x.size == 2:
-        return HermiteCubic.from_slopes(x, y, np.array([m[0], m[0]]), h, m)
-    sm = np.sign(m)
-    flat = (sm[1:] != sm[:-1]) | (m[1:] == 0.0) | (m[:-1] == 0.0)
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
-    d = np.empty_like(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-    d[0] = _pchip_end(h[0], h[1], m[0], m[1])
-    d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
-    return HermiteCubic.from_slopes(x, y, d, h, m)
-
-
-def _pchip_end(h0, h1, m0, m1):
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
 
 
 @dataclass(frozen=True)
@@ -125,10 +48,6 @@ class PsiTrace:
     t: np.ndarray
     psi: np.ndarray
     f: np.ndarray
-
-    def __post_init__(self):
-        if self.psi.size and abs(float(self.psi[0])) > 1e-12:
-            raise PreconditionError("psi must start at 0")
 
 
 def psi_trace(tr: Trajectory) -> PsiTrace:
@@ -157,8 +76,9 @@ class SCurve:
 
     ``s`` holds direction * psi >= 0, increasing from 0; ``direction`` is the
     sign of the first nonzero initial derivative of psi.  The s integration
-    starts at row ``start``: the datum on the direct branch, the handoff row
-    on the bootstrap branch, after the time leg's rows.
+    starts at row ``start``, reached at time ``t_start``: the datum at t = 0
+    on the direct branch, the handoff row on the bootstrap branch, after the
+    time leg's rows.
     """
 
     spectrum: Spectrum
@@ -166,6 +86,7 @@ class SCurve:
     z: np.ndarray  # (n_samples, n_modes)
     w: np.ndarray
     start: int
+    t_start: float
     direction: int
     branch: str
     psi_prime0: float
@@ -216,41 +137,40 @@ def solve_trajectory_system(
     u0: SpectralVector,
     u1: SpectralVector,
     m: FunctionSpec,
-    s_max: float,
+    shifts: np.ndarray,
     cfg: IntegratorConfig,
 ) -> SCurve:
-    """Integrate the curve system in the shift variable up to |psi| = s_max.
+    """Integrate the curve system in the shift variable, landing on ``shifts``.
 
     The branch and direction are ``curve_branch``'s.  On the bootstrap
     branch the solver first follows the time dynamics until |psi'| exceeds
     the handoff threshold ``HANDOFF_SCALE * (1 + |psi''(0)|)``, then
-    continues in s.  Requires 0 < s_max < inf.
+    continues in s.  The s integration starts from the datum or the handoff
+    and lands on each mirrored shift past it.  ``shifts`` must be finite,
+    strictly increasing and end above 0; shifts that end inside the
+    bootstrap leg are refused.
     """
     spec = require_shared_spectrum(u0, u1)
-    if not 0.0 < s_max < math.inf:  # or NaN
-        raise PreconditionError("s_max must be positive and finite")
+    shifts = np.asarray(shifts, dtype=float)
+    if not (shifts.ndim == 1 and shifts.size and np.all(np.isfinite(shifts))
+            and np.all(np.diff(shifts) > 0.0) and shifts[-1] > 0.0):
+        raise PreconditionError("shifts must be finite and strictly increasing, and end above 0")
     d1, d2 = psi_initial_derivatives(u0, u1, m)
     branch, direction = curve_branch(d1, d2)
     # the s integration starts from the last row of a lead-in: the datum
     # itself on the direct branch, the time leg on the bootstrap branch
     if branch == "direct":
-        lead_s, lead_z = np.zeros(1), (spec.lambdas * u0.components)[None]
+        t_start, lead_s, lead_z = 0.0, np.zeros(1), (spec.lambdas * u0.components)[None]
         lead_w = u1.components[None]
     else:
-        lead_s, lead_z, lead_w = _bootstrap_leg(u0, u1, m, cfg, direction, abs(d2))
+        t_start, lead_s, lead_z, lead_w = _bootstrap_leg(u0, u1, m, cfg, direction, abs(d2))
     s_start = float(lead_s[-1])
-    if s_start >= s_max:
+    if s_start >= shifts[-1]:
         raise PreconditionError(
-            f"s_max = {s_max:g} lies inside the bootstrap leg (handoff at {s_start:g})"
+            f"the shifts end at {shifts[-1]:g}, inside the bootstrap leg (handoff at {s_start:g})"
         )
 
-    # sample uniformly in sqrt(s): the curve components are smooth functions
-    # of sqrt(s) even when the speed vanishes at s = 0, where they behave
-    # like sqrt(s) itself
-    v_grid = np.linspace(math.sqrt(s_start), math.sqrt(s_max), CURVE_SAMPLES + 1)
-    samples = v_grid**2
-    samples[0] = s_start
-    samples[-1] = s_max
+    samples = np.concatenate([[s_start], shifts[shifts > s_start]])
     y0 = np.concatenate([lead_z[-1], lead_w[-1]])
     z, w = _curve_flow(spec, m, a_half_norm_sq(u0), direction, y0, samples, cfg)
     return SCurve(
@@ -259,6 +179,7 @@ def solve_trajectory_system(
         z=np.vstack([lead_z[:-1], z]),
         w=np.vstack([lead_w[:-1], w]),
         start=lead_s.size - 1,
+        t_start=t_start,
         direction=direction,
         branch=branch,
         psi_prime0=d1,
@@ -306,7 +227,8 @@ def _curve_flow(spec, m, sigma0, direction, y0, samples, cfg):
 
 
 def _bootstrap_leg(u0, u1, m, cfg, direction, d2_mag):
-    """Time leg from t = 0 until the mirrored speed clears the handoff threshold."""
+    """Time leg from t = 0 until the mirrored speed clears the handoff threshold:
+    (t at the handoff, s, z, w up to it)."""
     lam = u0.spectrum.lambdas
     boot = HANDOFF_SCALE * (1.0 + d2_mag)
     t_guess = 3.0 * boot / max(d2_mag, 1e-8)
@@ -321,7 +243,7 @@ def _bootstrap_leg(u0, u1, m, cfg, direction, d2_mag):
             s = direction * pt.psi[: i + 1]
             k = _monotone_prefix(s)
             if k >= 2 and k == i + 1:
-                return s, tr.u[: i + 1] * lam, tr.v[: i + 1]
+                return float(tr.t[i]), s, tr.u[: i + 1] * lam, tr.v[: i + 1]
         t_guess *= 2.0
     raise ParametrizationError(
         "bootstrap leg never cleared the handoff threshold; the shift may "
@@ -329,63 +251,46 @@ def _bootstrap_leg(u0, u1, m, cfg, direction, d2_mag):
     )
 
 
-def solve_parametrization(curve: SCurve, t_end: float, cfg: IntegratorConfig) -> PsiTrace:
-    """Recover the pace psi(t) from the curve's speed via psi' = F(psi).
+def solve_parametrization(curve: SCurve, m: FunctionSpec) -> PsiTrace:
+    """The pace psi(t) at the curve's rows past its start, from psi' = F(psi).
 
-    F is ``curve.f_values()`` against the mirrored shift, interpolated by
-    PCHIP in v = sqrt(s), in which the admissible first-order vanishing
-    F ~ c*sqrt(s) is a smooth (linear) profile.
-
-    The autonomous scalar equation is integrated by separation of variables:
-    t(s) = integral of 1/F from 0 to s, regularized by the substitution
-    s = v^2 so that the admissible first-order vanishing of F at s = 0
-    (where the trivial branch psi = 0 splits off) becomes a finite
-    integrand; the monotone escape branch is then the inverse of t(s).
-    Requires F > 0 away from s = 0 on the curve, where a sign change is
-    refused, and 0 < t_end < inf.
+    F is ``curve.f_values()``, the mirrored speed.  The scalar equation
+    separates: t(s) = t_start + integral of ds/F from the start row.  The
+    integral is the corrected trapezoid on the curve's own rows,
+    h/2 (g_i + g_i+1) + h^2/12 (g'_i - g'_i+1), whose second term is the
+    Euler-Maclaurin end correction (Davis and Rabinowitz, Methods of
+    Numerical Integration, 2.9), with g' in closed form from the curve
+    system: dF/ds = psi''/psi' and psi'' = 2 sum lam^2 (w^2 - m(sigma) z^2),
+    sigma = |z|^2.  The variable is s on the direct branch and v = sqrt(s)
+    on the bootstrap branch, where the integrand 2v/F stays smooth as F
+    vanishes like sqrt(s) at s = 0.  Requires F > 0 from the start row on;
+    a sign change is refused.
     """
-    if not 0.0 < t_end < math.inf:  # or NaN
-        raise PreconditionError("t_end must be positive and finite")
-    f = curve.f_values()
-    if np.any(f[1:] <= 0.0):
-        i = 1 + int(np.argmax(f[1:] <= 0.0))
+    s = curve.s[curve.start:]
+    z = curve.z[curve.start:]
+    w = curve.w[curve.start:]
+    f = curve.f_values()[curve.start:]
+    if np.any(f <= 0.0):
+        i = int(np.argmax(f <= 0.0))
         raise ParametrizationError(
-            f"speed changes sign on the interior at s = {curve.s[i]:.6g}; "
-            f"the window contains a turning point"
+            f"speed changes sign at s = {s[i]:.6g}; the window contains a turning point"
         )
-    f_interp = pchip(np.sqrt(curve.s), f)
-    s_hi = float(curve.s[-1])
-    v = np.linspace(0.0, math.sqrt(s_hi), PACE_INTERVALS + 1)
-    fv = np.asarray(f_interp(v), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = 2.0 * v / fv
-    if fv[0] > 0.0:
-        g[0] = 0.0
+    lam2 = curve.spectrum.lam2
+    psi2 = 2.0 * ((w * w - m(np.sum(z * z, axis=1))[:, None] * (z * z)) @ lam2)
+    df = curve.direction * psi2 / f  # dF/ds
+    # g = (ds/dx) / F in the variable x, and its derivative in x
+    if curve.branch == "bootstrap":
+        x = np.sqrt(s)
+        g = 2.0 * x / f
+        dg = 2.0 / f - g * g * df
     else:
-        # first-order vanishing: F ~ c sqrt(s) = c v, so the integrand
-        # 2v/F(v) tends to 2/c
-        j = max(1, int(0.01 * PACE_INTERVALS))
-        c = float(fv[j] / v[j])
-        g[0] = 2.0 / c if c > 0.0 else 0.0
-    if not np.all(np.isfinite(g)):
-        raise ParametrizationError("speed table produced a nonintegrable pace")
-
-    dv = v[1] - v[0]
-    t_nodes = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * dv)])
-    s_nodes = v**2
-
-    keep = np.concatenate([[True], np.diff(t_nodes) > 0.0])
-    inverse = pchip(t_nodes[keep], s_nodes[keep])
-
-    t_max = min(t_end, float(t_nodes[-1]))
-    dt = cfg.dense_output_dt if cfg.dense_output_dt is not None else t_end / SAMPLE_INTERVALS
-    t_out = sample_grid(0.0, t_max, dt)
-    s_out = np.asarray(inverse(t_out), dtype=float)
-    s_out[0] = 0.0
-    psi = curve.direction * s_out
-    v_out = np.sqrt(np.clip(s_out, 0.0, s_hi))
-    f_out = curve.direction * np.asarray(f_interp(v_out), dtype=float)
-    return PsiTrace(t=t_out, psi=psi, f=f_out)
+        x = s
+        g = 1.0 / f
+        dg = -g * g * df
+    h = np.diff(x)
+    steps = 0.5 * h * (g[:-1] + g[1:]) + h * h / 12.0 * (dg[:-1] - dg[1:])
+    return PsiTrace(t=curve.t_start + np.cumsum(steps), psi=curve.direction * s[1:],
+                    f=curve.direction * f[1:])
 
 
 @dataclass(frozen=True)
@@ -398,33 +303,26 @@ class DeviationReport:
     n_compared: int
 
 
-def reparametrization_check(
-    tr: Trajectory, curve: SCurve, m: FunctionSpec, cfg: IntegratorConfig
-) -> DeviationReport:
-    """Compare a time trajectory against the curve flow at matching shift values.
+def reparametrization_check(tr: Trajectory, curve: SCurve) -> DeviationReport:
+    """Compare a time trajectory with the curve at the shift values it landed on.
 
-    Integrates the curve system of m from the curve's start row, landing on
-    s = direction * psi(t_i) for each sample past that row, and reports
-    |z - A^(1/2)u| + |w - u'| per sample, over the leading strictly
-    increasing run of s that lies inside the curve's range: past a turn of
-    the shift the flow no longer follows the curve's branch.
+    The curve's rows past its start must lie at s = direction * psi(t_i) for
+    the samples of the run's first rise past that row, as
+    ``solve_trajectory_system`` lands them given that rise; past a turn of
+    the shift the flow no longer follows the curve's branch.  Reports
+    |z - A^(1/2)u| + |w - u'| per compared sample.
     """
     s_t = curve.direction * psi_trace(tr).psi
     rise = s_t[: _monotone_prefix(s_t)]
-    s_start = float(curve.s[curve.start])
-    j = int(np.count_nonzero(rise <= s_start))
-    k = int(np.count_nonzero(rise <= float(curve.s[-1]) + 1e-15))
-    if k <= j:
-        raise ParametrizationError("no sample past the curve's start falls inside its range")
-
-    sigma0 = a_half_norm_sq(SpectralVector(tr.spectrum, tr.u[0]))
-    y0 = np.concatenate([curve.z[curve.start], curve.w[curve.start]])
-    z, w = _curve_flow(tr.spectrum, m, sigma0, curve.direction, y0,
-                       np.concatenate([[s_start], rise[j:k]]), cfg)
-    dz = z[1:] - tr.u[j:k] * tr.spectrum.lambdas
-    dw = w[1:] - tr.v[j:k]
+    s = curve.s[curve.start + 1:]
+    j = int(np.count_nonzero(rise <= curve.s[curve.start]))
+    k = j + s.size
+    if not np.array_equal(rise[j:k], s):
+        raise PreconditionError("the curve was not landed on this run's shift values")
+    dz = curve.z[curve.start + 1:] - tr.u[j:k] * tr.spectrum.lambdas
+    dw = curve.w[curve.start + 1:] - tr.v[j:k]
     dev = np.sqrt(np.sum(dz**2, axis=1)) + np.sqrt(np.sum(dw**2, axis=1))
     worst = int(np.argmax(dev))
-    return DeviationReport(t=tr.t[j:k].copy(), s=rise[j:k].copy(), deviations=dev,
+    return DeviationReport(t=tr.t[j:k].copy(), s=s.copy(), deviations=dev,
                            max_deviation=float(dev[worst]), worst_t=float(tr.t[j + worst]),
-                           n_compared=k - j)
+                           n_compared=s.size)

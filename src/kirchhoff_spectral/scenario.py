@@ -61,7 +61,7 @@ from .spectral_gap import sum_decompose
 
 CONFIG_VERSION = 1
 REQUIRED = object()  # the default of a key that the config must give
-S_MAX_SHARE = 0.95  # the curve runs to this share of the shift where it first turns
+S_MAX_SHARE = 0.95  # the curve lands on the shift's first rise up to this share of its top
 # the most floats a config may ask the sample tables to hold, 128 MiB of
 # float64: samples x (2n + 1) (times, u and v) per trajectory; a generated
 # spectrum's count must leave room for one sample row
@@ -530,29 +530,31 @@ def _check_reparametrize(sc: Scenario) -> None:
 
 
 def _task_reparametrize(sc: Scenario, cfg: IntegratorConfig):
-    t_end = sc.params["t_end"]
-    tr = evolve(SpectralState(t=0.0, u=sc.u0, v=sc.u1), sc.m, cfg, t_end)
+    tr = evolve(SpectralState(t=0.0, u=sc.u0, v=sc.u1), sc.m, cfg, sc.params["t_end"])
     pt = psi_trace(tr)
     trace = (["t", "psi", "f"], [pt.t, pt.psi, pt.f])
     # a time run that stops early ends the task on its status
     if tr.meta.status != "completed":
         return {"psi_trace.csv": trace}, {"status": tr.meta.status}
-    # past the shift's first turn the flow leaves the curve, so the
-    # comparison needs two samples on its first rise
+    # past the shift's first turn the flow leaves the curve, so the curve
+    # lands on the samples of the first rise up to S_MAX_SHARE of its top
     _, direction = curve_branch(*psi_initial_derivatives(sc.u0, sc.u1, sc.m))
     rise = direction * pt.psi
-    first_rise = _monotone_prefix(rise)
-    if first_rise < 2:
-        raise ScenarioError(f"the shift turns back before the sample at t = {pt.t[1]:.6g}; "
-                            f"decrease dense_output_dt", field="params.dense_output_dt")
-    s_max = S_MAX_SHARE * float(rise[first_rise - 1])
+    rise = rise[:_monotone_prefix(rise)]
+    shifts = rise[rise <= S_MAX_SHARE * float(rise[-1]) + 1e-15]
+    if shifts.size < 2:
+        raise ScenarioError(f"no sample of the shift's first rise lies past t = 0 and below "
+                            f"{S_MAX_SHARE} of its top; decrease dense_output_dt",
+                            field="params.dense_output_dt")
     try:
-        curve = solve_trajectory_system(sc.u0, sc.u1, sc.m, s_max, cfg)
-    except PreconditionError as exc:  # s_max lies inside the bootstrap leg
-        raise ScenarioError(f"{exc}; increase t_end, up to which s_max is "
-                            f"{S_MAX_SHARE} of the shift's rise", field="params.t_end") from exc
-    recovered = solve_parametrization(curve, t_end, cfg)
-    check = reparametrization_check(tr, curve, sc.m, cfg)
+        curve = solve_trajectory_system(sc.u0, sc.u1, sc.m, shifts, cfg)
+    except PreconditionError as exc:  # the shifts end inside the bootstrap leg
+        raise ScenarioError(f"{exc}; increase t_end, up to which the shift's first rise "
+                            f"sets the curve's range", field="params.t_end") from exc
+    recovered = solve_parametrization(curve, sc.m)
+    check = reparametrization_check(tr, curve)
+    lag = np.abs(recovered.t - check.t)
+    late = int(np.argmax(lag))
     payload = {
         "branch": curve.branch,
         "direction": curve.direction,
@@ -561,6 +563,8 @@ def _task_reparametrize(sc: Scenario, cfg: IntegratorConfig):
         "max_deviation": check.max_deviation,
         "worst_t": check.worst_t,
         "n_compared": check.n_compared,
+        "pace_deviation": float(lag[late]),
+        "pace_worst_t": float(check.t[late]),
     }
     artifacts = {
         "scurve.csv": _mode_table("s", "z", "w", curve.s, curve.z, curve.w),

@@ -30,20 +30,20 @@ GOLDEN = {
             "0130b0f70c51451343654014b9b22e085d3b1a25fca12783a8b5866b07aa78a2",
     },
     "seeded_reparametrize_direct": {
-        "scurve.csv": "60374c6f684444951eb44e68342b1434007252c20eea6e7b0b6c4d2729723b01",
+        "scurve.csv": "f76d46052e878018b3683bd118ab5a0aad58f8bbb41f062411f0bf34e167dfa7",
         "psi_trace.csv": "aec74a59f9ab027c24cf2a88b21c2c347288e3beff86d6048acae62741393208",
         "psi_recovered.csv":
-            "cd49deff4aed9970395e3c83d63b40c7860ee6cbab976a661520b66264ad6020",
+            "986902e7fe3db8a584a5b22cae616112347433389d8012cb4c7e3a8fa07dce0d",
         "reparametrization_report.json":
-            "6b077ce210ec3f3b9936fdc8fe424bfdbc41edad812764ae2f685787e3ee6087",
+            "e0491b94c60a8ac535dcb2985f7bd63cc3a426073de1679e00064a1ee2b59302",
     },
     "seeded_reparametrize_bootstrap": {
-        "scurve.csv": "05a24a8eef4bf7f05b288f7f9a76d4cdc75bc8f0a4179914a51409d9561709e8",
+        "scurve.csv": "54bb5dc60b91fed707b6c4a7fb5c6c4b6f731a6ea6a44b9076b3f456eeceb809",
         "psi_trace.csv": "ff3e10e0be92791112315f124de6d7119e7c0ceb10032b6bf76d62567663808b",
         "psi_recovered.csv":
-            "2f84fef081347c24d41b717f20a2c8db49d43291ba1ba78bb30e974f14cba3f9",
+            "cd94f9ea89f52554f08cd1681b70571ad393aad92cde22ebc6139c8b3a6d9da0",
         "reparametrization_report.json":
-            "7eda416dd56eacf8338776aaf84eee6a5c6a9a770eec9bd61c43e6a187b15397",
+            "1be4a88626918ebb5bc489c33f5e9dc6f69b6c6f4b87ad5df405e1350ae3989c",
     },
     "seeded_conditions_weak": {
         "condition_report.json":

@@ -376,7 +376,8 @@ def test_reference_curve_system(monkeypatch, tight_cfg, u1, branch):
         monkeypatch,
         [dynamics, reparametrize],
         lambda: curves.append(
-            reparametrize.solve_trajectory_system(u0, u1, constant(1.0), 0.8, tight_cfg)
+            reparametrize.solve_trajectory_system(u0, u1, constant(1.0),
+                                                  np.linspace(0.0, 0.8, 9), tight_cfg)
         ),
     )
     assert curves[0].branch == branch
@@ -547,7 +548,7 @@ def check_rhs_closures(monkeypatch, rng, spec, ms, m_ats):
         directions.add(direction)
         sigma0 = a_half_norm_sq(u0)
         calls = captured_solves(monkeypatch, [reparametrize], lambda: (
-            reparametrize.solve_trajectory_system(u0, u1, ms[0], 1e-3, IntegratorConfig())
+            reparametrize.solve_trajectory_system(u0, u1, ms[0], [1e-3], IntegratorConfig())
         ))
         curve = calls[0][0]
         for _ in range(5):
@@ -575,7 +576,7 @@ def test_degenerate_speed_reads_alike_in_both_curve_forms(monkeypatch):
         u0 = SpectralVector(spec, [0.5] * spec.n)
         u1 = SpectralVector(spec, [1.0] * spec.n)
         calls = captured_solves(monkeypatch, [reparametrize], lambda: (
-            reparametrize.solve_trajectory_system(u0, u1, affine(1.0, 1.0), 1e-3,
+            reparametrize.solve_trajectory_system(u0, u1, affine(1.0, 1.0), [1e-3],
                                                   IntegratorConfig())
         ))
         curve = calls[0][0]
@@ -602,7 +603,7 @@ def test_rhs_identity_cache_is_sound(monkeypatch, form):
         "vector": (dynamics, lambda: dynamics.evolve(states[0], m, cfg, 0.1)),
         "ensemble": (dynamics, lambda: dynamics.evolve(states, [m] * 3, cfg, 0.1)),
         "curve": (reparametrize, lambda: reparametrize.solve_trajectory_system(
-            states[0].u, states[0].v, m, 1e-3, cfg)),
+            states[0].u, states[0].v, m, [1e-3], cfg)),
     }[form]
 
     def fresh():
@@ -863,6 +864,20 @@ def raw_sha256(*arrays):
     return digest.hexdigest()
 
 
+def sqrt_uniform_curve(u0, u1, m, s_max, cfg):
+    """The curve on 1,000 intervals uniform in sqrt(s) from its start to s_max,
+    the grid its pins were recorded on; the bootstrap branch starts at the
+    handoff of its time leg."""
+    d1, d2 = reparametrize.psi_initial_derivatives(u0, u1, m)
+    branch, direction = reparametrize.curve_branch(d1, d2)
+    s_start = 0.0
+    if branch == "bootstrap":
+        s_start = reparametrize._bootstrap_leg(u0, u1, m, cfg, direction, abs(d2))[1][-1]
+    shifts = np.linspace(math.sqrt(s_start), math.sqrt(s_max), 1001) ** 2
+    shifts[0], shifts[-1] = s_start, s_max
+    return reparametrize.solve_trajectory_system(u0, u1, m, shifts, cfg)
+
+
 def solver_path_runs():
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-10)
     sweep = {"affine": affine(1.0, 1.0), "power1": power(1.0), "power2": power(2.0),
@@ -879,13 +894,12 @@ def solver_path_runs():
     spec = Spectrum([1.0])
     u0 = SpectralVector(spec, [1.0])
     for branch, u1 in (("direct", [1.0]), ("bootstrap", [0.0])):
-        curve = reparametrize.solve_trajectory_system(u0, SpectralVector(spec, u1),
-                                                      constant(1.0), 0.8, cfg)
+        curve = sqrt_uniform_curve(u0, SpectralVector(spec, u1), constant(1.0), 0.8, cfg)
         assert curve.branch == branch
         yield f"curve_{branch}", curve
     # one mode with a non-constant m and lambda**2 inexact
     spec = Spectrum([1.3])
-    curve = reparametrize.solve_trajectory_system(
+    curve = sqrt_uniform_curve(
         SpectralVector(spec, [1.0]), SpectralVector(spec, [1.0]), affine(1.0, 1.0), 0.3, cfg)
     assert curve.branch == "direct"
     yield "curve_direct_affine", curve
@@ -910,7 +924,7 @@ def solver_path_runs():
     yield "evolve_n1_table", dynamics.evolve(
         state, table([0.0, 0.25, 0.5, 1.0], [1.0, 1.5, 1.25, 2.0]), cfg, 10.0)
     # the curve's coefficient m(s + sigma0) on the core of the modulus, below its knee
-    curve = reparametrize.solve_trajectory_system(
+    curve = sqrt_uniform_curve(
         SpectralVector(spec, [0.3]), SpectralVector(spec, [1.0]), modulus_sigma_log(1.0),
         0.2, cfg)
     assert curve.branch == "direct"

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
 
 from kirchhoff_spectral import (
     IntegratorConfig,
@@ -29,7 +28,7 @@ from kirchhoff_spectral import (
 from kirchhoff_spectral import reparametrize
 from kirchhoff_spectral.scenario import run_scenario
 from kirchhoff_spectral.errors import ParametrizationError, PreconditionError
-from kirchhoff_spectral.reparametrize import SCurve, pchip
+from kirchhoff_spectral.reparametrize import SCurve
 from tests.conftest import random_vector
 
 
@@ -113,13 +112,25 @@ def test_finite_difference_convergence(tight_cfg):
         assert order2 >= 0.9
 
 
+def landed_curve(tr, m, s_max, cfg):
+    """The curve of tr's datum landed on the shift values of tr's first rise
+    up to s_max, as the reparametrize task lands it."""
+    u0, u1 = (SpectralVector(tr.spectrum, x[0]) for x in (tr.u, tr.v))
+    _, direction = reparametrize.curve_branch(*psi_initial_derivatives(u0, u1, m))
+    s = direction * psi_trace(tr).psi
+    s = s[:reparametrize._monotone_prefix(s)]
+    return solve_trajectory_system(u0, u1, m, s[s <= s_max], cfg)
+
+
 def assert_compares_the_rise_past_start(tr, curve, check):
     # every time sample whose shift lies past the curve's start row and inside
-    # its range, at that very shift value; the shift rises over these runs
+    # its range, at that very shift value, which is where the curve's rows past
+    # its start lie; the shift rises over these runs
     s = curve.direction * psi_trace(tr).psi
     rows = np.nonzero((s > curve.s[curve.start]) & (s <= curve.s[-1]))[0]
     assert rows.size == check.n_compared > 1 and np.array_equal(check.t, tr.t[rows])
     assert np.array_equal(check.s, s[rows]) and check.worst_t in check.t
+    assert np.array_equal(curve.s[curve.start + 1:], s[rows])
 
 
 def test_direct_branch_consistency(tight_cfg):
@@ -128,12 +139,16 @@ def test_direct_branch_consistency(tight_cfg):
     u1 = basis_vector(spec, 0)
     m = constant(1.0)
     tr = evolve(SpectralState(t=0.0, u=u0, v=u1), m, tight_cfg, 0.7)
-    curve = solve_trajectory_system(u0, u1, m, 0.9, tight_cfg)
+    curve = landed_curve(tr, m, 0.9, tight_cfg)
     assert curve.branch == "direct"
-    assert curve.direction == 1 and curve.start == 0
-    check = reparametrization_check(tr, curve, m, tight_cfg)
+    assert curve.direction == 1 and curve.start == 0 and curve.t_start == 0.0
+    check = reparametrization_check(tr, curve)
     assert check.max_deviation < 1e-6
     assert_compares_the_rise_past_start(tr, curve, check)
+    # a curve landed on other shift values has no rows to compare
+    elsewhere = solve_trajectory_system(u0, u1, m, np.linspace(0.0, 0.9, 10), tight_cfg)
+    with pytest.raises(PreconditionError, match="not landed on this run's shift values"):
+        reparametrization_check(tr, elsewhere)
 
 
 def test_bootstrap_branch_consistency(tight_cfg):
@@ -144,12 +159,14 @@ def test_bootstrap_branch_consistency(tight_cfg):
     d1, d2 = psi_initial_derivatives(u0, u1, m)
     assert d1 == 0.0 and d2 == -2.0
     tr = evolve(SpectralState(t=0.0, u=u0, v=u1), m, tight_cfg, 1.1)
-    curve = solve_trajectory_system(u0, u1, m, 0.8, tight_cfg)
+    curve = landed_curve(tr, m, 0.8, tight_cfg)
     assert curve.branch == "bootstrap"
     assert curve.direction == -1
-    check = reparametrization_check(tr, curve, m, tight_cfg)
+    check = reparametrization_check(tr, curve)
     assert check.max_deviation < 1e-5
     assert curve.start > 0 and curve.s[curve.start] > 0.0  # the handoff row
+    # u = cos t, so the mirrored shift is sin(t)**2
+    assert curve.t_start == pytest.approx(math.asin(math.sqrt(curve.s[curve.start])), rel=1e-6)
     assert_compares_the_rise_past_start(tr, curve, check)
 
 
@@ -175,11 +192,37 @@ GOLDEN_TASKS = Path(__file__).resolve().parent / "golden_tasks"
                                          0.8), 5.5e-12, id="one_mode"),
 ])
 def test_landed_check_reads_the_flows_agreement(tmp_path, config, bound):
-    # the check lands the curve on the time run's shift values, so what it
-    # reads is the difference of the two flows, with no interpolation error
+    # the curve lands on the time run's shift values, so what the check reads
+    # is the difference of the two flows, with no interpolation error; the
+    # pace read off the landed rows puts each at its sample's time
     manifest = run_scenario(config, out_dir=tmp_path)
     report = json.loads((tmp_path / "reparametrization_report.json").read_text())
     assert manifest.summary["ok"] and report["max_deviation"] < bound
+    assert report["pace_deviation"] < 1e-9
+    # the recovered rows are the compared rows of the time run, with its psi
+    trace = np.loadtxt(tmp_path / "psi_trace.csv", delimiter=",", skiprows=1)
+    recovered = np.loadtxt(tmp_path / "psi_recovered.csv", delimiter=",", skiprows=1, ndmin=2)
+    rows = np.nonzero(np.isin(trace[:, 1], recovered[:, 1]))[0]
+    assert rows.size == recovered.shape[0] == report["n_compared"]
+    lag = np.abs(recovered[:, 0] - trace[rows, 0])
+    assert lag.max() == report["pace_deviation"]
+    assert trace[rows[np.argmax(lag)], 0] == report["pace_worst_t"]
+
+
+@pytest.mark.parametrize("name", ["seeded_reparametrize_direct", "seeded_reparametrize_bootstrap"])
+def test_one_curve_integration_per_run(tmp_path, monkeypatch, name):
+    # the curve is integrated once, on the time run's shift values; the
+    # check and the pace read that one flow
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args[2])
+        return solve_to_samples(*args, **kwargs)
+
+    solve_to_samples = reparametrize.solve_to_samples
+    monkeypatch.setattr(reparametrize, "solve_to_samples", counted)
+    run_scenario(GOLDEN_TASKS / f"{name}.json", out_dir=tmp_path)
+    assert len(solves) == 1
 
 
 def test_refusal_when_both_derivatives_vanish(tight_cfg):
@@ -187,7 +230,7 @@ def test_refusal_when_both_derivatives_vanish(tight_cfg):
     u0 = basis_vector(spec, 0)
     u1 = SpectralVector(spec, [0.0, 0.5])
     with pytest.raises(PreconditionError, match="vanish"):
-        solve_trajectory_system(u0, u1, constant(1.0), 0.5, tight_cfg)
+        solve_trajectory_system(u0, u1, constant(1.0), [0.5], tight_cfg)
 
 
 @pytest.mark.parametrize("d1, d2, expected", [
@@ -210,40 +253,37 @@ def test_curve_branch(d1, d2, expected):
 def speed_curve(s, f):
     """A one-mode curve on lambda = 1 whose speed 2*z*w is f: z = 1, w = f/2."""
     return SCurve(spectrum=Spectrum([1.0]), s=s, z=np.ones((s.size, 1)),
-                  w=(f / 2.0)[:, None], start=0, direction=1, branch="synthetic",
-                  psi_prime0=float(f[0]), psi_second0=math.nan)
+                  w=(f / 2.0)[:, None], start=0, t_start=0.0, direction=1,
+                  branch="synthetic", psi_prime0=float(f[0]), psi_second0=math.nan)
 
 
-def test_constant_speed_parametrization(tight_cfg):
+def test_constant_speed_parametrization():
+    # with z = 1 and w = 1/2, m = 1/4 makes psi'' = 2 (w**2 - m z**2) vanish
     s = np.linspace(0.0, 1.0, 101)
-    pt = solve_parametrization(speed_curve(s, np.ones_like(s)), 0.9, tight_cfg)
-    assert np.max(np.abs(pt.psi - pt.t)) < 1e-9
+    pt = solve_parametrization(speed_curve(s, np.ones_like(s)), constant(0.25))
+    assert np.array_equal(pt.psi, s[1:]) and np.max(np.abs(pt.psi - pt.t)) < 1e-9
 
 
-def test_parametrization_sign_change_rejected(tight_cfg):
+def test_parametrization_sign_change_rejected():
     s = np.linspace(0.0, 1.0, 101)
     f = np.cos(2.0 * s)  # goes negative inside
     with pytest.raises(ParametrizationError, match="sign"):
-        solve_parametrization(speed_curve(s, f), 1.0, tight_cfg)
+        solve_parametrization(speed_curve(s, f), constant(1.0))
 
 
-@pytest.mark.parametrize("name, value", [
-    ("s_max", math.nan), ("s_max", math.inf), ("t_end", math.nan), ("t_end", math.inf),
-])
-def test_non_finite_scalar_refused_before_integration(tight_cfg, monkeypatch, name, value):
+@pytest.mark.parametrize("s_max", [math.nan, math.inf], ids=["s_max-nan", "s_max-inf"])
+def test_non_finite_scalar_refused_before_integration(tight_cfg, monkeypatch, s_max):
+    # the last shift, the top of the curve's range, is checked before the
+    # bootstrap data's time leg would start
     def no_integration(*args, **kwargs):
         raise AssertionError("integration started")
 
     monkeypatch.setattr(reparametrize, "evolve", no_integration)
     monkeypatch.setattr(reparametrize, "solve_to_samples", no_integration)
     spec = Spectrum([1.0])
-    with pytest.raises(PreconditionError, match=f"{name} must be positive and finite"):
-        if name == "s_max":  # bootstrap data, so a time leg would come first
-            solve_trajectory_system(basis_vector(spec, 0), zero_vector(spec),
-                                    constant(1.0), value, tight_cfg)
-        else:
-            s = np.linspace(0.0, 1.0, 101)
-            solve_parametrization(speed_curve(s, np.ones_like(s)), value, tight_cfg)
+    with pytest.raises(PreconditionError, match="shifts must be finite"):
+        solve_trajectory_system(basis_vector(spec, 0), zero_vector(spec), constant(1.0),
+                                [0.25, s_max], tight_cfg)
 
 
 def test_round_trip_direct_branch(tight_cfg):
@@ -252,11 +292,12 @@ def test_round_trip_direct_branch(tight_cfg):
     u1 = basis_vector(spec, 0)
     m = constant(1.0)
     tr = evolve(SpectralState(t=0.0, u=u0, v=u1), m, tight_cfg, 0.7)
-    pt = psi_trace(tr)
-    curve = solve_trajectory_system(u0, u1, m, 0.9, tight_cfg)
-    recovered = solve_parametrization(curve, 0.7, tight_cfg)
-    direct = np.interp(recovered.t, pt.t, pt.psi)
-    assert np.max(np.abs(recovered.psi - direct)) < 1e-6
+    curve = landed_curve(tr, m, 0.9, tight_cfg)
+    recovered = solve_parametrization(curve, m)
+    check = reparametrization_check(tr, curve)
+    # psi = sin 2t, so a time lag dt moves psi by at most 2 dt
+    assert np.array_equal(recovered.psi, curve.direction * check.s)
+    assert np.max(np.abs(recovered.t - check.t)) < 1e-9
 
 
 def test_round_trip_degenerate_start(tight_cfg):
@@ -267,12 +308,12 @@ def test_round_trip_degenerate_start(tight_cfg):
     u1 = zero_vector(spec)
     m = constant(1.0)
     tr = evolve(SpectralState(t=0.0, u=u0, v=u1), m, tight_cfg, 1.1)
-    pt = psi_trace(tr)
-    curve = solve_trajectory_system(u0, u1, m, 0.8, tight_cfg)
-    recovered = solve_parametrization(curve, 1.1, tight_cfg)
-    assert np.all(recovered.psi[1:] < 0.0)  # escapes, mirrored sign restored
-    direct = np.interp(recovered.t, pt.t, pt.psi)
-    assert np.max(np.abs(recovered.psi - direct)) < 1e-5
+    curve = landed_curve(tr, m, 0.8, tight_cfg)
+    recovered = solve_parametrization(curve, m)
+    check = reparametrization_check(tr, curve)
+    assert np.all(recovered.psi < 0.0)  # escapes, mirrored sign restored
+    # psi = -sin(t)**2, so a time lag dt moves psi by at most dt
+    assert np.max(np.abs(recovered.t - check.t)) < 1e-9
 
 
 def test_sign_coherence(tight_cfg):
@@ -281,37 +322,16 @@ def test_sign_coherence(tight_cfg):
     spec = Spectrum([1.0])
     u0 = basis_vector(spec, 0)
     for u1, expected in ((basis_vector(spec, 0), 1), (zero_vector(spec), -1)):
-        curve = solve_trajectory_system(u0, u1, constant(1.0), 0.5, tight_cfg)
+        curve = solve_trajectory_system(u0, u1, constant(1.0), np.linspace(0.0, 0.5, 11),
+                                        tight_cfg)
         assert curve.direction == expected
         f_vals = curve.f_values()
         assert np.all(f_vals[1:] > 0.0)  # mirrored speed positive past 0
 
 
-# scipy's PchipInterpolator stays here as the reference the numpy PCHIP replaced
-
-
-def pchip_tables(rng, n):
-    x = np.cumsum(rng.uniform(0.01, 2.0, n)) - rng.uniform(0.0, 5.0)
-    yield x, rng.standard_normal(n)  # sign changes
-    yield x, rng.integers(-2, 3, n).astype(float)  # flat runs and zero secants
-    yield x, np.cumsum(rng.exponential(size=n))  # monotone
-    yield x, np.full(n, rng.standard_normal())
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 9, 200])
-def test_pchip_matches_scipy_bit_for_bit(n):
-    rng = np.random.default_rng(n)
-    for _ in range(25):
-        for x, y in pchip_tables(rng, n):
-            # the knots themselves, both end knots among them, then points
-            # inside and outside the table
-            at = np.concatenate([x, rng.uniform(x[0] - 1.0, x[-1] + 1.0, 64)])
-            assert np.array_equal(pchip(x, y)(at), PchipInterpolator(x, y)(at))
-
-
 def test_reparametrize_run_loads_no_scipy(tmp_path):
-    # a fresh interpreter: this test session has imported scipy for the
-    # references above
+    # a fresh interpreter: other tests of this session import scipy as a
+    # reference
     cfg = {
         "version": 1,
         "name": "direct",

@@ -642,6 +642,28 @@ def test_cli_run_same_name_configs_do_not_share_runs_name(tmp_path, capsys, monk
     assert SerialPool.sizes == ([2] if jobs == "2" else [])
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_run_invalid_config_claims_no_output_directory(tmp_path, capsys, monkeypatch, jobs):
+    # bad.json and good.json are both named "same"; bad.json does not
+    # validate, so runs/same stays free for good.json, which runs
+    from kirchhoff_spectral import cli
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    monkeypatch.chdir(tmp_path)
+    bad = write_config(tmp_path, simulate_config(name="same", spectrum={"explicit": [-1.0]}),
+                       "bad.json")
+    good = write_config(tmp_path, simulate_config(name="same", params={"t_end": 1.0}),
+                        "good.json")
+    assert main(["run", str(bad), str(good), "--jobs", jobs]) == 1
+    captured = capsys.readouterr()
+    assert f"{bad}: error: ScenarioError: spectrum: eigenvalues" in captured.err
+    assert "already that of" not in captured.err
+    assert captured.out.startswith(f"{good}: ok")
+    assert json.loads((tmp_path / "runs" / "same" / "manifest.json").read_text())["summary"]["ok"]
+    assert SerialPool.sizes == ([2] if jobs == "2" else [])
+
+
 def dependence_config(family):
     return simulate_config(
         spectrum={"explicit": [1.0, 2.0]},
@@ -1106,8 +1128,8 @@ GOLDEN_BOOTSTRAP = Path(__file__).resolve().parent / "golden_tasks" / \
                  id="bootstrap_t10"),
 ])
 def test_reparametrize_past_the_shifts_first_turn(tmp_path, cfg):
-    # s_max lies below the shift's first turning value, and the
-    # check compares the samples of its first rise alone
+    # the curve lands on the samples of the shift's first rise up to 0.95 of
+    # its turning value, and the check compares those alone
     manifest = run_scenario(cfg, out_dir=tmp_path)
     assert manifest.summary["ok"] is True
     rep = json.loads((tmp_path / "reparametrization_report.json").read_text())
@@ -1117,7 +1139,9 @@ def test_reparametrize_past_the_shifts_first_turn(tmp_path, cfg):
     assert turn > 0 and rise[-1] < rise[turn]  # the run turns back
     assert rep["n_compared"] <= turn + 1 and rep["max_deviation"] < 1e-6
     s = np.loadtxt(tmp_path / "scurve.csv", delimiter=",", skiprows=1)[:, 0]
-    assert s[-1] == pytest.approx(0.95 * rise[turn], rel=1e-12)
+    landed = rise[:turn + 1]
+    landed = landed[(landed > 0.0) & (landed <= 0.95 * rise[turn] + 1e-15)]
+    assert np.array_equal(s[-rep["n_compared"]:], landed)
 
 
 @pytest.mark.parametrize("t_end", [1e-4], ids=["default_s_max"])
@@ -1140,6 +1164,21 @@ def test_grid_too_coarse_for_the_shifts_rise_names_dense_output_dt(tmp_path, dt)
     cfg = simulate_config(task="reparametrize", data={"u0": unit, "u1": unit},
                           functions={"m": {"kind": "constant", "c": 1.0}},
                           params={"t_end": 4.0, "dense_output_dt": dt})
+    with pytest.raises(ScenarioError, match="decrease dense_output_dt") as info:
+        run_scenario(cfg, out_dir=tmp_path)
+    assert info.value.field == "params.dense_output_dt"
+
+
+def test_rise_with_no_sample_for_the_curve_names_dense_output_dt(tmp_path, monkeypatch):
+    # at step 0.75 the shift's first rise holds no sample between 0 and 0.95
+    # of its top, so the curve would land nowhere: refused before it integrates
+    def no_curve(*args, **kwargs):
+        raise AssertionError("the curve integrated")
+
+    monkeypatch.setattr(scenario, "solve_trajectory_system", no_curve)
+    cfg = {**load_config(GOLDEN_BOOTSTRAP.with_name("seeded_reparametrize_direct.json")),
+           "params": {"t_end": 1.5, "dense_output_dt": 0.75}}
+    validate_scenario(cfg)
     with pytest.raises(ScenarioError, match="decrease dense_output_dt") as info:
         run_scenario(cfg, out_dir=tmp_path)
     assert info.value.field == "params.dense_output_dt"

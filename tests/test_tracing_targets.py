@@ -9,6 +9,8 @@ exists and is callable.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from kirchhoff_spectral import (
     SpectralState,
     SpectralVector,
@@ -82,7 +84,7 @@ def test_traced_counters_match_the_solver(monkeypatch, tight_cfg):
                         tight_cfg, 1.0)
         curve = reparametrize.solve_trajectory_system(
             SpectralVector(unit, [1.0]), SpectralVector(unit, [0.0]), constant(1.0),
-            0.8, tight_cfg,
+            np.linspace(0.0, 0.8, 9), tight_cfg,
         )
     finally:
         tracer.uninstall()
