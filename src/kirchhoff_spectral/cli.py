@@ -25,7 +25,7 @@ def _add_run(sub):
 
 
 def _run_one(job):
-    """Run one config; return (config, manifest, None) or (config, None, error).
+    """Run one validated scenario; return (config, manifest, None) or (config, None, error).
 
     Any failure is caught here, so one bad config never ends the batch.  The
     error travels as text, because not every exception survives pickling.  A
@@ -33,10 +33,10 @@ def _run_one(job):
     whose output directory an earlier config of the batch has, ends as that
     error without running.
     """
-    config, cfg, out_dir, error = job
+    config, sc, out_dir, error = job
     if error is None:
         try:
-            return config, run_scenario(cfg, out_dir=out_dir), None
+            return config, run_scenario(sc, out_dir=out_dir), None
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
     return config, None, error
@@ -61,13 +61,12 @@ def _cmd_run(args) -> int:
     jobs = []
     owners = {}  # each output directory to the first valid config that writes it
     for config in args.configs:
-        out_dir, cfg, error = args.out_dir, None, None
+        out_dir, sc, error = args.out_dir, None, None
         if out_dir is not None and len(args.configs) > 1:
             out_dir = Path(out_dir) / Path(config).stem
         try:
-            cfg = load_config(config)
-            validate_scenario(cfg)
-            out_dir = str(run_directory(cfg, out_dir))
+            sc = validate_scenario(load_config(config))
+            out_dir = str(run_directory(sc, out_dir))
         except ScenarioError as exc:  # claims no directory
             error = f"ScenarioError: {exc}"
         else:
@@ -75,7 +74,7 @@ def _cmd_run(args) -> int:
                 error = (f"ScenarioError: output directory {out_dir} is already that of "
                          f"{owners[out_dir]}")
             owners.setdefault(out_dir, config)
-        jobs.append((config, cfg, out_dir, error))
+        jobs.append((config, sc, out_dir, error))
     if args.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             failures = _report(pool.map(_run_one, jobs))

@@ -201,22 +201,22 @@ def _initial_step(
     span: float,
     rel_tol: float,
     abs_tol: float,
-    members: int = 1,
 ) -> float:
     """Hairer-style first step guess h0, from one right-hand-side call.
 
-    For an ensemble, ``y0`` and ``f0`` hold ``members`` equal rows.
-    The trial step and the guess are each the smallest over the members, so
-    one right-hand-side call serves all.  ``f0`` must be finite.  A trial
-    step that is NaN, or 0 from an overflowed RMS, is returned without the
-    call; a derivative at the trial step that is not finite gives a guess of
-    1e-3 times the trial step, for the error test to grow.
+    ``y0`` and ``f0`` come in the caller's shape, a vector as one member and
+    a (members, d) array as one member a row.  The trial step and the guess
+    are each the smallest over the members, so one right-hand-side call
+    serves all.  ``f0`` must be finite.  A trial step that is NaN, or 0 from
+    an overflowed RMS, is returned without the call; a derivative at the
+    trial step that is not finite gives a guess of 1e-3 times the trial
+    step, for the error test to grow.
     """
     scale = abs_tol + rel_tol * np.abs(y0)
 
     def rms(x):
         with np.errstate(over="ignore"):  # an overflowed RMS reads inf
-            return [math.sqrt(float(np.mean(row**2))) for row in x.reshape(members, -1)]
+            return [math.sqrt(float(np.mean(row**2))) for row in np.atleast_2d(x)]
 
     d0 = rms(y0 / scale)
     d1 = rms(f0 / scale)
@@ -365,7 +365,7 @@ def _solve_array(rhs, y, samples, times, h_floor, rel_tol, abs_tol,
     if not finite.all():
         return IntegrationOutcome(samples[:1].copy(), y_in[None], 0, 0, n_rhs, "step_underflow",
                                   named(_NONFINITE.format(t=t), finite.argmin()))
-    h = _initial_step(derivative, t, y_in, k_in[0], t_end - t, rel_tol, abs_tol, n_members)
+    h = _initial_step(derivative, t, y_in, k_in[0], t_end - t, rel_tol, abs_tol)
     grew_after_reject = False
     abs_y = np.abs(y)
     out = np.empty((samples.size, y.size))

@@ -15,7 +15,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -81,8 +81,8 @@ _VECTOR_FORMS = {
     "random": {"scale": (1.0, float, None), "decay": (1.5, float, None)},
 }
 
-# params read by _integrator_config and accepted by every task, declared as in
-# _Task.params; a None default keeps IntegratorConfig's
+# params read by _integrator_config and accepted by each task that integrates
+# (has t_end), declared as in _Task.params; a None default keeps IntegratorConfig's
 _INTEGRATOR_PARAMS = {
     "rel_tol": (None, float, "positive"),
     "abs_tol": (None, float, "positive"),
@@ -109,6 +109,7 @@ class Scenario:
     task: str
     params: dict
     preset: str | None
+    config: dict = field(repr=False)  # the parsed config validated, as scenario_hash hashes it
 
 
 @dataclass(frozen=True)
@@ -313,12 +314,14 @@ def validate_scenario(cfg: dict) -> Scenario:
             raise ScenarioError("task needs this function, inline or from a preset",
                                 field=f"functions.{slot}")
     _check_data_finite(u0, u1, slots["m"] if "m" in entry.functions else None)
-    params = _fields(top["params"], {**entry.params, **_INTEGRATOR_PARAMS}, "params")
+    integrates = "t_end" in entry.params
+    params = _fields(top["params"], {**entry.params, **(_INTEGRATOR_PARAMS if integrates else {})},
+                     "params")
     sc = Scenario(top["name"], spectrum, u0, u1, **slots, task=top["task"], params=params,
-                  preset=str(preset) if preset is not None else None)
+                  preset=str(preset) if preset is not None else None, config=cfg)
     if entry.check is not None:
         entry.check(sc)
-    if "t_end" in params:
+    if integrates:
         _check_sample_count(sc)
     return sc
 
@@ -365,8 +368,8 @@ def _check_sample_count(sc: Scenario) -> None:
 
 
 def _integrator_config(params: dict) -> IntegratorConfig:
-    """IntegratorConfig's defaults overridden by the params."""
-    given = {k: params[k] for k in _INTEGRATOR_PARAMS if params[k] is not None}
+    """IntegratorConfig's defaults overridden by the params the task takes."""
+    given = {k: params[k] for k in _INTEGRATOR_PARAMS if params.get(k) is not None}
     return replace(IntegratorConfig(), **given)
 
 
@@ -681,35 +684,31 @@ _TOP = {
 # runner
 
 
-def run_directory(config, out_dir=None) -> Path:
-    """The directory a run of ``config`` (a path or a parsed dict) writes:
-    ``out_dir`` if given, else runs/<name>.  ScenarioError when ``config``
-    cannot be read or its top level is malformed."""
-    if out_dir is not None:
-        return Path(out_dir)
-    cfg = config if isinstance(config, dict) else load_config(config)
-    return Path("runs") / _fields(cfg, _TOP, "")["name"]
+def run_directory(sc: Scenario, out_dir=None) -> Path:
+    """The directory a run of ``sc`` writes: ``out_dir`` if given, else runs/<name>."""
+    return Path(out_dir) if out_dir is not None else Path("runs") / sc.name
 
 
 def run_scenario(config, out_dir=None) -> RunManifest:
     """Execute one scenario and write its artifacts plus manifest.json.
 
-    ``config`` is a path or an already-parsed dict; with the tool version it
-    is the run's only input, and ``scenario_hash`` hashes it as read.  A
-    failure of the task or of a write leaves a machine-readable error.json in
-    the output directory before the exception propagates; an invalid config
-    is refused before the directory is made.
+    ``config`` is a validated Scenario, or a path or a parsed dict that is
+    validated here; with the tool version its config is the run's only input,
+    and ``scenario_hash`` hashes it as read.  A failure of the task or of a
+    write leaves a machine-readable error.json in the output directory before
+    the exception propagates; an invalid config is refused before the
+    directory is made.
     """
-    cfg_dict = config if isinstance(config, dict) else load_config(config)
-    sc = validate_scenario(cfg_dict)
+    sc = config if isinstance(config, Scenario) else validate_scenario(
+        config if isinstance(config, dict) else load_config(config))
     icfg = _integrator_config(sc.params)
 
-    out = run_directory(cfg_dict, out_dir)
+    out = run_directory(sc, out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # a rerun must not leave the last run's outcome beside its own
     for stale in ("manifest.json", "error.json"):
         (out / stale).unlink(missing_ok=True)
-    scenario_hash = sha256_text(dump_json(cfg_dict))
+    scenario_hash = sha256_text(dump_json(sc.config))
 
     from .artifacts import sha256_file  # looked up per run, so a rebinding is seen
 

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -554,10 +555,13 @@ def test_unknown_param_rejected():
         with pytest.raises(ScenarioError, match="unknown key") as info:
             validate_scenario(cfg)
         assert info.value.field == field
-    # the integrator keys are accepted by every task, including one that
-    # does not integrate
-    cfg = simulate_config(task="uniqueness", params={"rel_tol": 1e-8})
+    # the integrator keys are accepted by a task that integrates, and refused
+    # by one that does not
+    cfg = simulate_config(params={"t_end": 5.0, "rel_tol": 1e-8})
     assert validate_scenario(cfg).params["rel_tol"] == 1e-8
+    with pytest.raises(ScenarioError, match="unknown key") as info:
+        validate_scenario(simulate_config(task="uniqueness", params={"rel_tol": 1e-8}))
+    assert info.value.field == "params.rel_tol"
 
 
 @pytest.mark.parametrize("params", [{}, {"mode": "medium"}])
@@ -662,6 +666,48 @@ def test_cli_run_invalid_config_claims_no_output_directory(tmp_path, capsys, mon
     assert captured.out.startswith(f"{good}: ok")
     assert json.loads((tmp_path / "runs" / "same" / "manifest.json").read_text())["summary"]["ok"]
     assert SerialPool.sizes == ([2] if jobs == "2" else [])
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_run_validates_each_config_once(tmp_path, monkeypatch, jobs):
+    # cli loads and validates each config, and run_scenario runs the
+    # validated scenario it is handed
+    from kirchhoff_spectral import cli
+
+    validate, names = scenario.validate_scenario, []
+
+    def spy(cfg):
+        names.append(cfg["name"])
+        return validate(cfg)
+
+    monkeypatch.setattr(scenario, "validate_scenario", spy)
+    monkeypatch.setattr(cli, "validate_scenario", spy)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    one = write_config(tmp_path, simulate_config(name="one", params={"t_end": 1.0}), "one.json")
+    two = write_config(tmp_path, simulate_config(name="two", params={"t_end": 1.0}), "two.json")
+    assert main(["run", str(one), str(two), "--out-dir", str(tmp_path / "out"),
+                 "--jobs", jobs]) == 0
+    assert names == ["one", "two"]
+    assert SerialPool.sizes == ([2] if jobs == "2" else [])
+
+
+def test_validated_scenario_runs_as_its_config(tmp_path, monkeypatch):
+    # a Scenario, also one that went through pickle, runs without a second
+    # validation and writes the bytes and scenario_hash of its config
+    cfg = task_config("reparametrize", t_end=0.5)
+    sc = validate_scenario(cfg)
+    assert sc.config is cfg and "config" not in repr(sc)
+    by_dict = run_scenario(cfg, out_dir=tmp_path / "dict")
+    monkeypatch.setattr(scenario, "validate_scenario", refuse_to_validate)
+    for out, given in (("sc", sc), ("pickled", pickle.loads(pickle.dumps(sc)))):
+        manifest = run_scenario(given, out_dir=tmp_path / out)
+        assert manifest.scenario_hash == by_dict.scenario_hash
+        assert manifest.artifacts == by_dict.artifacts
+
+
+def refuse_to_validate(cfg):
+    raise AssertionError("a validated scenario was validated again")
 
 
 def dependence_config(family):
@@ -801,21 +847,27 @@ def task_config(task, **params):
 # autonomous equation fix: every task refuses them as unknown keys, whatever
 # their value
 REMOVED_PARAMS = {"max_step": REFUSED["positive_or_inf"], "t_start": REFUSED["finite"]}
-# the grid, the tolerances and s_max, now constants or derived: the task that
-# once took each refuses it as an unknown key too
+# the integrator params, which only a task that integrates takes
+INTEGRATOR_REFUSED = {"rel_tol": REFUSED["positive"], "abs_tol": REFUSED["positive"],
+                      "dense_output_dt": REFUSED["positive_or_inf"]}
+# the grid, the tolerances and s_max, now constants or derived, and the
+# integrator params of a task that does not integrate: the task that once
+# took each refuses it as an unknown key too
 REMOVED_TASK_PARAMS = {
     "conditions": {"grid_lo": REFUSED["positive"], "grid_hi": REFUSED["positive"],
                    "per_decade": [math.nan, math.inf, -math.inf, 0],
-                   "slope_tol": REFUSED["finite"]},
-    "uniqueness": {"tol": REFUSED["nonnegative"]},
-    "decompose": {"r_probe": REFUSED["nonnegative"]},
+                   "slope_tol": REFUSED["finite"], **INTEGRATOR_REFUSED},
+    "uniqueness": {"tol": REFUSED["nonnegative"], **INTEGRATOR_REFUSED},
+    "decompose": {"r_probe": REFUSED["nonnegative"], **INTEGRATOR_REFUSED},
     "reparametrize": {"s_max": REFUSED["positive"]},
 }
+NOT_INTEGRATING = ("conditions", "uniqueness", "decompose")
 
 
 def refused_values():
     for task, entry in scenario.TASKS.items():
-        for name, (_, kind, rule) in {**entry.params, **scenario._INTEGRATOR_PARAMS}.items():
+        integrator = scenario._INTEGRATOR_PARAMS if "t_end" in entry.params else {}
+        for name, (_, kind, rule) in {**entry.params, **integrator}.items():
             if kind is float:
                 for value in REFUSED[rule]:
                     yield pytest.param(task, name, value, id=f"{task}-{name}-{value!r}")
@@ -980,6 +1032,12 @@ def test_malformed_function_spec_names_the_param(tmp_path, monkeypatch, kind, sp
 @pytest.mark.parametrize("task", list(scenario.TASKS))
 def test_task_config_is_valid(task):
     validate_scenario(task_config(task))
+    # a task that integrates, one with a t_end, takes the integrator params
+    assert ("t_end" in scenario.TASKS[task].params) == (task not in NOT_INTEGRATING)
+    if task not in NOT_INTEGRATING:
+        given = {"rel_tol": 1e-3, "abs_tol": 1e-9, "dense_output_dt": 0.5}
+        params = validate_scenario(task_config(task, **given)).params
+        assert {k: params[k] for k in given} == given
 
 
 @pytest.mark.parametrize("task, name, value", list(refused_values()))
@@ -992,6 +1050,24 @@ def test_refused_param_value_never_integrates(tmp_path, monkeypatch, task, name,
     with pytest.raises(ScenarioError) as info:
         run_scenario(cfg, out_dir=tmp_path / "out")
     assert info.value.field == f"params.{name}"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("task", NOT_INTEGRATING)
+@pytest.mark.parametrize("name, value", [("rel_tol", 1e-3), ("abs_tol", 1e-9),
+                                         ("dense_output_dt", 0.5)])
+def test_task_that_does_not_integrate_refuses_integrator_param(tmp_path, capsys, task,
+                                                               name, value):
+    cfg = task_config(task, **{name: value})
+    with pytest.raises(ScenarioError, match="unknown key") as info:
+        validate_scenario(cfg)
+    assert info.value.field == f"params.{name}"
+    with pytest.raises(ScenarioError):
+        run_scenario(cfg, out_dir=tmp_path / "out")
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"invalid: params.{name}: unknown key")
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -1534,7 +1610,9 @@ def test_unknown_preset_message_is_not_quoted(capsys, tmp_path):
 
 
 class SerialPool:
-    """A stand-in for ProcessPoolExecutor that records max_workers and maps in process."""
+    """A stand-in for ProcessPoolExecutor that records max_workers and maps in
+    process; each job and each result goes through pickle, as to and from a
+    worker."""
 
     sizes = []
 
@@ -1548,7 +1626,8 @@ class SerialPool:
         return False
 
     def map(self, fn, items):
-        return map(fn, items)
+        return (pickle.loads(pickle.dumps(fn(pickle.loads(pickle.dumps(item)))))
+                for item in items)
 
 
 @pytest.mark.parametrize("jobs, workers", [("2", 2), ("3", 2), ("64", 2)])
