@@ -14,7 +14,7 @@ from .blocks import BLOCK_VALUES, row_blocks
 from .conditions import log_log_slope
 from .dynamics import IntegratorConfig, SpectralState, Trajectory, evolve, hamiltonian
 from .errors import PreconditionError
-from .functions import FunctionSpec, antiderivative, weight_values
+from .functions import FunctionSpec, antiderivative, modulus_power, weight_values
 # benchmarks/tracing.py rebinds analysis.gevrey_norm, which nothing here calls
 from .norms import _norms, gevrey_norm  # noqa: F401
 from .spectrum import (
@@ -204,8 +204,8 @@ def continuous_dependence_study(
     (the hypothesis of the compactness statement); the report carries the
     sup-in-time energy distances with the input distances and a log-log rate.
     """
+    # looked up per call: benchmarks/tracing.py rebinds conditions.estimate_continuity_constant
     from .conditions import estimate_continuity_constant
-    from .functions import modulus_power
 
     m_lim, u0_lim, u1_lim = limit
     problems = [tuple(p) for p in problems]

@@ -128,9 +128,7 @@ def main(argv=None) -> int:
         return _cmd_run(args)
     if args.command == "presets":
         return _cmd_presets(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    return 2
+    return _cmd_validate(args)  # a command is required, so it is validate
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -81,7 +81,7 @@ _VECTOR_FORMS = {
     "random": {"scale": (1.0, float, None), "decay": (1.5, float, None)},
 }
 
-# params read by _integrator_config and accepted by each task that integrates
+# params that set Scenario.integrator, accepted by each task that integrates
 # (has t_end), declared as in _Task.params; a None default keeps IntegratorConfig's
 _INTEGRATOR_PARAMS = {
     "rel_tol": (None, float, "positive"),
@@ -110,6 +110,12 @@ class Scenario:
     params: dict
     preset: str | None
     config: dict = field(repr=False)  # the parsed config validated, as scenario_hash hashes it
+    integrator: IntegratorConfig | None = field(init=False, repr=False)  # None: no t_end
+
+    def __post_init__(self):  # IntegratorConfig's defaults, overridden by the params given
+        given = {k: self.params[k] for k in _INTEGRATOR_PARAMS if self.params.get(k) is not None}
+        object.__setattr__(self, "integrator",
+                           IntegratorConfig(**given) if "t_end" in self.params else None)
 
 
 @dataclass(frozen=True)
@@ -314,14 +320,13 @@ def validate_scenario(cfg: dict) -> Scenario:
             raise ScenarioError("task needs this function, inline or from a preset",
                                 field=f"functions.{slot}")
     _check_data_finite(u0, u1, slots["m"] if "m" in entry.functions else None)
-    integrates = "t_end" in entry.params
-    params = _fields(top["params"], {**entry.params, **(_INTEGRATOR_PARAMS if integrates else {})},
-                     "params")
+    table = {**entry.params, **(_INTEGRATOR_PARAMS if "t_end" in entry.params else {})}
+    params = _fields(top["params"], table, "params")
     sc = Scenario(top["name"], spectrum, u0, u1, **slots, task=top["task"], params=params,
                   preset=str(preset) if preset is not None else None, config=cfg)
     if entry.check is not None:
         entry.check(sc)
-    if integrates:
+    if sc.integrator is not None:
         _check_sample_count(sc)
     return sc
 
@@ -367,12 +372,6 @@ def _check_sample_count(sc: Scenario) -> None:
              f"sample intervals in float64")
 
 
-def _integrator_config(params: dict) -> IntegratorConfig:
-    """IntegratorConfig's defaults overridden by the params the task takes."""
-    given = {k: params[k] for k in _INTEGRATOR_PARAMS if params.get(k) is not None}
-    return replace(IntegratorConfig(), **given)
-
-
 # ---------------------------------------------------------------------------
 # task implementations; each writes nothing and returns (artifacts, summary):
 # each file name, in manifest order, to a CSV's (header, columns) or a JSON dict
@@ -385,9 +384,13 @@ def _mode_table(x: str, a: str, b: str, xs, ua, ub) -> tuple:
     return header, [xs, *ua.T, *ub.T]
 
 
-def _task_simulate(sc: Scenario, cfg: IntegratorConfig):
-    state = SpectralState(t=0.0, u=sc.u0, v=sc.u1)
-    tr = evolve(state, sc.m, cfg, sc.params["t_end"])
+def _time_run(sc: Scenario):
+    """The trajectory from (u0, u1) under m up to t_end, at the scenario's settings."""
+    return evolve(SpectralState(t=0.0, u=sc.u0, v=sc.u1), sc.m, sc.integrator, sc.params["t_end"])
+
+
+def _task_simulate(sc: Scenario):
+    tr = _time_run(sc)
     ham = hamiltonian_series(tr, sc.m)
     hi = higher_order_series(tr)
     trace = coefficient_trace(tr)
@@ -409,10 +412,9 @@ def _task_simulate(sc: Scenario, cfg: IntegratorConfig):
     return artifacts, {"status": tr.meta.status, "hamiltonian_drift": drift}
 
 
-def _task_norms(sc: Scenario, cfg: IntegratorConfig):
+def _task_norms(sc: Scenario):
     p = sc.params
-    state = SpectralState(t=0.0, u=sc.u0, v=sc.u1)
-    tr = evolve(state, sc.m, cfg, p["t_end"])
+    tr = _time_run(sc)
     phi = sc.phi if sc.phi is not None else constant(1.0)
     trace = scale_norm_trace(tr, phi, p["r0"], p["R"], p["alpha"])
     table = (["t", "radius", "u_norm", "v_norm"],
@@ -453,7 +455,7 @@ def _check_conditions(sc: Scenario) -> None:
         weight_values(sc.phi, default_sigma_grid())
 
 
-def _task_conditions(sc: Scenario, cfg: IntegratorConfig):
+def _task_conditions(sc: Scenario):
     report = check_phi_condition(sc.omega, sc.phi, sc.params["mode"])
     payload = {**asdict(report), "omega": sc.omega.to_dict(), "phi": sc.phi.to_dict(),
                "preset": sc.preset}
@@ -461,7 +463,7 @@ def _task_conditions(sc: Scenario, cfg: IntegratorConfig):
                                                 "lambda_estimate": report.lambda_estimate}
 
 
-def _task_uniqueness(sc: Scenario, cfg: IntegratorConfig):
+def _task_uniqueness(sc: Scenario):
     rep = uniqueness_condition(sc.u0, sc.u1, sc.m)
     d1, d2 = psi_initial_derivatives(sc.u0, sc.u1, sc.m)
     payload = {**asdict(rep), "psi_prime0": d1, "psi_second0": d2}
@@ -471,9 +473,8 @@ def _task_uniqueness(sc: Scenario, cfg: IntegratorConfig):
     return {"uniqueness_report.json": payload}, summary
 
 
-def _task_invariants(sc: Scenario, cfg: IntegratorConfig):
-    state = SpectralState(t=0.0, u=sc.u0, v=sc.u1)
-    tr = evolve(state, sc.m, cfg, sc.params["t_end"])
+def _task_invariants(sc: Scenario):
+    tr = _time_run(sc)
     ham = hamiltonian_series(tr, sc.m)
     hi = higher_order_series(tr)
     header = ["t", "hamiltonian", "higher_order_energy"]
@@ -491,7 +492,7 @@ def _task_invariants(sc: Scenario, cfg: IntegratorConfig):
     return artifacts, {"status": tr.meta.status, "drifts": drifts}
 
 
-def _task_decompose(sc: Scenario, cfg: IntegratorConfig):
+def _task_decompose(sc: Scenario):
     p = sc.params
     dec = sum_decompose(sc.u0, sc.u1, sc.phi, p["alpha"], p["beta"])
     reports = dec.membership_reports()
@@ -532,8 +533,8 @@ def _check_reparametrize(sc: Scenario) -> None:
         curve_branch(d1, d2)
 
 
-def _task_reparametrize(sc: Scenario, cfg: IntegratorConfig):
-    tr = evolve(SpectralState(t=0.0, u=sc.u0, v=sc.u1), sc.m, cfg, sc.params["t_end"])
+def _task_reparametrize(sc: Scenario):
+    tr = _time_run(sc)
     pt = psi_trace(tr)
     trace = (["t", "psi", "f"], [pt.t, pt.psi, pt.f])
     # a time run that stops early ends the task on its status
@@ -550,7 +551,7 @@ def _task_reparametrize(sc: Scenario, cfg: IntegratorConfig):
                             f"{S_MAX_SHARE} of its top; decrease dense_output_dt",
                             field="params.dense_output_dt")
     try:
-        curve = solve_trajectory_system(sc.u0, sc.u1, sc.m, shifts, cfg)
+        curve = solve_trajectory_system(sc.u0, sc.u1, sc.m, shifts, sc.integrator)
     except PreconditionError as exc:  # the shifts end inside the bootstrap leg
         raise ScenarioError(f"{exc}; increase t_end, up to which the shift's first rise "
                             f"sets the curve's range", field="params.t_end") from exc
@@ -579,17 +580,19 @@ def _task_reparametrize(sc: Scenario, cfg: IntegratorConfig):
 
 
 def _check_family(sc: Scenario) -> None:
-    """Resolve params.family to its kind, finite values and mode_index."""
+    """Resolve params.family to its kind, finite values and data_shift's mode_index."""
     family = _fields(sc.params["family"], _FAMILY, "params.family")
     family["values"] = [_check_value(v, float, "params.family.values", "finite")
                         for v in family["values"]]
     idx = family["mode_index"]
+    _require(family["kind"] == "data_shift" or "mode_index" not in sc.params["family"],
+             "params.family.mode_index", idx, "is taken only with kind 'data_shift'")
     _require(0 <= idx < sc.spectrum.n, "params.family.mode_index", idx,
              f"must lie in [0, {sc.spectrum.n})")
     sc.params["family"] = family
 
 
-def _task_dependence(sc: Scenario, cfg: IntegratorConfig):
+def _task_dependence(sc: Scenario):
     family = sc.params["family"]
     kind, values = family["kind"], family["values"]
     problems = []
@@ -601,7 +604,7 @@ def _task_dependence(sc: Scenario, cfg: IntegratorConfig):
             comp[family["mode_index"]] += v
             problems.append((sc.m, SpectralVector(sc.spectrum, comp), sc.u1))
     report = continuous_dependence_study(
-        problems, (sc.m, sc.u0, sc.u1), cfg, sc.params["t_end"], omega=sc.omega,
+        problems, (sc.m, sc.u0, sc.u1), sc.integrator, sc.params["t_end"], omega=sc.omega,
     )
     payload = {
         "values": values,
@@ -627,7 +630,7 @@ class _Task:
     what no single-param rule can, and may replace a param by its parsed form.
     """
 
-    run: Callable[[Scenario, IntegratorConfig], tuple]
+    run: Callable[[Scenario], tuple]
     functions: tuple[str, ...]
     params: dict[str, tuple]
     check: Callable[[Scenario], None] | None = None
@@ -701,7 +704,6 @@ def run_scenario(config, out_dir=None) -> RunManifest:
     """
     sc = config if isinstance(config, Scenario) else validate_scenario(
         config if isinstance(config, dict) else load_config(config))
-    icfg = _integrator_config(sc.params)
 
     out = run_directory(sc, out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -715,7 +717,7 @@ def run_scenario(config, out_dir=None) -> RunManifest:
     started = time.perf_counter()
     entries = []
     try:
-        artifacts, summary = TASKS[sc.task].run(sc, icfg)
+        artifacts, summary = TASKS[sc.task].run(sc)
         for name in list(artifacts):
             # popped and deleted, so a trajectory table is freed before its hash
             path, body = out / name, artifacts.pop(name)

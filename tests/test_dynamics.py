@@ -262,6 +262,24 @@ def test_coefficient_trace(tight_cfg):
     assert np.all(coefficient_trace(zero_tr).modulus_values == 0.0)
 
 
+@pytest.mark.parametrize("intervals", [1, 5, 127, 128])
+def test_coefficient_trace_windows_stop_at_the_run(tight_cfg, intervals):
+    # windows of 1, 2, 4, ... sample steps up to MODULUS_WINDOWS of them; a
+    # run of at most 128 samples ends the doubling at its own length
+    spec = Spectrum([1.0])
+    state = SpectralState(t=0.0, u=basis_vector(spec, 0), v=zero_vector(spec))
+    cfg = replace(tight_cfg, dense_output_dt=2.0 / intervals)
+    tr = evolve(state, power(1.0), cfg, 2.0)
+    assert tr.n_samples == intervals + 1
+    trace = coefficient_trace(tr)
+    steps = [k for k in 2 ** np.arange(dynamics.MODULUS_WINDOWS) if k < tr.n_samples]
+    c, dt = tr.coefficient, tr.t[1] - tr.t[0]
+    assert list(trace.modulus_deltas) == [k * dt for k in steps]
+    spread = [max(np.ptp(c[i:i + k + 1]) for i in range(tr.n_samples - k)) for k in steps]
+    assert list(trace.modulus_values) == spread
+    assert spread[0] > 0.0
+
+
 def test_cubic_period_against_reference(tight_cfg):
     # single-mode cubic oscillator: period from the coefficient trace matches
     # a tight-tolerance reference run

@@ -16,6 +16,7 @@ from kirchhoff_spectral import (
     basis_vector,
     constant,
     evolve,
+    power,
     power_spectrum,
     psi_initial_derivatives,
     psi_trace,
@@ -168,6 +169,62 @@ def test_bootstrap_branch_consistency(tight_cfg):
     # u = cos t, so the mirrored shift is sin(t)**2
     assert curve.t_start == pytest.approx(math.asin(math.sqrt(curve.s[curve.start])), rel=1e-6)
     assert_compares_the_rise_past_start(tr, curve, check)
+
+
+def bootstrap_leg_ends(monkeypatch, u0, u1, m, shifts):
+    """The end times of the bootstrap leg's time runs, and the curve or its error."""
+    ends = []
+
+    def spy(state, m, cfg, t_end):
+        ends.append(t_end)
+        return evolve(state, m, cfg, t_end)
+
+    monkeypatch.setattr(reparametrize, "evolve", spy)
+    try:
+        return ends, solve_trajectory_system(u0, u1, m, shifts, IntegratorConfig())
+    except ParametrizationError as exc:
+        return ends, exc
+
+
+def test_bootstrap_leg_doubles_a_guess_that_falls_short(monkeypatch):
+    # psi''(0) = -2e-9 lies below the guess's floor 1e-8, so the first time
+    # run ends at 3e4, before the speed 40 w sin(2wt), w = 5e-6, clears the
+    # threshold; the doubled run clears it.  u = a cos(wt) with a^2 = 40, so
+    # the mirrored shift is 40 sin(wt)^2
+    spec = Spectrum([1.0])
+    u0, u1, m = basis_vector(spec, 0, math.sqrt(40.0)), zero_vector(spec), constant(2.5e-11)
+    assert psi_initial_derivatives(u0, u1, m) == (0.0, pytest.approx(-2e-9, rel=1e-12))
+    shifts = np.linspace(4.0, 20.0, 5)
+    ends, curve = bootstrap_leg_ends(monkeypatch, u0, u1, m, shifts)
+    first = 3.0 * reparametrize.HANDOFF_SCALE * (1.0 + 2e-9) / 1e-8
+    assert ends == [pytest.approx(first, rel=1e-12), pytest.approx(2.0 * first, rel=1e-12)]
+    assert curve.branch == "bootstrap" and first < curve.t_start < 2.0 * first
+    s = curve.s[curve.start]
+    assert curve.t_start == pytest.approx(math.asin(math.sqrt(s / 40.0)) / 5e-6, rel=1e-6)
+    assert np.array_equal(curve.s[curve.start + 1:], shifts)
+    assert np.allclose(curve.z[:, 0], np.sqrt(40.0 - curve.s), rtol=1e-7)
+    assert np.allclose(curve.w[:, 0], -5e-6 * np.sqrt(curve.s), rtol=1e-7)
+
+
+def test_bootstrap_leg_that_never_clears_the_threshold_is_refused(monkeypatch):
+    # u = a cos t with a^2 = 9e-5: the speed, at most 9e-5, never reaches the
+    # threshold 1e-4 (1 + 1.8e-4), however long the eight doubling runs go
+    spec = Spectrum([1.0])
+    u0, u1, m = basis_vector(spec, 0, math.sqrt(9e-5)), zero_vector(spec), constant(1.0)
+    ends, exc = bootstrap_leg_ends(monkeypatch, u0, u1, m, [1e-5])
+    assert isinstance(exc, ParametrizationError)
+    assert "never cleared the handoff threshold" in str(exc)
+    assert len(ends) == 8 and ends[1:] == [2.0 * t for t in ends[:-1]]
+
+
+@pytest.mark.parametrize("u1", [[1.0], [0.0]], ids=["direct", "bootstrap"])
+def test_curve_that_stops_early_is_refused(u1):
+    # m = sigma^1000 stiffens as sigma leaves 1: the curve's step falls
+    # below the step floor before it lands on the shifts
+    spec = Spectrum([1.0])
+    u0, u1 = basis_vector(spec, 0), SpectralVector(spec, u1)
+    with pytest.raises(ParametrizationError, match="curve integration stopped early: step size"):
+        solve_trajectory_system(u0, u1, power(1e3), [0.5, 1.0], IntegratorConfig())
 
 
 def ci_reparametrize_config(name, lambdas, u0, u1, t_end):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from kirchhoff_spectral import scenario
 from kirchhoff_spectral.artifacts import blas_core, dump_json, sha256_text
 from kirchhoff_spectral.cli import main
+from kirchhoff_spectral.dynamics import IntegratorConfig
 from kirchhoff_spectral.errors import (
     DomainError,
     InsufficientDecayError,
@@ -735,6 +737,10 @@ def conditions_config(**params):
         (dependence_config({"values": ["x"]}), "params.family.values"),
         (dependence_config({"kind": "data_shift", "values": [0.1], "mode_index": 2}),
          "params.family.mode_index"),
+        # an m_offset family reads no mode, so it takes no mode_index
+        (dependence_config({"values": [0.1], "mode_index": 1}), "params.family.mode_index"),
+        (dependence_config({"kind": "m_offset", "values": [0.1], "mode_index": 0}),
+         "params.family.mode_index"),
         (dependence_config([0.1]), "params.family"),
         (simulate_config(task="invariants", functions={"m": {"kind": "pohozaev", "a": 1.0}},
                          params={"t_end": 1.0}), "functions.m"),
@@ -795,7 +801,8 @@ def conditions_config(**params):
     ],
     ids=["seed_string", "t_end_string", "t_end_bool", "max_step_list",
          "family_kind", "family_values_empty", "family_values_string",
-         "family_mode_index", "family_not_object", "pohozaev_missing_b",
+         "family_mode_index", "family_m_offset_mode_index", "family_m_offset_mode_index_zero",
+         "family_not_object", "pohozaev_missing_b",
          "rel_tol_negative", "abs_tol_zero", "max_step_zero", "dense_output_dt_zero",
          "t_end_negative", "t_end_before_t_start", "t_end_zero_default_start",
          "s_max_zero", "rel_tol_inf", "abs_tol_inf", "norms_radius_reaches_zero",
@@ -1069,6 +1076,43 @@ def test_task_that_does_not_integrate_refuses_integrator_param(tmp_path, capsys,
     assert capsys.readouterr().err.startswith(f"invalid: params.{name}: unknown key")
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
+
+
+def spy_on_settings(monkeypatch, name, at, seen):
+    """Rebind scenario's ``name`` to record the integrator settings it is given."""
+    original = getattr(scenario, name)
+
+    def spy(*args, **kwargs):
+        seen.append(args[at])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, name, spy)
+
+
+def refuse_to_build(*args, **kwargs):
+    raise AssertionError("a run built integrator settings")
+
+
+@pytest.mark.parametrize("task", list(scenario.TASKS))
+def test_task_reads_the_integrator_settings_its_scenario_resolved(tmp_path, monkeypatch, task):
+    # validation resolves the settings once, None for a task that integrates
+    # nothing; a runner takes the Scenario alone, and every integration of
+    # the run is handed that one IntegratorConfig
+    integrates = task not in NOT_INTEGRATING
+    sc = validate_scenario(task_config(task, **({"rel_tol": 1e-9} if integrates else {})))
+    assert sc.integrator == (IntegratorConfig(rel_tol=1e-9) if integrates else None)
+    assert pickle.loads(pickle.dumps(sc)).integrator == sc.integrator
+    assert list(inspect.signature(scenario.TASKS[task].run).parameters) == ["sc"]
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(sc, integrator=IntegratorConfig())
+    seen = []
+    for name, at in (("evolve", 2), ("solve_trajectory_system", 4),
+                     ("continuous_dependence_study", 2)):
+        spy_on_settings(monkeypatch, name, at, seen)
+    monkeypatch.setattr(scenario, "IntegratorConfig", refuse_to_build)
+    assert run_scenario(sc, out_dir=tmp_path / "out").summary["ok"]
+    assert len(seen) == {"reparametrize": 2}.get(task, int(integrates))
+    assert all(cfg is sc.integrator for cfg in seen)
 
 
 def test_failed_integration_is_not_ok(tmp_path, capsys):
@@ -1521,7 +1565,7 @@ def test_task_runner_returns_its_artifacts_and_writes_nothing(tmp_path, monkeypa
     monkeypatch.setattr(scenario, "write_csv", refuse_to_write)
     monkeypatch.setattr(scenario, "write_json", refuse_to_write)
     sc = validate_scenario(task_config(task))
-    artifacts, summary = scenario.TASKS[task].run(sc, scenario._integrator_config(sc.params))
+    artifacts, summary = scenario.TASKS[task].run(sc)
     assert list(artifacts) == ARTIFACTS[task]
     for name, body in artifacts.items():
         if name.endswith(".json"):

@@ -166,6 +166,31 @@ def test_decompose_decaying_data(gamma, q, beta):
             assert rh[i] < rb[i + 1]
 
 
+def test_decompose_zero_eigenvalue_band_closes_at_the_first_positive_one():
+    # u0 carries data at lambda = 0, where no tail condition can be read;
+    # its band closes at the first positive eigenvalue, then the ladder runs
+    spec = Spectrum([0.0, 4.0, 9.0])
+    u0 = SpectralVector(spec, [0.5, 0.1, 0.0])
+    u1 = SpectralVector(spec, [0.0, 0.1, 0.01])
+    dec = sum_decompose(u0, u1, weight_power_log(1.0), 0.25, 2.0)
+    assert dec.s_values[:2] == (0.0, 4.0)
+    assert dec.bar_bands[0] == (0.0, 4.0)
+    assert np.array_equal(dec.u0_bar.components, [0.5, 0.0, 0.0])
+    assert np.array_equal(dec.u0_bar.components + dec.u0_hat.components, u0.components)
+    assert np.array_equal(dec.u1_bar.components + dec.u1_hat.components, u1.components)
+    assert dec.all_member()
+
+
+def test_decompose_band_search_that_passes_the_float_range_is_refused():
+    # phi = 1 at alpha = 0 leaves the tail at lambda = 1.7e308 at about
+    # e^(rho^2) > rho for every threshold rho; the sqrt(2) ladder overflows
+    # before it passes that eigenvalue
+    spec = Spectrum([1.0, 1.7e308])
+    u1 = SpectralVector(spec, [0.1, 1.0])
+    with pytest.raises(InsufficientDecayError, match="band search diverged above threshold 1 "):
+        sum_decompose(zero_vector(spec), u1, constant(1.0), 0.0, 2.0)
+
+
 def test_decompose_norm_pythagoras():
     spec = power_spectrum(32)
     lam = spec.lambdas
