@@ -170,9 +170,10 @@ def evolve(
     One array closure is the right-hand side of a solo (2n,) vector and of a
     (members, 2n) ensemble: sigma, the velocity copy and the -c * lam2 * u
     tail are written once, and only the m step forks, one float call of m
-    on a vector's ddot, or a loop over an ensemble's members that tags a
-    failure with its ``member``.  At N = 1 a solo state takes a closure on a
-    (u, v) pair of Python floats and the pair step loop of
+    on a vector's ddot, or a loop over an ensemble's members that writes
+    each -c through a memoryview, no numpy call a member, inside one ``try``
+    that tags a failure with its ``member``.  At N = 1 a solo state takes a
+    closure on a (u, v) pair of Python floats and the pair step loop of
     ``solve_to_samples``, with the array closure's bits: at n = 1 every
     operation, sigma's one-term dot included, is one IEEE operation in the
     same order.  For n > 1 a BLAS dot sums in an order Python cannot follow,
@@ -212,6 +213,7 @@ def evolve(
     out = np.empty((len(states), 2 * n))
     squares = np.empty((len(states), n))
     neg_c = np.empty((len(states), 1))
+    neg_cv = memoryview(neg_c).cast("B").cast("d")  # an ensemble's -c, one float a member
     if solo:
         out, squares, neg_c = out[0], squares[0], neg_c.reshape(())
     vel, accel = out[..., :n], out[..., n:]
@@ -232,15 +234,15 @@ def evolve(
                 raise _negative_m(sigma, c, t)
             neg_c[()] = -c
         else:
-            for b, (m_at_b, sigma_b) in enumerate(zip(m_ats, sigma.tolist())):
-                try:
+            try:
+                for b, (m_at_b, sigma_b) in enumerate(zip(m_ats, sigma.tolist())):
                     c = m_at_b(sigma_b)
                     if c < 0.0:
                         raise _negative_m(sigma_b, c, t, b)
-                except Exception as exc:
-                    exc.member = b
-                    raise
-                neg_c[b, 0] = -c
+                    neg_cv[b] = -c
+            except Exception as exc:
+                exc.member = b
+                raise
         vel[...] = v
         multiply(lam2, neg_c, accel)  # -c * lam2 * u, in that order
         multiply(accel, u, accel)

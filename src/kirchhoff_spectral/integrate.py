@@ -83,16 +83,20 @@ an ensemble of one matches the vector call bit for bit.
 The pair loop (``pair=True``) steps one two-component state on Python
 floats: the one-mode systems of ``dynamics.evolve`` and of the
 reparametrized curve, where the array loop's cost is dispatch, about 90
-numpy calls on two-element arrays a step.  It keeps the stage and error
-``dot``s: OpenBLAS sums their terms as fused pairs, fma(a_j, x_j,
-a_(j+1) * x_(j+1)), which Python follows only with ``math.fma`` (3.13).
-Every other operation is the array loop's IEEE operation in its order,
+numpy calls on two-element arrays a step.  It makes 9 numpy calls a step,
+the 8 stage ``dot``s and the error ``dot``, which it keeps: OpenBLAS sums
+their terms as fused pairs, fma(a_j, x_j, a_(j+1) * x_(j+1)), which Python
+follows only with ``math.fma`` (3.13).  The floats move in and out of the
+stage, sum and error buffers through ``memoryview``s cast to "d" once per
+solve, so reading a sum or writing a stage is no numpy call.  Every other
+operation is the array loop's IEEE operation in its order,
 (a . k) * h + y without a fused multiply-add included, with
 ``np.maximum``'s NaN rule in the error scale and ``argmax``'s in the
 blow-up test.  Sharing the step-size rule, the floor, the landing
 tolerance and the stop messages, the loops give the same steps, statuses,
 messages and bits.  The pair loop took ``single_mode_cubic``'s evolve from
-48 to 27 ms.
+48 to 27 ms; the memoryviews, in place of a ``.tolist()`` and a stage-row
+setitem a stage, took it from 10.9 to 9.3 ms (BENCH_44.json).
 """
 
 from __future__ import annotations
@@ -449,16 +453,17 @@ def _solve_pair(rhs, y, samples, times, h_floor, rel_tol, abs_tol,
         return np.array(rhs(t, tuple(y.tolist())), dtype=float)
 
     k, buf, q = np.empty((9, 2)), np.empty(2), np.empty(2)
-    k0, k8 = k[0], k[8]
-    stages = [(_C[i], _A[i - 1].dot, k[:i], k[i]) for i in range(1, 9)]
-    k0[...] = derivative(t, y)
+    kv, bv, qv = (memoryview(a).cast("B").cast("d") for a in (k, buf, q))
+    # (node, row of A's dot, stages it combines, stage's first index in kv)
+    stages = [(_C[i], _A[i - 1].dot, k[:i], 2 * i) for i in range(1, 9)]
+    k[0] = derivative(t, y)
     y0, y1 = y.tolist()
     out = [(y0, y1)]
     status, message, n_accepted, n_rejected = "completed", "", 0, 0
-    if not np.isfinite(k0).all():
+    if not np.isfinite(k[0]).all():
         return IntegrationOutcome(samples[:1].copy(), y[None], 0, 0, n_rhs, "step_underflow",
                                   _NONFINITE.format(t=t))
-    h = _initial_step(derivative, t, y, k0, t_end - t, rel_tol, abs_tol)
+    h = _initial_step(derivative, t, y, k[0], t_end - t, rel_tol, abs_tol)
     grew_after_reject = False
     ay0, ay1 = abs(y0), abs(y1)
 
@@ -468,14 +473,14 @@ def _solve_pair(rhs, y, samples, times, h_floor, rel_tol, abs_tol,
         if not h_try >= h_floor:  # or NaN
             status, message = "step_underflow", _UNDERFLOW.format(h=h_try, t=t)
             break
-        for c_i, a_i_dot, k_head, k_i in stages:
-            b0, b1 = a_i_dot(k_head, buf).tolist()
-            s0, s1 = b0 * h_try + y0, b1 * h_try + y1  # the last is the candidate
-            k_i[...] = rhs(t + c_i * h_try, (s0, s1))
+        for c_i, a_i_dot, k_head, j in stages:
+            a_i_dot(k_head, buf)
+            s0, s1 = bv[0] * h_try + y0, bv[1] * h_try + y1  # the last is the candidate
+            kv[j], kv[j + 1] = rhs(t + c_i * h_try, (s0, s1))
         n_rhs += 8
-        q0, q1 = _E.dot(k, q).tolist()
-        e0 = q0 * h_try / (_maximum(ay0, abs(s0)) * rel_tol + abs_tol)
-        e1 = q1 * h_try / (_maximum(ay1, abs(s1)) * rel_tol + abs_tol)
+        _E.dot(k, q)
+        e0 = qv[0] * h_try / (_maximum(ay0, abs(s0)) * rel_tol + abs_tol)
+        e1 = qv[1] * h_try / (_maximum(ay1, abs(s1)) * rel_tol + abs_tol)
         err = math.sqrt((e0 * e0 + e1 * e1) / 2)
 
         if math.isfinite(err) and err <= 1.0:
@@ -484,7 +489,7 @@ def _solve_pair(rhs, y, samples, times, h_floor, rel_tol, abs_tol,
             if t >= target - _LANDING_TOL * max(1.0, abs(target)):
                 t = target
                 out.append((y0, y1))
-            k0[...] = k8
+            kv[0], kv[1] = kv[16], kv[17]
             n_accepted += 1
             limit_growth, grew_after_reject = grew_after_reject, False
             if state_cap is not None and _maximum(ay0, ay1) > state_cap:

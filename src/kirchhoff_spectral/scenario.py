@@ -249,9 +249,11 @@ def _build_spectrum(spec: dict, field: str) -> Spectrum:
         _require(row <= MAX_SAMPLE_FLOATS, f"{field}.generator.count", body["count"],
                  f"asks for a sample row of {row} floats, more than {MAX_SAMPLE_FLOATS}")
     with _field_errors(field):
-        if form == "explicit":
-            return Spectrum(body)
-        return power_spectrum(body["count"], body["p"])
+        spectrum = (Spectrum(body) if form == "explicit"
+                    else power_spectrum(body["count"], body["p"]))
+    lam = spectrum.lambda_max  # sigma and the A-weighted norms form lambda^2
+    _require(math.isfinite(lam * lam), field, lam, "lambda_max over 1.34e154 squares to inf")
+    return spectrum
 
 
 def _build_vector(spec, spectrum: Spectrum, seed: int, field: str) -> SpectralVector:

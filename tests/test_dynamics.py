@@ -23,6 +23,7 @@ from kirchhoff_spectral import (
     hamiltonian,
     hamiltonian_series,
     higher_order_series,
+    offset,
     pohozaev,
     pohozaev_series,
     power,
@@ -553,6 +554,12 @@ ONE_MODE_MS = {
     "pohozaev": pohozaev(1.0, 1.0),
     "table1_loglipschitz": get_preset("table1_loglipschitz").m,
     "table": table([0.0, 0.25, 0.5, 1.0], [1.0, 1.5, 1.25, 2.0]),
+    # the catalog's other distinct m, and a constant
+    "offset_power_half": offset(1.0, power(0.5)),
+    "power_half": power(0.5),
+    "table3_loglipschitz_cubed": get_preset("table3_loglipschitz_cubed").m,
+    "table3_loglog": get_preset("table3_loglog").m,
+    "constant": constant(2.0),
 }
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kirchhoff_spectral import (
     IntegratorConfig,
@@ -433,6 +435,27 @@ def test_pair_loop_matches_array_loop_and_reference(rhs, kwargs, status):
         ref, _ = assert_matches_reference(rhs, y0, samples, 1e-10, 1e-10, pair=True, **kwargs)
     if status != "completed":
         assert ref.t.size < samples.size
+
+
+@settings(max_examples=30, deadline=None)
+@given(omega=st.floats(0.1, 30.0), eps=st.floats(0.0, 0.5),
+       rel_tol=st.floats(1e-12, 1e-6), abs_tol=st.floats(1e-12, 1e-6))
+@example(omega=15.403, eps=0.475, rel_tol=7.33e-12, abs_tol=4.92e-7)  # rejects 12 steps
+def test_pair_loop_matches_array_loop_after_rejected_steps(omega, eps, rel_tol, abs_tol):
+    # y'' = -omega^2 (1 + eps sin t) y on a coarse grid: the step grows until
+    # some attempts fail, and the retry and the steps after it must match too
+    w2 = omega * omega
+
+    def rhs(t, y):
+        return y[1], -w2 * (1.0 + eps * math.sin(t)) * y[0]
+
+    y0, samples = np.array([1.0, 0.5]), np.linspace(0.0, 2.0, 5)
+    got = solve_to_samples(rhs, y0, samples, rel_tol, abs_tol, pair=True)
+    arr = solve_to_samples(as_array_rhs(rhs), y0, samples, rel_tol, abs_tol)
+    assert got.status == "completed"
+    assert got.t.tobytes() == arr.t.tobytes() and got.y.tobytes() == arr.y.tobytes()
+    assert (got.n_accepted, got.n_rejected, got.n_rhs, got.message) == (
+        arr.n_accepted, arr.n_rejected, arr.n_rhs, arr.message)
 
 
 @pytest.mark.parametrize("form", ["vector", "ensemble", "pair"])

@@ -508,6 +508,10 @@ def four_mode_config(**overrides):
         (simulate_config(functions={"m": {"kind": "table", "sigma": "01",
                                           "value": [1.0, 2.0]}}), "functions.m"),
         (simulate_config(spectrum={"generator": {"count": 4, "p": 1e300}}), "spectrum"),
+        # finite eigenvalues whose square overflows: sigma and the norms form lambda^2
+        (simulate_config(spectrum={"explicit": [1.0, 1e200]},
+                         data={"u0": "zero", "u1": "zero"}), "spectrum"),
+        (simulate_config(spectrum={"generator": {"count": 64, "p": 100}}), "spectrum"),
     ],
     ids=["index_negative", "index_past_end", "wrong_length", "basis_not_object",
          "explicit_empty", "generator_empty", "m_not_finite", "generator_unknown_key",
@@ -517,7 +521,8 @@ def four_mode_config(**overrides):
          "count_not_integer", "p_string", "spectrum_explicit_string", "index_bool",
          "amplitude_string", "gamma_null", "random_seed_float", "decay_bool",
          "vector_explicit_not_numbers", "vector_explicit_string", "knots_not_numbers",
-         "knots_string", "p_overflows"],
+         "knots_string", "p_overflows", "lambda_squared_overflows",
+         "generator_lambda_squared_overflows"],
 )
 def test_malformed_spectrum_or_data_names_the_field(tmp_path, capsys, cfg, field):
     with pytest.raises(ScenarioError) as info:
