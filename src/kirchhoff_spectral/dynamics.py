@@ -21,7 +21,7 @@ from .errors import (
 )
 from .functions import FunctionSpec, antiderivative, scalar_callable
 from .integrate import METHOD_NAME, solve_to_samples
-from .spectrum import SpectralVector, Spectrum, require_shared_spectrum
+from .spectrum import SpectralVector, Spectrum, a_weighted_sum, require_shared_spectrum
 
 BLOWUP_CAP = 1e12
 DEGENERATE_TOL = 1e-12
@@ -323,9 +323,11 @@ def hamiltonian_series(tr: Trajectory, m: FunctionSpec) -> np.ndarray:
 
 
 def higher_order_series(tr: Trajectory) -> np.ndarray:
-    """|A^(1/4)u'|^2 + |A^(3/4)u|^2 = sum lambda v^2 + sum lambda^3 u^2, per sample."""
-    lam = tr.spectrum.lambdas
-    return tr.v**2 @ lam + tr.u**2 @ lam**3
+    """|A^(1/4)u'|^2 + |A^(3/4)u|^2 = sum lambda v^2 + sum lambda^3 u^2, per sample.
+
+    A mode that is zero at every sample adds nothing (see ``a_weighted_sum``).
+    """
+    return tr.v**2 @ tr.spectrum.lambdas + a_weighted_sum(tr.spectrum, 3, tr.u**2)
 
 
 def pohozaev_series(tr: Trajectory, a: float, b: float) -> np.ndarray:
@@ -337,18 +339,18 @@ def pohozaev_series(tr: Trajectory, a: float, b: float) -> np.ndarray:
 
     where the last factor is 2<A u, u'> (differentiating along the flow
     makes the quantity exactly constant; this fixes the coefficient on the
-    cross term).  Requires the nondegeneracy D > 0.
+    cross term).  Requires the nondegeneracy D > 0.  A mode that is zero at
+    every sample adds nothing (see ``a_weighted_sum``).
     """
-    lam2 = tr.spectrum.lam2
     den = a + b * tr.sigma
     if np.any(den <= 0.0):
         i = int(np.argmax(den <= 0.0))
         raise NondegeneracyError(
             f"a + b*|A^(1/2)u|^2 = {den[i]:.6g} <= 0 at t = {tr.t[i]:.6g}"
         )
-    half_v = tr.v**2 @ lam2
-    au_sq = tr.u**2 @ lam2**2
-    cross = (tr.u * tr.v) @ lam2
+    half_v = a_weighted_sum(tr.spectrum, 2, tr.v**2)
+    au_sq = a_weighted_sum(tr.spectrum, 4, tr.u**2)
+    cross = a_weighted_sum(tr.spectrum, 2, tr.u * tr.v)
     return den * half_v + au_sq / den - b * cross**2
 
 

@@ -3,11 +3,13 @@
 Membership in the tail-smallness class asks, for each threshold rho_n, that
 sum over lambda_k > rho_n of lambda_k^(4 alpha) u_k^2 exp(rho_n^beta
 phi(lambda_k)) stays below rho_n.  The decomposition splits a datum into two
-vectors supported on alternating eigenvalue bands [s_j, s_{j+1}); the band
-edges are grown greedily on a factor-sqrt(2) ladder so that every tail
-condition is already certified when a band closes.  Each part's thresholds
-are the right endpoints of its own bands: beyond such an endpoint the part
-has no support until the following band, which the greedy step bounded.
+vectors supported on alternating eigenvalue bands [s_j, s_{j+1}), in one pass
+over the edges: each edge is the least value on a factor-sqrt(2) ladder that
+certifies the tail beyond it, and each band goes to its part as it closes
+(a band without data is gap).  An edge that is not finite, or not above the
+last, raises InsufficientDecayError.  Each part's thresholds are the right
+endpoints of its own bands: beyond such an endpoint the part has no support
+until the following band, which the greedy step bounded.
 """
 
 from __future__ import annotations
@@ -105,41 +107,6 @@ class Decomposition:
         return all(r.member for r in self.membership_reports().values())
 
 
-def assign_bands(
-    lam: np.ndarray, support: np.ndarray, s_values
-) -> tuple[np.ndarray, np.ndarray, tuple, tuple]:
-    """Alternate the supported half-open bands [s_j, s_{j+1}) between parts.
-
-    Bands holding no supported eigenvalue are pure gap and belong to neither
-    part; the nonempty bands alternate bar, hat, bar, ... in order.  Returns
-    boolean masks and the two band-interval tuples.
-    """
-    s = [float(x) for x in s_values]
-    if len(s) < 2 or any(b <= a for a, b in zip(s, s[1:])):
-        raise PreconditionError("band edges must be strictly increasing")
-    bar_mask = np.zeros(lam.size, dtype=bool)
-    hat_mask = np.zeros(lam.size, dtype=bool)
-    bar_bands = []
-    hat_bands = []
-    turn = 0
-    for lo, hi in zip(s, s[1:]):
-        in_band = support & (lam >= lo) & (lam < hi)
-        if not np.any(in_band):
-            continue
-        if turn % 2 == 0:
-            bar_mask |= in_band
-            bar_bands.append((lo, hi))
-        else:
-            hat_mask |= in_band
-            hat_bands.append((lo, hi))
-        turn += 1
-    return bar_mask, hat_mask, tuple(bar_bands), tuple(hat_bands)
-
-
-def _ladder_up(value: float) -> float:
-    return value * _SQRT2
-
-
 def sum_decompose(
     u0: SpectralVector,
     u1: SpectralVector,
@@ -183,55 +150,61 @@ def sum_decompose(
         (t1,), _ = _weighted_sums(c1, lam, alpha, w)
         return t0 <= rho and t1 <= rho
 
-    # a zero datum has no support, hence no edges and no bands; its
-    # thresholds start at max(lambda_max, 1)
-    s_values = []
-    if support.any():
-        lam_sup = float(np.max(lam[support]))
-        lam_lo = float(np.min(lam[support]))
-        positive = lam[(lam > 0.0)]
-        ladder_seed = float(positive[0]) if positive.size else 1.0
-        s_values = [lam_lo]
-        while s_values[-1] <= lam_sup:
-            rho = s_values[-1]
-            if rho == 0.0:
-                # a zero eigenvalue carries data; close its band at the first
-                # positive eigenvalue (no tail condition is consumed at rho = 0)
-                s_values.append(ladder_seed)
-                continue
-            cand = _ladder_up(rho)
-            while not tails_ok(rho, cand):
-                cand = _ladder_up(cand)
-                if not math.isfinite(cand):
-                    raise InsufficientDecayError(
-                        f"band search diverged above threshold {rho:g} at exponent "
-                        f"beta = {beta:g}"
-                    )
-            s_values.append(cand)
+    def climb(rho: float, value: float) -> float:
+        # every edge is finite and above the last; 5e-324 * sqrt(2) is 5e-324
+        up = value * _SQRT2
+        if not value < up < math.inf:
+            raise InsufficientDecayError(
+                f"band search diverged above threshold {rho:g} at exponent beta = {beta:g}")
+        return up
+
+    # the nonempty bands alternate bar, hat, bar, ...; a zero datum has no
+    # support, hence no edges and no bands
+    masks = np.zeros((2, spec.n), dtype=bool)
+    bands = ([], [])
+    supported = lam[support]  # nondecreasing, as lam
+    s_values = [float(supported[0])] if supported.size else []
+    while s_values and s_values[-1] <= supported[-1]:
+        rho = s_values[-1]
+        if rho == 0.0:
+            # a zero eigenvalue carries data; close its band at the first
+            # positive eigenvalue (no tail condition is consumed at rho = 0)
+            positive = lam[lam > 0.0]
+            edge = float(positive[0]) if positive.size else 1.0
+        else:
+            edge = climb(rho, rho)
+            while not tails_ok(rho, edge):
+                edge = climb(rho, edge)
+        in_band = support & (lam >= rho) & (lam < edge)
+        if in_band.any():
+            side = len(bands[0]) - len(bands[1])  # 0 on bar's turn, 1 on hat's
+            masks[side] |= in_band
+            bands[side].append((rho, edge))
+        s_values.append(edge)
+    if s_values:
         # one trailing edge so the part owning the last band still has a
         # following greedy bound and both threshold lists clear the spectrum
-        s_values.append(_ladder_up(s_values[-1]))
+        s_values.append(climb(s_values[-1], s_values[-1]))
+    # without data the thresholds start at max(lambda_max, 1)
     last = s_values[-1] if s_values else max(spec.lambda_max, 1.0)
-    bar_mask, hat_mask, bar_bands, hat_bands = (
-        assign_bands(lam, support, s_values) if s_values else (support, support, (), ()))
 
     def part(mask: np.ndarray, comp: np.ndarray) -> SpectralVector:
         out = np.zeros(spec.n)
         out[mask] = comp[mask]
         return SpectralVector(spec, out)
 
-    rho_bar = tuple(hi for _, hi in bar_bands) or (last,)
-    rho_hat = tuple(hi for _, hi in hat_bands) or (_ladder_up(max(rho_bar[-1], last)),)
+    rho_bar = tuple(hi for _, hi in bands[0]) or (last,)
+    rho_hat = tuple(hi for _, hi in bands[1]) or (climb(last, last),)
 
     return Decomposition(
         spectrum=spec,
-        u0_bar=part(bar_mask, c0),
-        u1_bar=part(bar_mask, c1),
-        u0_hat=part(hat_mask, c0),
-        u1_hat=part(hat_mask, c1),
+        u0_bar=part(masks[0], c0),
+        u1_bar=part(masks[0], c1),
+        u0_hat=part(masks[1], c0),
+        u1_hat=part(masks[1], c1),
         s_values=tuple(s_values),
-        bar_bands=bar_bands,
-        hat_bands=hat_bands,
+        bar_bands=tuple(bands[0]),
+        hat_bands=tuple(bands[1]),
         rho_bar=rho_bar,
         rho_hat=rho_hat,
         alpha=alpha,

@@ -129,17 +129,31 @@ def require_shared_spectrum(*vectors: SpectralVector) -> Spectrum:
 # reparametrization derivatives, so the two agree bit for bit.
 
 
+def a_weighted_sum(spectrum: Spectrum, power: int, x: np.ndarray):
+    """sum_k lambda_k**power x_k, along the last axis of ``x``.
+
+    A mode where x is zero (in every row) adds nothing, whatever its
+    lambda_k: its weight is taken as 0, so a power that overflows never
+    meets a zero factor (inf * 0 = NaN).  Any other mode keeps its power,
+    inf where it overflows.  Even powers are formed from ``lam2``.
+    """
+    with np.errstate(over="ignore"):
+        lam2 = spectrum.lam2
+        weight = lam2 if power == 2 else lam2**2 if power == 4 else spectrum.lambdas**power
+    return x @ np.where(np.atleast_2d(x).any(axis=0), weight, 0.0)
+
+
 def a_half_norm_sq(u: SpectralVector) -> float:
     """|A^(1/2) u|^2 = sum lambda_k^2 u_k^2."""
-    return float(np.dot(u.spectrum.lam2, u.components**2))
+    return float(a_weighted_sum(u.spectrum, 2, u.components**2))
 
 
 def a_norm_sq(u: SpectralVector) -> float:
     """|A u|^2 = sum lambda_k^4 u_k^2."""
-    return float(np.dot(u.spectrum.lam2**2, u.components**2))
+    return float(a_weighted_sum(u.spectrum, 4, u.components**2))
 
 
 def a_inner(u: SpectralVector, v: SpectralVector) -> float:
     """<A u, v> = sum lambda_k^2 u_k v_k."""
     require_shared_spectrum(u, v)
-    return float(np.dot(u.spectrum.lam2, u.components * v.components))
+    return float(a_weighted_sum(u.spectrum, 2, u.components * v.components))

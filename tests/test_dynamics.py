@@ -229,6 +229,22 @@ def test_pohozaev_examples():
         pohozaev_series(rows, 1.0, -2.0)
 
 
+def test_series_ignore_a_mode_that_is_zero_at_every_sample():
+    # lambda^3 = 1e330 and lambda^4 = 1e440 overflow at the second mode, which
+    # carries no data: it adds nothing, where inf * 0 once gave NaN
+    rows = hand_trajectory(Spectrum([1.0, 1e110]), [[1.0, 0.0], [0.0, 0.0]],
+                           [[0.0, 0.0], [0.0, 0.0]])
+    assert higher_order_series(rows).tolist() == [1.0, 0.0]
+    unit, zero = pohozaev_series(rows, 1.0, 1.0)
+    assert unit == pytest.approx(0.5)
+    assert zero == 0.0
+    # a live mode there keeps its infinite weight; one whose square
+    # underflows to 0 at every sample adds nothing
+    for u_big, energy in ((1e-100, math.inf), (1e-300, 1.0)):
+        rows = hand_trajectory(Spectrum([1.0, 1e110]), [[1.0, u_big]], [[0.0, 0.0]])
+        assert higher_order_series(rows).tolist() == [energy]
+
+
 def test_pohozaev_constancy_and_negative_control(tight_cfg):
     rng = np.random.default_rng(9)
     spec = power_spectrum(8)

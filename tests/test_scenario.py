@@ -331,6 +331,53 @@ def test_uniqueness_task(tmp_path):
     assert rep["psi_prime0"] == 0.0 and rep["psi_second0"] == 0.0
 
 
+def big_lambda_config(task, lambda_max, **params):
+    """One unit mode at lambda = 1 beside a mode at ``lambda_max`` with zero data."""
+    return {
+        "version": 1,
+        "name": f"big_lambda_{task}",
+        "spectrum": {"explicit": [1.0, lambda_max]},
+        "data": {"u0": {"basis": {"index": 0}}, "u1": "zero"},
+        "functions": {"m": {"kind": "affine", "a": 1.0, "b": 1.0}},
+        "task": task,
+        "params": params,
+    }
+
+
+def test_uniqueness_ignores_a_zero_mode_whose_fourth_power_overflows(tmp_path):
+    # |A u0|^2 forms lambda^4 = 1e400 at the zero mode, which once gave
+    # inf * 0 = NaN; as2 = 0 - m(1) * 1 = -2
+    cfg = big_lambda_config("uniqueness", 1e100)
+    assert main(["run", str(write_config(tmp_path, cfg)), "--out-dir", str(tmp_path / "out")]) == 0
+    rep = json.loads((tmp_path / "out" / "uniqueness_report.json").read_text())
+    assert rep["as1"] == 0.0 and rep["as2"] == -2.0
+    assert rep["psi_prime0"] == 0.0 and rep["psi_second0"] == -4.0
+    assert rep["hp_main_holds"] is True
+
+
+def test_reparametrize_ignores_a_zero_mode_whose_fourth_power_overflows(tmp_path):
+    cfg = big_lambda_config("reparametrize", 1e100, t_end=0.5)
+    validate_scenario(cfg)
+    manifest = run_scenario(write_config(tmp_path, cfg), out_dir=tmp_path / "out")
+    assert manifest.summary["ok"] is True
+    rep = json.loads((tmp_path / "out" / "reparametrization_report.json").read_text())
+    assert rep["psi_prime0"] == 0.0 and rep["psi_second0"] == -4.0
+    assert rep["branch"] == "bootstrap"
+
+
+def test_simulate_higher_order_energy_ignores_a_zero_mode_whose_cube_overflows(tmp_path):
+    # the zero mode stays exactly 0 under evolve, so it adds nothing to
+    # sum lambda^3 u^2 although lambda^3 = 1e330 overflows; the live mode at
+    # lambda = 1 gives v^2 + u^2, which is 1 at t = 0
+    cfg = big_lambda_config("simulate", 1e110, t_end=1.0)
+    manifest = run_scenario(write_config(tmp_path, cfg), out_dir=tmp_path / "out")
+    assert manifest.summary["ok"] is True
+    summary = json.loads((tmp_path / "out" / "trajectory_summary.json").read_text())
+    energy = np.array(summary["higher_order_energy"], dtype=float)
+    assert energy.size == 1001 and np.all(np.isfinite(energy))
+    assert energy[0] == 1.0
+
+
 def test_norms_task(tmp_path):
     cfg = {
         "version": 1,

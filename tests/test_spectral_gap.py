@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kirchhoff_spectral import (
     SpectralVector,
@@ -15,8 +18,12 @@ from kirchhoff_spectral import (
     weight_power_log,
     zero_vector,
 )
-from kirchhoff_spectral.errors import InsufficientDecayError, PreconditionError
-from kirchhoff_spectral.spectral_gap import assign_bands
+from kirchhoff_spectral.errors import (
+    InsufficientDecayError,
+    InvalidWeightError,
+    PreconditionError,
+)
+from tests.conftest import deadline
 
 
 def tail_oracle(lam, comp, phi, rho, alpha, beta):
@@ -100,25 +107,36 @@ def test_nan_or_infinite_membership_params_refused(rhos, alpha, beta):
         gm_membership(zero_vector(power_spectrum(5)), constant(1.0), rhos, alpha, beta)
 
 
-def test_band_bookkeeping_alternation():
-    # support on [1, 2) and [4, 8) with edges (1, 2, 4, 8): the empty middle
-    # band is pure gap, so the two supported bands alternate bar, hat
-    lam = np.array([1.0, 1.5, 4.0, 6.0])
-    support = np.ones(4, dtype=bool)
-    bar, hat, bar_bands, hat_bands = assign_bands(lam, support, [1.0, 2.0, 4.0, 8.0])
-    assert np.array_equal(bar, [True, True, False, False])
-    assert np.array_equal(hat, [False, False, True, True])
-    assert bar_bands == ((1.0, 2.0),)
-    assert hat_bands == ((4.0, 8.0),)
+def decompose_u0(lams, u0):
+    """u0 on ``lams`` with u1 zero, phi = 1, alpha = 0 and beta = 2."""
+    spec = Spectrum(lams)
+    return sum_decompose(SpectralVector(spec, u0), zero_vector(spec), constant(1.0), 0.0, 2.0)
 
 
 def test_band_edges_are_half_open():
-    lam = np.array([1.0, 2.0])
-    support = np.ones(2, dtype=bool)
-    bar, hat, bar_bands, hat_bands = assign_bands(lam, support, [1.0, 2.0, 4.0])
-    # lam = 2.0 sits at the left edge of the second band
-    assert np.array_equal(bar, [True, False])
-    assert np.array_equal(hat, [False, True])
+    # lambda = sqrt(2) is the first ladder edge above 1: it closes the bar
+    # band [1, sqrt(2)) and opens the hat band, which holds it
+    root2 = math.sqrt(2.0)
+    dec = decompose_u0([1.0, root2], [1e-3, 1e-3])
+    assert dec.bar_bands == ((1.0, root2),)
+    assert dec.hat_bands == ((root2, 2.0000000000000004),)
+    assert np.array_equal(dec.u0_bar.components, [1e-3, 0.0])
+    assert np.array_equal(dec.u0_hat.components, [0.0, 1e-3])
+
+
+def test_empty_bands_are_gap_and_the_nonempty_ones_alternate():
+    # the bands between 2 and 2.83 and between 4 and 16 hold no data: they
+    # belong to neither part, and the three that hold data go bar, hat, bar
+    dec = decompose_u0([1.0, 1.2, 3.0, 40.0], [0.3, 0.0, 1e-3, 1e-30])
+    assert dec.bar_bands == ((1.0, 1.4142135623730951),
+                             (16.000000000000004, 45.25483399593905))
+    assert dec.hat_bands == ((2.8284271247461907, 4.000000000000001),)
+    assert len(dec.s_values) == 11
+    assert np.array_equal(dec.u0_bar.components, [0.3, 0.0, 0.0, 1e-30])
+    assert np.array_equal(dec.u0_hat.components, [0.0, 0.0, 1e-3, 0.0])
+    assert dec.rho_bar == (1.4142135623730951, 45.25483399593905)
+    assert dec.rho_hat == (4.000000000000001,)
+    assert dec.all_member()
 
 
 def test_decompose_zero_datum():
@@ -189,6 +207,24 @@ def test_decompose_band_search_that_passes_the_float_range_is_refused():
     u1 = SpectralVector(spec, [0.1, 1.0])
     with pytest.raises(InsufficientDecayError, match="band search diverged above threshold 1 "):
         sum_decompose(zero_vector(spec), u1, constant(1.0), 0.0, 2.0)
+
+
+@pytest.mark.parametrize("lams, u1, threshold", [
+    # the ladder's first step above 1 that clears 1e308 is 1.27e308; the
+    # trailing edge above it is inf
+    ([1.0, 1e308], [0.1, 1.0], "1.27116e+308"),
+    # the first candidate above the one supported eigenvalue is inf
+    ([1.0, 1.7e308], [0.0, 1.0], "1.7e+308"),
+    # the smallest subnormal times sqrt(2) rounds back to itself: the ladder
+    # cannot climb from it
+    ([5e-324], [1.0], "4.94066e-324"),
+], ids=["trailing_edge", "first_candidate", "smallest_subnormal"])
+def test_every_band_edge_must_stay_in_the_float_range(lams, u1, threshold):
+    spec = Spectrum(lams)
+    with deadline(10), pytest.raises(
+            InsufficientDecayError,
+            match=f"band search diverged above threshold {re.escape(threshold)} "):
+        sum_decompose(zero_vector(spec), SpectralVector(spec, u1), constant(1.0), 0.0, 2.0)
 
 
 def test_decompose_norm_pythagoras():
@@ -268,4 +304,46 @@ def test_decomposition_band_search_past_float_range():
         constant(1.0), 0.0, 2.0,
     )
     assert dec.s_values[:2] == (1e160, 1e160 * math.sqrt(2.0))
+    assert dec.all_member()
+
+
+@st.composite
+def decomposition_inputs(draw):
+    """A spectrum with zero eigenvalues allowed, sparse data and one weight."""
+    n = draw(st.integers(1, 12))
+    lam = sorted(draw(st.lists(
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 60.0) | st.floats(0.0, 1e4),
+        min_size=n, max_size=n)))
+    component = st.sampled_from([0.0, 0.0, 0.0, 0.0, 1e-30, -1e-8, 1e-3]) | st.floats(-1.0, 1.0)
+    u0 = draw(st.lists(component, min_size=n, max_size=n))
+    u1 = draw(st.lists(component, min_size=n, max_size=n))
+    phi = draw(st.sampled_from([
+        constant(1.0), constant(2.0), power(0.5), power(1.0), weight_power_log(1.0),
+        weight_power_log(0.5, 1.0)]))
+    alpha = draw(st.sampled_from([0.0, 0.25, 1.0]))
+    beta = draw(st.sampled_from([0.0, 1.0, 2.0, 3.0]))
+    return Spectrum(lam), u0, u1, phi, alpha, beta
+
+
+@settings(max_examples=40, deadline=None)
+@given(decomposition_inputs())
+def test_decomposition_splits_the_datum_into_alternating_member_bands(inputs):
+    spec, c0, c1, phi, alpha, beta = inputs
+    u0, u1 = SpectralVector(spec, c0), SpectralVector(spec, c1)
+    try:
+        dec = sum_decompose(u0, u1, phi, alpha, beta)
+    except (InsufficientDecayError, InvalidWeightError):
+        return
+    for whole, bar, hat in ((u0, dec.u0_bar, dec.u0_hat), (u1, dec.u1_bar, dec.u1_hat)):
+        assert np.array_equal(bar.components + hat.components, whole.components)
+        assert not np.any((bar.components != 0.0) & (hat.components != 0.0))
+    lam = spec.lambdas
+    support = (u0.components != 0.0) | (u1.components != 0.0)
+    bands = sorted([(band, 0) for band in dec.bar_bands] + [(band, 1) for band in dec.hat_bands])
+    for k in np.flatnonzero(support):
+        holding = [side for (lo, hi), side in bands if lo <= lam[k] < hi]
+        assert len(holding) == 1
+        bar_owns = dec.u0_bar.components[k] != 0.0 or dec.u1_bar.components[k] != 0.0
+        assert holding[0] == (0 if bar_owns else 1)
+    assert [side for _, side in bands] == [i % 2 for i in range(len(bands))]
     assert dec.all_member()

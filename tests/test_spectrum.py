@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,18 @@ def test_quadratic_functionals():
     assert a_norm_sq(u) == 5.0
     # sum lam^2 u w = 2 + 4*0.5
     assert a_inner(u, w) == 4.0
+
+
+def test_zero_component_adds_nothing_whatever_its_lambda():
+    # lambda^2 = 1e400 overflows at the second mode: a zero component there
+    # adds 0, where inf * 0 once gave NaN; a nonzero one still gives inf
+    spec = Spectrum([1.0, 1e200])
+    u = SpectralVector(spec, [1.0, 0.0])
+    w = SpectralVector(spec, [2.0, 1.0])
+    assert a_half_norm_sq(u) == 1.0
+    assert a_norm_sq(u) == 1.0
+    assert a_inner(u, w) == 2.0 and a_inner(w, u) == 2.0
+    assert a_half_norm_sq(w) == a_norm_sq(w) == math.inf
 
 
 def test_inner_requires_shared_spectrum():
