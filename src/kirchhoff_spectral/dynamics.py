@@ -196,7 +196,11 @@ def evolve(
         raise PreconditionError("t_end must be finite and exceed the initial time")
     spec = first.spectrum
     n = spec.n
-    lam2 = spec.lam2
+    y0 = np.array([np.concatenate([s.u.components, s.v.components]) for s in states])
+    # sigma's weights: a mode whose data are zero in every member stays zero,
+    # so its weight is 0 and an overflowing lambda**2 never meets it (inf * 0)
+    with np.errstate(over="ignore"):
+        lam2 = np.where(y0.reshape(-1, 2, n).any(axis=(0, 1)), spec.lam2, 0.0)
     # built first: an undefined antiderivative fails before any integration
     m_ats, big_ms = [], []
     for b, m_b in enumerate(ms):
@@ -262,7 +266,6 @@ def evolve(
         return v, (lam2_0 * -c) * u
 
     pair = solo and n == 1
-    y0 = np.array([np.concatenate([s.u.components, s.v.components]) for s in states])
     res = solve_to_samples(
         one_mode_rhs if pair else rhs,
         y0[0] if solo else y0,

@@ -8,12 +8,12 @@ of a time run's rise; the pace is read off those landed rows, and the
 consistency check compares them with the time run's rows.
 
 When psi'(0) = 0 but psi''(0) != 0 the speed vanishes at s = 0 to first
-order.  The curve solver then bootstraps: it follows the time dynamics on a
-short initial leg until |psi'| clears a handoff threshold, converts the leg
-to the s variable, and continues in s; the direct branch starts the s
-integration from the datum itself.  A decreasing shift (negative first
-derivative) is mirrored onto the increasing branch and flagged with
-``direction = -1``.
+order.  The curve then bootstraps on the time run itself: its rows up to the
+first one whose |psi'| clears a handoff threshold are the curve's lead-in,
+converted to the s variable, and the s integration continues from that row;
+the direct branch starts it from the datum, the run's first row.  A
+decreasing shift (negative first derivative) is mirrored onto the increasing
+branch and flagged with ``direction = -1``.
 
 With one mode the curve runs on a (z, w) pair of Python floats through the
 pair loop of ``solve_to_samples``, as ``dynamics.evolve`` does: at n = 1
@@ -24,17 +24,17 @@ modes the dot's BLAS summation order cannot be reproduced.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import uniqueness_quantities
-from .dynamics import IntegratorConfig, SpectralState, Trajectory, evolve
+# benchmarks/tracing.py rebinds reparametrize.evolve, which nothing here calls
+from .dynamics import IntegratorConfig, Trajectory, evolve  # noqa: F401
 from .errors import ParametrizationError, PreconditionError
 from .functions import FunctionSpec, scalar_callable
 from .integrate import solve_to_samples
-from .spectrum import SpectralVector, Spectrum, a_half_norm_sq, require_shared_spectrum
+from .spectrum import SpectralVector, Spectrum, a_half_norm_sq
 
 DEN_FLOOR = 1e-10  # smallest |psi'| the curve system accepts
 HP_TOL = 1e-10
@@ -75,10 +75,10 @@ class SCurve:
     """The curve (z(s), w(s)) sampled on the mirrored shift variable.
 
     ``s`` holds direction * psi >= 0, increasing from 0; ``direction`` is the
-    sign of the first nonzero initial derivative of psi.  The s integration
-    starts at row ``start``, reached at time ``t_start``: the datum at t = 0
-    on the direct branch, the handoff row on the bootstrap branch, after the
-    time leg's rows.
+    sign of the first nonzero initial derivative of psi.  Row i is the time
+    run's row i up to row ``start``, reached at time ``t_start``, where the s
+    integration starts: the datum at t = 0 on the direct branch, the handoff
+    row on the bootstrap branch, after the run's rows before it.
     """
 
     spectrum: Spectrum
@@ -134,52 +134,57 @@ def curve_branch(d1: float, d2: float) -> tuple[str, int]:
 
 
 def solve_trajectory_system(
-    u0: SpectralVector,
-    u1: SpectralVector,
+    tr: Trajectory,
     m: FunctionSpec,
     shifts: np.ndarray,
     cfg: IntegratorConfig,
 ) -> SCurve:
-    """Integrate the curve system in the shift variable, landing on ``shifts``.
+    """Integrate the curve system of the time run ``tr``, landing on ``shifts``.
 
-    The branch and direction are ``curve_branch``'s.  On the bootstrap
-    branch the solver first follows the time dynamics until |psi'| exceeds
-    the handoff threshold ``HANDOFF_SCALE * (1 + |psi''(0)|)``, then
-    continues in s.  The s integration starts from the datum or the handoff
-    and lands on each mirrored shift past it.  ``shifts`` must be finite,
-    strictly increasing and end above 0; shifts that end inside the
-    bootstrap leg are refused.
+    The datum is the run's first row; the branch and direction are
+    ``curve_branch``'s.  The s integration starts at a row of the run: row 0
+    on the direct branch; on the bootstrap branch the first row of the
+    shift's first rise whose mirrored speed clears the handoff threshold
+    ``HANDOFF_SCALE * (1 + |psi''(0)|)``, after the run's rows before it.
+    It lands on each mirrored shift past that row.  ``shifts`` must be
+    finite and strictly increasing; a rise that never clears the threshold,
+    or shifts that end at or before the start row, are refused.
     """
-    spec = require_shared_spectrum(u0, u1)
+    spec = tr.spectrum
     shifts = np.asarray(shifts, dtype=float)
     if not (shifts.ndim == 1 and shifts.size and np.all(np.isfinite(shifts))
-            and np.all(np.diff(shifts) > 0.0) and shifts[-1] > 0.0):
-        raise PreconditionError("shifts must be finite and strictly increasing, and end above 0")
+            and np.all(np.diff(shifts) > 0.0)):
+        raise PreconditionError("shifts must be finite and strictly increasing")
+    u0, u1 = (SpectralVector(spec, x[0]) for x in (tr.u, tr.v))
     d1, d2 = psi_initial_derivatives(u0, u1, m)
     branch, direction = curve_branch(d1, d2)
-    # the s integration starts from the last row of a lead-in: the datum
-    # itself on the direct branch, the time leg on the bootstrap branch
-    if branch == "direct":
-        t_start, lead_s, lead_z = 0.0, np.zeros(1), (spec.lambdas * u0.components)[None]
-        lead_w = u1.components[None]
-    else:
-        t_start, lead_s, lead_z, lead_w = _bootstrap_leg(u0, u1, m, cfg, direction, abs(d2))
-    s_start = float(lead_s[-1])
-    if s_start >= shifts[-1]:
-        raise PreconditionError(
-            f"the shifts end at {shifts[-1]:g}, inside the bootstrap leg (handoff at {s_start:g})"
-        )
+    pt = psi_trace(tr)
+    s_run = direction * pt.psi + 0.0  # + 0.0 makes row 0's -0.0 (direction -1) 0.0
+    start = 0
+    if branch == "bootstrap":
+        boot = HANDOFF_SCALE * (1.0 + abs(d2))
+        n_rise = _monotone_prefix(s_run)
+        hit = np.flatnonzero(direction * pt.f[:n_rise] >= boot)
+        if not hit.size:
+            raise PreconditionError(f"the mirrored speed stays below the handoff threshold "
+                                    f"{boot:.3g} on the shift's first rise, up to "
+                                    f"t = {tr.t[n_rise - 1]:g}")
+        start = int(hit[0])
+    s_start = float(s_run[start])
+    if shifts[-1] <= s_start:
+        raise PreconditionError(f"the shifts end at {shifts[-1]:g}, at or before the "
+                                f"curve's start at s = {s_start:g}")
 
     samples = np.concatenate([[s_start], shifts[shifts > s_start]])
-    y0 = np.concatenate([lead_z[-1], lead_w[-1]])
+    y0 = np.concatenate([spec.lambdas * tr.u[start], tr.v[start]])
     z, w = _curve_flow(spec, m, a_half_norm_sq(u0), direction, y0, samples, cfg)
     return SCurve(
         spectrum=spec,
-        s=np.concatenate([lead_s[:-1], samples]),
-        z=np.vstack([lead_z[:-1], z]),
-        w=np.vstack([lead_w[:-1], w]),
-        start=lead_s.size - 1,
-        t_start=t_start,
+        s=np.concatenate([s_run[:start], samples]),
+        z=np.vstack([tr.u[:start] * spec.lambdas, z]),
+        w=np.vstack([tr.v[:start], w]),
+        start=start,
+        t_start=float(tr.t[start]),
         direction=direction,
         branch=branch,
         psi_prime0=d1,
@@ -224,31 +229,6 @@ def _curve_flow(spec, m, sigma0, direction, y0, samples, cfg):
             f"curve integration stopped early: {res.message or res.status}"
         )
     return res.y[:, :n], res.y[:, n:]
-
-
-def _bootstrap_leg(u0, u1, m, cfg, direction, d2_mag):
-    """Time leg from t = 0 until the mirrored speed clears the handoff threshold:
-    (t at the handoff, s, z, w up to it)."""
-    lam = u0.spectrum.lambdas
-    boot = HANDOFF_SCALE * (1.0 + d2_mag)
-    t_guess = 3.0 * boot / max(d2_mag, 1e-8)
-    state = SpectralState(t=0.0, u=u0, v=u1)
-    for _ in range(8):
-        tr = evolve(state, m, dataclasses.replace(cfg, dense_output_dt=t_guess / 128.0), t_guess)
-        pt = psi_trace(tr)
-        speed = direction * pt.f
-        hit = np.nonzero(speed >= boot)[0]
-        if hit.size:
-            i = int(hit[0])
-            s = direction * pt.psi[: i + 1]
-            k = _monotone_prefix(s)
-            if k >= 2 and k == i + 1:
-                return float(tr.t[i]), s, tr.u[: i + 1] * lam, tr.v[: i + 1]
-        t_guess *= 2.0
-    raise ParametrizationError(
-        "bootstrap leg never cleared the handoff threshold; the shift may "
-        "not be monotone near t = 0"
-    )
 
 
 def solve_parametrization(curve: SCurve, m: FunctionSpec) -> PsiTrace:
@@ -304,25 +284,23 @@ class DeviationReport:
 
 
 def reparametrization_check(tr: Trajectory, curve: SCurve) -> DeviationReport:
-    """Compare a time trajectory with the curve at the shift values it landed on.
+    """Compare a time run with the curve solved from it, row by row.
 
-    The curve's rows past its start must lie at s = direction * psi(t_i) for
-    the samples of the run's first rise past that row, as
-    ``solve_trajectory_system`` lands them given that rise; past a turn of
-    the shift the flow no longer follows the curve's branch.  Reports
-    |z - A^(1/2)u| + |w - u'| per compared sample.
+    The curve's rows must be the run's rows 0..k-1 in the shift variable,
+    s = direction * psi(t_i), as ``solve_trajectory_system`` gives them when
+    landed on the run's first rise; past a turn of the shift the flow no
+    longer follows the curve's branch.  Reports |z - A^(1/2)u| + |w - u'|
+    per row past the curve's start.
     """
-    s_t = curve.direction * psi_trace(tr).psi
-    rise = s_t[: _monotone_prefix(s_t)]
-    s = curve.s[curve.start + 1:]
-    j = int(np.count_nonzero(rise <= curve.s[curve.start]))
-    k = j + s.size
-    if not np.array_equal(rise[j:k], s):
+    k = curve.s.size
+    if not np.array_equal(curve.s, curve.direction * psi_trace(tr).psi[:k]):
         raise PreconditionError("the curve was not landed on this run's shift values")
-    dz = curve.z[curve.start + 1:] - tr.u[j:k] * tr.spectrum.lambdas
-    dw = curve.w[curve.start + 1:] - tr.v[j:k]
+    rows = slice(curve.start + 1, k)
+    dz = curve.z[rows] - tr.u[rows] * tr.spectrum.lambdas
+    dw = curve.w[rows] - tr.v[rows]
     dev = np.sqrt(np.sum(dz**2, axis=1)) + np.sqrt(np.sum(dw**2, axis=1))
     worst = int(np.argmax(dev))
-    return DeviationReport(t=tr.t[j:k].copy(), s=s.copy(), deviations=dev,
-                           max_deviation=float(dev[worst]), worst_t=float(tr.t[j + worst]),
-                           n_compared=s.size)
+    t = tr.t[rows].copy()
+    return DeviationReport(t=t, s=curve.s[rows].copy(), deviations=dev,
+                           max_deviation=float(dev[worst]), worst_t=float(t[worst]),
+                           n_compared=dev.size)

@@ -553,8 +553,8 @@ def _task_reparametrize(sc: Scenario):
                             f"{S_MAX_SHARE} of its top; decrease dense_output_dt",
                             field="params.dense_output_dt")
     try:
-        curve = solve_trajectory_system(sc.u0, sc.u1, sc.m, shifts, sc.integrator)
-    except PreconditionError as exc:  # the shifts end inside the bootstrap leg
+        curve = solve_trajectory_system(tr, sc.m, shifts, sc.integrator)
+    except PreconditionError as exc:  # the rise ends before the bootstrap handoff
         raise ScenarioError(f"{exc}; increase t_end, up to which the shift's first rise "
                             f"sets the curve's range", field="params.t_end") from exc
     recovered = solve_parametrization(curve, sc.m)

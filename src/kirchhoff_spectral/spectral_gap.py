@@ -154,8 +154,11 @@ def sum_decompose(
         # every edge is finite and above the last; 5e-324 * sqrt(2) is 5e-324
         up = value * _SQRT2
         if not value < up < math.inf:
+            # a zero datum searches no band: only hat's fallback climbs
             raise InsufficientDecayError(
-                f"band search diverged above threshold {rho:g} at exponent beta = {beta:g}")
+                f"band search diverged above threshold {rho:g} at exponent beta = {beta:g}"
+                if s_values else f"the fallback threshold max(lambda_max, 1) * sqrt(2) = "
+                                 f"{rho:g} * sqrt(2) leaves the float range")
         return up
 
     # the nonempty bands alternate bar, hat, bar, ...; a zero datum has no

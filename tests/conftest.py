@@ -4,7 +4,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from kirchhoff_spectral import IntegratorConfig, Spectrum, SpectralVector, Trajectory
+from kirchhoff_spectral import (
+    IntegratorConfig, SpectralState, Spectrum, SpectralVector, Trajectory, evolve,
+)
 from kirchhoff_spectral.artifacts import blas_core
 
 
@@ -40,6 +42,13 @@ def hand_trajectory(spectrum, u, v, t=None):
     t = np.arange(len(u), dtype=float) if t is None else t
     sigma = u**2 @ spectrum.lam2
     return Trajectory(spectrum, t, u, v, sigma, np.full(len(u), np.nan), None)
+
+
+def datum_run(u0, u1, m, cfg=None, t_end=1e-2):
+    """A time run of the datum (u0, u1) on 1,000 sample intervals, from whose
+    rows ``solve_trajectory_system`` starts the curve.  For unit-scale data
+    the shift's rise clears the bootstrap handoff threshold by t = 1e-3."""
+    return evolve(SpectralState(0.0, u0, u1), m, cfg or IntegratorConfig(), t_end)
 
 
 @contextmanager

@@ -205,7 +205,7 @@ def test_criterion_07_round_trip():
         # up to s_max
         rise = direction * psi_trace(tr).psi
         assert np.all(np.diff(rise) > 0.0)
-        curve = solve_trajectory_system(e1, u1, m, rise[rise <= s_max], TOL)
+        curve = solve_trajectory_system(tr, m, rise[rise <= s_max], TOL)
         direct = reparametrization_check(tr, curve)
         assert direct.max_deviation <= 1e-5
 

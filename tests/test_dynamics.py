@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -243,6 +244,23 @@ def test_series_ignore_a_mode_that_is_zero_at_every_sample():
     for u_big, energy in ((1e-100, math.inf), (1e-300, 1.0)):
         rows = hand_trajectory(Spectrum([1.0, 1e110]), [[1.0, u_big]], [[0.0, 0.0]])
         assert higher_order_series(rows).tolist() == [energy]
+
+
+def test_evolve_ignores_a_zero_mode_whose_lambda_squared_overflows():
+    # lambda^2 = 1e400 overflows at the second mode, which carries no data in
+    # any member and stays 0: sigma gives it weight 0, where inf * 0 once
+    # made the first derivative NaN and the run stop on step_underflow
+    spec = Spectrum([1.0, 1e200])
+    state = SpectralState(t=0.0, u=basis_vector(spec, 0), v=SpectralVector(spec, [0.0, -0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        solo = evolve(state, affine(1.0, 1.0), IntegratorConfig(), 1.0)
+        members = evolve([state, state], [affine(1.0, 1.0), constant(2.0)],
+                         IntegratorConfig(), 1.0)
+    for tr in (solo, *members):
+        assert tr.meta.status == "completed" and np.all(np.isfinite(tr.sigma))
+        assert not tr.u[:, 1].any() and not tr.v[:, 1].any()
+        assert tr.meta.hamiltonian_drift < 1e-9
 
 
 def test_pohozaev_constancy_and_negative_control(tight_cfg):

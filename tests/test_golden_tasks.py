@@ -38,12 +38,12 @@ GOLDEN = {
             "e0491b94c60a8ac535dcb2985f7bd63cc3a426073de1679e00064a1ee2b59302",
     },
     "seeded_reparametrize_bootstrap": {
-        "scurve.csv": "54bb5dc60b91fed707b6c4a7fb5c6c4b6f731a6ea6a44b9076b3f456eeceb809",
+        "scurve.csv": "853258dc5eebca0082cf7ab0635f03e7952f0b2579bc0ce6a3862c57d4759fc6",
         "psi_trace.csv": "ff3e10e0be92791112315f124de6d7119e7c0ceb10032b6bf76d62567663808b",
         "psi_recovered.csv":
-            "cd94f9ea89f52554f08cd1681b70571ad393aad92cde22ebc6139c8b3a6d9da0",
+            "d6f14b0dd4f347e143576a40095718d0c0c5bbe93942f672a97308756f8db26b",
         "reparametrization_report.json":
-            "1be4a88626918ebb5bc489c33f5e9dc6f69b6c6f4b87ad5df405e1350ae3989c",
+            "79c1852bcc145430b52bf470a3b7cb5d7a9705bb82aee151a3101cb6f2b6ed0f",
     },
     "seeded_conditions_weak": {
         "condition_report.json":

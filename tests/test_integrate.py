@@ -26,7 +26,7 @@ from kirchhoff_spectral import (
     table,
 )
 from kirchhoff_spectral.integrate import IntegrationOutcome, solve_to_samples
-from tests.conftest import deadline, pin_note
+from tests.conftest import datum_run, deadline, pin_note
 
 
 def test_harmonic_oscillator_closed_form():
@@ -374,16 +374,17 @@ def test_reference_curve_system(monkeypatch, tight_cfg, u1, branch):
     u0 = SpectralVector(spec, [1.0, 0.1][: len(u1)])
     u1 = SpectralVector(spec, u1)
     curves = []
+    tr = datum_run(u0, u1, constant(1.0), tight_cfg)
     calls = captured_solves(
         monkeypatch,
-        [dynamics, reparametrize],
+        [reparametrize],
         lambda: curves.append(
-            reparametrize.solve_trajectory_system(u0, u1, constant(1.0),
-                                                  np.linspace(0.0, 0.8, 9), tight_cfg)
+            reparametrize.solve_trajectory_system(tr, constant(1.0), np.linspace(0.0, 0.8, 9),
+                                                  tight_cfg)
         ),
     )
     assert curves[0].branch == branch
-    assert len(calls) >= 1
+    assert len(calls) == 1  # the curve alone, on either branch
     for rhs, y0, samples, args, kwargs in calls:
         assert_matches_reference(rhs, y0, samples, *args, **kwargs)
 
@@ -570,8 +571,9 @@ def check_rhs_closures(monkeypatch, rng, spec, ms, m_ats):
         direction = int(np.sign(d1))
         directions.add(direction)
         sigma0 = a_half_norm_sq(u0)
+        tr = datum_run(u0, u1, ms[0])
         calls = captured_solves(monkeypatch, [reparametrize], lambda: (
-            reparametrize.solve_trajectory_system(u0, u1, ms[0], [1e-3], IntegratorConfig())
+            reparametrize.solve_trajectory_system(tr, ms[0], [1e-3], IntegratorConfig())
         ))
         curve = calls[0][0]
         for _ in range(5):
@@ -598,8 +600,9 @@ def test_degenerate_speed_reads_alike_in_both_curve_forms(monkeypatch):
     for spec in (Spectrum([1.0, 2.0]), Spectrum([1.3])):
         u0 = SpectralVector(spec, [0.5] * spec.n)
         u1 = SpectralVector(spec, [1.0] * spec.n)
+        tr = datum_run(u0, u1, affine(1.0, 1.0))
         calls = captured_solves(monkeypatch, [reparametrize], lambda: (
-            reparametrize.solve_trajectory_system(u0, u1, affine(1.0, 1.0), [1e-3],
+            reparametrize.solve_trajectory_system(tr, affine(1.0, 1.0), [1e-3],
                                                   IntegratorConfig())
         ))
         curve = calls[0][0]
@@ -626,7 +629,7 @@ def test_rhs_identity_cache_is_sound(monkeypatch, form):
         "vector": (dynamics, lambda: dynamics.evolve(states[0], m, cfg, 0.1)),
         "ensemble": (dynamics, lambda: dynamics.evolve(states, [m] * 3, cfg, 0.1)),
         "curve": (reparametrize, lambda: reparametrize.solve_trajectory_system(
-            states[0].u, states[0].v, m, [1e-3], cfg)),
+            datum_run(states[0].u, states[0].v, m, cfg), m, [1e-3], cfg)),
     }[form]
 
     def fresh():
@@ -866,7 +869,7 @@ SOLVER_PATH_SHA256 = {
     "ensemble_2": "a4e1c9daec922a5d21bef700e575fce1f79bb9283dc7145e1a706cc0c4270795",
     "linear_c_of_t": "148c84ecf9742a939d78638de23cfb8857d0a94f75262de6005779b504bacb5d",
     "curve_direct": "4741faafe08f947840fdfaa6d934fa1cd49becd435d0e4bb2d30ebdd0d673862",
-    "curve_bootstrap": "25b94730520d97c6b652868826fb33116b72a7d3f74bf865db9c827f70448d44",
+    "curve_bootstrap": "56cc33c064a322127904091e46ab7d0cc866b7604b344be72fb041fb88bd4fd5",
     "evolve_n512": "684009d83ea9f6b3b577accd37dc02a93d5c44eef0f57ce8292e3c52a9fdf412",
     "evolve_table1_loglipschitz": "ffcae94a26e6e9a3656b77bee553f212ef2c7f91ad74947c413d4abec97c4e87",
     "evolve_table3_loglipschitz_cubed": "4a9404ba3708ed63394644a64b4400f04f2bf967a60e51144ba3265046c8ad3f",
@@ -888,17 +891,13 @@ def raw_sha256(*arrays):
 
 
 def sqrt_uniform_curve(u0, u1, m, s_max, cfg):
-    """The curve on 1,000 intervals uniform in sqrt(s) from its start to s_max,
-    the grid its pins were recorded on; the bootstrap branch starts at the
-    handoff of its time leg."""
-    d1, d2 = reparametrize.psi_initial_derivatives(u0, u1, m)
-    branch, direction = reparametrize.curve_branch(d1, d2)
-    s_start = 0.0
-    if branch == "bootstrap":
-        s_start = reparametrize._bootstrap_leg(u0, u1, m, cfg, direction, abs(d2))[1][-1]
-    shifts = np.linspace(math.sqrt(s_start), math.sqrt(s_max), 1001) ** 2
-    shifts[0], shifts[-1] = s_start, s_max
-    return reparametrize.solve_trajectory_system(u0, u1, m, shifts, cfg)
+    """The curve on 1,000 intervals uniform in sqrt(s) from 0 to s_max, the
+    grid its pins were recorded on, started on a time run of the datum: the
+    direct branch reads its first row, the bootstrap branch its rows up to
+    the handoff and the grid's shifts past it."""
+    shifts = np.linspace(0.0, math.sqrt(s_max), 1001) ** 2
+    shifts[-1] = s_max
+    return reparametrize.solve_trajectory_system(datum_run(u0, u1, m, cfg), m, shifts, cfg)
 
 
 def solver_path_runs():

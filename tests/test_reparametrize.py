@@ -30,7 +30,7 @@ from kirchhoff_spectral import reparametrize
 from kirchhoff_spectral.scenario import run_scenario
 from kirchhoff_spectral.errors import ParametrizationError, PreconditionError
 from kirchhoff_spectral.reparametrize import SCurve
-from tests.conftest import random_vector
+from tests.conftest import datum_run, random_vector
 
 
 def test_psi_zero_solution(tight_cfg):
@@ -120,7 +120,7 @@ def landed_curve(tr, m, s_max, cfg):
     _, direction = reparametrize.curve_branch(*psi_initial_derivatives(u0, u1, m))
     s = direction * psi_trace(tr).psi
     s = s[:reparametrize._monotone_prefix(s)]
-    return solve_trajectory_system(u0, u1, m, s[s <= s_max], cfg)
+    return solve_trajectory_system(tr, m, s[s <= s_max], cfg)
 
 
 def assert_compares_the_rise_past_start(tr, curve, check):
@@ -147,7 +147,7 @@ def test_direct_branch_consistency(tight_cfg):
     assert check.max_deviation < 1e-6
     assert_compares_the_rise_past_start(tr, curve, check)
     # a curve landed on other shift values has no rows to compare
-    elsewhere = solve_trajectory_system(u0, u1, m, np.linspace(0.0, 0.9, 10), tight_cfg)
+    elsewhere = solve_trajectory_system(tr, m, np.linspace(0.0, 0.9, 10), tight_cfg)
     with pytest.raises(PreconditionError, match="not landed on this run's shift values"):
         reparametrization_check(tr, elsewhere)
 
@@ -171,50 +171,67 @@ def test_bootstrap_branch_consistency(tight_cfg):
     assert_compares_the_rise_past_start(tr, curve, check)
 
 
-def bootstrap_leg_ends(monkeypatch, u0, u1, m, shifts):
-    """The end times of the bootstrap leg's time runs, and the curve or its error."""
-    ends = []
-
-    def spy(state, m, cfg, t_end):
-        ends.append(t_end)
-        return evolve(state, m, cfg, t_end)
-
-    monkeypatch.setattr(reparametrize, "evolve", spy)
-    try:
-        return ends, solve_trajectory_system(u0, u1, m, shifts, IntegratorConfig())
-    except ParametrizationError as exc:
-        return ends, exc
+def handoff_row(tr, m):
+    """The first row whose mirrored speed clears the handoff threshold."""
+    u0, u1 = (SpectralVector(tr.spectrum, x[0]) for x in (tr.u, tr.v))
+    _, d2 = psi_initial_derivatives(u0, u1, m)
+    speed = np.sign(d2) * psi_trace(tr).f  # psi'(0) = 0: the sign of d2 mirrors
+    boot = reparametrize.HANDOFF_SCALE * (1.0 + abs(d2))
+    return int(np.argmax(speed >= boot)), speed, boot
 
 
-def test_bootstrap_leg_doubles_a_guess_that_falls_short(monkeypatch):
-    # psi''(0) = -2e-9 lies below the guess's floor 1e-8, so the first time
-    # run ends at 3e4, before the speed 40 w sin(2wt), w = 5e-6, clears the
-    # threshold; the doubled run clears it.  u = a cos(wt) with a^2 = 40, so
-    # the mirrored shift is 40 sin(wt)^2
+def test_bootstrap_lead_in_is_the_time_runs_rows(tight_cfg):
+    # u = cos t and the speed sin 2t clears 3e-4 just past t = 1.5e-4, at
+    # row 16 of a grid 1e-5 apart: the curve's rows up to it are the run's own
+    spec = Spectrum([1.0])
+    m = constant(1.0)
+    cfg = IntegratorConfig(1e-10, 1e-10, dense_output_dt=1e-5)
+    tr = evolve(SpectralState(t=0.0, u=basis_vector(spec, 0), v=zero_vector(spec)), m, cfg,
+                1e-2)
+    curve = landed_curve(tr, m, 1.0, tight_cfg)
+    start, speed, boot = handoff_row(tr, m)
+    assert curve.branch == "bootstrap" and curve.start == start == 16
+    assert np.all(speed[:start] < boot) and speed[start] >= boot
+    lead = slice(0, start + 1)
+    assert np.array_equal(curve.s[lead], -psi_trace(tr).psi[lead])
+    assert np.array_equal(curve.z[lead], tr.u[lead] * spec.lambdas)
+    assert np.array_equal(curve.w[lead], tr.v[lead]) and curve.t_start == tr.t[start]
+    # past the start the rows are landed on the run's shifts, one row each
+    assert np.array_equal(curve.s, -psi_trace(tr).psi)
+
+
+def test_bootstrap_handoff_on_a_long_run():
+    # psi''(0) = -2e-9: u = a cos(wt) with a^2 = 40 and w = 5e-6, so the
+    # mirrored shift is 40 sin(wt)^2 and the speed 40 w sin(2wt) clears the
+    # threshold near t = 5e4, a row of a run out to a shift of 20
     spec = Spectrum([1.0])
     u0, u1, m = basis_vector(spec, 0, math.sqrt(40.0)), zero_vector(spec), constant(2.5e-11)
     assert psi_initial_derivatives(u0, u1, m) == (0.0, pytest.approx(-2e-9, rel=1e-12))
-    shifts = np.linspace(4.0, 20.0, 5)
-    ends, curve = bootstrap_leg_ends(monkeypatch, u0, u1, m, shifts)
-    first = 3.0 * reparametrize.HANDOFF_SCALE * (1.0 + 2e-9) / 1e-8
-    assert ends == [pytest.approx(first, rel=1e-12), pytest.approx(2.0 * first, rel=1e-12)]
-    assert curve.branch == "bootstrap" and first < curve.t_start < 2.0 * first
+    tr = datum_run(u0, u1, m, t_end=1.6e5)
+    curve = landed_curve(tr, m, 20.0, IntegratorConfig())
+    assert curve.branch == "bootstrap" and curve.start == handoff_row(tr, m)[0]
     s = curve.s[curve.start]
+    assert 4e4 < curve.t_start < 6e4
     assert curve.t_start == pytest.approx(math.asin(math.sqrt(s / 40.0)) / 5e-6, rel=1e-6)
-    assert np.array_equal(curve.s[curve.start + 1:], shifts)
+    assert 19.0 < curve.s[-1] <= 20.0
     assert np.allclose(curve.z[:, 0], np.sqrt(40.0 - curve.s), rtol=1e-7)
     assert np.allclose(curve.w[:, 0], -5e-6 * np.sqrt(curve.s), rtol=1e-7)
 
 
-def test_bootstrap_leg_that_never_clears_the_threshold_is_refused(monkeypatch):
+def test_rise_that_never_clears_the_threshold_is_refused(monkeypatch):
     # u = a cos t with a^2 = 9e-5: the speed, at most 9e-5, never reaches the
-    # threshold 1e-4 (1 + 1.8e-4), however long the eight doubling runs go
+    # threshold 1e-4 (1 + 1.8e-4) on the rise, which the run covers whole
     spec = Spectrum([1.0])
     u0, u1, m = basis_vector(spec, 0, math.sqrt(9e-5)), zero_vector(spec), constant(1.0)
-    ends, exc = bootstrap_leg_ends(monkeypatch, u0, u1, m, [1e-5])
-    assert isinstance(exc, ParametrizationError)
-    assert "never cleared the handoff threshold" in str(exc)
-    assert len(ends) == 8 and ends[1:] == [2.0 * t for t in ends[:-1]]
+    tr = datum_run(u0, u1, m, t_end=2.0)
+    assert reparametrize._monotone_prefix(-psi_trace(tr).psi) < tr.n_samples
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(reparametrize, "solve_to_samples", no_integration)
+    with pytest.raises(PreconditionError, match="stays below the handoff threshold 0.0001"):
+        solve_trajectory_system(tr, m, [1e-5], IntegratorConfig())
 
 
 @pytest.mark.parametrize("u1", [[1.0], [0.0]], ids=["direct", "bootstrap"])
@@ -224,7 +241,8 @@ def test_curve_that_stops_early_is_refused(u1):
     spec = Spectrum([1.0])
     u0, u1 = basis_vector(spec, 0), SpectralVector(spec, u1)
     with pytest.raises(ParametrizationError, match="curve integration stopped early: step size"):
-        solve_trajectory_system(u0, u1, power(1e3), [0.5, 1.0], IntegratorConfig())
+        solve_trajectory_system(datum_run(u0, u1, power(1e3)), power(1e3), [0.5, 1.0],
+                                IntegratorConfig())
 
 
 def ci_reparametrize_config(name, lambdas, u0, u1, t_end):
@@ -268,18 +286,24 @@ def test_landed_check_reads_the_flows_agreement(tmp_path, config, bound):
 
 @pytest.mark.parametrize("name", ["seeded_reparametrize_direct", "seeded_reparametrize_bootstrap"])
 def test_one_curve_integration_per_run(tmp_path, monkeypatch, name):
-    # the curve is integrated once, on the time run's shift values; the
-    # check and the pace read that one flow
-    solves = []
+    # the curve is integrated once, on the time run's shift values, and
+    # starts on that run's rows with no time run of its own; the check and
+    # the pace read that one flow
+    solves, evolves = [], []
 
     def counted(*args, **kwargs):
         solves.append(args[2])
         return solve_to_samples(*args, **kwargs)
 
+    def spied_evolve(*args, **kwargs):
+        evolves.append(args)
+        return evolve(*args, **kwargs)
+
     solve_to_samples = reparametrize.solve_to_samples
     monkeypatch.setattr(reparametrize, "solve_to_samples", counted)
+    monkeypatch.setattr(reparametrize, "evolve", spied_evolve)
     run_scenario(GOLDEN_TASKS / f"{name}.json", out_dir=tmp_path)
-    assert len(solves) == 1
+    assert len(solves) == 1 and evolves == []
 
 
 def test_refusal_when_both_derivatives_vanish(tight_cfg):
@@ -287,7 +311,8 @@ def test_refusal_when_both_derivatives_vanish(tight_cfg):
     u0 = basis_vector(spec, 0)
     u1 = SpectralVector(spec, [0.0, 0.5])
     with pytest.raises(PreconditionError, match="vanish"):
-        solve_trajectory_system(u0, u1, constant(1.0), [0.5], tight_cfg)
+        solve_trajectory_system(datum_run(u0, u1, constant(1.0)), constant(1.0), [0.5],
+                                tight_cfg)
 
 
 @pytest.mark.parametrize("d1, d2, expected", [
@@ -331,16 +356,16 @@ def test_parametrization_sign_change_rejected():
 @pytest.mark.parametrize("s_max", [math.nan, math.inf], ids=["s_max-nan", "s_max-inf"])
 def test_non_finite_scalar_refused_before_integration(tight_cfg, monkeypatch, s_max):
     # the last shift, the top of the curve's range, is checked before the
-    # bootstrap data's time leg would start
+    # handoff row of the bootstrap data is sought or the curve integrates
     def no_integration(*args, **kwargs):
-        raise AssertionError("integration started")
+        raise AssertionError("integration or handoff search started")
 
-    monkeypatch.setattr(reparametrize, "evolve", no_integration)
-    monkeypatch.setattr(reparametrize, "solve_to_samples", no_integration)
     spec = Spectrum([1.0])
+    tr = datum_run(basis_vector(spec, 0), zero_vector(spec), constant(1.0), tight_cfg)
+    monkeypatch.setattr(reparametrize, "psi_trace", no_integration)
+    monkeypatch.setattr(reparametrize, "solve_to_samples", no_integration)
     with pytest.raises(PreconditionError, match="shifts must be finite"):
-        solve_trajectory_system(basis_vector(spec, 0), zero_vector(spec), constant(1.0),
-                                [0.25, s_max], tight_cfg)
+        solve_trajectory_system(tr, constant(1.0), [0.25, s_max], tight_cfg)
 
 
 def test_round_trip_direct_branch(tight_cfg):
@@ -379,8 +404,8 @@ def test_sign_coherence(tight_cfg):
     spec = Spectrum([1.0])
     u0 = basis_vector(spec, 0)
     for u1, expected in ((basis_vector(spec, 0), 1), (zero_vector(spec), -1)):
-        curve = solve_trajectory_system(u0, u1, constant(1.0), np.linspace(0.0, 0.5, 11),
-                                        tight_cfg)
+        curve = solve_trajectory_system(datum_run(u0, u1, constant(1.0), tight_cfg),
+                                        constant(1.0), np.linspace(0.0, 0.5, 11), tight_cfg)
         assert curve.direction == expected
         f_vals = curve.f_values()
         assert np.all(f_vals[1:] > 0.0)  # mirrored speed positive past 0

@@ -227,6 +227,16 @@ def test_every_band_edge_must_stay_in_the_float_range(lams, u1, threshold):
         sum_decompose(zero_vector(spec), SpectralVector(spec, u1), constant(1.0), 0.0, 2.0)
 
 
+def test_zero_datum_whose_fallback_threshold_leaves_the_float_range_is_refused():
+    # a zero datum has no bands to search; hat's fallback threshold
+    # max(lambda_max, 1) * sqrt(2) overflows, and the error names it
+    spec = Spectrum([1.0, 1.5e308])
+    with pytest.raises(InsufficientDecayError) as info:
+        sum_decompose(zero_vector(spec), zero_vector(spec), constant(1.0), 0.0, 2.0)
+    assert str(info.value) == ("the fallback threshold max(lambda_max, 1) * sqrt(2) = "
+                               "1.5e+308 * sqrt(2) leaves the float range")
+
+
 def test_decompose_norm_pythagoras():
     spec = power_spectrum(32)
     lam = spec.lambdas

@@ -82,10 +82,11 @@ def test_traced_counters_match_the_solver(monkeypatch, tight_cfg):
         dynamics.evolve(states[0], affine(1.0, 1.0), tight_cfg, 1.0)
         dynamics.evolve(states, [affine(1.0, 1.0), power(1.0), constant(2.0)],
                         tight_cfg, 1.0)
-        curve = reparametrize.solve_trajectory_system(
-            SpectralVector(unit, [1.0]), SpectralVector(unit, [0.0]), constant(1.0),
-            np.linspace(0.0, 0.8, 9), tight_cfg,
-        )
+        run = dynamics.evolve(SpectralState(0.0, SpectralVector(unit, [1.0]),
+                                            SpectralVector(unit, [0.0])),
+                              constant(1.0), tight_cfg, 1.0)
+        curve = reparametrize.solve_trajectory_system(run, constant(1.0),
+                                                      np.linspace(0.0, 0.8, 9), tight_cfg)
     finally:
         tracer.uninstall()
     assert curve.branch == "bootstrap"
