@@ -44,6 +44,10 @@ class PreconditionError(KirchhoffError, ValueError):
     """An operation precondition was violated."""
 
 
+class NoLandingError(PreconditionError):
+    """The shift's first rise holds no time-run row for the curve to land on."""
+
+
 class InsufficientDecayError(KirchhoffError, ValueError):
     """Spectral components do not decay fast enough for the construction."""
 

@@ -3,9 +3,10 @@
 Where the shift s is invertible in t, the curve (z, w) = (A^(1/2)u, u') can
 be followed in the s variable; the pace along the curve then solves the
 scalar autonomous problem psi' = F(psi), psi(0) = 0, with F the speed
-2<A^(1/2)z, w>.  The curve is integrated once, landing on the shift values
-of a time run's rise; the pace is read off those landed rows, and the
-consistency check compares them with the time run's rows.
+2<A^(1/2)z, w>.  The curve is integrated once, landing on the rows of a
+time run's first rise in s up to ``S_MAX_SHARE`` of its top (past the first
+turn the flow leaves the curve's branch); the pace is read off those landed
+rows, and the consistency check compares them with the time run's rows.
 
 When psi'(0) = 0 but psi''(0) != 0 the speed vanishes at s = 0 to first
 order.  The curve then bootstraps on the time run itself: its rows up to the
@@ -31,14 +32,15 @@ import numpy as np
 from .analysis import uniqueness_quantities
 # benchmarks/tracing.py rebinds reparametrize.evolve, which nothing here calls
 from .dynamics import IntegratorConfig, Trajectory, evolve  # noqa: F401
-from .errors import ParametrizationError, PreconditionError
+from .errors import NoLandingError, ParametrizationError, PreconditionError
 from .functions import FunctionSpec, scalar_callable
 from .integrate import solve_to_samples
-from .spectrum import SpectralVector, Spectrum, a_half_norm_sq
+from .spectrum import SpectralVector, Spectrum, a_half_norm_sq, a_weighted_sum
 
 DEN_FLOOR = 1e-10  # smallest |psi'| the curve system accepts
 HP_TOL = 1e-10
 HANDOFF_SCALE = 1e-4
+S_MAX_SHARE = 0.95  # the curve lands on the shift's first rise up to this share of its top
 
 
 @dataclass(frozen=True)
@@ -52,9 +54,8 @@ class PsiTrace:
 
 def psi_trace(tr: Trajectory) -> PsiTrace:
     """psi and F sampled along a trajectory, from the datum it starts at."""
-    lam2 = tr.spectrum.lam2
-    psi = (tr.u**2 - tr.u[0] ** 2) @ lam2
-    f = 2.0 * ((tr.u * tr.v) @ lam2)
+    psi = a_weighted_sum(tr.spectrum, 2, tr.u**2 - tr.u[0] ** 2)
+    f = 2.0 * a_weighted_sum(tr.spectrum, 2, tr.u * tr.v)
     return PsiTrace(t=tr.t.copy(), psi=psi, f=f)
 
 
@@ -75,10 +76,11 @@ class SCurve:
     """The curve (z(s), w(s)) sampled on the mirrored shift variable.
 
     ``s`` holds direction * psi >= 0, increasing from 0; ``direction`` is the
-    sign of the first nonzero initial derivative of psi.  Row i is the time
-    run's row i up to row ``start``, reached at time ``t_start``, where the s
-    integration starts: the datum at t = 0 on the direct branch, the handoff
-    row on the bootstrap branch, after the run's rows before it.
+    sign of the first nonzero initial derivative of psi.  Row i lies at the
+    time run's row i: up to row ``start``, reached at time ``t_start``, it is
+    that row, and the s integration starts there (the datum at t = 0 on the
+    direct branch, the handoff row on the bootstrap branch); past it, the
+    curve's flow at that row's shift value.
     """
 
     spectrum: Spectrum
@@ -133,54 +135,48 @@ def curve_branch(d1: float, d2: float) -> tuple[str, int]:
                             f"{HP_TOL:g}; the parametrization argument does not apply")
 
 
-def solve_trajectory_system(
-    tr: Trajectory,
-    m: FunctionSpec,
-    shifts: np.ndarray,
-    cfg: IntegratorConfig,
-) -> SCurve:
-    """Integrate the curve system of the time run ``tr``, landing on ``shifts``.
+def solve_trajectory_system(tr: Trajectory, m: FunctionSpec, cfg: IntegratorConfig) -> SCurve:
+    """Integrate the curve system of the time run ``tr``, landing on its rows.
 
     The datum is the run's first row; the branch and direction are
-    ``curve_branch``'s.  The s integration starts at a row of the run: row 0
-    on the direct branch; on the bootstrap branch the first row of the
-    shift's first rise whose mirrored speed clears the handoff threshold
+    ``curve_branch``'s.  The curve lands on the rows of the mirrored shift's
+    first rise up to ``S_MAX_SHARE`` of its top.  The s integration starts at
+    a row of the run: row 0 on the direct branch; on the bootstrap branch the
+    first row of the rise whose mirrored speed clears the handoff threshold
     ``HANDOFF_SCALE * (1 + |psi''(0)|)``, after the run's rows before it.
-    It lands on each mirrored shift past that row.  ``shifts`` must be
-    finite and strictly increasing; a rise that never clears the threshold,
-    or shifts that end at or before the start row, are refused.
+    ``NoLandingError`` refuses a rise with no row past t = 0 at or below that
+    share of its top; ``PreconditionError`` a rise that never clears the
+    threshold, or whose landing rows end at or before the handoff row.
     """
     spec = tr.spectrum
-    shifts = np.asarray(shifts, dtype=float)
-    if not (shifts.ndim == 1 and shifts.size and np.all(np.isfinite(shifts))
-            and np.all(np.diff(shifts) > 0.0)):
-        raise PreconditionError("shifts must be finite and strictly increasing")
     u0, u1 = (SpectralVector(spec, x[0]) for x in (tr.u, tr.v))
     d1, d2 = psi_initial_derivatives(u0, u1, m)
     branch, direction = curve_branch(d1, d2)
     pt = psi_trace(tr)
     s_run = direction * pt.psi + 0.0  # + 0.0 makes row 0's -0.0 (direction -1) 0.0
+    n_rise = _monotone_prefix(s_run)
+    k = int(np.count_nonzero(s_run[:n_rise] <= S_MAX_SHARE * s_run[n_rise - 1] + 1e-15))
+    if k < 2:
+        raise NoLandingError(f"no sample of the shift's first rise lies past t = 0 and below "
+                             f"{S_MAX_SHARE} of its top")
     start = 0
     if branch == "bootstrap":
         boot = HANDOFF_SCALE * (1.0 + abs(d2))
-        n_rise = _monotone_prefix(s_run)
         hit = np.flatnonzero(direction * pt.f[:n_rise] >= boot)
         if not hit.size:
             raise PreconditionError(f"the mirrored speed stays below the handoff threshold "
                                     f"{boot:.3g} on the shift's first rise, up to "
                                     f"t = {tr.t[n_rise - 1]:g}")
         start = int(hit[0])
-    s_start = float(s_run[start])
-    if shifts[-1] <= s_start:
-        raise PreconditionError(f"the shifts end at {shifts[-1]:g}, at or before the "
-                                f"curve's start at s = {s_start:g}")
+        if k - 1 <= start:
+            raise PreconditionError(f"the landing rows end at s = {s_run[k - 1]:g}, at or "
+                                    f"before the curve's start at s = {s_run[start]:g}")
 
-    samples = np.concatenate([[s_start], shifts[shifts > s_start]])
     y0 = np.concatenate([spec.lambdas * tr.u[start], tr.v[start]])
-    z, w = _curve_flow(spec, m, a_half_norm_sq(u0), direction, y0, samples, cfg)
+    z, w = _curve_flow(spec, m, a_half_norm_sq(u0), direction, y0, s_run[start:k], cfg)
     return SCurve(
         spectrum=spec,
-        s=np.concatenate([s_run[:start], samples]),
+        s=s_run[:k],
         z=np.vstack([tr.u[:start] * spec.lambdas, z]),
         w=np.vstack([tr.v[:start], w]),
         start=start,
@@ -255,8 +251,8 @@ def solve_parametrization(curve: SCurve, m: FunctionSpec) -> PsiTrace:
         raise ParametrizationError(
             f"speed changes sign at s = {s[i]:.6g}; the window contains a turning point"
         )
-    lam2 = curve.spectrum.lam2
-    psi2 = 2.0 * ((w * w - m(np.sum(z * z, axis=1))[:, None] * (z * z)) @ lam2)
+    psi2 = 2.0 * a_weighted_sum(curve.spectrum, 2,
+                                w * w - m(np.sum(z * z, axis=1))[:, None] * (z * z))
     df = curve.direction * psi2 / f  # dF/ds
     # g = (ds/dx) / F in the variable x, and its derivative in x
     if curve.branch == "bootstrap":
@@ -287,10 +283,8 @@ def reparametrization_check(tr: Trajectory, curve: SCurve) -> DeviationReport:
     """Compare a time run with the curve solved from it, row by row.
 
     The curve's rows must be the run's rows 0..k-1 in the shift variable,
-    s = direction * psi(t_i), as ``solve_trajectory_system`` gives them when
-    landed on the run's first rise; past a turn of the shift the flow no
-    longer follows the curve's branch.  Reports |z - A^(1/2)u| + |w - u'|
-    per row past the curve's start.
+    s = direction * psi(t_i), as ``solve_trajectory_system`` gives them.
+    Reports |z - A^(1/2)u| + |w - u'| per row past the curve's start.
     """
     k = curve.s.size
     if not np.array_equal(curve.s, curve.direction * psi_trace(tr).psi[:k]):

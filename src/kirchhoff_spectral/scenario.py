@@ -42,11 +42,10 @@ from .dynamics import (
     sample_grid,
     sample_intervals,
 )
-from .errors import DomainError, PreconditionError, ScenarioError
+from .errors import DomainError, NoLandingError, PreconditionError, ScenarioError
 from .functions import RULES, FunctionSpec, antiderivative, constant, offset, weight_values
 from .presets import get_preset
 from .reparametrize import (
-    _monotone_prefix,
     curve_branch,
     psi_initial_derivatives,
     psi_trace,
@@ -61,7 +60,6 @@ from .spectral_gap import sum_decompose
 
 CONFIG_VERSION = 1
 REQUIRED = object()  # the default of a key that the config must give
-S_MAX_SHARE = 0.95  # the curve lands on the shift's first rise up to this share of its top
 # the most floats a config may ask the sample tables to hold, 128 MiB of
 # float64: samples x (2n + 1) (times, u and v) per trajectory; a generated
 # spectrum's count must leave room for one sample row
@@ -542,19 +540,12 @@ def _task_reparametrize(sc: Scenario):
     # a time run that stops early ends the task on its status
     if tr.meta.status != "completed":
         return {"psi_trace.csv": trace}, {"status": tr.meta.status}
-    # past the shift's first turn the flow leaves the curve, so the curve
-    # lands on the samples of the first rise up to S_MAX_SHARE of its top
-    _, direction = curve_branch(*psi_initial_derivatives(sc.u0, sc.u1, sc.m))
-    rise = direction * pt.psi
-    rise = rise[:_monotone_prefix(rise)]
-    shifts = rise[rise <= S_MAX_SHARE * float(rise[-1]) + 1e-15]
-    if shifts.size < 2:
-        raise ScenarioError(f"no sample of the shift's first rise lies past t = 0 and below "
-                            f"{S_MAX_SHARE} of its top; decrease dense_output_dt",
-                            field="params.dense_output_dt")
     try:
-        curve = solve_trajectory_system(tr, sc.m, shifts, sc.integrator)
-    except PreconditionError as exc:  # the rise ends before the bootstrap handoff
+        curve = solve_trajectory_system(tr, sc.m, sc.integrator)
+    except NoLandingError as exc:
+        raise ScenarioError(f"{exc}; decrease dense_output_dt",
+                            field="params.dense_output_dt") from exc
+    except PreconditionError as exc:  # the rise ends before or at the bootstrap handoff
         raise ScenarioError(f"{exc}; increase t_end, up to which the shift's first rise "
                             f"sets the curve's range", field="params.t_end") from exc
     recovered = solve_parametrization(curve, sc.m)

@@ -196,16 +196,12 @@ def test_criterion_07_round_trip():
     m = constant(1.0)
 
     worst = 0.0
-    for u1, t_end, s_max, direction in (
-        (SpectralVector(spec, [1.0]), 0.7, 0.9, 1),    # psi'(0) != 0
-        (zero_vector(spec), 1.1, 0.8, -1),             # psi'(0) = 0, psi''(0) != 0
+    for u1, t_end in (
+        (SpectralVector(spec, [1.0]), 0.7),    # psi'(0) != 0
+        (zero_vector(spec), 1.1),              # psi'(0) = 0, psi''(0) != 0
     ):
         tr = evolve(SpectralState(t=0.0, u=e1, v=u1), m, TOL, t_end)
-        # the shift rises over the whole run; the curve lands on its values
-        # up to s_max
-        rise = direction * psi_trace(tr).psi
-        assert np.all(np.diff(rise) > 0.0)
-        curve = solve_trajectory_system(tr, m, rise[rise <= s_max], TOL)
+        curve = solve_trajectory_system(tr, m, TOL)
         direct = reparametrization_check(tr, curve)
         assert direct.max_deviation <= 1e-5
 

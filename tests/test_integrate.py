@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -379,8 +380,7 @@ def test_reference_curve_system(monkeypatch, tight_cfg, u1, branch):
         monkeypatch,
         [reparametrize],
         lambda: curves.append(
-            reparametrize.solve_trajectory_system(tr, constant(1.0), np.linspace(0.0, 0.8, 9),
-                                                  tight_cfg)
+            reparametrize.solve_trajectory_system(tr, constant(1.0), tight_cfg)
         ),
     )
     assert curves[0].branch == branch
@@ -573,7 +573,7 @@ def check_rhs_closures(monkeypatch, rng, spec, ms, m_ats):
         sigma0 = a_half_norm_sq(u0)
         tr = datum_run(u0, u1, ms[0])
         calls = captured_solves(monkeypatch, [reparametrize], lambda: (
-            reparametrize.solve_trajectory_system(tr, ms[0], [1e-3], IntegratorConfig())
+            reparametrize.solve_trajectory_system(tr, ms[0], IntegratorConfig())
         ))
         curve = calls[0][0]
         for _ in range(5):
@@ -602,8 +602,7 @@ def test_degenerate_speed_reads_alike_in_both_curve_forms(monkeypatch):
         u1 = SpectralVector(spec, [1.0] * spec.n)
         tr = datum_run(u0, u1, affine(1.0, 1.0))
         calls = captured_solves(monkeypatch, [reparametrize], lambda: (
-            reparametrize.solve_trajectory_system(tr, affine(1.0, 1.0), [1e-3],
-                                                  IntegratorConfig())
+            reparametrize.solve_trajectory_system(tr, affine(1.0, 1.0), IntegratorConfig())
         ))
         curve = calls[0][0]
         z = 0.25 * reparametrize.DEN_FLOOR / spec.lambdas
@@ -629,7 +628,7 @@ def test_rhs_identity_cache_is_sound(monkeypatch, form):
         "vector": (dynamics, lambda: dynamics.evolve(states[0], m, cfg, 0.1)),
         "ensemble": (dynamics, lambda: dynamics.evolve(states, [m] * 3, cfg, 0.1)),
         "curve": (reparametrize, lambda: reparametrize.solve_trajectory_system(
-            datum_run(states[0].u, states[0].v, m, cfg), m, [1e-3], cfg)),
+            datum_run(states[0].u, states[0].v, m, cfg), m, cfg)),
     }[form]
 
     def fresh():
@@ -892,12 +891,19 @@ def raw_sha256(*arrays):
 
 def sqrt_uniform_curve(u0, u1, m, s_max, cfg):
     """The curve on 1,000 intervals uniform in sqrt(s) from 0 to s_max, the
-    grid its pins were recorded on, started on a time run of the datum: the
-    direct branch reads its first row, the bootstrap branch its rows up to
-    the handoff and the grid's shifts past it."""
+    grid its pins were recorded on: the curve's flow from the start row of
+    the library's curve on a time run of the datum (its first row on the
+    direct branch, the handoff row on the bootstrap branch) to the grid's
+    shifts past it, after that curve's lead-in rows."""
     shifts = np.linspace(0.0, math.sqrt(s_max), 1001) ** 2
     shifts[-1] = s_max
-    return reparametrize.solve_trajectory_system(datum_run(u0, u1, m, cfg), m, shifts, cfg)
+    lead = reparametrize.solve_trajectory_system(datum_run(u0, u1, m, cfg), m, cfg)
+    i = lead.start
+    samples = np.concatenate([lead.s[i:i + 1], shifts[shifts > lead.s[i]]])
+    z, w = reparametrize._curve_flow(u0.spectrum, m, a_half_norm_sq(u0), lead.direction,
+                                     np.concatenate([lead.z[i], lead.w[i]]), samples, cfg)
+    return dataclasses.replace(lead, s=np.concatenate([lead.s[:i], samples]),
+                               z=np.vstack([lead.z[:i], z]), w=np.vstack([lead.w[:i], w]))
 
 
 def solver_path_runs():

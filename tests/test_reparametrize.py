@@ -7,12 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kirchhoff_spectral import (
     IntegratorConfig,
     SpectralState,
     SpectralVector,
     Spectrum,
+    affine,
     basis_vector,
     constant,
     evolve,
@@ -113,16 +116,6 @@ def test_finite_difference_convergence(tight_cfg):
         assert order2 >= 0.9
 
 
-def landed_curve(tr, m, s_max, cfg):
-    """The curve of tr's datum landed on the shift values of tr's first rise
-    up to s_max, as the reparametrize task lands it."""
-    u0, u1 = (SpectralVector(tr.spectrum, x[0]) for x in (tr.u, tr.v))
-    _, direction = reparametrize.curve_branch(*psi_initial_derivatives(u0, u1, m))
-    s = direction * psi_trace(tr).psi
-    s = s[:reparametrize._monotone_prefix(s)]
-    return solve_trajectory_system(tr, m, s[s <= s_max], cfg)
-
-
 def assert_compares_the_rise_past_start(tr, curve, check):
     # every time sample whose shift lies past the curve's start row and inside
     # its range, at that very shift value, which is where the curve's rows past
@@ -140,14 +133,15 @@ def test_direct_branch_consistency(tight_cfg):
     u1 = basis_vector(spec, 0)
     m = constant(1.0)
     tr = evolve(SpectralState(t=0.0, u=u0, v=u1), m, tight_cfg, 0.7)
-    curve = landed_curve(tr, m, 0.9, tight_cfg)
+    curve = solve_trajectory_system(tr, m, tight_cfg)
     assert curve.branch == "direct"
     assert curve.direction == 1 and curve.start == 0 and curve.t_start == 0.0
     check = reparametrization_check(tr, curve)
     assert check.max_deviation < 1e-6
     assert_compares_the_rise_past_start(tr, curve, check)
-    # a curve landed on other shift values has no rows to compare
-    elsewhere = solve_trajectory_system(tr, m, np.linspace(0.0, 0.9, 10), tight_cfg)
+    # a curve landed on another run's rows has no rows to compare
+    other = evolve(SpectralState(t=0.0, u=u0, v=u1), m, tight_cfg, 0.6)
+    elsewhere = solve_trajectory_system(other, m, tight_cfg)
     with pytest.raises(PreconditionError, match="not landed on this run's shift values"):
         reparametrization_check(tr, elsewhere)
 
@@ -160,7 +154,7 @@ def test_bootstrap_branch_consistency(tight_cfg):
     d1, d2 = psi_initial_derivatives(u0, u1, m)
     assert d1 == 0.0 and d2 == -2.0
     tr = evolve(SpectralState(t=0.0, u=u0, v=u1), m, tight_cfg, 1.1)
-    curve = landed_curve(tr, m, 0.8, tight_cfg)
+    curve = solve_trajectory_system(tr, m, tight_cfg)
     assert curve.branch == "bootstrap"
     assert curve.direction == -1
     check = reparametrization_check(tr, curve)
@@ -169,6 +163,59 @@ def test_bootstrap_branch_consistency(tight_cfg):
     # u = cos t, so the mirrored shift is sin(t)**2
     assert curve.t_start == pytest.approx(math.asin(math.sqrt(curve.s[curve.start])), rel=1e-6)
     assert_compares_the_rise_past_start(tr, curve, check)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_psi_and_pace_ignore_a_zero_mode_whose_lambda_squared_overflows(tight_cfg):
+    # lambda = 1e200 squares to inf; that mode's data stay 0, so it adds
+    # nothing to psi, F or psi'', which read as on the first mode alone
+    m = affine(1.0, 1.0)
+    runs = [evolve(SpectralState(0.0, basis_vector(spec, 0), zero_vector(spec)), m, tight_cfg,
+                   1.0) for spec in (Spectrum([1.0, 1e200]), Spectrum([1.0]))]
+    wide, one = (psi_trace(tr) for tr in runs)
+    assert np.array_equal(wide.psi, one.psi)
+    assert np.max(np.abs(wide.f - one.f)) < 1e-15
+    paces = [solve_parametrization(solve_trajectory_system(tr, m, tight_cfg), m) for tr in runs]
+    assert np.max(np.abs(paces[0].t - paces[1].t)) < 1e-10
+
+
+@st.composite
+def curve_data(draw):
+    """One- or two-mode data on the branch drawn: on the direct branch any
+    u1 with psi'(0) away from 0; on the bootstrap branch u1 = 0 (a falling
+    shift) or, with two modes, u0 and u1 on different modes (either sign)."""
+    n = draw(st.integers(1, 2))
+    lam = [1.0, draw(st.floats(1.5, 3.0))][:n]
+    branch = draw(st.sampled_from(["direct", "bootstrap"]))
+    m = draw(st.sampled_from([constant(1.0), constant(0.5), affine(1.0, 1.0), power(1.0)]))
+    u0 = [draw(st.floats(0.5, 1.5))] + [draw(st.floats(-0.5, 0.5)) for _ in lam[1:]]
+    u1 = [draw(st.floats(-1.5, 1.5)) for _ in lam]
+    if branch == "bootstrap":
+        u1 = [0.0] * n
+        if n == 2 and draw(st.booleans()):
+            u0[1], u1[1] = 0.0, draw(st.floats(0.2, 1.5))
+    spec = Spectrum(lam)
+    return SpectralVector(spec, u0), SpectralVector(spec, u1), m, branch
+
+
+@settings(max_examples=30, deadline=None)
+@given(curve_data())
+def test_curve_lands_on_the_runs_rise_up_to_its_share_of_the_top(data):
+    u0, u1, m, branch = data
+    d1, d2 = psi_initial_derivatives(u0, u1, m)
+    assume(abs(d1 if branch == "direct" else d2) > 1e-2)
+    tr = datum_run(u0, u1, m, IntegratorConfig(1e-10, 1e-10), t_end=1.0)
+    curve = solve_trajectory_system(tr, m, IntegratorConfig(1e-10, 1e-10))
+    assert (curve.branch, curve.direction) == reparametrize.curve_branch(d1, d2)
+    assert curve.branch == branch
+    # the run's mirrored shift up to its first turn, cut at 0.95 of its top
+    rise = curve.direction * psi_trace(tr).psi
+    turns = np.flatnonzero(np.diff(rise) <= 0.0)
+    rise = rise[:turns[0] + 1] if turns.size else rise
+    landed = rise[rise <= 0.95 * rise[-1] + 1e-15]
+    assert curve.s.tobytes() == (landed + 0.0).tobytes()
+    check = reparametrization_check(tr, curve)
+    assert check.n_compared == landed.size - 1 - curve.start
 
 
 def handoff_row(tr, m):
@@ -188,7 +235,7 @@ def test_bootstrap_lead_in_is_the_time_runs_rows(tight_cfg):
     cfg = IntegratorConfig(1e-10, 1e-10, dense_output_dt=1e-5)
     tr = evolve(SpectralState(t=0.0, u=basis_vector(spec, 0), v=zero_vector(spec)), m, cfg,
                 1e-2)
-    curve = landed_curve(tr, m, 1.0, tight_cfg)
+    curve = solve_trajectory_system(tr, m, tight_cfg)
     start, speed, boot = handoff_row(tr, m)
     assert curve.branch == "bootstrap" and curve.start == start == 16
     assert np.all(speed[:start] < boot) and speed[start] >= boot
@@ -196,8 +243,11 @@ def test_bootstrap_lead_in_is_the_time_runs_rows(tight_cfg):
     assert np.array_equal(curve.s[lead], -psi_trace(tr).psi[lead])
     assert np.array_equal(curve.z[lead], tr.u[lead] * spec.lambdas)
     assert np.array_equal(curve.w[lead], tr.v[lead]) and curve.t_start == tr.t[start]
-    # past the start the rows are landed on the run's shifts, one row each
-    assert np.array_equal(curve.s, -psi_trace(tr).psi)
+    # past the start the rows are landed on the run's shifts, one row each,
+    # up to 0.95 of the rise's top
+    rise = -psi_trace(tr).psi
+    assert np.all(np.diff(rise) > 0.0)
+    assert np.array_equal(curve.s, rise[rise <= 0.95 * rise[-1] + 1e-15])
 
 
 def test_bootstrap_handoff_on_a_long_run():
@@ -208,7 +258,7 @@ def test_bootstrap_handoff_on_a_long_run():
     u0, u1, m = basis_vector(spec, 0, math.sqrt(40.0)), zero_vector(spec), constant(2.5e-11)
     assert psi_initial_derivatives(u0, u1, m) == (0.0, pytest.approx(-2e-9, rel=1e-12))
     tr = datum_run(u0, u1, m, t_end=1.6e5)
-    curve = landed_curve(tr, m, 20.0, IntegratorConfig())
+    curve = solve_trajectory_system(tr, m, IntegratorConfig())
     assert curve.branch == "bootstrap" and curve.start == handoff_row(tr, m)[0]
     s = curve.s[curve.start]
     assert 4e4 < curve.t_start < 6e4
@@ -231,18 +281,23 @@ def test_rise_that_never_clears_the_threshold_is_refused(monkeypatch):
 
     monkeypatch.setattr(reparametrize, "solve_to_samples", no_integration)
     with pytest.raises(PreconditionError, match="stays below the handoff threshold 0.0001"):
-        solve_trajectory_system(tr, m, [1e-5], IntegratorConfig())
+        solve_trajectory_system(tr, m, IntegratorConfig())
 
 
-@pytest.mark.parametrize("u1", [[1.0], [0.0]], ids=["direct", "bootstrap"])
-def test_curve_that_stops_early_is_refused(u1):
-    # m = sigma^1000 stiffens as sigma leaves 1: the curve's step falls
-    # below the step floor before it lands on the shifts
-    spec = Spectrum([1.0])
-    u0, u1 = basis_vector(spec, 0), SpectralVector(spec, u1)
+@pytest.mark.parametrize("lambdas, u0, u1", [
+    ([1.0], [1.0], [1.0]),
+    ([1.0, 2.0], [1.0, 0.0], [0.0, 1.0]),  # psi''(0) = 6: the shift rises from rest
+], ids=["direct", "bootstrap"])
+def test_curve_that_stops_early_is_refused(lambdas, u0, u1):
+    # the curve of m = sigma^1000, which has the initial derivatives of m = 1
+    # at sigma0 = 1, landed on the rows of an m = 1 run: m stiffens as sigma
+    # leaves 1, and the curve's step falls below the step floor before it
+    # lands on the rise's rows
+    spec = Spectrum(lambdas)
+    u0, u1 = SpectralVector(spec, u0), SpectralVector(spec, u1)
+    tr = datum_run(u0, u1, constant(1.0), t_end=0.1)
     with pytest.raises(ParametrizationError, match="curve integration stopped early: step size"):
-        solve_trajectory_system(datum_run(u0, u1, power(1e3)), power(1e3), [0.5, 1.0],
-                                IntegratorConfig())
+        solve_trajectory_system(tr, power(1e3), IntegratorConfig())
 
 
 def ci_reparametrize_config(name, lambdas, u0, u1, t_end):
@@ -311,8 +366,7 @@ def test_refusal_when_both_derivatives_vanish(tight_cfg):
     u0 = basis_vector(spec, 0)
     u1 = SpectralVector(spec, [0.0, 0.5])
     with pytest.raises(PreconditionError, match="vanish"):
-        solve_trajectory_system(datum_run(u0, u1, constant(1.0)), constant(1.0), [0.5],
-                                tight_cfg)
+        solve_trajectory_system(datum_run(u0, u1, constant(1.0)), constant(1.0), tight_cfg)
 
 
 @pytest.mark.parametrize("d1, d2, expected", [
@@ -353,28 +407,13 @@ def test_parametrization_sign_change_rejected():
         solve_parametrization(speed_curve(s, f), constant(1.0))
 
 
-@pytest.mark.parametrize("s_max", [math.nan, math.inf], ids=["s_max-nan", "s_max-inf"])
-def test_non_finite_scalar_refused_before_integration(tight_cfg, monkeypatch, s_max):
-    # the last shift, the top of the curve's range, is checked before the
-    # handoff row of the bootstrap data is sought or the curve integrates
-    def no_integration(*args, **kwargs):
-        raise AssertionError("integration or handoff search started")
-
-    spec = Spectrum([1.0])
-    tr = datum_run(basis_vector(spec, 0), zero_vector(spec), constant(1.0), tight_cfg)
-    monkeypatch.setattr(reparametrize, "psi_trace", no_integration)
-    monkeypatch.setattr(reparametrize, "solve_to_samples", no_integration)
-    with pytest.raises(PreconditionError, match="shifts must be finite"):
-        solve_trajectory_system(tr, constant(1.0), [0.25, s_max], tight_cfg)
-
-
 def test_round_trip_direct_branch(tight_cfg):
     spec = Spectrum([1.0])
     u0 = basis_vector(spec, 0)
     u1 = basis_vector(spec, 0)
     m = constant(1.0)
     tr = evolve(SpectralState(t=0.0, u=u0, v=u1), m, tight_cfg, 0.7)
-    curve = landed_curve(tr, m, 0.9, tight_cfg)
+    curve = solve_trajectory_system(tr, m, tight_cfg)
     recovered = solve_parametrization(curve, m)
     check = reparametrization_check(tr, curve)
     # psi = sin 2t, so a time lag dt moves psi by at most 2 dt
@@ -390,7 +429,7 @@ def test_round_trip_degenerate_start(tight_cfg):
     u1 = zero_vector(spec)
     m = constant(1.0)
     tr = evolve(SpectralState(t=0.0, u=u0, v=u1), m, tight_cfg, 1.1)
-    curve = landed_curve(tr, m, 0.8, tight_cfg)
+    curve = solve_trajectory_system(tr, m, tight_cfg)
     recovered = solve_parametrization(curve, m)
     check = reparametrization_check(tr, curve)
     assert np.all(recovered.psi < 0.0)  # escapes, mirrored sign restored
@@ -405,7 +444,7 @@ def test_sign_coherence(tight_cfg):
     u0 = basis_vector(spec, 0)
     for u1, expected in ((basis_vector(spec, 0), 1), (zero_vector(spec), -1)):
         curve = solve_trajectory_system(datum_run(u0, u1, constant(1.0), tight_cfg),
-                                        constant(1.0), np.linspace(0.0, 0.5, 11), tight_cfg)
+                                        constant(1.0), tight_cfg)
         assert curve.direction == expected
         f_vals = curve.f_values()
         assert np.all(f_vals[1:] > 0.0)  # mirrored speed positive past 0

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kirchhoff_spectral import scenario
+from kirchhoff_spectral import reparametrize, scenario
 from kirchhoff_spectral.artifacts import blas_core, dump_json, sha256_text
 from kirchhoff_spectral.cli import main
 from kirchhoff_spectral.dynamics import IntegratorConfig
@@ -1158,7 +1158,7 @@ def test_task_reads_the_integrator_settings_its_scenario_resolved(tmp_path, monk
     with pytest.raises(ValueError, match="init=False"):
         dataclasses.replace(sc, integrator=IntegratorConfig())
     seen = []
-    for name, at in (("evolve", 2), ("solve_trajectory_system", 3),
+    for name, at in (("evolve", 2), ("solve_trajectory_system", 2),
                      ("continuous_dependence_study", 2)):
         spy_on_settings(monkeypatch, name, at, seen)
     monkeypatch.setattr(scenario, "IntegratorConfig", refuse_to_build)
@@ -1328,6 +1328,20 @@ def test_s_max_inside_the_bootstrap_leg_names_the_field(tmp_path, t_end):
     assert json.loads((tmp_path / "error.json").read_text())["error"] == "ScenarioError"
 
 
+def test_landing_rows_that_end_at_the_handoff_row_name_t_end(tmp_path, monkeypatch):
+    # up to t_end = 1.7e-4 the speed clears the threshold 2.47e-4 at a row
+    # past the last one at or below 0.95 of the rise's top, so the curve would
+    # land on no row past its start: refused before it integrates
+    def no_curve(*args, **kwargs):
+        raise AssertionError("the curve integrated")
+
+    monkeypatch.setattr(reparametrize, "solve_to_samples", no_curve)
+    cfg = {**load_config(GOLDEN_BOOTSTRAP), "params": {"t_end": 1.7e-4}}
+    with pytest.raises(ScenarioError, match="at or before the curve's start") as info:
+        run_scenario(cfg, out_dir=tmp_path)
+    assert info.value.field == "params.t_end"
+
+
 @pytest.mark.parametrize("dt", [2.0], ids=["default_s_max"])
 def test_grid_too_coarse_for_the_shifts_rise_names_dense_output_dt(tmp_path, dt):
     # m = 1 and u0 = u1 = e_1 give psi = sin 2t, so psi(2) < 0: on a grid
@@ -1347,7 +1361,7 @@ def test_rise_with_no_sample_for_the_curve_names_dense_output_dt(tmp_path, monke
     def no_curve(*args, **kwargs):
         raise AssertionError("the curve integrated")
 
-    monkeypatch.setattr(scenario, "solve_trajectory_system", no_curve)
+    monkeypatch.setattr(reparametrize, "solve_to_samples", no_curve)
     cfg = {**load_config(GOLDEN_BOOTSTRAP.with_name("seeded_reparametrize_direct.json")),
            "params": {"t_end": 1.5, "dense_output_dt": 0.75}}
     validate_scenario(cfg)

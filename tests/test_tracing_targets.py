@@ -9,8 +9,6 @@ exists and is callable.
 import importlib.util
 from pathlib import Path
 
-import numpy as np
-
 from kirchhoff_spectral import (
     SpectralState,
     SpectralVector,
@@ -85,8 +83,7 @@ def test_traced_counters_match_the_solver(monkeypatch, tight_cfg):
         run = dynamics.evolve(SpectralState(0.0, SpectralVector(unit, [1.0]),
                                             SpectralVector(unit, [0.0])),
                               constant(1.0), tight_cfg, 1.0)
-        curve = reparametrize.solve_trajectory_system(run, constant(1.0),
-                                                      np.linspace(0.0, 0.8, 9), tight_cfg)
+        curve = reparametrize.solve_trajectory_system(run, constant(1.0), tight_cfg)
     finally:
         tracer.uninstall()
     assert curve.branch == "bootstrap"
