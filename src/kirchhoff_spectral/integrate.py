@@ -39,19 +39,19 @@ reach the ufuncs as 0-d arrays written once per attempt or per solve: a
 ufunc converts a Python float operand on every call, which made
 ``buf *= h`` cost about 1.6 times ``buf *= hs`` on 64 floats, and the
 product is the same float64 multiply either way.  The members' largest
-error goes through ``np.maximum.reduce``, which skips the Python-level
-wrapper of ``ndarray.max`` and propagates NaN the same way; a single
-member's error needs no reduction and is read directly.  The blow-up test
-reads the state's magnitude at its ``argmax``, which stops at the first NaN
-as the reduction would.  The two state buffers' views in the caller's
-shape are made once per solve and swap with their buffers, so every stage
-call passes one of two fixed objects, overwritten in place.  An RHS may
-keep views of its argument, such as its halves, while ``y is`` the object
-it sliced them from; it must hold that object, not its ``id``, which a dead
-view passes on to the next view made.  Both step loops give the same bits
-as the plain loop kept as the reference in tests/test_integrate.py, so a
-change here must keep trajectories and counters bit-identical; one that
-changes the step sequence changes the bundled scenarios' artifact bytes.
+error is read through a ``memoryview`` at ``argmax``, which stops at the
+first NaN as ``np.maximum.reduce`` would, in 0.3 us where that took 1.3 us
+on four members; a single member's is read at 0.  The blow-up test reads
+the state's magnitude at its ``argmax`` too.  The two state buffers' views
+in the caller's shape are made once per solve and swap with their buffers,
+so every stage call passes one of two fixed objects, overwritten in place.
+An RHS may keep views of its argument, such as its halves, while ``y is``
+the object it sliced them from; it must hold that object, not its ``id``,
+which a dead view passes on to the next view made.  Both step loops give
+the same bits as the plain loop kept as the reference in
+tests/test_integrate.py, so a change here must keep trajectories and
+counters bit-identical; one that changes the step sequence changes the
+bundled scenarios' artifact bytes.
 
 The solver never raises for suspected blow-up, step-size underflow or a
 non-finite derivative at the start: it returns the partial sample record
@@ -64,9 +64,16 @@ there would only precede the honest status.
 There are two step loops, and ``solve_to_samples`` computes their sample
 times and step floor once.  The floor is 16 eps max(|t0|, |t_end|, 1): a
 smaller step may give t + h == t on the grid, so a start far from t = 0
-stops on ``step_underflow`` instead of stepping in place.  The array loop
-takes every state: an ensemble, a (B, d) initial state, runs B members
-as one system, and a vector state runs as an ensemble of one.  The stages
+stops on ``step_underflow`` instead of stepping in place.  Beside the RHS,
+its numpy calls, ``math.sqrt`` and the pair loop's ``abs`` and
+``_maximum``, a step calls only ``_next_step``, the one step-size rule,
+which is branches alone.  The sample index, the cut to the next sample
+(``min``'s rule: a NaN step stays NaN) and the acceptance test
+(``err <= 1``, false for NaN) are comparisons, and the landing threshold,
+sample - 1e-12 max(1, |sample|), is formed once per sample, when the loop
+reaches the one before it.  The array loop takes every state: an
+ensemble, a (B, d) initial state, runs B members as one system, and a
+vector state runs as an ensemble of one.  The stages
 are one flat (9, B*d) matrix, so each stage combination is one ``dot``.
 The error norm is the largest over the members of each member's RMS norm,
 so every member meets its own tolerance, and the first-step guess is the
@@ -94,9 +101,9 @@ operation is the array loop's IEEE operation in its order,
 ``np.maximum``'s NaN rule in the error scale and ``argmax``'s in the
 blow-up test.  Sharing the step-size rule, the floor, the landing
 tolerance and the stop messages, the loops give the same steps, statuses,
-messages and bits.  The pair loop took ``single_mode_cubic``'s evolve from
-48 to 27 ms; the memoryviews, in place of a ``.tolist()`` and a stage-row
-setitem a stage, took it from 10.9 to 9.3 ms (BENCH_44.json).
+messages and bits.  On ``single_mode_cubic``'s evolve the pair loop takes
+8.4–8.5 ms, best of 40 in one process, where it took 9.2–9.4 ms with a
+helper call for each ``min``, ``len`` and finiteness test (BENCH_49.json).
 """
 
 from __future__ import annotations
@@ -246,16 +253,16 @@ def _initial_step(
 
 
 def _next_step(h_try: float, err: float, limit_growth: bool) -> float:
-    """The step after an attempt of ``h_try`` whose error norm was ``err``."""
-    if math.isfinite(err) and err > 0.0:
+    """The step after an attempt of ``h_try`` whose error norm was ``err``, by branches alone."""
+    if err > 0.0:  # an infinite err gives 0 here, which the floor below raises
         factor = _SAFETY * err**_ERROR_EXPONENT
-    elif err == 0.0:
-        factor = _MAX_FACTOR
-    else:  # overflowed stages
+    else:  # a NaN err, from overflowed stages, fails both tests
+        factor = _MAX_FACTOR if err == 0.0 else _MIN_FACTOR
+    cap = 1.0 if limit_growth else _MAX_FACTOR
+    if factor > cap:
+        factor = cap
+    elif factor < _MIN_FACTOR:
         factor = _MIN_FACTOR
-    factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-    if limit_growth:
-        factor = min(factor, 1.0)
     return h_try * factor
 
 
@@ -351,6 +358,7 @@ def _solve_array(rhs, y, samples, times, h_floor, rel_tol, abs_tol,
     # the first with abs_y, as it swaps buf, the candidate, with y
     abs_new, scale = np.empty(y.size), np.empty(y.size)
     err2 = np.empty(n_members)  # each member's squared error sum
+    e2v = memoryview(err2).cast("B").cast("d")  # read as Python floats
     # the step and the tolerances reach the ufuncs as 0-d arrays
     hs, rel, tol = np.empty(()), np.array(float(rel_tol)), np.array(float(abs_tol))
     multiply, add, divide, absolute = np.multiply, np.add, np.divide, np.absolute
@@ -374,14 +382,15 @@ def _solve_array(rhs, y, samples, times, h_floor, rel_tol, abs_tol,
     abs_y = np.abs(y)
     out = np.empty((samples.size, y.size))
     out[0] = y
-    si = 1
-    n_accepted = 0
-    n_rejected = 0
-    status, message = "completed", ""
+    n_samples, si, target = samples.size, 1, t
+    status, message, n_accepted, n_rejected = "completed", "", 0, 0
 
-    while si < samples.size:
-        target = times[si]
-        h_try = min(h, target - t)
+    while t != target or si < n_samples:
+        if t == target:  # on a sample: aim at the next, and form its landing threshold
+            target = times[si]
+            land = target - _LANDING_TOL * (abs(target) if abs(target) > 1.0 else 1.0)
+        gap = target - t
+        h_try = gap if gap < h else h  # min(h, gap): a NaN h stays NaN
         if not h_try >= h_floor:  # or NaN
             status, message = "step_underflow", _UNDERFLOW.format(h=h_try, t=t)
             if n_accepted + n_rejected:  # err2 holds the last attempt's errors
@@ -406,19 +415,17 @@ def _solve_array(rhs, y, samples, times, h_floor, rel_tol, abs_tol,
         divide(q, scale, q)
         multiply(q, q, q)
         add.reduce(q_rows, axis=1, out=err2)
-        # a NaN member's error is NaN
-        worst = err2[0] if n_members == 1 else np.maximum.reduce(err2)
-        err = math.sqrt(float(worst) / dim)
+        # the worst member's error; argmax stops at a NaN, so a NaN member's is NaN
+        err = math.sqrt((e2v[0] if n_members == 1 else e2v[err2.argmax()]) / dim)
 
-        if math.isfinite(err) and err <= 1.0:
+        if err <= 1.0:  # NaN fails
             y, buf, y_in, stage = buf, y, stage, y_in
             abs_y, abs_new = abs_new, abs_y
-            t_new = t + h_try
-            if t_new >= target - _LANDING_TOL * max(1.0, abs(target)):
-                t_new = target
+            t += h_try
+            if t >= land:
+                t = target
                 out[si] = y
                 si += 1
-            t = t_new
             # first-same-as-last: only an accepted step's last stage is the
             # derivative at the new point; a rejected one leaves k[0] as is
             k[0] = k[8]
@@ -452,13 +459,14 @@ def _solve_pair(rhs, y, samples, times, h_floor, rel_tol, abs_tol,
         n_rhs += 1
         return np.array(rhs(t, tuple(y.tolist())), dtype=float)
 
-    k, buf, q = np.empty((9, 2)), np.empty(2), np.empty(2)
+    k, buf, q, out = np.empty((9, 2)), np.empty(2), np.empty(2), np.empty((samples.size, 2))
     kv, bv, qv = (memoryview(a).cast("B").cast("d") for a in (k, buf, q))
+    ov = memoryview(out).cast("B").cast("d", out.shape)
     # (node, row of A's dot, stages it combines, stage's first index in kv)
     stages = [(_C[i], _A[i - 1].dot, k[:i], 2 * i) for i in range(1, 9)]
     k[0] = derivative(t, y)
     y0, y1 = y.tolist()
-    out = [(y0, y1)]
+    ov[0, 0], ov[0, 1] = y0, y1
     status, message, n_accepted, n_rejected = "completed", "", 0, 0
     if not np.isfinite(k[0]).all():
         return IntegrationOutcome(samples[:1].copy(), y[None], 0, 0, n_rhs, "step_underflow",
@@ -466,10 +474,14 @@ def _solve_pair(rhs, y, samples, times, h_floor, rel_tol, abs_tol,
     h = _initial_step(derivative, t, y, k[0], t_end - t, rel_tol, abs_tol)
     grew_after_reject = False
     ay0, ay1 = abs(y0), abs(y1)
+    n_samples, si, target = samples.size, 1, t
 
-    while len(out) < len(times):
-        target = times[len(out)]
-        h_try = min(h, target - t)
+    while t != target or si < n_samples:
+        if t == target:  # on a sample: aim at the next, and form its landing threshold
+            target = times[si]
+            land = target - _LANDING_TOL * (abs(target) if abs(target) > 1.0 else 1.0)
+        gap = target - t
+        h_try = gap if gap < h else h  # min(h, gap): a NaN h stays NaN
         if not h_try >= h_floor:  # or NaN
             status, message = "step_underflow", _UNDERFLOW.format(h=h_try, t=t)
             break
@@ -479,16 +491,18 @@ def _solve_pair(rhs, y, samples, times, h_floor, rel_tol, abs_tol,
             kv[j], kv[j + 1] = rhs(t + c_i * h_try, (s0, s1))
         n_rhs += 8
         _E.dot(k, q)
-        e0 = qv[0] * h_try / (_maximum(ay0, abs(s0)) * rel_tol + abs_tol)
-        e1 = qv[1] * h_try / (_maximum(ay1, abs(s1)) * rel_tol + abs_tol)
+        as0, as1 = abs(s0), abs(s1)
+        e0 = qv[0] * h_try / (_maximum(ay0, as0) * rel_tol + abs_tol)
+        e1 = qv[1] * h_try / (_maximum(ay1, as1) * rel_tol + abs_tol)
         err = math.sqrt((e0 * e0 + e1 * e1) / 2)
 
-        if math.isfinite(err) and err <= 1.0:
-            y0, y1, ay0, ay1 = s0, s1, abs(s0), abs(s1)
+        if err <= 1.0:  # NaN fails
+            y0, y1, ay0, ay1 = s0, s1, as0, as1
             t += h_try
-            if t >= target - _LANDING_TOL * max(1.0, abs(target)):
+            if t >= land:
                 t = target
-                out.append((y0, y1))
+                ov[si, 0], ov[si, 1] = y0, y1
+                si += 1
             kv[0], kv[1] = kv[16], kv[17]
             n_accepted += 1
             limit_growth, grew_after_reject = grew_after_reject, False
@@ -500,5 +514,5 @@ def _solve_pair(rhs, y, samples, times, h_floor, rel_tol, abs_tol,
             grew_after_reject = limit_growth = True
         h = _next_step(h_try, err, limit_growth)
 
-    return IntegrationOutcome(samples[: len(out)].copy(), np.array(out), n_accepted,
-                              n_rejected, n_rhs, status, message)
+    return IntegrationOutcome(samples[:si].copy(), out[:si], n_accepted, n_rejected, n_rhs,
+                              status, message)

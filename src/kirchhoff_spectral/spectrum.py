@@ -132,15 +132,20 @@ def require_shared_spectrum(*vectors: SpectralVector) -> Spectrum:
 def a_weighted_sum(spectrum: Spectrum, power: int, x: np.ndarray):
     """sum_k lambda_k**power x_k, along the last axis of ``x``.
 
-    A mode where x is zero (in every row) adds nothing, whatever its
-    lambda_k: its weight is taken as 0, so a power that overflows never
-    meets a zero factor (inf * 0 = NaN).  Any other mode keeps its power,
-    inf where it overflows.  Even powers are formed from ``lam2``.
+    A zero x_k adds nothing, whatever its lambda_k: a mode whose power
+    overflows adds inf * x_k only where x_k is not 0, so inf never meets a
+    zero factor (inf * 0 = NaN).  The other modes' sum is one BLAS product.
+    Even powers are formed from ``lam2``.
     """
     with np.errstate(over="ignore"):
         lam2 = spectrum.lam2
         weight = lam2 if power == 2 else lam2**2 if power == 4 else spectrum.lambdas**power
-    return x @ np.where(np.atleast_2d(x).any(axis=0), weight, 0.0)
+    big = np.isinf(weight)
+    if not big.any():
+        return x @ weight
+    live = x[..., big]
+    terms = np.multiply(live, weight[big], out=np.zeros(live.shape), where=live != 0.0)
+    return x @ np.where(big, 0.0, weight) + terms.sum(axis=-1)
 
 
 def a_half_norm_sq(u: SpectralVector) -> float:

@@ -246,6 +246,22 @@ def test_series_ignore_a_mode_that_is_zero_at_every_sample():
         assert higher_order_series(rows).tolist() == [energy]
 
 
+def test_series_meet_an_overflowing_weight_only_where_its_mode_is_live():
+    # lambda^3 = 1e330 overflows at the last mode, which is live at the first
+    # sample and zero at the second (its square underflows): the first row
+    # is inf, and the second keeps the other modes' BLAS sum, where inf * 0
+    # once made it NaN with an invalid-value warning
+    for lambdas, u in (([1.0, 1e110], [[1.0, 1e-100], [1.0, 1e-300]]),
+                       ([1.0, 1.5, 1e110], [[1.0, 0.5, 1e-100], [1.0, 0.5, 1e-300]])):
+        spec = Spectrum(lambdas)
+        rows = hand_trajectory(spec, u, np.zeros((2, spec.n)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            series = higher_order_series(rows)
+        assert series[0] == math.inf
+        assert series[1] == np.array(u)[1, :-1] ** 2 @ spec.lambdas[:-1] ** 3
+
+
 def test_evolve_ignores_a_zero_mode_whose_lambda_squared_overflows():
     # lambda^2 = 1e400 overflows at the second mode, which carries no data in
     # any member and stays 0: sigma gives it weight 0, where inf * 0 once

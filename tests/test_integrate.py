@@ -140,6 +140,20 @@ def as_array_rhs(rhs):
     return lambda t, y: np.array(rhs(t, tuple(y.tolist())), dtype=float)
 
 
+def reference_next_step(h_try, err, limit_growth):
+    """The step-size rule in its min/max form."""
+    if math.isfinite(err) and err > 0.0:
+        factor = integrate._SAFETY * err**integrate._ERROR_EXPONENT
+    elif err == 0.0:
+        factor = integrate._MAX_FACTOR
+    else:
+        factor = integrate._MIN_FACTOR
+    factor = min(integrate._MAX_FACTOR, max(integrate._MIN_FACTOR, factor))
+    if limit_growth:
+        factor = min(factor, 1.0)
+    return h_try * factor
+
+
 def reference_solve(rhs, y0, samples, rel_tol, abs_tol, state_cap=None, pair=False):
     samples = np.asarray(samples, dtype=float)
     t = float(samples[0])
@@ -206,16 +220,7 @@ def reference_solve(rhs, y0, samples, rel_tol, abs_tol, state_cap=None, pair=Fal
             grew_after_reject = True
             limit_growth = True
 
-        if math.isfinite(err) and err > 0.0:
-            factor = integrate._SAFETY * err**integrate._ERROR_EXPONENT
-        elif err == 0.0:
-            factor = integrate._MAX_FACTOR
-        else:
-            factor = integrate._MIN_FACTOR
-        factor = min(integrate._MAX_FACTOR, max(integrate._MIN_FACTOR, factor))
-        if limit_growth:
-            factor = min(factor, 1.0)
-        h = h_try * factor
+        h = reference_next_step(h_try, err, limit_growth)
 
     outcome = IntegrationOutcome(
         t=samples[:si].copy(),
@@ -290,6 +295,18 @@ def linear_system(state, c_of_t, t_end):
 
 
 LINEAR_TOLERANCES = {"rel_tol": 1e-10, "abs_tol": 1e-10, "state_cap": dynamics.BLOWUP_CAP}
+
+
+@pytest.mark.parametrize("limit_growth", [True, False])
+def test_step_rule_matches_its_min_max_form(limit_growth):
+    # the branch form of _next_step gives the min/max form's step exactly,
+    # at the error norms where its branches part: 0, the subnormals, the
+    # factor's clamps at both ends, and the non-finite norms of overflowed
+    # stages
+    for err in (0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, 1e300, math.inf, math.nan):
+        for h_try in (0.37, 1e-300, 1e300):
+            got = integrate._next_step(h_try, err, limit_growth)
+            assert got.hex() == reference_next_step(h_try, err, limit_growth).hex(), err
 
 
 def test_reference_harmonic_oscillator():
@@ -481,6 +498,34 @@ def test_start_far_from_zero_stops_on_step_underflow(form):
 
 
 @pytest.mark.parametrize("form", ["vector", "ensemble", "pair"])
+def test_landing_threshold_far_from_zero_matches_reference(form):
+    # y' = 1 keeps the error norm near 0, so each step grows fivefold.  From
+    # t0 = 1e6 a sample 5e-7 past the end of the second step lies inside that
+    # step's landing threshold, 1e-6 below the sample (some 8,000 ulps of t):
+    # the step is not cut short, yet lands on the sample, in both loops as
+    # in the reference
+    times = []
+
+    def rhs(t, y):
+        times.append(t)
+        return (1.0, 1.0) if form == "pair" else np.ones_like(y)
+
+    y0, kwargs = np.zeros(2), {"pair": form == "pair"}
+    if form == "ensemble":
+        y0 = y0[None]
+    t0, t_end = 1e6, 1e6 + 10.0
+    solve_to_samples(rhs, y0, np.array([t0, t_end]), 1e-10, 1e-10, **kwargs)
+    # calls 0 and 1 are the first derivative and the first-step guess; a
+    # step's eighth call is at its end
+    second_end = times[17]
+    samples = np.array([t0, second_end + 5e-7, t_end])
+    times.clear()
+    ref, _ = assert_matches_reference(rhs, y0, samples, 1e-10, 1e-10, **kwargs)
+    assert ref.status == "completed" and times[17] == second_end
+    assert samples[1] - 1e-12 * samples[1] <= second_end < samples[1]
+
+
+@pytest.mark.parametrize("form", ["vector", "ensemble", "pair"])
 def test_overflowing_first_derivative_stops_on_step_underflow(form):
     # the scaled RMS of y'(0) = (1e200, -0.3) overflows, so the first trial
     # step is 0: the loop stops before a step, with only the first RHS call
@@ -591,6 +636,68 @@ def check_rhs_closures(monkeypatch, rng, spec, ms, m_ats):
                            match=rf"\|psi'\| = 5\.000e-11 at s = {direction * s_tilde:.6g}$"):
             curve(s_tilde, arg(np.concatenate([z, w])))
     assert directions == {-1, 1}
+
+
+RHS_VALUES = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+# m's values that evolve's closures take: nonnegative, -0.0 or NaN
+M_VALUES = st.one_of(st.sampled_from([0.0, -0.0, math.inf, math.nan]), st.floats(0.0, 1e308))
+
+
+def check_rhs_product(members, n, live, cs, y):
+    # evolve's array closure gives the bits of two multiplies in place on
+    # its output, lam2 * -c and then * u, signed zeros, infinities and NaNs
+    # included.  members = 0 is a vector state, which takes the array
+    # closure from two modes on; member b's m returns cs[b]
+    solo = members == 0
+    spec = Spectrum(1.3 * np.arange(1.0, n + 1))
+    lam2 = np.where(live, spec.lam2, 0.0)  # a mode without data has weight 0
+    state = SpectralState(t=0.0, u=SpectralVector(spec, np.where(live, 0.5, 0.0)),
+                          v=SpectralVector(spec, np.zeros(n)))
+    m_cs, made = [1.0] * len(cs), []
+
+    def m_values(m):
+        made.append(len(made))
+        return lambda sigma, b=made[-1]: m_cs[b]
+
+    cfg = IntegratorConfig(dense_output_dt=1e-3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "scalar_callable", m_values)
+        run = ((lambda: dynamics.evolve(state, affine(1.0, 1.0), cfg, 1e-3)) if solo else
+               (lambda: dynamics.evolve([state] * members, [affine(1.0, 1.0)] * members,
+                                        cfg, 1e-3)))
+        rhs = captured_solves(mp, [dynamics], run)[0][0]
+    m_cs[:] = cs
+    y = np.array(y).reshape((2 * n,) if solo else (members, 2 * n))
+    neg_c = np.array(-cs[0]) if solo else np.array([[-c] for c in cs])
+    want = np.empty(y.shape)
+    want[..., :n] = y[..., n:]
+    accel = want[..., n:]
+    with np.errstate(all="ignore"):
+        got = rhs(0.0, y).copy()
+        np.multiply(lam2, neg_c, accel)
+        np.multiply(accel, y[..., :n], accel)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), members=st.integers(0, 3), n=st.integers(1, 5))
+def test_rhs_product_matches_two_multiplies_in_place(data, members, n):
+    n = max(n, 2) if members == 0 else n
+    live = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    cs = data.draw(st.lists(M_VALUES, min_size=max(members, 1), max_size=max(members, 1)))
+    size = 2 * n * max(members, 1)
+    check_rhs_product(members, n, live, cs, data.draw(st.lists(RHS_VALUES, min_size=size,
+                                                               max_size=size)))
+
+
+def test_rhs_product_keeps_the_in_place_nan():
+    # -c * lam2 on a contiguous scratch, then * u into the output, gives the
+    # same numbers, but here numpy's kernel returns u's NaN where both
+    # factors are NaN (-inf * 0, then * NaN), flipping the NaN's sign
+    y = [0.0] * 30
+    y[24] = math.nan
+    check_rhs_product(3, 5, [False] * 5, [0.0, 0.0, math.inf], y)
 
 
 def test_degenerate_speed_reads_alike_in_both_curve_forms(monkeypatch):
